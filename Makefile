@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-race build vet lint test race bench bench-smoke bench-serving
+.PHONY: check check-race build vet lint test race bench bench-smoke bench-serving bench-e2e
 
 # check is the CI entry point: everything must pass before merge.
 check: build vet lint race
@@ -48,3 +48,12 @@ bench-serving:
 # raised above go test's 10m default for slow CI runners.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 30m ./...
+
+# bench-e2e runs the repository's end-to-end benchmark (bench/README.md,
+# BENCHMARK.json) once per workload, the way the driver does: fixed work,
+# oracle-checked, nine end-to-end metrics each. BENCH_ARGS adds e.g.
+# `--trace 1` for the per-layer table or `--seed 3`.
+bench-e2e:
+	for w in serve_mix window_deep build_bound sim_replay; do \
+		bash bench/run.sh --workload $$w $(BENCH_ARGS) || exit 1; \
+	done

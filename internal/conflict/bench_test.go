@@ -126,3 +126,39 @@ func BenchmarkAnalyzeFanOut(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildGraphIncremental measures one epoch of the deep-window steady
+// state at k pending over k/16 subtrees (chain depth 16): the oldest pending
+// change lands — a head move that re-analyses its chain mates — and 8 new
+// changes arrive, then BuildGraph reconciles the memoized graph. The same
+// shape as the bench/ probe conflict.build_graph_incr_ms.kN.
+func BenchmarkBuildGraphIncremental(b *testing.B) {
+	for _, k := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			const depth, arrivals = 16, 8
+			subtrees := k / depth
+			r, pending := chainRepo(subtrees, depth)
+			a := New(r)
+			if _, failed := a.BuildGraph(pending); len(failed) != 0 {
+				b.Fatalf("setup failed: %v", failed)
+			}
+			next := len(pending)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if _, err := r.CommitPatch(r.Head().ID, pending[0].Patch, "dev", "land", time.Time{}); err != nil {
+					b.Fatal(err)
+				}
+				pending = pending[1:]
+				for n := 0; n < arrivals; n++ {
+					pending = append(pending, chainChange(next, next%subtrees, (next/subtrees)%depth))
+					next++
+				}
+				b.StartTimer()
+				if _, failed := a.BuildGraph(pending); len(failed) != 0 {
+					b.Fatalf("BuildGraph failed: %v", failed)
+				}
+			}
+		})
+	}
+}

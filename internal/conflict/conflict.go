@@ -20,10 +20,12 @@
 //   - Parallel fan-out: per-change analyses run single-flight on a bounded
 //     worker pool; the analyzer mutex only guards cache bookkeeping, never a
 //     merge or graph build.
-//   - Pairwise memoization + incremental conflict graph: pair verdicts are
-//     cached under the two analyses' identities (which survive re-homing),
-//     and BuildGraph updates one long-lived graph epoch to epoch, rescanning
-//     only pairs whose analyses changed.
+//   - Target index + incremental conflict graph: BuildGraph updates one
+//     long-lived graph epoch to epoch. A vertex whose analysis changed drops
+//     its edges and re-derives them from an inverted index target → pending
+//     changes whose delta contains it, so an update walks edges, not pairs.
+//     Only structure-changing changes are compared against every other
+//     member, and only those union-graph verdicts are memoized.
 package conflict
 
 import (
@@ -66,9 +68,9 @@ func IsApplyFailure(err error) bool {
 // given head.
 type Analysis struct {
 	// id is the analysis identity: a fresh value per computed analysis,
-	// preserved when the analysis is re-homed across a head move. Pairwise
-	// verdicts are memoized under the two identities, so a verdict stays
-	// valid exactly as long as both analyses do.
+	// preserved when the analysis is re-homed across a head move. The graph
+	// memo keeps a vertex's edges, and the union memo a verdict, exactly as
+	// long as the identities they were derived from stay current.
 	id uint64
 
 	Change *change.Change
@@ -88,13 +90,16 @@ type Analysis struct {
 	// selective-invalidation rule (a head movement touching none of them
 	// cannot affect the patch's applicability).
 	paths map[string]bool
+	// union memoizes this analysis's union-graph verdicts by the other
+	// analysis's identity (see pairVerdictLocked). Guarded by Analyzer.mu.
+	union map[uint64]bool
 }
 
 // Stats counts analyzer work, used by the ablation benchmarks to verify the
 // "n graphs instead of n²" claim and to measure the incremental pipeline.
 type Stats struct {
 	GraphBuilds        int // full build-graph analyses performed
-	CheapComparisons   int // name-intersection conflict tests
+	CheapComparisons   int // name-intersection conflict tests (a pair found through the target index counts once)
 	UnionComparisons   int // union-graph conflict tests
 	CacheHits          int
 	StructureChanged   int // analyses whose change altered graph structure
@@ -104,9 +109,9 @@ type Stats struct {
 	// Incremental-pipeline counters (DESIGN.md §4e).
 	ReusedAnalyses         int // analyses re-homed across a head move without recomputation
 	SelectiveInvalidations int // analyses dropped by the invalidation rule
-	PairCacheHits          int // pairwise verdicts served from the pair cache
-	PairsReused            int // graph edges carried between epochs without any rescan
-	PairsRescanned         int // dirty pairs re-verdicted during a graph update
+	PairCacheHits          int // union-graph verdicts served from the memo
+	PairsReused            int // vertex pairs carried between epochs without any rescan
+	PairsRescanned         int // pairs re-verdicted during a graph update: index candidates and union comparisons
 	HeadMoveRetries        int // BuildGraph passes re-run because HEAD moved mid-analysis
 	ConservativeEdges      int // edges assumed conflicting because HEAD kept moving
 	GraphUpdates           int // incremental conflict-graph updates
@@ -144,26 +149,15 @@ type inflight struct {
 	err  error
 }
 
-// pairKey addresses one memoized pairwise verdict by the identities of the
-// two analyses it was computed from, order-normalized.
-type pairKey struct{ lo, hi uint64 }
-
-func makePairKey(a, b uint64) pairKey {
-	if a > b {
-		a, b = b, a
-	}
-	return pairKey{lo: a, hi: b}
-}
-
-// Analyzer caches per-head build graphs, per-change analyses, pairwise
-// verdicts, and an incrementally maintained conflict graph. All methods are
-// safe for concurrent use.
+// Analyzer caches per-head build graphs, per-change analyses (each with its
+// union-graph verdicts), and an incrementally maintained conflict graph. All
+// methods are safe for concurrent use.
 type Analyzer struct {
 	repo *repo.Repo
 
 	// LegacyInvalidation, when set before first use, restores the
 	// wipe-on-head-move baseline: every head movement discards all cached
-	// analyses, pair verdicts, and the graph memo. It exists so benchmarks
+	// analyses, union verdicts, and the graph memo. It exists so benchmarks
 	// and ablations can measure what the incremental pipeline saves.
 	LegacyInvalidation bool
 
@@ -176,7 +170,6 @@ type Analyzer struct {
 	analyses  map[change.ID]*Analysis
 	inflight  map[change.ID]*inflight
 	nextID    uint64 // next analysis identity; starts at 1 (0 = "no identity")
-	pairs     map[pairKey]bool
 	memo      *graphMemo
 	stats     Stats
 	bus       *events.Bus
@@ -195,7 +188,6 @@ func New(r *repo.Repo) *Analyzer {
 		analyses: map[change.ID]*Analysis{},
 		inflight: map[change.ID]*inflight{},
 		nextID:   1,
-		pairs:    map[pairKey]bool{},
 	}
 }
 
@@ -241,7 +233,6 @@ func (a *Analyzer) refreshHeadLocked() error {
 	a.stats.GraphBuilds++
 	if a.headGraph == nil || a.LegacyInvalidation {
 		a.analyses = map[change.ID]*Analysis{}
-		a.pairs = map[pairKey]bool{}
 		a.memo = nil
 	} else {
 		a.invalidateLocked(head.ID, snap, g)
@@ -387,24 +378,32 @@ func (a *Analyzer) Conflicts(ci, cj *change.Change) (bool, error) {
 	return a.pairVerdictLocked(ai, aj), nil
 }
 
-// pairVerdictLocked decides (and memoizes) whether two same-head analyses
-// conflict. Callers hold a.mu and have verified both heads match a.head.
+// pairVerdictLocked decides whether two same-head analyses conflict. A name
+// intersection is cheaper than a map insert and is never memoized. A
+// union-graph verdict — the one comparison that costs O(graph) — is kept in
+// the row of a member that changed structure (the older one, if both did):
+// no head move re-homes such an analysis, so the row is dropped with it and
+// nothing ever has to be swept. Callers hold a.mu and have verified both
+// heads match a.head.
 func (a *Analyzer) pairVerdictLocked(ai, aj *Analysis) bool {
-	key := makePairKey(ai.id, aj.id)
-	if v, ok := a.pairs[key]; ok {
+	if !ai.StructureChanged && !aj.StructureChanged {
+		a.stats.CheapComparisons++
+		return buildgraph.NameIntersectionConflict(ai.Delta, aj.Delta)
+	}
+	if !ai.StructureChanged || (aj.StructureChanged && aj.id < ai.id) {
+		ai, aj = aj, ai
+	}
+	if v, ok := ai.union[aj.id]; ok {
 		a.stats.PairCacheHits++
 		return v
 	}
-	var conf bool
-	if !ai.StructureChanged && !aj.StructureChanged {
-		a.stats.CheapComparisons++
-		conf = buildgraph.NameIntersectionConflict(ai.Delta, aj.Delta)
-	} else {
-		a.stats.UnionComparisons++
-		conf = buildgraph.UnionConflictDeltas(ai.Delta, aj.Delta, a.headGraph, ai.Graph, aj.Graph)
-	}
+	a.stats.UnionComparisons++
+	conf := buildgraph.UnionConflictDeltas(ai.Delta, aj.Delta, a.headGraph, ai.Graph, aj.Graph)
 	if !a.LegacyInvalidation {
-		a.pairs[key] = conf
+		if ai.union == nil {
+			ai.union = map[uint64]bool{}
+		}
+		ai.union[aj.id] = conf
 	}
 	return conf
 }

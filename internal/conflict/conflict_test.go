@@ -250,6 +250,38 @@ func TestGraphRemove(t *testing.T) {
 	g.Remove("nope") // no-op, no panic
 }
 
+func TestGraphRemoveSeveralAndIsolate(t *testing.T) {
+	g := NewGraph([]change.ID{"a", "b", "c", "d", "e"})
+	for _, e := range [][2]change.ID{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"a", "e"}, {"d", "e"}} {
+		g.AddEdge(e[0], e[1])
+	}
+	g.Remove("b", "nope", "d")
+	if got := g.Order(); len(got) != 3 || got[0] != "a" || got[1] != "c" || got[2] != "e" {
+		t.Fatalf("order = %v", got)
+	}
+	if g.Conflict("c", "d") || g.Conflict("a", "b") || !g.Conflict("a", "e") {
+		t.Fatal("edges of removed vertices survived, or a kept edge was lost")
+	}
+	if got := g.ConflictingPredecessors("e"); len(got) != 1 || got[0] != "a" {
+		t.Fatalf("reindex wrong: preds(e) = %v", got)
+	}
+	g.AddEdge("c", "e")
+	g.Isolate("e")
+	if !g.Contains("e") || g.Conflict("a", "e") || g.Conflict("e", "c") || len(g.Neighbors("a")) != 0 {
+		t.Fatal("Isolate must drop every incident edge and keep the vertex")
+	}
+}
+
+func TestHasConflictingPredecessor(t *testing.T) {
+	g := NewGraph([]change.ID{"a", "b", "c"})
+	g.AddEdge("a", "c")
+	for id, want := range map[change.ID]bool{"a": false, "b": false, "c": true, "nope": false} {
+		if got := g.HasConflictingPredecessor(id); got != want || got != (len(g.ConflictingPredecessors(id)) > 0) {
+			t.Errorf("HasConflictingPredecessor(%s) = %v, want %v", id, got, want)
+		}
+	}
+}
+
 func TestComponentsOrdering(t *testing.T) {
 	g := NewGraph([]change.ID{"a", "b", "c", "d", "e"})
 	g.AddEdge("d", "a") // component {a, d}

@@ -1,0 +1,286 @@
+package conflict
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"mastergreen/internal/buildgraph"
+	"mastergreen/internal/change"
+	"mastergreen/internal/repo"
+)
+
+// bruteForce is the reference the memoized graph is compared with: a fresh
+// merge and build-graph analysis per pending change at the current head and
+// a direct §5.2 comparison of every pair — no analyzer, no memo, no index.
+// It returns the analyzable changes in pending order, the conflicting pairs
+// among them, and for every other change whether it failed to apply (true)
+// or failed analysis (false).
+func bruteForce(t *testing.T, r *repo.Repo, pending []*change.Change) (ids []change.ID, edges map[[2]change.ID]bool, failed map[change.ID]bool) {
+	t.Helper()
+	type fresh struct {
+		delta     buildgraph.Delta
+		graph     *buildgraph.Graph
+		structure bool
+	}
+	head := r.Head()
+	gH, err := buildgraph.Analyze(head.Snapshot())
+	if err != nil {
+		t.Fatalf("head does not analyze: %v", err)
+	}
+	var ok []fresh
+	failed = map[change.ID]bool{}
+	for _, c := range pending {
+		snap, err := r.Merged(head.ID, c.Patch)
+		if err != nil {
+			failed[c.ID] = true
+			continue
+		}
+		g, err := buildgraph.Analyze(snap)
+		if err != nil {
+			failed[c.ID] = false
+			continue
+		}
+		ids = append(ids, c.ID)
+		ok = append(ok, fresh{buildgraph.Diff(gH, g), g, !buildgraph.SameStructure(gH, g)})
+	}
+	edges = map[[2]change.ID]bool{}
+	for i := range ok {
+		for j := i + 1; j < len(ok); j++ {
+			var conf bool
+			if !ok[i].structure && !ok[j].structure {
+				conf = buildgraph.NameIntersectionConflict(ok[i].delta, ok[j].delta)
+			} else {
+				conf = buildgraph.UnionConflictDeltas(ok[i].delta, ok[j].delta, gH, ok[i].graph, ok[j].graph)
+			}
+			if conf {
+				edges[[2]change.ID{ids[i], ids[j]}] = true
+			}
+		}
+	}
+	return ids, edges, failed
+}
+
+// TestGraphMatchesBruteForce interleaves arrivals, removals and head moves
+// over content-only, structure-changing (BUILD-edit), unowned-file and
+// no-longer-applying changes and after every step compares the analyzer's
+// incrementally maintained graph edge for edge with bruteForce.
+func TestGraphMatchesBruteForce(t *testing.T) {
+	const pkgs, steps = 8, 150
+	var total Stats
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		files := map[string]string{"docs/readme.txt": "readme v0"}
+		for k := 0; k < pkgs; k++ {
+			deps := ""
+			if k%2 == 1 {
+				deps = fmt.Sprintf(" deps=//p%d:t%d", k-1, k-1)
+			}
+			files[fmt.Sprintf("p%d/BUILD", k)] = fmt.Sprintf("target t%d srcs=a.go,b.go%s", k, deps)
+			files[fmt.Sprintf("p%d/a.go", k)] = "a v0"
+			files[fmt.Sprintf("p%d/b.go", k)] = "b v0"
+		}
+		r := repo.New(files)
+		a := New(r)
+		var pending []*change.Change
+		arrive := func(n int) *change.Change {
+			id, k := fmt.Sprintf("s%d-c%03d", seed, n), rng.Intn(pkgs)
+			switch kind := rng.Intn(10); {
+			case kind < 6: // content-only; two edits of one file stop applying once either lands
+				return mkChange(t, r, id, fmt.Sprintf("p%d/%s.go", k, []string{"a", "b"}[rng.Intn(2)]), id)
+			case kind < 8: // BUILD edit: rewires tK's dep (sometimes into a cycle, which fails analysis)
+				j := rng.Intn(pkgs)
+				return mkChange(t, r, id, fmt.Sprintf("p%d/BUILD", k),
+					fmt.Sprintf("target t%d srcs=a.go,b.go deps=//p%d:t%d", k, j, j))
+			case kind < 9: // new unowned file: empty delta
+				return mkChange(t, r, id, fmt.Sprintf("notes/%s.txt", id), id)
+			default: // existing unowned file: empty delta, stops applying when a sibling lands
+				return mkChange(t, r, id, "docs/readme.txt", id)
+			}
+		}
+		for step := 0; step < steps; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5 || len(pending) < 4:
+				pending = append(pending, arrive(step))
+			case op < 7:
+				i := rng.Intn(len(pending))
+				pending = append(pending[:i:i], pending[i+1:]...)
+			default: // head move: land a pending change that applies and analyzes
+				ids, _, _ := bruteForce(t, r, pending)
+				if len(ids) == 0 {
+					continue
+				}
+				land := ids[rng.Intn(len(ids))]
+				for i, c := range pending {
+					if c.ID == land {
+						if _, err := r.CommitPatch(r.Head().ID, c.Patch, "dev", string(c.ID), time.Time{}); err != nil {
+							t.Fatal(err)
+						}
+						pending = append(pending[:i:i], pending[i+1:]...)
+						break
+					}
+				}
+			}
+
+			g, failed := a.BuildGraph(pending)
+			ids, edges, wantFailed := bruteForce(t, r, pending)
+			if got := g.Order(); !reflect.DeepEqual(got, ids) {
+				t.Fatalf("seed %d step %d: vertices %v, want %v", seed, step, got, ids)
+			}
+			for i, x := range ids {
+				for _, y := range ids[i+1:] {
+					if got, want := g.Conflict(x, y), edges[[2]change.ID{x, y}]; got != want {
+						t.Fatalf("seed %d step %d: edge %s-%s = %v, brute force says %v", seed, step, x, y, got, want)
+					}
+				}
+			}
+			if len(failed) != len(wantFailed) {
+				t.Fatalf("seed %d step %d: failed %v, want %v", seed, step, failed, wantFailed)
+			}
+			// The planner rejects a failed change on the spot; it never
+			// returns to the pending set.
+			kept := pending[:0:0]
+			for _, c := range pending {
+				apply, isFailed := wantFailed[c.ID]
+				if !isFailed {
+					kept = append(kept, c)
+				} else if err := failed[c.ID]; err == nil || IsApplyFailure(err) != apply {
+					t.Fatalf("seed %d step %d: %s failed with %v, want apply failure = %v", seed, step, c.ID, err, apply)
+				}
+			}
+			pending = kept
+		}
+		st := a.Stats()
+		total.CheapComparisons += st.CheapComparisons
+		total.UnionComparisons += st.UnionComparisons
+		total.ReusedAnalyses += st.ReusedAnalyses
+		total.SelectiveInvalidations += st.SelectiveInvalidations
+		total.PatchApplyFailures += st.PatchApplyFailures
+		total.PairsReused += st.PairsReused
+	}
+	// The walk must have exercised every path it claims to cover.
+	if total.CheapComparisons == 0 || total.UnionComparisons == 0 || total.ReusedAnalyses == 0 ||
+		total.SelectiveInvalidations == 0 || total.PatchApplyFailures == 0 || total.PairsReused == 0 {
+		t.Fatalf("walk left a path unexercised: %+v", total)
+	}
+}
+
+// TestInducedMatchesPairWalk compares Graph.Induced with the pair walk it
+// replaced — Contains/Contains/Conflict on every pair of ids — on random
+// graphs and id sets that include ids the graph does not know, and on a nil
+// graph.
+func TestInducedMatchesPairWalk(t *testing.T) {
+	pairWalk := func(g *Graph, ids []change.ID) *Graph {
+		out := NewGraph(ids)
+		for i := 0; i < len(ids); i++ {
+			for j := i + 1; j < len(ids); j++ {
+				if g == nil || !g.Contains(ids[i]) || !g.Contains(ids[j]) || g.Conflict(ids[i], ids[j]) {
+					out.AddEdge(ids[i], ids[j])
+				}
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 50; round++ {
+		n := 1 + rng.Intn(30)
+		all := make([]change.ID, n+3) // the last three are never vertices of g
+		for i := range all {
+			all[i] = change.ID(fmt.Sprintf("c%02d", i))
+		}
+		g := NewGraph(all[:n])
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			g.AddEdge(all[rng.Intn(n)], all[rng.Intn(n)])
+		}
+		if round%10 == 9 {
+			g = nil
+		}
+		var ids []change.ID
+		for _, id := range all {
+			if rng.Intn(2) == 0 {
+				ids = append(ids, id)
+			}
+		}
+		got, want := g.Induced(ids), pairWalk(g, ids)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: Induced(%v) = %+v, pair walk = %+v", round, ids, got, want)
+		}
+	}
+}
+
+// chainRepo builds subtrees independent single-target packages of depth
+// source files each, plus depth pending line inserts per package — one per
+// file, so landing one never stops another from applying. The changes of a
+// package share its target: subtrees cliques of size depth.
+func chainRepo(subtrees, depth int) (*repo.Repo, []*change.Change) {
+	files := make(map[string]string, subtrees*(depth+1))
+	for s := 0; s < subtrees; s++ {
+		srcs := ""
+		for f := 0; f < depth; f++ {
+			srcs += fmt.Sprintf(",f%02d.go", f)
+			files[fmt.Sprintf("s%03d/f%02d.go", s, f)] = "package s\n"
+		}
+		files[fmt.Sprintf("s%03d/BUILD", s)] = fmt.Sprintf("target t%03d srcs=%s", s, srcs[1:])
+	}
+	pending := make([]*change.Change, 0, subtrees*depth)
+	for f := 0; f < depth; f++ {
+		for s := 0; s < subtrees; s++ {
+			pending = append(pending, chainChange(len(pending), s, f))
+		}
+	}
+	return repo.New(files), pending
+}
+
+func chainChange(n, subtree, file int) *change.Change {
+	id := fmt.Sprintf("c%06d", n)
+	return &change.Change{ID: change.ID(id), Patch: repo.Patch{Changes: []repo.FileChange{
+		repo.InsertLines(fmt.Sprintf("s%03d/f%02d.go", subtree, file), 1, []string{"// " + id}),
+	}}}
+}
+
+// TestHeadMoveRescansByDegree is the count-based scaling guard: with 1024
+// pending over 64 subtrees (chain depth 16), landing one change re-analyses
+// its 15 chain mates, and re-deriving their edges must cost about the
+// chain's own pairs — not one comparison per dirty vertex per pending
+// change, which is what the all-pairs walk did.
+func TestHeadMoveRescansByDegree(t *testing.T) {
+	const subtrees, depth = 64, 16
+	r, pending := chainRepo(subtrees, depth)
+	a := New(r)
+	if _, failed := a.BuildGraph(pending); len(failed) != 0 {
+		t.Fatalf("cold BuildGraph failed: %v", failed)
+	}
+	if _, err := r.CommitPatch(r.Head().ID, pending[0].Patch, "dev", "land", time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	pending = pending[1:]
+	before := a.Stats()
+	g, failed := a.BuildGraph(pending)
+	if len(failed) != 0 {
+		t.Fatalf("BuildGraph after the head move failed: %v", failed)
+	}
+	after := a.Stats()
+
+	const mates = depth - 1
+	if got := after.AnalyzedChanges - before.AnalyzedChanges; got != mates {
+		t.Fatalf("re-analysed %d changes, want the %d chain mates", got, mates)
+	}
+	rescanned := after.PairsRescanned - before.PairsRescanned
+	if limit := 2 * mates * (mates - 1); rescanned < mates*(mates-1)/2 || rescanned > limit {
+		t.Fatalf("rescanned %d pairs for %d dirty vertices of degree %d (limit %d; an all-pairs walk costs %d)",
+			rescanned, mates, mates-1, limit, mates*len(pending))
+	}
+	clean := len(pending) - mates
+	if got := after.PairsReused - before.PairsReused; got != clean*(clean-1)/2 {
+		t.Fatalf("pairs reused = %d, want %d", got, clean*(clean-1)/2)
+	}
+	sizes := map[int]int{}
+	for _, comp := range g.Components() {
+		sizes[len(comp)]++
+	}
+	if sizes[mates] != 1 || sizes[depth] != subtrees-1 {
+		t.Fatalf("component sizes after the move = %v, want one of %d and %d of %d", sizes, mates, subtrees-1, depth)
+	}
+}

@@ -44,37 +44,64 @@ func (g *Graph) AddEdge(a, b change.ID) {
 	g.edges[b][a] = true
 }
 
-// RemoveEdge erases the conflict edge between two changes, if present. The
-// incremental graph updater uses it when a rescanned dirty pair no longer
-// conflicts at the new head.
-func (g *Graph) RemoveEdge(a, b change.ID) {
-	if es, ok := g.edges[a]; ok {
-		delete(es, b)
+// Isolate erases every edge incident to the change, keeping the vertex. The
+// incremental graph updater uses it on a vertex whose analysis changed, then
+// re-derives the vertex's edges from the target index.
+func (g *Graph) Isolate(id change.ID) {
+	for o := range g.edges[id] {
+		delete(g.edges[o], id)
 	}
-	if es, ok := g.edges[b]; ok {
-		delete(es, a)
-	}
+	clear(g.edges[id])
 }
 
-// Remove deletes a change (e.g. after it commits or is rejected).
-func (g *Graph) Remove(id change.ID) {
-	if _, ok := g.index[id]; !ok {
+// Remove deletes changes (e.g. after they commit or are rejected). The
+// submission order is compacted once however many vertices leave.
+func (g *Graph) Remove(ids ...change.ID) {
+	removed := false
+	for _, id := range ids {
+		if _, ok := g.index[id]; !ok {
+			continue
+		}
+		g.Isolate(id)
+		delete(g.edges, id)
+		delete(g.index, id)
+		removed = true
+	}
+	if !removed {
 		return
 	}
-	for other := range g.edges[id] {
-		delete(g.edges[other], id)
-	}
-	delete(g.edges, id)
-	delete(g.index, id)
-	for i, o := range g.order {
-		if o == id {
-			g.order = append(g.order[:i], g.order[i+1:]...)
-			break
+	kept := g.order[:0]
+	for _, o := range g.order {
+		if _, ok := g.index[o]; ok {
+			g.index[o] = len(kept)
+			kept = append(kept, o)
 		}
 	}
-	for i, o := range g.order {
-		g.index[o] = i
+	g.order = kept
+}
+
+// Induced returns the subgraph over ids, in the given order: two of them are
+// joined iff g joins them. An id that is not a vertex of g (not analyzed yet)
+// is treated conservatively and conflicts with every other id; a nil g knows
+// no ids. The walk follows each member's adjacency, so it costs the members'
+// degree, not the square of their number.
+func (g *Graph) Induced(ids []change.ID) *Graph {
+	out := NewGraph(ids)
+	for _, id := range ids {
+		if g == nil || !g.Contains(id) {
+			for _, o := range ids {
+				out.AddEdge(id, o)
+			}
+			continue
+		}
+		row := out.edges[id] // g is symmetric: the other end writes the other direction
+		for o := range g.edges[id] {
+			if _, in := out.index[o]; in {
+				row[o] = true
+			}
+		}
 	}
+	return out
 }
 
 // Clone returns a deep copy of the graph. The analyzer maintains one graph
@@ -108,9 +135,9 @@ func (g *Graph) Order() []change.ID { return append([]change.ID(nil), g.order...
 // Conflict reports whether two changes are joined by an edge.
 func (g *Graph) Conflict(a, b change.ID) bool { return g.edges[a][b] }
 
-// Contains reports whether the change is a vertex of the graph. The shard
-// layer's per-engine views use it to detect changes the coordinator has not
-// yet analyzed, which must be treated conservatively.
+// Contains reports whether the change is a vertex of the graph. A change the
+// graph's builder has not analyzed yet is not, and Induced treats it
+// conservatively.
 func (g *Graph) Contains(id change.ID) bool {
 	_, ok := g.index[id]
 	return ok
@@ -140,6 +167,21 @@ func (g *Graph) ConflictingPredecessors(id change.ID) []change.ID {
 		}
 	}
 	return out
+}
+
+// HasConflictingPredecessor reports whether any change submitted before id
+// conflicts with it, without materializing or ordering the set.
+func (g *Graph) HasConflictingPredecessor(id change.ID) bool {
+	idx, ok := g.index[id]
+	if !ok {
+		return false
+	}
+	for o := range g.edges[id] {
+		if g.index[o] < idx {
+			return true
+		}
+	}
+	return false
 }
 
 // Components returns the connected components of the conflict graph, each in

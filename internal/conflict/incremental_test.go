@@ -108,31 +108,44 @@ func TestPathOverlapInvalidatesUnownedFiles(t *testing.T) {
 	}
 }
 
-func TestPairCacheSurvivesRehoming(t *testing.T) {
+func TestUnionVerdictMemoFollowsAnalyses(t *testing.T) {
 	r := testRepo()
 	a := New(r)
 	cy := mkChange(t, r, "cy", "y/y.go", "y v2")
 	cz := mkChange(t, r, "cz", "z/z.go", "z v2")
-	conf, err := a.Conflicts(cy, cz)
-	if err != nil || conf {
-		t.Fatalf("conf = %v, %v", conf, err)
+	cs := mkChange(t, r, "cs", "z/BUILD", "target z srcs=z.go deps=//y:y") // structure-changing
+	conflicts := func(ci, cj *change.Change, want bool) {
+		t.Helper()
+		if conf, err := a.Conflicts(ci, cj); err != nil || conf != want {
+			t.Fatalf("Conflicts(%s,%s) = %v, %v; want %v", ci.ID, cj.ID, conf, err, want)
+		}
 	}
-	// Land an unowned file: empty head delta, both analyses re-home with
-	// their identities intact, so the memoized verdict still applies.
-	commit(t, r, "docsfile", "d")
-	conf, err = a.Conflicts(cy, cz)
-	if err != nil || conf {
-		t.Fatalf("conf after re-home = %v, %v", conf, err)
-	}
+	// A name intersection is never memoized: asking twice compares twice.
+	conflicts(cy, cz, false)
+	conflicts(cy, cz, false)
+	// A union-graph verdict is: the second ask is a memo hit.
+	conflicts(cy, cs, true)
+	conflicts(cs, cy, true)
 	st := a.Stats()
-	if st.PairCacheHits != 1 {
-		t.Fatalf("pair cache hits = %d, stats=%+v", st.PairCacheHits, st)
+	if st.CheapComparisons != 2 || st.UnionComparisons != 1 || st.PairCacheHits != 1 {
+		t.Fatalf("before the head move: %+v", st)
 	}
-	if st.CheapComparisons != 1 {
-		t.Fatalf("verdict recomputed: cheap=%d", st.CheapComparisons)
+	// Land an unowned file: empty head delta. cy re-homes with its identity
+	// intact; cs changed structure, so it is dropped — its verdicts with it,
+	// without a scan — and the pair is compared afresh.
+	commit(t, r, "docsfile", "d")
+	conflicts(cy, cs, true)
+	st = a.Stats()
+	if st.UnionComparisons != 2 || st.PairCacheHits != 1 {
+		t.Fatalf("verdict of a dropped analysis served from the memo: %+v", st)
 	}
-	if st.ReusedAnalyses != 2 {
-		t.Fatalf("reused = %d", st.ReusedAnalyses)
+	if st.ReusedAnalyses != 2 || st.SelectiveInvalidations != 1 {
+		t.Fatalf("reused=%d invalidated=%d", st.ReusedAnalyses, st.SelectiveInvalidations)
+	}
+	// The fresh verdict is memoized in turn, in the new analysis's row.
+	conflicts(cy, cs, true)
+	if st = a.Stats(); st.UnionComparisons != 2 || st.PairCacheHits != 2 {
+		t.Fatalf("fresh verdict not memoized: %+v", st)
 	}
 }
 
@@ -148,13 +161,16 @@ func TestBuildGraphIncrementalReuse(t *testing.T) {
 		t.Fatalf("first build wrong: failed=%v", failed)
 	}
 	st := a.Stats()
-	if st.GraphRebuilds != 1 || st.PairsRescanned != 3 {
+	// The target index yields c1-c2, the one pair sharing a target; the two
+	// disjoint pairs are never looked at.
+	if st.GraphRebuilds != 1 || st.PairsRescanned != 1 || st.CheapComparisons != 1 {
 		t.Fatalf("first build stats = %+v", st)
 	}
-	// Same pending set, no head move: every pair carries over untouched.
+	// Same pending set, no head move: every pair carries over untouched, and
+	// all three analyses are resolved from the cache without a fan-out.
 	g2, _ := a.BuildGraph(pending)
 	st = a.Stats()
-	if st.GraphUpdates != 1 || st.PairsReused != 3 || st.PairsRescanned != 3 {
+	if st.GraphUpdates != 1 || st.PairsReused != 3 || st.PairsRescanned != 1 || st.CacheHits != 3 {
 		t.Fatalf("second build stats = %+v", st)
 	}
 	if !g2.Conflict("c1", "c2") || g2.Conflict("c2", "c3") {
@@ -215,24 +231,35 @@ func TestAnalyzerLifecycleEvents(t *testing.T) {
 	a.SetEvents(bus)
 	cz := mkChange(t, r, "cz", "z/z.go", "z v2")
 	cy := mkChange(t, r, "cy", "y/y.go", "y v2")
-	for _, c := range []*change.Change{cz, cy} {
+	cn := mkChange(t, r, "cn", "notes.txt", "n")
+	for _, c := range []*change.Change{cz, cy, cn} {
 		if _, err := a.Analyze(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	commit(t, r, "x/x.go", "x v2") // drops cy (δ includes y), re-homes cz
+	head := commit(t, r, "x/x.go", "x v2") // drops cy (δ includes y), re-homes cz and cn
 	if _, err := a.Analyze(cz); err != nil {
 		t.Fatal(err)
 	}
 	counts := map[events.Type]int{}
+	var reused events.Event
 	for _, ev := range bus.Since(0) {
 		counts[ev.Type]++
+		if ev.Type == events.TypeAnalysisReused {
+			reused = ev
+		}
 	}
-	if counts[events.TypeAnalysisStarted] != 2 {
+	if counts[events.TypeAnalysisStarted] != 3 {
 		t.Fatalf("started = %d", counts[events.TypeAnalysisStarted])
 	}
+	// Drops are published per change; the survivors of a head move — at depth,
+	// every other pending change — share one summary, so one commit cannot
+	// evict the bus's whole history.
 	if counts[events.TypeAnalysisReused] != 1 || counts[events.TypeAnalysisInvalidated] != 1 {
 		t.Fatalf("events = %v", counts)
+	}
+	if want := "2 analyses re-homed to head " + string(head.ID); reused.Detail != want || reused.Change != "" {
+		t.Fatalf("summary = %+v, want detail %q", reused, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package conflict
 
 import (
+	"fmt"
 	"sort"
 
 	"mastergreen/internal/buildgraph"
@@ -28,9 +29,10 @@ import (
 // hashes outside its delta, but its structure equals the new head graph's —
 // the only property the union comparison consults (UnionConflictDeltas).
 //
-// Pairwise verdicts are keyed by analysis identity, which survives
-// re-homing, so verdicts between two survivors stay cached; verdicts
-// involving a dropped analysis are swept. Callers hold a.mu.
+// A survivor keeps its identity, so the graph memo carries its edges over
+// untouched; a dropped analysis takes its union verdicts with it. Each drop
+// is published; the survivors of one head move — every other pending change,
+// at depth — are published as one summary. Callers hold a.mu.
 func (a *Analyzer) invalidateLocked(head repo.CommitID, snap repo.Snapshot, g *buildgraph.Graph) {
 	headDelta := buildgraph.Diff(a.headGraph, g)
 	sameStructure := buildgraph.SameStructure(a.headGraph, g)
@@ -42,6 +44,7 @@ func (a *Analyzer) invalidateLocked(head repo.CommitID, snap repo.Snapshot, g *b
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
+	reused := 0
 	for _, id := range ids {
 		an := a.analyses[id]
 		keep := sameStructure &&
@@ -52,28 +55,16 @@ func (a *Analyzer) invalidateLocked(head repo.CommitID, snap repo.Snapshot, g *b
 			rehomed := *an
 			rehomed.Head = head
 			a.analyses[id] = &rehomed
-			a.stats.ReusedAnalyses++
-			a.publish(events.TypeAnalysisReused, id, "re-homed to head "+string(head))
+			reused++
 		} else {
 			delete(a.analyses, id)
 			a.stats.SelectiveInvalidations++
 			a.publish(events.TypeAnalysisInvalidated, id, "intersects head movement to "+string(head))
 		}
 	}
-	a.sweepPairsLocked()
-}
-
-// sweepPairsLocked drops memoized pair verdicts that reference an analysis
-// identity no longer present in the cache. Callers hold a.mu.
-func (a *Analyzer) sweepPairsLocked() {
-	live := make(map[uint64]bool, len(a.analyses))
-	for _, an := range a.analyses {
-		live[an.id] = true
-	}
-	for k := range a.pairs {
-		if !live[k.lo] || !live[k.hi] {
-			delete(a.pairs, k)
-		}
+	if reused > 0 {
+		a.stats.ReusedAnalyses += reused
+		a.publish(events.TypeAnalysisReused, "", fmt.Sprintf("%d analyses re-homed to head %s", reused, head))
 	}
 }
 

@@ -665,7 +665,7 @@ func (p *Planner) decide(ctx context.Context) (int, *conflict.Graph, error) {
 	for _, c := range pending {
 		// All conflicting predecessors must be resolved; with the graph
 		// computed over pending only, any predecessor still pending blocks.
-		if len(cg.ConflictingPredecessors(c.ID)) > 0 {
+		if cg.HasConflictingPredecessor(c.ID) {
 			continue
 		}
 		p.mu.Lock()

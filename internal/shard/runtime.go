@@ -4,9 +4,9 @@
 // independent planner engines by rendezvous-hashing the component's target
 // subtree anchor, and routes every engine's commits through the serialized
 // commit arbiter. Changes in different components are mutually independent
-// (§5), so per-engine planning does O(k²) conflict work over its own
-// component group instead of O(n²) over the global queue — the source of the
-// scale-out win — while the arbiter's cross-shard re-validation keeps the
+// (§5), so each engine plans over its own component group — an induced view
+// of the coordinator's graph — instead of the global queue, the source of the
+// scale-out win, while the arbiter's cross-shard re-validation keeps the
 // mainline exactly as green as the single-planner path.
 package shard
 

@@ -7,10 +7,10 @@ import (
 
 // engineView is the planner.ConflictSource handed to each shard engine. It
 // answers BuildGraph from the coordinator's cached global conflict graph by
-// taking the induced subgraph over the engine's own pending set — an O(k²)
-// pair walk over the component group instead of the shared analyzer's global
-// O(n²) — and never touches the analyzer, so concurrent engines cannot
-// thrash its incremental memo with disjoint pending subsets.
+// taking the induced subgraph over the engine's own pending set — a walk of
+// the members' adjacency (conflict.Graph.Induced), not of their pairs — and
+// never touches the analyzer, so concurrent engines cannot thrash its
+// incremental memo with disjoint pending subsets.
 type engineView struct {
 	rt *Runtime
 }
@@ -54,14 +54,5 @@ func (v *engineView) BuildGraph(pending []*change.Change) (*conflict.Graph, map[
 		}
 		ids = append(ids, c.ID)
 	}
-	out := conflict.NewGraph(ids)
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			a, b := ids[i], ids[j]
-			if g == nil || !g.Contains(a) || !g.Contains(b) || g.Conflict(a, b) {
-				out.AddEdge(a, b)
-			}
-		}
-	}
-	return out, failedOut
+	return g.Induced(ids), failedOut
 }
