@@ -35,10 +35,11 @@ type Config struct {
 	Analyzer *conflict.Analyzer
 	// Events, when non-nil, receives a TypeHeadAdvanced event per commit.
 	Events *events.Bus
-	// History bounds the retained per-commit footprint records (<=0: 4096).
-	// A proposal whose base predates the retained window is bounced
-	// conservatively; its rebuilt decisive build starts at the current head
-	// and re-enters the window.
+	// History is the number of most recent commits whose footprint records
+	// are retained (<=0: 4096), in a ring that costs O(1) per commit. A
+	// proposal whose base is more than History commits behind the head
+	// predates the window and is bounced conservatively; its rebuilt
+	// decisive build starts at the current head and re-enters the window.
 	History int
 }
 
@@ -69,9 +70,15 @@ type Arbiter struct {
 	// (bounded) so a waiting P0 reaches the mutex first.
 	hotfixWaiters int64
 
-	mu        sync.Mutex
-	floor     int      // mainline length when the oldest retained record landed
-	records   []record // records[i] is the footprint of commit seq floor+i
+	mu sync.Mutex
+	// records is a ring of the last cfg.History commit footprints: the
+	// record of commit seq s lives in slot (s-origin)%History, so the ring
+	// grows by append until full and then the newest record overwrites the
+	// oldest. origin is the mainline length at creation, floor the seq of the
+	// oldest retained record.
+	records   []record
+	origin    int
+	floor     int
 	committed map[change.ID]bool
 	subs      []chan struct{}
 	stats     Stats
@@ -86,6 +93,7 @@ func New(r *repo.Repo, cfg Config) *Arbiter {
 	return &Arbiter{
 		repo:      r,
 		cfg:       cfg,
+		origin:    r.Len(),
 		floor:     r.Len(),
 		committed: map[change.ID]bool{},
 	}
@@ -196,7 +204,7 @@ func (a *Arbiter) commitLocked(p planner.CommitProposal) (*repo.Commit, error) {
 				a.stats.CrossShardRejects++
 				return nil, fmt.Errorf("%w: %s base predates retained history", planner.ErrCrossShardConflict, id)
 			}
-			r := a.records[seq-a.floor]
+			r := a.records[(seq-a.origin)%a.cfg.History]
 			if applied[r.id] {
 				continue // part of the decisive build
 			}
@@ -219,10 +227,11 @@ func (a *Arbiter) commitLocked(p planner.CommitProposal) (*repo.Commit, error) {
 		return nil, err
 	}
 	a.committed[id] = true
-	a.records = append(a.records, newRecord(p, a.structureChanged(id)))
-	if over := len(a.records) - a.cfg.History; over > 0 {
-		a.records = append(a.records[:0:0], a.records[over:]...)
-		a.floor += over
+	if rec := newRecord(p, a.structureChanged(id)); len(a.records) < a.cfg.History {
+		a.records = append(a.records, rec)
+	} else {
+		a.records[(headLen-a.origin)%a.cfg.History] = rec
+		a.floor++
 	}
 	a.stats.Commits++
 	if a.stats.CommitsByShard == nil {

@@ -2,6 +2,9 @@ package arbiter
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -179,5 +182,64 @@ func TestSubscribeNudges(t *testing.T) {
 	case <-ch:
 		t.Fatal("nudges not coalesced")
 	default:
+	}
+}
+
+// TestRetainedWindowIsARing commits three times History proposals and checks
+// that retaining their footprints costs the same per commit at the end as at
+// the start (the window does not copy itself), and that the window's edge is
+// where it always was: a proposal based exactly History commits back is
+// re-validated against the real records — every one of them, in the right
+// slot — and one commit further back is bounced unseen.
+func TestRetainedWindowIsARing(t *testing.T) {
+	const history = 128
+	r := benchRepo()
+	a := New(r, Config{History: history})
+	var ids []change.ID
+	prev := "lib v1"
+	third := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < history; i++ {
+			p := benchProposal(0, len(ids), r.Len())
+			next := fmt.Sprintf("v%d", len(ids))
+			p.Change.Patch.Changes[0] = repo.FileChange{ // one fixed file: the tree stays the same size
+				Path: "sub00/lib.go", Op: repo.OpModify, BaseHash: repo.HashContent(prev), NewContent: next,
+			}
+			if _, err := a.Commit(p); err != nil {
+				t.Fatal(err)
+			}
+			prev = next
+			ids = append(ids, p.Change.ID)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := third()
+	third()
+	last := third()
+	if float64(last) > 1.25*float64(first) {
+		t.Errorf("the last %d commits allocated %d bytes, the first %d only %d: the cost of a commit grows with the history",
+			history, last, history, first)
+	}
+
+	head := r.Len()
+	oldest := ids[len(ids)-history]
+	_, err := a.Commit(benchProposal(1, 1_000_000, head-history))
+	if !errors.Is(err, planner.ErrCrossShardConflict) || !strings.Contains(err.Error(), "vs committed "+string(oldest)+" ") {
+		t.Fatalf("a base exactly History commits back must be re-validated against the oldest retained record %s, got: %v", oldest, err)
+	}
+	_, err = a.Commit(benchProposal(1, 1_000_001, head-history-1))
+	if !errors.Is(err, planner.ErrCrossShardConflict) || !strings.Contains(err.Error(), "base predates retained history") {
+		t.Fatalf("a base one commit past the window must be bounced as predating it, got: %v", err)
+	}
+	// A build that merged every retained commit passes each record as its own.
+	p := benchProposal(1, 1_000_002, head-history)
+	p.Applied = append(append([]change.ID(nil), ids[len(ids)-history:]...), p.Change.ID)
+	if _, err := a.Commit(p); err != nil {
+		t.Fatalf("a proposal that applied all %d retained commits must land: %v", history, err)
+	}
+	if st := a.Stats(); st.Commits != 3*history+1 || st.CrossShardRejects != 2 || st.CrossShardChecks != 1 {
+		t.Fatalf("stats: %+v", st)
 	}
 }

@@ -41,6 +41,15 @@ func (a *Arbiter) Stats() Stats {
 	return s
 }
 
+// CrossShardRejects returns the number of proposals bounced so far. The shard
+// coordinator polls it every partition epoch, so unlike Stats it copies
+// nothing.
+func (a *Arbiter) CrossShardRejects() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.stats.CrossShardRejects
+}
+
 // Gauges renders the counters as ordered name/value pairs for the status
 // endpoint, the dashboard, and experiment reports.
 func (s Stats) Gauges() metrics.Gauges {

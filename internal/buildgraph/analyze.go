@@ -119,9 +119,10 @@ func analyzeIncremental(snap, baseSnap repo.Snapshot, base *Graph) (*Graph, erro
 		}
 	}
 	// Fast path: no BUILD file changed, so the target DAG is structurally
-	// identical to the base. Share every index and re-hash only the targets
-	// owning changed sources plus their reverse-dependency closure — total
-	// cost O(changed files + affected targets), independent of repo size.
+	// identical to the base. Share every index, and the base's hash table
+	// too, and re-hash only the targets owning changed sources plus their
+	// reverse-dependency closure — total cost O(changed files + affected
+	// targets + the bounded hash overlay), not O(repo).
 	if len(changedDirs) == 0 {
 		g := &Graph{
 			targets: base.targets,
@@ -149,7 +150,7 @@ func analyzeIncremental(snap, baseSnap repo.Snapshot, base *Graph) (*Graph, erro
 				}
 			}
 		}
-		computeHashes(g, snap, base, dirty)
+		computeHashes(g, snap, base, dirty, true)
 		return g, nil
 	}
 	g := &Graph{
@@ -230,7 +231,7 @@ func finishGraph(g *Graph, snap repo.Snapshot, base *Graph, seedFn func(*Graph) 
 		dirty = seedFn(g)
 		// A target absent from the base graph has no memoized hash.
 		for name := range g.targets {
-			if _, ok := base.hashes[name]; !ok {
+			if _, ok := base.Hash(name); !ok {
 				dirty[name] = true
 			}
 		}
@@ -251,7 +252,7 @@ func finishGraph(g *Graph, snap repo.Snapshot, base *Graph, seedFn func(*Graph) 
 			}
 		}
 	}
-	computeHashes(g, snap, base, dirty)
+	computeHashes(g, snap, base, dirty, false)
 	return g, nil
 }
 

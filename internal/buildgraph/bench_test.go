@@ -2,6 +2,7 @@ package buildgraph
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mastergreen/internal/repo"
@@ -65,23 +66,42 @@ func BenchmarkAnalyzeCold(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeIncremental measures re-analysis after a one-file edit on
-// the same repo: the content changes every iteration so each pass exercises
-// the incremental path (not the content-ID cache).
+// BenchmarkAnalyzeIncremental measures re-analysis after a one-file edit, on
+// a 256-target and on a 4096-target repo: the content changes every
+// iteration so each pass exercises the incremental path (not the content-ID
+// cache). It is also the guard on the fast path's claim that such an edit
+// costs its dirty targets, not the repo's — the bytes per analysis on the
+// larger repo must stay within twice the smaller's (copying every hash, as
+// the fast path once did, made them 16×).
 func BenchmarkAnalyzeIncremental(b *testing.B) {
-	base := benchRepo(600, 3)
-	resetAnalyzeCache()
-	if _, err := Analyze(base); err != nil {
-		b.Fatal(err)
+	var bytesPerOp [2]float64
+	for k, targets := range []int{256, 4096} {
+		b.Run(fmt.Sprintf("targets=%d", targets), func(b *testing.B) {
+			base := benchRepo(targets, 3)
+			resetAnalyzeCache()
+			if _, err := Analyze(base); err != nil {
+				b.Fatal(err)
+			}
+			path := fmt.Sprintf("pkg%04d/t.go", targets-1) // nothing depends on the last package
+			snaps := make([]repo.Snapshot, b.N)
+			for i := range snaps {
+				snaps[i] = benchPatch(b, base, path, fmt.Sprintf("package p // rev %d", i))
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, snap := range snaps {
+				if _, err := Analyze(snap); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			bytesPerOp[k] = float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N)
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		snap := benchPatch(b, base, "pkg0007/t.go", fmt.Sprintf("package pkg0007 // rev %d", i))
-		b.StartTimer()
-		if _, err := Analyze(snap); err != nil {
-			b.Fatal(err)
-		}
+	if small, large := bytesPerOp[0], bytesPerOp[1]; small > 0 && large > 2*small+1024 {
+		b.Fatalf("incremental analysis allocates %.0f B/op on 4096 targets, %.0f B/op on 256: it scales with the repository", large, small)
 	}
 }

@@ -22,16 +22,30 @@ func (d Delta) Names() []string {
 }
 
 // Diff computes the delta from base to changed: targets that are new, have a
-// different Algorithm 1 hash, or were deleted.
+// different Algorithm 1 hash, or were deleted. Two graphs over the same flat
+// hash table have the same targets and can differ only where an overlay says
+// so, which makes their diff O(overlays) instead of O(targets).
 func Diff(base, changed *Graph) Delta {
 	d := Delta{}
-	for name, h := range changed.hashes {
-		if bh, ok := base.hashes[name]; !ok || bh != h {
+	if base.flat == changed.flat {
+		for _, over := range [...]map[string]string{base.over, changed.over} {
+			for name := range over {
+				bh, _ := base.Hash(name)
+				if h, _ := changed.Hash(name); h != bh {
+					d[name] = h
+				}
+			}
+		}
+		return d
+	}
+	for name := range changed.targets {
+		h, _ := changed.Hash(name)
+		if bh, ok := base.Hash(name); !ok || bh != h {
 			d[name] = h
 		}
 	}
-	for name := range base.hashes {
-		if _, ok := changed.hashes[name]; !ok {
+	for name := range base.targets {
+		if _, ok := changed.targets[name]; !ok {
 			d[name] = DeletedHash
 		}
 	}

@@ -44,10 +44,22 @@ type Target struct {
 // safe for concurrent use.
 type Graph struct {
 	targets map[string]*Target
-	hashes  map[string]string
-	rdeps   map[string][]string  // dep label -> labels depending on it
-	byDir   map[string][]*Target // BUILD dir -> its targets, in declaration order
-	bySrc   map[string][]string  // source path -> labels listing it in srcs
+	// A target's hash is over[name] if present, else flat.m[name]. Graphs
+	// analyzed incrementally without a structure change share their base's
+	// flat table and carry only the targets whose hash differs from it, so
+	// such an analysis costs its dirty targets, not the repo's (hash.go).
+	flat  *hashTable
+	over  map[string]string
+	rdeps map[string][]string  // dep label -> labels depending on it
+	byDir map[string][]*Target // BUILD dir -> its targets, in declaration order
+	bySrc map[string][]string  // source path -> labels listing it in srcs
+}
+
+// hashTable is a flat target -> hash map, immutable once built. It is a
+// pointer so Diff can recognize two graphs over the same table by identity
+// and compare just their overlays.
+type hashTable struct {
+	m map[string]string
 }
 
 // Len returns the number of targets.
@@ -71,7 +83,10 @@ func (g *Graph) Target(name string) (*Target, bool) {
 
 // Hash returns the Algorithm 1 hash of the target.
 func (g *Graph) Hash(name string) (string, bool) {
-	h, ok := g.hashes[name]
+	if h, ok := g.over[name]; ok {
+		return h, true
+	}
+	h, ok := g.flat.m[name]
 	return h, ok
 }
 

@@ -111,25 +111,67 @@ func reverseEdges(targets map[string]*Target) map[string][]string {
 	return rdeps
 }
 
-// computeHashes fills g.hashes. Targets in dirty are (re)hashed with a
-// parallel bottom-up traversal; every other target's hash is memoized from
-// base (which must contain it). The graph must already be cycle-checked: the
-// traversal terminates because every dirty target's dirty-dependency count
-// reaches zero exactly once.
-func computeHashes(g *Graph, snap repo.Snapshot, base *Graph, dirty map[string]bool) {
-	g.hashes = make(map[string]string, len(g.targets))
-	var mu sync.Mutex // guards g.hashes and remaining during the fan-out
-	for name := range g.targets {
-		if !dirty[name] {
-			g.hashes[name] = base.hashes[name]
-		}
-	}
-	if len(dirty) == 0 {
+// overlayFlattenDiv bounds a hash overlay to 1/overlayFlattenDiv of the
+// target count. A graph whose overlay would grow past that gets a flat table
+// of its own instead, so merging the base's overlay into each new graph stays
+// a small fraction of what copying every hash would cost, and a lookup stays
+// two map probes.
+const overlayFlattenDiv = 8
+
+// computeHashes sets g's hashes. Targets in dirty are (re)hashed with a
+// parallel bottom-up traversal; every other target keeps its hash from base
+// (which must contain it). With share set, g has base's structure, and it
+// shares base's flat table and records only what differs from it, as long as
+// that overlay stays within its bound. The graph must already be
+// cycle-checked: the traversal terminates because every dirty target's
+// dirty-dependency count reaches zero exactly once.
+func computeHashes(g *Graph, snap repo.Snapshot, base *Graph, dirty map[string]bool, share bool) {
+	fresh := hashDirty(g, snap, base, dirty)
+	if share && len(fresh) == 0 {
+		g.flat, g.over = base.flat, base.over
 		return
 	}
+	if share && (len(base.over)+len(fresh))*overlayFlattenDiv <= len(g.targets) {
+		g.flat = base.flat
+		g.over = make(map[string]string, len(base.over)+len(fresh))
+		for name, h := range base.over {
+			g.over[name] = h
+		}
+		for name, h := range fresh {
+			if g.flat.m[name] == h {
+				delete(g.over, name) // back to the table's value
+			} else {
+				g.over[name] = h
+			}
+		}
+		return
+	}
+	if len(fresh) == len(g.targets) { // cold: everything was hashed
+		g.flat = &hashTable{m: fresh}
+		return
+	}
+	flat := make(map[string]string, len(g.targets))
+	for name := range g.targets {
+		if h, ok := fresh[name]; ok {
+			flat[name] = h
+		} else {
+			flat[name], _ = base.Hash(name)
+		}
+	}
+	g.flat = &hashTable{m: flat}
+}
+
+// hashDirty returns the Algorithm 1 hash of every target in dirty; clean
+// dependencies are read from base.
+func hashDirty(g *Graph, snap repo.Snapshot, base *Graph, dirty map[string]bool) map[string]string {
+	if len(dirty) == 0 {
+		return nil
+	}
+	fresh := make(map[string]string, len(dirty))
+	var mu sync.Mutex // guards fresh and remaining during the fan-out
 	// remaining[t] = number of dirty direct deps not yet hashed; a dirty
 	// target is ready once all its dirty deps are done (clean deps are
-	// already memoized above).
+	// memoized in base).
 	remaining := make(map[string]int, len(dirty))
 	ready := make([]string, 0, len(dirty))
 	for name := range dirty {
@@ -160,8 +202,12 @@ func computeHashes(g *Graph, snap repo.Snapshot, base *Graph, dirty map[string]b
 	done := 0
 	var wg sync.WaitGroup
 	depHash := func(d string) string {
+		if !dirty[d] {
+			h, _ := base.Hash(d)
+			return h
+		}
 		mu.Lock()
-		h := g.hashes[d]
+		h := fresh[d]
 		mu.Unlock()
 		return h
 	}
@@ -176,7 +222,7 @@ func computeHashes(g *Graph, snap repo.Snapshot, base *Graph, dirty map[string]b
 				// sends cannot block, and no goroutine ever sleeps on the
 				// channel while holding mu.
 				mu.Lock()
-				g.hashes[name] = h
+				fresh[name] = h
 				var unlocked []string
 				for _, m := range g.rdeps[name] {
 					if dirty[m] {
@@ -200,4 +246,5 @@ func computeHashes(g *Graph, snap repo.Snapshot, base *Graph, dirty map[string]b
 	}
 	//lint:ignore locksend bounded wait: workers only drain the buffered work channel and take no caller-visible locks, so this terminates even when Analyze holds cacheMu
 	wg.Wait()
+	return fresh
 }

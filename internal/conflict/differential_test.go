@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -167,10 +169,30 @@ func TestGraphMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestInducedMatchesPairWalk compares Graph.Induced with the pair walk it
-// replaced — Contains/Contains/Conflict on every pair of ids — on random
-// graphs and id sets that include ids the graph does not know, and on a nil
-// graph.
+// graphFacts renders what the eight read accessors of a graph return, asked
+// about every id of the universe (members or not), so that two graphs can be
+// compared by behaviour whatever their representation.
+func graphFacts(g *Graph, universe []change.ID) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "len %d order %v components %v\n", g.Len(), g.Order(), g.Components())
+	for _, a := range universe {
+		fmt.Fprintf(&sb, "%s: in %v nb %v pred %v haspred %v conf", a, g.Contains(a),
+			g.Neighbors(a), g.ConflictingPredecessors(a), g.HasConflictingPredecessor(a))
+		for _, b := range universe {
+			if g.Conflict(a, b) {
+				fmt.Fprintf(&sb, " %s", b)
+			}
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// TestInducedMatchesPairWalk compares the Graph.Induced view, on every read
+// accessor, with the materialized subgraph it replaced — NewGraph plus an
+// edge for every pair that Contains/Contains/Conflict joins — on random
+// graphs and id sets that include ids the graph does not know, on a nil
+// graph, and on a view of a view.
 func TestInducedMatchesPairWalk(t *testing.T) {
 	pairWalk := func(g *Graph, ids []change.ID) *Graph {
 		out := NewGraph(ids)
@@ -197,15 +219,156 @@ func TestInducedMatchesPairWalk(t *testing.T) {
 		if round%10 == 9 {
 			g = nil
 		}
-		var ids []change.ID
-		for _, id := range all {
-			if rng.Intn(2) == 0 {
-				ids = append(ids, id)
+		pick := func(from []change.ID) []change.ID {
+			var ids []change.ID
+			for _, i := range rng.Perm(len(from)) { // a view's order need not be its source's
+				if rng.Intn(2) == 0 {
+					ids = append(ids, from[i])
+				}
+			}
+			return ids
+		}
+		ids := pick(all)
+		got, want := g.Induced(ids), pairWalk(g, ids)
+		if a, b := graphFacts(got, all), graphFacts(want, all); a != b {
+			t.Fatalf("round %d: Induced(%v) reads\n%s\nthe pair walk reads\n%s", round, ids, a, b)
+		}
+		sub := pick(all)
+		if a, b := graphFacts(got.Induced(sub), all), graphFacts(pairWalk(want, sub), all); a != b {
+			t.Fatalf("round %d: Induced(%v) of the view reads\n%s\nthe pair walk reads\n%s", round, sub, a, b)
+		}
+		if a, b := graphFacts(got.Clone(), all), graphFacts(want, all); a != b {
+			t.Fatalf("round %d: clone of the view reads\n%s\nwant\n%s", round, a, b)
+		}
+	}
+}
+
+// TestInducedViewIsReadOnly: a view borrows another graph's rows, so a write
+// through it must stop rather than corrupt the source.
+func TestInducedViewIsReadOnly(t *testing.T) {
+	g := NewGraph([]change.ID{"a", "b", "c"})
+	g.AddEdge("a", "b")
+	v := g.Induced([]change.ID{"a", "b"})
+	for name, write := range map[string]func(){
+		"AddChange": func() { v.AddChange("z") },
+		"AddEdge":   func() { v.AddEdge("a", "b") },
+		"Isolate":   func() { v.Isolate("a") },
+		"Remove":    func() { v.Remove("a") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a view did not panic", name)
+				}
+			}()
+			write()
+		}()
+	}
+	if !g.Conflict("a", "b") || g.Len() != 3 {
+		t.Fatalf("source graph changed by rejected writes: %s", graphFacts(g, g.Order()))
+	}
+}
+
+// TestCloneSharesRowsCopyOnWrite drives random writes into a graph and into
+// clones taken along the way, against deep-copied references: no graph may
+// ever read differently from its reference, whichever side of a shared row
+// is written first.
+func TestCloneSharesRowsCopyOnWrite(t *testing.T) {
+	deep := func(g *Graph) *Graph {
+		out := NewGraph(g.Order())
+		for _, a := range g.Order() {
+			for _, b := range g.Neighbors(a) {
+				out.AddEdge(a, b)
 			}
 		}
-		got, want := g.Induced(ids), pairWalk(g, ids)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: Induced(%v) = %+v, pair walk = %+v", round, ids, got, want)
+		return out
+	}
+	rng := rand.New(rand.NewSource(11))
+	all := make([]change.ID, 24)
+	for i := range all {
+		all[i] = change.ID(fmt.Sprintf("c%02d", i))
+	}
+	type pair struct{ got, want *Graph }
+	graphs := []pair{{NewGraph(all[:12]), NewGraph(all[:12])}}
+	for step := 0; step < 600; step++ {
+		p := graphs[rng.Intn(len(graphs))]
+		a, b := all[rng.Intn(len(all))], all[rng.Intn(len(all))]
+		switch op := rng.Intn(10); {
+		case op < 5:
+			p.got.AddEdge(a, b)
+			p.want.AddEdge(a, b)
+		case op < 7:
+			p.got.Isolate(a)
+			p.want.Isolate(a)
+		case op < 8:
+			p.got.Remove(a, b)
+			p.want.Remove(a, b)
+		case len(graphs) < 8:
+			graphs = append(graphs, pair{p.got.Clone(), deep(p.want)})
+		}
+		for i, q := range graphs {
+			if x, y := graphFacts(q.got, all), graphFacts(q.want, all); x != y {
+				t.Fatalf("step %d: graph %d reads\n%s\nits deep-copied reference reads\n%s", step, i, x, y)
+			}
+		}
+	}
+}
+
+// TestHandedOutGraphNeverChanges: the analyzer keeps one graph across epochs
+// and hands out clones that share its rows. Whatever later epochs do to the
+// memo — vertices leaving, edges re-derived after head moves — a holder must
+// keep reading exactly what it was handed, also while the analyzer is
+// writing (run under -race).
+func TestHandedOutGraphNeverChanges(t *testing.T) {
+	r, pending := chainRepo(8, 6)
+	a := New(r)
+	universe := make([]change.ID, len(pending))
+	for i, c := range pending {
+		universe[i] = c.ID
+	}
+	type handout struct {
+		g     *Graph
+		facts string
+	}
+	var held []handout
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for len(pending) > 0 {
+		g, failed := a.BuildGraph(pending)
+		if len(failed) != 0 {
+			t.Fatalf("BuildGraph failed: %v", failed)
+		}
+		h := handout{g, graphFacts(g, universe)}
+		held = append(held, h)
+		wg.Add(1)
+		go func() { // a reader that overlaps the analyzer's later writes
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := graphFacts(h.g, universe); got != h.facts {
+					t.Errorf("a held graph changed under its reader:\n%s\nwas\n%s", got, h.facts)
+					return
+				}
+			}
+		}()
+		if _, err := r.CommitPatch(r.Head().ID, pending[0].Patch, "dev", "land", time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+		pending = pending[1:]
+		if len(held) == 12 {
+			break
+		}
+	}
+	a.BuildGraph(pending)
+	close(stop)
+	wg.Wait()
+	for i, h := range held {
+		if got := graphFacts(h.g, universe); got != h.facts {
+			t.Fatalf("hand-out %d changed after later epochs:\n%s\nwas\n%s", i, got, h.facts)
 		}
 	}
 }

@@ -7,8 +7,11 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"mastergreen/internal/metrics"
 	"mastergreen/internal/predict"
@@ -68,19 +71,6 @@ func (o Options) workerGrid() []int {
 	return []int{100, 200, 300, 400, 500}
 }
 
-// strategySet builds the comparison strategies over a workload. The
-// SubmitQueue entry uses a logistic-regression model trained on a separate
-// historical workload (never the evaluation one), as in §7.2.
-func strategySet(w *workload.Workload, trained predict.Predictor) []sim.Strategy {
-	return []sim.Strategy{
-		strategies.NewOracle(w),
-		strategies.NewSubmitQueue(w, trained),
-		strategies.NewSpeculateAll(w),
-		strategies.Optimistic{},
-		strategies.SingleQueue{},
-	}
-}
-
 // TrainPredictor fits the success and conflict models on a dedicated
 // historical workload (70/30 methodology, §7.2) and returns the production
 // predictor. The success model is trained on isolated build outcomes — the
@@ -119,6 +109,62 @@ func TrainPredictorOn(cfg workload.Config) (predict.Learned, predict.Metrics, er
 // runCell simulates one (workload, strategy, workers) cell.
 func runCell(w *workload.Workload, s sim.Strategy, workers int, analyzer bool) *sim.Result {
 	return sim.Run(w, s, sim.Config{Workers: workers, UseAnalyzer: analyzer})
+}
+
+// gridCell is one independent simulation of a figure grid. The strategy is
+// built by the goroutine that runs the cell, because strategies carry
+// per-run state; the workload and a trained predictor are only read.
+type gridCell struct {
+	w        *workload.Workload
+	strategy func() sim.Strategy
+	workers  int
+	analyzer bool
+}
+
+// runCells simulates the cells on up to GOMAXPROCS goroutines and returns
+// their results by cell index, so a report assembled from them is the one a
+// sequential sweep would produce.
+func runCells(cells []gridCell) []*sim.Result {
+	out := make([]*sim.Result, len(cells))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for n := min(runtime.GOMAXPROCS(0), len(cells)); n > 0; n-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(cells); i = int(next.Add(1)) - 1 {
+				c := cells[i]
+				out[i] = runCell(c.w, c.strategy(), c.workers, c.analyzer)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// gridStrategies returns constructors for the named comparison strategies
+// over a workload, in the given order. The SubmitQueue entry uses a
+// logistic-regression model trained on a separate historical workload (never
+// the evaluation one), as in §7.2.
+func gridStrategies(w *workload.Workload, trained predict.Predictor, names ...string) []func() sim.Strategy {
+	out := make([]func() sim.Strategy, len(names))
+	for i, name := range names {
+		switch name {
+		case "Oracle":
+			out[i] = func() sim.Strategy { return strategies.NewOracle(w) }
+		case "SubmitQueue":
+			out[i] = func() sim.Strategy { return strategies.NewSubmitQueue(w, trained) }
+		case "Speculate-all":
+			out[i] = func() sim.Strategy { return strategies.NewSpeculateAll(w) }
+		case "Optimistic":
+			out[i] = func() sim.Strategy { return strategies.Optimistic{} }
+		case "Single-Queue":
+			out[i] = func() sim.Strategy { return strategies.SingleQueue{} }
+		default:
+			panic("experiments: unknown strategy " + name)
+		}
+	}
+	return out
 }
 
 // ratio returns a/b guarding against division by zero.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mastergreen/internal/metrics"
-	"mastergreen/internal/sim"
 	"mastergreen/internal/strategies"
 	"mastergreen/internal/textplot"
 	"mastergreen/internal/workload"
@@ -63,26 +62,33 @@ func Fig11(o Options) *Report {
 	}
 	cells := map[cellKey]float64{}
 
+	// Per (rate, workers): the Oracle run, then the strategies compared to it.
+	names := []string{"Oracle", "SubmitQueue", "Speculate-all", "Optimistic"}
+	var grid []gridCell
 	for _, rate := range rates {
 		w := evalWorkload(o, rate)
 		for _, wk := range workers {
-			oracle := runCell(w, strategies.NewOracle(w), wk, true)
-			for _, s := range []sim.Strategy{
-				strategies.NewSubmitQueue(w, trained),
-				strategies.NewSpeculateAll(w),
-				strategies.Optimistic{},
-			} {
-				res := runCell(w, s, wk, true)
+			for _, mk := range gridStrategies(w, trained, names...) {
+				grid = append(grid, gridCell{w, mk, wk, true})
+			}
+		}
+	}
+	results := runCells(grid)
+	for _, rate := range rates {
+		for _, wk := range workers {
+			oracle := results[0]
+			for i, name := range names[1:] {
 				for _, pc := range pcts {
-					cells[cellKey{s.Name(), rate, wk, pc.name}] =
-						ratio(pctOf(res, pc.p), pctOf(oracle, pc.p))
+					cells[cellKey{name, rate, wk, pc.name}] =
+						ratio(pctOf(results[1+i], pc.p), pctOf(oracle, pc.p))
 				}
 			}
+			results = results[len(names):]
 		}
 	}
 
 	var text string
-	for _, strat := range []string{"SubmitQueue", "Speculate-all", "Optimistic"} {
+	for _, strat := range names[1:] {
 		for _, pc := range pcts {
 			rows := make([][]float64, 0, len(rates))
 			rowLabels := make([]string, 0, len(rates))
@@ -126,28 +132,35 @@ func Fig12(o Options) *Report {
 	}
 	workers := o.workerGrid()
 
-	var text string
+	// Per (rate, workers): the strategies, then the Oracle run they are
+	// normalized against.
+	names := []string{"SubmitQueue", "Speculate-all", "Optimistic", "Single-Queue", "Oracle"}
+	var grid []gridCell
 	for _, rate := range rates {
 		w := evalWorkload(o, rate)
+		for _, wk := range workers {
+			for _, mk := range gridStrategies(w, trained, names...) {
+				grid = append(grid, gridCell{w, mk, wk, true})
+			}
+		}
+	}
+	results := runCells(grid)
+
+	var text string
+	for _, rate := range rates {
 		groups := []textplot.BarGroup{}
-		names := []string{"SubmitQueue", "Speculate-all", "Optimistic", "Single-Queue", "Oracle"}
 		values := map[string][]float64{}
 		cats := make([]string, 0, len(workers))
 		for _, wk := range workers {
 			cats = append(cats, fmt.Sprintf("%dw", wk))
-			oracle := runCell(w, strategies.NewOracle(w), wk, true)
+			oracle := results[len(names)-1]
 			values["Oracle"] = append(values["Oracle"], 1.0)
-			for _, s := range []sim.Strategy{
-				strategies.NewSubmitQueue(w, trained),
-				strategies.NewSpeculateAll(w),
-				strategies.Optimistic{},
-				strategies.SingleQueue{},
-			} {
-				res := runCell(w, s, wk, true)
-				v := ratio(res.ThroughputPerHour, oracle.ThroughputPerHour)
-				values[s.Name()] = append(values[s.Name()], v)
-				r.Metrics[fmt.Sprintf("%s/rate%.0f/w%d", s.Name(), rate, wk)] = v
+			for i, name := range names[:len(names)-1] {
+				v := ratio(results[i].ThroughputPerHour, oracle.ThroughputPerHour)
+				values[name] = append(values[name], v)
+				r.Metrics[fmt.Sprintf("%s/rate%.0f/w%d", name, rate, wk)] = v
 			}
+			results = results[len(names):]
 		}
 		for _, n := range names {
 			groups = append(groups, textplot.BarGroup{Name: n, Values: values[n]})
@@ -179,31 +192,28 @@ func Fig13(o Options) *Report {
 		workers = []int{100, 300}
 	}
 
-	var text string
+	// Per (rate, workers, strategy): analyzer on, then analyzer off.
+	names := []string{"Oracle", "SubmitQueue", "Speculate-all", "Optimistic", "Single-Queue"}
+	var grid []gridCell
 	for _, rate := range rates {
 		w := evalWorkload(o, rate)
-		cats := make([]string, 0, len(workers))
-		values := map[string][]float64{}
-		names := []string{"Oracle", "SubmitQueue", "Speculate-all", "Optimistic", "Single-Queue"}
-		mk := func(name string) sim.Strategy {
-			switch name {
-			case "Oracle":
-				return strategies.NewOracle(w)
-			case "SubmitQueue":
-				return strategies.NewSubmitQueue(w, trained)
-			case "Speculate-all":
-				return strategies.NewSpeculateAll(w)
-			case "Optimistic":
-				return strategies.Optimistic{}
-			default:
-				return strategies.SingleQueue{}
+		for _, wk := range workers {
+			for _, mk := range gridStrategies(w, trained, names...) {
+				grid = append(grid, gridCell{w, mk, wk, true}, gridCell{w, mk, wk, false})
 			}
 		}
+	}
+	results := runCells(grid)
+
+	var text string
+	for _, rate := range rates {
+		cats := make([]string, 0, len(workers))
+		values := map[string][]float64{}
 		for _, wk := range workers {
 			cats = append(cats, fmt.Sprintf("%dw", wk))
 			for _, name := range names {
-				with := runCell(w, mk(name), wk, true)
-				without := runCell(w, mk(name), wk, false)
+				with, without := results[0], results[1]
+				results = results[2:]
 				impr := 0.0
 				if p := pctOf(without, 95); p > 0 {
 					impr = (p - pctOf(with, 95)) / p

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -221,12 +222,6 @@ type Planner struct {
 
 	// keyEpoch versions the per-build dynamic-key caches; resolve bumps it.
 	keyEpoch uint64
-	// committedPrefix is the committed history rendered once ("c1+c2+…+"),
-	// and prefixLen[i] is the byte length of its first i entries, so
-	// dynamicKey and decisiveKey slice in O(1) instead of re-joining the
-	// full history per key.
-	committedPrefix string
-	prefixLen       []int
 	// lastPlanFP memoizes the plan-input fingerprint of the last epoch that
 	// ran decide+Plan+reconcile; an identical fingerprint lets Tick skip
 	// both entirely.
@@ -260,7 +255,6 @@ func New(r *repo.Repo, q *queue.Queue, an ConflictSource, spec *speculation.Engi
 		rejected:     map[change.ID]string{},
 		initialLen:   r.Len(),
 		keyEpoch:     1,
-		prefixLen:    []int{0},
 	}
 }
 
@@ -310,20 +304,32 @@ func (p *Planner) OutcomesSince(n int) []Outcome {
 	return append([]Outcome(nil), p.outcomes[n:]...)
 }
 
-// dynamicKey identifies a build by its absolute apply list (committed prefix
-// up to the build's base, then the build's changes) plus rejection
-// assumptions about changes that are still unresolved. Callers hold p.mu.
+// dynamicKey identifies a build by its absolute apply list (this planner's
+// commits up to the build's base, then the build's changes) plus rejection
+// assumptions about changes that are still unresolved. The list is rendered
+// relative to the committed history: "#k|" for its longest prefix equal to
+// p.committed[:k], then the remaining changes. Equal lists give equal k and
+// equal remainders and vice versa, so two keys computed against the same
+// history are equal exactly when the lists are, yet a key's size does not
+// grow with the history. Callers hold p.mu.
 func (p *Planner) dynamicKey(baseLen int, b speculation.Build) string {
+	k := baseLen - p.initialLen
+	if k > len(p.committed) {
+		k = len(p.committed)
+	}
+	if k < 0 {
+		k = 0
+	}
+	rest := b.Changes
+	for len(rest) > 0 && k < len(p.committed) && rest[0] == p.committed[k] {
+		k++
+		rest = rest[1:]
+	}
 	var sb strings.Builder
-	prefix := baseLen - p.initialLen
-	if prefix > len(p.committed) {
-		prefix = len(p.committed)
-	}
-	if prefix < 0 {
-		prefix = 0
-	}
-	sb.WriteString(p.committedPrefix[:p.prefixLen[prefix]])
-	for i, id := range b.Changes {
+	sb.WriteByte('#')
+	sb.WriteString(strconv.Itoa(k))
+	sb.WriteByte('|')
+	for i, id := range rest {
 		if i > 0 {
 			sb.WriteByte('+')
 		}
@@ -345,11 +351,11 @@ func (p *Planner) dynamicKey(baseLen int, b speculation.Build) string {
 }
 
 // decisiveKey is the dynamic key of the build that decides the fate of a
-// change whose conflicting predecessors are all resolved: the full committed
-// history plus the change itself, with no outstanding assumptions. Callers
-// hold p.mu.
+// pending change whose conflicting predecessors are all resolved: the full
+// committed history plus the change itself, with no outstanding assumptions.
+// Callers hold p.mu.
 func (p *Planner) decisiveKey(id change.ID) string {
-	return p.committedPrefix + string(id)
+	return "#" + strconv.Itoa(len(p.committed)) + "|" + string(id)
 }
 
 // buildKeyLocked returns the build's dynamic key, recomputing it only when a
@@ -381,7 +387,7 @@ func (p *Planner) planFingerprintLocked(pending []*change.Change) string {
 	var sb strings.Builder
 	sb.WriteString(string(p.repo.Head().ID))
 	sb.WriteString("|b")
-	fmt.Fprintf(&sb, "%d", p.cfg.Budget)
+	sb.WriteString(strconv.Itoa(p.cfg.Budget))
 	sb.WriteString("|p:")
 	for _, c := range pending {
 		sb.WriteString(string(c.ID))
@@ -808,8 +814,6 @@ func (p *Planner) resolve(c *change.Change, st change.State, reason string, comm
 	if st == change.StateCommitted {
 		p.committed = append(p.committed, id)
 		p.committedSet[id] = true
-		p.committedPrefix += string(id) + "+"
-		p.prefixLen = append(p.prefixLen, len(p.committedPrefix))
 	} else {
 		p.rejected[id] = reason
 	}

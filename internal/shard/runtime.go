@@ -264,10 +264,10 @@ func (rt *Runtime) Partition() {
 	rt.collectOutcomesLocked()
 	rt.stats.Partitions++
 	regroup := false
-	if ast := rt.arb.Stats(); ast.CrossShardRejects != rt.lastRejects {
+	if rejects := rt.arb.CrossShardRejects(); rejects != rt.lastRejects {
 		// A bounced proposal means two shards' footprints overlapped: the
 		// partition is stale, so regroup before the engines retry.
-		rt.lastRejects = ast.CrossShardRejects
+		rt.lastRejects = rejects
 		regroup = true
 	}
 	if !newArrivals && !rt.first && !regroup {
