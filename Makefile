@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-race build vet lint test race bench bench-smoke bench-serving bench-e2e
+.PHONY: check check-race build vet lint test race bench bench-smoke bench-e2e
 
 # check is the CI entry point: everything must pass before merge.
 check: build vet lint race
@@ -30,24 +30,15 @@ race:
 check-race:
 	$(GO) test -race -timeout 60m ./...
 
-# bench runs the subsystem micro-benchmarks (see the BENCH_*.json files).
+# bench runs the subsystem micro-benchmarks. They are for measuring while you
+# work; the numbers of record come from bench-e2e.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 2s ./internal/buildgraph/ ./internal/buildsys/ ./internal/conflict/ ./internal/planner/ ./internal/sched/ ./internal/shard/ ./internal/arbiter/ ./internal/repo/ ./internal/store/ ./internal/api/
 
-# bench-serving measures the production serving path (BENCH_serving.json):
-# handler alloc counts, journal group-commit and replay, the layered-snapshot
-# commit cost, then the full two-phase load test over localhost HTTP
-# (sustained ≥20k submissions/min with P99 targets, plus overload shedding).
-bench-serving:
-	$(GO) test -run '^$$' -bench . -benchtime 2s -benchmem ./internal/api/ ./internal/store/ ./internal/repo/
-	$(GO) run ./cmd/sqsim -exp loadtest -full -metrics
-
 # bench-smoke compiles and runs every benchmark in the repo exactly once so
-# benchmarks cannot bitrot; CI runs it on every push. The root-level paper
-# figure benchmarks take ~8 min even at 1x, so the per-package timeout is
-# raised above go test's 10m default for slow CI runners.
+# benchmarks cannot bitrot; CI runs it on every push (~16 s on 2 cores).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 30m ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-e2e runs the repository's end-to-end benchmark (bench/README.md,
 # BENCHMARK.json) once per workload, the way the driver does: fixed work,

@@ -62,7 +62,7 @@ func main() {
 	workers := flag.Int("workers", 8, "concurrent builds")
 	epoch := flag.Duration("epoch", 250*time.Millisecond, "planner epoch")
 	dataDir := flag.String("data", "", "directory for durable state (empty = in-memory only)")
-	shards := flag.Int("shards", 0, "planner shards (>= 1 enables the sharded scale-out; 0 = classic single planner)")
+	shards := flag.Int("shards", 0, "planner shards (>= 1 enables the sharded scale-out; 0 = single planner)")
 	snapshotEvery := flag.Duration("snapshot-interval", 0, "with -data: fold the journal into a snapshot this often (0 = only at shutdown)")
 	admissionCap := flag.Int("admission-cap", 0, "bound the pending queue; excess submits get 429 + Retry-After (0 = unbounded)")
 	statusRefresh := flag.Duration("status-refresh", 250*time.Millisecond, "background status snapshot rebuild interval (0 = rebuild per request)")

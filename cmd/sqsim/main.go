@@ -44,9 +44,7 @@ var registry = []struct {
 	{"ablation-grace", "preemption grace extension", experiments.AblationPreemptionGrace},
 	{"ablation-reorder", "change reordering extension", experiments.AblationReordering},
 	{"ablation-boost", "gradient boosting vs logistic regression", experiments.AblationBoosting},
-	{"ablation-analyzer", "incremental conflict analyzer cache", experiments.AblationAnalyzerCache},
 	{"ablation-shards", "sharded multi-planner scale-out", experiments.AblationShards},
-	{"ablation-planner", "planner shared-prefix preparation & plan memo", experiments.AblationPlannerPrep},
 	{"ablation-reliability", "retry/quarantine under injected flakiness", experiments.AblationReliability},
 	{"ablation-leanci", "obsolete-build pruning + predictor-gated skipping", experiments.AblationLeanCI},
 	{"ablation-sched", "priority lanes + adaptive batching", experiments.AblationSched},

@@ -11,7 +11,7 @@
 // bounced with planner.ErrCrossShardConflict and the engine rebuilds against
 // the new head. Commits of the proposal's own applied changes are part of the
 // build and need no re-validation, which is what makes single-shard mode
-// bit-for-bit identical to the legacy direct-commit path.
+// bit-for-bit identical to the single planner's direct-commit path.
 package arbiter
 
 import (

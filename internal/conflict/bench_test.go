@@ -36,11 +36,10 @@ func benchRepo(n int) (*repo.Repo, []*change.Change) {
 // changes one at a time with a BuildGraph re-plan after each commit —
 // the planner's steady-state loop. It returns the number of conflict-level
 // graph builds the commit phase consumed.
-func runCommitSequence(tb testing.TB, legacy bool, n, k int) (graphBuildsPerCommit float64, st Stats) {
+func runCommitSequence(tb testing.TB, n, k int) (graphBuildsPerCommit float64, st Stats) {
 	tb.Helper()
 	r, pending := benchRepo(n)
 	a := New(r)
-	a.LegacyInvalidation = legacy
 	if _, failed := a.BuildGraph(pending); len(failed) != 0 {
 		tb.Fatalf("initial BuildGraph failed: %v", failed)
 	}
@@ -60,21 +59,15 @@ func runCommitSequence(tb testing.TB, legacy bool, n, k int) (graphBuildsPerComm
 }
 
 // TestSelectiveInvalidationReducesGraphBuilds is the acceptance headline:
-// at 64 pending independent changes, committing them one at a time must cost
-// at least 5x fewer graph builds per commit than the wipe-on-head-move
-// baseline (BENCH_conflict.json records the measured ratio).
+// at 64 pending independent changes, committing them one at a time costs at
+// most one head-graph build per commit — the head's own — and none for the
+// 63 survivors, whose analyses are re-homed and whose pairs are reused.
 func TestSelectiveInvalidationReducesGraphBuilds(t *testing.T) {
 	const n, k = 64, 16
-	legacyPer, _ := runCommitSequence(t, true, n, k)
-	incPer, st := runCommitSequence(t, false, n, k)
-	t.Logf("graph builds per commit: legacy=%.1f incremental=%.1f (%.1fx) stats=%+v",
-		legacyPer, incPer, legacyPer/incPer, st)
-	if incPer <= 0 {
-		t.Fatalf("incremental graph builds per commit = %v", incPer)
-	}
-	if ratio := legacyPer / incPer; ratio < 5 {
-		t.Fatalf("graph-build reduction %.1fx < 5x (legacy %.1f/commit, incremental %.1f/commit)",
-			ratio, legacyPer, incPer)
+	perCommit, st := runCommitSequence(t, n, k)
+	t.Logf("graph builds per commit: %.1f stats=%+v", perCommit, st)
+	if perCommit <= 0 || perCommit > 1.0 {
+		t.Fatalf("graph builds per commit = %.1f, want in (0, 1.0]", perCommit)
 	}
 	if st.ReusedAnalyses == 0 || st.PairsReused == 0 {
 		t.Fatalf("incremental pipeline idle: %+v", st)
@@ -86,15 +79,7 @@ func TestSelectiveInvalidationReducesGraphBuilds(t *testing.T) {
 // and the incremental graph memo.
 func BenchmarkCommitReplanIncremental(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runCommitSequence(b, false, 64, 16)
-	}
-}
-
-// BenchmarkCommitReplanLegacy is the same loop with wipe-on-head-move
-// invalidation and from-scratch graph builds (the pre-incremental analyzer).
-func BenchmarkCommitReplanLegacy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runCommitSequence(b, true, 64, 16)
+		runCommitSequence(b, 64, 16)
 	}
 }
 
@@ -115,7 +100,7 @@ func BenchmarkBuildGraphSteadyState(b *testing.B) {
 }
 
 // BenchmarkAnalyzeFanOut measures the parallel single-flight analysis of 64
-// fresh changes (cache emptied each iteration via a forced legacy wipe).
+// fresh changes (a new analyzer, hence an empty cache, each iteration).
 func BenchmarkAnalyzeFanOut(b *testing.B) {
 	r, pending := benchRepo(64)
 	b.ResetTimer()

@@ -147,7 +147,7 @@ func (a *Analyzer) BuildGraph(pending []*change.Change) (*Graph, map[change.ID]e
 // set of successfully analyzed pending changes (in submission order) and
 // returns a clone. Callers hold a.mu.
 func (a *Analyzer) updateGraphLocked(ok []*Analysis) *Graph {
-	if a.memo == nil || a.LegacyInvalidation {
+	if a.memo == nil {
 		a.memo = &graphMemo{
 			graph:    NewGraph(nil),
 			members:  map[change.ID]*Analysis{},

@@ -155,12 +155,6 @@ type inflight struct {
 type Analyzer struct {
 	repo *repo.Repo
 
-	// LegacyInvalidation, when set before first use, restores the
-	// wipe-on-head-move baseline: every head movement discards all cached
-	// analyses, union verdicts, and the graph memo. It exists so benchmarks
-	// and ablations can measure what the incremental pipeline saves.
-	LegacyInvalidation bool
-
 	sem chan struct{} // bounds concurrently executing per-change analyses
 
 	mu        sync.Mutex
@@ -219,7 +213,7 @@ func (a *Analyzer) count(f func(*Stats)) {
 
 // refreshHeadLocked ensures the cached head graph matches the repo's current
 // HEAD. When the mainline advanced, per-change analyses are selectively
-// invalidated (see invalidateLocked) rather than wiped. Callers hold a.mu.
+// invalidated (see invalidateLocked). Callers hold a.mu.
 func (a *Analyzer) refreshHeadLocked() error {
 	head := a.repo.Head()
 	if a.headGraph != nil && a.head == head.ID {
@@ -231,10 +225,7 @@ func (a *Analyzer) refreshHeadLocked() error {
 		return fmt.Errorf("conflict: analyzing head %s: %w", head.ID, err)
 	}
 	a.stats.GraphBuilds++
-	if a.headGraph == nil || a.LegacyInvalidation {
-		a.analyses = map[change.ID]*Analysis{}
-		a.memo = nil
-	} else {
+	if a.headGraph != nil {
 		a.invalidateLocked(head.ID, snap, g)
 	}
 	a.head = head.ID
@@ -399,11 +390,9 @@ func (a *Analyzer) pairVerdictLocked(ai, aj *Analysis) bool {
 	}
 	a.stats.UnionComparisons++
 	conf := buildgraph.UnionConflictDeltas(ai.Delta, aj.Delta, a.headGraph, ai.Graph, aj.Graph)
-	if !a.LegacyInvalidation {
-		if ai.union == nil {
-			ai.union = map[uint64]bool{}
-		}
-		ai.union[aj.id] = conf
+	if ai.union == nil {
+		ai.union = map[uint64]bool{}
 	}
+	ai.union[aj.id] = conf
 	return conf
 }

@@ -262,21 +262,3 @@ func TestAnalyzerLifecycleEvents(t *testing.T) {
 		t.Fatalf("summary = %+v, want detail %q", reused, want)
 	}
 }
-
-func TestLegacyInvalidationWipes(t *testing.T) {
-	r := testRepo()
-	a := New(r)
-	a.LegacyInvalidation = true
-	cz := mkChange(t, r, "cz", "z/z.go", "z v2")
-	if _, err := a.Analyze(cz); err != nil {
-		t.Fatal(err)
-	}
-	commit(t, r, "docsfile", "d") // unrelated, but legacy mode wipes anyway
-	if _, err := a.Analyze(cz); err != nil {
-		t.Fatal(err)
-	}
-	st := a.Stats()
-	if st.ReusedAnalyses != 0 || st.AnalyzedChanges != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}

@@ -37,8 +37,6 @@ import (
 type Config struct {
 	// Workers is the number of builds that may run concurrently (<=0: 4).
 	Workers int
-	// QueueShards is the shard count of the pending queue (<=0: 1).
-	QueueShards int
 	// Predictor supplies P_succ/P_conf. Nil defaults to a mildly optimistic
 	// static predictor; production uses predict.Learned.
 	Predictor predict.Predictor
@@ -67,14 +65,9 @@ type Config struct {
 	// Events, when non-nil, receives lifecycle events for observability
 	// (submissions, build starts/finishes/aborts, commits, rejections).
 	Events *events.Bus
-	// LegacyPlanner disables the planner's incremental-epoch machinery
-	// (shared-prefix preparation trie and plan memoization), restoring the
-	// per-build full-merge path. For ablation and benchmarking.
-	LegacyPlanner bool
 	// Reliability tunes the flaky-failure handling layer (retries, flake
 	// detection, quarantine, verification re-runs; DESIGN.md §4g). The zero
-	// value enables the default policy; set Reliability.LegacyNoRetry to
-	// restore the fail-fast baseline.
+	// value enables the default policy.
 	Reliability reliability.Config
 	// FaultInjector, when non-nil, wraps Runner with deterministic fault
 	// injection (tests and chaos experiments); its inner runner is set to
@@ -83,13 +76,9 @@ type Config struct {
 	// Shards, when >= 1, enables the sharded multi-planner scale-out
 	// (DESIGN.md §4h): that many independent planner engines over
 	// connected-component partitions of the conflict graph, with a serialized
-	// commit arbiter owning head advancement. <= 0 keeps the classic
-	// single-planner engine.
+	// commit arbiter owning head advancement. <= 0 runs one planner over the
+	// whole queue.
 	Shards int
-	// SingleShard forces the classic single-planner engine even when Shards
-	// is set — the preserved legacy path, bit-for-bit identical to the
-	// service before the shard layer existed.
-	SingleShard bool
 	// Sched, when non-nil, enables the priority-lane scheduling layer
 	// (DESIGN.md §4l): per-class value weights, deadline aging, hotfix
 	// preemption, and per-class turnaround tracking. Nil keeps the
@@ -141,16 +130,13 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.QueueShards <= 0 {
-		cfg.QueueShards = 1
-	}
 	if cfg.Predictor == nil {
 		cfg.Predictor = predict.Static{Success: 0.85, Conflict: 0.05}
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	q := queue.New(cfg.QueueShards)
+	q := queue.New(1)
 	an := conflict.New(r)
 	if cfg.Events != nil {
 		an.SetEvents(cfg.Events)
@@ -177,8 +163,6 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 		Events:              cfg.Events,
 		TestSelectionRadius: cfg.TestSelectionRadius,
 		SkipThreshold:       cfg.SkipThreshold,
-		LegacyPreparation:   cfg.LegacyPlanner,
-		LegacyReplan:        cfg.LegacyPlanner,
 		Reliability:         rel,
 		Sched:               cfg.Sched,
 	}
@@ -195,7 +179,7 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 	if cfg.Sched != nil {
 		s.tracker = sched.NewTracker()
 	}
-	if cfg.Shards >= 1 && !cfg.SingleShard {
+	if cfg.Shards >= 1 {
 		s.arb = arbiter.New(r, arbiter.Config{Analyzer: an, Events: cfg.Events})
 		s.runtime = shard.New(r, q, an, s.arb, ctrl, shard.Config{
 			Shards:  cfg.Shards,

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
 	"mastergreen/internal/repo"
+	"mastergreen/internal/sched"
 )
 
 func newRepo() *repo.Repo {
@@ -224,5 +226,67 @@ func TestTickManualLoop(t *testing.T) {
 	st, _ := s.State("c1")
 	if st.State != change.StateCommitted {
 		t.Fatalf("state = %+v", st)
+	}
+}
+
+// TestShardedPlannerStatsReportHotfixPreemption: a sharded service sums its
+// engines' planner counters, HotfixPreempted included — a pending hotfix
+// aborts the over-grace build holding the only worker, and the preemption
+// shows up through Service.PlannerStats.
+func TestShardedPlannerStatsReportHotfixPreemption(t *testing.T) {
+	r := newRepo()
+	var clock atomic.Int64
+	release := make(chan struct{})
+	runner := buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, snap repo.Snapshot) error {
+		if content, _ := snap.Read("doc/readme.md"); content == "hotfix" {
+			return nil
+		}
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return buildsys.ErrAborted
+		}
+	})
+	s := NewService(r, Config{
+		Workers: 1, Shards: 1, Runner: runner, Sched: sched.Default(),
+		PreemptionGrace: time.Second,
+		Now:             func() time.Time { return time.Unix(1700000000+clock.Load(), 0) },
+	})
+	ctx := context.Background()
+	tickUntil := func(what string, done func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !done() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, s.PlannerStats())
+			}
+			if err := s.Tick(ctx); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	if err := s.Submit(mkChange(r, "c1", "lib/lib.go", "lib v2")); err != nil {
+		t.Fatal(err)
+	}
+	tickUntil("c1's build to start", func() bool { return s.PlannerStats().BuildsStarted >= 1 })
+	clock.Add(2) // c1's build is now past its preemption grace
+	hot := mkChange(r, "h1", "doc/readme.md", "hotfix")
+	hot.Class = change.ClassHotfix
+	if err := s.Submit(hot); err != nil {
+		t.Fatal(err)
+	}
+	tickUntil("the hotfix to preempt c1's build", func() bool { return s.PlannerStats().HotfixPreempted >= 1 })
+
+	close(release)
+	if err := s.ProcessAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []change.ID{"c1", "h1"} {
+		if st, err := s.State(id); err != nil || st.State != change.StateCommitted {
+			t.Errorf("%s = %+v, %v; want committed", id, st, err)
+		}
 	}
 }

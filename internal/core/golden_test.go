@@ -64,7 +64,7 @@ type goldenTrace struct {
 	files    map[string]string
 }
 
-func goldenRun(t *testing.T, shards int, single bool) goldenTrace {
+func goldenRun(t *testing.T, shards int) goldenTrace {
 	t.Helper()
 	r := goldenRepo()
 	base := time.Unix(1700000000, 0)
@@ -80,7 +80,7 @@ func goldenRun(t *testing.T, shards int, single bool) goldenTrace {
 	// both drivers single-threaded, so the trace is bit-for-bit reproducible
 	// even under the race detector's scheduling perturbation.
 	s := NewService(r, Config{
-		Workers: 1, Shards: shards, SingleShard: single,
+		Workers: 1, Shards: shards,
 		Runner: runner, Now: func() time.Time { return base },
 	})
 	for _, c := range goldenWorkload() {
@@ -113,45 +113,45 @@ func goldenRun(t *testing.T, shards int, single bool) goldenTrace {
 	}
 }
 
-// TestGoldenSingleShardMatchesLegacy is the acceptance golden trace: the
-// sharded runtime with one shard must reproduce the legacy single-planner
-// engine bit for bit — same outcome sequence (IDs, states, reasons, commit
-// IDs), same commit history, same head snapshot.
-func TestGoldenSingleShardMatchesLegacy(t *testing.T) {
-	legacy := goldenRun(t, 0, true)
-	sharded := goldenRun(t, 1, false)
+// TestGoldenOneShardMatchesSinglePlanner is the acceptance golden trace: the
+// sharded runtime with one shard (Shards: 1) must reproduce the single-planner
+// engine (Shards: 0) bit for bit — same outcome sequence (IDs, states,
+// reasons, commit IDs), same commit history, same head snapshot.
+func TestGoldenOneShardMatchesSinglePlanner(t *testing.T) {
+	single := goldenRun(t, 0)
+	sharded := goldenRun(t, 1)
 
-	if len(sharded.outcomes) != len(legacy.outcomes) {
-		t.Fatalf("outcome count: sharded %d, legacy %d", len(sharded.outcomes), len(legacy.outcomes))
+	if len(sharded.outcomes) != len(single.outcomes) {
+		t.Fatalf("outcome count: sharded %d, single %d", len(sharded.outcomes), len(single.outcomes))
 	}
-	for i := range legacy.outcomes {
-		l, s := legacy.outcomes[i], sharded.outcomes[i]
+	for i := range single.outcomes {
+		l, s := single.outcomes[i], sharded.outcomes[i]
 		if l.ID != s.ID || l.State != s.State || l.Reason != s.Reason || l.Commit != s.Commit {
-			t.Fatalf("outcome %d diverges:\nlegacy  %+v\nsharded %+v", i, l, s)
+			t.Fatalf("outcome %d diverges:\nsingle  %+v\nsharded %+v", i, l, s)
 		}
 	}
-	if sharded.headLen != legacy.headLen {
-		t.Fatalf("mainline length: sharded %d, legacy %d", sharded.headLen, legacy.headLen)
+	if sharded.headLen != single.headLen {
+		t.Fatalf("mainline length: sharded %d, single %d", sharded.headLen, single.headLen)
 	}
-	if len(sharded.history) != len(legacy.history) {
-		t.Fatalf("history length: sharded %d, legacy %d", len(sharded.history), len(legacy.history))
+	if len(sharded.history) != len(single.history) {
+		t.Fatalf("history length: sharded %d, single %d", len(sharded.history), len(single.history))
 	}
-	for i := range legacy.history {
-		if sharded.history[i] != legacy.history[i] {
-			t.Fatalf("commit %d diverges: sharded %s, legacy %s", i, sharded.history[i], legacy.history[i])
+	for i := range single.history {
+		if sharded.history[i] != single.history[i] {
+			t.Fatalf("commit %d diverges: sharded %s, single %s", i, sharded.history[i], single.history[i])
 		}
 	}
-	if len(sharded.files) != len(legacy.files) {
-		t.Fatalf("head file count: sharded %d, legacy %d", len(sharded.files), len(legacy.files))
+	if len(sharded.files) != len(single.files) {
+		t.Fatalf("head file count: sharded %d, single %d", len(sharded.files), len(single.files))
 	}
-	for p, want := range legacy.files {
+	for p, want := range single.files {
 		if sharded.files[p] != want {
-			t.Fatalf("head file %s: sharded %q, legacy %q", p, sharded.files[p], want)
+			t.Fatalf("head file %s: sharded %q, single %q", p, sharded.files[p], want)
 		}
 	}
 	// Sanity: the golden workload exercised all three decision kinds.
 	var committed, rejected int
-	for _, o := range legacy.outcomes {
+	for _, o := range single.outcomes {
 		if o.State == change.StateCommitted {
 			committed++
 		} else {

@@ -129,31 +129,3 @@ func TestVerificationAvertsRejection(t *testing.T) {
 		t.Errorf("events: build-retried=%v rejection-averted=%v, want both", retried, averted)
 	}
 }
-
-// TestLegacyNoRetryRejectsInnocent is the baseline contrast: the same
-// flaky fleet without the reliability layer falsely rejects the innocent
-// change.
-func TestLegacyNoRetryRejectsInnocent(t *testing.T) {
-	r := newRepo()
-	inj := reliability.NewInjector(nil, rand.New(rand.NewSource(5)), reliability.InjectorConfig{
-		DefaultTransientRate: 1,
-		MaxTransientsPerUnit: 1,
-		Sleep:                relNoSleep,
-	})
-	s := NewService(r, Config{
-		Workers:       2,
-		FaultInjector: inj,
-		Reliability:   reliability.Config{LegacyNoRetry: true, Sleep: relNoSleep},
-	})
-	c := mkChange(r, "c1", "doc/readme.md", "doc v2")
-	if err := s.Submit(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ProcessAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.State("c1")
-	if err != nil || st.State != change.StateRejected {
-		t.Fatalf("legacy baseline should falsely reject the innocent change: %+v, %v", st, err)
-	}
-}

@@ -9,12 +9,9 @@ import (
 	"mastergreen/internal/buildgraph"
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
-	"mastergreen/internal/conflict"
 	"mastergreen/internal/core"
 	"mastergreen/internal/metrics"
-	"mastergreen/internal/planner"
 	"mastergreen/internal/predict"
-	"mastergreen/internal/queue"
 	"mastergreen/internal/repo"
 	"mastergreen/internal/sim"
 	"mastergreen/internal/speculation"
@@ -413,162 +410,13 @@ func AblationBoosting(o Options) *Report {
 	return r
 }
 
-// AblationAnalyzerCache measures the incremental conflict analyzer
-// (DESIGN.md §4e) against the wipe-on-head-move baseline: a pool of mutually
-// independent pending changes is re-planned (BuildGraph) after each of a
-// series of commits. The baseline re-analyzes every remaining change per
-// commit; selective invalidation re-homes them all, so each commit costs one
-// head-graph build.
-func AblationAnalyzerCache(o Options) *Report {
-	r := newReport("ablation-analyzer", "Ablation — incremental conflict analyzer (selective invalidation)")
-	n := o.count(16, 64)
-	commits := n / 4
-
-	run := func(legacy bool) (perCommit float64, st conflict.Stats) {
-		files := map[string]string{}
-		for i := 0; i < n; i++ {
-			files[fmt.Sprintf("d%02d/BUILD", i)] = fmt.Sprintf("target t%02d srcs=f.go", i)
-			files[fmt.Sprintf("d%02d/f.go", i)] = fmt.Sprintf("v1 of %d", i)
-		}
-		rp := repo.New(files)
-		an := conflict.New(rp)
-		an.LegacyInvalidation = legacy
-		pending := make([]*change.Change, n)
-		for i := 0; i < n; i++ {
-			path := fmt.Sprintf("d%02d/f.go", i)
-			pending[i] = &change.Change{
-				ID: change.ID(fmt.Sprintf("c%02d", i)),
-				Patch: repo.Patch{Changes: []repo.FileChange{{
-					Path: path, Op: repo.OpModify,
-					BaseHash:   repo.HashContent(fmt.Sprintf("v1 of %d", i)),
-					NewContent: fmt.Sprintf("v2 of %d", i),
-				}}},
-			}
-		}
-		if _, failed := an.BuildGraph(pending); len(failed) > 0 {
-			panic(fmt.Sprintf("ablation-analyzer: unexpected failures: %v", failed))
-		}
-		before := an.Stats().GraphBuilds
-		for k := 0; k < commits; k++ {
-			head := rp.Head()
-			if _, err := rp.CommitPatch(head.ID, pending[0].Patch, "dev", string(pending[0].ID), time.Time{}); err != nil {
-				panic(err)
-			}
-			pending = pending[1:]
-			if _, failed := an.BuildGraph(pending); len(failed) > 0 {
-				panic(fmt.Sprintf("ablation-analyzer: unexpected failures: %v", failed))
-			}
-		}
-		st = an.Stats()
-		return float64(st.GraphBuilds-before) / float64(commits), st
-	}
-
-	legacyPer, _ := run(true)
-	incPer, st := run(false)
-	r.Metrics["pending_changes"] = float64(n)
-	r.Metrics["commits"] = float64(commits)
-	r.Metrics["legacy_graph_builds_per_commit"] = legacyPer
-	r.Metrics["incremental_graph_builds_per_commit"] = incPer
-	r.Metrics["reduction_x"] = ratio(legacyPer, incPer)
-	r.Metrics["reused_analyses"] = float64(st.ReusedAnalyses)
-	r.Metrics["pairs_reused"] = float64(st.PairsReused)
-	r.Metrics["pair_cache_hits"] = float64(st.PairCacheHits)
-	r.Text = fmt.Sprintf(
-		"%d independent pending changes, %d sequential commits, BuildGraph after each:\n"+
-			"  wipe-on-head-move: %.1f graph builds/commit\n"+
-			"  incremental:       %.1f graph builds/commit  (%.0fx fewer; %d analyses re-homed, %d pairs carried)\n",
-		n, commits, legacyPer, incPer, ratio(legacyPer, incPer), st.ReusedAnalyses, st.PairsReused)
-	return r
-}
-
-// AblationPlannerPrep measures the planner's incremental-epoch machinery
-// (DESIGN.md §4f) against the legacy per-build path: one planning epoch over
-// a chain of n mutually conflicting changes starts speculation builds of
-// depth 1..n. The shared-prefix trie pays one incremental merge + analysis
-// per build where the baseline re-merges every prefix from scratch, and the
-// plan-fingerprint memo then skips the idle follow-up epochs entirely.
-func AblationPlannerPrep(o Options) *Report {
-	r := newReport("ablation-planner", "Ablation — planner shared-prefix preparation & plan memo (§6)")
-	n := o.count(8, 12)
-
-	run := func(legacy bool) planner.Stats {
-		files := map[string]string{}
-		for i := 0; i < n; i++ {
-			dep := ""
-			if i > 0 {
-				dep = fmt.Sprintf(" deps=//d%02d:t%02d", i-1, i-1)
-			}
-			files[fmt.Sprintf("d%02d/BUILD", i)] = fmt.Sprintf("target t%02d srcs=f.go%s", i, dep)
-			files[fmt.Sprintf("d%02d/f.go", i)] = "v1"
-		}
-		rp := repo.New(files)
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		runner := buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, _ repo.Snapshot) error {
-			<-ctx.Done() // hold the epoch open so every speculation is prepared
-			return buildsys.ErrAborted
-		})
-		q := queue.New(1)
-		an := conflict.New(rp)
-		eng := speculation.New(predict.Static{Success: 0.95, Conflict: 0.05})
-		ctrl := buildsys.NewController(4, runner)
-		pl := planner.New(rp, q, an, eng, ctrl, planner.Config{
-			Budget: n, MaxSpecDepth: n,
-			LegacyPreparation: legacy, LegacyReplan: legacy,
-		})
-		for i := 0; i < n; i++ {
-			c := &change.Change{
-				ID: change.ID(fmt.Sprintf("c%02d", i)),
-				Patch: repo.Patch{Changes: []repo.FileChange{{
-					Path: fmt.Sprintf("d%02d/f.go", i), Op: repo.OpModify,
-					BaseHash: repo.HashContent("v1"), NewContent: "v2",
-				}}},
-				BuildSteps: []change.BuildStep{{Name: "compile", Kind: change.StepCompile}},
-			}
-			if err := q.Enqueue(c); err != nil {
-				panic(err)
-			}
-		}
-		// One planning epoch plus four idle follow-ups (the Run-loop shape).
-		for i := 0; i < 5; i++ {
-			if _, err := pl.Tick(ctx); err != nil {
-				panic(err)
-			}
-		}
-		return pl.Stats()
-	}
-
-	legacy := run(true)
-	inc := run(false)
-	legacyPer := ratio(float64(legacy.PrepOps()), float64(legacy.BuildsStarted))
-	incPer := ratio(float64(inc.PrepOps()), float64(inc.BuildsStarted))
-	r.Metrics["chain_depth"] = float64(n)
-	r.Metrics["legacy_prep_ops_per_build"] = legacyPer
-	r.Metrics["incremental_prep_ops_per_build"] = incPer
-	r.Metrics["reduction_x"] = ratio(legacyPer, incPer)
-	r.Metrics["prefix_hits"] = float64(inc.PrefixHits)
-	r.Metrics["plans_skipped"] = float64(inc.PlansSkipped)
-	r.Metrics["legacy_plans_computed"] = float64(legacy.PlansComputed)
-	r.Text = fmt.Sprintf(
-		"chain of %d conflicting changes, one epoch starts builds of depth 1..%d, then 4 idle epochs:\n"+
-			"  legacy:      %.1f prep ops/build (%d analyses, %d merge units), %d plans computed\n"+
-			"  incremental: %.1f prep ops/build (%d analyses, %d merge units; %d trie hits), %.0fx fewer;\n"+
-			"               %d idle plans skipped by the input fingerprint\n",
-		n, n,
-		legacyPer, legacy.SnapshotAnalyses, legacy.PatchApplies, legacy.PlansComputed,
-		incPer, inc.SnapshotAnalyses, inc.PatchApplies, inc.PrefixHits,
-		ratio(legacyPer, incPer), inc.PlansSkipped)
-	return r
-}
-
 // AblationReliability measures the reliability layer (DESIGN.md §4g) under
 // an unreliable build fleet: every step of an otherwise-passing build
-// suffers a deterministic injected transient with 5% probability. The
-// LegacyNoRetry baseline rejects innocent changes whenever a decisive build
-// flakes; with the layer on, in-place step retries absorb most transients
-// and a verification re-run against the same snapshot catches the rest, so
-// false rejections drop by orders of magnitude while master stays green and
-// turnaround stays close to the fault-free run.
+// suffers a deterministic injected transient with 5% probability. In-place
+// step retries absorb most transients and a verification re-run against the
+// same snapshot catches the rest, so no innocent change is rejected that the
+// fault-free run accepts, master stays green, and turnaround stays close to
+// the fault-free run.
 func AblationReliability(o Options) *Report {
 	r := newReport("ablation-reliability", "Ablation — retry/quarantine under an unreliable build fleet (§4g)")
 	const rate = 0.05
@@ -576,51 +424,42 @@ func AblationReliability(o Options) *Report {
 		Seed: o.seed(), Count: o.count(300, 600), RatePerHour: 250,
 	})
 
-	cell := func(flakeRate float64, legacy bool) *sim.Result {
+	cell := func(flakeRate float64) *sim.Result {
 		s := strategies.NewSubmitQueue(w, w.OraclePredictor())
 		return sim.Run(w, s, sim.Config{
 			Workers: 150, UseAnalyzer: true,
 			FlakePerStepRate: flakeRate, FlakeSeed: o.seed() + 99,
-			LegacyNoRetry: legacy,
 		})
 	}
 
-	clean := cell(0, false)
-	legacy := cell(rate, true)
-	retry := cell(rate, false)
+	clean := cell(0)
+	retry := cell(rate)
 
 	p50Clean := metrics.Percentile(clean.TurnaroundCommittedMin, 50)
 	p50Retry := metrics.Percentile(retry.TurnaroundCommittedMin, 50)
-	reduction := float64(legacy.FalseRejections)
-	if retry.FalseRejections > 0 {
-		reduction = ratio(float64(legacy.FalseRejections), float64(retry.FalseRejections))
-	}
 	r.Metrics["flake_per_step_rate"] = rate
-	r.Metrics["false_rejections_legacy"] = float64(legacy.FalseRejections)
+	r.Metrics["false_rejections_fault_free"] = float64(clean.FalseRejections)
 	r.Metrics["false_rejections_retry"] = float64(retry.FalseRejections)
-	r.Metrics["reduction_x"] = reduction
-	r.Metrics["flakes_injected_legacy"] = float64(legacy.FlakesInjected)
-	r.Metrics["flakes_injected_retry"] = float64(retry.FlakesInjected)
+	r.Metrics["flakes_injected"] = float64(retry.FlakesInjected)
 	r.Metrics["step_retries"] = float64(retry.StepRetries)
 	r.Metrics["flaky_verifications"] = float64(retry.FlakyVerifications)
-	r.Metrics["green_violations"] = float64(clean.GreenViolations +
-		legacy.GreenViolations + retry.GreenViolations)
+	r.Metrics["green_violations"] = float64(clean.GreenViolations + retry.GreenViolations)
 	r.Metrics["p50_fault_free"] = p50Clean
 	r.Metrics["p50_retry"] = p50Retry
 	r.Metrics["p50_ratio"] = ratio(p50Retry, p50Clean)
-	r.Metrics["committed_legacy"] = float64(legacy.Committed)
+	r.Metrics["committed_fault_free"] = float64(clean.Committed)
 	r.Metrics["committed_retry"] = float64(retry.Committed)
 	r.Text = fmt.Sprintf(
 		"%d changes, 250/h, 150 workers, %.0f%% injected transient rate per step:\n"+
-			"  legacy (no retry):  %d false rejections (%d flakes injected), %d committed\n"+
+			"  fault-free:         %d false rejections, %d committed\n"+
 			"  retry+verification: %d false rejections (%d flakes injected; %d step retries,\n"+
-			"                      %d verification re-runs), %d committed — %.0fx fewer\n"+
+			"                      %d verification re-runs), %d committed\n"+
 			"  P50 turnaround:     fault-free %.0f min → with faults+retry %.0f min (%.2fx)\n"+
-			"  green violations across all cells: %.0f (must be 0)\n",
+			"  green violations across both cells: %.0f (must be 0)\n",
 		len(w.Changes), rate*100,
-		legacy.FalseRejections, legacy.FlakesInjected, legacy.Committed,
+		clean.FalseRejections, clean.Committed,
 		retry.FalseRejections, retry.FlakesInjected, retry.StepRetries,
-		retry.FlakyVerifications, retry.Committed, reduction,
+		retry.FlakyVerifications, retry.Committed,
 		p50Clean, p50Retry, r.Metrics["p50_ratio"],
 		r.Metrics["green_violations"])
 	return r

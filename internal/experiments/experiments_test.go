@@ -253,17 +253,3 @@ func TestAblationBoosting(t *testing.T) {
 		t.Errorf("boosted conflict AUC = %v", r.Metrics["conflict_gb_auc"])
 	}
 }
-
-func TestAblationAnalyzerCache(t *testing.T) {
-	r := AblationAnalyzerCache(opts())
-	checkReport(t, r)
-	if r.Metrics["reduction_x"] < 5 {
-		t.Errorf("graph-build reduction = %vx, want >= 5x", r.Metrics["reduction_x"])
-	}
-	if r.Metrics["incremental_graph_builds_per_commit"] > r.Metrics["legacy_graph_builds_per_commit"] {
-		t.Errorf("incremental costs more than legacy: %v", r.Metrics)
-	}
-	if r.Metrics["reused_analyses"] <= 0 {
-		t.Errorf("no analyses re-homed: %v", r.Metrics)
-	}
-}

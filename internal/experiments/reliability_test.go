@@ -4,24 +4,24 @@ import "testing"
 
 // TestAblationReliability is the headline acceptance test for the
 // reliability layer (DESIGN.md §4g): with a 5% injected transient rate per
-// step, in-place retries plus verification re-runs must produce at least
-// 10x fewer false rejections than the LegacyNoRetry baseline on the same
-// seeded workload, master must stay green in every cell, and median
-// committed-change turnaround must stay within 1.5x of the fault-free run.
+// step, in-place retries plus verification re-runs must reject no innocent
+// change the fault-free run of the same seeded workload accepts, master must
+// stay green in both cells, and median committed-change turnaround must stay
+// within 1.5x of the fault-free run.
 func TestAblationReliability(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three full simulation cells; skipped in -short")
+		t.Skip("two full simulation cells; skipped in -short")
 	}
 	r := AblationReliability(opts())
 	checkReport(t, r)
 
-	legacy := r.Metrics["false_rejections_legacy"]
+	clean := r.Metrics["false_rejections_fault_free"]
 	retry := r.Metrics["false_rejections_retry"]
-	if legacy < 10 {
-		t.Errorf("legacy false rejections = %v, too few to make the 10x claim meaningful", legacy)
+	if retry != clean {
+		t.Errorf("false rejections: %v with faults vs %v fault-free, want equal", retry, clean)
 	}
-	if legacy < 10*retry {
-		t.Errorf("false rejections: legacy %v vs retry %v, want >= 10x reduction", legacy, retry)
+	if inj := r.Metrics["flakes_injected"]; inj < 50 {
+		t.Errorf("flakes injected = %v, too few to make the claim meaningful", inj)
 	}
 	if gv := r.Metrics["green_violations"]; gv != 0 {
 		t.Errorf("green violations = %v, master must stay green in every cell", gv)
@@ -32,10 +32,6 @@ func TestAblationReliability(t *testing.T) {
 	if r.Metrics["step_retries"] == 0 {
 		t.Error("no in-place step retries recorded; the retry path did not engage")
 	}
-	if r.Metrics["committed_retry"] < r.Metrics["committed_legacy"] {
-		t.Errorf("retry cell committed %v < legacy %v; retries should only save changes",
-			r.Metrics["committed_retry"], r.Metrics["committed_legacy"])
-	}
 }
 
 // TestAblationReliabilityDeterministic re-runs the experiment with the same
@@ -43,7 +39,7 @@ func TestAblationReliability(t *testing.T) {
 // pure function of the seed and build identities.
 func TestAblationReliabilityDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("six full simulation cells; skipped in -short")
+		t.Skip("four full simulation cells; skipped in -short")
 	}
 	a := AblationReliability(Options{Seed: 7, Quick: true})
 	b := AblationReliability(Options{Seed: 7, Quick: true})

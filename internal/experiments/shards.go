@@ -58,7 +58,7 @@ func shardChanges(n, subtrees int) []*change.Change {
 }
 
 // AblationShards measures the sharded multi-planner scale-out (DESIGN.md
-// §4h) against the legacy single-planner engine on a many-subtree workload:
+// §4h) against the single-planner engine on a many-subtree workload:
 // the same change list is driven to quiescence with 1, 4, 8 and 16 planner
 // shards, and throughput is committed changes per hour of wall clock. The
 // single-planner path pays a global O(n²) conflict pass per decision epoch;
@@ -87,10 +87,10 @@ func AblationShards(o Options) *Report {
 		return nil
 	})
 
-	run := func(shards int, single bool) (secs float64, committed map[change.ID]bool, violations int) {
+	run := func(shards int) (secs float64, committed map[change.ID]bool, violations int) {
 		rp := shardRepo(subtrees, slots)
 		s := core.NewService(rp, core.Config{
-			Workers: 16, Shards: shards, SingleShard: single, Runner: runner,
+			Workers: 16, Shards: shards, Runner: runner,
 		})
 		for _, c := range shardChanges(n, subtrees) {
 			if err := s.Submit(c); err != nil {
@@ -137,21 +137,21 @@ func AblationShards(o Options) *Report {
 		return float64(committed) / (secs / 3600)
 	}
 
-	legacySecs, legacyCommitted, legacyViolations := run(0, true)
-	r.Metrics["committed_per_hour_legacy"] = cph(len(legacyCommitted), legacySecs)
+	singleSecs, singleCommitted, singleViolations := run(0)
+	r.Metrics["committed_per_hour_single_planner"] = cph(len(singleCommitted), singleSecs)
 
 	identical := 1.0
-	violations := legacyViolations
+	violations := singleViolations
 	perShard := map[int]float64{}
 	var rows []string
-	rows = append(rows, fmt.Sprintf("  %-8s %8.1fs  %12.0f committed/h", "legacy", legacySecs, cph(len(legacyCommitted), legacySecs)))
+	rows = append(rows, fmt.Sprintf("  %-8s %8.1fs  %12.0f committed/h", "single", singleSecs, cph(len(singleCommitted), singleSecs)))
 	for _, shards := range shardGrid {
-		secs, committed, v := run(shards, false)
+		secs, committed, v := run(shards)
 		violations += v
-		if len(committed) != len(legacyCommitted) {
+		if len(committed) != len(singleCommitted) {
 			identical = 0
 		} else {
-			for id := range legacyCommitted {
+			for id := range singleCommitted {
 				if !committed[id] {
 					identical = 0
 					break

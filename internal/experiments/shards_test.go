@@ -19,7 +19,7 @@ func TestAblationShards(t *testing.T) {
 		t.Fatalf("8-shard speedup %.2fx, want >= 3x:\n%s", got, r.Text)
 	}
 	for _, k := range []string{
-		"committed_per_hour_legacy", "committed_per_hour_1", "committed_per_hour_4",
+		"committed_per_hour_single_planner", "committed_per_hour_1", "committed_per_hour_4",
 		"committed_per_hour_8", "committed_per_hour_16",
 	} {
 		if r.Metrics[k] <= 0 {

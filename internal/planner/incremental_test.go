@@ -167,33 +167,6 @@ func TestPlanFingerprintSkipsIdleEpochs(t *testing.T) {
 	}
 }
 
-// TestLegacyReplanDisablesMemo: the ablation flag restores plan-every-tick.
-func TestLegacyReplanDisablesMemo(t *testing.T) {
-	block := make(chan struct{})
-	runner := buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, _ repo.Snapshot) error {
-		select {
-		case <-block:
-			return nil
-		case <-ctx.Done():
-			return buildsys.ErrAborted
-		}
-	})
-	e := newEnv(t, runner, Config{Budget: 1, LegacyReplan: true})
-	e.submit(t, "c1", "x/x.go", "x v2")
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		if _, err := e.planner.Tick(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := e.planner.Stats()
-	if st.PlansComputed != 5 || st.PlansSkipped != 0 {
-		t.Fatalf("legacy replan: computed=%d skipped=%d", st.PlansComputed, st.PlansSkipped)
-	}
-	close(block)
-	e.quiesce(t)
-}
-
 // TestFinishedBoundedAcrossEpochs is the memory regression test: 200
 // simulated epochs of commits and rejections must not grow p.finished —
 // every resolution garbage-collects the builds it obsoletes.

@@ -130,16 +130,6 @@ type Config struct {
 	// Events, when non-nil, receives lifecycle events (build starts,
 	// finishes, aborts, commits, rejections) for observability.
 	Events *events.Bus
-	// LegacyPreparation disables the shared-prefix preparation trie:
-	// startBuild re-merges and re-analyzes the full change list (and its
-	// k−1 prefix) from scratch per build, as the planner did before the
-	// trie existed. Kept for ablation and benchmarking.
-	LegacyPreparation bool
-	// LegacyReplan disables plan/reconcile memoization: every Tick runs
-	// decide + spec.Plan + reconcile even when the planner inputs are
-	// unchanged since the previous epoch. Kept for ablation and
-	// benchmarking.
-	LegacyReplan bool
 	// Reliability, when non-nil, provides flaky-failure handling (DESIGN.md
 	// §4g): its retry budget is refreshed each epoch, and before a failed
 	// decisive build rejects its change, suspect failures earn one
@@ -559,7 +549,7 @@ func (p *Planner) Tick(ctx context.Context) (bool, error) {
 	pending := p.queue.Pending()
 	p.mu.Lock()
 	fp := p.planFingerprintLocked(pending)
-	if !p.cfg.LegacyReplan && p.havePlanFP && fp == p.lastPlanFP {
+	if p.havePlanFP && fp == p.lastPlanFP {
 		p.stats.PlansSkipped++
 		p.mu.Unlock()
 		return progress, nil
@@ -1001,8 +991,8 @@ func graphCovers(cg *conflict.Graph, pending []*change.Change) bool {
 }
 
 // startBuild merges the build's patches (through the shared-prefix
-// preparation trie unless LegacyPreparation), computes affected targets and
-// the minimal-build-step sets, and launches the controller task.
+// preparation trie), computes affected targets and the minimal-build-step
+// sets, and launches the controller task.
 func (p *Planner) startBuild(ctx context.Context, b speculation.Build) error {
 	head := p.repo.Head()
 	var patches []repo.Patch
@@ -1015,13 +1005,7 @@ func (p *Planner) startBuild(ctx context.Context, b speculation.Build) error {
 		patches = append(patches, c.Patch)
 		subject = c
 	}
-	var prep prepared
-	var err error
-	if p.cfg.LegacyPreparation {
-		prep, err = p.prepareLegacy(head, patches)
-	} else {
-		prep, err = p.prepare(head, b.Changes, patches)
-	}
+	prep, err := p.prepare(head, b.Changes, patches)
 	if err != nil {
 		return err
 	}

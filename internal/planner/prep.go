@@ -128,44 +128,3 @@ func (p *Planner) prepare(head *repo.Commit, ids []change.ID, patches []repo.Pat
 	}
 	return prepared{snap: cur.snap, graph: cur.graph, delta: cur.delta, prior: prior}, nil
 }
-
-// prepareLegacy is the pre-trie preparation path, kept behind
-// Config.LegacyPreparation for ablation: analyze the head, merge the full
-// change list from scratch, analyze it, then merge and analyze the k−1
-// prefix again for prior targets.
-func (p *Planner) prepareLegacy(head *repo.Commit, patches []repo.Patch) (prepared, error) {
-	headGraph, err := buildgraph.Analyze(head.Snapshot())
-	p.count(func(s *Stats) { s.HeadGraphBuilds++; s.SnapshotAnalyses++ })
-	if err != nil {
-		return prepared{}, fmt.Errorf("planner: head graph: %w", err)
-	}
-	merged, err := p.repo.Merged(head.ID, patches...)
-	p.count(func(s *Stats) { s.PatchApplies += len(patches) })
-	if err != nil {
-		return prepared{failure: fmt.Sprintf("merge failed: %v", err)}, nil
-	}
-	fullGraph, err := buildgraph.Analyze(merged)
-	p.count(func(s *Stats) { s.SnapshotAnalyses++ })
-	if err != nil {
-		return prepared{failure: fmt.Sprintf("build graph invalid: %v", err)}, nil
-	}
-	deltaFull := buildgraph.Diff(headGraph, fullGraph)
-	prior := map[string]bool{}
-	if len(patches) > 1 {
-		prefixSnap, err := p.repo.Merged(head.ID, patches[:len(patches)-1]...)
-		p.count(func(s *Stats) { s.PatchApplies += len(patches) - 1 })
-		if err == nil {
-			prefixGraph, err := buildgraph.Analyze(prefixSnap)
-			p.count(func(s *Stats) { s.SnapshotAnalyses++ })
-			if err == nil {
-				deltaPrefix := buildgraph.Diff(headGraph, prefixGraph)
-				for name, h := range deltaPrefix {
-					if deltaFull[name] == h {
-						prior[name] = true
-					}
-				}
-			}
-		}
-	}
-	return prepared{snap: merged, graph: fullGraph, delta: deltaFull, prior: prior}, nil
-}

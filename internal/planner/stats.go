@@ -14,13 +14,11 @@ type Stats struct {
 	PrefixHits          int // trie nodes reused while preparing a build
 	PrefixMisses        int // trie nodes computed (one patch apply + one analyze each)
 	PrefixInvalidations int // trie resets (head movement or size cap)
-	HeadGraphBuilds     int // head-graph analyses (once per head in trie mode)
+	HeadGraphBuilds     int // head-graph analyses (once per head)
 
-	// Raw preparation work, counted identically in both modes so the legacy
-	// baseline and the trie are directly comparable: SnapshotAnalyses is the
-	// number of buildgraph.Analyze calls issued while preparing builds,
-	// PatchApplies the number of single-patch snapshot applications
-	// (a repo.Merged over k patches costs k units).
+	// Raw preparation work: SnapshotAnalyses is the number of
+	// buildgraph.Analyze calls issued while preparing builds, PatchApplies
+	// the number of single-patch snapshot applications.
 	SnapshotAnalyses int
 	PatchApplies     int
 
@@ -56,9 +54,32 @@ type Stats struct {
 }
 
 // PrepOps is the total preparation work startBuild performed: analyze calls
-// plus per-patch merge units. The headline benchmark divides it by
-// BuildsStarted to compare the trie against the legacy full-merge path.
+// plus per-patch merge units. Divided by BuildsStarted it is the harness
+// metric planner.prep_ops_per_build.
 func (s Stats) PrepOps() int { return s.SnapshotAnalyses + s.PatchApplies }
+
+// Add accumulates o into s, field by field. The sharded runtime sums its
+// engines' counters with it; TestStatsAddAndGaugesCoverEveryField fails when
+// a new field is left out.
+func (s *Stats) Add(o Stats) {
+	s.BuildsStarted += o.BuildsStarted
+	s.PrefixHits += o.PrefixHits
+	s.PrefixMisses += o.PrefixMisses
+	s.PrefixInvalidations += o.PrefixInvalidations
+	s.HeadGraphBuilds += o.HeadGraphBuilds
+	s.SnapshotAnalyses += o.SnapshotAnalyses
+	s.PatchApplies += o.PatchApplies
+	s.PlansComputed += o.PlansComputed
+	s.PlansSkipped += o.PlansSkipped
+	s.KeysComputed += o.KeysComputed
+	s.KeysCached += o.KeysCached
+	s.FinishedPruned += o.FinishedPruned
+	s.CrossShardRebuilds += o.CrossShardRebuilds
+	s.ObsoleteAborted += o.ObsoleteAborted
+	s.SpecBranchesSkipped += o.SpecBranchesSkipped
+	s.SpecBuildsSkipped += o.SpecBuildsSkipped
+	s.HotfixPreempted += o.HotfixPreempted
+}
 
 // Gauges renders the counters as ordered name/value pairs for the status
 // endpoint, the dashboard, and experiment reports.

@@ -90,9 +90,6 @@ func (p RetryPolicy) Backoff(attempt int) time.Duration {
 
 // Config tunes the reliability layer.
 type Config struct {
-	// LegacyNoRetry disables retries, flake detection, quarantine, and
-	// verification re-runs — the fail-fast baseline, kept for ablation.
-	LegacyNoRetry bool
 	// Retry bounds in-place step retries; zero fields take defaults.
 	Retry RetryPolicy
 	// QuarantineThreshold is the per-kind flake rate (confirmed flake events
@@ -228,10 +225,9 @@ func (r *Reliability) Stats() Stats {
 }
 
 // Wrap layers the retry/detection runner over inner. A nil inner with
-// nothing to perturb stays nil (buildsys's always-succeed fast path);
-// LegacyNoRetry returns inner unchanged.
+// nothing to perturb stays nil (buildsys's always-succeed fast path).
 func (r *Reliability) Wrap(inner buildsys.StepRunner) buildsys.StepRunner {
-	if inner == nil || r.cfg.LegacyNoRetry {
+	if inner == nil {
 		return inner
 	}
 	return &retryRunner{r: r, inner: inner}
@@ -342,7 +338,7 @@ func stepKindByName(steps []change.BuildStep, name string) (change.StepKind, boo
 // budget; otherwise the failing unit's identity must be known flaky — or its
 // kind must have confirmed flakes — and not strongly genuine.
 func (r *Reliability) ShouldVerifyBuild(req buildsys.Request, res buildsys.Result) bool {
-	if r == nil || r.cfg.LegacyNoRetry || res.OK || errors.Is(res.Err, buildsys.ErrAborted) {
+	if r == nil || res.OK || errors.Is(res.Err, buildsys.ErrAborted) {
 		return false
 	}
 	kind, ok := stepKindByName(req.Steps, res.FailedStep)

@@ -293,16 +293,10 @@ func TestAbortsUnrecorded(t *testing.T) {
 	}
 }
 
-// TestWrapPassThrough: nil stays nil (buildsys fast path) and LegacyNoRetry
-// returns the inner runner unchanged.
+// TestWrapPassThrough: nil stays nil (buildsys fast path).
 func TestWrapPassThrough(t *testing.T) {
 	if r := New(Config{}); r.Wrap(nil) != nil {
 		t.Error("Wrap(nil) must stay nil")
-	}
-	inner := NewInjector(nil, nil, InjectorConfig{})
-	legacy := New(Config{LegacyNoRetry: true})
-	if got := legacy.Wrap(inner); got != buildsys.StepRunner(inner) {
-		t.Error("LegacyNoRetry Wrap must return inner unchanged")
 	}
 }
 
@@ -344,13 +338,6 @@ func TestShouldVerifyBuild(t *testing.T) {
 		r := New(Config{})
 		if r.ShouldVerifyBuild(req, buildsys.Result{Err: buildsys.ErrAborted, FailedStep: "unit"}) {
 			t.Error("verified an aborted build")
-		}
-	})
-	t.Run("legacy", func(t *testing.T) {
-		r := New(Config{LegacyNoRetry: true})
-		r.Quarantine(change.StepUnitTest)
-		if r.ShouldVerifyBuild(req, failedRes) {
-			t.Error("LegacyNoRetry granted a verification")
 		}
 	})
 	t.Run("no suspicion", func(t *testing.T) {

@@ -126,17 +126,17 @@ func TestShardedCommitsAll(t *testing.T) {
 }
 
 // TestShardedMatchesSinglePlanner runs the same deterministic workload
-// through 1/4/8 shards and the legacy single planner and requires identical
+// through 1/4/8 shards and the single planner and requires identical
 // committed/rejected sets and identical head snapshots.
 func TestShardedMatchesSinglePlanner(t *testing.T) {
 	type result struct {
 		committed, rejected map[change.ID]bool
 		files               map[string]string
 	}
-	run := func(shards int, single bool) result {
+	run := func(shards int) result {
 		r := multiRepo(6)
 		s := core.NewService(r, core.Config{
-			Workers: 8, Shards: shards, SingleShard: single,
+			Workers: 8, Shards: shards,
 			Runner: brokenRunner(), Now: fakeClock(),
 		})
 		for i := 0; i < 30; i++ {
@@ -167,9 +167,9 @@ func TestShardedMatchesSinglePlanner(t *testing.T) {
 		}
 		return result{committed: committed, rejected: rejected, files: files}
 	}
-	base := run(0, true) // legacy single planner
+	base := run(0) // single planner
 	for _, shards := range []int{1, 4, 8} {
-		got := run(shards, false)
+		got := run(shards)
 		if len(got.committed) != len(base.committed) || len(got.rejected) != len(base.rejected) {
 			t.Fatalf("shards=%d: %d committed / %d rejected, want %d / %d",
 				shards, len(got.committed), len(got.rejected), len(base.committed), len(base.rejected))

@@ -34,29 +34,12 @@ func (rt *Runtime) Stats() Stats {
 	return s
 }
 
-// PlannerStats aggregates the per-engine planner counters field by field, so
-// the sharded service surfaces the same planner gauges as the single-planner
-// path.
+// PlannerStats sums the per-engine planner counters, so the sharded service
+// surfaces the same planner gauges as the single-planner path.
 func (rt *Runtime) PlannerStats() planner.Stats {
 	var sum planner.Stats
 	for _, e := range rt.engines {
-		s := e.planner.Stats()
-		sum.BuildsStarted += s.BuildsStarted
-		sum.PrefixHits += s.PrefixHits
-		sum.PrefixMisses += s.PrefixMisses
-		sum.PrefixInvalidations += s.PrefixInvalidations
-		sum.HeadGraphBuilds += s.HeadGraphBuilds
-		sum.SnapshotAnalyses += s.SnapshotAnalyses
-		sum.PatchApplies += s.PatchApplies
-		sum.PlansComputed += s.PlansComputed
-		sum.PlansSkipped += s.PlansSkipped
-		sum.KeysComputed += s.KeysComputed
-		sum.KeysCached += s.KeysCached
-		sum.FinishedPruned += s.FinishedPruned
-		sum.CrossShardRebuilds += s.CrossShardRebuilds
-		sum.ObsoleteAborted += s.ObsoleteAborted
-		sum.SpecBranchesSkipped += s.SpecBranchesSkipped
-		sum.SpecBuildsSkipped += s.SpecBuildsSkipped
+		sum.Add(e.planner.Stats())
 	}
 	return sum
 }

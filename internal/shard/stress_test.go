@@ -52,10 +52,10 @@ func TestStressLiveSubmitEightShards(t *testing.T) {
 	n := 64
 	workload := stressWorkload(n)
 
-	// Baseline: the legacy single planner over the identical change list.
+	// Baseline: the single planner over the identical change list.
 	baseRepo := multiRepo(16)
 	base := core.NewService(baseRepo, core.Config{
-		Workers: 8, SingleShard: true, Runner: brokenRunner(), Now: fakeClock(),
+		Workers: 8, Shards: 0, Runner: brokenRunner(), Now: fakeClock(),
 	})
 	for _, c := range workload {
 		if err := base.Submit(c); err != nil {

@@ -208,11 +208,6 @@ type Config struct {
 	FlakeSteps int
 	// FlakeSeed seeds the injected fault schedule.
 	FlakeSeed int64
-	// LegacyNoRetry disables the reliability layer's handling of injected
-	// flakiness: no in-place step retries and no verification re-run before
-	// a failed decisive build rejects its change. The baseline for the
-	// ablation-reliability experiment.
-	LegacyNoRetry bool
 
 	// PruneObsolete enables the §4j obsolete-build pruning the planner
 	// applies on every resolution: running builds whose subject is already
@@ -597,10 +592,9 @@ func rawSpecKey(spec BuildSpec) string {
 }
 
 // flakeOutcome perturbs a genuinely-passing build with injected per-step
-// transient failures. With the reliability layer on, each flaked step gets
-// one in-place retry (a second independent draw) — the unit-level
-// fail-then-pass that proves flakiness on identical inputs; under
-// LegacyNoRetry any injected failure fails the build outright.
+// transient failures. Each flaked step gets one in-place retry (a second
+// independent draw) — the unit-level fail-then-pass that proves flakiness on
+// identical inputs.
 func (e *engine) flakeOutcome(slot *runningSlot) bool {
 	key := rawSpecKey(slot.spec)
 	exec := e.execSeq[key]
@@ -611,10 +605,6 @@ func (e *engine) flakeOutcome(slot *runningSlot) bool {
 			continue
 		}
 		e.res.FlakesInjected++
-		if e.cfg.LegacyNoRetry {
-			pass = false
-			continue
-		}
 		e.res.StepRetries++
 		if e.flakeDraw(key, exec, s, 1) {
 			e.res.FlakesInjected++
@@ -677,7 +667,7 @@ func (e *engine) dropFinished(k int) {
 // conflict) rejects immediately, mirroring the detector's genuine-failure
 // short circuit.
 func (e *engine) retryDecisive(subject, finishedIdx int) bool {
-	if e.cfg.FlakePerStepRate <= 0 || e.cfg.LegacyNoRetry || e.verifiedSubject[subject] {
+	if e.cfg.FlakePerStepRate <= 0 || e.verifiedSubject[subject] {
 		return false
 	}
 	if !e.flakeFailed[rawSpecKey(e.st.Finished[finishedIdx].Spec)] {
