@@ -33,7 +33,7 @@ check-race:
 # bench runs the subsystem micro-benchmarks. They are for measuring while you
 # work; the numbers of record come from bench-e2e.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 2s ./internal/buildgraph/ ./internal/buildsys/ ./internal/conflict/ ./internal/planner/ ./internal/sched/ ./internal/shard/ ./internal/arbiter/ ./internal/repo/ ./internal/store/ ./internal/api/
+	$(GO) test -run '^$$' -bench . -benchtime 2s ./internal/buildgraph/ ./internal/buildsys/ ./internal/conflict/ ./internal/planner/ ./internal/sched/ ./internal/shard/ ./internal/arbiter/ ./internal/repo/ ./internal/store/ ./internal/api/ ./internal/speculation/ ./internal/sim/ ./internal/strategies/
 
 # bench-smoke compiles and runs every benchmark in the repo exactly once so
 # benchmarks cannot bitrot; CI runs it on every push (~16 s on 2 cores).

@@ -14,6 +14,12 @@ import (
 // exactly the nondeterminism that breaks Algorithm 1 hash comparison and the
 // planner's P_needed tie-breaks.
 //
+// An append hidden one call away counts too: calling, inside the loop, a
+// function or method of the same package whose body appends to a field of its
+// receiver or to a package-level slice (`e.pushWork(k)`) accumulates in map
+// order just as a literal append does. Only the callee's own body is
+// inspected — one call level.
+//
 // Loops whose appended slice is passed to a sort call (sort.Strings,
 // sort.Slice, a local sortX helper, ...) later in the same function are
 // allowed: collect-then-sort is the standard deterministic idiom. Writing
@@ -77,7 +83,7 @@ func checkMapRange(pass *Pass, enclosing *ast.BlockStmt, rng *ast.RangeStmt) {
 			// append(outer, ...) without a later sort of outer.
 			if fun, ok := stmt.Fun.(*ast.Ident); ok && fun.Name == "append" && len(stmt.Args) > 0 {
 				if target, ok := stmt.Args[0].(*ast.Ident); ok && !declaredWithin(info, target, rng) {
-					if !sortedAfter(info, enclosing, rng, target) {
+					if obj := info.Uses[target]; obj == nil || !sortedAfter(info, enclosing, rng, obj) {
 						pass.Reportf(stmt.Pos(),
 							"map iteration order is random; append into %q is order-sensitive — sort the keys first or sort %q afterwards", target.Name, target.Name)
 					}
@@ -100,6 +106,18 @@ func checkMapRange(pass *Pass, enclosing *ast.BlockStmt, rng *ast.RangeStmt) {
 					pass.Reportf(stmt.Pos(),
 						"map iteration order is random; fmt.%s into %q inside the loop is order-sensitive — sort the keys first", name, root.Name)
 				}
+				return true
+			}
+			// A same-package callee that appends to longer-lived state.
+			for _, edge := range pass.Mod.CalleesOf(stmt) {
+				if edge.Kind != EdgeStatic || edge.Callee.Pkg != pass.Pkg || edge.Callee.Obj == nil {
+					continue
+				}
+				if sink := appendedState(edge.Callee); sink != nil && !sortedAfter(info, enclosing, rng, sink) {
+					pass.Reportf(stmt.Pos(),
+						"map iteration order is random; %s appends to %q, so calling it inside the loop is order-sensitive — sort the keys first or sort %q afterwards",
+						edge.Callee.Obj.Name(), sink.Name(), sink.Name())
+				}
 			}
 		}
 		return true
@@ -107,7 +125,7 @@ func checkMapRange(pass *Pass, enclosing *ast.BlockStmt, rng *ast.RangeStmt) {
 }
 
 // rootIdent returns the base identifier of an expression like x, x.f, x.f.g,
-// &x, or x[i]; nil if there is none.
+// &x, x[i], or x[i:]; nil if there is none.
 func rootIdent(e ast.Expr) *ast.Ident {
 	for {
 		switch v := e.(type) {
@@ -119,6 +137,8 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			e = v.X
 		case *ast.IndexExpr:
 			e = v.X
+		case *ast.SliceExpr:
+			e = v.X
 		case *ast.ParenExpr:
 			e = v.X
 		default:
@@ -127,15 +147,42 @@ func rootIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
+// appendedState returns the longer-lived slice the function's own body
+// appends to — a field of its receiver or a package-level variable — or nil
+// if it appends to neither.
+func appendedState(fn *FuncNode) *types.Var {
+	info := fn.Pkg.Info
+	var sink *types.Var
+	inspectShallow(fn.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || sink != nil {
+			return sink == nil
+		}
+		if fun, ok := call.Fun.(*ast.Ident); !ok || fun.Name != "append" || len(call.Args) == 0 {
+			return true
+		}
+		switch target := call.Args[0].(type) {
+		case *ast.Ident: // package-level slice
+			if v, ok := info.Uses[target].(*types.Var); ok && v.Parent() == fn.Pkg.Types.Scope() {
+				sink = v
+			}
+		case *ast.SelectorExpr: // recv.field
+			root := rootIdent(target.X)
+			if recv := fn.Sig.Recv(); root != nil && recv != nil && info.Uses[root] == recv {
+				sink, _ = info.Uses[target.Sel].(*types.Var)
+			}
+		}
+		return true
+	})
+	return sink
+}
+
 // sortedAfter reports whether, after the range loop in the same function
-// body, target is passed to a call whose name mentions sort (sort.Strings,
-// sort.Slice, slices.Sort, a sortUnique helper, ...): the collect-then-sort
-// idiom that restores determinism.
-func sortedAfter(info *types.Info, enclosing *ast.BlockStmt, rng *ast.RangeStmt, target *ast.Ident) bool {
-	obj := info.Uses[target]
-	if obj == nil {
-		return false
-	}
+// body, the appended variable (a local, or the field or package-level slice a
+// callee appends to) is passed to a call whose name mentions sort
+// (sort.Strings, sort.Slice, slices.Sort, a sortUnique helper, ...): the
+// collect-then-sort idiom that restores determinism.
+func sortedAfter(info *types.Info, enclosing *ast.BlockStmt, rng *ast.RangeStmt, obj types.Object) bool {
 	found := false
 	inspectShallow(enclosing, func(n ast.Node) bool {
 		if found {
@@ -151,6 +198,10 @@ func sortedAfter(info *types.Info, enclosing *ast.BlockStmt, rng *ast.RangeStmt,
 		for _, arg := range call.Args {
 			if root := rootIdent(arg); root != nil && info.Uses[root] == obj {
 				found = true
+				return false
+			}
+			if sel, ok := arg.(*ast.SelectorExpr); ok && info.Uses[sel.Sel] == obj {
+				found = true // sort.Ints(recv.field)
 				return false
 			}
 		}

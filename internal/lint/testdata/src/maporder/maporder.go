@@ -75,3 +75,68 @@ func GoodLoopLocal(m map[string]int) int {
 	}
 	return n
 }
+
+// worklist accumulates through a method, the shape that hid the simulator's
+// map-order commit sequence from the literal-append check.
+type worklist struct {
+	items []int
+	seen  map[int]bool
+}
+
+func (w *worklist) push(i int) {
+	if !w.seen[i] {
+		w.seen[i] = true
+		w.items = append(w.items, i)
+	}
+}
+
+// mark only writes a set: order-insensitive, so calling it is fine.
+func (w *worklist) mark(i int) { w.seen[i] = true }
+
+// BadMethodSink appends to a receiver field one call away.
+func (w *worklist) BadMethodSink(m map[int]bool) {
+	for k := range m {
+		w.push(k) // want maporder
+	}
+}
+
+// GoodMethodSinkSorted restores the order after collecting through the method.
+func (w *worklist) GoodMethodSinkSorted(m map[int]bool) {
+	for k := range m {
+		w.push(k)
+	}
+	sort.Ints(w.items)
+}
+
+// GoodSetMethod calls a method that appends to nothing.
+func (w *worklist) GoodSetMethod(m map[int]bool) {
+	for k := range m {
+		w.mark(k)
+	}
+}
+
+var registry []string
+
+func register(name string) { registry = append(registry, name) }
+
+// BadPackageSink appends to a package-level slice one call away.
+func BadPackageSink(m map[string]int) {
+	for k := range m {
+		register(k) // want maporder
+	}
+}
+
+// GoodLocalHelper calls a function that appends only to its own local.
+func GoodLocalHelper(m map[string]int) int {
+	n := 0
+	for k := range m {
+		n += len(doubled(k))
+	}
+	return n
+}
+
+func doubled(s string) []string {
+	var out []string
+	out = append(out, s, s)
+	return out
+}

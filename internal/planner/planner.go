@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -994,6 +995,9 @@ func graphCovers(cg *conflict.Graph, pending []*change.Change) bool {
 // preparation trie), computes affected targets and the minimal-build-step
 // sets, and launches the controller task.
 func (p *Planner) startBuild(ctx context.Context, b speculation.Build) error {
+	// b is cut from the speculation engine's scratch memory, which the next
+	// Plan call overwrites; the trackedBuild stored below outlives that.
+	b = cloneBuild(b)
 	head := p.repo.Head()
 	var patches []repo.Patch
 	var subject *change.Change
@@ -1055,6 +1059,16 @@ func (p *Planner) startBuild(ctx context.Context, b speculation.Build) error {
 		})
 	}
 	return nil
+}
+
+// cloneBuild returns a copy of b that shares no slice with it.
+func cloneBuild(b speculation.Build) speculation.Build {
+	b.Assumed = slices.Clone(b.Assumed)
+	b.AssumedRejected = slices.Clone(b.AssumedRejected)
+	b.Changes = slices.Clone(b.Changes)
+	b.AssumedIdx = slices.Clone(b.AssumedIdx)
+	b.AssumedRejectedIdx = slices.Clone(b.AssumedRejectedIdx)
+	return b
 }
 
 // selectTests restricts test-kind steps to targets within the configured

@@ -23,6 +23,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -55,12 +56,14 @@ type BuildSpec struct {
 	AllowReorder bool
 }
 
-// applied returns the changes the build applies, in order.
-func (b BuildSpec) applied() []int {
-	if len(b.Batch) > 0 {
-		return append(append([]int(nil), b.Assumed...), b.Batch...)
-	}
-	return append(append([]int(nil), b.Assumed...), b.Subject)
+// clone returns a copy of the spec that shares no slice with it. Strategies
+// may hand the engine specs cut from buffers they reuse on their next Plan
+// call, so the engine copies a spec at the moment it starts the build.
+func (b BuildSpec) clone() BuildSpec {
+	b.Assumed = slices.Clone(b.Assumed)
+	b.AssumedRejected = slices.Clone(b.AssumedRejected)
+	b.Batch = slices.Clone(b.Batch)
+	return b
 }
 
 // RunningBuild is an in-flight build visible to strategies.
@@ -103,9 +106,10 @@ type State struct {
 	Workers     int
 	UseAnalyzer bool
 
-	rejected  map[int]bool
-	pending   map[int]bool
-	committed map[int]bool
+	// Per-change status, indexed by workload change index.
+	rejected  []bool
+	pending   []bool
+	committed []bool
 }
 
 // IsCommitted reports whether change i has been committed to master.
@@ -171,7 +175,8 @@ type Strategy interface {
 	// Plan returns the builds the strategy wants running now, in priority
 	// order. The engine reconciles: running builds that stay wanted keep
 	// running, unwanted ones are aborted, and new ones start while workers
-	// are free.
+	// are free. The returned specs need only stay valid until the next Plan
+	// call: the engine copies the ones it starts.
 	Plan(st *State) []BuildSpec
 }
 
@@ -370,8 +375,10 @@ type engine struct {
 
 	// finishedBySubject indexes st.Finished entries by subject change.
 	finishedBySubject map[int][]int
-	// worklist holds changes whose decidability may have changed.
+	// worklist holds changes whose decidability may have changed; decide
+	// consumes it from workHead and resets both once it is drained.
 	worklist []int
+	workHead int
 	inWork   map[int]bool
 
 	// Plan throttling: dirty forces a re-plan (set by finishes/decisions);
@@ -396,6 +403,28 @@ type engine struct {
 	execSeq         map[string]int
 	flakeFailed     map[string]bool
 	verifiedSubject map[int]bool
+
+	// Scratch reused across calls, so a reconcile allocates for the builds it
+	// starts rather than for every build it considers. mark/markGen are
+	// normalize's per-change stamps; remaining and rej hold its and
+	// specIdentity's lists; idBuf and memoBuf are the identity being looked
+	// up and the memoised identity being refreshed (two buffers because the
+	// lookup refreshes memos while its own bytes are still in use); the rest
+	// is reconcile's and onResolved's bookkeeping.
+	mark      []int
+	markGen   int
+	remaining []int
+	rej       []int
+	idBuf     []byte
+	memoBuf   []byte
+	flakeBuf  []byte         // flakeDraw's hash input
+	want      map[string]int // identity -> index into the desired specs
+	order     []string
+	runningBy map[string]bool
+	starts    []string
+	unwanted  []int
+	slotIDs   []int
+	unblocked []int
 
 	res *Result
 }
@@ -427,9 +456,9 @@ func Run(w *workload.Workload, s Strategy, cfg Config) *Result {
 			W:           w,
 			Workers:     cfg.Workers,
 			UseAnalyzer: cfg.UseAnalyzer,
-			rejected:    map[int]bool{},
-			pending:     map[int]bool{},
-			committed:   map[int]bool{},
+			rejected:    make([]bool, len(w.Changes)),
+			pending:     make([]bool, len(w.Changes)),
+			committed:   make([]bool, len(w.Changes)),
 		},
 		slots:             map[int]*runningSlot{},
 		commitIndex:       map[int]int{},
@@ -440,6 +469,9 @@ func Run(w *workload.Workload, s Strategy, cfg Config) *Result {
 		execSeq:           map[string]int{},
 		flakeFailed:       map[string]bool{},
 		verifiedSubject:   map[int]bool{},
+		mark:              make([]int, len(w.Changes)),
+		want:              map[string]int{},
+		runningBy:         map[string]bool{},
 		res:               &Result{Strategy: s.Name(), Workers: cfg.Workers},
 	}
 	heap.Init(&e.events)
@@ -543,21 +575,35 @@ func (e *engine) handle(ev event) {
 // conflict, or the applied change that conflicts with an already-committed
 // one (mirroring the real build system's Result.FailedTarget).
 func (e *engine) groundTruth(slot *runningSlot) (ok bool, guilty int) {
-	applied := slot.spec.applied()
-	for _, i := range applied {
-		if !e.w.Changes[i].Succeeds {
+	// The build applies Assumed, then the batch members or the subject alone.
+	spec := &slot.spec
+	subject := [1]int{spec.Subject}
+	tail := subject[:]
+	if len(spec.Batch) > 0 {
+		tail = spec.Batch
+	}
+	n := len(spec.Assumed) + len(tail)
+	applied := func(k int) int {
+		if k < len(spec.Assumed) {
+			return spec.Assumed[k]
+		}
+		return tail[k-len(spec.Assumed)]
+	}
+	for k := 0; k < n; k++ {
+		if i := applied(k); !e.w.Changes[i].Succeeds {
 			return false, i
 		}
 	}
-	for a := 0; a < len(applied); a++ {
-		for b := a + 1; b < len(applied); b++ {
-			if e.w.Changes[applied[a]].RealConflicts[applied[b]] {
-				return false, applied[b]
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if e.w.Changes[applied(a)].RealConflicts[applied(b)] {
+				return false, applied(b)
 			}
 		}
 	}
 	// Conflicts with changes committed before the build's base.
-	for _, i := range applied {
+	for k := 0; k < n; k++ {
+		i := applied(k)
 		for j := range e.w.Changes[i].RealConflicts {
 			if pos, ok := e.commitIndex[j]; ok && pos < slot.base {
 				return false, i
@@ -617,19 +663,20 @@ func (e *engine) flakeOutcome(slot *runningSlot) bool {
 // flakeDraw is the deterministic per-(identity, execution, step, attempt)
 // fault decision: an FNV-1a hash of the tuple against FlakePerStepRate.
 func (e *engine) flakeDraw(key string, exec, step, attempt int) bool {
-	h := fnv.New64a()
-	var buf [8]byte
+	// The hashed bytes — seed, key, "exec/step/attempt" — are assembled in
+	// one reused buffer and written once.
+	b := e.flakeBuf[:0]
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(uint64(e.cfg.FlakeSeed) >> (8 * i))
+		b = append(b, byte(uint64(e.cfg.FlakeSeed)>>(8*i)))
 	}
-	_, _ = h.Write(buf[:])
-	_, _ = h.Write([]byte(key))
-	b := make([]byte, 0, 24)
+	b = append(b, key...)
 	b = strconv.AppendInt(b, int64(exec), 10)
 	b = append(b, '/')
 	b = strconv.AppendInt(b, int64(step), 10)
 	b = append(b, '/')
 	b = strconv.AppendInt(b, int64(attempt), 10)
+	e.flakeBuf = b
+	h := fnv.New64a()
 	_, _ = h.Write(b)
 	// Avalanche the sum (murmur3 fmix64): FNV's final byte shifts the hash
 	// by only ~±prime, which would leave the kept top bits — and thus the
@@ -685,8 +732,14 @@ func (e *engine) retryDecisive(subject, finishedIdx int) bool {
 // assumed changes (in any order — out-of-order commits can only involve
 // mutually independent assumptions) and skipping independent commits. It
 // reports whether the build is still valid (assumptions not falsified) and,
-// if so, the assumptions not yet realized, in submission order.
-func (e *engine) normalize(spec BuildSpec, base int) (remaining []int, valid bool) {
+// if so, the assumptions not yet realized, in submission order — in a buffer
+// the next normalize call overwrites.
+//
+// Assumptions are marked in e.mark, one stamp per change and a fresh
+// generation per call: gen = assumed to commit and not yet seen in the
+// committed list, gen+1 = assumed to commit and seen, gen+2 = assumed
+// rejected.
+func (e *engine) normalize(spec *BuildSpec, base int) (remaining []int, valid bool) {
 	if len(spec.Batch) > 0 {
 		// Batch members must not have been separately resolved.
 		for _, m := range spec.Batch {
@@ -695,49 +748,44 @@ func (e *engine) normalize(spec BuildSpec, base int) (remaining []int, valid boo
 			}
 		}
 	}
-	var rejectedAssumption map[int]bool
+	e.markGen += 3
+	gen := e.markGen
 	for _, r := range spec.AssumedRejected {
 		if e.st.committed[r] {
 			return nil, false // assumed rejected but actually committed
 		}
-		if rejectedAssumption == nil {
-			rejectedAssumption = make(map[int]bool, len(spec.AssumedRejected))
-		}
-		rejectedAssumption[r] = true
+		e.mark[r] = gen + 2
 	}
-	var assumedSet map[int]bool
 	for _, a := range spec.Assumed {
 		if e.st.rejected[a] {
 			return nil, false // assumed committed but actually rejected
 		}
-		if assumedSet == nil {
-			assumedSet = make(map[int]bool, len(spec.Assumed))
-		}
-		assumedSet[a] = true
+		e.mark[a] = gen
 	}
 	for pos := base; pos < len(e.st.Committed); pos++ {
 		c := e.st.Committed[pos]
-		if assumedSet[c] {
-			delete(assumedSet, c) // assumption realized
+		if e.mark[c] == gen {
+			e.mark[c] = gen + 1 // assumption realized
 			continue
 		}
-		if e.conflictsWithBuild(spec, c) || rejectedAssumption[c] {
+		if e.conflictsWithBuild(spec, c) || e.mark[c] == gen+2 {
 			return nil, false // a conflicting commit the build did not include
 		}
 		// Independent commit; build result unaffected.
 	}
+	e.remaining = e.remaining[:0]
 	for _, a := range spec.Assumed {
-		if assumedSet[a] {
-			remaining = append(remaining, a)
+		if e.mark[a] == gen {
+			e.remaining = append(e.remaining, a)
 		}
 	}
-	return remaining, true
+	return e.remaining, true
 }
 
 // conflictsWithBuild reports whether a committed change c (not applied by
 // the build) invalidates the build's result: it conflicts with the subject
 // or, for batch builds, with any batch member.
-func (e *engine) conflictsWithBuild(spec BuildSpec, c int) bool {
+func (e *engine) conflictsWithBuild(spec *BuildSpec, c int) bool {
 	if e.st.PotentialConflict(spec.Subject, c) {
 		return true
 	}
@@ -752,9 +800,8 @@ func (e *engine) conflictsWithBuild(spec BuildSpec, c int) bool {
 // decide commits/rejects changes whose fate is determined, processing the
 // worklist of changes whose decidability may have changed.
 func (e *engine) decide() {
-	for len(e.worklist) > 0 {
-		i := e.worklist[0]
-		e.worklist = e.worklist[1:]
+	for ; e.workHead < len(e.worklist); e.workHead++ {
+		i := e.worklist[e.workHead]
 		e.inWork[i] = false
 		if !e.st.pending[i] {
 			continue
@@ -787,6 +834,7 @@ func (e *engine) decide() {
 			e.reject(i)
 		}
 	}
+	e.worklist, e.workHead = e.worklist[:0], 0
 }
 
 // decisiveBuild finds a finished build that decides change i given the
@@ -803,13 +851,10 @@ func (e *engine) decisiveBuild(i int) (FinishedBuild, int, bool) {
 			if len(fb.Spec.Batch) == 0 {
 				continue
 			}
-			inBatch := make(map[int]bool, len(fb.Spec.Batch))
-			for _, m := range fb.Spec.Batch {
-				inBatch[m] = true
-			}
+			// Batches have a handful of members: a scan beats a set.
 			blocked := false
 			for _, p := range preds {
-				if !inBatch[p] {
+				if !slices.Contains(fb.Spec.Batch, p) {
 					blocked = true
 					break
 				}
@@ -818,7 +863,7 @@ func (e *engine) decisiveBuild(i int) (FinishedBuild, int, bool) {
 				continue
 			}
 		}
-		remaining, valid := e.normalize(fb.Spec, fb.BaseCommits)
+		remaining, valid := e.normalize(&fb.Spec, fb.BaseCommits)
 		if !valid || len(remaining) > 0 {
 			continue
 		}
@@ -838,13 +883,20 @@ func (e *engine) decisiveBuild(i int) (FinishedBuild, int, bool) {
 }
 
 // onResolved pushes every pending change that might be unblocked by the
-// resolution of i onto the worklist.
+// resolution of i onto the worklist, in ascending index order: the worklist
+// order is the order in which changes that become decidable at one instant
+// commit, so it must not follow the conflict map's iteration order.
 func (e *engine) onResolved(i int) {
 	if e.st.UseAnalyzer {
+		e.unblocked = e.unblocked[:0]
 		for j := range e.w.Changes[i].PotentialConflicts {
 			if j > i && e.st.pending[j] {
-				e.pushWork(j)
+				e.unblocked = append(e.unblocked, j)
 			}
+		}
+		sort.Ints(e.unblocked)
+		for _, j := range e.unblocked {
+			e.pushWork(j)
 		}
 	} else if len(e.st.Pending) > 0 {
 		e.pushWork(e.st.Pending[0])
@@ -905,7 +957,7 @@ func (e *engine) reject(i int) {
 }
 
 func (e *engine) removePending(i int) {
-	delete(e.st.pending, i)
+	e.st.pending[i] = false
 	// Pending is ascending; binary search for the slot.
 	k := sort.SearchInts(e.st.Pending, i)
 	if k < len(e.st.Pending) && e.st.Pending[k] == i {
@@ -915,20 +967,23 @@ func (e *engine) removePending(i int) {
 
 // specIdentity canonically identifies a build for reconciliation: the
 // remaining assumptions after normalization, the subject, the batch, and the
-// still-unresolved rejection assumptions.
-func (e *engine) specIdentity(spec BuildSpec, base int) (string, bool) {
+// still-unresolved rejection assumptions. It renders the identity into buf
+// (from its start) and returns the grown buffer; the bytes become a string
+// only where an identity is stored.
+func (e *engine) specIdentity(buf []byte, spec *BuildSpec, base int) ([]byte, bool) {
+	buf = buf[:0]
 	remaining, valid := e.normalize(spec, base)
 	if !valid {
-		return "", false
+		return buf, false
 	}
-	var rej []int
+	rej := e.rej[:0]
 	for _, r := range spec.AssumedRejected {
 		if e.st.pending[r] {
 			rej = append(rej, r)
 		}
 	}
+	e.rej = rej
 	sort.Ints(rej)
-	buf := make([]byte, 0, 8*(len(remaining)+len(rej)+len(spec.Batch)+1))
 	for _, a := range remaining {
 		buf = strconv.AppendInt(buf, int64(a), 10)
 		buf = append(buf, '+')
@@ -950,36 +1005,55 @@ func (e *engine) specIdentity(spec BuildSpec, base int) (string, bool) {
 	if spec.AllowReorder {
 		buf = append(buf, 'R')
 	}
-	return string(buf), true
+	return buf, true
 }
 
-// slotIdentity is specIdentity memoized per decisions epoch.
+// memoIdentity is specIdentity memoized in c per decisions epoch. Most
+// decisions leave most identities as they were, so a refresh keeps the old
+// string unless the bytes changed.
+func (e *engine) memoIdentity(c *identCache, spec *BuildSpec, base int) (string, bool) {
+	if c.epoch != e.decisionsEpoch+1 {
+		var b []byte
+		b, c.valid = e.specIdentity(e.memoBuf, spec, base)
+		e.memoBuf = b
+		if c.val != string(b) {
+			c.val = string(b)
+		}
+		c.epoch = e.decisionsEpoch + 1
+	}
+	return c.val, c.valid
+}
+
+// slotIdentity is the memoized identity of a running build.
 func (e *engine) slotIdentity(slot *runningSlot) (string, bool) {
-	if slot.ident.epoch == e.decisionsEpoch+1 {
-		return slot.ident.val, slot.ident.valid
-	}
-	v, ok := e.specIdentity(slot.spec, slot.base)
-	slot.ident = identCache{epoch: e.decisionsEpoch + 1, val: v, valid: ok}
-	return v, ok
+	return e.memoIdentity(&slot.ident, &slot.spec, slot.base)
 }
 
-// finishedIdentity is specIdentity for st.Finished[k], memoized.
+// finishedIdentity is the memoized identity of st.Finished[k].
 func (e *engine) finishedIdentity(k int) (string, bool) {
-	c := &e.finishedIdent[k]
-	if c.epoch == e.decisionsEpoch+1 {
-		return c.val, c.valid
+	fb := &e.st.Finished[k]
+	return e.memoIdentity(&e.finishedIdent[k], &fb.Spec, fb.BaseCommits)
+}
+
+// sortedSlotIDs returns the ids of the running slots in ascending order —
+// the order every walk over e.slots uses, so that nothing the engine decides
+// depends on map iteration order. The buffer is reused by the next call.
+func (e *engine) sortedSlotIDs() []int {
+	e.slotIDs = e.slotIDs[:0]
+	for id := range e.slots {
+		e.slotIDs = append(e.slotIDs, id)
 	}
-	fb := e.st.Finished[k]
-	v, ok := e.specIdentity(fb.Spec, fb.BaseCommits)
-	*c = identCache{epoch: e.decisionsEpoch + 1, val: v, valid: ok}
-	return v, ok
+	sort.Ints(e.slotIDs)
+	return e.slotIDs
 }
 
 // reconcile aligns running builds with the strategy's desired set.
 func (e *engine) reconcile(s Strategy) {
 	// Refresh the State's running view first.
+	slotIDs := e.sortedSlotIDs()
 	e.st.Running = e.st.Running[:0]
-	for _, slot := range e.slots {
+	for _, slotID := range slotIDs {
+		slot := e.slots[slotID]
 		e.st.Running = append(e.st.Running, RunningBuild{
 			Spec: slot.spec, BaseCommits: slot.base, Start: slot.start, Finish: slot.finish,
 		})
@@ -994,19 +1068,22 @@ func (e *engine) reconcile(s Strategy) {
 	desired := s.Plan(e.st)
 
 	base := len(e.st.Committed)
-	want := map[string]BuildSpec{}
-	var order []string
+	want := e.want
+	clear(want)
+	order := e.order[:0]
 	skippedFinished, skippedInvalid := 0, 0
-	for _, spec := range desired {
+	for k := range desired {
+		spec := &desired[k]
 		if len(want) >= e.cfg.Workers {
 			break
 		}
-		id, valid := e.specIdentity(spec, base)
+		id, valid := e.specIdentity(e.idBuf, spec, base)
+		e.idBuf = id
 		if !valid {
 			skippedInvalid++
 			continue
 		}
-		if _, dup := want[id]; dup {
+		if _, dup := want[string(id)]; dup {
 			continue
 		}
 		// Skip builds whose result already exists and is still valid.
@@ -1014,15 +1091,19 @@ func (e *engine) reconcile(s Strategy) {
 			skippedFinished++
 			continue
 		}
-		want[id] = spec
-		order = append(order, id)
+		key := string(id)
+		want[key] = k
+		order = append(order, key)
 	}
+	e.order = order
 	if e.cfg.Trace != nil {
 		fmt.Fprintf(e.cfg.Trace, "t=%v pending=%d desired=%d want=%d skippedFin=%d skippedInv=%d running=%d\n",
 			e.now, len(e.st.Pending), len(desired), len(want), skippedFinished, skippedInvalid, len(e.slots))
 		if len(want) == 0 && len(e.slots) == 0 && len(e.st.Pending) > 0 {
-			for _, spec := range desired {
-				id, valid := e.specIdentity(spec, base)
+			for k := range desired {
+				spec := &desired[k]
+				id, valid := e.specIdentity(e.idBuf, spec, base)
+				e.idBuf = id
 				fb, have := FinishedBuild{}, false
 				if valid {
 					fb, have = e.finishedMatch(spec.Subject, id)
@@ -1041,9 +1122,11 @@ func (e *engine) reconcile(s Strategy) {
 	// are merely absent from the plan (e.g. the planner's budget truncated
 	// them this round) stay running while workers are free: their results may
 	// still be needed, and rebuilding them later would only add latency.
-	runningBy := map[string]bool{}
-	var unwanted []int // slot IDs of valid-but-unplanned builds
-	for slotID, slot := range e.slots {
+	runningBy := e.runningBy
+	clear(runningBy)
+	unwanted := e.unwanted[:0] // slot IDs of valid-but-unplanned builds
+	for _, slotID := range slotIDs {
+		slot := e.slots[slotID]
 		id, valid := e.slotIdentity(slot)
 		if !valid {
 			e.abortSlot(slotID)
@@ -1055,14 +1138,16 @@ func (e *engine) reconcile(s Strategy) {
 		}
 		unwanted = append(unwanted, slotID)
 	}
+	e.unwanted = unwanted
 
 	// New builds to start, in priority order.
-	var starts []string
+	starts := e.starts[:0]
 	for _, id := range order {
 		if !runningBy[id] {
 			starts = append(starts, id)
 		}
 	}
+	e.starts = starts
 	// Preempt valid-but-unplanned builds only when a selected build needs the
 	// worker (the paper's planner aborts builds that fall out of the selected
 	// set; we do so lazily, on demand), and only when the newcomer's value
@@ -1088,7 +1173,7 @@ func (e *engine) reconcile(s Strategy) {
 			}
 			slot := e.slots[unwanted[k]]
 			margin := 0.02 + 0.2*math.Abs(slot.spec.Priority)
-			if want[id].Priority <= slot.spec.Priority+margin {
+			if desired[want[id]].Priority <= slot.spec.Priority+margin {
 				continue // not clearly better; let the running build finish
 			}
 			e.abortSlot(unwanted[k])
@@ -1100,7 +1185,9 @@ func (e *engine) reconcile(s Strategy) {
 		if free <= 0 {
 			break
 		}
-		spec := want[id]
+		// The strategy may reuse the memory behind desired on its next Plan
+		// call; a started build outlives that, so it gets its own copy.
+		spec := desired[want[id]].clone()
 		dur := e.w.Changes[spec.Subject].Duration
 		if e.builtBefore[spec.Subject] {
 			// §6: minimal build steps + artifact cache make re-builds of the
@@ -1141,8 +1228,8 @@ func (e *engine) abortSlot(slotID int) {
 // own commit as an independent commit (a change never potentially conflicts
 // with itself), so the slot stays "valid" and burns a worker for nothing.
 func (e *engine) pruneObsolete() {
-	for slotID, slot := range e.slots {
-		if e.slotObsolete(slot) {
+	for _, slotID := range e.sortedSlotIDs() {
+		if e.slotObsolete(e.slots[slotID]) {
 			e.abortSlot(slotID)
 			e.res.BuildsPruned++
 			e.dirty = true
@@ -1162,23 +1249,25 @@ func (e *engine) slotObsolete(slot *runningSlot) bool {
 	if !valid {
 		return true
 	}
-	return e.haveFinished(slot.spec.Subject, id)
+	// haveFinished takes the identity as bytes (reconcile's form).
+	e.idBuf = append(e.idBuf[:0], id...)
+	return e.haveFinished(slot.spec.Subject, e.idBuf)
 }
 
 // haveFinished reports whether a finished, still-valid build with the given
 // identity exists for the subject.
-func (e *engine) haveFinished(subject int, id string) bool {
+func (e *engine) haveFinished(subject int, id []byte) bool {
 	_, ok := e.finishedMatch(subject, id)
 	return ok
 }
 
 // finishedMatch returns the finished, still-valid build with the given
 // identity for the subject, if any.
-func (e *engine) finishedMatch(subject int, id string) (FinishedBuild, bool) {
+func (e *engine) finishedMatch(subject int, id []byte) (FinishedBuild, bool) {
 	idxs := e.finishedBySubject[subject]
 	for k := len(idxs) - 1; k >= 0; k-- {
 		fid, valid := e.finishedIdentity(idxs[k])
-		if valid && fid == id {
+		if valid && fid == string(id) {
 			return e.st.Finished[idxs[k]], true
 		}
 	}

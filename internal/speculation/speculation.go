@@ -22,12 +22,16 @@
 // Enumeration is lazy greedy best-first (§7.1): a global max-heap of partial
 // assignments, expanded most-probable-first, so the engine never materializes
 // the 2^n-node graph; space is O(n + budget). Partial assignments are
-// bitmasks over the subject's branching predecessors, keeping node expansion
-// allocation-free.
+// bitmasks over the subject's branching predecessors and the heap holds them
+// by value, keeping node expansion allocation-free.
+//
+// A plan is scratch: the Engine keeps its working set (probability rows, the
+// heap, the builds and the arenas their slices point into) between calls and
+// overwrites it on the next one, so a steady-state planning round allocates
+// nothing. See Engine and Plan for the lifetime rule that follows from it.
 package speculation
 
 import (
-	"container/heap"
 	"sort"
 	"strings"
 
@@ -107,7 +111,10 @@ func (b Build) Key() string {
 	return sb.String()
 }
 
-// Engine computes speculation plans.
+// Engine computes speculation plans. It serves one caller at a time: Plan
+// reuses the engine's working memory, so concurrent Plan calls on one Engine
+// race, and an Engine must not be copied once it has planned. Every planner
+// and every simulated strategy owns its own.
 type Engine struct {
 	// Predictor supplies P_succ and P_conf (trained model, oracle, or
 	// constant for Speculate-all).
@@ -132,6 +139,10 @@ type Engine struct {
 	// (P_needed = 1, never skipped) still gates every commit, so greenness
 	// is unaffected. Zero disables skipping.
 	SkipThreshold float64
+
+	// scratch is the working set of the latest Plan call, kept so the next
+	// call reuses its arrays instead of allocating them.
+	scratch planner
 }
 
 // New creates an Engine with the given predictor.
@@ -166,14 +177,15 @@ type Request struct {
 	NoSkip []bool
 }
 
-// Plan is the prioritized output of the engine.
+// Plan is the prioritized output of the engine. Its slices — Builds, every
+// slice inside a Build, PCommitIdx — point into the engine's working memory
+// and are valid until the next Plan call on the same Engine; a caller that
+// keeps a build past that (because it started it) copies it first.
 type Plan struct {
 	// Builds in decreasing Value order (ties: earlier subject first).
 	Builds []Build
-	// PCommit is each pending change's unconditional commit-probability
-	// estimate (used by the planner for preemption and batching decisions).
-	PCommit map[change.ID]float64
-	// PCommitIdx is PCommit indexed by position in Request.Pending.
+	// PCommitIdx is each pending change's unconditional commit-probability
+	// estimate, indexed by position in Request.Pending.
 	PCommitIdx []float64
 	// BranchesSkipped counts predecessor branch points collapsed by
 	// Engine.SkipThreshold: reject-subtrees that were never explored because
@@ -185,20 +197,56 @@ type Plan struct {
 	BuildsSkipped int
 }
 
-// planner is the per-Plan working state.
+// planner is the per-Plan working state. It lives in Engine.scratch: every
+// slice is cut back to length zero (or resized) at the start of a plan and
+// keeps its backing array, so steady-state planning allocates nothing.
 type planner struct {
-	e       *Engine
 	pending []*change.Change
 	preds   [][]int     // conflicting predecessor positions per change
 	pSucc   []float64   // P_succ per change
 	pCommit []float64   // global commit-probability estimate per change
 	benefit []float64   // per-change benefit B (default 1), §4.2.1
 	confRow [][]float64 // confRow[i][t] = P_conf(preds[i][t], i), dense cache
-	conf    func(i, j int) float64
+
+	predRows   [][]int           // backing for preds when the request carries none
+	predArena  []int             // the rows of predRows, back to back
+	order      map[change.ID]int // Request.Conflicts only: change → position
+	confArena  []float64         // the rows of confRow, back to back
+	weights    []float64         // inherited copy of Request.Weights
+	skipExempt []bool            // inherited copy of Request.NoSkip
+	branch     [][]int           // per subject: the predecessors branched over
+	fixed      [][]int           // per subject: the older ones pinned to argmax
+	planned    []bool            // weighted requests: subjects with a build
+	heap       nodeHeap
+
+	// builds is the returned Plan.Builds; idxArena and idArena hold the
+	// slices inside each Build, back to back.
+	builds   []Build
+	idxArena []int
+	idArena  []change.ID
+}
+
+// resize returns s with length n, reusing its backing array when it is large
+// enough. The contents are unspecified: callers overwrite every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// run returns a[lo:hi] with its capacity cut to its length, so an append to
+// the result can never write into the neighbouring run; nil when empty.
+func run[T any](a []T, lo, hi int) []T {
+	if lo == hi {
+		return nil
+	}
+	return a[lo:hi:hi]
 }
 
 // Plan enumerates the speculation graph best-first and returns up to Budget
-// builds. See the package comment for the math.
+// builds. See the package comment for the math, and Plan (the type) for how
+// long the result stays valid.
 func (e *Engine) Plan(req Request) Plan {
 	depth := e.MaxSpecDepth
 	if depth <= 0 {
@@ -219,60 +267,70 @@ func (e *Engine) Plan(req Request) Plan {
 	}
 
 	n := len(req.Pending)
-	plan := Plan{PCommit: make(map[change.ID]float64, n)}
+	plan := Plan{}
 	if n == 0 {
 		return plan
 	}
 
-	p := &planner{e: e, pending: req.Pending}
-	p.conf = func(i, j int) float64 {
-		return clamp01(e.Predictor.PredictConflict(req.Pending[i], req.Pending[j]))
-	}
+	p := &e.scratch
+	p.pending = req.Pending
+	p.builds, p.idxArena, p.idArena = p.builds[:0], p.idxArena[:0], p.idArena[:0]
 
 	// Conflicting predecessors per change, ascending positions.
 	switch {
 	case req.Preds != nil:
 		p.preds = req.Preds
 	case req.Conflicts != nil:
-		order := make(map[change.ID]int, n)
-		for i, c := range req.Pending {
-			order[c.ID] = i
+		if p.order == nil {
+			p.order = make(map[change.ID]int, n)
 		}
-		p.preds = make([][]int, n)
+		clear(p.order)
 		for i, c := range req.Pending {
+			p.order[c.ID] = i
+		}
+		p.predRows, p.predArena = resize(p.predRows, n), p.predArena[:0]
+		for i, c := range req.Pending {
+			lo := len(p.predArena)
 			for _, pr := range req.Conflicts.ConflictingPredecessors(c.ID) {
-				if pi, ok := order[pr]; ok && pi < i {
-					p.preds[i] = append(p.preds[i], pi)
+				if pi, ok := p.order[pr]; ok && pi < i {
+					p.predArena = append(p.predArena, pi)
 				}
 			}
-			sort.Ints(p.preds[i])
+			p.predRows[i] = run(p.predArena, lo, len(p.predArena))
+			sort.Ints(p.predRows[i])
 		}
+		p.preds = p.predRows
 	default:
-		p.preds = make([][]int, n)
+		// Every earlier change conflicts: row i is the first i positions.
+		p.predRows, p.predArena = resize(p.predRows, n), resize(p.predArena, n)
 		for i := range req.Pending {
-			p.preds[i] = make([]int, i)
-			for j := 0; j < i; j++ {
-				p.preds[i][j] = j
-			}
+			p.predArena[i] = i
+			p.predRows[i] = p.predArena[:i:i]
 		}
+		p.preds = p.predRows
 	}
 
 	// Dense per-plan conflict cache: the best-first expansion reads these
 	// values millions of times, so one predictor call per (pred, change)
 	// pair up front keeps the hot loop map-free.
-	p.confRow = make([][]float64, n)
+	pairs := 0
 	for i := range req.Pending {
-		row := make([]float64, len(p.preds[i]))
+		pairs += len(p.preds[i])
+	}
+	p.confRow, p.confArena = resize(p.confRow, n), resize(p.confArena, pairs)
+	pairs = 0
+	for i, c := range req.Pending {
+		row := p.confArena[pairs : pairs+len(p.preds[i])]
+		pairs += len(row)
 		for t, j := range p.preds[i] {
-			row[t] = p.conf(j, i)
+			row[t] = clamp01(e.Predictor.PredictConflict(req.Pending[j], c))
 		}
 		p.confRow[i] = row
 	}
 
 	// Global P_commit in submission order:
 	// P_commit(k) = clamp(P_succ(k) − Σ_{j∈D_k} P_conf(j,k)·P_commit(j)).
-	p.pSucc = make([]float64, n)
-	p.pCommit = make([]float64, n)
+	p.pSucc, p.pCommit = resize(p.pSucc, n), resize(p.pCommit, n)
 	for i, c := range req.Pending {
 		p.pSucc[i] = clamp01(e.Predictor.PredictSuccess(c))
 		pc := p.pSucc[i]
@@ -282,9 +340,6 @@ func (e *Engine) Plan(req Request) Plan {
 		p.pCommit[i] = clamp01(pc)
 	}
 	plan.PCommitIdx = p.pCommit
-	for i, c := range req.Pending {
-		plan.PCommit[c.ID] = p.pCommit[i]
-	}
 
 	// Per-change benefit weights (default 1), scaled by the scheduler's
 	// priority/deadline weight when one is supplied. Weighted requests get
@@ -296,9 +351,13 @@ func (e *Engine) Plan(req Request) Plan {
 	// it never rank high enough to be planned — a livelock, not a priority.
 	weights, skipExempt := req.Weights, req.NoSkip
 	if weights != nil {
-		weights = append([]float64(nil), weights...)
+		p.weights = resize(p.weights, n)
+		copy(p.weights, weights)
+		weights = p.weights
 		if skipExempt != nil {
-			skipExempt = append([]bool(nil), skipExempt...)
+			p.skipExempt = resize(p.skipExempt, n)
+			copy(p.skipExempt, skipExempt)
+			skipExempt = p.skipExempt
 		}
 		// Inherited weight decays by half per hop: direct predecessors of a
 		// hotfix must outrank ordinary work, but in a dense conflict graph
@@ -324,7 +383,7 @@ func (e *Engine) Plan(req Request) Plan {
 			}
 		}
 	}
-	p.benefit = make([]float64, n)
+	p.benefit = resize(p.benefit, n)
 	for i, c := range req.Pending {
 		p.benefit[i] = 1
 		if c.Benefit > 0 {
@@ -340,15 +399,15 @@ func (e *Engine) Plan(req Request) Plan {
 
 	// Per-subject branch sets: the most recent `depth` conflicting
 	// predecessors; older ones are fixed to their argmax outcome.
-	branch := make([][]int, n)
-	fixed := make([][]int, n)
+	p.branch, p.fixed = resize(p.branch, n), resize(p.fixed, n)
 	for i := range req.Pending {
 		b := p.preds[i]
+		p.fixed[i] = nil
 		if len(b) > depth {
-			fixed[i] = b[:len(b)-depth]
+			p.fixed[i] = b[:len(b)-depth]
 			b = b[len(b)-depth:]
 		}
-		branch[i] = b
+		p.branch[i] = b
 	}
 
 	// Best-first enumeration over bitmask nodes. A root's probability is
@@ -357,19 +416,20 @@ func (e *Engine) Plan(req Request) Plan {
 	// true, so P_needed starts at the product of those outcome probabilities
 	// rather than a flat 1 (§4.2 applies to every assumption, branched or
 	// fixed).
-	h := &nodeHeap{}
+	h := &p.heap
+	*h = (*h)[:0]
 	for i := range req.Pending {
 		prob := 1.0
-		for _, f := range fixed[i] {
+		for _, f := range p.fixed[i] {
 			if p.pCommit[f] >= 0.5 {
 				prob *= p.pCommit[f]
 			} else {
 				prob *= 1 - p.pCommit[f]
 			}
 		}
-		h.push(node{subject: i, modal: true, prob: prob, value: prob * p.benefit[i]})
+		*h = append(*h, node{subject: i, modal: true, prob: prob, value: prob * p.benefit[i]})
 	}
-	heap.Init(h)
+	h.init()
 
 	// With skipping enabled, nodes whose P_needed decays to ≤ 1−τ are
 	// dropped: the predictor is ≥τ confident their result would be wasted.
@@ -378,14 +438,14 @@ func (e *Engine) Plan(req Request) Plan {
 		floor = 1 - e.SkipThreshold
 	}
 
-	var plannedSubject []bool
 	if weights != nil {
-		plannedSubject = make([]bool, n)
+		p.planned = resize(p.planned, n)
+		clear(p.planned)
 	}
 
 	pops := 0
-	for h.Len() > 0 && len(plan.Builds) < budget && pops < maxPops {
-		nd := heap.Pop(h).(node)
+	for len(*h) > 0 && len(p.builds) < budget && pops < maxPops {
+		nd := h.pop()
 		pops++
 		if nd.value <= 0 {
 			// Max-heap: every remaining node is zero-value too. A build whose
@@ -405,11 +465,11 @@ func (e *Engine) Plan(req Request) Plan {
 			plan.BuildsSkipped++
 			continue
 		}
-		br := branch[nd.subject]
+		br := p.branch[nd.subject]
 		if int(nd.depth) == len(br) {
-			plan.Builds = append(plan.Builds, p.finishBuild(nd, branch[nd.subject], fixed[nd.subject]))
-			if plannedSubject != nil {
-				plannedSubject[nd.subject] = true
+			p.finishBuild(nd, br, p.fixed[nd.subject])
+			if weights != nil {
+				p.planned[nd.subject] = true
 			}
 			continue
 		}
@@ -436,7 +496,7 @@ func (e *Engine) Plan(req Request) Plan {
 			// q — the plan does not pretend the skip is free. The depth
 			// guard keeps the first-level reject hedge (B_2): only deeper
 			// reject-subtrees are collapsed.
-			heap.Push(h, commitChild)
+			h.push(commitChild)
 			plan.BranchesSkipped++
 			continue
 		}
@@ -448,8 +508,8 @@ func (e *Engine) Plan(req Request) Plan {
 			prob:    nd.prob * (1 - q),
 			value:   nd.prob * (1 - q) * b,
 		}
-		heap.Push(h, commitChild)
-		heap.Push(h, rejectChild)
+		h.push(commitChild)
+		h.push(rejectChild)
 	}
 
 	// Liveness under weighting: skewed weights can fill the entire budget
@@ -463,12 +523,12 @@ func (e *Engine) Plan(req Request) Plan {
 	// plan is left bit-for-bit unchanged.
 	if weights != nil {
 		for i := range req.Pending {
-			if len(p.preds[i]) == 0 && !plannedSubject[i] {
-				root := node{subject: i, modal: true, prob: 1, value: p.benefit[i]}
-				plan.Builds = append(plan.Builds, p.finishBuild(root, nil, nil))
+			if len(p.preds[i]) == 0 && !p.planned[i] {
+				p.finishBuild(node{subject: i, modal: true, prob: 1, value: p.benefit[i]}, nil, nil)
 			}
 		}
 	}
+	plan.Builds = p.builds
 	return plan
 }
 
@@ -503,43 +563,60 @@ func (p *planner) contextCommitProb(pid int, nd node, br []int) float64 {
 	return clamp01(q)
 }
 
-// finishBuild materializes a completed node into a Build.
-func (p *planner) finishBuild(nd node, br, fx []int) Build {
-	var assumedIdx, rejectedIdx []int
+// finishBuild materializes a completed node as the next entry of p.builds.
+// Its slices are runs of the two arenas — committed then rejected positions
+// in idxArena; Changes (whose first len−1 entries are Assumed) then
+// AssumedRejected in idArena — so a build costs no allocation of its own.
+func (p *planner) finishBuild(nd node, br, fx []int) {
+	lo := len(p.idxArena)
 	for d := 0; d < int(nd.depth); d++ {
 		if nd.mask&(1<<uint(d)) != 0 {
-			assumedIdx = append(assumedIdx, br[d])
-		} else {
-			rejectedIdx = append(rejectedIdx, br[d])
+			p.idxArena = append(p.idxArena, br[d])
 		}
 	}
 	// Fixed (beyond-depth) predecessors take their most likely outcome.
 	for _, f := range fx {
 		if p.pCommit[f] >= 0.5 {
-			assumedIdx = append(assumedIdx, f)
-		} else {
-			rejectedIdx = append(rejectedIdx, f)
+			p.idxArena = append(p.idxArena, f)
 		}
 	}
+	mid := len(p.idxArena)
+	for d := 0; d < int(nd.depth); d++ {
+		if nd.mask&(1<<uint(d)) == 0 {
+			p.idxArena = append(p.idxArena, br[d])
+		}
+	}
+	for _, f := range fx {
+		if p.pCommit[f] < 0.5 {
+			p.idxArena = append(p.idxArena, f)
+		}
+	}
+	assumedIdx := run(p.idxArena, lo, mid)
+	rejectedIdx := run(p.idxArena, mid, len(p.idxArena))
 	sort.Ints(assumedIdx)
 	sort.Ints(rejectedIdx)
-	b := Build{
-		Subject:            p.pending[nd.subject].ID,
+
+	subject := p.pending[nd.subject].ID
+	lo = len(p.idArena)
+	for _, i := range assumedIdx {
+		p.idArena = append(p.idArena, p.pending[i].ID)
+	}
+	p.idArena = append(p.idArena, subject)
+	mid = len(p.idArena)
+	for _, i := range rejectedIdx {
+		p.idArena = append(p.idArena, p.pending[i].ID)
+	}
+	p.builds = append(p.builds, Build{
+		Subject:            subject,
+		Assumed:            run(p.idArena, lo, mid-1),
+		AssumedRejected:    run(p.idArena, mid, len(p.idArena)),
+		Changes:            run(p.idArena, lo, mid),
+		PNeeded:            nd.prob,
+		Value:              nd.value,
 		SubjectIdx:         nd.subject,
 		AssumedIdx:         assumedIdx,
 		AssumedRejectedIdx: rejectedIdx,
-		PNeeded:            nd.prob,
-		Value:              nd.value,
-	}
-	for _, i := range assumedIdx {
-		b.Assumed = append(b.Assumed, p.pending[i].ID)
-		b.Changes = append(b.Changes, p.pending[i].ID)
-	}
-	b.Changes = append(b.Changes, b.Subject)
-	for _, i := range rejectedIdx {
-		b.AssumedRejected = append(b.AssumedRejected, p.pending[i].ID)
-	}
-	return b
+	})
 }
 
 // node is a partial assignment in the best-first search: the first `depth`
@@ -557,12 +634,15 @@ type node struct {
 	value   float64
 }
 
-// nodeHeap is a max-heap on node probability; ties prefer earlier subjects
-// (fairness: older changes first) and then shallower nodes.
+// nodeHeap is a max-heap on node value; ties prefer earlier subjects
+// (fairness: older changes first) and then shallower nodes. That order is
+// not total — the two children of a q = ½ branch tie on all three — so which
+// of two equal nodes pops first is decided by the sift steps themselves:
+// init, push and pop perform exactly container/heap's, on nodes held by
+// value instead of boxed in an interface.
 type nodeHeap []node
 
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
+func (h nodeHeap) less(i, j int) bool {
 	if h[i].value != h[j].value {
 		return h[i].value > h[j].value
 	}
@@ -571,18 +651,56 @@ func (h nodeHeap) Less(i, j int) bool {
 	}
 	return h[i].depth < h[j].depth
 }
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(node)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// init establishes the heap order over nodes appended without sifting.
+func (h nodeHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
 }
 
-// push appends without sifting (callers heap.Init afterwards).
-func (h *nodeHeap) push(n node) { *h = append(*h, n) }
+func (h *nodeHeap) push(nd node) {
+	*h = append(*h, nd)
+	h.up(len(*h) - 1)
+}
+
+func (h *nodeHeap) pop() node {
+	old := *h
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+func (h nodeHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h nodeHeap) down(i, n int) {
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
 
 func clamp01(p float64) float64 {
 	if p < 0 {

@@ -22,6 +22,7 @@ package strategies
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -194,6 +195,18 @@ type Speculative struct {
 	// worker preemption implements the hotfix lane displacing running
 	// speculative builds. Nil reproduces the unprioritized planner exactly.
 	Sched *sched.Policy
+
+	// Plan's working set, reused from call to call: the engine's view of the
+	// window (pending, preds rows cut from predArena, pos mapping a workload
+	// index to its window position) and the returned specs, whose assumption
+	// lists are cut from specArena. The specs are therefore valid until the
+	// next Plan call, which is all sim.Strategy promises.
+	pending   []*change.Change
+	pos       []int
+	preds     [][]int
+	predArena []int
+	specs     []sim.BuildSpec
+	specArena []int
 }
 
 // feedback accumulates per-change speculation evidence.
@@ -327,39 +340,51 @@ func (s *Speculative) Plan(st *sim.State) []sim.BuildSpec {
 	// Assemble the engine's view: pending change metas plus the conflicting
 	// predecessors the analyzer reports, as positions into the pending list.
 	window := planWindow(st)
-	pending := make([]*change.Change, len(window))
-	pos := make(map[int]int, len(window)) // workload index -> pending position
+	// slices.Grow(buf[:0], n)[:n] is buf resized to n, reallocated only when
+	// too small; every element is overwritten below.
+	pending := slices.Grow(s.pending[:0], len(window))[:len(window)]
+	// pos[i] is the window position of workload index i; an entry left over
+	// from an earlier call is told apart by window[pos[i]] != i.
+	if s.pos == nil {
+		s.pos = make([]int, len(s.W.Changes))
+	}
+	pos := s.pos
 	for k, i := range window {
 		pending[k] = s.W.Changes[i].Meta
 		pos[i] = k
 	}
-	preds := make([][]int, len(window))
-	for k, i := range window {
-		if st.UseAnalyzer {
+	preds, arena := slices.Grow(s.preds[:0], len(window))[:len(window)], s.predArena[:0]
+	if st.UseAnalyzer {
+		for k, i := range window {
+			lo := len(arena)
 			for j := range s.W.Changes[i].PotentialConflicts {
 				if j < i {
-					if pj, ok := pos[j]; ok {
-						preds[k] = append(preds[k], pj)
+					if pj := pos[j]; pj < len(window) && window[pj] == j {
+						arena = append(arena, pj)
 					}
 				}
 			}
-			sort.Ints(preds[k])
-		} else {
-			// Every earlier pending change conflicts. The speculation engine
-			// only branches over the most recent MaxSpecDepth anyway, and in
-			// this saturated regime P_commit estimates are insensitive to
-			// predecessors beyond a small window — so cap the list and keep
-			// planning O(p·window) instead of O(p²).
+			sort.Ints(arena[lo:])
+			preds[k] = arena[lo:len(arena):len(arena)]
+		}
+	} else {
+		// Every earlier pending change conflicts, so each row is a run of
+		// consecutive window positions. The speculation engine only branches
+		// over the most recent MaxSpecDepth anyway, and in this saturated
+		// regime P_commit estimates are insensitive to predecessors beyond a
+		// small window — so cap the list and keep planning O(p·window)
+		// instead of O(p²).
+		arena = slices.Grow(arena, len(window))[:len(window)]
+		for k := range window {
+			arena[k] = k
 			lo := k - 2*speculation.DefaultMaxSpecDepth
 			if lo < 0 {
 				lo = 0
 			}
-			preds[k] = make([]int, 0, k-lo)
-			for j := lo; j < k; j++ {
-				preds[k] = append(preds[k], j)
-			}
+			preds[k] = arena[lo:k:k]
 		}
 	}
+	s.pending, s.preds, s.predArena = pending, preds, arena
 	var weights []float64
 	var noSkip []bool
 	if s.Sched != nil {
@@ -374,26 +399,35 @@ func (s *Speculative) Plan(st *sim.State) []sim.BuildSpec {
 	})
 	s.SkippedBranches += plan.BranchesSkipped
 	s.SkippedBuilds += plan.BuildsSkipped
-	out := make([]sim.BuildSpec, 0, len(plan.Builds))
-	for _, b := range plan.Builds {
+	out, arena := s.specs[:0], s.specArena[:0]
+	// mapped appends the workload indices of the window positions idx to the
+	// arena and returns that run (nil when empty).
+	mapped := func(idx []int) []int {
+		if len(idx) == 0 {
+			return nil
+		}
+		lo := len(arena)
+		for _, k := range idx {
+			arena = append(arena, window[k])
+		}
+		return arena[lo:len(arena):len(arena)]
+	}
+	for i := range plan.Builds {
+		b := &plan.Builds[i]
 		prio := b.PNeeded
 		if weights != nil {
 			// Weighted value, not P_needed: a P0's build must outrank — and
 			// preempt — every other lane's at the worker pool.
 			prio = b.Value
 		}
-		spec := sim.BuildSpec{
-			Subject:  window[b.SubjectIdx],
-			Priority: prio,
-		}
-		for _, a := range b.AssumedIdx {
-			spec.Assumed = append(spec.Assumed, window[a])
-		}
-		for _, r := range b.AssumedRejectedIdx {
-			spec.AssumedRejected = append(spec.AssumedRejected, window[r])
-		}
-		out = append(out, spec)
+		out = append(out, sim.BuildSpec{
+			Subject:         window[b.SubjectIdx],
+			Assumed:         mapped(b.AssumedIdx),
+			AssumedRejected: mapped(b.AssumedRejectedIdx),
+			Priority:        prio,
+		})
 	}
+	s.specs, s.specArena = out, arena
 	if weights != nil {
 		// Hotfix bypass: a P0 gated behind pending conflicting predecessors
 		// would otherwise wait for its whole predecessor cascade to build
