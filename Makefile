@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check check-race build vet lint test race bench bench-smoke bench-e2e
+.PHONY: check check-race build vet lint test race examples bench bench-smoke bench-e2e
 
 # check is the CI entry point: everything must pass before merge.
-check: build vet lint race
+check: build vet lint race examples
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,14 @@ test:
 # the plain `test` target and are impractically slow under the race detector.
 race:
 	$(GO) test -race -short ./...
+
+# examples builds and runs every program under examples/ — each drives a live
+# Service end to end — and fails on the first non-zero exit (~2 s of runs).
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # check-race is the full suite under the race detector — including the
 # simulation-backed experiment tests the -short gate skips. Too slow for the

@@ -62,7 +62,7 @@ func main() {
 	workers := flag.Int("workers", 8, "concurrent builds")
 	epoch := flag.Duration("epoch", 250*time.Millisecond, "planner epoch")
 	dataDir := flag.String("data", "", "directory for durable state (empty = in-memory only)")
-	shards := flag.Int("shards", 0, "planner shards (>= 1 enables the sharded scale-out; 0 = single planner)")
+	shards := flag.Int("shards", 1, "planner engines the conflict-graph components are spread over")
 	snapshotEvery := flag.Duration("snapshot-interval", 0, "with -data: fold the journal into a snapshot this often (0 = only at shutdown)")
 	admissionCap := flag.Int("admission-cap", 0, "bound the pending queue; excess submits get 429 + Retry-After (0 = unbounded)")
 	statusRefresh := flag.Duration("status-refresh", 250*time.Millisecond, "background status snapshot rebuild interval (0 = rebuild per request)")
@@ -155,10 +155,8 @@ func main() {
 	if *schedOn {
 		log.Printf("sqd: sched %s", svc.SchedStats().Gauges())
 	}
-	if svc.Sharded() {
-		log.Printf("sqd: shards %s", svc.ShardStats().Gauges())
-		log.Printf("sqd: arbiter %s", svc.ArbiterStats().Gauges())
-	}
+	log.Printf("sqd: shards %s", svc.ShardStats().Gauges())
+	log.Printf("sqd: arbiter %s", svc.ArbiterStats().Gauges())
 	if repoPath != "" {
 		f, err := os.Create(repoPath)
 		if err != nil {

@@ -123,9 +123,7 @@ type StatusResponse struct {
 	ReliabilityVerifications     int `json:"reliability_verifications"`
 	ReliabilityRejectionsAverted int `json:"reliability_rejections_averted"`
 
-	// Sharded multi-planner scale-out (DESIGN.md §4h); zero when the classic
-	// single-planner engine runs.
-	Sharded                  bool        `json:"sharded"`
+	// Shard runtime and commit arbiter (DESIGN.md §4h).
 	ShardsActive             int         `json:"shards_active"`
 	ShardComponents          int         `json:"shard_components"`
 	ShardRebalanced          int         `json:"shard_rebalanced"`
@@ -469,7 +467,6 @@ func (s *Server) buildStatusResponse() StatusResponse {
 		ReliabilityVerifications:     rs.Verifications,
 		ReliabilityRejectionsAverted: rs.RejectionsAverted,
 
-		Sharded:                  s.svc.Sharded(),
 		ShardsActive:             ss.ShardsActive,
 		ShardComponents:          ss.Components,
 		ShardRebalanced:          ss.Rebalanced,

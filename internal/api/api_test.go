@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mastergreen/internal/change"
 	"mastergreen/internal/core"
 	"mastergreen/internal/repo"
 )
@@ -123,6 +124,43 @@ func TestDuplicateSubmit(t *testing.T) {
 	}
 	if rec := doJSON(t, srv, http.MethodPost, "/api/v1/changes", sub); rec.Code != http.StatusConflict {
 		t.Fatalf("dup submit = %d", rec.Code)
+	}
+}
+
+// TestResubmitDecidedConflicts: re-submitting the ID of a change the service
+// already decided is a 409, and the recorded decision stands.
+func TestResubmitDecidedConflicts(t *testing.T) {
+	srv, svc, _ := newServer(t)
+	sub := SubmitRequest{
+		ID:    "once",
+		Files: []FileChange{{Path: "lib/lib.go", Op: "modify", BaseContent: "lib v1", Content: "lib v2"}},
+	}
+	if rec := doJSON(t, srv, http.MethodPost, "/api/v1/changes", sub); rec.Code != http.StatusAccepted {
+		t.Fatalf("first submit = %d: %s", rec.Code, rec.Body)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := svc.State("once")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == change.StateCommitted {
+			break
+		}
+		if st.State == change.StateRejected || time.Now().After(deadline) {
+			t.Fatalf("first submission not committed: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	sub.Files[0] = FileChange{Path: "lib/lib.go", Op: "modify", BaseContent: "lib v2", Content: "lib v3"}
+	if rec := doJSON(t, srv, http.MethodPost, "/api/v1/changes", sub); rec.Code != http.StatusConflict {
+		t.Fatalf("re-submit of a committed ID = %d: %s", rec.Code, rec.Body)
+	}
+	if st, err := svc.State("once"); err != nil || st.State != change.StateCommitted {
+		t.Fatalf("state after re-submit = %+v, %v", st, err)
+	}
+	if n := svc.PendingCount(); n != 0 {
+		t.Fatalf("pending after re-submit = %d", n)
 	}
 }
 

@@ -91,8 +91,8 @@ builds: {{.Builds}} run / {{.Aborted}} aborted</p>
 {{if .Sched}}<p>sched: {{.Sched}}</p>{{end}}
 {{if .Bus}}<p>bus: {{.Bus}}</p>{{end}}
 {{if .Admission}}<p>admission: {{.Admission}}</p>{{end}}
-{{if .Sharded}}<p>shards: {{.Shards}}</p>
-<p>arbiter: {{.Arbiter}}</p>{{end}}
+<p>shards: {{.Shards}}</p>
+<p>arbiter: {{.Arbiter}}</p>
 <h2>recent outcomes</h2>
 <table><tr><th>change</th><th>state</th><th>detail</th></tr>
 {{range .Outcomes}}<tr><td>{{.ID}}</td><td class="{{.State}}">{{.State}}</td><td>{{.Detail}}</td></tr>
@@ -116,7 +116,6 @@ type dashboardData struct {
 	Sched       string // priority-lane gauges, one block per class
 	Bus         string // event-bus fan-out gauges, "name=value …"
 	Admission   string // submit-admission gauges, "name=value …"
-	Sharded     bool
 	Shards      string // shard-coordinator gauges, "name=value …"
 	Arbiter     string // commit-arbiter gauges, "name=value …"
 	Outcomes    []dashboardOutcome
@@ -148,7 +147,6 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		Analyzer:    s.svc.AnalyzerStats().Gauges().String(),
 		Planner:     s.svc.PlannerStats().Gauges().String(),
 		Reliability: s.svc.ReliabilityStats().Gauges().String(),
-		Sharded:     s.svc.Sharded(),
 		Shards:      s.svc.ShardStats().Gauges().String(),
 		Arbiter:     s.svc.ArbiterStats().Gauges().String(),
 	}

@@ -1,5 +1,5 @@
-// Package arbiter implements the serialized commit arbiter of the sharded
-// planner scale-out (DESIGN.md §4h). Per-shard planner engines propose
+// Package arbiter implements the serialized commit arbiter of the shard
+// runtime (DESIGN.md §4h). Per-shard planner engines propose
 // commit-ready changes; the arbiter owns head advancement, applying proposals
 // one at a time in arrival order so the mainline history is a deterministic
 // total order. Before committing, it re-validates the proposal against every
@@ -10,8 +10,7 @@
 // build-graph structure, making target comparison unsound), the proposal is
 // bounced with planner.ErrCrossShardConflict and the engine rebuilds against
 // the new head. Commits of the proposal's own applied changes are part of the
-// build and need no re-validation, which is what makes single-shard mode
-// bit-for-bit identical to the single planner's direct-commit path.
+// build and need no re-validation.
 package arbiter
 
 import (

@@ -4,11 +4,12 @@
 // and is merged into the mainline's most recent HEAD only if they all
 // succeed.
 //
-// A Service owns the monorepo, the distributed pending queue, the conflict
-// analyzer, the speculation engine (with a pluggable probability model), the
-// planner engine, and the build controller. Drive it either synchronously
-// (Submit then ProcessAll, as the examples do) or as a daemon (Start/Stop
-// with a background epoch loop, as cmd/sqd does).
+// A Service owns the monorepo, the intake queue, the conflict analyzer, the
+// shard runtime (planner engines over conflict-graph components, each with
+// its own speculation engine and a pluggable probability model), the commit
+// arbiter, and the build controller. Drive it either synchronously (Submit
+// then ProcessAll, as the examples do) or as a daemon (Start/Stop with a
+// background epoch loop, as cmd/sqd does).
 package core
 
 import (
@@ -73,11 +74,9 @@ type Config struct {
 	// injection (tests and chaos experiments); its inner runner is set to
 	// Config.Runner and its counters surface through ReliabilityStats.
 	FaultInjector *reliability.Injector
-	// Shards, when >= 1, enables the sharded multi-planner scale-out
-	// (DESIGN.md §4h): that many independent planner engines over
-	// connected-component partitions of the conflict graph, with a serialized
-	// commit arbiter owning head advancement. <= 0 runs one planner over the
-	// whole queue.
+	// Shards is the number of planner engines (DESIGN.md §4h) the shard
+	// runtime spreads connected components of the conflict graph over; a
+	// serialized commit arbiter owns head advancement. <= 0 means 1.
 	Shards int
 	// Sched, when non-nil, enables the priority-lane scheduling layer
 	// (DESIGN.md §4l): per-class value weights, deadline aging, hotfix
@@ -99,9 +98,8 @@ type Service struct {
 	repo     *repo.Repo
 	queue    *queue.Queue
 	analyzer *conflict.Analyzer
-	planner  *planner.Planner // single-planner mode; nil when sharded
-	runtime  *shard.Runtime   // sharded mode; nil when single-planner
-	arb      *arbiter.Arbiter // sharded mode; nil when single-planner
+	runtime  *shard.Runtime
+	arb      *arbiter.Arbiter
 	ctrl     *buildsys.Controller
 	rel      *reliability.Reliability
 	cfg      Config
@@ -115,10 +113,8 @@ type Service struct {
 	// decisions costs a counter compare instead of a full outcome-slice copy.
 	outCursor int
 
-	// Durability (optional): journal records submissions and outcomes;
-	// recorded tracks which outcomes have already been appended.
-	journal  *store.Journal
-	recorded map[change.ID]bool
+	// Durability (optional): journal records submissions and outcomes.
+	journal *store.Journal
 
 	// tracker accumulates per-class queue depths and turnaround times for
 	// the status endpoint and dashboard (nil when Config.Sched is nil).
@@ -141,7 +137,6 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 	if cfg.Events != nil {
 		an.SetEvents(cfg.Events)
 	}
-	spec := speculation.New(cfg.Predictor)
 	relCfg := cfg.Reliability
 	if relCfg.Events == nil {
 		relCfg.Events = cfg.Events
@@ -155,40 +150,35 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 	}
 	runner = rel.Wrap(runner)
 	ctrl := buildsys.NewController(cfg.Workers, runner)
-	pcfg := planner.Config{
-		Budget:              cfg.Workers,
-		MaxSpecDepth:        cfg.MaxSpecDepth,
-		PreemptionGrace:     cfg.PreemptionGrace,
-		Now:                 cfg.Now,
-		Events:              cfg.Events,
-		TestSelectionRadius: cfg.TestSelectionRadius,
-		SkipThreshold:       cfg.SkipThreshold,
-		Reliability:         rel,
-		Sched:               cfg.Sched,
-	}
+	arb := arbiter.New(r, arbiter.Config{Analyzer: an, Events: cfg.Events})
 	s := &Service{
 		repo:     r,
 		queue:    q,
 		analyzer: an,
+		runtime: shard.New(r, q, an, arb, ctrl, shard.Config{
+			Shards: cfg.Shards,
+			Planner: planner.Config{
+				Budget:              cfg.Workers,
+				MaxSpecDepth:        cfg.MaxSpecDepth,
+				PreemptionGrace:     cfg.PreemptionGrace,
+				Now:                 cfg.Now,
+				Events:              cfg.Events,
+				TestSelectionRadius: cfg.TestSelectionRadius,
+				SkipThreshold:       cfg.SkipThreshold,
+				Reliability:         rel,
+				Sched:               cfg.Sched,
+			},
+			Spec:   func() *speculation.Engine { return speculation.New(cfg.Predictor) },
+			Events: cfg.Events,
+		}),
+		arb:      arb,
 		ctrl:     ctrl,
 		rel:      rel,
 		cfg:      cfg,
 		statuses: map[change.ID]Status{},
-		recorded: map[change.ID]bool{},
 	}
 	if cfg.Sched != nil {
 		s.tracker = sched.NewTracker()
-	}
-	if cfg.Shards >= 1 {
-		s.arb = arbiter.New(r, arbiter.Config{Analyzer: an, Events: cfg.Events})
-		s.runtime = shard.New(r, q, an, s.arb, ctrl, shard.Config{
-			Shards:  cfg.Shards,
-			Planner: pcfg,
-			Spec:    func() *speculation.Engine { return speculation.New(cfg.Predictor) },
-			Events:  cfg.Events,
-		})
-	} else {
-		s.planner = planner.New(r, q, an, spec, ctrl, pcfg)
 	}
 	return s
 }
@@ -197,6 +187,10 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 func (s *Service) Repo() *repo.Repo { return s.repo }
 
 // Submit enqueues a change (step 5 of the development life cycle, Fig. 3).
+// An ID the service already knows — pending, decided or recovered from the
+// journal — is refused with an error wrapping queue.ErrDuplicate: builds and
+// decisions are keyed by change ID, so a second change under a decided ID
+// could never be decided soundly.
 func (s *Service) Submit(c *change.Change) error {
 	return s.submitLocked(c, true)
 }
@@ -207,6 +201,11 @@ func (s *Service) submitLocked(c *change.Change, journalIt bool) error {
 	if err := c.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
+	s.mu.Lock()
+	if st, ok := s.statuses[c.ID]; ok {
+		s.mu.Unlock()
+		return fmt.Errorf("core: change %s already submitted (%s): %w", c.ID, st.State, queue.ErrDuplicate)
+	}
 	if c.SubmittedAt.IsZero() {
 		c.SubmittedAt = s.cfg.Now()
 	}
@@ -215,9 +214,9 @@ func (s *Service) submitLocked(c *change.Change, journalIt bool) error {
 	}
 	c.State = change.StatePending
 	if err := s.queue.Enqueue(c); err != nil {
+		s.mu.Unlock()
 		return err
 	}
-	s.mu.Lock()
 	s.statuses[c.ID] = Status{ID: c.ID, State: change.StatePending}
 	j := s.journal
 	s.mu.Unlock()
@@ -249,23 +248,22 @@ func (s *Service) State(id change.ID) (Status, error) {
 	return st, nil
 }
 
-// syncOutcomes folds planner outcomes into the status map and journals
-// newly-final dispositions. The first decision for a change wins: in sharded
-// mode a change moved between engines mid-decision can surface a bounced
-// duplicate, and a final status must never flip. A cursor tracks how far the
-// outcome log has been folded: the steady-state call (a status poll with no
-// new decisions) is a counter compare with zero allocations, and concurrent
-// callers at worst re-fold a delta — harmless, since folding is idempotent
-// and journaling is deduplicated by s.recorded.
+// syncOutcomes folds the runtime's outcomes into the status map and journals
+// newly-final dispositions. A final status never flips, and Submit refuses
+// known IDs, so each change turns final — and is journaled — exactly once. A
+// cursor tracks how far the outcome log has been folded: the steady-state
+// call (a status poll with no new decisions) is a counter compare with zero
+// allocations, and concurrent callers at worst re-fold a delta — harmless,
+// since folding skips statuses that are already final.
 func (s *Service) syncOutcomes() {
-	n := s.plannerOutcomeCount()
+	n := s.runtime.OutcomeCount()
 	s.mu.Lock()
 	cur := s.outCursor
 	s.mu.Unlock()
 	if n <= cur {
 		return
 	}
-	outs := s.plannerOutcomesSince(cur)
+	outs := s.runtime.OutcomesSince(cur)
 	var toJournal []store.OutcomeRecord
 	s.mu.Lock()
 	if end := cur + len(outs); end > s.outCursor {
@@ -277,17 +275,16 @@ func (s *Service) syncOutcomes() {
 			st = Status{ID: o.ID}
 		}
 		if st.State == change.StateCommitted || st.State == change.StateRejected {
-			continue // already final; first decision wins
+			continue // a concurrent fold already applied it
 		}
 		st.State = o.State
 		st.Reason = o.Reason
 		st.Commit = o.Commit
 		s.statuses[o.ID] = st
-		if s.tracker != nil && (o.State == change.StateCommitted || o.State == change.StateRejected) {
+		if s.tracker != nil {
 			s.tracker.NoteDecision(o.ID, o.State == change.StateCommitted, o.At)
 		}
-		if s.journal != nil && !s.recorded[o.ID] {
-			s.recorded[o.ID] = true
+		if s.journal != nil {
 			toJournal = append(toJournal, store.OutcomeRecord{
 				ID: o.ID, State: o.State.String(), Reason: o.Reason,
 				Commit: o.Commit, At: o.At,
@@ -301,70 +298,30 @@ func (s *Service) syncOutcomes() {
 	}
 }
 
-// plannerOutcomes returns the dispositions from whichever engine layer runs.
-func (s *Service) plannerOutcomes() []planner.Outcome {
-	if s.runtime != nil {
-		return s.runtime.Outcomes()
-	}
-	return s.planner.Outcomes()
-}
-
-// plannerOutcomeCount returns the outcome count from whichever engine layer
-// runs, without copying the log.
-func (s *Service) plannerOutcomeCount() int {
-	if s.runtime != nil {
-		return s.runtime.OutcomeCount()
-	}
-	return s.planner.OutcomeCount()
-}
-
-// plannerOutcomesSince returns the dispositions recorded after the first n.
-func (s *Service) plannerOutcomesSince(n int) []planner.Outcome {
-	if s.runtime != nil {
-		return s.runtime.OutcomesSince(n)
-	}
-	return s.planner.OutcomesSince(n)
-}
-
-// Tick runs one planner epoch (for callers managing their own loop).
+// Tick runs one epoch (for callers managing their own loop).
 func (s *Service) Tick(ctx context.Context) error {
-	var err error
-	if s.runtime != nil {
-		_, err = s.runtime.Tick(ctx)
-	} else {
-		_, err = s.planner.Tick(ctx)
-	}
+	_, err := s.runtime.Tick(ctx)
 	s.syncOutcomes()
 	return err
 }
 
-// ProcessAll drives the planner until every submitted change is committed or
+// ProcessAll drives the engines until every submitted change is committed or
 // rejected (or the context is cancelled).
 func (s *Service) ProcessAll(ctx context.Context) error {
-	var err error
-	if s.runtime != nil {
-		err = s.runtime.Quiesce(ctx)
-	} else {
-		err = s.planner.Quiesce(ctx)
-	}
+	err := s.runtime.Quiesce(ctx)
 	s.syncOutcomes()
 	return err
 }
 
 // Outcomes returns all final dispositions so far, in decision order.
-func (s *Service) Outcomes() []planner.Outcome { return s.plannerOutcomes() }
+func (s *Service) Outcomes() []planner.Outcome { return s.runtime.Outcomes() }
 
 // OutcomeCount returns the number of final dispositions so far, without
 // copying the outcome log (admission drain-rate sampling polls this).
-func (s *Service) OutcomeCount() int { return s.plannerOutcomeCount() }
+func (s *Service) OutcomeCount() int { return s.runtime.OutcomeCount() }
 
 // PendingCount returns the number of changes still undecided.
-func (s *Service) PendingCount() int {
-	if s.runtime != nil {
-		return s.runtime.PendingCount()
-	}
-	return s.queue.Len()
-}
+func (s *Service) PendingCount() int { return s.runtime.PendingCount() }
 
 // BuildStats exposes the build controller's work counters.
 func (s *Service) BuildStats() buildsys.Stats { return s.ctrl.Stats() }
@@ -372,35 +329,15 @@ func (s *Service) BuildStats() buildsys.Stats { return s.ctrl.Stats() }
 // AnalyzerStats exposes the conflict analyzer's work counters.
 func (s *Service) AnalyzerStats() conflict.Stats { return s.analyzer.Stats() }
 
-// PlannerStats exposes the planner's incremental-epoch work counters
-// (aggregated across engines in sharded mode).
-func (s *Service) PlannerStats() planner.Stats {
-	if s.runtime != nil {
-		return s.runtime.PlannerStats()
-	}
-	return s.planner.Stats()
-}
+// PlannerStats exposes the planner engines' incremental-epoch work counters,
+// summed across engines.
+func (s *Service) PlannerStats() planner.Stats { return s.runtime.PlannerStats() }
 
-// ShardStats exposes the shard coordinator's counters (zero value when the
-// service runs the classic single-planner engine).
-func (s *Service) ShardStats() shard.Stats {
-	if s.runtime == nil {
-		return shard.Stats{}
-	}
-	return s.runtime.Stats()
-}
+// ShardStats exposes the shard coordinator's counters.
+func (s *Service) ShardStats() shard.Stats { return s.runtime.Stats() }
 
-// ArbiterStats exposes the commit arbiter's counters (zero value when the
-// service runs the classic single-planner engine).
-func (s *Service) ArbiterStats() arbiter.Stats {
-	if s.arb == nil {
-		return arbiter.Stats{}
-	}
-	return s.arb.Stats()
-}
-
-// Sharded reports whether the sharded multi-planner runtime is active.
-func (s *Service) Sharded() bool { return s.runtime != nil }
+// ArbiterStats exposes the commit arbiter's counters.
+func (s *Service) ArbiterStats() arbiter.Stats { return s.arb.Stats() }
 
 // SchedStats exposes per-class queue depths and turnaround statistics from
 // the priority-lane layer (zero value when Config.Sched is nil).
@@ -430,11 +367,7 @@ func (s *Service) Start() {
 	s.loopDone = done
 	go func() {
 		defer close(done)
-		if s.runtime != nil {
-			_ = s.runtime.Run(ctx, s.cfg.Epoch)
-		} else {
-			_ = s.planner.Run(ctx, s.cfg.Epoch)
-		}
+		_ = s.runtime.Run(ctx, s.cfg.Epoch)
 	}()
 }
 

@@ -24,7 +24,7 @@ func TestCostPerChangeDoesNotGrowWithHistory(t *testing.T) {
 	if testing.Short() {
 		total, window = 1200, 200 // the race detector multiplies the run time
 	}
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{0, 2} { // 0: the default, one engine
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			files := map[string]string{}
 			for s := 0; s < subtrees; s++ {

@@ -32,7 +32,6 @@ func (s *Service) Recover(records []store.Record) (int, error) {
 			st.State = change.StateRejected
 		}
 		s.statuses[o.ID] = st
-		s.recorded[o.ID] = true
 	}
 	s.mu.Unlock()
 	n := 0

@@ -3,10 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
+	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/queue"
 	"mastergreen/internal/repo"
 	"mastergreen/internal/store"
 )
@@ -225,5 +230,102 @@ func TestSnapshotJournalRestart(t *testing.T) {
 		if err != nil || st.State != change.StateCommitted {
 			t.Fatalf("%s after snapshotted recovery = %+v, %v", id, st, err)
 		}
+	}
+}
+
+// TestSubmitRefusesKnownIDs: Submit refuses an ID the service already knows —
+// pending, committed, rejected, or decided before a restart — with an error
+// wrapping queue.ErrDuplicate, and the first submission's status stands.
+// Builds and decisions are keyed by change ID, so an accepted second change
+// under a decided ID used to sit pending forever (ProcessAll never returned)
+// or be dropped without a decision.
+func TestSubmitRefusesKnownIDs(t *testing.T) {
+	journalPath := filepath.Join(t.TempDir(), "journal.jsonl")
+	r := newRepo()
+	runner := buildsys.RunnerFunc(func(_ context.Context, _ change.BuildStep, _ string, snap repo.Snapshot) error {
+		if c, _ := snap.Read("doc/readme.md"); strings.Contains(c, "bug") {
+			return errors.New("doc lint failed")
+		}
+		return nil
+	})
+	cfg := Config{Workers: 2, Shards: 1, Runner: runner}
+	svc, err := OpenRecovered(r, journalPath, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*change.Change{
+		mkChange(r, "ok", "lib/lib.go", "lib v2"),
+		mkChange(r, "bad", "doc/readme.md", "bug"),
+	} {
+		if err := svc.Submit(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.ProcessAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Submit(mkChange(r, "open", "app/main.go", "app v2")); err != nil {
+		t.Fatal(err)
+	}
+	want := map[change.ID]change.State{
+		"ok": change.StateCommitted, "bad": change.StateRejected, "open": change.StatePending,
+	}
+	resubmit := func(s *Service, id change.ID) {
+		t.Helper()
+		err := s.Submit(mkChange(r, string(id), "doc/readme.md", "doc v3"))
+		if !errors.Is(err, queue.ErrDuplicate) {
+			t.Fatalf("re-submitting %s (%s): err = %v, want queue.ErrDuplicate", id, want[id], err)
+		}
+		if st, err := s.State(id); err != nil || st.State != want[id] {
+			t.Fatalf("%s after re-submission = %+v, %v; want %s", id, st, err, want[id])
+		}
+	}
+	for _, id := range []change.ID{"ok", "bad", "open"} {
+		resubmit(svc, id)
+	}
+	if n := svc.PendingCount(); n != 1 {
+		t.Fatalf("pending = %d, want 1", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := svc.ProcessAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every change was journaled exactly once, submission and outcome.
+	recs, err := store.LoadState(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submits, outcomes := map[change.ID]int{}, map[change.ID]int{}
+	for _, rec := range recs {
+		if rec.Submit != nil {
+			submits[rec.Submit.ID]++
+		}
+		if rec.Outcome != nil {
+			outcomes[rec.Outcome.ID]++
+		}
+	}
+	for id := range want {
+		if submits[id] != 1 || outcomes[id] != 1 {
+			t.Fatalf("%s journaled %d submits, %d outcomes; want 1 and 1", id, submits[id], outcomes[id])
+		}
+	}
+
+	// After a restart the decided IDs are known from the journal alone.
+	svc2, err := OpenRecovered(r, journalPath, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.CloseJournal()
+	want["open"] = change.StateCommitted
+	for _, id := range []change.ID{"ok", "bad", "open"} {
+		resubmit(svc2, id)
+	}
+	if n := svc2.PendingCount(); n != 0 {
+		t.Fatalf("pending after restart = %d, want 0", n)
 	}
 }

@@ -223,10 +223,9 @@ func Loadtest(o Options) *Report {
 	r.Metrics["events_dropped"] = float64(busStats.Dropped)
 
 	// --- Phase 2: overload. Slow builds, small queue, double the rate.
-	// Four workers, single planner, slow builds: the decision rate sits far
-	// below the offered rate, so the queue actually fills and backpressure
-	// engages.
-	over, err := startStack(subtrees, slots, 4, 0, overCap, overDelay, brokenPaths)
+	// Four workers, one engine, slow builds: the decision rate sits far below
+	// the offered rate, so the queue actually fills and backpressure engages.
+	over, err := startStack(subtrees, slots, 4, 1, overCap, overDelay, brokenPaths)
 	//lint:ignore tainttime load test drives a live stack on real time by design
 	if err != nil {
 		r.Text = "loadtest: " + err.Error()

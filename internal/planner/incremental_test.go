@@ -173,14 +173,15 @@ func TestPlanFingerprintSkipsIdleEpochs(t *testing.T) {
 func TestFinishedBoundedAcrossEpochs(t *testing.T) {
 	e := newEnv(t, nil, Config{Budget: 4})
 	for i := 0; i < 200; i++ {
-		c := e.submit(t, fmt.Sprintf("c%d", i), "x/x.go", fmt.Sprintf("x v%d", i+2))
+		id := change.ID(fmt.Sprintf("c%d", i))
+		e.submit(t, string(id), "x/x.go", fmt.Sprintf("x v%d", i+2))
 		if i%3 == 0 {
 			// A same-file competitor: loses the race and is rejected, so the
 			// rejection pruning path is exercised too.
 			e.submit(t, fmt.Sprintf("c%dr", i), "x/x.go", fmt.Sprintf("x alt%d", i))
 		}
 		e.quiesce(t)
-		if c.State != change.StateCommitted {
+		if c := decision(e.planner, id); c.State != change.StateCommitted {
 			t.Fatalf("epoch %d: %v (%s)", i, c.State, c.Reason)
 		}
 		e.planner.mu.Lock()

@@ -109,9 +109,10 @@ func TestObsolescenceOverridesGrace(t *testing.T) {
 	// A nanosecond grace puts every running build inside the keep-window, so
 	// without the obsolescence override the c1+c2 build would never be cut.
 	e := newEnv(t, runner, Config{Budget: 8, PreemptionGrace: time.Nanosecond})
-	c1 := e.submit(t, "c1", "x/x.go", "broken")
-	c2 := e.submit(t, "c2", "y/y.go", "y v2")
+	e.submit(t, "c1", "x/x.go", "broken")
+	e.submit(t, "c2", "y/y.go", "y v2")
 	e.quiesce(t)
+	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
 	if c1.State != change.StateRejected {
 		t.Fatalf("c1 = %v", c1.State)
 	}
@@ -192,10 +193,11 @@ func TestSkipWrongPredictionCaughtByDecisive(t *testing.T) {
 	// once a node would carry two or more assumptions (c3 branches over both
 	// c1 and c2 — x and y conflict through y's dep on //x:x).
 	e := newEnv(t, runner, Config{Budget: 8, SkipThreshold: 0.5})
-	c1 := e.submit(t, "c1", "x/x.go", "broken")
-	c2 := e.submit(t, "c2", "y/y.go", "y v2")
-	c3 := e.submit(t, "c3", "x/x.go", "x v3")
+	e.submit(t, "c1", "x/x.go", "broken")
+	e.submit(t, "c2", "y/y.go", "y v2")
+	e.submit(t, "c3", "x/x.go", "x v3")
 	e.quiesce(t)
+	c1, c2, c3 := decision(e.planner, "c1"), decision(e.planner, "c2"), decision(e.planner, "c3")
 	if c1.State != change.StateRejected {
 		t.Fatalf("c1 = %v", c1.State)
 	}
@@ -237,9 +239,10 @@ func TestSkipDisabledPlansHedges(t *testing.T) {
 		return nil
 	})
 	e := newEnv(t, runner, Config{Budget: 8})
-	c1 := e.submit(t, "c1", "x/x.go", "broken")
-	c2 := e.submit(t, "c2", "y/y.go", "y v2")
+	e.submit(t, "c1", "x/x.go", "broken")
+	e.submit(t, "c2", "y/y.go", "y v2")
 	e.quiesce(t)
+	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
 	if c1.State != change.StateRejected || c2.State != change.StateCommitted {
 		t.Fatalf("c1=%v c2=%v", c1.State, c2.State)
 	}

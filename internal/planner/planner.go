@@ -49,10 +49,11 @@ var ErrStopped = errors.New("planner: stopped")
 // against the new head — the change is rebuilt, not rejected.
 var ErrCrossShardConflict = errors.New("planner: cross-shard conflict at commit")
 
-// ConflictSource supplies the conflict graph the planner plans over. The
-// single-planner service passes the *conflict.Analyzer directly; sharded
-// planner engines receive a coordinator-fed view scoped to their component
-// group, so concurrent engines never contend on one incremental graph memo.
+// ConflictSource supplies the conflict graph the planner plans over. In the
+// service every planner engine receives a shard-coordinator-fed view scoped to
+// its component group, so concurrent engines never contend on one
+// incremental graph memo; standalone planners (tests, probes) pass a
+// *conflict.Analyzer directly.
 type ConflictSource interface {
 	BuildGraph(pending []*change.Change) (*conflict.Graph, map[change.ID]error)
 }
@@ -83,11 +84,11 @@ type CommitProposal struct {
 	Class change.Class
 }
 
-// Committer owns head advancement. When Config.Committer is nil the planner
-// commits directly with repo.CommitPatch, exactly as before the shard layer
-// existed; in sharded mode every engine routes proposals through the
-// serialized commit arbiter, which re-validates cross-shard interleavings
-// and applies commits in a deterministic total order.
+// Committer owns head advancement. In the service every engine routes
+// proposals through the serialized commit arbiter, which re-validates
+// cross-shard interleavings and applies commits in a deterministic total
+// order; a standalone planner with Config.Committer nil commits directly with
+// repo.CommitPatch.
 type Committer interface {
 	Commit(p CommitProposal) (*repo.Commit, error)
 }
@@ -137,24 +138,18 @@ type Config struct {
 	// verification re-run of the same request (same snapshot, same steps).
 	Reliability *reliability.Reliability
 	// Committer, when non-nil, owns head advancement: decide proposes
-	// commit-ready changes instead of calling repo.CommitPatch directly.
-	// Sharded mode points every engine at the shared commit arbiter.
+	// commit-ready changes instead of calling repo.CommitPatch directly. The
+	// shard runtime points every engine at the shared commit arbiter.
 	Committer Committer
-	// ShardID identifies this planner engine in sharded mode (proposal
-	// attribution; 0 for the single-planner service).
+	// ShardID identifies this planner engine among the shard runtime's
+	// engines (proposal attribution).
 	ShardID int
-	// ExternalSubjectState stops resolve from writing Subject.State/Reason in
-	// place. The shard coordinator sets it: a rebalance can briefly assign one
-	// change to two engines, and concurrent in-place writes would race, so the
-	// coordinator applies the single winning decision itself at outcome-merge
-	// time.
-	ExternalSubjectState bool
 	// Sched, when non-nil, enables priority-lane scheduling (DESIGN.md §4l):
 	// each pending change's class/deadline weight multiplies its value in
 	// the speculation request, the P0 lane is exempt from SkipThreshold
 	// gating, and a pending hotfix overrides PreemptionGrace for non-hotfix
 	// running builds. Nil planners behave exactly as before the sched layer
-	// existed. Sharded mode clones one policy per engine.
+	// existed. The shard runtime clones one policy per engine.
 	Sched *sched.Policy
 }
 
@@ -786,19 +781,18 @@ func (p *Planner) verifySuspect(ctx context.Context, fb *trackedBuild) bool {
 	return true
 }
 
-// resolve finalizes a change's state. It always records the outcome, even if
-// the change has already left this planner's queue: in sharded mode the
-// coordinator may move a change between engines while a decision is in
-// flight, and dropping the outcome here would lose the decision entirely.
+// resolve finalizes a change's fate as an Outcome; it never writes the
+// change's State/Reason — a rebalance can briefly assign one change to two
+// engines, so the shard coordinator applies the one winning decision at
+// outcome-merge time. The outcome is recorded even if the change has already
+// left this planner's queue: the coordinator may move a change between
+// engines while a decision is in flight, and dropping the outcome here would
+// lose the decision entirely.
 func (p *Planner) resolve(c *change.Change, st change.State, reason string, commit repo.CommitID) {
 	if c == nil {
 		return
 	}
 	id := c.ID
-	if !p.cfg.ExternalSubjectState {
-		c.State = st
-		c.Reason = reason
-	}
 	_ = p.queue.Remove(id)
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -21,9 +21,10 @@ import (
 // build that rejects the later change once its predecessor commits.
 func TestMergeFailureRecordedAsBuildFailure(t *testing.T) {
 	e := newEnv(t, nil, Config{Budget: 8})
-	c1 := e.submit(t, "c1", "x/x.go", "x v2")
-	c2 := e.submit(t, "c2", "x/x.go", "x v3") // same file: merge conflict
+	e.submit(t, "c1", "x/x.go", "x v2")
+	e.submit(t, "c2", "x/x.go", "x v3") // same file: merge conflict
 	e.quiesce(t)
+	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
 	if c1.State != change.StateCommitted {
 		t.Fatalf("c1 = %v (%s)", c1.State, c1.Reason)
 	}
@@ -39,9 +40,9 @@ func TestMergeFailureRecordedAsBuildFailure(t *testing.T) {
 // syntax error) must be rejected with a graph error, not crash the planner.
 func TestBrokenBuildFileRejected(t *testing.T) {
 	e := newEnv(t, nil, Config{Budget: 4})
-	c := e.submit(t, "c1", "x/BUILD", "target x srcs=x.go deps=//nope:gone")
+	e.submit(t, "c1", "x/BUILD", "target x srcs=x.go deps=//nope:gone")
 	e.quiesce(t)
-	if c.State != change.StateRejected {
+	if c := decision(e.planner, "c1"); c.State != change.StateRejected {
 		t.Fatalf("state = %v (%s)", c.State, c.Reason)
 	}
 	if e.repo.Len() != 1 {
@@ -174,8 +175,8 @@ func TestTestSelectionRadius(t *testing.T) {
 	if err := pl.Quiesce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if c.State != change.StateCommitted {
-		t.Fatalf("state = %v (%s)", c.State, c.Reason)
+	if o := decision(pl, c.ID); o.State != change.StateCommitted {
+		t.Fatalf("state = %v (%s)", o.State, o.Reason)
 	}
 	compiled := map[string]bool{}
 	tested := map[string]bool{}

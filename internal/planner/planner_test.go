@@ -75,21 +75,27 @@ func (e *testEnv) quiesce(t *testing.T) {
 	}
 }
 
-func outcomeOf(outs []Outcome, id change.ID) (Outcome, bool) {
-	for _, o := range outs {
+// decision returns p's outcome for id, or a pending Outcome if p has not
+// decided it. The planner reports a decision only as an Outcome — it never
+// writes Change.State — so tests read every decision through here.
+func decision(p *Planner, id change.ID) Outcome {
+	for _, o := range p.Outcomes() {
 		if o.ID == id {
-			return o, true
+			return o
 		}
 	}
-	return Outcome{}, false
+	return Outcome{ID: id, State: change.StatePending}
 }
 
 func TestSingleChangeCommits(t *testing.T) {
 	e := newEnv(t, nil, Config{Budget: 4})
 	c := e.submit(t, "c1", "x/x.go", "x v2")
 	e.quiesce(t)
-	if c.State != change.StateCommitted {
-		t.Fatalf("state = %v, reason %q", c.State, c.Reason)
+	if o := decision(e.planner, "c1"); o.State != change.StateCommitted || o.Commit == "" {
+		t.Fatalf("outcome = %+v", o)
+	}
+	if c.State != change.StatePending {
+		t.Fatalf("planner wrote Change.State = %v; the coordinator owns it", c.State)
 	}
 	if e.repo.Len() != 2 {
 		t.Fatalf("repo len = %d", e.repo.Len())
@@ -97,10 +103,6 @@ func TestSingleChangeCommits(t *testing.T) {
 	got, _ := e.repo.Head().Snapshot().Read("x/x.go")
 	if got != "x v2" {
 		t.Fatalf("content = %q", got)
-	}
-	o, ok := outcomeOf(e.planner.Outcomes(), "c1")
-	if !ok || o.State != change.StateCommitted || o.Commit == "" {
-		t.Fatalf("outcome = %+v", o)
 	}
 }
 
@@ -112,8 +114,9 @@ func TestFailingBuildRejects(t *testing.T) {
 		return nil
 	})
 	e := newEnv(t, runner, Config{Budget: 4})
-	c := e.submit(t, "c1", "x/x.go", "broken")
+	e.submit(t, "c1", "x/x.go", "broken")
 	e.quiesce(t)
+	c := decision(e.planner, "c1")
 	if c.State != change.StateRejected {
 		t.Fatalf("state = %v", c.State)
 	}
@@ -129,9 +132,10 @@ func TestSerializedConflictingChanges(t *testing.T) {
 	// c1 and c2 both edit x/x.go: real merge conflict. c1 lands; c2 must be
 	// rejected (its patch no longer applies).
 	e := newEnv(t, nil, Config{Budget: 4})
-	c1 := e.submit(t, "c1", "x/x.go", "x v2")
-	c2 := e.submit(t, "c2", "x/x.go", "x other")
+	e.submit(t, "c1", "x/x.go", "x v2")
+	e.submit(t, "c2", "x/x.go", "x other")
 	e.quiesce(t)
+	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
 	if c1.State != change.StateCommitted {
 		t.Fatalf("c1 = %v (%s)", c1.State, c1.Reason)
 	}
@@ -146,12 +150,12 @@ func TestSerializedConflictingChanges(t *testing.T) {
 
 func TestIndependentChangesBothCommit(t *testing.T) {
 	e := newEnv(t, nil, Config{Budget: 4})
-	c1 := e.submit(t, "c1", "x/x.go", "x v2")
-	c2 := e.submit(t, "c2", "z/z.go", "z v2")
-	c3 := e.submit(t, "c3", "w/w.go", "w v2")
+	e.submit(t, "c1", "x/x.go", "x v2")
+	e.submit(t, "c2", "z/z.go", "z v2")
+	e.submit(t, "c3", "w/w.go", "w v2")
 	e.quiesce(t)
-	for _, c := range []*change.Change{c1, c2, c3} {
-		if c.State != change.StateCommitted {
+	for _, id := range []change.ID{"c1", "c2", "c3"} {
+		if c := decision(e.planner, id); c.State != change.StateCommitted {
 			t.Fatalf("%s = %v (%s)", c.ID, c.State, c.Reason)
 		}
 	}
@@ -165,9 +169,10 @@ func TestConflictingTargetsSerialized(t *testing.T) {
 	// conflict at target level but touch different files, so both should
 	// land, serialized, with c2 built on top of c1.
 	e := newEnv(t, nil, Config{Budget: 4})
-	c1 := e.submit(t, "c1", "x/x.go", "x v2")
-	c2 := e.submit(t, "c2", "y/y.go", "y v2")
+	e.submit(t, "c1", "x/x.go", "x v2")
+	e.submit(t, "c2", "y/y.go", "y v2")
 	e.quiesce(t)
+	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
 	if c1.State != change.StateCommitted || c2.State != change.StateCommitted {
 		t.Fatalf("c1=%v (%s) c2=%v (%s)", c1.State, c1.Reason, c2.State, c2.Reason)
 	}
@@ -190,9 +195,10 @@ func TestRealConflictOnlyTogether(t *testing.T) {
 		return nil
 	})
 	e := newEnv(t, runner, Config{Budget: 8})
-	c1 := e.submit(t, "c1", "x/x.go", "x v2")
-	c2 := e.submit(t, "c2", "y/y.go", "y v2")
+	e.submit(t, "c1", "x/x.go", "x v2")
+	e.submit(t, "c2", "y/y.go", "y v2")
 	e.quiesce(t)
+	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
 	if c1.State != change.StateCommitted {
 		t.Fatalf("c1 = %v (%s)", c1.State, c1.Reason)
 	}
@@ -208,9 +214,10 @@ func TestSpeculativeResultReusedAfterPredecessorCommits(t *testing.T) {
 	// With budget >= 2, the planner runs B(c1) and B(c1+c2) concurrently;
 	// after c1 commits, B(c1+c2)'s result must decide c2 without a rebuild.
 	e := newEnv(t, nil, Config{Budget: 8})
-	c1 := e.submit(t, "c1", "x/x.go", "x v2")
-	c2 := e.submit(t, "c2", "y/y.go", "y v2") // conflicts with c1 at target level
+	e.submit(t, "c1", "x/x.go", "x v2")
+	e.submit(t, "c2", "y/y.go", "y v2") // conflicts with c1 at target level
 	e.quiesce(t)
+	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
 	if c1.State != change.StateCommitted || c2.State != change.StateCommitted {
 		t.Fatalf("c1=%v c2=%v", c1.State, c2.State)
 	}
@@ -232,9 +239,10 @@ func TestMisspeculatedBuildAborted(t *testing.T) {
 		return nil
 	})
 	e := newEnv(t, runner, Config{Budget: 8})
-	c1 := e.submit(t, "c1", "x/x.go", "broken")
-	c2 := e.submit(t, "c2", "y/y.go", "y v2")
+	e.submit(t, "c1", "x/x.go", "broken")
+	e.submit(t, "c2", "y/y.go", "y v2")
 	e.quiesce(t)
+	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
 	if c1.State != change.StateRejected {
 		t.Fatalf("c1 = %v", c1.State)
 	}
@@ -347,10 +355,8 @@ func TestSpeculationArtifactCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.quiesce(t)
-	for _, c := range []*change.Change{c3} {
-		if c.State != change.StateCommitted {
-			t.Fatalf("c3 state = %v, reason %q", c.State, c.Reason)
-		}
+	if c := decision(e.planner, "c3"); c.State != change.StateCommitted {
+		t.Fatalf("c3 state = %v, reason %q", c.State, c.Reason)
 	}
 	if st := e.ctrl.Stats(); st.SkippedCache == 0 {
 		t.Fatalf("artifact cache never hit during speculation: %+v", st)

@@ -113,7 +113,7 @@ func runPlannerRaceStress(t *testing.T, cfg Config) {
 	defer mu.Unlock()
 	resolved := 0
 	for _, c := range submitted {
-		if c.State == change.StateCommitted || c.State == change.StateRejected {
+		if decision(e.planner, c.ID).State != change.StatePending {
 			resolved++
 		}
 	}

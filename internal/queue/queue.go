@@ -1,8 +1,8 @@
-// Package queue provides the distributed pending-change queue of §3.2/§7.1:
-// SubmitQueue gives the illusion of a single queue; internally changes are
-// sharded across machines (the paper uses Apache Helix). This implementation
-// shards by consistent hashing of the change ID while preserving a global
-// submission order, which is what serializability is defined over.
+// Package queue provides the pending-change queue of §3.2: a FIFO keyed by
+// change ID that preserves the global submission order serializability is
+// defined over. The service keeps one as its intake and one per planner
+// engine; spreading work across engines (the paper's Apache Helix sharding,
+// §7.1) is the shard runtime's job, not the queue's.
 package queue
 
 import (

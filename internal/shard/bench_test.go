@@ -89,7 +89,7 @@ func BenchmarkLightPartition(b *testing.B) {
 
 // BenchmarkEngineViewBuildGraph measures one engine's conflict source: the
 // live applicability check plus the induced O(k²) subgraph over its own
-// component group (k = 32), versus the global O(n²) the single planner pays.
+// component group (k = 32), versus the global O(n²) one engine pays.
 func BenchmarkEngineViewBuildGraph(b *testing.B) {
 	rt := benchRuntime(b, 256, 64)
 	rt.mu.Lock()

@@ -1,19 +1,23 @@
-// Package shard implements the sharded multi-planner scale-out (DESIGN.md
-// §4h): a coordinator partitions the pending changes into connected
-// components of the conflict graph, assigns each component group to one of N
-// independent planner engines by rendezvous-hashing the component's target
-// subtree anchor, and routes every engine's commits through the serialized
-// commit arbiter. Changes in different components are mutually independent
-// (§5), so each engine plans over its own component group — an induced view
-// of the coordinator's graph — instead of the global queue, the source of the
-// scale-out win, while the arbiter's cross-shard re-validation keeps the
-// mainline exactly as green as the single-planner path.
+// Package shard is the service's planning topology (DESIGN.md §4h): a
+// coordinator partitions the pending changes into connected components of
+// the conflict graph, assigns each component to one of N independent planner
+// engines by rendezvous-hashing the component's target-subtree anchor, and
+// routes every engine's commits through the serialized commit arbiter.
+// Changes in different components are mutually independent (§5), so each
+// engine plans over its own component group — an induced view of the
+// coordinator's graph — instead of the global queue, the source of the
+// scale-out win, while the arbiter's cross-shard re-validation keeps every
+// mainline commit green. With one engine the partition is moot and the
+// runtime is the paper's single SubmitQueue planner.
 package shard
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,9 +73,7 @@ type Runtime struct {
 	intake   *queue.Queue
 	analyzer *conflict.Analyzer
 	arb      *arbiter.Arbiter
-	coord    *queue.Coordinator
 	engines  []*engine
-	nodeIdx  map[string]int
 	cfg      Config
 	headWake <-chan struct{}
 
@@ -113,8 +115,6 @@ func New(r *repo.Repo, intake *queue.Queue, an *conflict.Analyzer, arb *arbiter.
 		intake:   intake,
 		analyzer: an,
 		arb:      arb,
-		coord:    queue.NewCoordinator(cfg.Shards),
-		nodeIdx:  make(map[string]int, cfg.Shards),
 		cfg:      cfg,
 		headWake: arb.Subscribe(),
 		members:  map[change.ID]*member{},
@@ -127,14 +127,10 @@ func New(r *repo.Repo, intake *queue.Queue, an *conflict.Analyzer, arb *arbiter.
 		perEngine = 1
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		node := fmt.Sprintf("shard-%d", i)
-		rt.coord.Join(node)
-		rt.nodeIdx[node] = i
 		ecfg := cfg.Planner
 		ecfg.Budget = perEngine
 		ecfg.Committer = arb
 		ecfg.ShardID = i
-		ecfg.ExternalSubjectState = true       // coordinator applies the winner (see collectOutcomesLocked)
 		ecfg.Sched = cfg.Planner.Sched.Clone() // per-engine policy; nil stays nil
 		eq := queue.New(1)
 		rt.engines = append(rt.engines, &engine{
@@ -149,9 +145,6 @@ func New(r *repo.Repo, intake *queue.Queue, an *conflict.Analyzer, arb *arbiter.
 
 // Shards returns the engine count.
 func (rt *Runtime) Shards() int { return len(rt.engines) }
-
-// Coordinator exposes the rendezvous-hashing coordinator (tests, rebalance).
-func (rt *Runtime) Coordinator() *queue.Coordinator { return rt.coord }
 
 // PendingCount returns the changes not yet decided: still in intake plus
 // adopted members. Lock-free on the coordinator mutex — the admission layer
@@ -204,9 +197,9 @@ func (rt *Runtime) OutcomesSince(n int) []planner.Outcome {
 // this one noticed, so its "no longer applies" verdict is suppressed and the
 // winner's commit outcome records the decision. Because a double-assigned
 // change has two engines holding the same *change.Change, the engines never
-// write Subject.State in place (planner.Config.ExternalSubjectState); the
-// coordinator applies the one winning decision here, under rt.mu. Decided
-// members leave the partition and their engine sub-queue. Callers hold rt.mu.
+// write Subject.State in place; the coordinator applies the one winning
+// decision here, under rt.mu. Decided members leave the partition and their
+// engine sub-queue. Callers hold rt.mu.
 func (rt *Runtime) collectOutcomesLocked() {
 	for i, e := range rt.engines {
 		n := e.planner.OutcomeCount()
@@ -359,11 +352,11 @@ func (rt *Runtime) activeLocked() int {
 	return n
 }
 
-// shardForLocked maps a connected component to an engine by rendezvous-
-// hashing its target-subtree anchor: the lexicographically smallest top-level
-// directory any member touches. Components rooted in the same subtree land on
-// the same engine, and the assignment is stable as unrelated components come
-// and go. Callers hold rt.mu.
+// shardForLocked maps a connected component to an engine by its
+// target-subtree anchor: the lexicographically smallest top-level directory
+// any member touches (engineFor). Components rooted in the same subtree land
+// on the same engine, and the assignment is stable as unrelated components
+// come and go. Callers hold rt.mu.
 func (rt *Runtime) shardForLocked(comp []change.ID) int {
 	anchor := ""
 	for _, id := range comp {
@@ -384,7 +377,25 @@ func (rt *Runtime) shardForLocked(comp []change.ID) int {
 	if anchor == "" && len(comp) > 0 {
 		anchor = string(comp[0])
 	}
-	return rt.nodeIdx[rt.coord.KeyOwner(anchor)]
+	return engineFor(anchor, len(rt.engines))
+}
+
+// engineFor picks one of n engines for an anchor by rendezvous
+// (highest-random-weight) hashing — the role Apache Helix plays in the
+// paper's deployment (§7.1). Engine i is named "shard-i" and weighs
+// sha256(anchor + "|shard-i"), first 8 bytes big-endian; the heaviest wins,
+// ties to the smaller name. Growing the fleet moves only the anchors the new
+// engine now ranks first on.
+func engineFor(anchor string, n int) int {
+	best, bestW := 0, uint64(0)
+	for i := 0; i < n; i++ {
+		h := sha256.Sum256([]byte(anchor + "|shard-" + strconv.Itoa(i)))
+		w := binary.BigEndian.Uint64(h[:8])
+		if i == 0 || w > bestW || (w == bestW && strconv.Itoa(i) < strconv.Itoa(best)) {
+			best, bestW = i, w
+		}
+	}
+	return best
 }
 
 // Tick runs one synchronous epoch: a partition pass, one planner tick per

@@ -126,8 +126,8 @@ func TestShardedCommitsAll(t *testing.T) {
 }
 
 // TestShardedMatchesSinglePlanner runs the same deterministic workload
-// through 1/4/8 shards and the single planner and requires identical
-// committed/rejected sets and identical head snapshots.
+// through 4 and 8 shards and requires the committed/rejected sets and the
+// head snapshot of the one-engine run (Shards: 1).
 func TestShardedMatchesSinglePlanner(t *testing.T) {
 	type result struct {
 		committed, rejected map[change.ID]bool
@@ -167,8 +167,8 @@ func TestShardedMatchesSinglePlanner(t *testing.T) {
 		}
 		return result{committed: committed, rejected: rejected, files: files}
 	}
-	base := run(0) // single planner
-	for _, shards := range []int{1, 4, 8} {
+	base := run(1)
+	for _, shards := range []int{4, 8} {
 		got := run(shards)
 		if len(got.committed) != len(base.committed) || len(got.rejected) != len(base.rejected) {
 			t.Fatalf("shards=%d: %d committed / %d rejected, want %d / %d",

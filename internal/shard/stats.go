@@ -34,8 +34,8 @@ func (rt *Runtime) Stats() Stats {
 	return s
 }
 
-// PlannerStats sums the per-engine planner counters, so the sharded service
-// surfaces the same planner gauges as the single-planner path.
+// PlannerStats sums the per-engine planner counters, so the service surfaces
+// one set of planner gauges whatever the engine count.
 func (rt *Runtime) PlannerStats() planner.Stats {
 	var sum planner.Stats
 	for _, e := range rt.engines {

@@ -45,17 +45,17 @@ func stressWorkload(n int) []*change.Change {
 // TestStressLiveSubmitEightShards races a live submitter against eight
 // concurrent shard engines and the commit arbiter (run under -race by `make
 // race`): changes arrive while earlier ones are mid-flight, engines commit
-// through the serialized arbiter, and the final state must match a
-// single-planner run of the same workload — same committed set, same head
-// content for every landed change, and a green mainline at every commit.
+// through the serialized arbiter, and the final state must match a one-engine
+// run of the same workload — same committed set, same head content for every
+// landed change, and a green mainline at every commit.
 func TestStressLiveSubmitEightShards(t *testing.T) {
 	n := 64
 	workload := stressWorkload(n)
 
-	// Baseline: the single planner over the identical change list.
+	// Baseline: one engine over the identical change list.
 	baseRepo := multiRepo(16)
 	base := core.NewService(baseRepo, core.Config{
-		Workers: 8, Shards: 0, Runner: brokenRunner(), Now: fakeClock(),
+		Workers: 8, Shards: 1, Runner: brokenRunner(), Now: fakeClock(),
 	})
 	for _, c := range workload {
 		if err := base.Submit(c); err != nil {

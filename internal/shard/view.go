@@ -75,8 +75,8 @@ func (v *engineView) applies(head repo.Snapshot, c *change.Change) error {
 // O(patch) Snapshot.Check dry run, memoized on the contents it read), because
 // the coordinator's cached failure map is only refreshed at heavy partitions:
 // a change whose patch stopped applying after a later commit must be rejected
-// with the analyzer's exact wording, matching the single planner
-// decide-for-decide. Cached failures are kept only for structural analysis
+// with the analyzer's exact wording, matching a planner over the analyzer
+// itself decide-for-decide. Cached failures are kept only for structural analysis
 // errors, which travel with the change rather than the head. A pending
 // change the coordinator has not analyzed yet (a partition is in flight) is
 // treated conservatively: it conflicts with every other pending change, so
