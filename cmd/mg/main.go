@@ -87,19 +87,7 @@ func loadRepo(path string) *repo.Repo {
 
 // saveRepo writes the repository file atomically.
 func saveRepo(r *repo.Repo, path string) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		log.Fatalf("save repo: %v", err)
-	}
-	if err := r.Save(f); err != nil {
-		_ = f.Close()
-		log.Fatalf("save repo: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatalf("save repo: close: %v", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := r.SaveFile(path); err != nil {
 		log.Fatalf("save repo: %v", err)
 	}
 }

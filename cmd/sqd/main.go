@@ -158,15 +158,8 @@ func main() {
 	log.Printf("sqd: shards %s", svc.ShardStats().Gauges())
 	log.Printf("sqd: arbiter %s", svc.ArbiterStats().Gauges())
 	if repoPath != "" {
-		f, err := os.Create(repoPath)
-		if err != nil {
-			log.Fatalf("sqd: snapshotting repo: %v", err)
-		}
-		if err := svc.Repo().Save(f); err != nil {
+		if err := svc.Repo().SaveFile(repoPath); err != nil {
 			log.Fatalf("sqd: saving repo: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("sqd: saving repo: close: %v", err)
 		}
 		if err := svc.CloseJournal(); err != nil {
 			log.Printf("sqd: closing journal: %v", err)

@@ -102,12 +102,6 @@ func NameIntersectionConflict(di, dj Delta) bool {
 	return false
 }
 
-// Disjoint reports whether the two deltas affect no common target — the
-// disjointness half of the conflict analyzer's selective-invalidation rule.
-func (d Delta) Disjoint(other Delta) bool {
-	return !NameIntersectionConflict(d, other)
-}
-
 // UnionConflict is the §5.2 union-graph algorithm for structure-altering
 // changes: over the union of the edges of G_H, G_{H⊕Ci}, and G_{H⊕Cj}, the
 // changes conflict iff some target transitively depends on affected targets
@@ -119,11 +113,12 @@ func UnionConflict(gH, gi, gj *Graph) bool {
 }
 
 // UnionConflictDeltas is UnionConflict with the two deltas supplied by the
-// caller rather than recomputed from the graphs. The graphs contribute only
-// their edge sets (the reverse-dependency union), so callers holding
-// already-validated deltas — e.g. analyses re-homed across a head move,
-// whose stored graphs carry stale hashes but current structure — can reuse
-// them without rebuilding anything.
+// caller rather than recomputed from the graphs. The deltas contribute only
+// their names and the graphs only their edge sets (the reverse-dependency
+// union), so callers holding already-validated deltas — e.g. analyses
+// re-homed across a head move, whose deltas and stored graphs carry stale
+// hashes but current names and structure — can reuse them without
+// rebuilding anything.
 func UnionConflictDeltas(di, dj Delta, graphs ...*Graph) bool {
 	if len(di) == 0 || len(dj) == 0 {
 		return false

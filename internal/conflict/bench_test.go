@@ -114,11 +114,12 @@ func BenchmarkAnalyzeFanOut(b *testing.B) {
 
 // BenchmarkBuildGraphIncremental measures one epoch of the deep-window steady
 // state at k pending over k/16 subtrees (chain depth 16): the oldest pending
-// change lands — a head move that re-analyses its chain mates — and 8 new
-// changes arrive, then BuildGraph reconciles the memoized graph. The same
-// shape as the bench/ probe conflict.build_graph_incr_ms.kN.
+// change lands — a head move that re-analyses only the pending changes
+// editing the file it moved — and 8 new changes arrive, then BuildGraph
+// reconciles the memoized graph. The same shape as the bench/ probe
+// conflict.build_graph_incr_ms.kN; k=4096 extends it past the probe's sizes.
 func BenchmarkBuildGraphIncremental(b *testing.B) {
-	for _, k := range []int{64, 256, 1024} {
+	for _, k := range []int{64, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			const depth, arrivals = 16, 8
 			subtrees := k / depth

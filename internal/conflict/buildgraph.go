@@ -114,7 +114,7 @@ func (a *Analyzer) BuildGraph(pending []*change.Change) (*Graph, map[change.ID]e
 				continue
 			}
 			// Prefer the cached analysis: a head move since the fan-out
-			// re-homed disjoint survivors in place.
+			// re-homed its survivors in place.
 			if cur, ok := a.analyses[c.ID]; ok {
 				slots[i].an = cur
 			}

@@ -13,10 +13,10 @@
 // The analyzer's steady state is an incremental, parallel pipeline
 // (DESIGN.md §4e):
 //
-//   - Selective invalidation: when HEAD advances, cached analyses whose
-//     deltas are target-disjoint from the head movement (and whose patches
-//     touch none of the moved files) are re-homed to the new head instead of
-//     recomputed, so a commit costs ~conflict-degree re-analyses, not N.
+//   - Selective invalidation: when HEAD advances without a build-graph
+//     structure change, cached content-only analyses whose patches touch none
+//     of the moved files are re-homed to the new head instead of recomputed,
+//     so a commit re-analyses the changes whose files it moved, not N.
 //   - Parallel fan-out: per-change analyses run single-flight on a bounded
 //     worker pool; the analyzer mutex only guards cache bookkeeping, never a
 //     merge or graph build.
@@ -75,28 +75,34 @@ type Analysis struct {
 
 	Change *change.Change
 	Head   repo.CommitID
-	// Delta is δ_{H⊕C}: affected targets and their post-change hashes.
+	// Delta is δ_{H⊕C}: affected targets and their post-change hashes. Its
+	// names are exact at Head; after re-homing, the hash value of a target
+	// that also depends on a file the head movement changed lags behind
+	// (invalidateLocked). The analyzer reads names only — the name
+	// intersection, the graph memo's target index, UnionConflictDeltas — and
+	// StructureChanged beside them.
 	Delta buildgraph.Delta
 	// StructureChanged reports whether the change alters the target graph
 	// (adds/removes targets or edges). Only such changes need the union-graph
 	// conflict algorithm.
 	StructureChanged bool
 	// Graph is the build graph of H⊕C as analyzed when the analysis was
-	// computed. After re-homing, hashes of targets outside Delta may lag the
-	// current head, but its structure (targets and edges) is current — the
-	// only property the union comparison consults.
+	// computed. After re-homing, its hashes may lag the current head, but its
+	// structure (targets and edges) is current — the only property the union
+	// comparison consults.
 	Graph *buildgraph.Graph
 	// paths is the set of files the change's patch touches, consulted by the
 	// selective-invalidation rule (a head movement touching none of them
-	// cannot affect the patch's applicability).
+	// changes neither the patch's applicability nor, with the structure
+	// fixed, the names in Delta).
 	paths map[string]bool
 	// union memoizes this analysis's union-graph verdicts by the other
 	// analysis's identity (see pairVerdictLocked). Guarded by Analyzer.mu.
 	union map[uint64]bool
 }
 
-// Stats counts analyzer work, used by the ablation benchmarks to verify the
-// "n graphs instead of n²" claim and to measure the incremental pipeline.
+// Stats counts analyzer work: the "n graphs instead of n²" claim and the
+// incremental pipeline, as read by tests, dashboards and the bench/ harness.
 type Stats struct {
 	GraphBuilds        int // full build-graph analyses performed
 	CheapComparisons   int // name-intersection conflict tests (a pair found through the target index counts once)
@@ -355,7 +361,7 @@ func (a *Analyzer) Conflicts(ci, cj *change.Change) (bool, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	// Prefer the cached (possibly re-homed) analyses: a head move between
-	// the two Analyze calls re-homes disjoint survivors in place.
+	// the two Analyze calls re-homes survivors in place.
 	if cur, ok := a.analyses[ci.ID]; ok {
 		ai = cur
 	}

@@ -11,6 +11,7 @@ import (
 
 	"mastergreen/internal/buildgraph"
 	"mastergreen/internal/change"
+	"mastergreen/internal/events"
 	"mastergreen/internal/repo"
 )
 
@@ -314,6 +315,51 @@ func TestCloneSharesRowsCopyOnWrite(t *testing.T) {
 	}
 }
 
+// TestGraphVertexTableBounded: the vertex numbers of departed members are
+// recycled, so 10 000 arrivals through a graph that never holds more than 64
+// members at once keep its vertex table at 64 rows, and no recycled number
+// carries a departed change's edges. Without the free list a long-lived memo
+// would grow one row per change it has ever seen.
+func TestGraphVertexTableBounded(t *testing.T) {
+	const live, cycles = 64, 10000
+	rng := rand.New(rand.NewSource(5))
+	g := NewGraph(nil)
+	want := map[[2]change.ID]bool{}
+	var members []change.ID
+	for n := 0; n < cycles; n++ {
+		id := change.ID(fmt.Sprintf("c%05d", n))
+		g.AddChange(id)
+		for e := rng.Intn(4); e > 0 && len(members) > 0; e-- {
+			o := members[rng.Intn(len(members))]
+			g.AddEdge(id, o)
+			want[[2]change.ID{id, o}], want[[2]change.ID{o, id}] = true, true
+		}
+		members = append(members, id)
+		if len(members) == live {
+			var gone []change.ID
+			for k := 1 + rng.Intn(8); k > 0; k-- {
+				i := rng.Intn(len(members))
+				gone = append(gone, members[i])
+				members = append(members[:i], members[i+1:]...)
+			}
+			g.Remove(gone...)
+		}
+		if n%1000 == 999 {
+			g.Clone() // the source gives up its rows: later writes copy them
+		}
+	}
+	if len(g.rows) > live || len(g.pos) > live {
+		t.Fatalf("vertex table grew to %d rows (%d positions) for at most %d live members", len(g.rows), len(g.pos), live)
+	}
+	for _, a := range members {
+		for _, b := range members {
+			if got := g.Conflict(a, b); got != want[[2]change.ID{a, b}] {
+				t.Fatalf("edge %s-%s = %v after recycling, want %v", a, b, got, !got)
+			}
+		}
+	}
+}
+
 // TestHandedOutGraphNeverChanges: the analyzer keeps one graph across epochs
 // and hands out clones that share its rows. Whatever later epochs do to the
 // memo — vertices leaving, edges re-derived after head moves — a holder must
@@ -403,39 +449,64 @@ func chainChange(n, subtree, file int) *change.Change {
 	}}}
 }
 
-// TestHeadMoveRescansByDegree is the count-based scaling guard: with 1024
-// pending over 64 subtrees (chain depth 16), landing one change re-analyses
-// its 15 chain mates, and re-deriving their edges must cost about the
-// chain's own pairs — not one comparison per dirty vertex per pending
-// change, which is what the all-pairs walk did.
-func TestHeadMoveRescansByDegree(t *testing.T) {
-	const subtrees, depth = 64, 16
-	r, pending := chainRepo(subtrees, depth)
+// deepWindowMove is one head move in the deep-window shape: subtrees×depth
+// pending chain changes plus one that edits the same file as the oldest,
+// which then lands. It returns the graph after the move, the pending count,
+// the changes the move re-analysed and the analyzer's counters around the
+// BuildGraph that absorbed it.
+func deepWindowMove(t *testing.T, subtrees, depth int) (g *Graph, pending int, reanalysed []change.ID, before, after Stats) {
+	t.Helper()
+	r, cs := chainRepo(subtrees, depth)
+	cs = append(cs, chainChange(len(cs), 0, 0)) // same file as cs[0]
 	a := New(r)
-	if _, failed := a.BuildGraph(pending); len(failed) != 0 {
+	bus := events.NewBus(64)
+	a.SetEvents(bus)
+	if _, failed := a.BuildGraph(cs); len(failed) != 0 {
 		t.Fatalf("cold BuildGraph failed: %v", failed)
 	}
-	if _, err := r.CommitPatch(r.Head().ID, pending[0].Patch, "dev", "land", time.Time{}); err != nil {
+	if _, err := r.CommitPatch(r.Head().ID, cs[0].Patch, "dev", "land", time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	pending = pending[1:]
-	before := a.Stats()
-	g, failed := a.BuildGraph(pending)
+	cs = cs[1:]
+	seq := bus.LastSeq()
+	before = a.Stats()
+	g, failed := a.BuildGraph(cs)
 	if len(failed) != 0 {
 		t.Fatalf("BuildGraph after the head move failed: %v", failed)
 	}
-	after := a.Stats()
+	after = a.Stats()
+	for _, ev := range bus.Since(seq) {
+		if ev.Type == events.TypeAnalysisStarted {
+			reanalysed = append(reanalysed, ev.Change)
+		}
+	}
+	return g, len(cs), reanalysed, before, after
+}
 
-	const mates = depth - 1
-	if got := after.AnalyzedChanges - before.AnalyzedChanges; got != mates {
-		t.Fatalf("re-analysed %d changes, want the %d chain mates", got, mates)
+// TestHeadMoveRescansByDegree is the count-based scaling guard: with 1024
+// pending over 64 subtrees (chain depth 16), landing one change re-analyses
+// none of its 15 chain mates, whose files it did not move, and exactly the
+// one pending change that edits the landed file. Re-deriving that vertex's
+// edges costs about its degree — not one comparison per pending change,
+// which is what the all-pairs walk did.
+func TestHeadMoveRescansByDegree(t *testing.T) {
+	const subtrees, depth = 64, 16
+	g, pending, reanalysed, before, after := deepWindowMove(t, subtrees, depth)
+
+	sameFile := chainChange(subtrees*depth, 0, 0).ID
+	if len(reanalysed) != 1 || reanalysed[0] != sameFile {
+		t.Fatalf("re-analysed %v, want only %s, the change editing the landed file", reanalysed, sameFile)
 	}
+	if got := after.AnalyzedChanges - before.AnalyzedChanges; got != 1 {
+		t.Fatalf("analysed %d changes, want 1", got)
+	}
+	const degree = depth - 1 // the landed change's mates, now joined by sameFile
 	rescanned := after.PairsRescanned - before.PairsRescanned
-	if limit := 2 * mates * (mates - 1); rescanned < mates*(mates-1)/2 || rescanned > limit {
-		t.Fatalf("rescanned %d pairs for %d dirty vertices of degree %d (limit %d; an all-pairs walk costs %d)",
-			rescanned, mates, mates-1, limit, mates*len(pending))
+	if limit := 2 * degree; rescanned < degree/2 || rescanned > limit {
+		t.Fatalf("rescanned %d pairs for one dirty vertex of degree %d (limit %d; an all-pairs walk costs %d)",
+			rescanned, degree, limit, pending)
 	}
-	clean := len(pending) - mates
+	clean := pending - 1
 	if got := after.PairsReused - before.PairsReused; got != clean*(clean-1)/2 {
 		t.Fatalf("pairs reused = %d, want %d", got, clean*(clean-1)/2)
 	}
@@ -443,7 +514,24 @@ func TestHeadMoveRescansByDegree(t *testing.T) {
 	for _, comp := range g.Components() {
 		sizes[len(comp)]++
 	}
-	if sizes[mates] != 1 || sizes[depth] != subtrees-1 {
-		t.Fatalf("component sizes after the move = %v, want one of %d and %d of %d", sizes, mates, subtrees-1, depth)
+	if sizes[depth] != subtrees {
+		t.Fatalf("component sizes after the move = %v, want %d of %d", sizes, subtrees, depth)
+	}
+}
+
+// TestHeadMoveCostFlatInPending: the same head move at 1024 and at 4096
+// pending (64 and 256 subtrees of chain depth 16) re-analyses the same
+// changes and rescans the same number of pairs — its cost is what it moved,
+// not how deep the window is.
+func TestHeadMoveCostFlatInPending(t *testing.T) {
+	const depth = 16
+	type cost struct{ reanalysed, rescanned int }
+	var costs []cost
+	for _, subtrees := range []int{64, 256} {
+		_, _, reanalysed, before, after := deepWindowMove(t, subtrees, depth)
+		costs = append(costs, cost{len(reanalysed), after.PairsRescanned - before.PairsRescanned})
+	}
+	if costs[0] != costs[1] || costs[0].reanalysed == 0 {
+		t.Fatalf("head move at 1024 pending cost %+v, at 4096 %+v; want equal and non-zero", costs[0], costs[1])
 	}
 }

@@ -1,6 +1,7 @@
 package conflict
 
 import (
+	"maps"
 	"sort"
 
 	"mastergreen/internal/change"
@@ -9,28 +10,41 @@ import (
 // Graph is the conflict graph over a set of pending changes: vertices are
 // changes (in submission order) and edges join potentially conflicting pairs.
 //
+// Every member holds a vertex number, stable while it stays a member and
+// recycled through a free list once it leaves, so the vertex table is bounded
+// by the most members the graph ever held at once. An adjacency row is the
+// []int32 of a vertex's neighbours' numbers, unsorted; a position table maps
+// a vertex number to its place in the submission order. A read costs one map
+// lookup to find its vertex and then walks ints.
+//
 // Adjacency rows are shared rather than copied. Clone shares every row with
 // its source, and whichever side writes to a row first copies it; Induced
 // goes further and returns a read-only view that borrows the source's whole
-// row table, restricted to its own members.
+// row table, restricted to its own members by its own position table.
 type Graph struct {
 	order []change.ID
-	index map[change.ID]int
-	edges map[change.ID]map[change.ID]bool
-	// own holds the rows this graph may write in place. Every other row is
+	vs    []int32 // vs[i] is the vertex number of order[i]
+	vert  map[change.ID]int32
+	pos   []int32 // vertex number → position in order, -1 for a non-member
+	rows  [][]int32
+	// own marks the rows this graph may write in place. Every other row is
 	// shared with a graph this one was cloned from or into, and is copied
 	// before its first write.
-	own map[change.ID]bool
-	// view marks an Induced view: edges is the source graph's table, so rows
-	// can name non-members, which every reader skips, and the members in
-	// loose conflict with every other member whatever the rows say.
-	view  bool
-	loose map[change.ID]bool
+	own  []bool
+	free []int32 // vertex numbers of departed members, for reuse
+	// view marks an Induced view: rows is the source graph's table, so a row
+	// can name non-members (position -1), which every reader skips. loose
+	// marks, by vertex number, the members in conflict with every other
+	// member whatever the rows say — among them every member without a row —
+	// and looseAt lists their positions, ascending.
+	view    bool
+	loose   []bool
+	looseAt []int
 }
 
 // NewGraph creates a conflict graph with the given change order.
 func NewGraph(order []change.ID) *Graph {
-	g := &Graph{index: map[change.ID]int{}, edges: map[change.ID]map[change.ID]bool{}}
+	g := &Graph{vert: make(map[change.ID]int32, len(order))}
 	for _, id := range order {
 		g.AddChange(id)
 	}
@@ -40,11 +54,22 @@ func NewGraph(order []change.ID) *Graph {
 // AddChange appends a change to the submission order (idempotent).
 func (g *Graph) AddChange(id change.ID) {
 	g.mustOwnRows()
-	if _, ok := g.index[id]; ok {
+	if _, ok := g.vert[id]; ok {
 		return
 	}
-	g.index[id] = len(g.order)
+	var v int32
+	if n := len(g.free); n > 0 {
+		v, g.free = g.free[n-1], g.free[:n-1]
+	} else {
+		v = int32(len(g.rows))
+		g.rows = append(g.rows, nil)
+		g.pos = append(g.pos, -1)
+		g.own = append(g.own, false)
+	}
+	g.vert[id] = v
+	g.pos[v] = int32(len(g.order))
 	g.order = append(g.order, id)
+	g.vs = append(g.vs, v)
 }
 
 // mustOwnRows stops a write to an Induced view, whose row table belongs to
@@ -55,21 +80,35 @@ func (g *Graph) mustOwnRows() {
 	}
 }
 
-// writable returns id's row for writing, copying it first if it is shared
-// (or making it, for a vertex that never had an edge).
-func (g *Graph) writable(id change.ID) map[change.ID]bool {
-	if g.own[id] {
-		return g.edges[id]
+// writable returns v's row for writing, copying it first if it is shared.
+func (g *Graph) writable(v int32) []int32 {
+	if !g.own[v] {
+		g.rows[v] = append(make([]int32, 0, len(g.rows[v])+1), g.rows[v]...)
+		g.own[v] = true
 	}
-	row := make(map[change.ID]bool, len(g.edges[id])+1)
-	for o := range g.edges[id] {
-		row[o] = true
+	return g.rows[v]
+}
+
+// unlink removes u from v's row.
+func (g *Graph) unlink(v, u int32) {
+	row := g.writable(v)
+	for i, w := range row {
+		if w == u {
+			row[i] = row[len(row)-1]
+			g.rows[v] = row[:len(row)-1]
+			return
+		}
 	}
-	if g.own == nil {
-		g.own = map[change.ID]bool{}
+}
+
+// adjacent reports whether u is in v's row.
+func (g *Graph) adjacent(v, u int32) bool {
+	for _, w := range g.rows[v] {
+		if w == u {
+			return true
+		}
 	}
-	g.edges[id], g.own[id] = row, true
-	return row
+	return false
 }
 
 // AddEdge records that two changes potentially conflict.
@@ -79,8 +118,12 @@ func (g *Graph) AddEdge(a, b change.ID) {
 	}
 	g.AddChange(a)
 	g.AddChange(b)
-	g.writable(a)[b] = true
-	g.writable(b)[a] = true
+	va, vb := g.vert[a], g.vert[b]
+	if g.adjacent(va, vb) {
+		return
+	}
+	g.rows[va] = append(g.writable(va), vb)
+	g.rows[vb] = append(g.writable(vb), va)
 }
 
 // Isolate erases every edge incident to the change, keeping the vertex. The
@@ -88,65 +131,97 @@ func (g *Graph) AddEdge(a, b change.ID) {
 // re-derives the vertex's edges from the target index.
 func (g *Graph) Isolate(id change.ID) {
 	g.mustOwnRows()
-	for o := range g.edges[id] {
-		delete(g.writable(o), id)
+	if v, ok := g.vert[id]; ok {
+		g.isolate(v)
 	}
-	delete(g.edges, id)
-	delete(g.own, id)
+}
+
+func (g *Graph) isolate(v int32) {
+	for _, u := range g.rows[v] {
+		g.unlink(u, v)
+	}
+	g.rows[v], g.own[v] = nil, false
 }
 
 // Remove deletes changes (e.g. after they commit or are rejected). The
-// submission order is compacted once however many vertices leave.
+// submission order is compacted once however many vertices leave; their
+// vertex numbers go to the free list.
 func (g *Graph) Remove(ids ...change.ID) {
 	g.mustOwnRows()
 	removed := false
 	for _, id := range ids {
-		if _, ok := g.index[id]; !ok {
+		v, ok := g.vert[id]
+		if !ok {
 			continue
 		}
-		g.Isolate(id)
-		delete(g.index, id)
+		g.isolate(v)
+		delete(g.vert, id)
+		g.pos[v] = -1
+		g.free = append(g.free, v)
 		removed = true
 	}
 	if !removed {
 		return
 	}
-	kept := g.order[:0]
-	for _, o := range g.order {
-		if _, ok := g.index[o]; ok {
-			g.index[o] = len(kept)
-			kept = append(kept, o)
+	k := 0
+	for i, v := range g.vs {
+		if g.pos[v] < 0 {
+			continue
 		}
+		g.order[k], g.vs[k], g.pos[v] = g.order[i], v, int32(k)
+		k++
 	}
-	g.order = kept
+	clear(g.order[k:])
+	g.order, g.vs = g.order[:k], g.vs[:k]
 }
 
 // Induced returns the subgraph over ids, in the given order, as a read-only
 // view: two of them are joined iff g joins them. An id that is not a vertex
 // of g (not analyzed yet) is treated conservatively and conflicts with every
-// other id; a nil g knows no ids. The view borrows g's rows instead of
-// copying them, so it costs its members, not their edges; g must not be
-// written to while the view is in use, and writing to the view panics.
+// other id; a nil g knows no ids. The view borrows g's row table instead of
+// copying it and keeps only its own position table, so it costs its members
+// and g's vertex count, not their edges; g must not be written to while the
+// view is in use, and writing to the view panics.
 func (g *Graph) Induced(ids []change.ID) *Graph {
+	if g == nil {
+		g = &Graph{}
+	}
+	base := len(g.pos)
 	out := &Graph{
 		order: append([]change.ID(nil), ids...),
-		index: make(map[change.ID]int, len(ids)),
+		vs:    make([]int32, len(ids)),
+		vert:  make(map[change.ID]int32, len(ids)),
+		rows:  g.rows,
 		view:  true,
 	}
-	if g != nil {
-		out.edges = g.edges
-	}
+	next := int32(base) // numbers for ids g does not know, past g's table
 	for i, id := range ids {
-		out.index[id] = i
-		if g == nil || !g.Contains(id) || g.loose[id] {
-			if out.loose == nil {
-				out.loose = map[change.ID]bool{}
-			}
-			out.loose[id] = true
+		v, known := g.vert[id]
+		if !known {
+			v = next
+			next++
 		}
+		out.vs[i], out.vert[id] = v, v
+		if !known || g.isLoose(v) {
+			if out.loose == nil {
+				out.loose = make([]bool, base+len(ids))
+			}
+			out.loose[v] = true
+			out.looseAt = append(out.looseAt, i)
+		}
+	}
+	out.pos = make([]int32, next)
+	for i := range out.pos {
+		out.pos[i] = -1
+	}
+	for i, v := range out.vs {
+		out.pos[v] = int32(i)
 	}
 	return out
 }
+
+// isLoose reports whether vertex v is a loose member of a view.
+func (g *Graph) isLoose(v int32) bool { return int(v) < len(g.loose) && g.loose[v] }
 
 // Clone returns a copy that later writes to g never show through, and the
 // other way round. The two share their adjacency rows, so a clone costs its
@@ -158,16 +233,14 @@ func (g *Graph) Clone() *Graph {
 	}
 	c := &Graph{
 		order: append([]change.ID(nil), g.order...),
-		index: make(map[change.ID]int, len(g.index)),
-		edges: make(map[change.ID]map[change.ID]bool, len(g.edges)),
+		vs:    append([]int32(nil), g.vs...),
+		vert:  maps.Clone(g.vert),
+		pos:   append([]int32(nil), g.pos...),
+		rows:  append([][]int32(nil), g.rows...),
+		own:   make([]bool, len(g.own)),
+		free:  append([]int32(nil), g.free...),
 	}
-	for id, i := range g.index {
-		c.index[id] = i
-	}
-	for id, row := range g.edges {
-		c.edges[id] = row
-	}
-	g.own = nil
+	clear(g.own)
 	return c
 }
 
@@ -179,45 +252,46 @@ func (g *Graph) Order() []change.ID { return append([]change.ID(nil), g.order...
 
 // Conflict reports whether two changes are joined by an edge.
 func (g *Graph) Conflict(a, b change.ID) bool {
-	if !g.view {
-		return g.edges[a][b]
+	va, oka := g.vert[a]
+	vb, okb := g.vert[b]
+	if a == b || !oka || !okb {
+		return false
 	}
-	return a != b && g.Contains(a) && g.Contains(b) && (g.loose[a] || g.loose[b] || g.edges[a][b])
+	return g.isLoose(va) || g.isLoose(vb) || g.adjacent(va, vb)
 }
 
 // Contains reports whether the change is a vertex of the graph. A change the
 // graph's builder has not analyzed yet is not, and Induced treats it
 // conservatively.
 func (g *Graph) Contains(id change.ID) bool {
-	_, ok := g.index[id]
+	_, ok := g.vert[id]
 	return ok
 }
 
 // neighborsBefore appends to dst the positions in the submission order of
-// id's neighbours that come before position limit, unsorted.
-func (g *Graph) neighborsBefore(dst []int, id change.ID, limit int) []int {
-	if dst == nil {
-		dst = make([]int, 0, len(g.edges[id])+len(g.loose))
-	}
-	if g.loose[id] {
+// vertex v's neighbours that come before position limit, unsorted.
+func (g *Graph) neighborsBefore(dst []int, v int32, limit int) []int {
+	if g.isLoose(v) {
 		for j := 0; j < limit && j < len(g.order); j++ {
-			if g.order[j] != id {
+			if g.vs[j] != v {
 				dst = append(dst, j)
 			}
 		}
 		return dst
 	}
-	for o := range g.edges[id] {
-		if j, member := g.index[o]; member && j < limit && !g.loose[o] {
-			//lint:ignore maporder callers sort the positions (sorted) or only mark them visited (Components)
+	if dst == nil {
+		dst = make([]int, 0, len(g.rows[v])+len(g.looseAt))
+	}
+	for _, u := range g.rows[v] {
+		if j := int(g.pos[u]); j >= 0 && j < limit && !g.isLoose(u) {
 			dst = append(dst, j)
 		}
 	}
-	for o := range g.loose {
-		if j := g.index[o]; j < limit {
-			//lint:ignore maporder as above
-			dst = append(dst, j)
+	for _, j := range g.looseAt {
+		if j >= limit {
+			break
 		}
+		dst = append(dst, j)
 	}
 	return dst
 }
@@ -237,39 +311,39 @@ func (g *Graph) sorted(pos []int) []change.ID {
 
 // Neighbors returns the changes conflicting with id, in submission order.
 func (g *Graph) Neighbors(id change.ID) []change.ID {
-	if !g.Contains(id) {
+	v, ok := g.vert[id]
+	if !ok {
 		return nil
 	}
-	return g.sorted(g.neighborsBefore(nil, id, len(g.order)))
+	return g.sorted(g.neighborsBefore(nil, v, len(g.order)))
 }
 
 // ConflictingPredecessors returns the changes submitted before id that
 // conflict with it — the set the speculation engine must speculate over.
 func (g *Graph) ConflictingPredecessors(id change.ID) []change.ID {
-	idx, ok := g.index[id]
+	v, ok := g.vert[id]
 	if !ok {
 		return nil
 	}
-	return g.sorted(g.neighborsBefore(nil, id, idx))
+	return g.sorted(g.neighborsBefore(nil, v, int(g.pos[v])))
 }
 
 // HasConflictingPredecessor reports whether any change submitted before id
 // conflicts with it, without materializing or ordering the set.
 func (g *Graph) HasConflictingPredecessor(id change.ID) bool {
-	idx, ok := g.index[id]
+	v, ok := g.vert[id]
 	if !ok {
 		return false
 	}
-	if g.loose[id] {
+	idx := int(g.pos[v])
+	if g.isLoose(v) {
 		return idx > 0
 	}
-	for o := range g.edges[id] {
-		if j, member := g.index[o]; member && j < idx {
-			return true
-		}
+	if len(g.looseAt) > 0 && g.looseAt[0] < idx {
+		return true
 	}
-	for o := range g.loose {
-		if g.index[o] < idx {
+	for _, u := range g.rows[v] {
+		if j := int(g.pos[u]); j >= 0 && j < idx {
 			return true
 		}
 	}
@@ -295,7 +369,7 @@ func (g *Graph) Components() [][]change.ID {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, n)
-			near = g.neighborsBefore(near[:0], g.order[n], len(g.order))
+			near = g.neighborsBefore(near[:0], g.vs[n], len(g.order))
 			for _, m := range near {
 				if !seen[m] {
 					seen[m] = true

@@ -21,51 +21,46 @@ func commit(t *testing.T, r *repo.Repo, path, content string) *repo.Commit {
 	return c
 }
 
-func TestSelectiveInvalidationRehomesDisjoint(t *testing.T) {
+func TestRehomeAcrossSharedTargetKeepsDeltaNames(t *testing.T) {
 	r := testRepo()
 	a := New(r)
-	cy := mkChange(t, r, "cy", "y/y.go", "y v2") // delta {y}
+	cy := mkChange(t, r, "cy", "y/y.go", "y v2") // delta {y}; y depends on x
 	cz := mkChange(t, r, "cz", "z/z.go", "z v2") // delta {z}
-	for _, c := range []*change.Change{cy, cz} {
+	cx := mkChange(t, r, "cx", "x/x.go", "x v2") // edits the file that lands
+	for _, c := range []*change.Change{cy, cz, cx} {
 		if _, err := a.Analyze(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Land an edit to x: δ = {x, y} (y depends on x), so cy intersects and
-	// must be dropped while cz survives and is re-homed.
+	// Land an edit to x: the movement's δ = {x, y} shares y with cy, but it
+	// moved none of cy's files, so cy survives beside cz. cx edits the moved
+	// file: dropped, and its patch no longer applies.
 	commit(t, r, "x/x.go", "x v2 landed")
-	anz, err := a.Analyze(cz)
+	rehomed, err := a.Analyze(cy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := a.Stats()
-	if st.ReusedAnalyses != 1 || st.SelectiveInvalidations != 1 {
+	if st.ReusedAnalyses != 2 || st.SelectiveInvalidations != 1 {
 		t.Fatalf("reused=%d invalidated=%d", st.ReusedAnalyses, st.SelectiveInvalidations)
 	}
-	if st.CacheHits != 1 {
-		t.Fatalf("re-homed analysis should be a cache hit, stats=%+v", st)
+	if st.CacheHits != 1 || st.AnalyzedChanges != 3 {
+		t.Fatalf("survivor was recomputed: stats=%+v", st)
 	}
-	if anz.Head != r.Head().ID {
+	if rehomed.Head != r.Head().ID {
 		t.Fatal("survivor not re-homed to new head")
 	}
-	if st.AnalyzedChanges != 2 {
-		t.Fatalf("survivor was recomputed: analyzed=%d", st.AnalyzedChanges)
-	}
-	// The re-homed delta must equal what a cold analyzer computes at the
-	// new head — names and hashes.
-	fresh, err := New(r).Analyze(cz)
+	// The re-homed delta names what a cold analyzer names at the new head.
+	// Its hash for y lags (y also depends on the moved x); nothing reads it.
+	fresh, err := New(r).Analyze(cy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(anz.Delta, fresh.Delta) {
-		t.Fatalf("re-homed delta %v != fresh delta %v", anz.Delta, fresh.Delta)
+	if got, want := rehomed.Delta.Names(), fresh.Delta.Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-homed delta names %v != fresh %v", got, want)
 	}
-	// cy recomputes from scratch at the new head.
-	if _, err := a.Analyze(cy); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Stats().AnalyzedChanges; got != 3 {
-		t.Fatalf("analyzed=%d, want 3", got)
+	if _, err := a.Analyze(cx); err == nil || !IsApplyFailure(err) {
+		t.Fatalf("the dropped same-file change must fail to apply, got %v", err)
 	}
 }
 
@@ -77,7 +72,7 @@ func TestStructureChangingHeadMoveInvalidatesAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Landing a BUILD edit changes graph structure: nothing may survive,
-	// even target-disjoint content analyses.
+	// even path-disjoint content analyses.
 	commit(t, r, "y/BUILD", "target y srcs=y.go")
 	if _, err := a.Analyze(cz); err != nil {
 		t.Fatal(err)
@@ -89,10 +84,9 @@ func TestStructureChangingHeadMoveInvalidatesAll(t *testing.T) {
 }
 
 func TestPathOverlapInvalidatesUnownedFiles(t *testing.T) {
-	// A pending change creating a file no target owns has an empty delta;
-	// disjointness alone would keep it across any head move. If the head
-	// movement lands that same file, the patch no longer applies — the path
-	// condition must catch it.
+	// A pending change creating a file no target owns has an empty delta and
+	// changes no structure. If the head movement lands that same file, the
+	// patch no longer applies — the path condition must catch it.
 	r := testRepo()
 	a := New(r)
 	cn := mkChange(t, r, "cn", "notes.txt", "mine")
@@ -232,12 +226,13 @@ func TestAnalyzerLifecycleEvents(t *testing.T) {
 	cz := mkChange(t, r, "cz", "z/z.go", "z v2")
 	cy := mkChange(t, r, "cy", "y/y.go", "y v2")
 	cn := mkChange(t, r, "cn", "notes.txt", "n")
-	for _, c := range []*change.Change{cz, cy, cn} {
+	cx := mkChange(t, r, "cx", "x/x.go", "x mine")
+	for _, c := range []*change.Change{cz, cy, cn, cx} {
 		if _, err := a.Analyze(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	head := commit(t, r, "x/x.go", "x v2") // drops cy (δ includes y), re-homes cz and cn
+	head := commit(t, r, "x/x.go", "x v2") // drops cx (same file), re-homes cz, cy and cn
 	if _, err := a.Analyze(cz); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +244,7 @@ func TestAnalyzerLifecycleEvents(t *testing.T) {
 			reused = ev
 		}
 	}
-	if counts[events.TypeAnalysisStarted] != 3 {
+	if counts[events.TypeAnalysisStarted] != 4 {
 		t.Fatalf("started = %d", counts[events.TypeAnalysisStarted])
 	}
 	// Drops are published per change; the survivors of a head move — at depth,
@@ -258,7 +253,7 @@ func TestAnalyzerLifecycleEvents(t *testing.T) {
 	if counts[events.TypeAnalysisReused] != 1 || counts[events.TypeAnalysisInvalidated] != 1 {
 		t.Fatalf("events = %v", counts)
 	}
-	if want := "2 analyses re-homed to head " + string(head.ID); reused.Detail != want || reused.Change != "" {
+	if want := "3 analyses re-homed to head " + string(head.ID); reused.Detail != want || reused.Change != "" {
 		t.Fatalf("summary = %+v, want detail %q", reused, want)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"time"
 )
 
@@ -73,6 +75,55 @@ func (r *Repo) Save(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
+}
+
+// SaveFile writes the repository to path with Save, atomically: a crash or a
+// failed write at any point leaves either the previous file or the new one
+// at path, never a truncated mix.
+func (r *Repo) SaveFile(path string) error {
+	return writeFileAtomic(path, r.Save)
+}
+
+// writeFileAtomic writes a temporary file beside path, fsyncs and closes it,
+// renames it over path and fsyncs the directory, so the rename itself is
+// durable. On error the temporary file is removed and path is untouched.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("repo: save %s: %w", path, err)
+	}
+	defer func() {
+		if err != nil {
+			_ = f.Close()
+			_ = os.Remove(f.Name())
+			err = fmt.Errorf("repo: save %s: %w", path, err)
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = write(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err = d.Sync(); err != nil {
+		_ = d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // Load reconstructs a repository saved with Save, replaying every commit and
