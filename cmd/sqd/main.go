@@ -6,9 +6,13 @@
 //
 // Usage:
 //
-//	sqd [-addr :8080] [-workers 8] [-epoch 250ms] [-data DIR]
-//	    [-snapshot-interval 5m] [-admission-cap 1000] [-status-refresh 250ms]
+//	sqd [-addr :8080] [-workers 8] [-epoch 250ms] [-shards 1] [-sched]
+//	    [-data DIR] [-snapshot-interval 5m] [-admission-cap 1000]
+//	    [-status-refresh 250ms]
 //
+// -shards spreads the conflict graph's components over that many planner
+// engines; -sched turns on the priority lanes (P0 hotfix preemption,
+// deadline aging, per-lane gauges).
 // With -data, the service journals every submission and outcome to
 // DIR/journal.jsonl and snapshots the repo to DIR/repo.json on shutdown;
 // restarting with the same directory recovers pending changes.
@@ -17,7 +21,8 @@
 // -admission-cap turns on backpressure (429 + Retry-After once the pending
 // queue fills, 503 dashboard sheds near capacity); -status-refresh serves
 // dashboard reads from a background-rebuilt snapshot instead of rebuilding
-// per request.
+// per request. On SIGTERM or interrupt the service logs Service.Gauges() —
+// every layer's counters — as one "name=value …" line.
 //
 // Submit changes with:
 //
@@ -149,14 +154,7 @@ func main() {
 	close(snapDone)
 	_ = httpSrv.Close()
 	svc.Stop()
-	log.Printf("sqd: analyzer %s", svc.AnalyzerStats().Gauges())
-	log.Printf("sqd: planner %s", svc.PlannerStats().Gauges())
-	log.Printf("sqd: reliability %s", svc.ReliabilityStats().Gauges())
-	if *schedOn {
-		log.Printf("sqd: sched %s", svc.SchedStats().Gauges())
-	}
-	log.Printf("sqd: shards %s", svc.ShardStats().Gauges())
-	log.Printf("sqd: arbiter %s", svc.ArbiterStats().Gauges())
+	log.Printf("sqd: %s", svc.Gauges())
 	if repoPath != "" {
 		if err := svc.Repo().SaveFile(repoPath); err != nil {
 			log.Fatalf("sqd: saving repo: %v", err)

@@ -14,8 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"mastergreen/internal/metrics"
 )
 
 // admission tracks queue occupancy against a fixed capacity and estimates
@@ -109,27 +107,28 @@ func (a *admission) overloaded() bool { return a.pending() >= a.shedAt }
 // countShed records one shed read.
 func (a *admission) countShed() { atomic.AddInt64(&a.shed, 1) }
 
-// Rejected returns the number of submissions refused with 429.
-func (a *admission) Rejected() int64 { return atomic.LoadInt64(&a.rejected) }
-
-// Shed returns the number of reads refused with 503.
-func (a *admission) Shed() int64 { return atomic.LoadInt64(&a.shed) }
-
-// Rate returns the current drain-rate estimate (decisions per second).
-func (a *admission) Rate() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ratePerSec
+// AdmissionStats is a point-in-time reading of submit admission: the
+// capacity, current occupancy, submissions refused with 429, reads shed with
+// 503 and the drain-rate estimate (decisions per second).
+type AdmissionStats struct {
+	Capacity    int
+	Queued      int
+	Rejected    int64
+	ShedReads   int64
+	DrainPerSec float64
 }
 
-// Gauges renders admission health in the repo's uniform gauge form.
-func (a *admission) Gauges() metrics.Gauges {
-	return metrics.Gauges{
-		{Name: "admission_capacity", Value: float64(a.capacity)},
-		{Name: "admission_queued", Value: float64(a.pending())},
-		{Name: "admission_rejected", Value: float64(a.Rejected())},
-		{Name: "admission_shed_reads", Value: float64(a.Shed())},
-		{Name: "admission_drain_per_sec", Value: a.Rate()},
+// Stats returns the current admission counters.
+func (a *admission) Stats() AdmissionStats {
+	a.mu.Lock()
+	rate := a.ratePerSec
+	a.mu.Unlock()
+	return AdmissionStats{
+		Capacity:    a.capacity,
+		Queued:      a.pending(),
+		Rejected:    atomic.LoadInt64(&a.rejected),
+		ShedReads:   atomic.LoadInt64(&a.shed),
+		DrainPerSec: rate,
 	}
 }
 

@@ -49,8 +49,8 @@ func TestAdmissionRejectsBeyondCapacity(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthz under overload = %d, want 200", rec.Code)
 	}
-	if srv.adm.Rejected() != 1 {
-		t.Fatalf("rejected = %d, want 1", srv.adm.Rejected())
+	if n := srv.adm.Stats().Rejected; n != 1 {
+		t.Fatalf("rejected = %d, want 1", n)
 	}
 }
 
@@ -83,8 +83,8 @@ func TestOverloadShedsDashboardReads(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit between shed and capacity = %d, want 202", rec.Code)
 	}
-	if srv.adm.Shed() != 3 {
-		t.Fatalf("shed = %d, want 3", srv.adm.Shed())
+	if n := srv.adm.Stats().ShedReads; n != 3 {
+		t.Fatalf("shed = %d, want 3", n)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"mastergreen/internal/change"
 	"mastergreen/internal/core"
 	"mastergreen/internal/events"
+	"mastergreen/internal/metrics"
 	"mastergreen/internal/repo"
 )
 
@@ -84,86 +85,18 @@ type StateResponse struct {
 
 // StatusResponse summarizes the service.
 type StatusResponse struct {
-	Pending       int    `json:"pending"`
-	MainlineLen   int    `json:"mainline_len"`
-	MainlineHead  string `json:"mainline_head"`
-	BuildsStarted int    `json:"builds_started"`
-	BuildsAborted int    `json:"builds_aborted"`
+	Pending      int    `json:"pending"`
+	MainlineLen  int    `json:"mainline_len"`
+	MainlineHead string `json:"mainline_head"`
 
-	// Conflict-analyzer cache effectiveness (DESIGN.md §4e).
-	AnalyzerGraphBuilds       int     `json:"analyzer_graph_builds"`
-	AnalyzerReusedAnalyses    int     `json:"analyzer_reused_analyses"`
-	AnalyzerPairCacheHits     int     `json:"analyzer_pair_cache_hits"`
-	AnalyzerPairsReused       int     `json:"analyzer_pairs_reused"`
-	AnalyzerAnalysisReuseRate float64 `json:"analyzer_analysis_reuse_rate"`
-
-	// Planner incremental-epoch effectiveness (DESIGN.md §4f).
-	PlannerPrefixHits     int     `json:"planner_prefix_hits"`
-	PlannerPrefixMisses   int     `json:"planner_prefix_misses"`
-	PlannerPlansComputed  int     `json:"planner_plans_computed"`
-	PlannerPlansSkipped   int     `json:"planner_plans_skipped"`
-	PlannerKeysCached     int     `json:"planner_keys_cached"`
-	PlannerFinishedPruned int     `json:"planner_finished_pruned"`
-	PlannerPrefixHitRate  float64 `json:"planner_prefix_hit_rate"`
-
-	// Lean-CI fleet-compute accounting (DESIGN.md §4j): executed step
-	// wall-time split by whether the owning build's result was used.
-	ComputeExecSeconds         float64 `json:"compute_exec_seconds"`
-	ComputeUsefulSeconds       float64 `json:"compute_useful_seconds"`
-	ComputeWastedSeconds       float64 `json:"compute_wasted_seconds"`
-	ComputeWasteRate           float64 `json:"compute_waste_rate"`
-	PlannerObsoleteAborted     int     `json:"planner_obsolete_aborted"`
-	PlannerSpecBranchesSkipped int     `json:"planner_spec_branches_skipped"`
-
-	// Reliability-layer effectiveness (DESIGN.md §4g).
-	ReliabilityInjectedFaults    int `json:"reliability_injected_faults"`
-	ReliabilityRetries           int `json:"reliability_retries"`
-	ReliabilityFlakesConfirmed   int `json:"reliability_flakes_confirmed"`
-	ReliabilityQuarantinedKinds  int `json:"reliability_quarantined_kinds"`
-	ReliabilityVerifications     int `json:"reliability_verifications"`
-	ReliabilityRejectionsAverted int `json:"reliability_rejections_averted"`
-
-	// Shard runtime and commit arbiter (DESIGN.md §4h).
-	ShardsActive             int         `json:"shards_active"`
-	ShardComponents          int         `json:"shard_components"`
-	ShardRebalanced          int         `json:"shard_rebalanced"`
-	ArbiterCommits           int         `json:"arbiter_commits"`
-	ArbiterCrossShardChecks  int         `json:"arbiter_cross_shard_checks"`
-	ArbiterCrossShardRejects int         `json:"arbiter_cross_shard_rejects"`
-	ArbiterMaxQueueDepth     int         `json:"arbiter_max_queue_depth"`
-	ArbiterCommitsByShard    map[int]int `json:"arbiter_commits_by_shard,omitempty"`
-
-	// Serving-path health (DESIGN.md §4k): event-bus fan-out shedding and
-	// submit admission. Zero when events/admission are not enabled.
-	EventsPublished       int64 `json:"events_published"`
-	EventsDropped         int64 `json:"events_dropped"`
-	EventsSubscribers     int   `json:"events_subscribers"`
-	EventsSlowSubscribers int   `json:"events_slow_subscribers"`
-
-	AdmissionCapacity    int     `json:"admission_capacity"`
-	AdmissionQueued      int     `json:"admission_queued"`
-	AdmissionRejected    int64   `json:"admission_rejected"`
-	AdmissionShedReads   int64   `json:"admission_shed_reads"`
-	AdmissionDrainPerSec float64 `json:"admission_drain_per_sec"`
-
-	// Priority-lane gauges (DESIGN.md §4l), in severity order P0, P1, P2.
-	// Empty when the service runs without a sched policy.
-	SchedClasses []ClassStatus `json:"sched_classes,omitempty"`
+	// Gauges holds every counter of every layer, keyed by metrics.Render's
+	// <layer>_<field> names: core.Service.Gauges, plus events_* and
+	// admission_* when the server has an event bus and admission.
+	Gauges map[string]float64 `json:"gauges"`
 
 	// StatusRefreshes counts rebuilds of this very response: requests
 	// between rebuilds were served from the pre-marshaled snapshot.
 	StatusRefreshes int64 `json:"status_refreshes"`
-}
-
-// ClassStatus is one scheduling lane's live gauges in the status response.
-type ClassStatus struct {
-	Class             string  `json:"class"`
-	Accepted          int64   `json:"accepted"`
-	Pending           int     `json:"pending"`
-	Committed         int64   `json:"committed"`
-	Rejected          int64   `json:"rejected"`
-	TurnaroundMeanSec float64 `json:"turnaround_mean_sec"`
-	TurnaroundMaxSec  float64 `json:"turnaround_max_sec"`
 }
 
 // Server adapts a core.Service to HTTP.
@@ -417,102 +350,30 @@ func (s *Server) buildStatusBody() []byte {
 }
 
 func (s *Server) buildStatusResponse() StatusResponse {
-	bs := s.svc.BuildStats()
-	as := s.svc.AnalyzerStats()
-	ps := s.svc.PlannerStats()
-	rs := s.svc.ReliabilityStats()
-	ss := s.svc.ShardStats()
-	abs := s.svc.ArbiterStats()
-	head := s.svc.Repo().Head()
-	reuseRate := 0.0
-	if total := as.ReusedAnalyses + as.AnalyzedChanges; total > 0 {
-		reuseRate = float64(as.ReusedAnalyses) / float64(total)
-	}
-	prefixRate := 0.0
-	if total := ps.PrefixHits + ps.PrefixMisses; total > 0 {
-		prefixRate = float64(ps.PrefixHits) / float64(total)
-	}
+	g := s.gauges()
 	resp := StatusResponse{
-		Pending:       s.svc.PendingCount(),
-		MainlineLen:   s.svc.Repo().Len(),
-		MainlineHead:  string(head.ID),
-		BuildsStarted: bs.Builds,
-		BuildsAborted: bs.Aborted,
-
-		AnalyzerGraphBuilds:       as.GraphBuilds,
-		AnalyzerReusedAnalyses:    as.ReusedAnalyses,
-		AnalyzerPairCacheHits:     as.PairCacheHits,
-		AnalyzerPairsReused:       as.PairsReused,
-		AnalyzerAnalysisReuseRate: reuseRate,
-
-		PlannerPrefixHits:     ps.PrefixHits,
-		PlannerPrefixMisses:   ps.PrefixMisses,
-		PlannerPlansComputed:  ps.PlansComputed,
-		PlannerPlansSkipped:   ps.PlansSkipped,
-		PlannerKeysCached:     ps.KeysCached,
-		PlannerFinishedPruned: ps.FinishedPruned,
-		PlannerPrefixHitRate:  prefixRate,
-
-		ComputeExecSeconds:         bs.ExecTime.Seconds(),
-		ComputeUsefulSeconds:       bs.UsefulTime.Seconds(),
-		ComputeWastedSeconds:       bs.WastedTime.Seconds(),
-		ComputeWasteRate:           bs.WasteRate(),
-		PlannerObsoleteAborted:     ps.ObsoleteAborted,
-		PlannerSpecBranchesSkipped: ps.SpecBranchesSkipped,
-
-		ReliabilityInjectedFaults:    rs.InjectedFaults(),
-		ReliabilityRetries:           rs.Retries,
-		ReliabilityFlakesConfirmed:   rs.FlakesConfirmed,
-		ReliabilityQuarantinedKinds:  rs.QuarantinedKinds,
-		ReliabilityVerifications:     rs.Verifications,
-		ReliabilityRejectionsAverted: rs.RejectionsAverted,
-
-		ShardsActive:             ss.ShardsActive,
-		ShardComponents:          ss.Components,
-		ShardRebalanced:          ss.Rebalanced,
-		ArbiterCommits:           abs.Commits,
-		ArbiterCrossShardChecks:  abs.CrossShardChecks,
-		ArbiterCrossShardRejects: abs.CrossShardRejects,
-		ArbiterMaxQueueDepth:     abs.MaxQueueDepth,
-		ArbiterCommitsByShard:    abs.CommitsByShard,
-
+		Pending:         s.svc.PendingCount(),
+		MainlineLen:     s.svc.Repo().Len(),
+		MainlineHead:    string(s.svc.Repo().Head().ID),
+		Gauges:          make(map[string]float64, len(g)),
 		StatusRefreshes: s.status.Refreshes(),
 	}
-	scs := s.svc.SchedStats()
-	var schedActive bool
-	for _, cs := range scs.Classes {
-		if cs.Accepted > 0 {
-			schedActive = true
-			break
-		}
-	}
-	if schedActive {
-		for _, cl := range []change.Class{change.ClassHotfix, change.ClassNormal, change.ClassBulk} {
-			cs := scs.Class(cl)
-			resp.SchedClasses = append(resp.SchedClasses, ClassStatus{
-				Class:             cl.String(),
-				Accepted:          cs.Accepted,
-				Pending:           cs.Pending,
-				Committed:         cs.Committed,
-				Rejected:          cs.Rejected,
-				TurnaroundMeanSec: cs.TurnaroundMeanSec,
-				TurnaroundMaxSec:  cs.TurnaroundMaxSec,
-			})
-		}
-	}
-	if s.events != nil {
-		es := s.events.Stats()
-		resp.EventsPublished = es.Published
-		resp.EventsDropped = es.Dropped
-		resp.EventsSubscribers = es.Subscribers
-		resp.EventsSlowSubscribers = es.SlowSubscribers
-	}
-	if s.adm != nil {
-		resp.AdmissionCapacity = s.adm.capacity
-		resp.AdmissionQueued = s.adm.pending()
-		resp.AdmissionRejected = s.adm.Rejected()
-		resp.AdmissionShedReads = s.adm.Shed()
-		resp.AdmissionDrainPerSec = s.adm.Rate()
+	for _, kv := range g {
+		resp.Gauges[kv.Name] = kv.Value
 	}
 	return resp
+}
+
+// gauges is Service.Gauges plus the server's own event-bus and admission
+// gauges, when those are enabled: the one list /status and the dashboard
+// render.
+func (s *Server) gauges() metrics.Gauges {
+	g := s.svc.Gauges()
+	if s.events != nil {
+		g = append(g, metrics.Render(s.events.Stats())...)
+	}
+	if s.adm != nil {
+		g = append(g, metrics.Render(s.adm.Stats())...)
+	}
+	return g
 }

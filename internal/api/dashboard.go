@@ -8,7 +8,7 @@ import (
 
 	"mastergreen/internal/change"
 	"mastergreen/internal/events"
-	"mastergreen/internal/sched"
+	"mastergreen/internal/metrics"
 )
 
 // SetEvents attaches an event bus, enabling GET /api/v1/events and the
@@ -82,17 +82,7 @@ var dashboardTmpl = template.Must(template.New("dash").Parse(`<!DOCTYPE html>
  .committed { color: #2a7d2a; } .rejected { color: #b03030; }
 </style></head><body>
 <h1>SubmitQueue — master is green</h1>
-<p>mainline: {{.MainlineLen}} commits, HEAD {{.Head}} | pending: {{.Pending}} |
-builds: {{.Builds}} run / {{.Aborted}} aborted</p>
-<p>compute: {{.Compute}}</p>
-<p>analyzer: {{.Analyzer}}</p>
-<p>planner: {{.Planner}}</p>
-<p>reliability: {{.Reliability}}</p>
-{{if .Sched}}<p>sched: {{.Sched}}</p>{{end}}
-{{if .Bus}}<p>bus: {{.Bus}}</p>{{end}}
-{{if .Admission}}<p>admission: {{.Admission}}</p>{{end}}
-<p>shards: {{.Shards}}</p>
-<p>arbiter: {{.Arbiter}}</p>
+<p>mainline: {{.MainlineLen}} commits, HEAD {{.Head}} | pending: {{.Pending}}</p>
 <h2>recent outcomes</h2>
 <table><tr><th>change</th><th>state</th><th>detail</th></tr>
 {{range .Outcomes}}<tr><td>{{.ID}}</td><td class="{{.State}}">{{.State}}</td><td>{{.Detail}}</td></tr>
@@ -101,23 +91,17 @@ builds: {{.Builds}} run / {{.Aborted}} aborted</p>
 <table><tr><th>#</th><th>type</th><th>change</th><th>build</th><th>detail</th></tr>
 {{range .Events}}<tr><td>{{.Seq}}</td><td>{{.Type}}</td><td>{{.Change}}</td><td>{{.Build}}</td><td>{{.Detail}}</td></tr>
 {{end}}</table>
+<h2>gauges</h2>
+<table><tr><th>name</th><th>value</th></tr>
+{{range .Gauges}}<tr><td>{{.Name}}</td><td>{{.Value}}</td></tr>
+{{end}}</table>
 </body></html>`))
 
 type dashboardData struct {
 	MainlineLen int
 	Head        string
 	Pending     int
-	Builds      int
-	Aborted     int
-	Compute     string // fleet-compute gauges (useful vs wasted), "name=value …"
-	Analyzer    string // conflict-analyzer cache gauges, "name=value …"
-	Planner     string // planner incremental-epoch gauges, "name=value …"
-	Reliability string // flaky-failure layer gauges, "name=value …"
-	Sched       string // priority-lane gauges, one block per class
-	Bus         string // event-bus fan-out gauges, "name=value …"
-	Admission   string // submit-admission gauges, "name=value …"
-	Shards      string // shard-coordinator gauges, "name=value …"
-	Arbiter     string // commit-arbiter gauges, "name=value …"
+	Gauges      metrics.Gauges
 	Outcomes    []dashboardOutcome
 	Events      []events.Event
 }
@@ -136,28 +120,11 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	if s.shedRead(w) {
 		return
 	}
-	bs := s.svc.BuildStats()
 	d := dashboardData{
 		MainlineLen: s.svc.Repo().Len(),
 		Head:        string(s.svc.Repo().Head().ID),
 		Pending:     s.svc.PendingCount(),
-		Builds:      bs.Builds,
-		Aborted:     bs.Aborted,
-		Compute:     bs.Gauges().String(),
-		Analyzer:    s.svc.AnalyzerStats().Gauges().String(),
-		Planner:     s.svc.PlannerStats().Gauges().String(),
-		Reliability: s.svc.ReliabilityStats().Gauges().String(),
-		Shards:      s.svc.ShardStats().Gauges().String(),
-		Arbiter:     s.svc.ArbiterStats().Gauges().String(),
-	}
-	if s.events != nil {
-		d.Bus = s.events.Gauges().String()
-	}
-	if s.adm != nil {
-		d.Admission = s.adm.Gauges().String()
-	}
-	if scs := s.svc.SchedStats(); scs != (sched.Stats{}) {
-		d.Sched = scs.Gauges()
+		Gauges:      s.gauges(),
 	}
 	outs := s.svc.Outcomes()
 	start := 0

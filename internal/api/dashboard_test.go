@@ -111,7 +111,8 @@ func TestDashboardRenders(t *testing.T) {
 		t.Fatalf("status = %d", rec.Code)
 	}
 	body := rec.Body.String()
-	for _, want := range []string{"SubmitQueue", "master is green", "c1", "committed", "recent events"} {
+	for _, want := range []string{"SubmitQueue", "master is green", "c1", "committed", "recent events",
+		"<td>arbiter_commits</td><td>1</td>", "<td>events_published</td>"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("dashboard missing %q", want)
 		}

@@ -1,12 +1,5 @@
 package arbiter
 
-import (
-	"fmt"
-	"sort"
-
-	"mastergreen/internal/metrics"
-)
-
 // Stats counts arbiter work so the cross-shard re-validation layer is
 // observable: how often proposals raced foreign commits, how often the race
 // was a real conflict, and how deep the proposal queue got.
@@ -48,29 +41,4 @@ func (a *Arbiter) CrossShardRejects() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.stats.CrossShardRejects
-}
-
-// Gauges renders the counters as ordered name/value pairs for the status
-// endpoint, the dashboard, and experiment reports.
-func (s Stats) Gauges() metrics.Gauges {
-	g := metrics.Gauges{
-		{Name: "commits", Value: float64(s.Commits)},
-		{Name: "commit_failures", Value: float64(s.CommitFailures)},
-		{Name: "cross_shard_checks", Value: float64(s.CrossShardChecks)},
-		{Name: "cross_shard_rejects", Value: float64(s.CrossShardRejects)},
-		{Name: "max_queue_depth", Value: float64(s.MaxQueueDepth)},
-		{Name: "hotfix_yields", Value: float64(s.HotfixYields)},
-	}
-	shards := make([]int, 0, len(s.CommitsByShard))
-	for sh := range s.CommitsByShard {
-		shards = append(shards, sh)
-	}
-	sort.Ints(shards)
-	for _, sh := range shards {
-		g = append(g, metrics.Gauge{
-			Name:  fmt.Sprintf("commits_shard_%d", sh),
-			Value: float64(s.CommitsByShard[sh]),
-		})
-	}
-	return g
 }

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"mastergreen/internal/change"
-	"mastergreen/internal/metrics"
 	"mastergreen/internal/repo"
 )
 
@@ -121,34 +120,6 @@ type Stats struct {
 	ExecTimeByKind map[change.StepKind]time.Duration
 	UsefulTime     time.Duration
 	WastedTime     time.Duration
-}
-
-// WasteRate is the fraction of attributed compute spent on builds that were
-// later aborted.
-func (s Stats) WasteRate() float64 {
-	total := s.UsefulTime + s.WastedTime
-	if total <= 0 {
-		return 0
-	}
-	return float64(s.WastedTime) / float64(total)
-}
-
-// Gauges renders the compute-accounting counters as ordered name/value pairs
-// for the status endpoint, the dashboard, and experiment reports. Durations
-// are reported in seconds.
-func (s Stats) Gauges() metrics.Gauges {
-	return metrics.Gauges{
-		{Name: "builds", Value: float64(s.Builds)},
-		{Name: "completed", Value: float64(s.Completed)},
-		{Name: "aborted", Value: float64(s.Aborted)},
-		{Name: "executed_units", Value: float64(s.Executed)},
-		{Name: "skipped_prior", Value: float64(s.SkippedPrior)},
-		{Name: "skipped_cache", Value: float64(s.SkippedCache)},
-		{Name: "exec_sec", Value: s.ExecTime.Seconds()},
-		{Name: "useful_sec", Value: s.UsefulTime.Seconds()},
-		{Name: "wasted_sec", Value: s.WastedTime.Seconds()},
-		{Name: "waste_rate", Value: s.WasteRate()},
-	}
 }
 
 // artifact is one cache slot. Claimants execute the step-unit and publish ok

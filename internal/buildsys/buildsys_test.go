@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mastergreen/internal/change"
+	"mastergreen/internal/metrics"
 	"mastergreen/internal/repo"
 )
 
@@ -377,9 +378,6 @@ func TestComputeAccounting(t *testing.T) {
 	if st.ExecTimeByKind[change.StepCompile] != time.Second || st.ExecTimeByKind[change.StepUnitTest] != time.Second {
 		t.Errorf("ExecTimeByKind = %v, want 1s compile + 1s unit", st.ExecTimeByKind)
 	}
-	if rate := st.WasteRate(); rate != 0 {
-		t.Errorf("WasteRate = %v, want 0", rate)
-	}
 }
 
 // TestAbortedComputeIsWasted: a cancelled build's executed-so-far time lands
@@ -411,9 +409,6 @@ func TestAbortedComputeIsWasted(t *testing.T) {
 	st := c.Stats()
 	if st.WastedTime != time.Minute || st.UsefulTime != 0 {
 		t.Errorf("Stats wasted/useful = %v/%v, want 1m/0", st.WastedTime, st.UsefulTime)
-	}
-	if rate := st.WasteRate(); rate != 1 {
-		t.Errorf("WasteRate = %v, want 1", rate)
 	}
 }
 
@@ -451,19 +446,21 @@ func TestExecutedReadableMidFlight(t *testing.T) {
 	}
 }
 
-// TestStatsGauges: the compute gauges render the accounting counters.
+// TestStatsGauges: the compute gauges render the accounting counters, the
+// durations in seconds and the per-kind split one gauge per step kind.
 func TestStatsGauges(t *testing.T) {
 	s := Stats{
-		Builds: 3, Completed: 2, Aborted: 1,
-		ExecTime:   10 * time.Second,
-		UsefulTime: 6 * time.Second,
-		WastedTime: 4 * time.Second,
+		Builds: 3, Completed: 2, Aborted: 1, CacheMisses: 5,
+		ExecTime:       10 * time.Second,
+		ExecTimeByKind: map[change.StepKind]time.Duration{change.StepUnitTest: 4 * time.Second, change.StepCompile: 6 * time.Second},
+		UsefulTime:     6 * time.Second,
+		WastedTime:     4 * time.Second,
 	}
-	g := s.Gauges()
+	g := metrics.Render(s)
 	want := map[string]float64{
-		"builds": 3, "completed": 2, "aborted": 1,
-		"exec_sec": 10, "useful_sec": 6, "wasted_sec": 4,
-		"waste_rate": 0.4,
+		"buildsys_builds": 3, "buildsys_completed": 2, "buildsys_aborted": 1, "buildsys_cache_misses": 5,
+		"buildsys_exec_time_s": 10, "buildsys_useful_time_s": 6, "buildsys_wasted_time_s": 4,
+		"buildsys_exec_time_by_kind_compile_s": 6, "buildsys_exec_time_by_kind_unit_test_s": 4,
 	}
 	got := map[string]float64{}
 	for _, kv := range g {

@@ -37,7 +37,6 @@ import (
 	"mastergreen/internal/buildgraph"
 	"mastergreen/internal/change"
 	"mastergreen/internal/events"
-	"mastergreen/internal/metrics"
 	"mastergreen/internal/repo"
 )
 
@@ -122,29 +121,6 @@ type Stats struct {
 	ConservativeEdges      int // edges assumed conflicting because HEAD kept moving
 	GraphUpdates           int // incremental conflict-graph updates
 	GraphRebuilds          int // conflict graphs built from scratch
-}
-
-// Gauges renders the counters as ordered name/value pairs for dashboards and
-// experiment reports (cache effectiveness at a glance).
-func (s Stats) Gauges() metrics.Gauges {
-	return metrics.Gauges{
-		{Name: "graph_builds", Value: float64(s.GraphBuilds)},
-		{Name: "analyzed_changes", Value: float64(s.AnalyzedChanges)},
-		{Name: "cache_hits", Value: float64(s.CacheHits)},
-		{Name: "reused_analyses", Value: float64(s.ReusedAnalyses)},
-		{Name: "selective_invalidations", Value: float64(s.SelectiveInvalidations)},
-		{Name: "cheap_comparisons", Value: float64(s.CheapComparisons)},
-		{Name: "union_comparisons", Value: float64(s.UnionComparisons)},
-		{Name: "pair_cache_hits", Value: float64(s.PairCacheHits)},
-		{Name: "pairs_reused", Value: float64(s.PairsReused)},
-		{Name: "pairs_rescanned", Value: float64(s.PairsRescanned)},
-		{Name: "head_move_retries", Value: float64(s.HeadMoveRetries)},
-		{Name: "conservative_edges", Value: float64(s.ConservativeEdges)},
-		{Name: "graph_updates", Value: float64(s.GraphUpdates)},
-		{Name: "graph_rebuilds", Value: float64(s.GraphRebuilds)},
-		{Name: "structure_changed", Value: float64(s.StructureChanged)},
-		{Name: "patch_apply_failures", Value: float64(s.PatchApplyFailures)},
-	}
 }
 
 // inflight is a single-flight slot: the claimant computes the analysis and

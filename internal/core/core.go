@@ -23,6 +23,7 @@ import (
 	"mastergreen/internal/change"
 	"mastergreen/internal/conflict"
 	"mastergreen/internal/events"
+	"mastergreen/internal/metrics"
 	"mastergreen/internal/planner"
 	"mastergreen/internal/predict"
 	"mastergreen/internal/queue"
@@ -39,7 +40,8 @@ type Config struct {
 	// Workers is the number of builds that may run concurrently (<=0: 4).
 	Workers int
 	// Predictor supplies P_succ/P_conf. Nil defaults to a mildly optimistic
-	// static predictor; production uses predict.Learned.
+	// static predictor (P_succ 0.85, P_conf 0.05), which is what sqd runs:
+	// it has no way to load a trained model.
 	Predictor predict.Predictor
 	// Runner executes build steps. Nil defaults to always-succeed, which is
 	// useful when the repository's own structure (merge conflicts, target
@@ -339,17 +341,21 @@ func (s *Service) ShardStats() shard.Stats { return s.runtime.Stats() }
 // ArbiterStats exposes the commit arbiter's counters.
 func (s *Service) ArbiterStats() arbiter.Stats { return s.arb.Stats() }
 
-// SchedStats exposes per-class queue depths and turnaround statistics from
-// the priority-lane layer (zero value when Config.Sched is nil).
-func (s *Service) SchedStats() sched.Stats {
-	if s.tracker == nil {
-		return sched.Stats{}
-	}
-	return s.tracker.Snapshot()
-}
-
 // ReliabilityStats exposes the flaky-failure layer's work counters.
 func (s *Service) ReliabilityStats() reliability.Stats { return s.rel.Stats() }
+
+// Gauges renders the counters of every layer the service runs — builds,
+// conflict analysis, planner engines, shard runtime, arbiter, reliability
+// and, with Config.Sched, the priority lanes — one gauge per Stats field,
+// named by metrics.Render. It is the one reader behind /api/v1/status, the
+// dashboard and sqd's shutdown log.
+func (s *Service) Gauges() metrics.Gauges {
+	layers := []any{s.BuildStats(), s.AnalyzerStats(), s.PlannerStats(), s.ShardStats(), s.ArbiterStats(), s.ReliabilityStats()}
+	if s.tracker != nil {
+		layers = append(layers, s.tracker.Snapshot())
+	}
+	return metrics.Render(layers...)
+}
 
 // Reliability exposes the reliability layer (quarantine operations, tests).
 func (s *Service) Reliability() *reliability.Reliability { return s.rel }

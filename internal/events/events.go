@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"mastergreen/internal/change"
-	"mastergreen/internal/metrics"
 )
 
 // Type classifies an event.
@@ -166,17 +165,6 @@ func (b *Bus) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// Gauges renders the bus health counters in the repo's uniform gauge form.
-func (b *Bus) Gauges() metrics.Gauges {
-	st := b.Stats()
-	return metrics.Gauges{
-		{Name: "events_published", Value: float64(st.Published)},
-		{Name: "events_dropped", Value: float64(st.Dropped)},
-		{Name: "events_subscribers", Value: float64(st.Subscribers)},
-		{Name: "events_slow_subscribers", Value: float64(st.SlowSubscribers)},
-	}
 }
 
 // Since returns retained events with Seq > seq, oldest first.

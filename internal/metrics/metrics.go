@@ -1,7 +1,9 @@
 // Package metrics provides the statistical primitives used by the
 // SubmitQueue evaluation harness: percentile estimation, empirical CDFs,
 // histograms, and time-bucketed series. All functions are deterministic and
-// allocation-conscious so they can run inside benchmarks.
+// allocation-conscious so they can run inside benchmarks. Render and Sum
+// (counters.go) turn the layers' Stats structs into named gauges and add
+// them up.
 package metrics
 
 import (

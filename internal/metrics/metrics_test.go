@@ -255,18 +255,6 @@ func TestMeanStdDev(t *testing.T) {
 
 func TestGauges(t *testing.T) {
 	gs := Gauges{{Name: "hits", Value: 3}, {Name: "total", Value: 4}, {Name: "rate", Value: 0.75}}
-	if v, ok := gs.Get("hits"); !ok || v != 3 {
-		t.Fatalf("Get(hits) = %v, %v", v, ok)
-	}
-	if _, ok := gs.Get("nope"); ok {
-		t.Fatal("Get(nope) found")
-	}
-	if r := gs.Ratio("hits", "total"); !almostEqual(r, 0.75, 1e-9) {
-		t.Fatalf("Ratio = %v", r)
-	}
-	if r := gs.Ratio("hits", "nope"); r != 0 {
-		t.Fatalf("Ratio with missing denominator = %v", r)
-	}
 	if got, want := gs.String(), "hits=3 total=4 rate=0.75"; got != want {
 		t.Fatalf("String = %q, want %q", got, want)
 	}

@@ -1,7 +1,5 @@
 package planner
 
-import "mastergreen/internal/metrics"
-
 // Stats counts planner work, layer by layer, so the incremental-epoch
 // machinery (DESIGN.md §4f) is observable and benchmarkable: the prefix
 // preparation trie, the plan-fingerprint memo, the dynamic-key cache, and
@@ -57,50 +55,3 @@ type Stats struct {
 // plus per-patch merge units. Divided by BuildsStarted it is the harness
 // metric planner.prep_ops_per_build.
 func (s Stats) PrepOps() int { return s.SnapshotAnalyses + s.PatchApplies }
-
-// Add accumulates o into s, field by field. The sharded runtime sums its
-// engines' counters with it; TestStatsAddAndGaugesCoverEveryField fails when
-// a new field is left out.
-func (s *Stats) Add(o Stats) {
-	s.BuildsStarted += o.BuildsStarted
-	s.PrefixHits += o.PrefixHits
-	s.PrefixMisses += o.PrefixMisses
-	s.PrefixInvalidations += o.PrefixInvalidations
-	s.HeadGraphBuilds += o.HeadGraphBuilds
-	s.SnapshotAnalyses += o.SnapshotAnalyses
-	s.PatchApplies += o.PatchApplies
-	s.PlansComputed += o.PlansComputed
-	s.PlansSkipped += o.PlansSkipped
-	s.KeysComputed += o.KeysComputed
-	s.KeysCached += o.KeysCached
-	s.FinishedPruned += o.FinishedPruned
-	s.CrossShardRebuilds += o.CrossShardRebuilds
-	s.ObsoleteAborted += o.ObsoleteAborted
-	s.SpecBranchesSkipped += o.SpecBranchesSkipped
-	s.SpecBuildsSkipped += o.SpecBuildsSkipped
-	s.HotfixPreempted += o.HotfixPreempted
-}
-
-// Gauges renders the counters as ordered name/value pairs for the status
-// endpoint, the dashboard, and experiment reports.
-func (s Stats) Gauges() metrics.Gauges {
-	return metrics.Gauges{
-		{Name: "builds_started", Value: float64(s.BuildsStarted)},
-		{Name: "prefix_hits", Value: float64(s.PrefixHits)},
-		{Name: "prefix_misses", Value: float64(s.PrefixMisses)},
-		{Name: "prefix_invalidations", Value: float64(s.PrefixInvalidations)},
-		{Name: "head_graph_builds", Value: float64(s.HeadGraphBuilds)},
-		{Name: "snapshot_analyses", Value: float64(s.SnapshotAnalyses)},
-		{Name: "patch_applies", Value: float64(s.PatchApplies)},
-		{Name: "plans_computed", Value: float64(s.PlansComputed)},
-		{Name: "plans_skipped", Value: float64(s.PlansSkipped)},
-		{Name: "keys_computed", Value: float64(s.KeysComputed)},
-		{Name: "keys_cached", Value: float64(s.KeysCached)},
-		{Name: "finished_pruned", Value: float64(s.FinishedPruned)},
-		{Name: "cross_shard_rebuilds", Value: float64(s.CrossShardRebuilds)},
-		{Name: "obsolete_aborted", Value: float64(s.ObsoleteAborted)},
-		{Name: "spec_branches_skipped", Value: float64(s.SpecBranchesSkipped)},
-		{Name: "spec_builds_skipped", Value: float64(s.SpecBuildsSkipped)},
-		{Name: "hotfix_preempted", Value: float64(s.HotfixPreempted)},
-	}
-}

@@ -1,7 +1,5 @@
 package reliability
 
-import "mastergreen/internal/metrics"
-
 // Stats counts the reliability layer's work. Injector counters are zero when
 // no fault injector is attached.
 type Stats struct {
@@ -33,27 +31,4 @@ type Stats struct {
 	Verifications           int
 	QuarantineVerifications int
 	RejectionsAverted       int
-}
-
-// InjectedFaults sums all injected fault classes.
-func (s Stats) InjectedFaults() int {
-	return s.InjectedTransients + s.InjectedSlows + s.InjectedStucks + s.InjectedCrashes
-}
-
-// Gauges renders the counters as ordered metrics gauges.
-func (s Stats) Gauges() metrics.Gauges {
-	return metrics.Gauges{
-		{Name: "injected_faults", Value: float64(s.InjectedFaults())},
-		{Name: "injected_transients", Value: float64(s.InjectedTransients)},
-		{Name: "injected_crashes", Value: float64(s.InjectedCrashes)},
-		{Name: "units_recorded", Value: float64(s.UnitsRecorded)},
-		{Name: "flakes_confirmed", Value: float64(s.FlakesConfirmed)},
-		{Name: "flaky_units", Value: float64(s.FlakyUnits)},
-		{Name: "genuine_failures", Value: float64(s.GenuineFailures)},
-		{Name: "quarantined_kinds", Value: float64(s.QuarantinedKinds)},
-		{Name: "retries", Value: float64(s.Retries)},
-		{Name: "retry_budget_denied", Value: float64(s.RetryBudgetDenied)},
-		{Name: "verifications", Value: float64(s.Verifications)},
-		{Name: "rejections_averted", Value: float64(s.RejectionsAverted)},
-	}
 }

@@ -183,10 +183,10 @@ func TestTracker(t *testing.T) {
 	tr.NoteSubmit(&change.Change{ID: "n2"}, now) // duplicate ignored
 
 	s := tr.Snapshot()
-	if got := s.Class(change.ClassHotfix).Pending; got != 1 {
+	if got := s.Hotfix.Pending; got != 1 {
 		t.Fatalf("hotfix pending = %d, want 1", got)
 	}
-	if got := s.Class(change.ClassNormal); got.Pending != 2 || got.Accepted != 2 {
+	if got := s.Normal; got.Pending != 2 || got.Accepted != 2 {
 		t.Fatalf("normal lane = %+v, want pending 2 accepted 2", got)
 	}
 
@@ -196,15 +196,13 @@ func TestTracker(t *testing.T) {
 	tr.NoteDecision("zzz", true, now)                      // unknown ignored
 
 	s = tr.Snapshot()
-	h := s.Class(change.ClassHotfix)
-	if h.Pending != 0 || h.Committed != 1 || h.TurnaroundMeanSec != 30 || h.TurnaroundMaxSec != 30 {
+	if h := s.Hotfix; h.Pending != 0 || h.Committed != 1 || h.TurnaroundMeanSec != 30 || h.TurnaroundMaxSec != 30 {
 		t.Fatalf("hotfix lane after decision = %+v", h)
 	}
-	n := s.Class(change.ClassNormal)
-	if n.Pending != 1 || n.Rejected != 1 || n.TurnaroundMeanSec != 120 {
+	if n := s.Normal; n.Pending != 1 || n.Rejected != 1 || n.TurnaroundMeanSec != 120 {
 		t.Fatalf("normal lane after decision = %+v", n)
 	}
-	if s.Gauges() == "" {
-		t.Fatal("Gauges() empty")
+	if s.Bulk != (ClassStats{}) {
+		t.Fatalf("bulk lane = %+v, want empty", s.Bulk)
 	}
 }

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -31,26 +29,20 @@ type ClassStats struct {
 	TurnaroundMaxSec  float64
 }
 
-// Stats is a point-in-time snapshot of every lane.
+// Stats is a point-in-time snapshot of every lane, in severity order.
 type Stats struct {
-	Classes [nClasses]ClassStats
+	Hotfix, Normal, Bulk ClassStats
 }
 
-// Class returns the snapshot for one lane.
-func (s Stats) Class(c change.Class) ClassStats { return s.Classes[classIndex(c)] }
-
-// Gauges renders the snapshot as one log line, lanes in severity order.
-func (s Stats) Gauges() string {
-	var b strings.Builder
-	for i, c := range []change.Class{change.ClassHotfix, change.ClassNormal, change.ClassBulk} {
-		cs := s.Classes[classIndex(c)]
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		fmt.Fprintf(&b, "%s{accepted=%d pending=%d committed=%d rejected=%d turn_mean=%.1fs turn_max=%.1fs}",
-			c, cs.Accepted, cs.Pending, cs.Committed, cs.Rejected, cs.TurnaroundMeanSec, cs.TurnaroundMaxSec)
+// lane returns the snapshot slot of one lane.
+func (s *Stats) lane(c change.Class) *ClassStats {
+	switch c {
+	case change.ClassHotfix:
+		return &s.Hotfix
+	case change.ClassBulk:
+		return &s.Bulk
 	}
-	return b.String()
+	return &s.Normal
 }
 
 // Tracker accumulates per-class queue-depth and turnaround gauges for the
@@ -125,7 +117,8 @@ func (t *Tracker) Snapshot() Stats {
 	defer t.mu.Unlock()
 	var s Stats
 	for i := 0; i < nClasses; i++ {
-		s.Classes[i] = ClassStats{
+		cs := s.lane(change.Class(i))
+		*cs = ClassStats{
 			Accepted:         t.accepted[i],
 			Pending:          t.pending[i],
 			Committed:        t.committed[i],
@@ -133,7 +126,7 @@ func (t *Tracker) Snapshot() Stats {
 			TurnaroundMaxSec: t.turnMax[i],
 		}
 		if t.turnN[i] > 0 {
-			s.Classes[i].TurnaroundMeanSec = t.turnSum[i] / float64(t.turnN[i])
+			cs.TurnaroundMeanSec = t.turnSum[i] / float64(t.turnN[i])
 		}
 	}
 	return s

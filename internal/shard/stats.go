@@ -39,20 +39,7 @@ func (rt *Runtime) Stats() Stats {
 func (rt *Runtime) PlannerStats() planner.Stats {
 	var sum planner.Stats
 	for _, e := range rt.engines {
-		sum.Add(e.planner.Stats())
+		sum = metrics.Sum(sum, e.planner.Stats())
 	}
 	return sum
-}
-
-// Gauges renders the counters as ordered name/value pairs for the status
-// endpoint, the dashboard, and experiment reports.
-func (s Stats) Gauges() metrics.Gauges {
-	return metrics.Gauges{
-		{Name: "shards_active", Value: float64(s.ShardsActive)},
-		{Name: "components", Value: float64(s.Components)},
-		{Name: "members", Value: float64(s.Members)},
-		{Name: "partitions", Value: float64(s.Partitions)},
-		{Name: "heavy_partitions", Value: float64(s.HeavyPartitions)},
-		{Name: "rebalanced", Value: float64(s.Rebalanced)},
-	}
 }
