@@ -19,10 +19,11 @@
 // -snapshot-interval additionally folds the journal into a snapshot
 // periodically so restart replay stays proportional to live state.
 // -admission-cap turns on backpressure (429 + Retry-After once the pending
-// queue fills, 503 dashboard sheds near capacity); -status-refresh serves
-// dashboard reads from a background-rebuilt snapshot instead of rebuilding
-// per request. On SIGTERM or interrupt the service logs Service.Gauges() —
-// every layer's counters — as one "name=value …" line.
+// queue fills, 503 dashboard sheds near capacity). /api/v1/status is served
+// from a snapshot cached for 250ms; -status-refresh rebuilds it in the
+// background at that interval, and with 0 the first request after the cache
+// expires rebuilds it. On SIGTERM or interrupt the service logs
+// Service.Gauges() — every layer's counters — as one "name=value …" line.
 //
 // Submit changes with:
 //
@@ -70,7 +71,7 @@ func main() {
 	shards := flag.Int("shards", 1, "planner engines the conflict-graph components are spread over")
 	snapshotEvery := flag.Duration("snapshot-interval", 0, "with -data: fold the journal into a snapshot this often (0 = only at shutdown)")
 	admissionCap := flag.Int("admission-cap", 0, "bound the pending queue; excess submits get 429 + Retry-After (0 = unbounded)")
-	statusRefresh := flag.Duration("status-refresh", 250*time.Millisecond, "background status snapshot rebuild interval (0 = rebuild per request)")
+	statusRefresh := flag.Duration("status-refresh", 250*time.Millisecond, "background status snapshot rebuild interval (0 = no background rebuild: the first request after the 250ms cache expires rebuilds it)")
 	schedOn := flag.Bool("sched", false, "enable priority-lane scheduling (P0 hotfix preemption, deadline aging, per-class gauges)")
 	flag.Parse()
 

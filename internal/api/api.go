@@ -118,7 +118,7 @@ type Server struct {
 // NewServer wraps the service.
 func NewServer(svc *core.Service) *Server {
 	s := &Server{svc: svc, mux: http.NewServeMux(), now: time.Now}
-	s.status = newStatusCache(0, func() time.Time { return s.now() }, s.buildStatusBody)
+	s.status = newStatusCache(func() time.Time { return s.now() }, s.buildStatusBody)
 	s.mux.HandleFunc("/api/v1/changes", s.handleChanges)
 	s.mux.HandleFunc("/api/v1/changes/", s.handleChangeState)
 	s.mux.HandleFunc("/api/v1/status", s.handleStatus)
@@ -213,9 +213,9 @@ type changeWithRevision struct {
 }
 
 // defaultBuildSteps is shared across all submitted changes: nothing mutates
-// a change's BuildSteps in place (the planner's test selection copies before
-// narrowing, the journal encodes element by element), so one slice serves
-// every request.
+// a change's BuildSteps in place (the planner hands them to the build
+// controller as they are, the journal encodes element by element), so one
+// slice serves every request.
 var defaultBuildSteps = change.DefaultBuildSteps()
 
 func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {

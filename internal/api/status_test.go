@@ -67,7 +67,6 @@ func TestStatusReportsEveryStatsField(t *testing.T) {
 		Events:        bus,
 		Sched:         sched.Default(),
 		FaultInjector: inj,
-		Reliability:   reliability.Config{Sleep: noSleep},
 	})
 	srv := NewServer(svc)
 	srv.SetEvents(bus)

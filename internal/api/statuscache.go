@@ -12,10 +12,13 @@ import (
 	"time"
 )
 
+// statusTTL is how long a rendered status body is served before the next
+// request rebuilds it.
+const statusTTL = 250 * time.Millisecond
+
 type statusCache struct {
 	now   func() time.Time // injected clock (wallclock policy)
-	ttl   time.Duration
-	build func() []byte // renders a fresh status body
+	build func() []byte    // renders a fresh status body
 
 	// refreshes is atomic: the build callback itself reads it (the status
 	// body reports its own rebuild count) while refresh holds mu.
@@ -26,11 +29,8 @@ type statusCache struct {
 	expires time.Time
 }
 
-func newStatusCache(ttl time.Duration, now func() time.Time, build func() []byte) *statusCache {
-	if ttl <= 0 {
-		ttl = 250 * time.Millisecond
-	}
-	return &statusCache{now: now, ttl: ttl, build: build}
+func newStatusCache(now func() time.Time, build func() []byte) *statusCache {
+	return &statusCache{now: now, build: build}
 }
 
 // get returns the current status body, rebuilding if the TTL lapsed. The
@@ -50,7 +50,7 @@ func (c *statusCache) get() []byte {
 func (c *statusCache) refresh() {
 	atomic.AddInt64(&c.refreshes, 1)
 	c.body = c.build()
-	c.expires = c.now().Add(c.ttl)
+	c.expires = c.now().Add(statusTTL)
 }
 
 // Refresh rebuilds the cached body (background refresher tick).

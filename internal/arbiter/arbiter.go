@@ -34,13 +34,14 @@ type Config struct {
 	Analyzer *conflict.Analyzer
 	// Events, when non-nil, receives a TypeHeadAdvanced event per commit.
 	Events *events.Bus
-	// History is the number of most recent commits whose footprint records
-	// are retained (<=0: 4096), in a ring that costs O(1) per commit. A
-	// proposal whose base is more than History commits behind the head
-	// predates the window and is bounced conservatively; its rebuilt
-	// decisive build starts at the current head and re-enters the window.
-	History int
 }
+
+// retainedHistory is the number of most recent commits whose footprint
+// records are retained, in a ring that costs O(1) per commit. A proposal
+// whose base is more than retainedHistory commits behind the head predates
+// the window and is bounced conservatively; its rebuilt decisive build
+// starts at the current head and re-enters the window.
+const retainedHistory = 4096
 
 // hotfixYieldCap bounds how many scheduler passes a lower-lane proposal
 // donates to waiting hotfixes before proceeding anyway.
@@ -69,12 +70,16 @@ type Arbiter struct {
 	// (bounded) so a waiting P0 reaches the mutex first.
 	hotfixWaiters int64
 
+	// history is the ring's capacity: retainedHistory, fixed before the
+	// first commit.
+	history int
+
 	mu sync.Mutex
-	// records is a ring of the last cfg.History commit footprints: the
-	// record of commit seq s lives in slot (s-origin)%History, so the ring
-	// grows by append until full and then the newest record overwrites the
-	// oldest. origin is the mainline length at creation, floor the seq of the
-	// oldest retained record.
+	// records is a ring of the last history commit footprints: the record of
+	// commit seq s lives in slot (s-origin)%history, so the ring grows by
+	// append until full and then the newest record overwrites the oldest.
+	// origin is the mainline length at creation, floor the seq of the oldest
+	// retained record.
 	records   []record
 	origin    int
 	floor     int
@@ -86,12 +91,10 @@ type Arbiter struct {
 // New creates an arbiter over the repository. Only commits made through the
 // arbiter are re-validated; the repository should not advance behind its back.
 func New(r *repo.Repo, cfg Config) *Arbiter {
-	if cfg.History <= 0 {
-		cfg.History = 4096
-	}
 	return &Arbiter{
 		repo:      r,
 		cfg:       cfg,
+		history:   retainedHistory,
 		origin:    r.Len(),
 		floor:     r.Len(),
 		committed: map[change.ID]bool{},
@@ -203,7 +206,7 @@ func (a *Arbiter) commitLocked(p planner.CommitProposal) (*repo.Commit, error) {
 				a.stats.CrossShardRejects++
 				return nil, fmt.Errorf("%w: %s base predates retained history", planner.ErrCrossShardConflict, id)
 			}
-			r := a.records[(seq-a.origin)%a.cfg.History]
+			r := a.records[(seq-a.origin)%a.history]
 			if applied[r.id] {
 				continue // part of the decisive build
 			}
@@ -226,10 +229,10 @@ func (a *Arbiter) commitLocked(p planner.CommitProposal) (*repo.Commit, error) {
 		return nil, err
 	}
 	a.committed[id] = true
-	if rec := newRecord(p, a.structureChanged(id)); len(a.records) < a.cfg.History {
+	if rec := newRecord(p, a.structureChanged(id)); len(a.records) < a.history {
 		a.records = append(a.records, rec)
 	} else {
-		a.records[(headLen-a.origin)%a.cfg.History] = rec
+		a.records[(headLen-a.origin)%a.history] = rec
 		a.floor++
 	}
 	a.stats.Commits++

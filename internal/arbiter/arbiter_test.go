@@ -142,7 +142,8 @@ func TestMergeFailureLeavesMainlineUntouched(t *testing.T) {
 // window bounces conservatively instead of consulting evicted records.
 func TestHistoryEviction(t *testing.T) {
 	r := testRepo()
-	a := New(r, Config{History: 1})
+	a := New(r, Config{})
+	a.history = 1
 	base := r.Len()
 	if _, err := a.Commit(proposal(r, 0, "c1", "a/x.go", "x", base, []string{"a"})); err != nil {
 		t.Fatal(err)
@@ -150,7 +151,7 @@ func TestHistoryEviction(t *testing.T) {
 	if _, err := a.Commit(proposal(r, 0, "c2", "b/y.go", "y", r.Len(), []string{"b"})); err != nil {
 		t.Fatal(err)
 	}
-	// c1's record is evicted (History=1). A proposal based before c1 bounces.
+	// c1's record is evicted (history 1). A proposal based before c1 bounces.
 	_, err := a.Commit(proposal(r, 1, "c3", "c/z.go", "z", base, []string{"c"}))
 	if !errors.Is(err, planner.ErrCrossShardConflict) {
 		t.Fatalf("expected bounce on evicted history, got %v", err)
@@ -185,16 +186,17 @@ func TestSubscribeNudges(t *testing.T) {
 	}
 }
 
-// TestRetainedWindowIsARing commits three times History proposals and checks
+// TestRetainedWindowIsARing commits three times history proposals and checks
 // that retaining their footprints costs the same per commit at the end as at
 // the start (the window does not copy itself), and that the window's edge is
-// where it always was: a proposal based exactly History commits back is
+// where it always was: a proposal based exactly history commits back is
 // re-validated against the real records — every one of them, in the right
 // slot — and one commit further back is bounced unseen.
 func TestRetainedWindowIsARing(t *testing.T) {
 	const history = 128
 	r := benchRepo()
-	a := New(r, Config{History: history})
+	a := New(r, Config{})
+	a.history = history
 	var ids []change.ID
 	prev := "lib v1"
 	third := func() uint64 {
@@ -227,7 +229,7 @@ func TestRetainedWindowIsARing(t *testing.T) {
 	oldest := ids[len(ids)-history]
 	_, err := a.Commit(benchProposal(1, 1_000_000, head-history))
 	if !errors.Is(err, planner.ErrCrossShardConflict) || !strings.Contains(err.Error(), "vs committed "+string(oldest)+" ") {
-		t.Fatalf("a base exactly History commits back must be re-validated against the oldest retained record %s, got: %v", oldest, err)
+		t.Fatalf("a base exactly history commits back must be re-validated against the oldest retained record %s, got: %v", oldest, err)
 	}
 	_, err = a.Commit(benchProposal(1, 1_000_001, head-history-1))
 	if !errors.Is(err, planner.ErrCrossShardConflict) || !strings.Contains(err.Error(), "base predates retained history") {

@@ -200,38 +200,6 @@ func TestMissingDepError(t *testing.T) {
 	}
 }
 
-// TestTargetsForPaths maps sources and BUILD files to owning targets.
-func TestTargetsForPaths(t *testing.T) {
-	resetAnalyzeCache()
-	g := mustAnalyze(t, diamondRepo())
-	got := g.TargetsForPaths([]string{"l/t.go", "r/BUILD", "unowned.txt"})
-	want := map[string]bool{"//l:t": true, "//r:t": true}
-	if len(got) != len(want) {
-		t.Fatalf("TargetsForPaths = %v, want %v", got, want)
-	}
-	for _, n := range got {
-		if !want[n] {
-			t.Errorf("unexpected target %s", n)
-		}
-	}
-}
-
-// TestDependentsWithin: radius-bounded reverse BFS includes the seeds.
-func TestDependentsWithin(t *testing.T) {
-	resetAnalyzeCache()
-	g := mustAnalyze(t, chainRepo(5))
-	got := g.DependentsWithin(1, "//"+dirName(0)+":t")
-	want := map[string]bool{"//" + dirName(0) + ":t": true, "//" + dirName(1) + ":t": true}
-	if len(got) != len(want) {
-		t.Fatalf("DependentsWithin(1) = %v, want %v", got, want)
-	}
-	for n := range want {
-		if !got[n] {
-			t.Errorf("missing %s", n)
-		}
-	}
-}
-
 // TestSameStructure distinguishes content edits from structural edits.
 func TestSameStructure(t *testing.T) {
 	resetAnalyzeCache()

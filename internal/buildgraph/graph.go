@@ -90,29 +90,6 @@ func (g *Graph) Hash(name string) (string, bool) {
 	return h, ok
 }
 
-// TargetsForPaths returns the sorted labels of targets directly containing
-// any of the given files: targets listing a path in srcs, plus targets
-// declared by a listed BUILD file.
-func (g *Graph) TargetsForPaths(paths []string) []string {
-	seen := map[string]bool{}
-	for _, p := range paths {
-		for _, name := range g.bySrc[p] {
-			seen[name] = true
-		}
-		if dir, ok := buildFileDir(p); ok {
-			for _, t := range g.byDir[dir] {
-				seen[t.Name] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // DependencyClosure returns the transitive dependencies of the target,
 // including the target itself.
 func (g *Graph) DependencyClosure(name string) map[string]bool {
@@ -145,33 +122,6 @@ func (g *Graph) closure(name string, next func(string) []string) map[string]bool
 				stack = append(stack, m)
 			}
 		}
-	}
-	return seen
-}
-
-// DependentsWithin returns every target reachable from the seeds by at most
-// radius reverse-dependency hops, seeds included — the §9 test-selection
-// neighborhood.
-func (g *Graph) DependentsWithin(radius int, seeds ...string) map[string]bool {
-	seen := map[string]bool{}
-	frontier := make([]string, 0, len(seeds))
-	for _, s := range seeds {
-		if _, ok := g.targets[s]; ok && !seen[s] {
-			seen[s] = true
-			frontier = append(frontier, s)
-		}
-	}
-	for hop := 0; hop < radius && len(frontier) > 0; hop++ {
-		var next []string
-		for _, n := range frontier {
-			for _, m := range g.rdeps[n] {
-				if !seen[m] {
-					seen[m] = true
-					next = append(next, m)
-				}
-			}
-		}
-		frontier = next
 	}
 	return seen
 }

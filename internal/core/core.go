@@ -49,20 +49,8 @@ type Config struct {
 	Runner buildsys.StepRunner
 	// Epoch is the planner period for the background loop (<=0: 250ms).
 	Epoch time.Duration
-	// MaxSpecDepth caps speculation branching per change.
-	MaxSpecDepth int
 	// PreemptionGrace: builds running at least this long are not aborted.
 	PreemptionGrace time.Duration
-	// TestSelectionRadius, if > 0, restricts test steps to targets within
-	// this many reverse-dependency hops of directly modified targets (§9
-	// test selection; compilation still covers every affected target).
-	TestSelectionRadius int
-	// SkipThreshold, if > 0, enables predictor-gated build skipping
-	// (DESIGN.md §4j): speculation branch points whose in-context commit
-	// probability is at least this value do not plan the reject-branch hedge.
-	// The always-run decisive build preserves greenness; a wrong skip costs a
-	// restart, never a red mainline.
-	SkipThreshold float64
 	// Now is the clock; injectable for tests.
 	Now func() time.Time
 	// Events, when non-nil, receives lifecycle events for observability
@@ -160,15 +148,12 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 		runtime: shard.New(r, q, an, arb, ctrl, shard.Config{
 			Shards: cfg.Shards,
 			Planner: planner.Config{
-				Budget:              cfg.Workers,
-				MaxSpecDepth:        cfg.MaxSpecDepth,
-				PreemptionGrace:     cfg.PreemptionGrace,
-				Now:                 cfg.Now,
-				Events:              cfg.Events,
-				TestSelectionRadius: cfg.TestSelectionRadius,
-				SkipThreshold:       cfg.SkipThreshold,
-				Reliability:         rel,
-				Sched:               cfg.Sched,
+				Budget:          cfg.Workers,
+				PreemptionGrace: cfg.PreemptionGrace,
+				Now:             cfg.Now,
+				Events:          cfg.Events,
+				Reliability:     rel,
+				Sched:           cfg.Sched,
 			},
 			Spec:   func() *speculation.Engine { return speculation.New(cfg.Predictor) },
 			Events: cfg.Events,

@@ -37,7 +37,6 @@ func TestInnocentSurvivesInjectedTransient(t *testing.T) {
 		Workers:       2,
 		Runner:        badRunner,
 		FaultInjector: inj,
-		Reliability:   reliability.Config{Sleep: relNoSleep},
 	})
 
 	good := mkChange(r, "good", "doc/readme.md", "doc v2")
@@ -73,27 +72,24 @@ func TestInnocentSurvivesInjectedTransient(t *testing.T) {
 	}
 }
 
-// TestVerificationAvertsRejection: with in-place retries disabled
-// (MaxAttempts 1) and the compile kind quarantined, a decisive build that
-// fails on an injected transient gets one verification re-run against the
-// same snapshot; the re-run passes (the injector's per-unit cap is spent),
-// the change commits, and the averted rejection is counted and published.
+// TestVerificationAvertsRejection: with every unit flaking twice, enough to
+// outlast the in-place retry, and the compile kind quarantined, a decisive
+// build that fails on injected transients gets one verification re-run
+// against the same snapshot; the re-run passes (the injector's per-unit cap
+// is spent), the change commits, and the averted rejection is counted and
+// published.
 func TestVerificationAvertsRejection(t *testing.T) {
 	r := newRepo()
 	bus := events.NewBus(256)
 	inj := reliability.NewInjector(nil, rand.New(rand.NewSource(9)), reliability.InjectorConfig{
 		DefaultTransientRate: 1,
-		MaxTransientsPerUnit: 1,
+		MaxTransientsPerUnit: 2,
 		Sleep:                relNoSleep,
 	})
 	s := NewService(r, Config{
 		Workers:       2,
 		Events:        bus,
 		FaultInjector: inj,
-		Reliability: reliability.Config{
-			Retry: reliability.RetryPolicy{MaxAttempts: 1},
-			Sleep: relNoSleep,
-		},
 	})
 	s.Reliability().Quarantine(change.StepCompile)
 

@@ -91,7 +91,7 @@ func runChainEpoch(tb testing.TB, n int) (Stats, float64) {
 	r, changes := benchChainRepo(n)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p, q := newBenchPlanner(r, holdOpenRunner(), Config{Budget: n, MaxSpecDepth: n})
+	p, q := newBenchPlanner(r, holdOpenRunner(), Config{Budget: n})
 	for _, c := range changes {
 		if err := q.Enqueue(c); err != nil {
 			tb.Fatal(err)
@@ -182,7 +182,7 @@ func BenchmarkObsoletePrune(b *testing.B) {
 	r, changes := benchChainRepo(n)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p, q := newBenchPlanner(r, holdOpenRunner(), Config{Budget: n, MaxSpecDepth: n})
+	p, q := newBenchPlanner(r, holdOpenRunner(), Config{Budget: n})
 	for _, c := range changes {
 		if err := q.Enqueue(c); err != nil {
 			b.Fatal(err)

@@ -192,7 +192,8 @@ func TestSkipWrongPredictionCaughtByDecisive(t *testing.T) {
 	// newEnv's predictor says P_succ = 0.9; threshold 0.5 gates branching
 	// once a node would carry two or more assumptions (c3 branches over both
 	// c1 and c2 — x and y conflict through y's dep on //x:x).
-	e := newEnv(t, runner, Config{Budget: 8, SkipThreshold: 0.5})
+	e := newEnv(t, runner, Config{Budget: 8})
+	e.planner.spec.SkipThreshold = 0.5
 	e.submit(t, "c1", "x/x.go", "broken")
 	e.submit(t, "c2", "y/y.go", "y v2")
 	e.submit(t, "c3", "x/x.go", "x v3")
@@ -228,9 +229,9 @@ func TestSkipWrongPredictionCaughtByDecisive(t *testing.T) {
 	}
 }
 
-// TestSkipDisabledPlansHedges: with SkipThreshold zero the planner still
-// hedges — the reject-branch build is planned and reused as c2's decisive
-// build after c1's rejection, with no restart.
+// TestSkipDisabledPlansHedges: with the engine's SkipThreshold zero the
+// planner still hedges — the reject-branch build is planned and reused as
+// c2's decisive build after c1's rejection, with no restart.
 func TestSkipDisabledPlansHedges(t *testing.T) {
 	runner := buildsys.RunnerFunc(func(_ context.Context, _ change.BuildStep, _ string, snap repo.Snapshot) error {
 		if x, _ := snap.Read("x/x.go"); x == "broken" {

@@ -107,26 +107,9 @@ type Config struct {
 	// Budget is the maximum number of concurrently running builds (the
 	// paper's "based on the number of available resources"). <= 0 means 4.
 	Budget int
-	// MaxSpecDepth caps per-subject speculation branching.
-	MaxSpecDepth int
-	// SkipThreshold, when in (0, 1], enables predictor-gated build skipping
-	// (DESIGN.md §4j): speculation branch points whose predecessor is
-	// predicted to commit with probability >= the threshold are not hedged —
-	// only the assume-commit subtree is planned. The decisive build still
-	// gates every commit, so a wrong skip costs a restart, never a red
-	// master. Zero disables skipping.
-	SkipThreshold float64
 	// PreemptionGrace, if > 0, prevents aborting a build that has been
 	// running longer than this (§10 "Build Preemption" future work).
 	PreemptionGrace time.Duration
-	// TestSelectionRadius, if > 0, restricts test-kind build steps (unit,
-	// integration, UI) to targets within this many reverse-dependency hops
-	// of the directly modified targets — the §9/§10 test-selection
-	// extension. Compilation and artifact steps still cover every affected
-	// target, so the mainline remains structurally green; the trade-off is
-	// that a behavioral regression in a distant dependent may slip through,
-	// exactly as with production test-selection systems.
-	TestSelectionRadius int
 	// Now supplies the clock (real time by default); injectable for tests.
 	Now func() time.Time
 	// Events, when non-nil, receives lifecycle events (build starts,
@@ -146,10 +129,11 @@ type Config struct {
 	ShardID int
 	// Sched, when non-nil, enables priority-lane scheduling (DESIGN.md §4l):
 	// each pending change's class/deadline weight multiplies its value in
-	// the speculation request, the P0 lane is exempt from SkipThreshold
-	// gating, and a pending hotfix overrides PreemptionGrace for non-hotfix
-	// running builds. Nil planners behave exactly as before the sched layer
-	// existed. The shard runtime clones one policy per engine.
+	// the speculation request, the P0 lane is exempt from the engine's
+	// SkipThreshold gating, and a pending hotfix overrides PreemptionGrace
+	// for non-hotfix running builds. Nil planners behave exactly as before
+	// the sched layer existed. The shard runtime clones one policy per
+	// engine.
 	Sched *sched.Policy
 }
 
@@ -222,12 +206,6 @@ func New(r *repo.Repo, q *queue.Queue, an ConflictSource, spec *speculation.Engi
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.MaxSpecDepth > 0 {
-		spec.MaxSpecDepth = cfg.MaxSpecDepth
-	}
-	if cfg.SkipThreshold > 0 {
-		spec.SkipThreshold = cfg.SkipThreshold
 	}
 	return &Planner{
 		repo:         r,
@@ -1023,15 +1001,10 @@ func (p *Planner) startBuild(ctx context.Context, b speculation.Build) error {
 	}
 	subject.Stats.AffectedTargets = len(targets)
 
-	steps := subject.BuildSteps
-	if p.cfg.TestSelectionRadius > 0 {
-		steps = p.selectTests(steps, prep.graph, subject, targets)
-	}
-
 	req := buildsys.Request{
 		Key:          b.Key(),
 		Snapshot:     prep.snap,
-		Steps:        steps,
+		Steps:        subject.BuildSteps,
 		Targets:      targets,
 		PriorTargets: prep.prior,
 	}
@@ -1063,34 +1036,6 @@ func cloneBuild(b speculation.Build) speculation.Build {
 	b.AssumedIdx = slices.Clone(b.AssumedIdx)
 	b.AssumedRejectedIdx = slices.Clone(b.AssumedRejectedIdx)
 	return b
-}
-
-// selectTests restricts test-kind steps to targets within the configured
-// radius of the subject's directly modified targets (§9 test selection).
-func (p *Planner) selectTests(steps []change.BuildStep, g *buildgraph.Graph, subject *change.Change, affected map[string]string) []change.BuildStep {
-	direct := g.TargetsForPaths(subject.Patch.Paths())
-	within := g.DependentsWithin(p.cfg.TestSelectionRadius, direct...)
-	var selected []string
-	for name := range affected {
-		if within[name] {
-			selected = append(selected, name)
-		}
-	}
-	sort.Strings(selected)
-	out := make([]change.BuildStep, 0, len(steps))
-	for _, st := range steps {
-		switch st.Kind {
-		case change.StepUnitTest, change.StepIntegrationTest, change.StepUITest:
-			if len(st.Targets) == 0 { // only widen-to-all steps are narrowed
-				if len(selected) == 0 {
-					continue // nothing in radius: drop the test step entirely
-				}
-				st.Targets = selected
-			}
-		}
-		out = append(out, st)
-	}
-	return out
 }
 
 // recordImmediateFailure registers a synthetic failed result for builds that

@@ -3,17 +3,12 @@ package planner
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
-	"mastergreen/internal/conflict"
-	"mastergreen/internal/predict"
-	"mastergreen/internal/queue"
 	"mastergreen/internal/repo"
-	"mastergreen/internal/speculation"
 )
 
 // TestMergeFailureRecordedAsBuildFailure: a speculative build whose patches
@@ -123,78 +118,5 @@ func TestEmptyTickIsNoop(t *testing.T) {
 	}
 	if e.repo.Len() != 1 || e.planner.RunningCount() != 0 {
 		t.Fatal("state changed on empty tick")
-	}
-}
-
-// TestTestSelectionRadius: with radius 1, test steps run only on targets
-// within one reverse-dependency hop of the directly modified targets, while
-// compilation still covers every affected target.
-func TestTestSelectionRadius(t *testing.T) {
-	// Chain repo: a <- b <- c <- d; editing a affects all four.
-	r := repo.New(map[string]string{
-		"a/BUILD": "target a srcs=a.go", "a/a.go": "a v1",
-		"b/BUILD": "target b srcs=b.go deps=//a:a", "b/b.go": "b v1",
-		"c/BUILD": "target c srcs=c.go deps=//b:b", "c/c.go": "c v1",
-		"d/BUILD": "target d srcs=d.go deps=//c:c", "d/d.go": "d v1",
-	})
-	type unitRun struct {
-		step   string
-		target string
-	}
-	var mu sync.Mutex
-	var runs []unitRun
-	runner := buildsys.RunnerFunc(func(_ context.Context, step change.BuildStep, target string, _ repo.Snapshot) error {
-		mu.Lock()
-		runs = append(runs, unitRun{step.Name, target})
-		mu.Unlock()
-		return nil
-	})
-	q := queue.New(1)
-	an := conflict.New(r)
-	spec := speculation.New(predict.Static{Success: 0.9, Conflict: 0.1})
-	ctrl := buildsys.NewController(2, runner)
-	pl := New(r, q, an, spec, ctrl, Config{Budget: 2, TestSelectionRadius: 1})
-
-	snap := r.Head().Snapshot()
-	cur, _ := snap.Read("a/a.go")
-	c := &change.Change{
-		ID: "sel1",
-		Patch: repo.Patch{Changes: []repo.FileChange{{
-			Path: "a/a.go", Op: repo.OpModify, BaseHash: repo.HashContent(cur), NewContent: "a v2",
-		}}},
-		BuildSteps: []change.BuildStep{
-			{Name: "compile", Kind: change.StepCompile},
-			{Name: "unit", Kind: change.StepUnitTest},
-		},
-	}
-	if err := q.Enqueue(c); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := pl.Quiesce(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if o := decision(pl, c.ID); o.State != change.StateCommitted {
-		t.Fatalf("state = %v (%s)", o.State, o.Reason)
-	}
-	compiled := map[string]bool{}
-	tested := map[string]bool{}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, u := range runs {
-		if u.step == "compile" {
-			compiled[u.target] = true
-		} else {
-			tested[u.target] = true
-		}
-	}
-	// Compile covers all 4 affected targets; tests only a (direct) and b
-	// (radius 1).
-	if len(compiled) != 4 {
-		t.Fatalf("compiled = %v", compiled)
-	}
-	if !tested["//a:a"] || !tested["//b:b"] || tested["//c:c"] || tested["//d:d"] {
-		t.Fatalf("tested = %v, want exactly a and b", tested)
 	}
 }

@@ -16,13 +16,12 @@ import (
 const prepNodeCap = 1024
 
 // prepNode is one node of the shared-prefix preparation trie: the merged
-// snapshot H ⊕ C1 ⊕ … ⊕ Ci for the change-ID path from the root, its build
-// graph, and the target delta against the head graph. Children are keyed by
-// the next applied change ID. Nodes are immutable once computed; callers
-// must treat snap/graph/delta as read-only.
+// snapshot H ⊕ C1 ⊕ … ⊕ Ci for the change-ID path from the root and its
+// target delta against the head graph. Children are keyed by the next applied
+// change ID. Nodes are immutable once computed; callers must treat snap/delta
+// as read-only.
 type prepNode struct {
 	snap  repo.Snapshot
-	graph *buildgraph.Graph
 	delta buildgraph.Delta
 	kids  map[change.ID]*prepNode
 }
@@ -46,13 +45,12 @@ type prepCache struct {
 }
 
 // prepared is everything startBuild needs to launch a controller task:
-// the merged snapshot, its graph, the target delta versus head, and the
+// the merged snapshot, the target delta versus head, and the
 // prior-target set already produced by the k−1 prefix build (§6 minimal
 // build steps). failure carries a merge/graph error that should reject the
 // subject rather than abort the tick.
 type prepared struct {
 	snap    repo.Snapshot
-	graph   *buildgraph.Graph
 	delta   buildgraph.Delta
 	prior   map[string]bool
 	failure string
@@ -81,7 +79,7 @@ func (p *Planner) prepare(head *repo.Commit, ids []change.ID, patches []repo.Pat
 		pc = &prepCache{
 			head:      head.ID,
 			headGraph: hg,
-			root:      &prepNode{snap: snap, graph: hg, delta: buildgraph.Delta{}},
+			root:      &prepNode{snap: snap, delta: buildgraph.Delta{}},
 			nodes:     1,
 		}
 		p.prep = pc
@@ -110,7 +108,7 @@ func (p *Planner) prepare(head *repo.Commit, ids []change.ID, patches []repo.Pat
 		if err != nil {
 			return prepared{failure: fmt.Sprintf("build graph invalid: %v", err)}, nil
 		}
-		next := &prepNode{snap: snap, graph: g, delta: buildgraph.Diff(pc.headGraph, g)}
+		next := &prepNode{snap: snap, delta: buildgraph.Diff(pc.headGraph, g)}
 		if cur.kids == nil {
 			cur.kids = map[change.ID]*prepNode{}
 		}
@@ -126,5 +124,5 @@ func (p *Planner) prepare(head *repo.Commit, ids []change.ID, patches []repo.Pat
 			prior[name] = true
 		}
 	}
-	return prepared{snap: cur.snap, graph: cur.graph, delta: cur.delta, prior: prior}, nil
+	return prepared{snap: cur.snap, delta: cur.delta, prior: prior}, nil
 }

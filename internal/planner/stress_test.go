@@ -17,19 +17,22 @@ import (
 // running counts, and outcomes. Run with -race; it covers the previously
 // unsynchronized Spec.Succeeded++/Failed++ mutation.
 func TestTickingPlannerRaceStress(t *testing.T) {
-	runPlannerRaceStress(t, Config{Budget: 4})
+	runPlannerRaceStress(t, 0)
 }
 
 // TestTickingPlannerRaceStressWithSkipping runs the same load with
 // predictor-gated skipping enabled, so eager obsolete pruning and skipped
 // branch points race the observability readers too.
 func TestTickingPlannerRaceStressWithSkipping(t *testing.T) {
-	runPlannerRaceStress(t, Config{Budget: 4, SkipThreshold: 0.85})
+	runPlannerRaceStress(t, 0.85)
 }
 
-func runPlannerRaceStress(t *testing.T, cfg Config) {
+// runPlannerRaceStress runs the load with the engine's SkipThreshold set to
+// skip (zero disables skipping).
+func runPlannerRaceStress(t *testing.T, skip float64) {
 	const nChanges = 60
-	e := newEnv(t, nil, cfg)
+	e := newEnv(t, nil, Config{Budget: 4})
+	e.planner.spec.SkipThreshold = skip
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 

@@ -9,13 +9,13 @@
 //   - Injector: deterministic fault injection wrapping buildsys.StepRunner —
 //     transient failures, slow/stuck steps, and worker crashes — driven by an
 //     injected *rand.Rand so every robustness behavior is bit-reproducible.
-//   - Detector + RetryPolicy: outcomes are keyed by (target name, target
+//   - Detector + in-place retry: outcomes are keyed by (target name, target
 //     hash, step kind) — the artifact cache's content address — so a failure
 //     followed by a pass on *identical inputs* is proof of flakiness, not
-//     correlation. Suspect step failures are retried in place with bounded
-//     attempts, deterministic exponential backoff, and a per-epoch retry
-//     budget; step kinds whose measured flake rate crosses a threshold are
-//     quarantined (they still run, but can no longer solely reject a change).
+//     correlation. Suspect step failures are retried at once, with bounded
+//     attempts and a per-epoch retry budget; step kinds whose measured flake
+//     rate crosses a threshold are quarantined (they still run, but can no
+//     longer solely reject a change).
 //   - Planner integration: before a failed decisive build rejects its
 //     change, Reliability.ShouldVerifyBuild grants one verification re-run of
 //     the same request when the failing step-unit is suspect (known-flaky
@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
@@ -55,55 +54,24 @@ func (k unitKey) String() string {
 	return fmt.Sprintf("%s@%s/%s", k.Target, h, k.Kind)
 }
 
-// RetryPolicy bounds in-place step retries.
-type RetryPolicy struct {
-	// MaxAttempts is the execution bound per step-unit per build (<=0: 2).
-	MaxAttempts int
-	// BaseBackoff starts the deterministic exponential backoff between
-	// attempts (0: retry immediately). No jitter: determinism first.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the doubling (0: uncapped).
-	MaxBackoff time.Duration
-	// EpochBudget is the number of retries granted per planner epoch
-	// (<=0: 64); BeginEpoch refills it.
-	EpochBudget int
-}
-
-// Backoff returns the wait before the given attempt (attempt 2 waits
-// BaseBackoff, attempt 3 twice that, …, capped at MaxBackoff).
-func (p RetryPolicy) Backoff(attempt int) time.Duration {
-	if p.BaseBackoff <= 0 || attempt <= 1 {
-		return 0
-	}
-	d := p.BaseBackoff
-	for i := 2; i < attempt; i++ {
-		d *= 2
-		if p.MaxBackoff > 0 && d >= p.MaxBackoff {
-			return p.MaxBackoff
-		}
-	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		return p.MaxBackoff
-	}
-	return d
-}
+// Retry and quarantine policy. A failed step-unit runs at most maxAttempts
+// times per build, retried at once; BeginEpoch grants epochRetryBudget
+// retries (and verification re-runs) per planner epoch. A step kind whose
+// confirmed flake events over recorded units reach quarantineThreshold is
+// quarantined. historyCap bounds the per-identity history map: only
+// identities that have failed at least once occupy a slot.
+const (
+	maxAttempts         = 2
+	epochRetryBudget    = 64
+	quarantineThreshold = 0.1
+	historyCap          = 8192
+)
 
 // Config tunes the reliability layer.
 type Config struct {
-	// Retry bounds in-place step retries; zero fields take defaults.
-	Retry RetryPolicy
-	// QuarantineThreshold is the per-kind flake rate (confirmed flake events
-	// over recorded units) beyond which a step kind is quarantined (<=0: 0.1).
-	QuarantineThreshold float64
 	// QuarantineMinSamples is the minimum recorded units of a kind before
 	// its rate is trusted (<=0: 20).
 	QuarantineMinSamples int
-	// HistoryCap bounds the per-identity history map (<=0: 8192). Only
-	// identities that have failed at least once occupy a slot.
-	HistoryCap int
-	// Sleep waits out retry backoff; injectable for tests. The default waits
-	// on a real timer, honoring context cancellation.
-	Sleep func(ctx context.Context, d time.Duration) error
 	// Events, when non-nil, receives flaky-detected events.
 	Events *events.Bus
 }
@@ -148,30 +116,15 @@ const (
 
 // New creates a Reliability layer with defaults applied.
 func New(cfg Config) *Reliability {
-	if cfg.Retry.MaxAttempts <= 0 {
-		cfg.Retry.MaxAttempts = 2
-	}
-	if cfg.Retry.EpochBudget <= 0 {
-		cfg.Retry.EpochBudget = 64
-	}
-	if cfg.QuarantineThreshold <= 0 {
-		cfg.QuarantineThreshold = 0.1
-	}
 	if cfg.QuarantineMinSamples <= 0 {
 		cfg.QuarantineMinSamples = 20
-	}
-	if cfg.HistoryCap <= 0 {
-		cfg.HistoryCap = 8192
-	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = defaultSleep
 	}
 	return &Reliability{
 		cfg:         cfg,
 		hist:        map[unitKey]*unitHistory{},
 		kinds:       map[change.StepKind]*kindTally{},
 		quarantined: map[change.StepKind]bool{},
-		budget:      cfg.Retry.EpochBudget,
+		budget:      epochRetryBudget,
 	}
 }
 
@@ -186,7 +139,7 @@ func (r *Reliability) SetInjector(in *Injector) {
 // per Tick.
 func (r *Reliability) BeginEpoch() {
 	r.mu.Lock()
-	r.budget = r.cfg.Retry.EpochBudget
+	r.budget = epochRetryBudget
 	r.mu.Unlock()
 }
 
@@ -263,7 +216,7 @@ func (r *Reliability) record(key unitKey, ok bool) {
 					})
 				}
 				if !r.quarantined[key.Kind] && t.units >= r.cfg.QuarantineMinSamples &&
-					float64(t.flakeEvents)/float64(t.units) >= r.cfg.QuarantineThreshold {
+					float64(t.flakeEvents)/float64(t.units) >= quarantineThreshold {
 					r.quarantined[key.Kind] = true
 					r.stats.QuarantinedKinds++
 					evs = append(evs, events.Event{
@@ -277,7 +230,7 @@ func (r *Reliability) record(key unitKey, ok bool) {
 		r.mu.Unlock()
 	} else {
 		if h == nil {
-			if len(r.hist) < r.cfg.HistoryCap {
+			if len(r.hist) < historyCap {
 				h = &unitHistory{}
 				r.hist[key] = h
 			} else {
@@ -416,13 +369,8 @@ func (w *retryRunner) RunStepHash(ctx context.Context, step change.BuildStep, ta
 		if addressable {
 			w.r.record(key, false)
 		}
-		if attempt >= w.r.cfg.Retry.MaxAttempts || !w.r.allowRetry(key, addressable) {
+		if attempt >= maxAttempts || !w.r.allowRetry(key, addressable) {
 			return err
-		}
-		if d := w.r.cfg.Retry.Backoff(attempt + 1); d > 0 {
-			if serr := w.r.cfg.Sleep(ctx, d); serr != nil {
-				return err
-			}
 		}
 	}
 }

@@ -170,32 +170,12 @@ func TestInjectorFaultClasses(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyBackoff checks the deterministic doubling and its cap.
-func TestRetryPolicyBackoff(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 35 * time.Millisecond}
-	want := map[int]time.Duration{
-		1: 0, // first attempt never waits
-		2: 10 * time.Millisecond,
-		3: 20 * time.Millisecond,
-		4: 35 * time.Millisecond, // 40ms capped
-		5: 35 * time.Millisecond,
-	}
-	for attempt, d := range want {
-		if got := p.Backoff(attempt); got != d {
-			t.Errorf("Backoff(%d) = %v, want %v", attempt, got, d)
-		}
-	}
-	if got := (RetryPolicy{}).Backoff(3); got != 0 {
-		t.Errorf("zero policy Backoff = %v, want 0 (retry immediately)", got)
-	}
-}
-
 // TestRetryAbsorbsTransient: a unit that fails once on identical inputs and
 // then passes is retried in place, the build step succeeds, and the
 // detector confirms the flake.
 func TestRetryAbsorbsTransient(t *testing.T) {
 	bus := events.NewBus(64)
-	r := New(Config{Events: bus, Sleep: noSleep})
+	r := New(Config{Events: bus})
 	calls := 0
 	runner := r.Wrap(hashRunnerFunc(func(_ context.Context, _ change.BuildStep, _, _ string) error {
 		calls++
@@ -228,21 +208,27 @@ func TestRetryAbsorbsTransient(t *testing.T) {
 }
 
 // TestGenuineShortCircuit: two consecutive failures on identical inputs
-// stop further in-place retries even below MaxAttempts.
+// confirm the failure genuine, so a later build of the same unit gets no
+// in-place retry even though it has attempts and budget left.
 func TestGenuineShortCircuit(t *testing.T) {
-	r := New(Config{Retry: RetryPolicy{MaxAttempts: 5}, Sleep: noSleep})
+	r := New(Config{})
 	calls := 0
 	runner := r.Wrap(hashRunnerFunc(func(_ context.Context, _ change.BuildStep, _, _ string) error {
 		calls++
 		return errors.New("really broken")
-	}))
-	err := runner.(buildsys.StepHashRunner).RunStepHash(
-		context.Background(), unitStep(change.StepCompile, "compile"), "//a", "h1", repo.Snapshot{})
-	if err == nil {
+	})).(buildsys.StepHashRunner)
+	step := unitStep(change.StepCompile, "compile")
+	if err := runner.RunStepHash(context.Background(), step, "//a", "h1", repo.Snapshot{}); err == nil {
 		t.Fatal("genuine failure must still fail")
 	}
-	if calls != 2 {
-		t.Fatalf("inner ran %d times, want 2 (genuine cutoff)", calls)
+	if calls != maxAttempts {
+		t.Fatalf("first build ran inner %d times, want %d (one retry)", calls, maxAttempts)
+	}
+	if err := runner.RunStepHash(context.Background(), step, "//a", "h1", repo.Snapshot{}); err == nil {
+		t.Fatal("genuine failure must still fail")
+	}
+	if calls != maxAttempts+1 {
+		t.Fatalf("second build ran inner %d times, want 1 (genuine cutoff)", calls-maxAttempts)
 	}
 	st := r.Stats()
 	if st.GenuineFailures != 1 || st.GenuineShortCircuits != 1 {
@@ -253,29 +239,31 @@ func TestGenuineShortCircuit(t *testing.T) {
 // TestRetryBudget: the per-epoch budget bounds retries, and BeginEpoch
 // refills it.
 func TestRetryBudget(t *testing.T) {
-	r := New(Config{Retry: RetryPolicy{MaxAttempts: 2, EpochBudget: 1}, Sleep: noSleep})
+	r := New(Config{})
 	fail := hashRunnerFunc(func(_ context.Context, _ change.BuildStep, _, _ string) error {
 		return errors.New("flaky")
 	})
 	runner := r.Wrap(fail).(buildsys.StepHashRunner)
 	step := unitStep(change.StepUnitTest, "unit")
-	_ = runner.RunStepHash(context.Background(), step, "//a", "h1", repo.Snapshot{}) // consumes the 1 token
-	_ = runner.RunStepHash(context.Background(), step, "//b", "h2", repo.Snapshot{}) // denied
+	// Each distinct failing unit spends one token; the next one is denied.
+	for i := 0; i <= epochRetryBudget; i++ {
+		_ = runner.RunStepHash(context.Background(), step, fmt.Sprintf("//u%d", i), "h", repo.Snapshot{})
+	}
 	st := r.Stats()
-	if st.Retries != 1 || st.RetryBudgetDenied != 1 {
-		t.Errorf("stats = %+v, want 1 retry and 1 budget denial", st)
+	if st.Retries != epochRetryBudget || st.RetryBudgetDenied != 1 {
+		t.Errorf("stats = %+v, want %d retries and 1 budget denial", st, epochRetryBudget)
 	}
 	r.BeginEpoch()
-	_ = runner.RunStepHash(context.Background(), step, "//c", "h3", repo.Snapshot{})
-	if st = r.Stats(); st.Retries != 2 {
-		t.Errorf("after BeginEpoch refill, retries = %d, want 2", st.Retries)
+	_ = runner.RunStepHash(context.Background(), step, "//fresh", "h", repo.Snapshot{})
+	if st = r.Stats(); st.Retries != epochRetryBudget+1 {
+		t.Errorf("after BeginEpoch refill, retries = %d, want %d", st.Retries, epochRetryBudget+1)
 	}
 }
 
 // TestAbortsUnrecorded: cancelled work says nothing about the step, so
 // aborts neither retry nor pollute the detector.
 func TestAbortsUnrecorded(t *testing.T) {
-	r := New(Config{Sleep: noSleep})
+	r := New(Config{})
 	calls := 0
 	runner := r.Wrap(hashRunnerFunc(func(_ context.Context, _ change.BuildStep, _, _ string) error {
 		calls++
@@ -301,9 +289,19 @@ func TestWrapPassThrough(t *testing.T) {
 }
 
 // TestQuarantineByRate: a kind whose confirmed flake rate crosses the
-// threshold is quarantined automatically.
+// threshold is quarantined automatically; one below it is not.
 func TestQuarantineByRate(t *testing.T) {
-	r := New(Config{QuarantineThreshold: 0.2, QuarantineMinSamples: 4, Sleep: noSleep})
+	r := New(Config{QuarantineMinSamples: 4})
+	// One flake over 12 units (rate 0.083) stays under the 0.1 threshold.
+	below := change.StepIntegrationTest
+	for i := 0; i < 10; i++ {
+		r.record(unitKey{Target: fmt.Sprintf("//p%d", i), Hash: "h", Kind: below}, true)
+	}
+	r.record(unitKey{Target: "//f", Hash: "h", Kind: below}, false)
+	r.record(unitKey{Target: "//f", Hash: "h", Kind: below}, true)
+	if r.Quarantined(below) {
+		t.Fatalf("kind quarantined at flake rate 1/12 under threshold %.1f", quarantineThreshold)
+	}
 	step := unitStep(change.StepUITest, "ui")
 	// Drive fail→pass cycles on distinct identities: each confirms a flake.
 	for i := 0; i < 3; i++ {
@@ -312,7 +310,7 @@ func TestQuarantineByRate(t *testing.T) {
 		r.record(key, true)
 	}
 	if !r.Quarantined(step.Kind) {
-		t.Fatalf("kind not quarantined at flake rate 3/6 with threshold 0.2: %+v", r.Stats())
+		t.Fatalf("kind not quarantined at flake rate 3/6 with threshold %.1f: %+v", quarantineThreshold, r.Stats())
 	}
 	if st := r.Stats(); st.QuarantinedKinds != 1 {
 		t.Errorf("QuarantinedKinds = %d, want 1", st.QuarantinedKinds)
@@ -382,10 +380,18 @@ func TestShouldVerifyBuild(t *testing.T) {
 		}
 	})
 	t.Run("quarantined kind bypasses budget", func(t *testing.T) {
-		r := New(Config{Retry: RetryPolicy{EpochBudget: 1}})
-		r.mu.Lock()
-		r.budget = 0
-		r.mu.Unlock()
+		r := New(Config{})
+		other := unitKey{Target: "//z", Hash: "hz", Kind: change.StepUnitTest}
+		r.record(other, false)
+		r.record(other, true)
+		for i := 0; i < epochRetryBudget; i++ {
+			if !r.ShouldVerifyBuild(req, failedRes) {
+				t.Fatalf("verification %d denied inside the budget", i+1)
+			}
+		}
+		if r.ShouldVerifyBuild(req, failedRes) {
+			t.Fatal("verification granted past an exhausted budget")
+		}
 		r.Quarantine(change.StepUnitTest)
 		if !r.ShouldVerifyBuild(req, failedRes) {
 			t.Error("quarantined kind denied verification")
@@ -415,7 +421,7 @@ func TestConcurrentStress(t *testing.T) {
 		CrashRate:            0.02,
 		Sleep:                noSleep,
 	})
-	r := New(Config{Retry: RetryPolicy{MaxAttempts: 3, EpochBudget: 100000}, Sleep: noSleep})
+	r := New(Config{})
 	r.SetInjector(inj)
 	runner := r.Wrap(inj).(buildsys.StepHashRunner)
 

@@ -42,8 +42,9 @@ type Config struct {
 	// *total* build budget and is split evenly across engines (minimum 1
 	// each); Committer and ShardID are overwritten per engine.
 	Planner planner.Config
-	// Spec builds one speculation engine per planner engine (planner.New
-	// mutates the engine's MaxSpecDepth, so engines must not share one).
+	// Spec builds one speculation engine per planner engine. Engines must not
+	// share one: a Plan is scratch that lives only until the engine's next
+	// Plan call, so an Engine serves one caller at a time.
 	Spec func() *speculation.Engine
 	// Events, when non-nil, receives TypeShardRebalanced events.
 	Events *events.Bus

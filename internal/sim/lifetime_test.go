@@ -82,7 +82,8 @@ func (s *scratchStrategy) Plan(st *State) []BuildSpec {
 // TestStartedSpecSurvivesLaterPlans pins copy-on-start in reconcile: c1's
 // ten-hour build on top of c0 is started from the strategy's scratch memory
 // and must still assume exactly c0 while 150 independent one-minute changes
-// arrive, each triggering a Plan call that overwrites that memory.
+// arrive a minute apart — wider than the 30 s plan interval — each triggering
+// a Plan call that overwrites that memory.
 func TestStartedSpecSurvivesLaterPlans(t *testing.T) {
 	w := &workload.Workload{Cfg: workload.Config{Count: 152}}
 	add := func(at, dur time.Duration, conflicts map[int]bool) {
@@ -98,7 +99,7 @@ func TestStartedSpecSurvivesLaterPlans(t *testing.T) {
 		add(time.Duration(k)*time.Minute, time.Minute, map[int]bool{})
 	}
 	s := &scratchStrategy{t: t, arena: make([]int, 0, 1024), poison: len(w.Changes) - 1, seen: map[[2]int64]startedSpec{}}
-	res := Run(w, s, Config{Workers: 8, UseAnalyzer: true, PlanEvery: time.Second})
+	res := Run(w, s, Config{Workers: 8, UseAnalyzer: true})
 	if res.Committed != len(w.Changes) || res.GreenViolations != 0 {
 		t.Fatalf("committed %d of %d, %d green violations", res.Committed, len(w.Changes), res.GreenViolations)
 	}

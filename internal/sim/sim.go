@@ -19,9 +19,7 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"slices"
 	"sort"
@@ -180,37 +178,36 @@ type Strategy interface {
 	Plan(st *State) []BuildSpec
 }
 
+// Engine constants.
+const (
+	// maxVirtualTime aborts runaway simulations.
+	maxVirtualTime = 10000 * time.Hour
+	// planEvery throttles strategy re-planning: between build finishes and
+	// decisions, plain arrivals trigger at most one re-plan per interval of
+	// virtual time. This mirrors the paper's epoch-driven planner (§6: "the
+	// planner engine contacts the speculation engine on every epoch").
+	planEvery = 30 * time.Second
+	// incrementalFactor models §6's minimal build steps + artifact caching:
+	// once any build of a subject has finished, later builds of the same
+	// subject (under different assumptions) reuse cached per-target
+	// artifacts and cost this fraction of the full duration.
+	incrementalFactor = 0.4
+	// flakeSteps is the number of per-build steps exposed to flakiness
+	// (mirroring change.DefaultBuildSteps).
+	flakeSteps = 5
+)
+
 // Config tunes a simulation run.
 type Config struct {
 	Workers     int
 	UseAnalyzer bool // conflict analyzer on (the paper's default)
-	// MaxVirtualTime aborts runaway simulations (default: 10000 h).
-	MaxVirtualTime time.Duration
-	// PlanEvery throttles strategy re-planning: between build finishes and
-	// decisions, plain arrivals trigger at most one re-plan per interval
-	// (default 30 s of virtual time). This mirrors the paper's epoch-driven
-	// planner (§6: "the planner engine contacts the speculation engine on
-	// every epoch").
-	PlanEvery time.Duration
-	// IncrementalFactor models §6's minimal build steps + artifact caching:
-	// once any build of a subject has finished, later builds of the same
-	// subject (under different assumptions) reuse cached per-target
-	// artifacts and cost this fraction of the full duration. Default 0.4;
-	// set 1 to disable.
-	IncrementalFactor float64
-	// Trace, when non-nil, receives a line per engine decision and
-	// reconcile summary (debugging aid).
-	Trace io.Writer
 
 	// FlakePerStepRate, when > 0, models an unreliable build fleet
-	// (DESIGN.md §4g): each of FlakeSteps steps of an otherwise-passing
+	// (DESIGN.md §4g): each of the flakeSteps steps of an otherwise-passing
 	// build independently suffers an injected transient failure with this
 	// probability. Draws are pure hashes of (FlakeSeed, build identity,
 	// execution number, step, attempt), so runs are bit-reproducible.
 	FlakePerStepRate float64
-	// FlakeSteps is the number of per-build steps exposed to flakiness
-	// (default 5, mirroring change.DefaultBuildSteps).
-	FlakeSteps int
 	// FlakeSeed seeds the injected fault schedule.
 	FlakeSeed int64
 
@@ -382,7 +379,7 @@ type engine struct {
 	inWork   map[int]bool
 
 	// Plan throttling: dirty forces a re-plan (set by finishes/decisions);
-	// otherwise arrivals re-plan at most once per cfg.PlanEvery.
+	// otherwise arrivals re-plan at most once per planEvery.
 	dirty    bool
 	havePlan bool
 	lastPlan time.Duration
@@ -434,21 +431,6 @@ func Run(w *workload.Workload, s Strategy, cfg Config) *Result {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 100
 	}
-	if cfg.MaxVirtualTime <= 0 {
-		cfg.MaxVirtualTime = 10000 * time.Hour
-	}
-	if cfg.PlanEvery <= 0 {
-		cfg.PlanEvery = 30 * time.Second
-	}
-	if cfg.IncrementalFactor <= 0 {
-		cfg.IncrementalFactor = 0.4
-	}
-	if cfg.IncrementalFactor > 1 {
-		cfg.IncrementalFactor = 1
-	}
-	if cfg.FlakeSteps <= 0 {
-		cfg.FlakeSteps = 5
-	}
 	e := &engine{
 		w:   w,
 		cfg: cfg,
@@ -480,7 +462,7 @@ func Run(w *workload.Workload, s Strategy, cfg Config) *Result {
 		e.seq++
 	}
 
-	for e.events.Len() > 0 && e.now <= cfg.MaxVirtualTime {
+	for e.events.Len() > 0 && e.now <= maxVirtualTime {
 		ev := heap.Pop(&e.events).(event)
 		e.now = ev.at
 		e.st.Now = e.now
@@ -493,7 +475,7 @@ func Run(w *workload.Workload, s Strategy, cfg Config) *Result {
 		if cfg.PruneObsolete {
 			e.pruneObsolete()
 		}
-		if !e.havePlan || e.dirty || e.now-e.lastPlan >= e.cfg.PlanEvery {
+		if !e.havePlan || e.dirty || e.now-e.lastPlan >= planEvery {
 			e.reconcile(s)
 			e.havePlan = true
 			e.dirty = false
@@ -646,7 +628,7 @@ func (e *engine) flakeOutcome(slot *runningSlot) bool {
 	exec := e.execSeq[key]
 	e.execSeq[key] = exec + 1
 	pass := true
-	for s := 0; s < e.cfg.FlakeSteps; s++ {
+	for s := 0; s < flakeSteps; s++ {
 		if !e.flakeDraw(key, exec, s, 0) {
 			continue
 		}
@@ -1071,7 +1053,6 @@ func (e *engine) reconcile(s Strategy) {
 	want := e.want
 	clear(want)
 	order := e.order[:0]
-	skippedFinished, skippedInvalid := 0, 0
 	for k := range desired {
 		spec := &desired[k]
 		if len(want) >= e.cfg.Workers {
@@ -1080,7 +1061,6 @@ func (e *engine) reconcile(s Strategy) {
 		id, valid := e.specIdentity(e.idBuf, spec, base)
 		e.idBuf = id
 		if !valid {
-			skippedInvalid++
 			continue
 		}
 		if _, dup := want[string(id)]; dup {
@@ -1088,7 +1068,6 @@ func (e *engine) reconcile(s Strategy) {
 		}
 		// Skip builds whose result already exists and is still valid.
 		if e.haveFinished(spec.Subject, id) {
-			skippedFinished++
 			continue
 		}
 		key := string(id)
@@ -1096,27 +1075,6 @@ func (e *engine) reconcile(s Strategy) {
 		order = append(order, key)
 	}
 	e.order = order
-	if e.cfg.Trace != nil {
-		fmt.Fprintf(e.cfg.Trace, "t=%v pending=%d desired=%d want=%d skippedFin=%d skippedInv=%d running=%d\n",
-			e.now, len(e.st.Pending), len(desired), len(want), skippedFinished, skippedInvalid, len(e.slots))
-		if len(want) == 0 && len(e.slots) == 0 && len(e.st.Pending) > 0 {
-			for k := range desired {
-				spec := &desired[k]
-				id, valid := e.specIdentity(e.idBuf, spec, base)
-				e.idBuf = id
-				fb, have := FinishedBuild{}, false
-				if valid {
-					fb, have = e.finishedMatch(spec.Subject, id)
-				}
-				fmt.Fprintf(e.cfg.Trace, "  STUCK spec subj=%d assumed=%v rej=%v batch=%v id=%q valid=%v haveFin=%v fbOK=%v fbBatch=%v\n",
-					spec.Subject, spec.Assumed, spec.AssumedRejected, spec.Batch, id, valid, have, fb.OK, fb.Spec.Batch)
-				if have {
-					preds := e.st.PendingConflictingPredecessors(spec.Subject)
-					fmt.Fprintf(e.cfg.Trace, "  subject preds=%v\n", preds)
-				}
-			}
-		}
-	}
 
 	// Abort running builds whose assumptions have been falsified. Builds that
 	// are merely absent from the plan (e.g. the planner's budget truncated
@@ -1192,7 +1150,7 @@ func (e *engine) reconcile(s Strategy) {
 		if e.builtBefore[spec.Subject] {
 			// §6: minimal build steps + artifact cache make re-builds of the
 			// same subject under new assumptions substantially cheaper.
-			dur = time.Duration(float64(dur) * e.cfg.IncrementalFactor)
+			dur = time.Duration(float64(dur) * incrementalFactor)
 		}
 		slot := &runningSlot{
 			spec:   spec,
@@ -1257,21 +1215,13 @@ func (e *engine) slotObsolete(slot *runningSlot) bool {
 // haveFinished reports whether a finished, still-valid build with the given
 // identity exists for the subject.
 func (e *engine) haveFinished(subject int, id []byte) bool {
-	_, ok := e.finishedMatch(subject, id)
-	return ok
-}
-
-// finishedMatch returns the finished, still-valid build with the given
-// identity for the subject, if any.
-func (e *engine) finishedMatch(subject int, id []byte) (FinishedBuild, bool) {
 	idxs := e.finishedBySubject[subject]
 	for k := len(idxs) - 1; k >= 0; k-- {
-		fid, valid := e.finishedIdentity(idxs[k])
-		if valid && fid == string(id) {
-			return e.st.Finished[idxs[k]], true
+		if fid, valid := e.finishedIdentity(idxs[k]); valid && fid == string(id) {
+			return true
 		}
 	}
-	return FinishedBuild{}, false
+	return false
 }
 
 // finishMetrics computes turnaround and throughput after the run.

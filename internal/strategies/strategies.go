@@ -24,8 +24,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"mastergreen/internal/change"
@@ -41,16 +39,6 @@ import (
 // Meta.Deadline = SimEpoch.Add(D), and sched policies evaluate urgency
 // against SimEpoch.Add(st.Now).
 var SimEpoch = time.Unix(0, 0).UTC()
-
-// indexOf decodes a workload change ID ("c000123") back to its index.
-func indexOf(id change.ID) int {
-	s := strings.TrimPrefix(string(id), "c")
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return -1
-	}
-	return n
-}
 
 // Oracle schedules, for every pending change, the exact build whose
 // assumptions will come true, using the workload's scheduling-independent
@@ -170,14 +158,12 @@ type Speculative struct {
 	scanned  int // st.Finished prefix already folded into feedback
 
 	// ReorderSmall enables the §10 change-reordering extension: a pending
-	// change whose own build is at most ReorderRatio of the total expected
+	// change whose own build is at most reorderRatio of the total expected
 	// build time of its pending conflicting predecessors additionally gets a
 	// no-assumption build that may commit ahead of them. Commit order among
 	// conflicting changes then deviates from submission order (the paper's
 	// noted fairness trade-off), but the mainline stays green.
 	ReorderSmall bool
-	// ReorderRatio is the size threshold (default 0.5 when ReorderSmall).
-	ReorderRatio float64
 
 	// SkippedBranches accumulates the speculation branch points collapsed by
 	// Engine.SkipThreshold across the run (DESIGN.md §4j); experiments read it
@@ -463,14 +449,14 @@ func (s *Speculative) Plan(st *sim.State) []sim.BuildSpec {
 	return out
 }
 
+// reorderRatio is ReorderSmall's size threshold: a change is reordered when
+// its own build takes at most this fraction of the conflicting work ahead.
+const reorderRatio = 0.5
+
 // reorderSpecs synthesizes §10 reorder builds: for each pending change much
 // smaller than the conflicting work ahead of it, a no-assumption build that
 // may commit immediately.
 func (s *Speculative) reorderSpecs(st *sim.State) []sim.BuildSpec {
-	ratio := s.ReorderRatio
-	if ratio <= 0 {
-		ratio = 0.5
-	}
 	var out []sim.BuildSpec
 	for _, i := range st.Pending {
 		preds := st.PendingConflictingPredecessors(i)
@@ -482,7 +468,7 @@ func (s *Speculative) reorderSpecs(st *sim.State) []sim.BuildSpec {
 			ahead += s.W.Changes[j].Duration.Minutes()
 		}
 		own := s.W.Changes[i].Duration.Minutes()
-		if own > ratio*ahead {
+		if own > reorderRatio*ahead {
 			continue
 		}
 		out = append(out, sim.BuildSpec{
@@ -812,10 +798,6 @@ func (a *AdaptiveBatch) Plan(st *sim.State) []sim.BuildSpec {
 // collapse it to zero, and clamped to [1/8, 4]. Reliable traffic drives it
 // below 1, letting batches grow toward what outcomes justify; a model that
 // is too optimistic drives it above 1 and shrinks them.
-// CalibrationFactor exposes the current calibration multiplier (see
-// calibration) for dashboards and experiment reports.
-func (a *AdaptiveBatch) CalibrationFactor() float64 { return a.calibration() }
-
 func (a *AdaptiveBatch) calibration() float64 {
 	if a.predFail < 2 {
 		return 1

@@ -178,15 +178,6 @@ func TestBatchNames(t *testing.T) {
 	}
 }
 
-func TestIndexOf(t *testing.T) {
-	if indexOf("c000123") != 123 {
-		t.Fatalf("indexOf = %d", indexOf("c000123"))
-	}
-	if indexOf("bogus") != -1 {
-		t.Fatalf("indexOf bogus = %d", indexOf("bogus"))
-	}
-}
-
 func TestMemoPredictorCaches(t *testing.T) {
 	calls := 0
 	inner := countingPredictor{&calls}
