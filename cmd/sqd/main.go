@@ -14,10 +14,11 @@
 // engines; -sched turns on the priority lanes (P0 hotfix preemption,
 // deadline aging, per-lane gauges).
 // With -data, the service journals every submission and outcome to
-// DIR/journal.jsonl and snapshots the repo to DIR/repo.json on shutdown;
-// restarting with the same directory recovers pending changes.
-// -snapshot-interval additionally folds the journal into a snapshot
-// periodically so restart replay stays proportional to live state.
+// DIR/journal.jsonl; on shutdown it saves the repo to DIR/repo.json and folds
+// the journal into DIR/journal.jsonl.snap, and restarting with the same
+// directory recovers pending changes. -snapshot-interval folds the journal
+// the same way periodically while running, so restart replay stays
+// proportional to live state even after a crash.
 // -admission-cap turns on backpressure (429 + Retry-After once the pending
 // queue fills, 503 dashboard sheds near capacity). /api/v1/status is served
 // from a snapshot cached for 250ms; -status-refresh rebuilds it in the
@@ -49,7 +50,6 @@ import (
 	"mastergreen/internal/events"
 	"mastergreen/internal/repo"
 	"mastergreen/internal/sched"
-	"mastergreen/internal/store"
 )
 
 func demoRepo() *repo.Repo {
@@ -69,7 +69,7 @@ func main() {
 	epoch := flag.Duration("epoch", 250*time.Millisecond, "planner epoch")
 	dataDir := flag.String("data", "", "directory for durable state (empty = in-memory only)")
 	shards := flag.Int("shards", 1, "planner engines the conflict-graph components are spread over")
-	snapshotEvery := flag.Duration("snapshot-interval", 0, "with -data: fold the journal into a snapshot this often (0 = only at shutdown)")
+	snapshotEvery := flag.Duration("snapshot-interval", 0, "with -data: also fold the journal into a snapshot this often while running (0 = shutdown is the only fold)")
 	admissionCap := flag.Int("admission-cap", 0, "bound the pending queue; excess submits get 429 + Retry-After (0 = unbounded)")
 	statusRefresh := flag.Duration("status-refresh", 250*time.Millisecond, "background status snapshot rebuild interval (0 = no background rebuild: the first request after the 250ms cache expires rebuilds it)")
 	schedOn := flag.Bool("sched", false, "enable priority-lane scheduling (P0 hotfix preemption, deadline aging, per-class gauges)")
@@ -160,11 +160,11 @@ func main() {
 		if err := svc.Repo().SaveFile(repoPath); err != nil {
 			log.Fatalf("sqd: saving repo: %v", err)
 		}
+		if err := svc.SnapshotJournal(1000); err != nil {
+			log.Printf("sqd: journal snapshot: %v", err)
+		}
 		if err := svc.CloseJournal(); err != nil {
 			log.Printf("sqd: closing journal: %v", err)
-		}
-		if err := store.Compact(filepath.Join(*dataDir, "journal.jsonl"), 1000); err != nil {
-			log.Printf("sqd: journal compaction: %v", err)
 		}
 		log.Printf("sqd: state persisted to %s", *dataDir)
 	}

@@ -227,17 +227,19 @@ func TestEndToEndDurableRestart(t *testing.T) {
 	if r2.Len() != 5 { // root + 4 commits
 		t.Fatalf("mainline = %d commits", r2.Len())
 	}
-	_ = svc2.CloseJournal()
-	// Journal compaction leaves only outcomes.
-	if err := store.Compact(journalPath, 100); err != nil {
+	// Folding the journal at shutdown leaves only outcomes.
+	if err := svc2.SnapshotJournal(100); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := store.Replay(journalPath)
+	if err := svc2.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := store.LoadState(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pending, outcomes := store.PendingFromRecords(recs)
 	if len(pending) != 0 || len(outcomes) != 4 {
-		t.Fatalf("after compaction: pending=%d outcomes=%d", len(pending), len(outcomes))
+		t.Fatalf("after the shutdown snapshot: pending=%d outcomes=%d", len(pending), len(outcomes))
 	}
 }

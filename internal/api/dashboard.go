@@ -126,12 +126,13 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		Pending:     s.svc.PendingCount(),
 		Gauges:      s.gauges(),
 	}
-	outs := s.svc.Outcomes()
-	start := 0
+	// Copy only the log's tail, so a render costs the same at any uptime.
+	// OutcomeCount can lag the decisions OutcomesSince merges: trim to 20.
+	outs := s.svc.OutcomesSince(s.svc.OutcomeCount() - 20)
 	if len(outs) > 20 {
-		start = len(outs) - 20
+		outs = outs[len(outs)-20:]
 	}
-	for _, o := range outs[start:] {
+	for _, o := range outs {
 		detail := string(o.Commit)
 		if o.Reason != "" {
 			detail = o.Reason

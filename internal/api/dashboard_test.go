@@ -3,11 +3,13 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"mastergreen/internal/change"
 	"mastergreen/internal/core"
 	"mastergreen/internal/events"
 	"mastergreen/internal/repo"
@@ -121,6 +123,49 @@ func TestDashboardRenders(t *testing.T) {
 	rec = doJSON(t, srv, http.MethodGet, "/nope", nil)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown path = %d", rec.Code)
+	}
+}
+
+// TestDashboardListsLastTwentyDecisions: after 30 decisions the dashboard
+// lists exactly the last 20, in decision order.
+func TestDashboardListsLastTwentyDecisions(t *testing.T) {
+	r := repo.New(map[string]string{"lib/BUILD": "target lib srcs=lib.go", "lib/lib.go": "lib v1"})
+	svc := core.NewService(r, core.Config{Workers: 4})
+	for i := 0; i < 30; i++ {
+		c := &change.Change{
+			ID:         change.ID(fmt.Sprintf("d%02d", i)),
+			Patch:      repo.Patch{Changes: []repo.FileChange{{Path: fmt.Sprintf("doc/f%02d.txt", i), Op: repo.OpCreate, NewContent: "x"}}},
+			BuildSteps: []change.BuildStep{{Name: "compile", Kind: change.StepCompile}},
+		}
+		if err := svc.Submit(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := svc.ProcessAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	outs := svc.Outcomes()
+	if len(outs) != 30 {
+		t.Fatalf("decided %d changes, want 30", len(outs))
+	}
+	body := doJSON(t, NewServer(svc), http.MethodGet, "/", nil).Body.String()
+	if n := strings.Count(body, "</td><td class="); n != 20 {
+		t.Fatalf("dashboard lists %d outcomes, want 20", n)
+	}
+	last := -1
+	for i, o := range outs {
+		at := strings.Index(body, "<tr><td>"+string(o.ID)+"</td><td class=")
+		switch {
+		case i < 10 && at >= 0:
+			t.Fatalf("dashboard lists %s, decision %d of 30", o.ID, i+1)
+		case i >= 10 && at < 0:
+			t.Fatalf("dashboard misses %s, decision %d of 30", o.ID, i+1)
+		case i >= 10 && at < last:
+			t.Fatalf("dashboard lists %s out of decision order", o.ID)
+		}
+		last = at
 	}
 }
 

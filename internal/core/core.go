@@ -200,12 +200,18 @@ func (s *Service) submitLocked(c *change.Change, journalIt bool) error {
 		c.BaseCommit = s.repo.Head().ID
 	}
 	c.State = change.StatePending
+	// Encode the journal record before the engines can see the change: a
+	// planner writes c.Stats when it starts the change's build.
+	j := s.journal
+	var rec *store.SubmittedChange
+	if journalIt && j != nil {
+		rec = store.EncodeChange(c)
+	}
 	if err := s.queue.Enqueue(c); err != nil {
 		s.mu.Unlock()
 		return err
 	}
 	s.statuses[c.ID] = Status{ID: c.ID, State: change.StatePending}
-	j := s.journal
 	s.mu.Unlock()
 	if s.tracker != nil {
 		s.tracker.NoteSubmit(c, c.SubmittedAt)
@@ -213,8 +219,8 @@ func (s *Service) submitLocked(c *change.Change, journalIt bool) error {
 	if s.cfg.Events != nil {
 		s.cfg.Events.Publish(events.Event{Type: events.TypeSubmitted, Change: c.ID, Detail: c.Description})
 	}
-	if journalIt && j != nil {
-		if err := j.AppendSubmit(c); err != nil {
+	if rec != nil {
+		if err := j.Append(store.Record{Kind: store.KindSubmit, Submit: rec}); err != nil {
 			// Durability failure: surface it; the change stays enqueued so
 			// in-memory operation continues.
 			return fmt.Errorf("core: change %s enqueued but journaling failed: %w", c.ID, err)
@@ -293,7 +299,8 @@ func (s *Service) Tick(ctx context.Context) error {
 }
 
 // ProcessAll drives the engines until every submitted change is committed or
-// rejected (or the context is cancelled).
+// rejected. If the context is cancelled first it aborts every running build
+// and returns an error wrapping planner.ErrStopped.
 func (s *Service) ProcessAll(ctx context.Context) error {
 	err := s.runtime.Quiesce(ctx)
 	s.syncOutcomes()
@@ -302,6 +309,10 @@ func (s *Service) ProcessAll(ctx context.Context) error {
 
 // Outcomes returns all final dispositions so far, in decision order.
 func (s *Service) Outcomes() []planner.Outcome { return s.runtime.Outcomes() }
+
+// OutcomesSince returns the final dispositions after the first n, in
+// decision order, copying only that tail of the log.
+func (s *Service) OutcomesSince(n int) []planner.Outcome { return s.runtime.OutcomesSince(n) }
 
 // OutcomeCount returns the number of final dispositions so far, without
 // copying the outcome log (admission drain-rate sampling polls this).
@@ -362,7 +373,8 @@ func (s *Service) Start() {
 	}()
 }
 
-// Stop halts the background loop started by Start.
+// Stop halts the background loop started by Start and aborts every build
+// still running.
 func (s *Service) Stop() {
 	s.mu.Lock()
 	cancel, done := s.cancel, s.loopDone

@@ -11,6 +11,7 @@ import (
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/planner"
 	"mastergreen/internal/repo"
 	"mastergreen/internal/sched"
 )
@@ -288,5 +289,96 @@ func TestShardedPlannerStatsReportHotfixPreemption(t *testing.T) {
 		if st, err := s.State(id); err != nil || st.State != change.StateCommitted {
 			t.Errorf("%s = %+v, %v; want committed", id, st, err)
 		}
+	}
+}
+
+// waitUntil polls done until it holds, failing the test after ten seconds.
+func waitUntil(t *testing.T, what string, done func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !done() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// blockingRunner holds every step until its build is cancelled. started
+// receives a token when a step begins; active counts steps not yet returned.
+func blockingRunner(active *atomic.Int64, started chan<- struct{}) buildsys.StepRunner {
+	return buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, _ repo.Snapshot) error {
+		active.Add(1)
+		defer active.Add(-1)
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		<-ctx.Done()
+		return buildsys.ErrAborted
+	})
+}
+
+// allBuildsEnded reports whether every build s started has finished and no
+// runner call is still in flight.
+func allBuildsEnded(s *Service, active *atomic.Int64) bool {
+	st := s.BuildStats()
+	return active.Load() == 0 && st.Aborted+st.Completed == st.Builds
+}
+
+// TestStopAbortsInFlightBuilds: Stop ends the background loop and aborts
+// every build it started; no runner call outlives Stop's abort.
+func TestStopAbortsInFlightBuilds(t *testing.T) {
+	r := newRepo()
+	var active atomic.Int64
+	started := make(chan struct{}, 1)
+	s := NewService(r, Config{Workers: 2, Epoch: time.Millisecond, Runner: blockingRunner(&active, started)})
+	s.Start()
+	for _, c := range []*change.Change{mkChange(r, "c1", "lib/lib.go", "lib v2"), mkChange(r, "c2", "doc/readme.md", "doc v2")} {
+		if err := s.Submit(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-started
+	s.Stop()
+	waitUntil(t, "every build to end", func() bool { return allBuildsEnded(s, &active) })
+	st := s.BuildStats()
+	if st.Builds == 0 || st.Aborted != st.Builds || st.Builds != s.PlannerStats().BuildsStarted {
+		t.Fatalf("builds %d, aborted %d, planner started %d: Stop must abort every build started",
+			st.Builds, st.Aborted, s.PlannerStats().BuildsStarted)
+	}
+	if n := s.PendingCount(); n != 2 {
+		t.Fatalf("pending = %d, want 2", n)
+	}
+}
+
+// TestProcessAllCancelled: cancelling ProcessAll's context ends the loop with
+// an error wrapping planner.ErrStopped and leaves no build running.
+func TestProcessAllCancelled(t *testing.T) {
+	r := newRepo()
+	var active atomic.Int64
+	started := make(chan struct{}, 1)
+	s := NewService(r, Config{Workers: 2, Runner: blockingRunner(&active, started)})
+	if err := s.Submit(mkChange(r, "c1", "lib/lib.go", "lib v2")); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	go func() {
+		select {
+		case <-started:
+		case <-ctx.Done():
+		}
+		cancel()
+	}()
+	if err := s.ProcessAll(ctx); !errors.Is(err, planner.ErrStopped) {
+		t.Fatalf("ProcessAll = %v, want planner.ErrStopped", err)
+	}
+	waitUntil(t, "every build to end", func() bool { return allBuildsEnded(s, &active) })
+	if st := s.BuildStats(); st.Builds == 0 || st.Aborted != st.Builds {
+		t.Fatalf("builds %d, aborted %d: cancellation must abort every build", st.Builds, st.Aborted)
+	}
+	if st, err := s.State("c1"); err != nil || st.State != change.StatePending {
+		t.Fatalf("c1 = %+v, %v; want pending", st, err)
 	}
 }

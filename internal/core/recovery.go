@@ -45,8 +45,8 @@ func (s *Service) Recover(records []store.Record) (int, error) {
 	return n, nil
 }
 
-// CloseJournal flushes and detaches the journal (call after Stop, before
-// compacting the journal file externally).
+// CloseJournal flushes and detaches the journal (call after Stop; sqd's
+// shutdown snapshots the journal first).
 func (s *Service) CloseJournal() error {
 	s.mu.Lock()
 	j := s.journal

@@ -9,9 +9,9 @@ import (
 // callee chain resolved through the call graph) is searched for an
 // unconditional for-loop that contains no return, no break targeting the
 // loop, no goto, and no process exit: once entered, such a loop runs for the
-// life of the process, which is exactly the waitAny-style leak PR 4 fixed by
-// hand — under churn the leaked goroutines accumulate until the scheduler
-// drowns.
+// life of the process, which is exactly the leak of a watcher goroutine
+// spawned per poll — under churn the leaked goroutines accumulate until the
+// scheduler drowns.
 //
 // The accepted termination shapes all surface as an exit statement inside
 // the loop: `case <-done: return`, `if ctx.Err() != nil { return }`,

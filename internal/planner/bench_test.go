@@ -191,8 +191,8 @@ func BenchmarkObsoletePrune(b *testing.B) {
 	if _, err := p.Tick(ctx); err != nil {
 		b.Fatal(err)
 	}
-	if p.RunningCount() != n {
-		b.Fatalf("running = %d, want %d", p.RunningCount(), n)
+	if running(p) != n {
+		b.Fatalf("running = %d, want %d", running(p), n)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -181,7 +181,7 @@ func TestFinishedBoundedAcrossEpochs(t *testing.T) {
 			e.submit(t, fmt.Sprintf("c%dr", i), "x/x.go", fmt.Sprintf("x alt%d", i))
 		}
 		e.quiesce(t)
-		if c := decision(e.planner, id); c.State != change.StateCommitted {
+		if c := e.decision(id); c.State != change.StateCommitted {
 			t.Fatalf("epoch %d: %v (%s)", i, c.State, c.Reason)
 		}
 		e.planner.mu.Lock()

@@ -112,7 +112,7 @@ func TestObsolescenceOverridesGrace(t *testing.T) {
 	e.submit(t, "c1", "x/x.go", "broken")
 	e.submit(t, "c2", "y/y.go", "y v2")
 	e.quiesce(t)
-	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
+	c1, c2 := e.decision("c1"), e.decision("c2")
 	if c1.State != change.StateRejected {
 		t.Fatalf("c1 = %v", c1.State)
 	}
@@ -151,7 +151,7 @@ func TestAbortAllCancelsDespiteGrace(t *testing.T) {
 	if _, err := e.planner.Tick(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if e.planner.RunningCount() == 0 {
+	if running(e.planner) == 0 {
 		t.Fatal("build never started")
 	}
 	if err := e.queue.Remove("c1"); err != nil {
@@ -160,7 +160,7 @@ func TestAbortAllCancelsDespiteGrace(t *testing.T) {
 	if _, err := e.planner.Tick(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.planner.RunningCount(); got != 0 {
+	if got := running(e.planner); got != 0 {
 		t.Fatalf("running = %d after queue drained, want 0", got)
 	}
 	var st buildsys.Stats
@@ -198,7 +198,7 @@ func TestSkipWrongPredictionCaughtByDecisive(t *testing.T) {
 	e.submit(t, "c2", "y/y.go", "y v2")
 	e.submit(t, "c3", "x/x.go", "x v3")
 	e.quiesce(t)
-	c1, c2, c3 := decision(e.planner, "c1"), decision(e.planner, "c2"), decision(e.planner, "c3")
+	c1, c2, c3 := e.decision("c1"), e.decision("c2"), e.decision("c3")
 	if c1.State != change.StateRejected {
 		t.Fatalf("c1 = %v", c1.State)
 	}
@@ -243,7 +243,7 @@ func TestSkipDisabledPlansHedges(t *testing.T) {
 	e.submit(t, "c1", "x/x.go", "broken")
 	e.submit(t, "c2", "y/y.go", "y v2")
 	e.quiesce(t)
-	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
+	c1, c2 := e.decision("c1"), e.decision("c2")
 	if c1.State != change.StateRejected || c2.State != change.StateCommitted {
 		t.Fatalf("c1=%v c2=%v", c1.State, c2.State)
 	}

@@ -40,7 +40,8 @@ import (
 	"mastergreen/internal/speculation"
 )
 
-// ErrStopped is returned by Quiesce when its context is cancelled.
+// ErrStopped is returned by the shard runtime's engine loop when its context
+// is cancelled.
 var ErrStopped = errors.New("planner: stopped")
 
 // ErrCrossShardConflict is returned by a Committer when re-validation against
@@ -160,9 +161,10 @@ type trackedBuild struct {
 	keyedAt uint64
 }
 
-// Planner orchestrates pending changes to commit or rejection. Tick must not
-// be called concurrently with itself; all other methods are safe to call
-// from any goroutine.
+// Planner orchestrates pending changes to commit or rejection. It starts no
+// goroutine of its own: the shard runtime's loop drives it by calling Tick,
+// which must not be called concurrently with itself; all other methods are
+// safe to call from any goroutine.
 type Planner struct {
 	repo       *repo.Repo
 	queue      *queue.Queue
@@ -170,11 +172,6 @@ type Planner struct {
 	spec       *speculation.Engine
 	controller *buildsys.Controller
 	cfg        Config
-
-	// wake receives (coalesced) build-completion notifications from the
-	// per-build watcher goroutines; waitAny blocks on it instead of
-	// spawning a goroutine per running build per call.
-	wake chan struct{}
 
 	// prep is the shared-prefix preparation trie. Only the Tick goroutine
 	// touches it (Tick must not be called concurrently with itself).
@@ -186,8 +183,8 @@ type Planner struct {
 	committed    []change.ID // in commit order since planner creation
 	committedSet map[change.ID]bool
 	rejected     map[change.ID]string // reason
-	outcomes     []Outcome
-	initialLen   int // repo mainline length at planner creation
+	outcomes     []Outcome            // decided since the last DrainOutcomes
+	initialLen   int                  // repo mainline length at planner creation
 	stats        Stats
 
 	// keyEpoch versions the per-build dynamic-key caches; resolve bumps it.
@@ -214,7 +211,6 @@ func New(r *repo.Repo, q *queue.Queue, an ConflictSource, spec *speculation.Engi
 		spec:         spec,
 		controller:   ctrl,
 		cfg:          cfg,
-		wake:         make(chan struct{}, 1),
 		committedSet: map[change.ID]bool{},
 		rejected:     map[change.ID]string{},
 		initialLen:   r.Len(),
@@ -236,36 +232,17 @@ func (p *Planner) count(f func(*Stats)) {
 	p.mu.Unlock()
 }
 
-// Outcomes returns the dispositions recorded so far, in decision order.
-func (p *Planner) Outcomes() []Outcome {
+// DrainOutcomes appends the dispositions decided since the last drain to dst,
+// in decision order, and forgets them. The shard coordinator drains every
+// engine each partition epoch into the service's one outcome log; a drain
+// with nothing decided appends nothing and allocates nothing.
+func (p *Planner) DrainOutcomes(dst []Outcome) []Outcome {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]Outcome(nil), p.outcomes...)
-}
-
-// OutcomeCount returns the number of dispositions recorded so far. The shard
-// coordinator polls it each epoch and fetches the full slice only when the
-// count advanced, keeping the idle path allocation-free.
-func (p *Planner) OutcomeCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.outcomes)
-}
-
-// OutcomesSince returns a copy of the dispositions recorded after the first
-// n, in decision order. Callers that track a cursor (core's journal sync, the
-// shard coordinator) use it to read only the delta instead of copying the
-// full history on every poll.
-func (p *Planner) OutcomesSince(n int) []Outcome {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	if n >= len(p.outcomes) {
-		return nil
-	}
-	return append([]Outcome(nil), p.outcomes[n:]...)
+	dst = append(dst, p.outcomes...)
+	clear(p.outcomes)
+	p.outcomes = p.outcomes[:0]
+	return dst
 }
 
 // dynamicKey identifies a build by its absolute apply list (this planner's
@@ -514,7 +491,7 @@ func (p *Planner) pruneRunningLocked() {
 // reconcile are provably no-ops — every decision and scheduling choice is a
 // function of exactly those inputs, and the only time-dependent choice
 // (keeping an over-grace build) is monotone — so Tick skips them entirely.
-// This is what makes the 250ms Run loop cheap on idle epochs.
+// This is what makes the shard runtime's epoch loop cheap on idle epochs.
 func (p *Planner) Tick(ctx context.Context) (bool, error) {
 	if p.cfg.Reliability != nil {
 		p.cfg.Reliability.BeginEpoch()
@@ -736,7 +713,6 @@ func (p *Planner) verifySuspect(ctx context.Context, fb *trackedBuild) bool {
 	}
 	fb.verified = true
 	task := p.controller.Start(ctx, fb.req)
-	go p.notifyDone(task)
 	p.mu.Lock()
 	for i, x := range p.finished {
 		if x == fb {
@@ -798,7 +774,10 @@ func (p *Planner) resolve(c *change.Change, st change.State, reason string, comm
 // dropFinished removes a finished build after the arbiter bounced its commit
 // proposal: the build's base predates a conflicting foreign commit, so its
 // result is unusable and reconcile must schedule a fresh decisive build
-// against the new head.
+// against the new head. The rebuild gets the dropped build's dynamic key
+// (keys count this engine's commits, not the head), so once it finishes the
+// plan fingerprint can equal the one this epoch planned under; the memo is
+// cleared so that epoch is not skipped and the fresh result gets decided.
 func (p *Planner) dropFinished(fb *trackedBuild) {
 	p.mu.Lock()
 	for i, x := range p.finished {
@@ -808,6 +787,7 @@ func (p *Planner) dropFinished(fb *trackedBuild) {
 		}
 	}
 	p.stats.CrossShardRebuilds++
+	p.havePlanFP = false
 	p.mu.Unlock()
 	if p.cfg.Events != nil {
 		p.cfg.Events.Publish(events.Event{
@@ -834,7 +814,7 @@ func targetNames(targets map[string]string) []string {
 func (p *Planner) reconcile(ctx context.Context, cg *conflict.Graph) (bool, error) {
 	pending := p.queue.Pending()
 	if len(pending) == 0 {
-		p.abortAll()
+		p.AbortAll("queue drained")
 		return false, nil
 	}
 	if cg == nil || !graphCovers(cg, pending) {
@@ -999,7 +979,6 @@ func (p *Planner) startBuild(ctx context.Context, b speculation.Build) error {
 		}
 		targets[name] = h
 	}
-	subject.Stats.AffectedTargets = len(targets)
 
 	req := buildsys.Request{
 		Key:          b.Key(),
@@ -1009,7 +988,6 @@ func (p *Planner) startBuild(ctx context.Context, b speculation.Build) error {
 		PriorTargets: prep.prior,
 	}
 	task := p.controller.Start(ctx, req)
-	go p.notifyDone(task)
 	p.mu.Lock()
 	p.stats.BuildsStarted++
 	p.running = append(p.running, &trackedBuild{
@@ -1050,94 +1028,14 @@ func (p *Planner) recordImmediateFailure(b speculation.Build, head *repo.Commit,
 	})
 }
 
-// abortAll cancels every running build (used when the queue is empty). With
-// no pending changes every build is obsolete by definition, so no grace
-// window applies.
-func (p *Planner) abortAll() {
+// AbortAll cancels every running build. Tick calls it when the queue is
+// empty and the shard runtime when its loop stops: either way no build can
+// still decide anything, so no grace window applies.
+func (p *Planner) AbortAll(why string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, rb := range p.running {
-		p.cancelRunningLocked(rb, "queue drained")
+		p.cancelRunningLocked(rb, why)
 	}
 	p.running = nil
-}
-
-// RunningCount returns the number of in-flight builds.
-func (p *Planner) RunningCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.running)
-}
-
-// Quiesce ticks until the queue drains, waiting for build completions
-// between epochs. It returns ErrStopped if the context is cancelled first.
-func (p *Planner) Quiesce(ctx context.Context) error {
-	for {
-		if _, err := p.Tick(ctx); err != nil {
-			return err
-		}
-		if p.queue.Len() == 0 {
-			return nil
-		}
-		if err := p.waitAny(ctx); err != nil {
-			return err
-		}
-	}
-}
-
-// notifyDone forwards one build completion into the coalescing wake channel.
-// Exactly one watcher goroutine exists per build lifetime (spawned when the
-// build starts, gone when it completes) — unlike the previous scheme, where
-// every waitAny call spawned a fresh goroutine per running build that
-// blocked until that build finished, accumulating one goroutine per tick for
-// long builds.
-func (p *Planner) notifyDone(task *buildsys.Task) {
-	<-task.Done()
-	select {
-	case p.wake <- struct{}{}:
-	default: // a wake token is already pending; coalesce
-	}
-}
-
-// waitAny blocks until any running build finishes, a short poll interval
-// elapses, or the context is cancelled. Spurious wakes (a token left over
-// from a build reaped earlier) cost one extra Tick and are harmless; the
-// 50ms fallback covers tokens coalesced away while no one was waiting.
-func (p *Planner) waitAny(ctx context.Context) error {
-	if p.RunningCount() == 0 {
-		select {
-		case <-ctx.Done():
-			return ErrStopped
-		case <-time.After(time.Millisecond):
-			return nil
-		}
-	}
-	select {
-	case <-ctx.Done():
-		return ErrStopped
-	case <-p.wake:
-		return nil
-	case <-time.After(50 * time.Millisecond):
-		return nil
-	}
-}
-
-// Run ticks on the configured epoch until the context is cancelled.
-func (p *Planner) Run(ctx context.Context, epoch time.Duration) error {
-	if epoch <= 0 {
-		epoch = 250 * time.Millisecond
-	}
-	tick := time.NewTicker(epoch)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			p.abortAll()
-			return ctx.Err()
-		case <-tick.C:
-			if _, err := p.Tick(ctx); err != nil {
-				return err
-			}
-		}
-	}
 }

@@ -19,7 +19,7 @@ func TestMergeFailureRecordedAsBuildFailure(t *testing.T) {
 	e.submit(t, "c1", "x/x.go", "x v2")
 	e.submit(t, "c2", "x/x.go", "x v3") // same file: merge conflict
 	e.quiesce(t)
-	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
+	c1, c2 := e.decision("c1"), e.decision("c2")
 	if c1.State != change.StateCommitted {
 		t.Fatalf("c1 = %v (%s)", c1.State, c1.Reason)
 	}
@@ -37,7 +37,7 @@ func TestBrokenBuildFileRejected(t *testing.T) {
 	e := newEnv(t, nil, Config{Budget: 4})
 	e.submit(t, "c1", "x/BUILD", "target x srcs=x.go deps=//nope:gone")
 	e.quiesce(t)
-	if c := decision(e.planner, "c1"); c.State != change.StateRejected {
+	if c := e.decision("c1"); c.State != change.StateRejected {
 		t.Fatalf("state = %v (%s)", c.State, c.Reason)
 	}
 	if e.repo.Len() != 1 {
@@ -79,7 +79,7 @@ func TestPreemptionGraceKeepsOldBuilds(t *testing.T) {
 	if _, err := e.planner.Tick(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.planner.RunningCount(); got != 1 {
+	if got := running(e.planner); got != 1 {
 		t.Fatalf("running = %d, want the protected build", got)
 	}
 	close(block)
@@ -97,7 +97,7 @@ func TestOutcomesOrderedByDecisionTime(t *testing.T) {
 	e.submit(t, "b", "z/z.go", "z v2")
 	e.submit(t, "c", "w/w.go", "w v2")
 	e.quiesce(t)
-	outs := e.planner.Outcomes()
+	outs := e.outcomes()
 	if len(outs) != 3 {
 		t.Fatalf("outcomes = %d", len(outs))
 	}
@@ -116,7 +116,46 @@ func TestEmptyTickIsNoop(t *testing.T) {
 	if err != nil || prog {
 		t.Fatalf("tick = %v, %v", prog, err)
 	}
-	if e.repo.Len() != 1 || e.planner.RunningCount() != 0 {
+	if e.repo.Len() != 1 || running(e.planner) != 0 {
 		t.Fatal("state changed on empty tick")
+	}
+}
+
+// bounceOnce is a Committer that bounces its first proposal as a cross-shard
+// conflict, without moving the head, and commits every later one.
+type bounceOnce struct {
+	r       *repo.Repo
+	bounced bool
+}
+
+func (b *bounceOnce) Commit(p CommitProposal) (*repo.Commit, error) {
+	if !b.bounced {
+		b.bounced = true
+		return nil, ErrCrossShardConflict
+	}
+	return b.r.CommitPatch(b.r.Head().ID, p.Change.Patch, p.Change.Author.Name, p.Change.Description, p.Now)
+}
+
+// TestBouncedBuildDecidedAfterRebuild: after a bounced proposal the rebuild
+// has the dropped build's key, so once it finishes — with the head unmoved —
+// the plan fingerprint equals the one the bouncing epoch planned under. The
+// next epoch must still decide the change instead of skipping forever.
+func TestBouncedBuildDecidedAfterRebuild(t *testing.T) {
+	e := newEnv(t, nil, Config{Budget: 1})
+	e.planner.cfg.Committer = &bounceOnce{r: e.repo}
+	e.submit(t, "c1", "x/x.go", "x v2")
+	for i := 0; i < 5 && e.decision("c1").State == change.StatePending; i++ {
+		if _, err := e.planner.Tick(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for st := e.ctrl.Stats(); st.Completed+st.Aborted < st.Builds; st = e.ctrl.Stats() {
+			time.Sleep(time.Millisecond) // let every started build finish before the next epoch
+		}
+	}
+	if o := e.decision("c1"); o.State != change.StateCommitted {
+		t.Fatalf("c1 = %+v after a bounced proposal and its rebuild; want committed", o)
+	}
+	if n := e.planner.Stats().CrossShardRebuilds; n != 1 {
+		t.Fatalf("cross-shard rebuilds = %d, want 1", n)
 	}
 }

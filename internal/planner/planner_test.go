@@ -17,12 +17,14 @@ import (
 	"mastergreen/internal/speculation"
 )
 
-// testEnv wires a planner over the Fig. 8-style repo.
+// testEnv wires a planner over the Fig. 8-style repo. outs holds the
+// outcomes the test has drained from the planner, in decision order.
 type testEnv struct {
 	repo    *repo.Repo
 	queue   *queue.Queue
 	planner *Planner
 	ctrl    *buildsys.Controller
+	outs    []Outcome
 }
 
 func newEnv(t *testing.T, runner buildsys.StepRunner, cfg Config) *testEnv {
@@ -66,20 +68,37 @@ func (e *testEnv) submit(t *testing.T, id, path, content string) *change.Change 
 	return c
 }
 
+// quiesce ticks the planner until its queue drains, giving running builds a
+// millisecond to finish between epochs.
 func (e *testEnv) quiesce(t *testing.T) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := e.planner.Quiesce(ctx); err != nil {
-		t.Fatalf("quiesce: %v", err)
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		if _, err := e.planner.Tick(context.Background()); err != nil {
+			t.Fatalf("tick: %v", err)
+		}
+		if e.queue.Len() == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("quiesce: %d changes still pending", e.queue.Len())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// decision returns p's outcome for id, or a pending Outcome if p has not
-// decided it. The planner reports a decision only as an Outcome — it never
-// writes Change.State — so tests read every decision through here.
-func decision(p *Planner, id change.ID) Outcome {
-	for _, o := range p.Outcomes() {
+// outcomes drains the planner's new outcomes into e.outs and returns them
+// all, in decision order.
+func (e *testEnv) outcomes() []Outcome {
+	e.outs = e.planner.DrainOutcomes(e.outs)
+	return e.outs
+}
+
+// decision returns the planner's outcome for id, or a pending Outcome if it
+// has not decided it. The planner reports a decision only as an Outcome — it
+// never writes Change.State — so tests read every decision through here.
+func (e *testEnv) decision(id change.ID) Outcome {
+	for _, o := range e.outcomes() {
 		if o.ID == id {
 			return o
 		}
@@ -87,11 +106,18 @@ func decision(p *Planner, id change.ID) Outcome {
 	return Outcome{ID: id, State: change.StatePending}
 }
 
+// running returns the number of builds p has in flight.
+func running(p *Planner) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.running)
+}
+
 func TestSingleChangeCommits(t *testing.T) {
 	e := newEnv(t, nil, Config{Budget: 4})
 	c := e.submit(t, "c1", "x/x.go", "x v2")
 	e.quiesce(t)
-	if o := decision(e.planner, "c1"); o.State != change.StateCommitted || o.Commit == "" {
+	if o := e.decision("c1"); o.State != change.StateCommitted || o.Commit == "" {
 		t.Fatalf("outcome = %+v", o)
 	}
 	if c.State != change.StatePending {
@@ -116,7 +142,7 @@ func TestFailingBuildRejects(t *testing.T) {
 	e := newEnv(t, runner, Config{Budget: 4})
 	e.submit(t, "c1", "x/x.go", "broken")
 	e.quiesce(t)
-	c := decision(e.planner, "c1")
+	c := e.decision("c1")
 	if c.State != change.StateRejected {
 		t.Fatalf("state = %v", c.State)
 	}
@@ -135,7 +161,7 @@ func TestSerializedConflictingChanges(t *testing.T) {
 	e.submit(t, "c1", "x/x.go", "x v2")
 	e.submit(t, "c2", "x/x.go", "x other")
 	e.quiesce(t)
-	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
+	c1, c2 := e.decision("c1"), e.decision("c2")
 	if c1.State != change.StateCommitted {
 		t.Fatalf("c1 = %v (%s)", c1.State, c1.Reason)
 	}
@@ -155,7 +181,7 @@ func TestIndependentChangesBothCommit(t *testing.T) {
 	e.submit(t, "c3", "w/w.go", "w v2")
 	e.quiesce(t)
 	for _, id := range []change.ID{"c1", "c2", "c3"} {
-		if c := decision(e.planner, id); c.State != change.StateCommitted {
+		if c := e.decision(id); c.State != change.StateCommitted {
 			t.Fatalf("%s = %v (%s)", c.ID, c.State, c.Reason)
 		}
 	}
@@ -172,12 +198,12 @@ func TestConflictingTargetsSerialized(t *testing.T) {
 	e.submit(t, "c1", "x/x.go", "x v2")
 	e.submit(t, "c2", "y/y.go", "y v2")
 	e.quiesce(t)
-	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
+	c1, c2 := e.decision("c1"), e.decision("c2")
 	if c1.State != change.StateCommitted || c2.State != change.StateCommitted {
 		t.Fatalf("c1=%v (%s) c2=%v (%s)", c1.State, c1.Reason, c2.State, c2.Reason)
 	}
 	// c1 committed before c2 (submission order respected).
-	outs := e.planner.Outcomes()
+	outs := e.outcomes()
 	if outs[0].ID != "c1" || outs[1].ID != "c2" {
 		t.Fatalf("order = %v, %v", outs[0].ID, outs[1].ID)
 	}
@@ -198,7 +224,7 @@ func TestRealConflictOnlyTogether(t *testing.T) {
 	e.submit(t, "c1", "x/x.go", "x v2")
 	e.submit(t, "c2", "y/y.go", "y v2")
 	e.quiesce(t)
-	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
+	c1, c2 := e.decision("c1"), e.decision("c2")
 	if c1.State != change.StateCommitted {
 		t.Fatalf("c1 = %v (%s)", c1.State, c1.Reason)
 	}
@@ -217,7 +243,7 @@ func TestSpeculativeResultReusedAfterPredecessorCommits(t *testing.T) {
 	e.submit(t, "c1", "x/x.go", "x v2")
 	e.submit(t, "c2", "y/y.go", "y v2") // conflicts with c1 at target level
 	e.quiesce(t)
-	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
+	c1, c2 := e.decision("c1"), e.decision("c2")
 	if c1.State != change.StateCommitted || c2.State != change.StateCommitted {
 		t.Fatalf("c1=%v c2=%v", c1.State, c2.State)
 	}
@@ -242,7 +268,7 @@ func TestMisspeculatedBuildAborted(t *testing.T) {
 	e.submit(t, "c1", "x/x.go", "broken")
 	e.submit(t, "c2", "y/y.go", "y v2")
 	e.quiesce(t)
-	c1, c2 := decision(e.planner, "c1"), decision(e.planner, "c2")
+	c1, c2 := e.decision("c1"), e.decision("c2")
 	if c1.State != change.StateRejected {
 		t.Fatalf("c1 = %v", c1.State)
 	}
@@ -290,7 +316,7 @@ func TestAlwaysGreenInvariant(t *testing.T) {
 	}
 	// c2 rejected; the rest committed (c5 may conflict with c2's rejection
 	// only, and z/z.go edits from c2 never landed so c5 applies cleanly).
-	outs := e.planner.Outcomes()
+	outs := e.outcomes()
 	if len(outs) != 5 {
 		t.Fatalf("outcomes = %d", len(outs))
 	}
@@ -355,7 +381,7 @@ func TestSpeculationArtifactCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.quiesce(t)
-	if c := decision(e.planner, "c3"); c.State != change.StateCommitted {
+	if c := e.decision("c3"); c.State != change.StateCommitted {
 		t.Fatalf("c3 state = %v, reason %q", c.State, c.Reason)
 	}
 	if st := e.ctrl.Stats(); st.SkippedCache == 0 {
@@ -381,31 +407,11 @@ func TestBudgetLimitsConcurrentBuilds(t *testing.T) {
 	if _, err := e.planner.Tick(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.planner.RunningCount(); got > 2 {
+	if got := running(e.planner); got > 2 {
 		t.Fatalf("running = %d, want <= 2", got)
 	}
 	close(block)
 	e.quiesce(t)
-}
-
-func TestQuiesceCancellable(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	runner := buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, _ repo.Snapshot) error {
-		select {
-		case <-block:
-			return nil
-		case <-ctx.Done():
-			return buildsys.ErrAborted
-		}
-	})
-	e := newEnv(t, runner, Config{Budget: 1})
-	e.submit(t, "c1", "x/x.go", "x v2")
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	if err := e.planner.Quiesce(ctx); !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v", err)
-	}
 }
 
 func TestSpecStatsUpdated(t *testing.T) {

@@ -1,11 +1,9 @@
 package planner
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"mastergreen/internal/change"
 	"mastergreen/internal/repo"
@@ -13,8 +11,8 @@ import (
 
 // TestTickingPlannerRaceStress drives a live planner loop while other
 // goroutines submit changes and read the concurrently-accessed surfaces:
-// SpecStats.Counts (written by reap as speculations finish), planner Stats,
-// running counts, and outcomes. Run with -race; it covers the previously
+// SpecStats.Counts (written by reap as speculations finish), planner Stats
+// and running counts. Run with -race; it covers the previously
 // unsynchronized Spec.Succeeded++/Failed++ mutation.
 func TestTickingPlannerRaceStress(t *testing.T) {
 	runPlannerRaceStress(t, 0)
@@ -33,8 +31,6 @@ func runPlannerRaceStress(t *testing.T, skip float64) {
 	const nChanges = 60
 	e := newEnv(t, nil, Config{Budget: 4})
 	e.planner.spec.SkipThreshold = skip
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
 
 	var mu sync.Mutex
 	var submitted []*change.Change
@@ -93,22 +89,17 @@ func runPlannerRaceStress(t *testing.T, skip float64) {
 				}
 				_ = total
 				_ = e.planner.Stats()
-				_ = e.planner.RunningCount()
-				_ = e.planner.Outcomes()
+				_ = running(e.planner)
 			}
 		}()
 	}
 
 	// The planner loop itself (single goroutine; Tick is not reentrant).
-	if err := e.planner.Quiesce(ctx); err != nil {
-		t.Fatalf("quiesce: %v", err)
-	}
+	e.quiesce(t)
 	// The submitter may still be racing the final ticks; wait for it and
 	// drain whatever it added after the first quiescence.
 	subWg.Wait()
-	if err := e.planner.Quiesce(ctx); err != nil {
-		t.Fatalf("re-quiesce: %v", err)
-	}
+	e.quiesce(t)
 	close(stop)
 	wg.Wait()
 
@@ -116,7 +107,7 @@ func runPlannerRaceStress(t *testing.T, skip float64) {
 	defer mu.Unlock()
 	resolved := 0
 	for _, c := range submitted {
-		if decision(e.planner, c.ID).State != change.StatePending {
+		if e.decision(c.ID).State != change.StatePending {
 			resolved++
 		}
 	}

@@ -59,12 +59,12 @@ type member struct {
 }
 
 // engine is one planner shard: an isolated sub-queue plus a planner instance
-// whose conflict source is a coordinator-fed view of the global graph.
+// whose conflict source is a coordinator-fed view of the global graph. nudge
+// wakes the engine's loop goroutine when a partition hands it changes.
 type engine struct {
-	id      int
 	queue   *queue.Queue
 	planner *planner.Planner
-	wake    chan struct{}
+	nudge   chan struct{}
 }
 
 // Runtime is the sharding coordinator: it owns the component partition, the
@@ -85,7 +85,7 @@ type Runtime struct {
 
 	mu          sync.Mutex
 	members     map[change.ID]*member
-	seen        []int // outcomes already merged, per engine
+	drained     []planner.Outcome // scratch for DrainOutcomes
 	outcomes    []planner.Outcome
 	outSeen     map[change.ID]bool
 	first       bool
@@ -119,7 +119,6 @@ func New(r *repo.Repo, intake *queue.Queue, an *conflict.Analyzer, arb *arbiter.
 		cfg:      cfg,
 		headWake: arb.Subscribe(),
 		members:  map[change.ID]*member{},
-		seen:     make([]int, cfg.Shards),
 		outSeen:  map[change.ID]bool{},
 		first:    true,
 	}
@@ -135,17 +134,13 @@ func New(r *repo.Repo, intake *queue.Queue, an *conflict.Analyzer, arb *arbiter.
 		ecfg.Sched = cfg.Planner.Sched.Clone() // per-engine policy; nil stays nil
 		eq := queue.New(1)
 		rt.engines = append(rt.engines, &engine{
-			id:      i,
 			queue:   eq,
 			planner: planner.New(r, eq, &engineView{rt: rt}, cfg.Spec(), ctrl, ecfg),
-			wake:    make(chan struct{}, 1),
+			nudge:   make(chan struct{}, 1),
 		})
 	}
 	return rt
 }
-
-// Shards returns the engine count.
-func (rt *Runtime) Shards() int { return len(rt.engines) }
 
 // PendingCount returns the changes not yet decided: still in intake plus
 // adopted members. Lock-free on the coordinator mutex — the admission layer
@@ -190,24 +185,21 @@ func (rt *Runtime) OutcomesSince(n int) []planner.Outcome {
 	return append([]planner.Outcome(nil), rt.outcomes[n:]...)
 }
 
-// collectOutcomesLocked merges newly-decided outcomes from every engine,
-// first decision wins (the coordinator may briefly double-assign a change
-// while moving it; the arbiter guarantees at most one of the decisions
-// commits). A rejection for a change the arbiter has already landed is a
-// stale loser — the change hit the mainline through another engine before
-// this one noticed, so its "no longer applies" verdict is suppressed and the
-// winner's commit outcome records the decision. Because a double-assigned
-// change has two engines holding the same *change.Change, the engines never
-// write Subject.State in place; the coordinator applies the one winning
-// decision here, under rt.mu. Decided members leave the partition and their
-// engine sub-queue. Callers hold rt.mu.
+// collectOutcomesLocked drains newly-decided outcomes from every engine into
+// the one outcome log, first decision wins (the coordinator may briefly
+// double-assign a change while moving it; the arbiter guarantees at most one
+// of the decisions commits). A rejection for a change the arbiter has
+// already landed is a stale loser — the change hit the mainline through
+// another engine before this one noticed, so its "no longer applies" verdict
+// is suppressed and the winner's commit outcome records the decision.
+// Because a double-assigned change has two engines holding the same
+// *change.Change, the engines never write Subject.State in place; the
+// coordinator applies the one winning decision here, under rt.mu. Decided
+// members leave the partition and their engine sub-queue. Callers hold rt.mu.
 func (rt *Runtime) collectOutcomesLocked() {
-	for i, e := range rt.engines {
-		n := e.planner.OutcomeCount()
-		if n == rt.seen[i] {
-			continue
-		}
-		for _, o := range e.planner.OutcomesSince(rt.seen[i]) {
+	for _, e := range rt.engines {
+		rt.drained = e.planner.DrainOutcomes(rt.drained[:0])
+		for _, o := range rt.drained {
 			if o.State != change.StateCommitted && rt.arb.Committed(o.ID) {
 				continue
 			}
@@ -226,7 +218,6 @@ func (rt *Runtime) collectOutcomesLocked() {
 				rt.outcomes = append(rt.outcomes, o)
 			}
 		}
-		rt.seen[i] = n
 	}
 	// Refresh the lock-free mirrors together: outcomes before members, so a
 	// racing reader sees decisions no later than the pending-count drop.
@@ -336,7 +327,7 @@ func (rt *Runtime) Partition() {
 			continue
 		}
 		select {
-		case rt.engines[i].wake <- struct{}{}:
+		case rt.engines[i].nudge <- struct{}{}:
 		default:
 		}
 	}
@@ -417,98 +408,98 @@ func (rt *Runtime) Tick(ctx context.Context) (bool, error) {
 	return progress, nil
 }
 
-// engineLoop ticks one engine until stopped, waking on rebalances and build
-// completions (via the planner's own wake channel, covered by the short poll).
-func (rt *Runtime) engineLoop(ctx context.Context, e *engine, stop <-chan struct{}, errs chan<- error) {
-	for {
-		if _, err := e.planner.Tick(ctx); err != nil {
-			select {
-			case errs <- err:
-			default:
-			}
-			return
-		}
-		select {
-		case <-stop:
-			return
-		case <-ctx.Done():
-			return
-		case <-e.wake:
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
-// Quiesce runs engines concurrently until every adopted change is decided
-// and the intake queue is empty, then stops the fleet. It returns
-// planner.ErrStopped if the context is cancelled first.
-func (rt *Runtime) Quiesce(ctx context.Context) error {
-	stop := make(chan struct{})
-	errs := make(chan error, len(rt.engines))
-	var wg sync.WaitGroup
-	for _, e := range rt.engines {
-		wg.Add(1)
-		go func(e *engine) {
-			defer wg.Done()
-			rt.engineLoop(ctx, e, stop, errs)
-		}(e)
-	}
-	var err error
-	for {
-		rt.Partition()
-		if rt.PendingCount() == 0 {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			err = planner.ErrStopped
-		case <-rt.headWake:
-		case <-time.After(time.Millisecond):
-		}
-		if err != nil {
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
-	rt.Partition() // merge outcomes decided during shutdown
-	select {
-	case e := <-errs:
-		if err == nil {
-			err = e
-		}
-	default:
-	}
-	return err
-}
-
-// Run drives the fleet on the epoch period until the context is cancelled:
-// every engine runs its own planner loop and the coordinator repartitions on
-// each tick and head advancement.
+// Run drives the fleet until the context is cancelled, polling every epoch.
+// It returns planner.ErrStopped on cancellation, or the first engine error.
 func (rt *Runtime) Run(ctx context.Context, epoch time.Duration) error {
 	if epoch <= 0 {
 		epoch = 250 * time.Millisecond
 	}
+	return rt.loop(ctx, epoch, false)
+}
+
+// Quiesce drives the fleet on a 1 ms poll until every adopted change is
+// decided and the intake queue is empty. It returns planner.ErrStopped if
+// the context is cancelled first, or the first engine error.
+func (rt *Runtime) Quiesce(ctx context.Context) error {
+	return rt.loop(ctx, time.Millisecond, true)
+}
+
+// loop is the only code that ticks the planner engines. Each engine
+// goroutine ticks, then waits for stop, cancellation, its rebalance nudge or
+// the poll interval; the coordinator partitions every poll interval and on
+// each head advance. The loop ends on cancellation, on the first engine
+// error, or, with untilIdle, once nothing is pending. When it ends with an
+// error nothing is left to reap the engines' running builds, so it aborts
+// them.
+func (rt *Runtime) loop(ctx context.Context, poll time.Duration, untilIdle bool) error {
+	stop := make(chan struct{})
+	errs := make(chan error, len(rt.engines)) // each engine sends at most once
 	var wg sync.WaitGroup
 	for _, e := range rt.engines {
 		wg.Add(1)
 		go func(e *engine) {
 			defer wg.Done()
-			_ = e.planner.Run(ctx, epoch)
+			t := time.NewTimer(poll)
+			defer t.Stop()
+			for {
+				if _, err := e.planner.Tick(ctx); err != nil {
+					errs <- err
+					return
+				}
+				rearm(t, poll)
+				select {
+				case <-stop:
+					return
+				case <-ctx.Done():
+					return
+				case <-e.nudge:
+				case <-t.C:
+				}
+			}
 		}(e)
 	}
-	tick := time.NewTicker(epoch)
-	defer tick.Stop()
-	for {
+	t := time.NewTimer(poll)
+	defer t.Stop()
+	var err error
+	for err == nil {
+		rt.Partition()
+		if untilIdle && rt.PendingCount() == 0 {
+			break
+		}
+		rearm(t, poll)
 		select {
 		case <-ctx.Done():
-			wg.Wait()
-			rt.Partition()
-			return ctx.Err()
-		case <-tick.C:
-			rt.Partition()
+			err = planner.ErrStopped
+		case err = <-errs:
 		case <-rt.headWake:
-			rt.Partition()
+		case <-t.C:
 		}
 	}
+	close(stop)
+	wg.Wait()
+	if err == nil {
+		select {
+		case err = <-errs:
+		default:
+		}
+	}
+	if err != nil {
+		for _, e := range rt.engines {
+			e.planner.AbortAll("engine loop stopped")
+		}
+	}
+	rt.Partition() // merge outcomes decided during shutdown
+	return err
+}
+
+// rearm restarts t for d, discarding a fire the last wait did not consume, so
+// a loop waits on one timer instead of allocating one per wait.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }

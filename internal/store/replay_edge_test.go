@@ -2,12 +2,8 @@ package store
 
 import (
 	"os"
-	"reflect"
 	"strings"
 	"testing"
-	"time"
-
-	"mastergreen/internal/change"
 )
 
 // TestReplayTornLineOnly: a journal holding nothing but a partial record (a
@@ -56,88 +52,5 @@ func TestReplayCorruptionReportsLineNumber(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("error %q does not name the corrupt line (want \"line 2\")", err)
-	}
-}
-
-// TestReplayAfterCompactRoundTrips: compaction must preserve undecided
-// submissions bit-for-bit (full change content, not just IDs) and the kept
-// outcome window verbatim, so a recovery after compaction resumes exactly
-// where a recovery before compaction would have.
-func TestReplayAfterCompactRoundTrips(t *testing.T) {
-	path := tmpJournal(t)
-	j, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := []string{"a", "b", "c", "d", "e"}
-	for _, id := range ids {
-		if err := j.AppendSubmit(mkChange(id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	outs := []OutcomeRecord{
-		{ID: "a", State: "committed", Commit: "commit-a", At: time.Unix(2000, 0).UTC()},
-		{ID: "b", State: "rejected", Reason: "build failed at compile", At: time.Unix(2001, 0).UTC()},
-		{ID: "c", State: "committed", Commit: "commit-c", At: time.Unix(2002, 0).UTC()},
-	}
-	for _, o := range outs {
-		if err := j.AppendOutcome(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = j.Close()
-
-	before, err := Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pendingBefore, _ := PendingFromRecords(before)
-
-	if err := Compact(path, 2); err != nil {
-		t.Fatal(err)
-	}
-	after, err := Replay(path)
-	if err != nil {
-		t.Fatalf("replay after compaction: %v", err)
-	}
-	pendingAfter, outcomesAfter := PendingFromRecords(after)
-
-	if !reflect.DeepEqual(pendingBefore, pendingAfter) {
-		t.Fatalf("pending changes did not round-trip through compaction:\nbefore %+v\nafter  %+v",
-			pendingBefore, pendingAfter)
-	}
-	wantPending := []change.ID{"d", "e"}
-	for i, c := range pendingAfter {
-		if c.ID != wantPending[i] {
-			t.Fatalf("pending[%d] = %s, want %s", i, c.ID, wantPending[i])
-		}
-		// Spot-check content survived, not just identity.
-		if len(c.Patch.Changes) != 2 || c.Patch.Changes[0].Path != "a.go" {
-			t.Fatalf("pending[%d] patch content lost: %+v", i, c.Patch)
-		}
-		if c.Revision == nil || !c.Revision.TestPlan {
-			t.Fatalf("pending[%d] revision content lost: %+v", i, c.Revision)
-		}
-	}
-	if !reflect.DeepEqual(outcomesAfter, outs[1:]) {
-		t.Fatalf("kept outcome window not verbatim:\ngot  %+v\nwant %+v", outcomesAfter, outs[1:])
-	}
-
-	// The compacted journal must still accept appends and replay clean.
-	j3, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j3.AppendSubmit(mkChange("f")); err != nil {
-		t.Fatal(err)
-	}
-	_ = j3.Close()
-	final, err := Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pendingFinal, _ := PendingFromRecords(final)
-	if len(pendingFinal) != 3 || pendingFinal[2].ID != "f" {
-		t.Fatalf("append after compaction lost: %+v", pendingFinal)
 	}
 }

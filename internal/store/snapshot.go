@@ -1,8 +1,8 @@
-// Journal snapshot/compaction: the mechanism that keeps restart replay time
-// flat as history grows. A snapshot file holds the folded live state (the
-// pending set plus a bounded outcome tail) under an integrity header; after a
-// snapshot the live journal is truncated, so a restart replays
-// snapshot + short tail instead of the full history.
+// Journal snapshots: the one mechanism that folds the journal, keeping
+// restart replay time flat as history grows. A snapshot file holds the folded
+// live state (the pending set plus a bounded outcome tail) under an integrity
+// header; after a snapshot the live journal is truncated, so a restart
+// replays snapshot + short tail instead of the full history.
 //
 // On-disk layout for a journal at PATH:
 //
@@ -176,13 +176,5 @@ func (j *Journal) Snapshot(head repo.CommitID, keepOutcomes int, at time.Time) e
 	}
 	j.w.Reset(j.f)
 	j.appends = 0
-	j.snapshots++
 	return nil
-}
-
-// Snapshots returns how many snapshots this journal handle has taken.
-func (j *Journal) Snapshots() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.snapshots
 }

@@ -225,46 +225,6 @@ func TestSnapshotHeaderlessRejected(t *testing.T) {
 	}
 }
 
-// TestCompactFoldsSnapshotChain: compacting a snapshotted journal folds the
-// snapshot chain into the rewritten journal and retires the snapshot files.
-func TestCompactFoldsSnapshotChain(t *testing.T) {
-	path := tmpJournal(t)
-	j, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"a", "b", "c"} {
-		if err := j.AppendSubmit(mkChange(id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Snapshot("h1", 10, time.Unix(1000, 0).UTC()); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendOutcome(OutcomeRecord{ID: "a", State: "committed", Commit: "ca", At: time.Unix(2000, 0).UTC()}); err != nil {
-		t.Fatal(err)
-	}
-	_ = j.Close()
-
-	if err := Compact(path, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(SnapshotPath(path)); !os.IsNotExist(err) {
-		t.Fatalf("snapshot not retired after compaction: %v", err)
-	}
-	recs, err := Replay(path) // plain replay: the journal alone holds everything
-	if err != nil {
-		t.Fatal(err)
-	}
-	pending, outcomes := PendingFromRecords(recs)
-	if len(pending) != 2 || pending[0].ID != "b" || pending[1].ID != "c" {
-		t.Fatalf("pending = %+v", pending)
-	}
-	if len(outcomes) != 1 || outcomes[0].ID != "a" {
-		t.Fatalf("outcomes = %+v", outcomes)
-	}
-}
-
 // TestGroupCommitConcurrentAppends: concurrent appenders must all return
 // with their records durable, and the group commit must coalesce their
 // fsyncs well below one per append.

@@ -1,7 +1,8 @@
 // Package store is SubmitQueue's durable state backend — the role MySQL
 // plays in the paper's deployment (§7.1). It provides an append-only journal
 // of service events (submissions and final outcomes) with crash-safe replay,
-// plus compaction that drops decided changes. On restart, the core service
+// folded by Journal.Snapshot into a snapshot of the live state, which drops
+// decided changes past a bounded outcome tail. On restart, the core service
 // replays the journal to re-enqueue every change that was pending when the
 // process died, so no developer submission is ever lost.
 package store
@@ -178,8 +179,6 @@ type Journal struct {
 	errSeq   int64
 	errVal   error
 	syncs    int64
-	// snapshots counts Snapshot calls on this handle (see snapshot.go).
-	snapshots int64
 }
 
 // Open creates or appends to a journal file.
@@ -192,9 +191,6 @@ func Open(path string) (*Journal, error) {
 	j.syncDone = sync.NewCond(&j.mu)
 	return j, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Syncs returns the number of fsyncs issued so far (observability: under
 // concurrent load this stays far below the append count).
@@ -384,13 +380,13 @@ func PendingFromRecords(recs []Record) (pending []*change.Change, outcomes []Out
 	return pending, outcomes
 }
 
-// foldForRewrite reduces a record chain to the live state a rewrite must
+// foldForRewrite reduces a record chain to the live state a snapshot must
 // preserve: the pending set, plus the most recent keepOutcomes outcomes,
 // plus a tombstone outcome for every decided change whose submit record
-// still exists in a file that survives the rewrite (tombstoneFrom). Without
-// the tombstones, a crash between the rewrite's rename and the removal or
-// truncation of the surviving file could resurrect a decided change: its
-// submit would replay from the survivor with no outcome left to decide it.
+// still exists in a file that survives the snapshot (tombstoneFrom). Without
+// the tombstones, a crash between the snapshot's rename and the truncation of
+// the surviving file could resurrect a decided change: its submit would
+// replay from the survivor with no outcome left to decide it.
 func foldForRewrite(recs []Record, keepOutcomes int, tombstoneFrom []Record) (pending []*change.Change, outcomes []OutcomeRecord) {
 	pending, all := PendingFromRecords(recs)
 	survivors := map[change.ID]bool{}
@@ -409,59 +405,4 @@ func foldForRewrite(recs []Record, keepOutcomes int, tombstoneFrom []Record) (pe
 		}
 	}
 	return pending, outcomes
-}
-
-// writeRewrite writes outcomes then pending submissions to path as a plain
-// journal, fsyncing once at close.
-func writeRewrite(path string, pending []*change.Change, outcomes []OutcomeRecord) error {
-	j, err := Open(path)
-	if err != nil {
-		return err
-	}
-	j.SyncEvery = 1 << 30 // one final sync on close
-	for _, o := range outcomes {
-		if err := j.AppendOutcome(o); err != nil {
-			_ = j.Close()
-			return err
-		}
-	}
-	for _, c := range pending {
-		if err := j.AppendSubmit(c); err != nil {
-			_ = j.Close()
-			return err
-		}
-	}
-	return j.Close()
-}
-
-// Compact rewrites the journal to hold the full live state — undecided
-// submissions plus the most recent keepOutcomes outcome records — and then
-// retires any snapshot files, bounding journal growth. It folds the whole
-// snapshot chain, so compacting a journal that has been snapshotted loses
-// nothing; outcome tombstones keep the crash window between the journal
-// rename and the snapshot removal consistent (see foldForRewrite).
-func Compact(path string, keepOutcomes int) error {
-	recs, err := LoadState(path)
-	if err != nil {
-		return err
-	}
-	var survivors []Record
-	for _, p := range []string{SnapshotPath(path), prevSnapshotPath(path)} {
-		if _, sr, err := ReplaySnapshot(p); err == nil {
-			survivors = append(survivors, sr...)
-		}
-	}
-	pending, outcomes := foldForRewrite(recs, keepOutcomes, survivors)
-	tmp := path + ".compact"
-	_ = os.Remove(tmp) // a crashed prior compaction may have left a partial temp
-	if err := writeRewrite(tmp, pending, outcomes); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	// The journal now holds the complete state; the snapshot chain is stale.
-	_ = os.Remove(SnapshotPath(path))
-	_ = os.Remove(prevSnapshotPath(path))
-	return nil
 }

@@ -155,32 +155,6 @@ func TestJournalAppendAfterReopen(t *testing.T) {
 	}
 }
 
-func TestCompact(t *testing.T) {
-	path := tmpJournal(t)
-	j, _ := Open(path)
-	for i := 0; i < 5; i++ {
-		_ = j.AppendSubmit(mkChange(string(rune('a' + i))))
-	}
-	for _, id := range []string{"a", "b", "c"} {
-		_ = j.AppendOutcome(OutcomeRecord{ID: change.ID(id), State: "committed", At: time.Unix(int64(2000), 0)})
-	}
-	_ = j.Close()
-	if err := Compact(path, 2); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pending, outcomes := PendingFromRecords(recs)
-	if len(pending) != 2 { // d, e undecided
-		t.Fatalf("pending = %d", len(pending))
-	}
-	if len(outcomes) != 2 { // kept the most recent 2
-		t.Fatalf("outcomes = %d", len(outcomes))
-	}
-}
-
 func TestSyncEveryBatches(t *testing.T) {
 	path := tmpJournal(t)
 	j, _ := Open(path)
