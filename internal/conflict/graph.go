@@ -14,13 +14,15 @@ import (
 // recycled through a free list once it leaves, so the vertex table is bounded
 // by the most members the graph ever held at once. An adjacency row is the
 // []int32 of a vertex's neighbours' numbers, unsorted; a position table maps
-// a vertex number to its place in the submission order. A read costs one map
-// lookup to find its vertex and then walks ints.
+// a vertex number to its place in the submission order. A read by ID costs
+// one map lookup to find its vertex and then walks ints; a read by position
+// (At, AppendPredecessors) costs no lookup at all.
 //
 // Adjacency rows are shared rather than copied. Clone shares every row with
 // its source, and whichever side writes to a row first copies it; Induced
 // goes further and returns a read-only view that borrows the source's whole
-// row table, restricted to its own members by its own position table.
+// row table and vertex map, restricted to its own members by its own
+// position table.
 type Graph struct {
 	order []change.ID
 	vs    []int32 // vs[i] is the vertex number of order[i]
@@ -32,14 +34,26 @@ type Graph struct {
 	// before its first write.
 	own  []bool
 	free []int32 // vertex numbers of departed members, for reuse
-	// view marks an Induced view: rows is the source graph's table, so a row
-	// can name non-members (position -1), which every reader skips. loose
-	// marks, by vertex number, the members in conflict with every other
-	// member whatever the rows say — among them every member without a row —
-	// and looseAt lists their positions, ascending.
+	// view marks an Induced view: rows and vert are the source graph's, so
+	// either can name non-members, which readers skip (position -1); extra
+	// numbers the members vert does not. loose marks, by vertex number, the
+	// members in conflict with every other member whatever the rows say —
+	// among them every member without a row — and looseAt lists their
+	// positions, ascending.
 	view    bool
+	extra   map[change.ID]int32
 	loose   []bool
 	looseAt []int
+}
+
+// vertex returns id's vertex number, if id is a member.
+func (g *Graph) vertex(id change.ID) (int32, bool) {
+	v, ok := g.vert[id]
+	if !g.view || (ok && g.pos[v] >= 0) {
+		return v, ok
+	}
+	v, ok = g.extra[id]
+	return v, ok
 }
 
 // NewGraph creates a conflict graph with the given change order.
@@ -178,10 +192,10 @@ func (g *Graph) Remove(ids ...change.ID) {
 // Induced returns the subgraph over ids, in the given order, as a read-only
 // view: two of them are joined iff g joins them. An id that is not a vertex
 // of g (not analyzed yet) is treated conservatively and conflicts with every
-// other id; a nil g knows no ids. The view borrows g's row table instead of
-// copying it and keeps only its own position table, so it costs its members
-// and g's vertex count, not their edges; g must not be written to while the
-// view is in use, and writing to the view panics.
+// other id; a nil g knows no ids. The view borrows g's row table and vertex
+// map instead of copying them and keeps only its own position table, so it
+// costs its members and g's vertex count, not their edges; g must not be
+// written to while the view is in use, and writing to the view panics.
 func (g *Graph) Induced(ids []change.ID) *Graph {
 	if g == nil {
 		g = &Graph{}
@@ -190,18 +204,22 @@ func (g *Graph) Induced(ids []change.ID) *Graph {
 	out := &Graph{
 		order: append([]change.ID(nil), ids...),
 		vs:    make([]int32, len(ids)),
-		vert:  make(map[change.ID]int32, len(ids)),
+		vert:  g.vert,
 		rows:  g.rows,
 		view:  true,
+		extra: map[change.ID]int32{},
 	}
 	next := int32(base) // numbers for ids g does not know, past g's table
 	for i, id := range ids {
-		v, known := g.vert[id]
+		v, known := g.vertex(id)
 		if !known {
 			v = next
 			next++
 		}
-		out.vs[i], out.vert[id] = v, v
+		if w, ok := g.vert[id]; !ok || w != v { // the borrowed map misses it
+			out.extra[id] = v
+		}
+		out.vs[i] = v
 		if !known || g.isLoose(v) {
 			if out.loose == nil {
 				out.loose = make([]bool, base+len(ids))
@@ -250,10 +268,23 @@ func (g *Graph) Len() int { return len(g.order) }
 // Order returns change IDs in submission order (a copy).
 func (g *Graph) Order() []change.ID { return append([]change.ID(nil), g.order...) }
 
+// At returns the change at position i of the submission order.
+func (g *Graph) At(i int) change.ID { return g.order[i] }
+
+// Position returns id's position in the submission order, or -1 if id is not
+// a vertex.
+func (g *Graph) Position(id change.ID) int {
+	v, ok := g.vertex(id)
+	if !ok {
+		return -1
+	}
+	return int(g.pos[v])
+}
+
 // Conflict reports whether two changes are joined by an edge.
 func (g *Graph) Conflict(a, b change.ID) bool {
-	va, oka := g.vert[a]
-	vb, okb := g.vert[b]
+	va, oka := g.vertex(a)
+	vb, okb := g.vertex(b)
 	if a == b || !oka || !okb {
 		return false
 	}
@@ -264,7 +295,7 @@ func (g *Graph) Conflict(a, b change.ID) bool {
 // graph's builder has not analyzed yet is not, and Induced treats it
 // conservatively.
 func (g *Graph) Contains(id change.ID) bool {
-	_, ok := g.vert[id]
+	_, ok := g.vertex(id)
 	return ok
 }
 
@@ -311,7 +342,7 @@ func (g *Graph) sorted(pos []int) []change.ID {
 
 // Neighbors returns the changes conflicting with id, in submission order.
 func (g *Graph) Neighbors(id change.ID) []change.ID {
-	v, ok := g.vert[id]
+	v, ok := g.vertex(id)
 	if !ok {
 		return nil
 	}
@@ -321,17 +352,24 @@ func (g *Graph) Neighbors(id change.ID) []change.ID {
 // ConflictingPredecessors returns the changes submitted before id that
 // conflict with it — the set the speculation engine must speculate over.
 func (g *Graph) ConflictingPredecessors(id change.ID) []change.ID {
-	v, ok := g.vert[id]
+	v, ok := g.vertex(id)
 	if !ok {
 		return nil
 	}
 	return g.sorted(g.neighborsBefore(nil, v, int(g.pos[v])))
 }
 
+// AppendPredecessors appends to dst, unsorted, the positions of the changes
+// before position i that conflict with the change there: a lookup-free
+// ConflictingPredecessors that allocates nothing once dst has room.
+func (g *Graph) AppendPredecessors(dst []int, i int) []int {
+	return g.neighborsBefore(dst, g.vs[i], i)
+}
+
 // HasConflictingPredecessor reports whether any change submitted before id
 // conflicts with it, without materializing or ordering the set.
 func (g *Graph) HasConflictingPredecessor(id change.ID) bool {
-	v, ok := g.vert[id]
+	v, ok := g.vertex(id)
 	if !ok {
 		return false
 	}

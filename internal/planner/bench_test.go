@@ -76,7 +76,7 @@ func holdOpenRunner() buildsys.StepRunner {
 }
 
 func newBenchPlanner(r *repo.Repo, runner buildsys.StepRunner, cfg Config) (*Planner, *queue.Queue) {
-	q := queue.New(2)
+	q := queue.New(1)
 	an := conflict.New(r)
 	spec := speculation.New(predict.Static{Success: 0.95, Conflict: 0.05})
 	ctrl := buildsys.NewController(8, runner)

@@ -589,26 +589,23 @@ func (p *Planner) decide(ctx context.Context) (int, *conflict.Graph, error) {
 		return 0, nil, nil
 	}
 	cg, failed := p.analyzer.BuildGraph(pending)
-	byID := make(map[change.ID]*change.Change, len(pending))
-	for _, c := range pending {
-		byID[c.ID] = c
-	}
-	decisions := 0
 	// Changes that no longer apply to head are rejected outright (merge
 	// conflict with committed work), in a stable order so outcome logs and
 	// event streams replay identically.
-	var failedIDs []change.ID
-	for id := range failed {
-		failedIDs = append(failedIDs, id)
+	var rejects []*change.Change
+	for _, c := range pending {
+		if _, ok := failed[c.ID]; ok {
+			rejects = append(rejects, c)
+		}
 	}
-	sort.Slice(failedIDs, func(i, j int) bool { return failedIDs[i] < failedIDs[j] })
-	for _, id := range failedIDs {
-		p.resolve(byID[id], change.StateRejected, fmt.Sprintf("patch no longer applies: %v", failed[id]), "")
-		decisions++
+	if len(rejects) > 0 {
+		sort.Slice(rejects, func(i, j int) bool { return rejects[i].ID < rejects[j].ID })
+		for _, c := range rejects {
+			p.resolve(c, change.StateRejected, fmt.Sprintf("patch no longer applies: %v", failed[c.ID]), "")
+		}
+		return len(rejects), cg, nil
 	}
-	if decisions > 0 {
-		return decisions, cg, nil
-	}
+	decisions := 0
 	for _, c := range pending {
 		// All conflicting predecessors must be resolved; with the graph
 		// computed over pending only, any predecessor still pending blocks.
@@ -809,8 +806,7 @@ func targetNames(targets map[string]string) []string {
 
 // reconcile computes the current plan and aligns running builds with it.
 // cg, when it covers exactly the current pending set, is reused from decide
-// rather than rebuilt; the analyzer's incremental graph memo makes a rebuild
-// cheap, but reusing the clone avoids even the O(n²) pair walk.
+// rather than asked for again.
 func (p *Planner) reconcile(ctx context.Context, cg *conflict.Graph) (bool, error) {
 	pending := p.queue.Pending()
 	if len(pending) == 0 {
@@ -931,12 +927,11 @@ func (p *Planner) reconcile(ctx context.Context, cg *conflict.Graph) (bool, erro
 // pending changes, in order. Any decision or queue churn between decide and
 // reconcile breaks the match and forces a fresh (incremental) BuildGraph.
 func graphCovers(cg *conflict.Graph, pending []*change.Change) bool {
-	order := cg.Order()
-	if len(order) != len(pending) {
+	if cg.Len() != len(pending) {
 		return false
 	}
 	for i, c := range pending {
-		if order[i] != c.ID {
+		if cg.At(i) != c.ID {
 			return false
 		}
 	}

@@ -39,7 +39,7 @@ func newEnv(t *testing.T, runner buildsys.StepRunner, cfg Config) *testEnv {
 		"w/BUILD": "target w srcs=w.go",
 		"w/w.go":  "w v1",
 	})
-	q := queue.New(2)
+	q := queue.New(1)
 	an := conflict.New(r)
 	spec := speculation.New(predict.Static{Success: 0.9, Conflict: 0.2})
 	ctrl := buildsys.NewController(4, runner)

@@ -6,10 +6,10 @@
 package queue
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 	"sync"
 
 	"mastergreen/internal/change"
@@ -21,37 +21,25 @@ var (
 	ErrNotFound  = errors.New("queue: change not found")
 )
 
-// Queue is a sharded FIFO of pending changes. All methods are safe for
-// concurrent use.
+// Queue is a FIFO of pending changes in submission order. It keeps its live
+// entries ordered by sequence number as they arrive and leave, so reading
+// the order costs a copy and no sorting. All methods are safe for concurrent
+// use.
 type Queue struct {
 	mu      sync.RWMutex
-	shards  int
 	nextSeq uint64
 	entries map[change.ID]*entry
+	order   []*entry // the live entries, ascending seq
 }
 
 type entry struct {
-	c     *change.Change
-	seq   uint64
-	shard int
+	c   *change.Change
+	seq uint64
 }
 
-// New creates a queue with the given shard count (minimum 1).
-func New(shards int) *Queue {
-	if shards < 1 {
-		shards = 1
-	}
-	return &Queue{shards: shards, entries: map[change.ID]*entry{}}
-}
-
-// Shards returns the shard count.
-func (q *Queue) Shards() int { return q.shards }
-
-// shardOf consistently maps a change ID to a shard.
-func (q *Queue) shardOf(id change.ID) int {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32()) % q.shards
+// New creates an empty queue. The argument is ignored.
+func New(int) *Queue {
+	return &Queue{entries: map[change.ID]*entry{}}
 }
 
 // Enqueue adds a change; the enqueue order defines the submission order the
@@ -65,7 +53,9 @@ func (q *Queue) Enqueue(c *change.Change) error {
 	if _, ok := q.entries[c.ID]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, c.ID)
 	}
-	q.entries[c.ID] = &entry{c: c, seq: q.nextSeq, shard: q.shardOf(c.ID)}
+	e := &entry{c: c, seq: q.nextSeq}
+	q.entries[c.ID] = e
+	q.order = append(q.order, e) // nextSeq exceeds every live seq
 	q.nextSeq++
 	return nil
 }
@@ -84,21 +74,36 @@ func (q *Queue) EnqueueSeq(c *change.Change, seq uint64) error {
 	if _, ok := q.entries[c.ID]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, c.ID)
 	}
-	q.entries[c.ID] = &entry{c: c, seq: seq, shard: q.shardOf(c.ID)}
+	e := &entry{c: c, seq: seq}
+	q.entries[c.ID] = e
+	q.order = slices.Insert(q.order, q.at(seq), e)
 	if seq >= q.nextSeq {
 		q.nextSeq = seq + 1
 	}
 	return nil
 }
 
+// at returns the position of the first live entry whose seq is not below
+// seq. Callers hold q.mu.
+func (q *Queue) at(seq uint64) int {
+	i, _ := slices.BinarySearchFunc(q.order, seq, func(e *entry, seq uint64) int { return cmp.Compare(e.seq, seq) })
+	return i
+}
+
 // Remove deletes a change (after commit or rejection).
 func (q *Queue) Remove(id change.ID) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if _, ok := q.entries[id]; !ok {
+	e, ok := q.entries[id]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	delete(q.entries, id)
+	i := q.at(e.seq)
+	for q.order[i] != e { // entries sharing a seq sit side by side
+		i++
+	}
+	q.order = slices.Delete(q.order, i, i+1)
 	return nil
 }
 
@@ -132,31 +137,8 @@ func (q *Queue) Len() int {
 func (q *Queue) Pending() []*change.Change {
 	q.mu.RLock()
 	defer q.mu.RUnlock()
-	es := make([]*entry, 0, len(q.entries))
-	for _, e := range q.entries {
-		es = append(es, e)
-	}
-	sort.Slice(es, func(i, j int) bool { return es[i].seq < es[j].seq })
-	out := make([]*change.Change, len(es))
-	for i, e := range es {
-		out[i] = e.c
-	}
-	return out
-}
-
-// ShardPending returns the pending changes of one shard, in submission order.
-func (q *Queue) ShardPending(shard int) []*change.Change {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	es := make([]*entry, 0)
-	for _, e := range q.entries {
-		if e.shard == shard {
-			es = append(es, e)
-		}
-	}
-	sort.Slice(es, func(i, j int) bool { return es[i].seq < es[j].seq })
-	out := make([]*change.Change, len(es))
-	for i, e := range es {
+	out := make([]*change.Change, len(q.order))
+	for i, e := range q.order {
 		out[i] = e.c
 	}
 	return out

@@ -3,6 +3,8 @@ package queue
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -102,51 +104,6 @@ func TestSeqMonotone(t *testing.T) {
 	}
 }
 
-func TestShardsPartitionPending(t *testing.T) {
-	q := New(4)
-	n := 50
-	for i := 0; i < n; i++ {
-		if err := q.Enqueue(mk(fmt.Sprintf("c%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	total := 0
-	seen := map[change.ID]bool{}
-	for s := 0; s < q.Shards(); s++ {
-		part := q.ShardPending(s)
-		total += len(part)
-		var prevSeq uint64
-		for i, c := range part {
-			if seen[c.ID] {
-				t.Fatalf("change %s in two shards", c.ID)
-			}
-			seen[c.ID] = true
-			sq, _ := q.Seq(c.ID)
-			if i > 0 && sq <= prevSeq {
-				t.Fatalf("shard %d order broken", s)
-			}
-			prevSeq = sq
-		}
-	}
-	if total != n {
-		t.Fatalf("shards cover %d of %d", total, n)
-	}
-}
-
-func TestShardAssignmentStable(t *testing.T) {
-	q1, q2 := New(8), New(8)
-	if q1.shardOf("c42") != q2.shardOf("c42") {
-		t.Fatal("shard mapping not consistent across instances")
-	}
-}
-
-func TestMinimumOneShard(t *testing.T) {
-	q := New(0)
-	if q.Shards() != 1 {
-		t.Fatalf("shards = %d", q.Shards())
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	q := New(4)
 	var wg sync.WaitGroup
@@ -232,5 +189,76 @@ func TestEnqueueSeqPreservesOrder(t *testing.T) {
 	// Duplicates and invalid changes are rejected.
 	if err := dst.EnqueueSeq(mk("c4"), 99); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate EnqueueSeq: %v", err)
+	}
+}
+
+// TestPendingMatchesSortedReference drives random Enqueue, EnqueueSeq (into
+// the middle, past the end, and into the gap a Remove left) and Remove
+// sequences and compares Pending after every operation with the live set
+// sorted by sequence number.
+func TestPendingMatchesSortedReference(t *testing.T) {
+	for trial := 0; trial < 100; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		q := New(1)
+		live := map[change.ID]uint64{} // the reference: id → seq
+		used := map[uint64]bool{}
+		next := 0
+		for op := 0; op < 200; op++ {
+			switch r := rng.Intn(10); {
+			case r < 3:
+				id := change.ID(fmt.Sprintf("e%d", next))
+				next++
+				if err := q.Enqueue(mk(string(id))); err != nil {
+					t.Fatal(err)
+				}
+				seq, err := q.Seq(id)
+				if err != nil || used[seq] {
+					t.Fatalf("trial %d: Enqueue gave seq %d (err %v), already used: %v", trial, seq, err, used[seq])
+				}
+				live[id], used[seq] = seq, true
+			case r < 6:
+				// Any unused sequence number: below, between or above the
+				// live ones, including one a removed change held.
+				seq := uint64(rng.Intn(3 * (next + 4)))
+				if used[seq] {
+					continue
+				}
+				id := change.ID(fmt.Sprintf("s%d", next))
+				next++
+				if err := q.EnqueueSeq(mk(string(id)), seq); err != nil {
+					t.Fatal(err)
+				}
+				live[id], used[seq] = seq, true
+			default:
+				if len(live) == 0 {
+					continue
+				}
+				ids := make([]change.ID, 0, len(live))
+				for id := range live {
+					ids = append(ids, id)
+				}
+				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+				id := ids[rng.Intn(len(ids))]
+				if err := q.Remove(id); err != nil {
+					t.Fatal(err)
+				}
+				used[live[id]] = rng.Intn(2) == 0 // half the freed seqs become reusable
+				delete(live, id)
+			}
+			want := make([]change.ID, 0, len(live))
+			for id := range live {
+				want = append(want, id)
+			}
+			sort.Slice(want, func(i, j int) bool { return live[want[i]] < live[want[j]] })
+			got := q.Pending()
+			if len(got) != len(want) || q.Len() != len(want) {
+				t.Fatalf("trial %d op %d: Pending has %d changes, Len %d, want %d", trial, op, len(got), q.Len(), len(want))
+			}
+			for i, c := range got {
+				if c.ID != want[i] {
+					t.Fatalf("trial %d op %d: Pending[%d] = %s, want %s", trial, op, i, c.ID, want[i])
+				}
+			}
+		}
 	}
 }

@@ -20,7 +20,30 @@ import (
 // changes already adopted and partitioned across 8 engines.
 func benchRuntime(b *testing.B, n, subtrees int) *Runtime {
 	b.Helper()
-	slots := (n + subtrees - 1) / subtrees
+	rt, intake := newRuntime(subtrees, (n+subtrees-1)/subtrees, 8)
+	for i := 0; i < n; i++ {
+		c := &change.Change{
+			ID: change.ID(fmt.Sprintf("c%04d", i)),
+			Patch: repo.Patch{Changes: []repo.FileChange{{
+				Path:       fmt.Sprintf("sub%03d/f%d.go", i%subtrees, i/subtrees),
+				Op:         repo.OpCreate,
+				NewContent: fmt.Sprintf("content %d", i),
+			}}},
+			BuildSteps: []change.BuildStep{{Name: "compile", Kind: change.StepCompile}},
+		}
+		if err := intake.Enqueue(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rt.Partition() // adopt + first heavy partition
+	return rt
+}
+
+// newRuntime builds a runtime with the given number of engines over a
+// monorepo of subtrees sub000, sub001, …, each one target over lib.go and
+// slot files f0.go…f{slots-1}.go that do not exist yet, and returns it with
+// its intake queue. Builds pass at once.
+func newRuntime(subtrees, slots, engines int) (*Runtime, *queue.Queue) {
 	srcs := "lib.go"
 	for s := 0; s < slots; s++ {
 		srcs += fmt.Sprintf(",f%d.go", s)
@@ -39,28 +62,13 @@ func benchRuntime(b *testing.B, n, subtrees int) *Runtime {
 		return nil
 	})
 	rt := New(rp, intake, an, arb, buildsys.NewController(4, runner), Config{
-		Shards:  8,
+		Shards:  engines,
 		Planner: planner.Config{Budget: 16},
 		Spec: func() *speculation.Engine {
 			return speculation.New(predict.Static{Success: 0.9, Conflict: 0.05})
 		},
 	})
-	for i := 0; i < n; i++ {
-		c := &change.Change{
-			ID: change.ID(fmt.Sprintf("c%04d", i)),
-			Patch: repo.Patch{Changes: []repo.FileChange{{
-				Path:       fmt.Sprintf("sub%03d/f%d.go", i%subtrees, i/subtrees),
-				Op:         repo.OpCreate,
-				NewContent: fmt.Sprintf("content %d", i),
-			}}},
-			BuildSteps: []change.BuildStep{{Name: "compile", Kind: change.StepCompile}},
-		}
-		if err := intake.Enqueue(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rt.Partition() // adopt + first heavy partition
-	return rt
+	return rt, intake
 }
 
 // BenchmarkHeavyPartition measures one full coordinator epoch — global

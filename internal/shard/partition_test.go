@@ -1,9 +1,121 @@
 package shard
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
+
+	"mastergreen/internal/change"
+	"mastergreen/internal/repo"
 )
+
+// walkAnchor is the component anchor as the coordinator once computed it on
+// every heavy pass, walking each member's Patch.Paths(). Callers hold rt.mu.
+func walkAnchor(rt *Runtime, comp []change.ID) string {
+	anchor := ""
+	for _, id := range comp {
+		m, ok := rt.members[id]
+		if !ok {
+			continue
+		}
+		for _, p := range m.c.Patch.Paths() {
+			top := p
+			if i := strings.IndexByte(p, '/'); i >= 0 {
+				top = p[:i]
+			}
+			if anchor == "" || top < anchor {
+				anchor = top
+			}
+		}
+	}
+	if anchor == "" && len(comp) > 0 {
+		anchor = string(comp[0])
+	}
+	return anchor
+}
+
+// TestPartitionMatchesPathWalk: over interleaved adoptions and decisions,
+// every member a heavy pass places sits on the engine the per-component
+// Patch.Paths() walk picks, though anchors are now computed once per member
+// at adoption. Patches span subtrees, so components merge, and some
+// paths start with "/", whose empty top-level directory restarts the walk.
+func TestPartitionMatchesPathWalk(t *testing.T) {
+	rt, intake := newRuntime(12, 8, 4)
+	rng := rand.New(rand.NewSource(1))
+	ctx := context.Background()
+	next, checked, engines := 0, 0, map[int]bool{}
+	submit := func(paths ...string) {
+		var fcs []repo.FileChange
+		for _, path := range paths {
+			fcs = append(fcs, repo.FileChange{Path: path, Op: repo.OpCreate, NewContent: fmt.Sprintf("v%d", next)})
+		}
+		c := &change.Change{
+			ID:         change.ID(fmt.Sprintf("c%04d", next)),
+			Patch:      repo.Patch{Changes: fcs},
+			BuildSteps: []change.BuildStep{{Name: "compile", Kind: change.StepCompile}},
+		}
+		next++
+		if err := intake.Enqueue(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One component whose walk restarts at its last member: sub001 would
+	// anchor it on engine 0, the walk's sub003 puts it on engine 1.
+	submit("sub001/f0.go")
+	submit("sub003/f0.go", "sub001/f1.go")
+	submit("/sub000/f0.go", "sub003/f1.go")
+	for round := 0; round < 40; round++ {
+		for k := rng.Intn(10); round > 0 && k > 0; k-- {
+			// Mostly one subtree; a quarter reach into a second one, half of
+			// those through a path with a leading "/".
+			paths := []string{fmt.Sprintf("sub%03d/f%d.go", rng.Intn(12), rng.Intn(8))}
+			if rng.Intn(4) == 0 {
+				second := fmt.Sprintf("sub%03d/f%d.go", rng.Intn(12), rng.Intn(8))
+				if rng.Intn(2) == 0 {
+					second = "/" + second
+				}
+				paths = append(paths, second)
+			}
+			submit(paths...)
+		}
+		heavy := rt.Stats().HeavyPartitions
+		rt.Partition()
+		rt.mu.Lock()
+		check := func(comp []change.ID) {
+			want := engineFor(walkAnchor(rt, comp), len(rt.engines))
+			for _, id := range comp {
+				if m, ok := rt.members[id]; ok {
+					if m.shard != want {
+						t.Errorf("round %d: %s on engine %d, the path walk over %v picks %d", round, id, m.shard, comp, want)
+					}
+					checked++
+					engines[m.shard] = true
+				}
+			}
+		}
+		// A quiet pass keeps the placements of the last heavy one, whose
+		// components held members decided since: only a heavy one is checked.
+		if rt.stats.HeavyPartitions != heavy {
+			for _, comp := range rt.graph.Components() {
+				check(comp)
+			}
+			for id := range rt.failed {
+				check([]change.ID{id})
+			}
+		}
+		rt.mu.Unlock()
+		for i := rng.Intn(4); i > 0; i-- {
+			if _, err := rt.Tick(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if decided := len(rt.Outcomes()); checked < 200 || len(engines) < 3 || decided < 50 {
+		t.Fatalf("checked %d placements on %d engines between %d decisions; the test exercises too little", checked, len(engines), decided)
+	}
+}
 
 // TestEngineForPinned pins the component→engine assignment for 50 anchors at
 // 1, 4, 8 and 16 engines. The expected indices were captured from the

@@ -51,11 +51,15 @@ type Config struct {
 }
 
 // member is a pending change the coordinator has adopted from the intake
-// queue: its original global submission sequence and its current engine.
+// queue: its original global submission sequence, its current engine and its
+// share of its component's anchor (anchorOf), computed once at adoption.
 type member struct {
-	c     *change.Change
-	seq   uint64
-	shard int // -1 until first assignment
+	c       *change.Change
+	seq     uint64
+	shard   int // -1 until first assignment
+	anchor  string
+	restart bool
+	gone    bool // decided; dropped from order at the next heavy pass
 }
 
 // engine is one planner shard: an isolated sub-queue plus a planner instance
@@ -83,8 +87,11 @@ type Runtime struct {
 	graph  *conflict.Graph
 	failed map[change.ID]error
 
-	mu          sync.Mutex
-	members     map[change.ID]*member
+	mu      sync.Mutex
+	members map[change.ID]*member
+	// order holds the members in submission order (the intake hands them
+	// out ascending); decided ones stay until a heavy pass compacts them.
+	order       []*member
 	drained     []planner.Outcome // scratch for DrainOutcomes
 	outcomes    []planner.Outcome
 	outSeen     map[change.ID]bool
@@ -204,10 +211,12 @@ func (rt *Runtime) collectOutcomesLocked() {
 				continue
 			}
 			if m, ok := rt.members[o.ID]; ok {
-				if m.shard >= 0 {
+				// The deciding engine has usually removed it already.
+				if m.shard >= 0 && rt.engines[m.shard].queue.Contains(o.ID) {
 					_ = rt.engines[m.shard].queue.Remove(o.ID)
 				}
 				delete(rt.members, o.ID)
+				m.gone = true
 				if !rt.outSeen[o.ID] {
 					m.c.State = o.State
 					m.c.Reason = o.Reason
@@ -241,7 +250,10 @@ func (rt *Runtime) Partition() {
 		// Count the member before removing it from intake so a concurrent
 		// lock-free PendingCount can only over-count mid-adoption, never
 		// report a spurious zero while work is still in flight.
-		rt.members[c.ID] = &member{c: c, seq: seq, shard: -1}
+		m := &member{c: c, seq: seq, shard: -1}
+		m.anchor, m.restart = anchorOf(c)
+		rt.members[c.ID] = m
+		rt.order = append(rt.order, m)
 		rt.membersN.Add(1)
 		_ = rt.intake.Remove(c.ID)
 		newArrivals = true
@@ -263,14 +275,16 @@ func (rt *Runtime) Partition() {
 	rt.first = false
 	rt.stats.HeavyPartitions++
 
-	ms := make([]*member, 0, len(rt.members))
-	for _, m := range rt.members {
-		//lint:ignore maporder ms is sorted by submission sequence below
-		ms = append(ms, m)
+	live := rt.order[:0]
+	for _, m := range rt.order {
+		if !m.gone {
+			live = append(live, m)
+		}
 	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].seq < ms[j].seq })
-	pending := make([]*change.Change, len(ms))
-	for i, m := range ms {
+	clear(rt.order[len(live):])
+	rt.order = live
+	pending := make([]*change.Change, len(live))
+	for i, m := range live {
 		pending[i] = m.c
 	}
 	g, failed := rt.analyzer.BuildGraph(pending)
@@ -292,13 +306,20 @@ func (rt *Runtime) Partition() {
 
 	moved := 0
 	nudge := make([]bool, len(rt.engines))
+	var group []*member
 	for _, comp := range comps {
-		sh := rt.shardForLocked(comp)
+		group = group[:0]
 		for _, id := range comp {
-			m, ok := rt.members[id]
-			if !ok || m.shard == sh {
+			if m, ok := rt.members[id]; ok {
+				group = append(group, m)
+			}
+		}
+		sh := engineFor(componentAnchor(group, comp), len(rt.engines))
+		for _, m := range group {
+			if m.shard == sh {
 				continue
 			}
+			id := m.c.ID
 			if m.shard >= 0 {
 				_ = rt.engines[m.shard].queue.Remove(id)
 				moved++
@@ -344,32 +365,40 @@ func (rt *Runtime) activeLocked() int {
 	return n
 }
 
-// shardForLocked maps a connected component to an engine by its
-// target-subtree anchor: the lexicographically smallest top-level directory
-// any member touches (engineFor). Components rooted in the same subtree land
-// on the same engine, and the assignment is stable as unrelated components
-// come and go. Callers hold rt.mu.
-func (rt *Runtime) shardForLocked(comp []change.ID) int {
-	anchor := ""
-	for _, id := range comp {
-		m, ok := rt.members[id]
-		if !ok {
-			continue
+// anchorOf folds c's sorted paths into the smallest top-level directory they
+// touch, except that a path whose top-level directory is empty (a leading
+// "/") restarts the fold; it reports whether one did.
+func anchorOf(c *change.Change) (anchor string, restart bool) {
+	for _, p := range c.Patch.Paths() {
+		switch top, _, _ := strings.Cut(p, "/"); {
+		case top == "":
+			anchor, restart = "", true
+		case anchor == "" || top < anchor:
+			anchor = top
 		}
-		for _, p := range m.c.Patch.Paths() {
-			top := p
-			if i := strings.IndexByte(p, '/'); i >= 0 {
-				top = p[:i]
-			}
-			if anchor == "" || top < anchor {
-				anchor = top
-			}
+	}
+	return anchor, restart
+}
+
+// componentAnchor names a connected component for engineFor by continuing
+// anchorOf's fold across its members in submission order: the smallest
+// top-level directory any member touches, or the first change's ID if none
+// does. Components rooted in the same subtree land on the same engine, and
+// the assignment is stable as unrelated components come and go.
+func componentAnchor(group []*member, comp []change.ID) string {
+	anchor := ""
+	for _, m := range group {
+		switch {
+		case m.restart:
+			anchor = m.anchor
+		case m.anchor != "" && (anchor == "" || m.anchor < anchor):
+			anchor = m.anchor
 		}
 	}
 	if anchor == "" && len(comp) > 0 {
 		anchor = string(comp[0])
 	}
-	return engineFor(anchor, len(rt.engines))
+	return anchor
 }
 
 // engineFor picks one of n engines for an anchor by rendezvous

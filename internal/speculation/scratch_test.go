@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mastergreen/internal/change"
@@ -36,7 +37,9 @@ func clusteredRequest(n, budget int) (Request, *conflict.Graph) {
 
 // TestPlanSteadyStateAllocs pins the engine's contract that a plan is scratch:
 // once an Engine has planned a request of some size, planning it again
-// allocates nothing — no per-build slices, no boxed heap nodes, no maps.
+// allocates nothing — no per-build slices, no boxed heap nodes, no maps —
+// whether its predecessors come as Preds, from a conflict graph or from an
+// Induced view.
 func TestPlanSteadyStateAllocs(t *testing.T) {
 	req, cg := clusteredRequest(256, 128)
 	weighted := req
@@ -46,10 +49,13 @@ func TestPlanSteadyStateAllocs(t *testing.T) {
 		weighted.Weights[i] = 1 + float64(i%3)
 		weighted.NoSkip[i] = i%7 == 0
 	}
+	byGraph := Request{Pending: req.Pending, Conflicts: cg, Budget: req.Budget}
+	byView := byGraph
+	byView.Conflicts = cg.Induced(cg.Order())
 	for _, tc := range []struct {
 		name string
 		req  Request
-	}{{"preds", req}, {"weighted", weighted}} {
+	}{{"preds", req}, {"weighted", weighted}, {"graph", byGraph}, {"view", byView}} {
 		e := New(predict.Static{Success: 0.85, Conflict: 0.05})
 		e.SkipThreshold = 0.9
 		if got := len(e.Plan(tc.req).Builds); got < 128 {
@@ -58,20 +64,6 @@ func TestPlanSteadyStateAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { e.Plan(tc.req) }); allocs != 0 {
 			t.Errorf("%s: a warmed Plan allocates %v times, want 0", tc.name, allocs)
 		}
-	}
-
-	// With a conflict graph the only allocations left are the graph's own:
-	// ConflictingPredecessors returns fresh slices.
-	walk := testing.AllocsPerRun(20, func() {
-		for _, c := range req.Pending {
-			cg.ConflictingPredecessors(c.ID)
-		}
-	})
-	byGraph := Request{Pending: req.Pending, Conflicts: cg, Budget: req.Budget}
-	e := New(predict.Static{Success: 0.85, Conflict: 0.05})
-	e.Plan(byGraph)
-	if allocs := testing.AllocsPerRun(20, func() { e.Plan(byGraph) }); allocs > walk {
-		t.Errorf("a warmed Plan over a conflict graph allocates %v times; the predecessor walk alone allocates %v", allocs, walk)
 	}
 }
 
@@ -114,9 +106,9 @@ func TestNodeHeapMatchesContainerHeap(t *testing.T) {
 }
 
 // randomRequest draws one request for TestPlanMatchesFrozen: 1–40 pending
-// changes, predecessors as Preds, as a conflict graph or absent (everything
-// conflicts), rows longer than the engine's depth, and optionally benefits,
-// weights and τ-gating exemptions.
+// changes, predecessors as Preds, as a conflict graph (randomGraph) or absent
+// (everything conflicts), rows longer than the engine's depth, and optionally
+// benefits, weights and τ-gating exemptions.
 func randomRequest(rng *rand.Rand, trial int) Request {
 	n := 1 + rng.Intn(40)
 	pending := make([]*change.Change, n)
@@ -134,18 +126,7 @@ func randomRequest(rng *rand.Rand, trial int) Request {
 			req.Pending = pending[:12]
 		}
 	case 1:
-		cg := conflict.NewGraph(nil)
-		for _, c := range pending {
-			cg.AddChange(c.ID)
-		}
-		for i := range pending {
-			for j := 0; j < i; j++ {
-				if rng.Float64() < density {
-					cg.AddEdge(pending[j].ID, pending[i].ID)
-				}
-			}
-		}
-		req.Conflicts = cg
+		req.Conflicts = randomGraph(rng, pending, density)
 	default:
 		req.Preds = make([][]int, n)
 		for i := range pending {
@@ -172,13 +153,53 @@ func randomRequest(rng *rand.Rand, trial int) Request {
 	return req
 }
 
+// randomGraph draws a conflict graph for pending in one of five shapes:
+// over exactly the pending changes in their order; a strict superset, with
+// changes that are not pending interleaved; a graph that does not know some
+// pending changes; one in another order; and an Induced view, in which the
+// pending changes its source does not know are loose.
+func randomGraph(rng *rand.Rand, pending []*change.Change, density float64) *conflict.Graph {
+	ids := make([]change.ID, len(pending))
+	for i, c := range pending {
+		ids[i] = c.ID
+	}
+	variant := rng.Intn(5)
+	switch variant {
+	case 1:
+		for k := 1 + rng.Intn(8); k > 0; k-- {
+			ids = slices.Insert(ids, rng.Intn(len(ids)+1), change.ID(fmt.Sprintf("%s-x%d", ids[0], k)))
+		}
+	case 2, 4:
+		ids = slices.DeleteFunc(ids, func(change.ID) bool { return rng.Intn(4) == 0 })
+	case 3:
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	}
+	cg := conflict.NewGraph(ids)
+	for i := range ids {
+		for j := 0; j < i; j++ {
+			if rng.Float64() < density {
+				cg.AddEdge(ids[j], ids[i])
+			}
+		}
+	}
+	if variant == 4 {
+		all := make([]change.ID, len(pending))
+		for i, c := range pending {
+			all[i] = c.ID
+		}
+		return cg.Induced(all)
+	}
+	return cg
+}
+
 // TestPlanMatchesFrozen is the golden-plan test: one long-lived Engine — so
 // every plan runs on the previous plan's leftovers — must return, field by
-// field, what the frozen allocate-everything copy returns for 200 random
-// requests, including q = ½ predictors whose sibling nodes tie in the heap.
+// field, what the frozen allocate-everything copy returns for 400 random
+// requests, including q = ½ predictors whose sibling nodes tie in the heap
+// and every graph shape randomGraph draws.
 func TestPlanMatchesFrozen(t *testing.T) {
 	e := &Engine{}
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		req := randomRequest(rng, trial)
 		switch rng.Intn(3) {
@@ -210,30 +231,36 @@ func TestPlanMatchesFrozen(t *testing.T) {
 }
 
 // BenchmarkPlanSteadyState measures a warmed Engine re-planning a clustered
-// request, and fails if the bytes allocated per plan grow with the number of
-// pending changes: what a round allocates must follow what it starts, not
-// what it ranks.
+// request, with its predecessors as Preds and from a conflict graph, and
+// fails if the bytes allocated per plan grow with the number of pending
+// changes: what a round allocates must follow what it starts, not what it
+// ranks.
 func BenchmarkPlanSteadyState(b *testing.B) {
-	bytesPerOp := map[int]float64{}
-	for _, n := range []int{64, 1024} {
-		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
-			req, _ := clusteredRequest(n, 500)
-			e := New(predict.Static{Success: 0.85, Conflict: 0.05})
-			e.Plan(req)
-			e.Plan(req)
-			b.ReportAllocs()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+	for _, form := range []string{"preds", "graph"} {
+		bytesPerOp := map[int]float64{}
+		for _, n := range []int{64, 1024} {
+			b.Run(fmt.Sprintf("%s/pending=%d", form, n), func(b *testing.B) {
+				req, cg := clusteredRequest(n, 500)
+				if form == "graph" {
+					req.Preds, req.Conflicts = nil, cg
+				}
+				e := New(predict.Static{Success: 0.85, Conflict: 0.05})
 				e.Plan(req)
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			bytesPerOp[n] = float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N)
-		})
-	}
-	if small, large := bytesPerOp[64], bytesPerOp[1024]; large > 2*small+64 {
-		b.Fatalf("a warmed Plan allocates %.0f B at 1024 pending and %.0f B at 64: more than 2×", large, small)
+				e.Plan(req)
+				b.ReportAllocs()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.Plan(req)
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				bytesPerOp[n] = float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N)
+			})
+		}
+		if small, large := bytesPerOp[64], bytesPerOp[1024]; large > 2*small+64 {
+			b.Fatalf("a warmed %s Plan allocates %.0f B at 1024 pending and %.0f B at 64: more than 2×", form, large, small)
+		}
 	}
 }

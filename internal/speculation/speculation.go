@@ -152,9 +152,10 @@ func New(p predict.Predictor) *Engine { return &Engine{Predictor: p} }
 type Request struct {
 	// Pending changes in submission order.
 	Pending []*change.Change
-	// Conflicts is the conflict graph over Pending (and possibly more). A
-	// nil graph means "assume every pair conflicts" (§4's speculation tree),
-	// unless Preds is supplied.
+	// Conflicts is a conflict graph over Pending, which may hold more or
+	// fewer changes, in any order; a pending change it lacks conflicts with
+	// nothing. A nil graph means "assume every pair conflicts" (§4's
+	// speculation tree), unless Preds is supplied.
 	Conflicts *conflict.Graph
 	// Preds, if non-nil, overrides Conflicts: Preds[i] lists the positions
 	// (into Pending) of the conflicting predecessors of Pending[i], in
@@ -208,15 +209,16 @@ type planner struct {
 	benefit []float64   // per-change benefit B (default 1), §4.2.1
 	confRow [][]float64 // confRow[i][t] = P_conf(preds[i][t], i), dense cache
 
-	predRows   [][]int           // backing for preds when the request carries none
-	predArena  []int             // the rows of predRows, back to back
-	order      map[change.ID]int // Request.Conflicts only: change → position
-	confArena  []float64         // the rows of confRow, back to back
-	weights    []float64         // inherited copy of Request.Weights
-	skipExempt []bool            // inherited copy of Request.NoSkip
-	branch     [][]int           // per subject: the predecessors branched over
-	fixed      [][]int           // per subject: the older ones pinned to argmax
-	planned    []bool            // weighted requests: subjects with a build
+	predRows   [][]int   // backing for preds when the request carries none
+	predArena  []int     // the rows of predRows, back to back
+	graphPos   []int     // Request.Conflicts only: pending → graph position
+	pendingPos []int     // Request.Conflicts only: graph → pending position
+	confArena  []float64 // the rows of confRow, back to back
+	weights    []float64 // inherited copy of Request.Weights
+	skipExempt []bool    // inherited copy of Request.NoSkip
+	branch     [][]int   // per subject: the predecessors branched over
+	fixed      [][]int   // per subject: the older ones pinned to argmax
+	planned    []bool    // weighted requests: subjects with a build
 	heap       nodeHeap
 
 	// builds is the returned Plan.Builds; idxArena and idArena hold the
@@ -281,22 +283,35 @@ func (e *Engine) Plan(req Request) Plan {
 	case req.Preds != nil:
 		p.preds = req.Preds
 	case req.Conflicts != nil:
-		if p.order == nil {
-			p.order = make(map[change.ID]int, n)
+		// The graph appends its predecessor positions straight into the
+		// arena; each is then translated into a pending position, or
+		// dropped if that change is not pending or not earlier.
+		cg := req.Conflicts
+		p.graphPos, p.pendingPos = resize(p.graphPos, n), resize(p.pendingPos, cg.Len())
+		for g := range p.pendingPos {
+			p.pendingPos[g] = -1
 		}
-		clear(p.order)
 		for i, c := range req.Pending {
-			p.order[c.ID] = i
+			p.graphPos[i] = cg.Position(c.ID)
+			if g := p.graphPos[i]; g >= 0 {
+				p.pendingPos[g] = i
+			}
 		}
 		p.predRows, p.predArena = resize(p.predRows, n), p.predArena[:0]
-		for i, c := range req.Pending {
+		for i, g := range p.graphPos {
 			lo := len(p.predArena)
-			for _, pr := range req.Conflicts.ConflictingPredecessors(c.ID) {
-				if pi, ok := p.order[pr]; ok && pi < i {
-					p.predArena = append(p.predArena, pi)
+			if g >= 0 {
+				p.predArena = cg.AppendPredecessors(p.predArena, g)
+			}
+			hi := lo
+			for _, g := range p.predArena[lo:] {
+				if pi := p.pendingPos[g]; pi >= 0 && pi < i {
+					p.predArena[hi] = pi
+					hi++
 				}
 			}
-			p.predRows[i] = run(p.predArena, lo, len(p.predArena))
+			p.predArena = p.predArena[:hi]
+			p.predRows[i] = run(p.predArena, lo, hi)
 			sort.Ints(p.predRows[i])
 		}
 		p.preds = p.predRows
