@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 
 	"mastergreen/internal/repo"
@@ -30,24 +31,34 @@ func sortUnique(s *[]string) {
 	*s = out
 }
 
+// hashBufs recycles hashTarget's input buffers across hashDirty calls.
+var hashBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // hashTarget computes the Algorithm 1 hash of one target: a digest over the
 // target's label, its sources' contents, and — recursively — the hashes of
-// its direct dependencies (already computed, supplied via depHash).
-func hashTarget(t *Target, snap repo.Snapshot, depHash func(string) string) string {
-	h := sha256.New()
-	h.Write([]byte(t.Name))
+// its direct dependencies (already computed, supplied via depHash). The
+// digest's input is assembled in *buf, which is kept for the next call, so
+// with a warmed buffer the hex string is the only allocation.
+func hashTarget(buf *[]byte, t *Target, snap repo.Snapshot, depHash func(string) string) string {
+	b := append((*buf)[:0], t.Name...)
 	for _, src := range t.Srcs {
 		content, ok := snap.Read(src)
 		if !ok {
 			content = missingSrcMarker
 		}
-		fmt.Fprintf(h, "\x00s%s\x00%d\x00", src, len(content))
-		h.Write([]byte(content))
+		b = append(append(append(b, "\x00s"...), src...), 0)
+		b = append(strconv.AppendInt(b, int64(len(content)), 10), 0)
+		b = append(b, content...)
 	}
 	for _, d := range t.Deps {
-		fmt.Fprintf(h, "\x00d%s\x00%s", d, depHash(d))
+		b = append(append(append(b, "\x00d"...), d...), 0)
+		b = append(b, depHash(d)...)
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	*buf = b
+	sum := sha256.Sum256(b)
+	var out [32]byte
+	hex.Encode(out[:], sum[:16])
+	return string(out[:])
 }
 
 // topoCheck validates that every dep resolves and the DAG is acyclic,
@@ -215,8 +226,10 @@ func hashDirty(g *Graph, snap repo.Snapshot, base *Graph, dirty map[string]bool)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			buf := hashBufs.Get().(*[]byte)
+			defer hashBufs.Put(buf)
 			for name := range work {
-				h := hashTarget(g.targets[name], snap, depHash)
+				h := hashTarget(buf, g.targets[name], snap, depHash)
 				// Collect newly-ready targets under the lock, but send them
 				// after releasing it: work is buffered to len(dirty) so the
 				// sends cannot block, and no goroutine ever sleeps on the

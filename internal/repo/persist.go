@@ -57,10 +57,10 @@ func (r *Repo) Save(w io.Writer) error {
 	defer r.mu.RUnlock()
 	root := r.commits[r.order[0]]
 	out := serializedRepo{Version: 1, Initial: map[string]string{}}
-	for _, p := range root.snapshot.Paths() {
-		c, _ := root.snapshot.Read(p)
+	root.snapshot.Range(func(p, c string) bool {
 		out.Initial[p] = c
-	}
+		return true
+	})
 	for i := 1; i < len(r.order); i++ {
 		c := r.commits[r.order[i]]
 		parent := r.commits[c.Parent]

@@ -113,32 +113,18 @@ func (p Patch) Paths() []string {
 }
 
 // Snapshot is an immutable view of the repository tree: path -> content.
-// Snapshots share storage; callers must not mutate the returned maps.
+// The zero Snapshot is the empty tree.
 //
-// Representation: a shared flattened base layer plus a small delta of edits
-// since that base. Apply copies only the delta (O(edits since flatten), not
-// O(tree)), and flattens into a fresh base once the delta outgrows √tree —
-// without this, every commit on a t-file tree costs a t-entry map copy, and
-// a serving path absorbing hundreds of commits per second spends most of a
-// core (and its GC budget) duplicating an essentially unchanged tree.
+// Representation: a persistent hash trie (trie.go). Apply copies only the
+// root-to-leaf path of each file a patch touches and shares every other node
+// with the snapshot it started from, so a commit retains O(patch · depth)
+// nodes, depth ≈ log₃₂(tree), however long the history grows; and
+// ChangedPaths between two snapshots of one history never enters the
+// subtrees they share.
 type Snapshot struct {
-	base  *baseLayer // shared, never mutated after creation; nil only for the zero Snapshot
-	delta map[string]deltaEntry
-	n     int // live file count
-	fp    snapFP
-}
-
-// baseLayer is a flattened tree shared by every snapshot derived from it. It
-// is a pointer so ChangedPaths can recognize two snapshots with a common base
-// by identity and diff just their deltas.
-type baseLayer struct {
-	files map[string]string
-}
-
-// deltaEntry is one edit relative to the base layer.
-type deltaEntry struct {
-	content string
-	deleted bool
+	root *node // nil for the empty tree
+	n    int   // live file count
+	fp   snapFP
 }
 
 // snapFP is an order-independent fingerprint of the full tree: the sum of
@@ -166,13 +152,13 @@ func (fp snapFP) remove(f snapFP) snapFP { return snapFP{fp.a - f.a, fp.b - f.b}
 
 // NewSnapshot builds a snapshot from a path->content map (copied).
 func NewSnapshot(files map[string]string) Snapshot {
-	m := make(map[string]string, len(files))
-	var fp snapFP
+	var s Snapshot
 	for k, v := range files {
-		m[k] = v
-		fp = fp.add(fileFP(k, v))
+		s.root = s.root.with(0, pathHash(k), k, v)
+		s.fp = s.fp.add(fileFP(k, v))
 	}
-	return Snapshot{base: &baseLayer{files: m}, n: len(m), fp: fp}
+	s.n = len(files)
+	return s
 }
 
 // ContentID returns a fingerprint of the snapshot's full tree: two snapshots
@@ -188,37 +174,19 @@ func (s Snapshot) ContentID() string {
 // stopping early if f returns false. It avoids the sort and slice allocation
 // of Paths for callers that only need to visit the tree.
 func (s Snapshot) Range(f func(path, content string) bool) {
-	for p, e := range s.delta {
-		if !e.deleted && !f(p, e.content) {
-			return
+	s.root.leaves(func(l *node) bool {
+		for _, x := range l.files {
+			if !f(x.path, x.content) {
+				return false
+			}
 		}
-	}
-	if s.base == nil {
-		return
-	}
-	for p, c := range s.base.files {
-		if _, shadowed := s.delta[p]; shadowed {
-			continue
-		}
-		if !f(p, c) {
-			return
-		}
-	}
+		return true
+	})
 }
 
 // Read returns the content of path and whether it exists.
 func (s Snapshot) Read(path string) (string, bool) {
-	if e, ok := s.delta[path]; ok {
-		if e.deleted {
-			return "", false
-		}
-		return e.content, true
-	}
-	if s.base == nil {
-		return "", false
-	}
-	c, ok := s.base.files[path]
-	return c, ok
+	return s.root.get(0, pathHash(path), path)
 }
 
 // Len returns the number of files in the snapshot.
@@ -249,83 +217,66 @@ func (s Snapshot) PathsUnder(prefix string) []string {
 	return out
 }
 
-// flatten folds the delta into a fresh base layer. The fingerprint and count
-// are already maintained incrementally, so this is a single O(tree) walk.
-func (s Snapshot) flatten() Snapshot {
-	files := make(map[string]string, s.n)
-	s.Range(func(p, c string) bool {
-		files[p] = c
-		return true
-	})
-	return Snapshot{base: &baseLayer{files: files}, n: s.n, fp: s.fp}
-}
-
 // Apply produces a new snapshot with the patch applied, or an error
 // describing the first conflict encountered. The receiver is unchanged.
-// Cost is O(delta + patch): the shared base layer is never copied, only the
-// delta map. Once the delta outgrows √tree the result is flattened, so the
-// amortized per-commit cost stays O(√tree) instead of O(tree).
+// Cost is O(patch · depth): each change copies one root-to-leaf path.
 func (s Snapshot) Apply(p Patch) (Snapshot, error) {
-	delta := make(map[string]deltaEntry, len(s.delta)+len(p.Changes))
-	for k, v := range s.delta {
-		delta[k] = v
-	}
-	next := Snapshot{base: s.base, delta: delta, n: s.n, fp: s.fp}
+	next := s
 	for _, fc := range p.Changes {
-		cur, exists := next.Read(fc.Path)
-		switch fc.Op {
-		case OpCreate:
-			if exists {
-				return Snapshot{}, fmt.Errorf("%w: create %s", ErrFileExists, fc.Path)
-			}
-			delta[fc.Path] = deltaEntry{content: fc.NewContent}
-			next.n++
-			next.fp = next.fp.add(fileFP(fc.Path, fc.NewContent))
-		case OpModify:
-			if !exists {
-				return Snapshot{}, fmt.Errorf("%w: modify %s", ErrNoSuchFile, fc.Path)
-			}
-			if HashContent(cur) != fc.BaseHash {
-				return Snapshot{}, fmt.Errorf("%w: %s changed since patch base", ErrMergeConflict, fc.Path)
-			}
-			delta[fc.Path] = deltaEntry{content: fc.NewContent}
-			next.fp = next.fp.remove(fileFP(fc.Path, cur)).add(fileFP(fc.Path, fc.NewContent))
-		case OpDelete:
-			if !exists {
-				return Snapshot{}, fmt.Errorf("%w: delete %s", ErrNoSuchFile, fc.Path)
-			}
-			if HashContent(cur) != fc.BaseHash {
-				return Snapshot{}, fmt.Errorf("%w: %s changed since patch base", ErrMergeConflict, fc.Path)
-			}
-			delta[fc.Path] = deltaEntry{deleted: true}
+		h := pathHash(fc.Path)
+		cur, exists := next.root.get(0, h, fc.Path)
+		content, deleted, err := applyChange(fc, cur, exists)
+		if err != nil {
+			return Snapshot{}, err
+		}
+		if exists {
 			next.n--
 			next.fp = next.fp.remove(fileFP(fc.Path, cur))
-		case OpEditLines:
-			if !exists {
-				return Snapshot{}, fmt.Errorf("%w: edit %s", ErrNoSuchFile, fc.Path)
-			}
-			edited, err := applyEditLines(cur, fc)
-			if err != nil {
-				return Snapshot{}, err
-			}
-			delta[fc.Path] = deltaEntry{content: edited}
-			next.fp = next.fp.remove(fileFP(fc.Path, cur)).add(fileFP(fc.Path, edited))
-		default:
-			return Snapshot{}, fmt.Errorf("repo: unknown op %v for %s", fc.Op, fc.Path)
 		}
-	}
-	if d := len(delta); d >= 16 && d*d >= next.n {
-		return next.flatten(), nil
+		if deleted {
+			next.root = next.root.without(0, h, fc.Path)
+			continue
+		}
+		next.root = next.root.with(0, h, fc.Path, content)
+		next.n++
+		next.fp = next.fp.add(fileFP(fc.Path, content))
 	}
 	return next, nil
 }
 
+// applyChange checks fc against its file's current state (cur, exists) and
+// returns the file's new content, or deleted when fc removes it.
+func applyChange(fc FileChange, cur string, exists bool) (content string, deleted bool, err error) {
+	switch fc.Op {
+	case OpCreate:
+		if exists {
+			return "", false, fmt.Errorf("%w: create %s", ErrFileExists, fc.Path)
+		}
+		return fc.NewContent, false, nil
+	case OpModify, OpDelete:
+		if !exists {
+			return "", false, fmt.Errorf("%w: %s %s", ErrNoSuchFile, fc.Op, fc.Path)
+		}
+		if HashContent(cur) != fc.BaseHash {
+			return "", false, fmt.Errorf("%w: %s changed since patch base", ErrMergeConflict, fc.Path)
+		}
+		return fc.NewContent, fc.Op == OpDelete, nil
+	case OpEditLines:
+		if !exists {
+			return "", false, fmt.Errorf("%w: edit %s", ErrNoSuchFile, fc.Path)
+		}
+		content, err = applyEditLines(cur, fc)
+		return content, false, err
+	}
+	return "", false, fmt.Errorf("repo: unknown op %v for %s", fc.Op, fc.Path)
+}
+
 // Check reports whether the patches would apply cleanly to the snapshot in
 // order, returning exactly the error Merged would, without materializing the
-// merged tree. Apply clones the whole file map (O(tree)); Check walks only
-// the patches with an overlay for intra-sequence effects (O(patch)), so the
-// sharded planner can re-validate every pending change's applicability
-// against the live head each epoch.
+// merged tree: it walks only the patches, with an overlay for intra-sequence
+// effects, and allocates no trie nodes, so the sharded planner can
+// re-validate every pending change's applicability against the live head
+// each epoch.
 func (s Snapshot) Check(patches ...Patch) error {
 	type overlayState struct {
 		content string
@@ -341,55 +292,14 @@ func (s Snapshot) Check(patches ...Patch) error {
 			} else {
 				cur, exists = s.Read(fc.Path)
 			}
-			var next overlayState
-			var err error
-			switch fc.Op {
-			case OpCreate:
-				if exists {
-					err = fmt.Errorf("%w: create %s", ErrFileExists, fc.Path)
-					break
-				}
-				next = overlayState{content: fc.NewContent}
-			case OpModify:
-				if !exists {
-					err = fmt.Errorf("%w: modify %s", ErrNoSuchFile, fc.Path)
-					break
-				}
-				if HashContent(cur) != fc.BaseHash {
-					err = fmt.Errorf("%w: %s changed since patch base", ErrMergeConflict, fc.Path)
-					break
-				}
-				next = overlayState{content: fc.NewContent}
-			case OpDelete:
-				if !exists {
-					err = fmt.Errorf("%w: delete %s", ErrNoSuchFile, fc.Path)
-					break
-				}
-				if HashContent(cur) != fc.BaseHash {
-					err = fmt.Errorf("%w: %s changed since patch base", ErrMergeConflict, fc.Path)
-					break
-				}
-				next = overlayState{deleted: true}
-			case OpEditLines:
-				if !exists {
-					err = fmt.Errorf("%w: edit %s", ErrNoSuchFile, fc.Path)
-					break
-				}
-				var edited string
-				if edited, err = applyEditLines(cur, fc); err != nil {
-					break
-				}
-				next = overlayState{content: edited}
-			default:
-				err = fmt.Errorf("repo: unknown op %v for %s", fc.Op, fc.Path)
-			}
+			content, deleted, err := applyChange(fc, cur, exists)
 			if err != nil {
 				return fmt.Errorf("applying patch %d: %w", i, err)
 			}
 			if overlay == nil {
 				overlay = map[string]overlayState{}
 			}
-			overlay[fc.Path] = next
+			overlay[fc.Path] = overlayState{content, deleted}
 		}
 	}
 	return nil
@@ -400,72 +310,35 @@ func (s Snapshot) Check(patches ...Patch) error {
 // conflict analyzer's selective invalidation uses it to decide whether a head
 // movement can affect a cached patch's applicability.
 //
-// When the snapshots share a base layer — the common case for two nearby
-// heads — only the two deltas are compared, so the cost is O(edits between
-// them) rather than O(tree). Identical fingerprints short-circuit to nil.
+// Subtrees the two tries share are skipped, so for two snapshots of one
+// history the cost is O(edits between them · depth) rather than O(tree).
+// Identical fingerprints short-circuit to nil.
 func (s Snapshot) ChangedPaths(other Snapshot) []string {
 	if s.fp == other.fp && s.n == other.n {
 		return nil
 	}
-	var out []string
-	if s.base != nil && s.base == other.base {
-		for path := range s.delta {
-			sc, sok := s.Read(path)
-			oc, ook := other.Read(path)
-			if sok != ook || sc != oc {
-				out = append(out, path)
-			}
-		}
-		for path := range other.delta {
-			if _, dup := s.delta[path]; dup {
-				continue
-			}
-			sc, sok := s.Read(path)
-			oc, ook := other.Read(path)
-			if sok != ook || sc != oc {
-				out = append(out, path)
-			}
-		}
-		sort.Strings(out)
-		return out
-	}
-	s.Range(func(path, c string) bool {
-		if oc, ok := other.Read(path); !ok || oc != c {
-			out = append(out, path)
-		}
-		return true
-	})
-	other.Range(func(path, _ string) bool {
-		if _, ok := s.Read(path); !ok {
-			out = append(out, path)
-		}
-		return true
-	})
+	out := diff(s.root, other.root, 0, nil)
 	sort.Strings(out)
 	return out
 }
 
-// DiffPatch builds the patch that transforms s into other. Useful for tests
-// and for synthesizing changes from edited working copies.
+// DiffPatch builds the patch that transforms s into other, sorted by path.
+// It costs what ChangedPaths costs, so saving a history is O(patch) per
+// commit.
 func (s Snapshot) DiffPatch(other Snapshot) Patch {
 	var p Patch
-	other.Range(func(path, newC string) bool {
-		oldC, ok := s.Read(path)
+	for _, path := range s.ChangedPaths(other) {
+		oldC, had := s.Read(path)
+		newC, has := other.Read(path)
 		switch {
-		case !ok:
+		case !had:
 			p.Changes = append(p.Changes, FileChange{Path: path, Op: OpCreate, NewContent: newC})
-		case oldC != newC:
+		case !has:
+			p.Changes = append(p.Changes, FileChange{Path: path, Op: OpDelete, BaseHash: HashContent(oldC)})
+		default:
 			p.Changes = append(p.Changes, FileChange{Path: path, Op: OpModify, BaseHash: HashContent(oldC), NewContent: newC})
 		}
-		return true
-	})
-	s.Range(func(path, oldC string) bool {
-		if _, ok := other.Read(path); !ok {
-			p.Changes = append(p.Changes, FileChange{Path: path, Op: OpDelete, BaseHash: HashContent(oldC)})
-		}
-		return true
-	})
-	sort.Slice(p.Changes, func(i, j int) bool { return p.Changes[i].Path < p.Changes[j].Path })
+	}
 	return p
 }
 

@@ -3,6 +3,10 @@ package repo
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -477,22 +481,43 @@ func TestChangedPaths(t *testing.T) {
 	}
 }
 
-// TestLayeredSnapshotAgainstModel drives a long commit chain — crossing
-// several delta flattens — and checks every snapshot accessor against a
-// plain-map model at each step, plus immutability of earlier snapshots.
-func TestLayeredSnapshotAgainstModel(t *testing.T) {
+// referenceDiffPatch is DiffPatch's definition, computed the slow way: walk
+// both whole trees, then sort by path.
+func referenceDiffPatch(s, other Snapshot) Patch {
+	var p Patch
+	other.Range(func(path, newC string) bool {
+		oldC, ok := s.Read(path)
+		switch {
+		case !ok:
+			p.Changes = append(p.Changes, FileChange{Path: path, Op: OpCreate, NewContent: newC})
+		case oldC != newC:
+			p.Changes = append(p.Changes, FileChange{Path: path, Op: OpModify, BaseHash: HashContent(oldC), NewContent: newC})
+		}
+		return true
+	})
+	s.Range(func(path, oldC string) bool {
+		if _, ok := other.Read(path); !ok {
+			p.Changes = append(p.Changes, FileChange{Path: path, Op: OpDelete, BaseHash: HashContent(oldC)})
+		}
+		return true
+	})
+	sort.Slice(p.Changes, func(i, j int) bool { return p.Changes[i].Path < p.Changes[j].Path })
+	return p
+}
+
+// TestSnapshotTrieAgainstModel drives a long commit chain of creates,
+// modifies, deletes and multi-file patches and checks every snapshot accessor
+// against a plain-map model at each step; ChangedPaths and DiffPatch against
+// random ancestors (and from them back) against the model's diff and the
+// whole-tree DiffPatch definition; and that no later Apply changes an earlier
+// snapshot.
+func TestSnapshotTrieAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
 	model := map[string]string{}
 	for i := 0; i < 40; i++ {
 		model[fmt.Sprintf("seed/f%d", i)] = fmt.Sprintf("v%d", i)
 	}
 	snap := NewSnapshot(model)
-	model = func() map[string]string { // detach the model from the snapshot
-		m := make(map[string]string, len(model))
-		for k, v := range model {
-			m[k] = v
-		}
-		return m
-	}()
 
 	check := func(step int, s Snapshot, m map[string]string) {
 		t.Helper()
@@ -523,69 +548,62 @@ func TestLayeredSnapshotAgainstModel(t *testing.T) {
 			t.Fatalf("step %d: ContentID %s != rebuilt %s", step, s.ContentID(), rebuilt.ContentID())
 		}
 	}
+	checkDiff := func(step int, from, to Snapshot, fromM, toM map[string]string) {
+		t.Helper()
+		var want []string
+		for p, c := range toM {
+			if oc, ok := fromM[p]; !ok || oc != c {
+				want = append(want, p)
+			}
+		}
+		for p := range fromM {
+			if _, ok := toM[p]; !ok {
+				want = append(want, p)
+			}
+		}
+		sort.Strings(want)
+		if got := from.ChangedPaths(to); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: ChangedPaths = %v, want %v", step, got, want)
+		}
+		if got, ref := from.DiffPatch(to), referenceDiffPatch(from, to); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("step %d: DiffPatch = %+v, want %+v", step, got, ref)
+		}
+	}
 
 	snaps := []Snapshot{snap}
-	models := []map[string]string{model}
-	for step := 0; step < 200; step++ {
-		var fc FileChange
-		switch {
-		case step%7 == 3: // modify an existing seed file
-			p := fmt.Sprintf("seed/f%d", step%40)
-			if cur, ok := snap.Read(p); ok {
-				fc = FileChange{Path: p, Op: OpModify, BaseHash: HashContent(cur), NewContent: fmt.Sprintf("mod%d", step)}
+	models := []map[string]string{maps.Clone(model)}
+	for step := 0; step < 400; step++ {
+		m := maps.Clone(models[len(models)-1])
+		var p Patch
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			var path string
+			if rng.Intn(2) == 0 {
+				path = fmt.Sprintf("seed/f%d", rng.Intn(40))
 			} else {
-				fc = FileChange{Path: p, Op: OpCreate, NewContent: fmt.Sprintf("re%d", step)}
+				path = fmt.Sprintf("grow/d%d/f%d", rng.Intn(8), rng.Intn(60))
 			}
-		case step%11 == 5: // delete, exercising tombstones across flattens
-			p := fmt.Sprintf("seed/f%d", step%40)
-			if cur, ok := snap.Read(p); ok {
-				fc = FileChange{Path: p, Op: OpDelete, BaseHash: HashContent(cur)}
-			} else {
-				fc = FileChange{Path: p, Op: OpCreate, NewContent: fmt.Sprintf("re%d", step)}
+			cur, ok := m[path]
+			switch {
+			case !ok:
+				p.Changes = append(p.Changes, FileChange{Path: path, Op: OpCreate, NewContent: fmt.Sprintf("c%d", step)})
+				m[path] = fmt.Sprintf("c%d", step)
+			case rng.Intn(3) == 0:
+				p.Changes = append(p.Changes, FileChange{Path: path, Op: OpDelete, BaseHash: HashContent(cur)})
+				delete(m, path)
+			default:
+				p.Changes = append(p.Changes, FileChange{Path: path, Op: OpModify, BaseHash: HashContent(cur), NewContent: fmt.Sprintf("m%d", step)})
+				m[path] = fmt.Sprintf("m%d", step)
 			}
-		default:
-			fc = FileChange{Path: fmt.Sprintf("grow/f%d", step), Op: OpCreate, NewContent: fmt.Sprintf("g%d", step)}
 		}
-		next, err := snap.Apply(Patch{Changes: []FileChange{fc}})
+		next, err := snap.Apply(p)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		m := make(map[string]string, len(models[len(models)-1])+1)
-		for k, v := range models[len(models)-1] {
-			m[k] = v
-		}
-		switch fc.Op {
-		case OpDelete:
-			delete(m, fc.Path)
-		default:
-			m[fc.Path] = fc.NewContent
-		}
 		check(step, next, m)
-
-		// ChangedPaths against an ancestor a few flattens back must match the
-		// model diff exactly.
-		if step%17 == 0 {
-			old, oldM := snaps[len(snaps)/2], models[len(models)/2]
-			want := map[string]bool{}
-			for p, c := range m {
-				if oc, ok := oldM[p]; !ok || oc != c {
-					want[p] = true
-				}
-			}
-			for p := range oldM {
-				if _, ok := m[p]; !ok {
-					want[p] = true
-				}
-			}
-			got := next.ChangedPaths(old)
-			if len(got) != len(want) {
-				t.Fatalf("step %d: ChangedPaths = %d paths, want %d", step, len(got), len(want))
-			}
-			for _, p := range got {
-				if !want[p] {
-					t.Fatalf("step %d: ChangedPaths reported unchanged %s", step, p)
-				}
-			}
+		if step%5 == 0 {
+			a := rng.Intn(len(snaps))
+			checkDiff(step, snaps[a], next, models[a], m)
+			checkDiff(step, next, snaps[a], m, models[a])
 		}
 		snap = next
 		snaps = append(snaps, next)
@@ -594,5 +612,30 @@ func TestLayeredSnapshotAgainstModel(t *testing.T) {
 	// Every historical snapshot must be untouched by later Applies.
 	for i := 0; i < len(snaps); i += 23 {
 		check(-i, snaps[i], models[i])
+	}
+	// Two unrelated tries share no node: the diff falls back to comparing
+	// whole subtrees and must still be exact.
+	rebuilt := NewSnapshot(models[200])
+	checkDiff(-1, rebuilt, snap, models[200], models[len(models)-1])
+}
+
+// TestZeroSnapshotIsEmpty: the zero Snapshot is the empty tree.
+func TestZeroSnapshotIsEmpty(t *testing.T) {
+	var s Snapshot
+	if _, ok := s.Read("a"); ok || s.Len() != 0 || len(s.Paths()) != 0 {
+		t.Fatalf("zero Snapshot is not empty: Len %d, Paths %v", s.Len(), s.Paths())
+	}
+	if s.ContentID() != NewSnapshot(nil).ContentID() {
+		t.Fatalf("ContentID %s, want the empty tree's %s", s.ContentID(), NewSnapshot(nil).ContentID())
+	}
+	next, err := s.Apply(Patch{Changes: []FileChange{{Path: "a", Op: OpCreate, NewContent: "x"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ChangedPaths(next); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Fatalf("ChangedPaths from the zero Snapshot = %v, want [a]", got)
+	}
+	if _, ok := s.Read("a"); ok {
+		t.Fatal("Apply changed the zero Snapshot")
 	}
 }

@@ -30,19 +30,21 @@ func (r *Repo) RevertPatch(id CommitID) (Patch, error) {
 	// create/delete inverses stay whole-file.
 	var p Patch
 	cs, ps := c.Snapshot(), parent.Snapshot()
-	for _, path := range ps.Paths() {
-		oldC, _ := ps.Read(path)
+	changed := ps.ChangedPaths(cs)
+	for _, path := range changed {
+		oldC, inParent := ps.Read(path)
 		newC, inCommit := cs.Read(path)
 		switch {
+		case !inParent: // created by the commit: deleted below
 		case !inCommit:
 			// Commit deleted the file: revert recreates it.
 			p.Changes = append(p.Changes, FileChange{Path: path, Op: OpCreate, NewContent: oldC})
-		case oldC != newC:
+		default:
 			// Commit modified the file: invert as a line hunk.
 			p.Changes = append(p.Changes, invertLines(path, newC, oldC))
 		}
 	}
-	for _, path := range cs.Paths() {
+	for _, path := range changed {
 		if _, inParent := ps.Read(path); !inParent {
 			// Commit created the file: revert deletes it.
 			cur, _ := cs.Read(path)
