@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check check-race build fmt vet lint test race race-graph examples bench bench-smoke bench-e2e
+.PHONY: check check-race build fmt vet lint test race race-graph race-wake examples bench bench-smoke bench-e2e
 
 # check is the CI entry point: everything must pass before merge.
-check: build fmt vet lint race examples
+check: build fmt vet lint race race-wake examples
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,13 @@ check-race:
 # it hands out and the Induced views taken from them (~40 s on 2 cores).
 race-graph:
 	$(GO) test -race -count=10 -run '^(TestHandedOutGraphNeverChanges|TestCloneSharesRowsCopyOnWrite|TestInducedMatchesPairWalk)$$' ./internal/conflict/
+
+# race-wake repeats the event-driven loop's wake tests under the race
+# detector with an hour-long fallback poll: a lost wakeup — a build end, an
+# arming or a decision nobody acts on — leaves a change pending and fails the
+# run (~5 s on 2 cores once the race build is cached).
+race-wake:
+	$(GO) test -race -count=20 -run '^(TestBuildEndWakesEngine|TestWakeStressNoLostWakeup|TestWakePokedAfterDone|TestWakeOnDoneArmsLate)$$' ./internal/core/ ./internal/buildsys/
 
 # bench runs the subsystem micro-benchmarks. They are for measuring while you
 # work; the numbers of record come from bench-e2e.

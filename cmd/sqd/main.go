@@ -12,7 +12,10 @@
 //
 // -shards spreads the conflict graph's components over that many planner
 // engines; -sched turns on the priority lanes (P0 hotfix preemption,
-// deadline aging, per-lane gauges).
+// deadline aging, per-lane gauges). The planner loop runs on events — a
+// decisive build's end wakes its engine, a decision wakes the coordinator —
+// so -epoch is only the fallback poll: it paces new submissions' adoption,
+// speculative results, sched aging and reliability epochs.
 // With -data, the service journals every submission and outcome to
 // DIR/journal.jsonl; on shutdown it saves the repo to DIR/repo.json and folds
 // the journal into DIR/journal.jsonl.snap, and restarting with the same
@@ -66,7 +69,7 @@ func demoRepo() *repo.Repo {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 8, "concurrent builds")
-	epoch := flag.Duration("epoch", 250*time.Millisecond, "planner epoch")
+	epoch := flag.Duration("epoch", 250*time.Millisecond, "fallback poll of the event-driven planner loop (adopts new submissions, collects speculative results)")
 	dataDir := flag.String("data", "", "directory for durable state (empty = in-memory only)")
 	shards := flag.Int("shards", 1, "planner engines the conflict-graph components are spread over")
 	snapshotEvery := flag.Duration("snapshot-interval", 0, "with -data: also fold the journal into a snapshot this often while running (0 = shutdown is the only fold)")

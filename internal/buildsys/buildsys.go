@@ -73,6 +73,12 @@ type Request struct {
 	// prefix build of a speculation chain; they are skipped (§6 minimal
 	// build steps).
 	PriorTargets map[string]bool
+	// Wake, when non-nil, is poked without blocking once the build has
+	// finished and its result is visible through Task.Done (Task.WakeOnDone
+	// may swap it while the build runs): the planner engine that owns a
+	// decisive build hands in its coalescing wake channel, so the result is
+	// reaped at once instead of at the next poll.
+	Wake chan<- struct{}
 }
 
 // Result is a build's final disposition.
@@ -119,9 +125,40 @@ type Stats struct {
 	// ExecTime − UsefulTime − WastedTime is the compute of still-running
 	// builds, not yet attributable.
 	ExecTime       time.Duration
-	ExecTimeByKind map[change.StepKind]time.Duration
+	ExecTimeByKind KindTimes
 	UsefulTime     time.Duration
 	WastedTime     time.Duration
+}
+
+// KindTimes is executed step-unit wall time per step kind, one field per
+// change.StepKind, so Stats is a plain value that copies without allocating.
+// Each field's gauge is named after the kind's String form (ui-test →
+// exec_time_by_kind_ui_test_s); UiTest is spelled so that a word split at
+// every lower-to-upper boundary gives that name too. A kind outside the five
+// is counted in Stats.ExecTime only.
+type KindTimes struct {
+	Compile         time.Duration
+	UnitTest        time.Duration
+	IntegrationTest time.Duration
+	UiTest          time.Duration
+	Artifact        time.Duration
+}
+
+// of returns the field that accumulates kind k, or nil for an unknown kind.
+func (kt *KindTimes) of(k change.StepKind) *time.Duration {
+	switch k {
+	case change.StepCompile:
+		return &kt.Compile
+	case change.StepUnitTest:
+		return &kt.UnitTest
+	case change.StepIntegrationTest:
+		return &kt.IntegrationTest
+	case change.StepUITest:
+		return &kt.UiTest
+	case change.StepArtifact:
+		return &kt.Artifact
+	}
+	return nil
 }
 
 // cacheGeneration is the number of artifacts the young cache generation
@@ -173,18 +210,11 @@ func NewController(workers int, runner StepRunner) *Controller {
 // SetClock injects the clock used for step-unit timing (tests).
 func (c *Controller) SetClock(now func() time.Time) { c.now = now }
 
-// Stats returns a snapshot of the work counters.
+// Stats returns a snapshot of the work counters. It allocates nothing.
 func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.stats
-	if c.stats.ExecTimeByKind != nil {
-		s.ExecTimeByKind = make(map[change.StepKind]time.Duration, len(c.stats.ExecTimeByKind))
-		for k, v := range c.stats.ExecTimeByKind {
-			s.ExecTimeByKind[k] = v
-		}
-	}
-	return s
+	return c.stats
 }
 
 // Task is a build in flight.
@@ -200,6 +230,13 @@ type Task struct {
 	execNs int64
 	unitMu sync.Mutex
 	units  []UnitTime
+
+	// wake is the channel poked once the build ends: Request.Wake, or the
+	// one a later WakeOnDone handed in. ended records that the end has
+	// already read it. Both are guarded by wakeMu.
+	wakeMu sync.Mutex
+	wake   chan<- struct{}
+	ended  bool
 }
 
 // Done is closed when the build finishes (normally or by abort).
@@ -213,6 +250,32 @@ func (t *Task) Result() Result {
 
 // Cancel aborts the build; its result will carry ErrAborted. Idempotent.
 func (t *Task) Cancel() { t.cancel() }
+
+// WakeOnDone makes the build's end poke w instead of Request.Wake. A build
+// that has already ended pokes w at once, so the poke is never lost: the
+// planner arms a running build this way when a resolution makes it the
+// build that decides its subject.
+func (t *Task) WakeOnDone(w chan<- struct{}) {
+	t.wakeMu.Lock()
+	t.wake = w
+	ended := t.ended
+	t.wakeMu.Unlock()
+	if ended {
+		poke(w)
+	}
+}
+
+// poke sends on a coalescing wake channel without blocking: a wake already
+// pending covers this one too.
+func poke(w chan<- struct{}) {
+	if w == nil {
+		return
+	}
+	select {
+	case w <- struct{}{}:
+	default:
+	}
+}
 
 // Executed returns the step-unit wall time executed so far. Safe to call
 // while the build runs; after Done it equals Result().Executed.
@@ -239,17 +302,18 @@ func (c *Controller) recordUnit(t *Task, step change.BuildStep, target string, d
 	}
 	c.mu.Lock()
 	c.stats.ExecTime += d
-	if c.stats.ExecTimeByKind == nil {
-		c.stats.ExecTimeByKind = map[change.StepKind]time.Duration{}
+	if k := c.stats.ExecTimeByKind.of(step.Kind); k != nil {
+		*k += d
 	}
-	c.stats.ExecTimeByKind[step.Kind] += d
 	c.mu.Unlock()
 }
 
-// Start launches the build asynchronously.
+// Start launches the build asynchronously. When the build ends it pokes
+// req.Wake (or the channel a later WakeOnDone handed in), after Done is
+// closed, so whoever the poke wakes sees the result.
 func (c *Controller) Start(ctx context.Context, req Request) *Task {
 	ctx, cancel := context.WithCancel(ctx)
-	t := &Task{key: req.Key, cancel: cancel, done: make(chan struct{})}
+	t := &Task{key: req.Key, cancel: cancel, done: make(chan struct{}), wake: req.Wake}
 	c.mu.Lock()
 	c.stats.Builds++
 	c.mu.Unlock()
@@ -269,6 +333,11 @@ func (c *Controller) Start(ctx context.Context, req Request) *Task {
 		// the build counted in Stats must also see it finished.
 		close(t.done)
 		c.mu.Unlock()
+		t.wakeMu.Lock()
+		w := t.wake
+		t.ended = true
+		t.wakeMu.Unlock()
+		poke(w)
 	}()
 	return t
 }

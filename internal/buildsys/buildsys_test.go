@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -375,7 +378,7 @@ func TestComputeAccounting(t *testing.T) {
 	if st.ExecTime != 2*time.Second || st.UsefulTime != 2*time.Second || st.WastedTime != 0 {
 		t.Errorf("Stats exec/useful/wasted = %v/%v/%v, want 2s/2s/0", st.ExecTime, st.UsefulTime, st.WastedTime)
 	}
-	if st.ExecTimeByKind[change.StepCompile] != time.Second || st.ExecTimeByKind[change.StepUnitTest] != time.Second {
+	if st.ExecTimeByKind != (KindTimes{Compile: time.Second, UnitTest: time.Second}) {
 		t.Errorf("ExecTimeByKind = %v, want 1s compile + 1s unit", st.ExecTimeByKind)
 	}
 }
@@ -452,7 +455,7 @@ func TestStatsGauges(t *testing.T) {
 	s := Stats{
 		Builds: 3, Completed: 2, Aborted: 1, CacheMisses: 5,
 		ExecTime:       10 * time.Second,
-		ExecTimeByKind: map[change.StepKind]time.Duration{change.StepUnitTest: 4 * time.Second, change.StepCompile: 6 * time.Second},
+		ExecTimeByKind: KindTimes{UnitTest: 4 * time.Second, Compile: 6 * time.Second},
 		UsefulTime:     6 * time.Second,
 		WastedTime:     4 * time.Second,
 	}
@@ -470,5 +473,100 @@ func TestStatsGauges(t *testing.T) {
 		if got[name] != v {
 			t.Errorf("gauge %s = %v, want %v", name, got[name], v)
 		}
+	}
+}
+
+// TestStatsGaugeNamesPinned pins every gauge name the controller's Stats
+// renders, in order: the per-kind split is a struct, so every kind renders
+// whether or not it has run, under the name the per-kind map gave it.
+func TestStatsGaugeNamesPinned(t *testing.T) {
+	want := []string{
+		"buildsys_builds", "buildsys_completed", "buildsys_aborted", "buildsys_executed",
+		"buildsys_skipped_prior", "buildsys_skipped_cache", "buildsys_cache_misses",
+		"buildsys_exec_time_s",
+		"buildsys_exec_time_by_kind_compile_s", "buildsys_exec_time_by_kind_unit_test_s",
+		"buildsys_exec_time_by_kind_integration_test_s", "buildsys_exec_time_by_kind_ui_test_s",
+		"buildsys_exec_time_by_kind_artifact_s",
+		"buildsys_useful_time_s", "buildsys_wasted_time_s",
+	}
+	var got []string
+	for _, g := range metrics.Render(NewController(1, nil).Stats()) {
+		got = append(got, g.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("gauge names:\n got %v\nwant %v", got, want)
+	}
+	// Each name is the one the step kind's printed form gives.
+	for k := change.StepCompile; k <= change.StepArtifact; k++ {
+		name := "buildsys_exec_time_by_kind_" + strings.ReplaceAll(k.String(), "-", "_") + "_s"
+		if !slices.Contains(want, name) {
+			t.Errorf("step kind %v has no gauge %s", k, name)
+		}
+	}
+}
+
+// TestStatsAllocFree: reading a quiet controller's counters allocates
+// nothing, however many step kinds have run.
+func TestStatsAllocFree(t *testing.T) {
+	c := NewController(2, nil)
+	steps := []change.BuildStep{compileStep, {Name: "unit", Kind: change.StepUnitTest}, {Name: "ui", Kind: change.StepUITest}}
+	if res := c.Run(context.Background(), Request{Key: "b", Steps: steps, Targets: targets("//a:a")}); !res.OK {
+		t.Fatalf("build failed: %+v", res)
+	}
+	var st Stats
+	if allocs := testing.AllocsPerRun(100, func() { st = c.Stats() }); allocs != 0 {
+		t.Fatalf("Stats allocates %v times per call, want 0", allocs)
+	}
+	if st.Completed != 1 || st.Executed != 3 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestWakePokedAfterDone: a build's end pokes Request.Wake once its result
+// is visible, and a full wake channel never blocks the controller.
+func TestWakePokedAfterDone(t *testing.T) {
+	c := NewController(2, nil)
+	wake := make(chan struct{}, 1)
+	task := c.Start(context.Background(), Request{Key: "b", Steps: []change.BuildStep{compileStep}, Wake: wake})
+	<-wake
+	select {
+	case <-task.Done():
+	default:
+		t.Fatal("woken before the result was visible")
+	}
+	// The channel is full now: the next build's poke coalesces into it.
+	wake <- struct{}{}
+	if res := c.Run(context.Background(), Request{Key: "b2", Steps: []change.BuildStep{compileStep}, Wake: wake}); !res.OK {
+		t.Fatalf("build failed: %+v", res)
+	}
+}
+
+// TestWakeOnDoneArmsLate: a build armed while it runs pokes the new channel
+// when it ends; one armed after it ended pokes at once.
+func TestWakeOnDoneArmsLate(t *testing.T) {
+	block := make(chan struct{})
+	runner := RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, _ repo.Snapshot) error {
+		<-block
+		return nil
+	})
+	c := NewController(1, runner)
+	task := c.Start(context.Background(), Request{Key: "b", Steps: []change.BuildStep{compileStep}})
+	wake := make(chan struct{}, 1)
+	task.WakeOnDone(wake)
+	select {
+	case <-wake:
+		t.Fatal("woken before the build ended")
+	default:
+	}
+	close(block)
+	<-wake
+	<-task.Done()
+
+	late := make(chan struct{}, 1)
+	task.WakeOnDone(late)
+	select {
+	case <-late:
+	default:
+		t.Fatal("arming an ended build did not wake at once")
 	}
 }

@@ -47,7 +47,10 @@ type Config struct {
 	// useful when the repository's own structure (merge conflicts, target
 	// graph errors) is the only failure source under study.
 	Runner buildsys.StepRunner
-	// Epoch is the planner period for the background loop (<=0: 250ms).
+	// Epoch is the background loop's fallback poll (<=0: 250ms). A decisive
+	// build's end wakes its planner engine and a decision wakes the
+	// coordinator; the poll paces what no event announces: adopting new
+	// submissions, speculative results, sched aging, reliability epochs.
 	Epoch time.Duration
 	// PreemptionGrace: builds running at least this long are not aborted.
 	PreemptionGrace time.Duration

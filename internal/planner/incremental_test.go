@@ -8,7 +8,9 @@ import (
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/reliability"
 	"mastergreen/internal/repo"
+	"mastergreen/internal/sched"
 )
 
 // TestPrepareTrieHitMiss drives the preparation trie directly: the first
@@ -203,5 +205,54 @@ func TestFinishedBoundedAcrossEpochs(t *testing.T) {
 	}
 	if st.KeysCached == 0 {
 		t.Fatalf("key cache idle: %+v", st)
+	}
+}
+
+// TestIdleTickAllocs: a tick whose plan inputs are unchanged — builds still
+// running, nothing decided, nothing arrived — allocates nothing, with the
+// sched weights and the reliability epoch in its path. The engine loop ticks
+// on every wake as well as on the poll, so the no-op tick must be free.
+func TestIdleTickAllocs(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	runner := buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, _ repo.Snapshot) error {
+		select {
+		case <-block:
+			return nil
+		case <-ctx.Done():
+			return buildsys.ErrAborted
+		}
+	})
+	now := time.Unix(1_700_000_000, 0)
+	e := newEnv(t, runner, Config{
+		Budget:      2,
+		Now:         func() time.Time { return now },
+		Sched:       sched.Default(),
+		Reliability: reliability.New(reliability.Config{}),
+	})
+	e.submit(t, "c1", "x/x.go", "x v2")
+	bulk := e.submit(t, "c2", "z/z.go", "z v2")
+	bulk.Class, bulk.Deadline = change.ClassBulk, now.Add(time.Hour) // a weight of its own
+	e.submit(t, "c3", "w/w.go", "w v2")
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		if _, err := e.planner.Tick(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := running(e.planner); n != 2 {
+		t.Fatalf("%d builds running, want the budget of 2", n)
+	}
+	skipped := e.planner.Stats().PlansSkipped
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.planner.Tick(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("an idle tick allocates %v times, want 0", allocs)
+	}
+	if n := e.planner.Stats().PlansSkipped - skipped; n < 100 {
+		t.Fatalf("only %d of the measured ticks skipped planning", n)
 	}
 }

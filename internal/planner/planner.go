@@ -18,6 +18,7 @@
 package planner
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -152,6 +153,9 @@ type trackedBuild struct {
 	// re-run has been spent.
 	req      buildsys.Request
 	verified bool
+	// armed marks a build whose end wakes the engine: it was started as, or
+	// a resolution has since made it, the build that decides its subject.
+	armed bool
 
 	// Cached dynamic key, valid while keyedAt matches the planner's
 	// keyEpoch. Resolutions (commit/reject) are the only events that change
@@ -165,6 +169,14 @@ type trackedBuild struct {
 // goroutine of its own: the shard runtime's loop drives it by calling Tick,
 // which must not be called concurrently with itself; all other methods are
 // safe to call from any goroutine.
+//
+// The planner owns its engine's wake channel (Wake). Two events poke it: the
+// coordinator handing the engine changes (Poke), and the end of a build that
+// can decide its subject now — one started with no assumptions, or one a
+// resolution has since left with none. A speculative build's end does not
+// wake the engine: acting on each partial completion at once would replan
+// on half the results of a batch of builds that finish together, and the
+// next tick collects them anyway.
 type Planner struct {
 	repo       *repo.Repo
 	queue      *queue.Queue
@@ -176,6 +188,14 @@ type Planner struct {
 	// prep is the shared-prefix preparation trie. Only the Tick goroutine
 	// touches it (Tick must not be called concurrently with itself).
 	prep *prepCache
+
+	// wake is the engine's coalescing wake channel (buffered 1).
+	wake chan struct{}
+
+	// Tick-goroutine scratch, kept so a tick with nothing to do allocates
+	// nothing: the pending order and the plan-input fingerprint bytes.
+	pendingBuf []*change.Change
+	fpBuf      []byte
 
 	mu           sync.Mutex
 	running      []*trackedBuild
@@ -192,7 +212,7 @@ type Planner struct {
 	// lastPlanFP memoizes the plan-input fingerprint of the last epoch that
 	// ran decide+Plan+reconcile; an identical fingerprint lets Tick skip
 	// both entirely.
-	lastPlanFP string
+	lastPlanFP []byte
 	havePlanFP bool
 }
 
@@ -215,6 +235,20 @@ func New(r *repo.Repo, q *queue.Queue, an ConflictSource, spec *speculation.Engi
 		rejected:     map[change.ID]string{},
 		initialLen:   r.Len(),
 		keyEpoch:     1,
+		wake:         make(chan struct{}, 1),
+	}
+}
+
+// Wake returns the engine's wake channel. The loop that drives the planner
+// waits on it between ticks; each receive means there may be work to do.
+func (p *Planner) Wake() <-chan struct{} { return p.wake }
+
+// Poke wakes the engine without blocking; pokes that arrive before the loop
+// next waits coalesce into one tick.
+func (p *Planner) Poke() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -313,9 +347,11 @@ func (p *Planner) buildKeyLocked(rb *trackedBuild) string {
 	return rb.key
 }
 
-// planFingerprintLocked renders every input decide/Plan/reconcile depend on:
-// the head commit, the budget, the pending IDs in submission order, and the
-// dynamic keys of running and finished builds in slice order. Change
+// planFingerprintLocked appends to dst every input decide/Plan/reconcile
+// depend on: the head commit, the budget, the pending IDs in submission
+// order, and the dynamic keys of running and finished builds in slice order.
+// Tick keeps the bytes between calls, so an unchanged fingerprint costs no
+// allocation. Change
 // features that feed speculation (Spec success counters) change only when a
 // build is reaped, which changes the finished set, so they are covered
 // transitively. A build's verified flag is part of its key: a failed build
@@ -324,50 +360,51 @@ func (p *Planner) buildKeyLocked(rb *trackedBuild) string {
 // the post-verification state would fingerprint identically to the
 // pre-verification epoch and decide would be skipped forever. Callers hold
 // p.mu.
-func (p *Planner) planFingerprintLocked(pending []*change.Change) string {
-	var sb strings.Builder
-	sb.WriteString(string(p.repo.Head().ID))
-	sb.WriteString("|b")
-	sb.WriteString(strconv.Itoa(p.cfg.Budget))
-	sb.WriteString("|p:")
+func (p *Planner) planFingerprintLocked(dst []byte, pending []*change.Change) []byte {
+	dst = append(dst, p.repo.Head().ID...)
+	dst = append(dst, "|b"...)
+	dst = strconv.AppendInt(dst, int64(p.cfg.Budget), 10)
+	dst = append(dst, "|p:"...)
 	for _, c := range pending {
-		sb.WriteString(string(c.ID))
-		sb.WriteByte(',')
+		dst = append(dst, c.ID...)
+		dst = append(dst, ',')
 	}
 	if p.cfg.Sched != nil {
 		// Deadline urgency moves with the clock, so a quantized weight per
 		// non-default change must be part of the fingerprint — otherwise an
 		// aging P2's rising weight would be memoized away and its plan never
 		// recomputed. One decimal of quantization bounds replan churn.
-		sb.WriteString("|s:")
+		dst = append(dst, "|s:"...)
 		now := p.cfg.Now()
 		for _, c := range pending {
 			w := p.cfg.Sched.Weight(c.Class, c.Deadline, now)
 			if c.Class == change.ClassNormal && w == 1 {
-				sb.WriteByte('.')
+				dst = append(dst, '.')
 			} else {
-				fmt.Fprintf(&sb, "%d:%.1f", c.Class, w)
+				dst = strconv.AppendInt(dst, int64(c.Class), 10)
+				dst = append(dst, ':')
+				dst = strconv.AppendFloat(dst, w, 'f', 1, 64)
 			}
-			sb.WriteByte(',')
+			dst = append(dst, ',')
 		}
 	}
-	sb.WriteString("|r:")
+	dst = append(dst, "|r:"...)
 	for _, rb := range p.running {
-		sb.WriteString(p.buildKeyLocked(rb))
+		dst = append(dst, p.buildKeyLocked(rb)...)
 		if rb.verified {
-			sb.WriteByte('!')
+			dst = append(dst, '!')
 		}
-		sb.WriteByte(';')
+		dst = append(dst, ';')
 	}
-	sb.WriteString("|f:")
+	dst = append(dst, "|f:"...)
 	for _, fb := range p.finished {
-		sb.WriteString(p.buildKeyLocked(fb))
+		dst = append(dst, p.buildKeyLocked(fb)...)
 		if fb.verified {
-			sb.WriteByte('!')
+			dst = append(dst, '!')
 		}
-		sb.WriteByte(';')
+		dst = append(dst, ';')
 	}
-	return sb.String()
+	return dst
 }
 
 // pruneFinishedLocked garbage-collects finished builds that can never again
@@ -449,6 +486,7 @@ func (p *Planner) obsoleteLocked(rb *trackedBuild, finishedKeys map[string]bool)
 // p.running themselves.
 func (p *Planner) cancelRunningLocked(rb *trackedBuild, why string) {
 	wasted := rb.task.Executed()
+	rb.task.WakeOnDone(nil) // a cancelled build decides nothing
 	rb.task.Cancel()
 	if p.cfg.Events != nil {
 		p.cfg.Events.Publish(events.Event{
@@ -497,16 +535,17 @@ func (p *Planner) Tick(ctx context.Context) (bool, error) {
 		p.cfg.Reliability.BeginEpoch()
 	}
 	progress := p.reap()
-	pending := p.queue.Pending()
+	p.pendingBuf = p.queue.AppendPending(p.pendingBuf[:0])
 	p.mu.Lock()
-	fp := p.planFingerprintLocked(pending)
-	if p.havePlanFP && fp == p.lastPlanFP {
+	p.fpBuf = p.planFingerprintLocked(p.fpBuf[:0], p.pendingBuf)
+	clear(p.pendingBuf) // hold no change past the tick
+	if p.havePlanFP && bytes.Equal(p.fpBuf, p.lastPlanFP) {
 		p.stats.PlansSkipped++
 		p.mu.Unlock()
 		return progress, nil
 	}
 	p.stats.PlansComputed++
-	p.lastPlanFP = fp
+	p.lastPlanFP, p.fpBuf = p.fpBuf, p.lastPlanFP
 	p.havePlanFP = true
 	p.mu.Unlock()
 	var cg *conflict.Graph
@@ -528,12 +567,13 @@ func (p *Planner) Tick(ctx context.Context) (bool, error) {
 	return progress || started, nil
 }
 
-// reap moves completed tasks from running to finished.
+// reap moves completed tasks from running to finished, filtering running in
+// place.
 func (p *Planner) reap() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	progress := false
-	var still []*trackedBuild
+	still := p.running[:0]
 	for _, rb := range p.running {
 		select {
 		case <-rb.task.Done():
@@ -573,6 +613,7 @@ func (p *Planner) reap() bool {
 			still = append(still, rb)
 		}
 	}
+	clear(p.running[len(still):])
 	p.running = still
 	return progress
 }
@@ -709,6 +750,8 @@ func (p *Planner) verifySuspect(ctx context.Context, fb *trackedBuild) bool {
 		detail += " @ " + fb.result.FailedTarget
 	}
 	fb.verified = true
+	fb.req.Wake = p.wake // a verification re-run decides its subject
+	fb.armed = true
 	task := p.controller.Start(ctx, fb.req)
 	p.mu.Lock()
 	for i, x := range p.finished {
@@ -756,6 +799,7 @@ func (p *Planner) resolve(c *change.Change, st change.State, reason string, comm
 	p.keyEpoch++ // every resolution can change dynamic keys
 	p.pruneFinishedLocked()
 	p.pruneRunningLocked()
+	p.armDecisiveLocked()
 	p.outcomes = append(p.outcomes, Outcome{ID: id, State: st, Reason: reason, Commit: commit, At: p.cfg.Now()})
 	if p.cfg.Events != nil {
 		typ := events.TypeCommitted
@@ -765,6 +809,19 @@ func (p *Planner) resolve(c *change.Change, st change.State, reason string, comm
 			detail = reason
 		}
 		p.cfg.Events.Publish(events.Event{Type: typ, Change: id, Detail: detail})
+	}
+}
+
+// armDecisiveLocked makes every running build that a resolution has turned
+// into its subject's decisive build — all its assumptions now hold — wake
+// the engine when it ends; one that has already ended wakes it at once.
+// Callers hold p.mu.
+func (p *Planner) armDecisiveLocked() {
+	for _, rb := range p.running {
+		if !rb.armed && p.buildKeyLocked(rb) == p.decisiveKey(rb.build.Subject) {
+			rb.armed = true
+			rb.task.WakeOnDone(p.wake)
+		}
 	}
 }
 
@@ -982,6 +1039,10 @@ func (p *Planner) startBuild(ctx context.Context, b speculation.Build) error {
 		Targets:      targets,
 		PriorTargets: prep.prior,
 	}
+	decisive := assumesNothing(b)
+	if decisive {
+		req.Wake = p.wake
+	}
 	task := p.controller.Start(ctx, req)
 	p.mu.Lock()
 	p.stats.BuildsStarted++
@@ -991,6 +1052,7 @@ func (p *Planner) startBuild(ctx context.Context, b speculation.Build) error {
 		task:      task,
 		startedAt: p.cfg.Now(),
 		req:       req,
+		armed:     decisive,
 	})
 	p.mu.Unlock()
 	if p.cfg.Events != nil {
@@ -1012,15 +1074,26 @@ func cloneBuild(b speculation.Build) speculation.Build {
 }
 
 // recordImmediateFailure registers a synthetic failed result for builds that
-// cannot even start (merge or graph errors).
+// cannot even start (merge or graph errors). Like any build end, one that
+// decides its subject wakes the engine: the tick that recorded it has
+// already decided.
 func (p *Planner) recordImmediateFailure(b speculation.Build, head *repo.Commit, reason string) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.finished = append(p.finished, &trackedBuild{
 		build:   b,
 		baseLen: head.Seq + 1,
 		result:  buildsys.Result{Key: b.Key(), OK: false, Err: errors.New(reason), FailedStep: "merge"},
 	})
+	p.mu.Unlock()
+	if assumesNothing(b) {
+		p.Poke()
+	}
+}
+
+// assumesNothing reports whether b was planned with no assumption about any
+// pending change: its result decides its subject as soon as it exists.
+func assumesNothing(b speculation.Build) bool {
+	return len(b.Assumed) == 0 && len(b.AssumedRejected) == 0
 }
 
 // AbortAll cancels every running build. Tick calls it when the queue is

@@ -137,11 +137,24 @@ func (q *Queue) Len() int {
 func (q *Queue) Pending() []*change.Change {
 	q.mu.RLock()
 	defer q.mu.RUnlock()
-	out := make([]*change.Change, len(q.order))
-	for i, e := range q.order {
-		out[i] = e.c
+	return q.appendLocked(make([]*change.Change, 0, len(q.order)))
+}
+
+// AppendPending appends all pending changes to dst in submission order and
+// returns the extended slice: a caller that reads the order every epoch
+// keeps one slice and allocates nothing once it is large enough.
+func (q *Queue) AppendPending(dst []*change.Change) []*change.Change {
+	q.mu.RLock()
+	defer q.mu.RUnlock()
+	return q.appendLocked(dst)
+}
+
+// appendLocked appends the live entries' changes to dst. Callers hold q.mu.
+func (q *Queue) appendLocked(dst []*change.Change) []*change.Change {
+	for _, e := range q.order {
+		dst = append(dst, e.c)
 	}
-	return out
+	return dst
 }
 
 // Seq returns the global submission sequence number of a change.

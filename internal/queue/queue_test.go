@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -195,8 +196,10 @@ func TestEnqueueSeqPreservesOrder(t *testing.T) {
 // TestPendingMatchesSortedReference drives random Enqueue, EnqueueSeq (into
 // the middle, past the end, and into the gap a Remove left) and Remove
 // sequences and compares Pending after every operation with the live set
-// sorted by sequence number.
+// sorted by sequence number, and AppendPending into a reused slice with
+// Pending.
 func TestPendingMatchesSortedReference(t *testing.T) {
+	var buf []*change.Change // AppendPending's kept slice, reused across trials
 	for trial := 0; trial < 100; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		q := New(1)
@@ -259,6 +262,27 @@ func TestPendingMatchesSortedReference(t *testing.T) {
 					t.Fatalf("trial %d op %d: Pending[%d] = %s, want %s", trial, op, i, c.ID, want[i])
 				}
 			}
+			if buf = q.AppendPending(buf[:0]); !slices.Equal(buf, got) {
+				t.Fatalf("trial %d op %d: AppendPending differs from Pending", trial, op)
+			}
 		}
+	}
+}
+
+// TestAppendPendingAllocs: reading the order into a slice the caller keeps
+// allocates nothing once the slice is large enough.
+func TestAppendPendingAllocs(t *testing.T) {
+	q := New(1)
+	for i := 0; i < 64; i++ {
+		if err := q.Enqueue(mk(fmt.Sprintf("c%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := q.AppendPending(nil)
+	if allocs := testing.AllocsPerRun(100, func() { buf = q.AppendPending(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendPending allocates %v times into a kept slice, want 0", allocs)
+	}
+	if len(buf) != 64 {
+		t.Fatalf("AppendPending returned %d changes, want 64", len(buf))
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,12 +64,11 @@ type member struct {
 }
 
 // engine is one planner shard: an isolated sub-queue plus a planner instance
-// whose conflict source is a coordinator-fed view of the global graph. nudge
-// wakes the engine's loop goroutine when a partition hands it changes.
+// whose conflict source is a coordinator-fed view of the global graph. The
+// planner's wake channel is the engine loop's only wake-up besides the poll.
 type engine struct {
 	queue   *queue.Queue
 	planner *planner.Planner
-	nudge   chan struct{}
 }
 
 // Runtime is the sharding coordinator: it owns the component partition, the
@@ -81,6 +81,10 @@ type Runtime struct {
 	engines  []*engine
 	cfg      Config
 	headWake <-chan struct{}
+	// wake is the coordinator's coalescing wake channel (buffered 1): an
+	// engine tick that made progress pokes it, so a decision reaches the
+	// outcome log at once rather than at the next poll.
+	wake chan struct{}
 
 	// gmu guards the cached global conflict graph the engine views read.
 	gmu    sync.RWMutex
@@ -93,6 +97,7 @@ type Runtime struct {
 	// out ascending); decided ones stay until a heavy pass compacts them.
 	order       []*member
 	drained     []planner.Outcome // scratch for DrainOutcomes
+	arrivals    []*change.Change  // scratch for the intake's pending order
 	outcomes    []planner.Outcome
 	outSeen     map[change.ID]bool
 	first       bool
@@ -125,6 +130,7 @@ func New(r *repo.Repo, intake *queue.Queue, an *conflict.Analyzer, arb *arbiter.
 		arb:      arb,
 		cfg:      cfg,
 		headWake: arb.Subscribe(),
+		wake:     make(chan struct{}, 1),
 		members:  map[change.ID]*member{},
 		outSeen:  map[change.ID]bool{},
 		first:    true,
@@ -143,7 +149,6 @@ func New(r *repo.Repo, intake *queue.Queue, an *conflict.Analyzer, arb *arbiter.
 		rt.engines = append(rt.engines, &engine{
 			queue:   eq,
 			planner: planner.New(r, eq, &engineView{rt: rt}, cfg.Spec(), ctrl, ecfg),
-			nudge:   make(chan struct{}, 1),
 		})
 	}
 	return rt
@@ -211,9 +216,12 @@ func (rt *Runtime) collectOutcomesLocked() {
 				continue
 			}
 			if m, ok := rt.members[o.ID]; ok {
-				// The deciding engine has usually removed it already.
+				// The deciding engine has usually removed it already. If it
+				// was another engine's stale copy, that engine's pending set
+				// just changed under it: wake it to replan.
 				if m.shard >= 0 && rt.engines[m.shard].queue.Contains(o.ID) {
 					_ = rt.engines[m.shard].queue.Remove(o.ID)
+					rt.engines[m.shard].planner.Poke()
 				}
 				delete(rt.members, o.ID)
 				m.gone = true
@@ -242,7 +250,8 @@ func (rt *Runtime) collectOutcomesLocked() {
 func (rt *Runtime) Partition() {
 	rt.mu.Lock()
 	newArrivals := false
-	for _, c := range rt.intake.Pending() {
+	rt.arrivals = rt.intake.AppendPending(rt.arrivals[:0])
+	for _, c := range rt.arrivals {
 		seq, err := rt.intake.Seq(c.ID)
 		if err != nil {
 			continue // raced a concurrent removal
@@ -258,6 +267,7 @@ func (rt *Runtime) Partition() {
 		_ = rt.intake.Remove(c.ID)
 		newArrivals = true
 	}
+	clear(rt.arrivals)
 	rt.collectOutcomesLocked()
 	rt.stats.Partitions++
 	regroup := false
@@ -305,7 +315,7 @@ func (rt *Runtime) Partition() {
 	rt.stats.Components = len(comps)
 
 	moved := 0
-	nudge := make([]bool, len(rt.engines))
+	handed := make([]bool, len(rt.engines))
 	var group []*member
 	for _, comp := range comps {
 		group = group[:0]
@@ -322,34 +332,30 @@ func (rt *Runtime) Partition() {
 			id := m.c.ID
 			if m.shard >= 0 {
 				_ = rt.engines[m.shard].queue.Remove(id)
+				handed[m.shard] = true // its builds for the change are moot now
 				moved++
 			}
 			if err := rt.engines[sh].queue.EnqueueSeq(m.c, m.seq); err != nil {
 				continue // duplicate: already owned by the target engine
 			}
 			m.shard = sh
-			nudge[sh] = true
+			handed[sh] = true
 		}
 	}
 	rt.stats.Rebalanced += moved
 	rt.stats.ShardsActive = rt.activeLocked()
 	rt.mu.Unlock()
 
-	// Wake engines and publish after releasing the coordinator mutex: never
-	// send on a channel while holding a lock.
+	// Publish and wake engines after releasing the coordinator mutex.
 	if moved > 0 && rt.cfg.Events != nil {
 		rt.cfg.Events.Publish(events.Event{
 			Type:   events.TypeShardRebalanced,
 			Detail: fmt.Sprintf("%d changes moved across %d components", moved, len(comps)),
 		})
 	}
-	for i, n := range nudge {
-		if !n {
-			continue
-		}
-		select {
-		case rt.engines[i].nudge <- struct{}{}:
-		default:
+	for i, h := range handed {
+		if h {
+			rt.engines[i].planner.Poke()
 		}
 	}
 }
@@ -437,8 +443,9 @@ func (rt *Runtime) Tick(ctx context.Context) (bool, error) {
 	return progress, nil
 }
 
-// Run drives the fleet until the context is cancelled, polling every epoch.
-// It returns planner.ErrStopped on cancellation, or the first engine error.
+// Run drives the fleet until the context is cancelled, with epoch as the
+// fallback poll. It returns planner.ErrStopped on cancellation, or the first
+// engine error.
 func (rt *Runtime) Run(ctx context.Context, epoch time.Duration) error {
 	if epoch <= 0 {
 		epoch = 250 * time.Millisecond
@@ -446,20 +453,25 @@ func (rt *Runtime) Run(ctx context.Context, epoch time.Duration) error {
 	return rt.loop(ctx, epoch, false)
 }
 
-// Quiesce drives the fleet on a 1 ms poll until every adopted change is
-// decided and the intake queue is empty. It returns planner.ErrStopped if
-// the context is cancelled first, or the first engine error.
+// Quiesce drives the fleet with a 1 ms fallback poll until every adopted
+// change is decided and the intake queue is empty. It returns
+// planner.ErrStopped if the context is cancelled first, or the first engine
+// error.
 func (rt *Runtime) Quiesce(ctx context.Context) error {
 	return rt.loop(ctx, time.Millisecond, true)
 }
 
-// loop is the only code that ticks the planner engines. Each engine
-// goroutine ticks, then waits for stop, cancellation, its rebalance nudge or
-// the poll interval; the coordinator partitions every poll interval and on
-// each head advance. The loop ends on cancellation, on the first engine
-// error, or, with untilIdle, once nothing is pending. When it ends with an
-// error nothing is left to reap the engines' running builds, so it aborts
-// them.
+// loop is the only code that ticks the planner engines, and it runs on
+// events. Each engine goroutine ticks, pokes the coordinator if the tick
+// made progress, then waits for stop, cancellation or its planner's wake
+// channel — poked when a partition hands the engine changes and when a
+// build that can decide its subject ends. The coordinator partitions when
+// an engine made progress and on each head advance. The poll is only the
+// fallback for what no event announces: sched weight aging, reliability
+// epochs and speculative builds' results. The loop ends on cancellation, on
+// the first engine error, or, with untilIdle, once nothing is pending. When
+// it ends with an error nothing is left to reap the engines' running builds,
+// so it aborts them.
 func (rt *Runtime) loop(ctx context.Context, poll time.Duration, untilIdle bool) error {
 	stop := make(chan struct{})
 	errs := make(chan error, len(rt.engines)) // each engine sends at most once
@@ -471,9 +483,16 @@ func (rt *Runtime) loop(ctx context.Context, poll time.Duration, untilIdle bool)
 			t := time.NewTimer(poll)
 			defer t.Stop()
 			for {
-				if _, err := e.planner.Tick(ctx); err != nil {
+				progress, err := e.planner.Tick(ctx)
+				if err != nil {
 					errs <- err
 					return
+				}
+				if progress {
+					select {
+					case rt.wake <- struct{}{}:
+					default:
+					}
 				}
 				rearm(t, poll)
 				select {
@@ -481,7 +500,14 @@ func (rt *Runtime) loop(ctx context.Context, poll time.Duration, untilIdle bool)
 					return
 				case <-ctx.Done():
 					return
-				case <-e.nudge:
+				case <-e.planner.Wake():
+					// Builds started together end together. Yield once so
+					// the ends already due are reaped by this one tick:
+					// deciding the first of them alone decides out of
+					// submission order, and a younger commit makes an older
+					// result stale (~3 % more builds per commit on
+					// build_bound without the yield).
+					runtime.Gosched()
 				case <-t.C:
 				}
 			}
@@ -501,6 +527,7 @@ func (rt *Runtime) loop(ctx context.Context, poll time.Duration, untilIdle bool)
 			err = planner.ErrStopped
 		case err = <-errs:
 		case <-rt.headWake:
+		case <-rt.wake:
 		case <-t.C:
 		}
 	}

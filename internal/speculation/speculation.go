@@ -550,29 +550,25 @@ func (e *Engine) Plan(req Request) Plan {
 // contextCommitProb evaluates the probability that predecessor pid commits,
 // conditioned on the assumptions already made along the node's path (the
 // first nd.depth entries of br, committed iff the corresponding mask bit is
-// set). Only pid's conflicting predecessors contribute conflict mass.
+// set). Only pid's conflicting predecessors contribute conflict mass. Both
+// pid's predecessor row and br ascend, so one merge walk finds each
+// predecessor's decision along the path.
 func (p *planner) contextCommitProb(pid int, nd node, br []int) float64 {
 	q := p.pSucc[pid]
+	path := br[:nd.depth]
+	d := 0
 	for t, other := range p.preds[pid] {
-		// Find other's decision along the path, if branched already.
-		status := 0 // 0: outside/undecided, 1: assumed committed, 2: assumed rejected
-		for d := 0; d < int(nd.depth); d++ {
-			if br[d] == other {
-				if nd.mask&(1<<uint(d)) != 0 {
-					status = 1
-				} else {
-					status = 2
-				}
-				break
-			}
+		for d < len(path) && path[d] < other {
+			d++
 		}
-		switch status {
-		case 1:
-			q -= p.confRow[pid][t]
-		case 2:
-			// no conflict mass: the other change never lands
-		default:
+		switch {
+		case d == len(path) || path[d] != other:
+			// Outside the path or not yet decided: expected conflict mass.
 			q -= p.confRow[pid][t] * p.pCommit[other]
+		case nd.mask&(1<<uint(d)) != 0:
+			q -= p.confRow[pid][t] // assumed committed
+		default:
+			// assumed rejected: no conflict mass, the change never lands
 		}
 	}
 	return clamp01(q)
@@ -582,34 +578,35 @@ func (p *planner) contextCommitProb(pid int, nd node, br []int) float64 {
 // Its slices are runs of the two arenas — committed then rejected positions
 // in idxArena; Changes (whose first len−1 entries are Assumed) then
 // AssumedRejected in idArena — so a build costs no allocation of its own.
+// fx and br are the older and the newer part of one ascending predecessor
+// row, so appending fixed positions before branched ones leaves each run
+// ascending without a sort.
 func (p *planner) finishBuild(nd node, br, fx []int) {
 	lo := len(p.idxArena)
-	for d := 0; d < int(nd.depth); d++ {
-		if nd.mask&(1<<uint(d)) != 0 {
-			p.idxArena = append(p.idxArena, br[d])
-		}
-	}
 	// Fixed (beyond-depth) predecessors take their most likely outcome.
 	for _, f := range fx {
 		if p.pCommit[f] >= 0.5 {
 			p.idxArena = append(p.idxArena, f)
 		}
 	}
-	mid := len(p.idxArena)
 	for d := 0; d < int(nd.depth); d++ {
-		if nd.mask&(1<<uint(d)) == 0 {
+		if nd.mask&(1<<uint(d)) != 0 {
 			p.idxArena = append(p.idxArena, br[d])
 		}
 	}
+	mid := len(p.idxArena)
 	for _, f := range fx {
 		if p.pCommit[f] < 0.5 {
 			p.idxArena = append(p.idxArena, f)
 		}
 	}
+	for d := 0; d < int(nd.depth); d++ {
+		if nd.mask&(1<<uint(d)) == 0 {
+			p.idxArena = append(p.idxArena, br[d])
+		}
+	}
 	assumedIdx := run(p.idxArena, lo, mid)
 	rejectedIdx := run(p.idxArena, mid, len(p.idxArena))
-	sort.Ints(assumedIdx)
-	sort.Ints(rejectedIdx)
 
 	subject := p.pending[nd.subject].ID
 	lo = len(p.idArena)
@@ -653,68 +650,77 @@ type node struct {
 // (fairness: older changes first) and then shallower nodes. That order is
 // not total — the two children of a q = ½ branch tie on all three — so which
 // of two equal nodes pops first is decided by the sift steps themselves:
-// init, push and pop perform exactly container/heap's, on nodes held by
-// value instead of boxed in an interface.
+// init, push and pop make exactly container/heap's comparisons and leave its
+// arrangement, on nodes held by value instead of boxed in an interface. A
+// sift carries the moving node in hand and shifts the others into the hole
+// it leaves, instead of swapping at every level.
 type nodeHeap []node
 
-func (h nodeHeap) less(i, j int) bool {
-	if h[i].value != h[j].value {
-		return h[i].value > h[j].value
+// before reports whether a pops ahead of b.
+func before(a, b *node) bool {
+	if a.value != b.value {
+		return a.value > b.value
 	}
-	if h[i].subject != h[j].subject {
-		return h[i].subject < h[j].subject
+	if a.subject != b.subject {
+		return a.subject < b.subject
 	}
-	return h[i].depth < h[j].depth
+	return a.depth < b.depth
 }
 
 // init establishes the heap order over nodes appended without sifting.
 func (h nodeHeap) init() {
 	n := len(h)
 	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i, n)
+		h.down(h[i], i, n)
 	}
 }
 
 func (h *nodeHeap) push(nd node) {
 	*h = append(*h, nd)
-	h.up(len(*h) - 1)
+	h.up(nd, len(*h)-1)
 }
 
 func (h *nodeHeap) pop() node {
 	old := *h
 	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old.down(0, n)
+	top := old[0]
+	if n > 0 {
+		old.down(old[n], 0, n)
+	}
 	*h = old[:n]
-	return old[n]
+	return top
 }
 
-func (h nodeHeap) up(j int) {
-	for {
+// up sifts nd, bound for the hole at j, toward the root.
+func (h nodeHeap) up(nd node, j int) {
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
+		if !before(&nd, &h[i]) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[j] = h[i]
 		j = i
 	}
+	h[j] = nd
 }
 
-func (h nodeHeap) down(i, n int) {
+// down sifts nd, bound for the hole at i, toward the leaves of h[:n].
+func (h nodeHeap) down(nd node, i, n int) {
 	for {
 		j := 2*i + 1 // left child
 		if j >= n {
 			break
 		}
-		if r := j + 1; r < n && h.less(r, j) {
+		if r := j + 1; r < n && before(&h[r], &h[j]) {
 			j = r
 		}
-		if !h.less(j, i) {
+		if !before(&h[j], &nd) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
+	h[i] = nd
 }
 
 func clamp01(p float64) float64 {
