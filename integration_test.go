@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -179,62 +180,104 @@ func TestEndToEndHTTPStack(t *testing.T) {
 }
 
 // TestEndToEndDurableRestart exercises the durability path across a
-// simulated crash mid-backlog, through the public service API.
+// simulated crash mid-backlog, through the public service API: the data dir
+// is copied while every build is held — the copy is what kill -9 would leave
+// — and a second stack boots on the copy and lands the backlog.
 func TestEndToEndDurableRestart(t *testing.T) {
-	dir := t.TempDir()
-	journalPath := filepath.Join(dir, "journal.jsonl")
-
-	r := repo.New(map[string]string{"f/BUILD": "target f srcs=s.txt", "f/s.txt": "v1"})
-	j, err := store.Open(journalPath)
+	seed := func() *repo.Repo {
+		return repo.New(map[string]string{"f/BUILD": "target f srcs=s.txt", "f/s.txt": "v1"})
+	}
+	// held runs no build step to its end until gate closes (never, for nil).
+	held := func(gate <-chan struct{}) buildsys.StepRunner {
+		return buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, _ repo.Snapshot) error {
+			select {
+			case <-gate:
+				return nil
+			case <-ctx.Done():
+				return buildsys.ErrAborted
+			}
+		})
+	}
+	stackCfg := func(dir string, gate <-chan struct{}) api.StackConfig {
+		return api.StackConfig{
+			Core: core.Config{Workers: 2, Epoch: 2 * time.Millisecond, Runner: held(gate)},
+			Addr: "127.0.0.1:0", DataDir: dir,
+		}
+	}
+	dir, crashed := t.TempDir(), t.TempDir()
+	st, err := api.OpenStack(seed(), stackCfg(dir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := core.NewService(r, core.Config{Workers: 2})
-	svc.AttachJournal(j)
 	for i := 0; i < 4; i++ {
-		c := &change.Change{
-			ID: change.ID(fmt.Sprintf("d%d", i)),
-			Patch: repo.Patch{Changes: []repo.FileChange{{
-				Path: fmt.Sprintf("f/new%d.txt", i), Op: repo.OpCreate, NewContent: "x",
-			}}},
-			BuildSteps: change.DefaultBuildSteps(),
+		body, _ := json.Marshal(api.SubmitRequest{ID: fmt.Sprintf("d%d", i), Author: "it",
+			Files: []api.FileChange{{Path: fmt.Sprintf("f/new%d.txt", i), Op: "create", Content: "x"}}})
+		resp, err := http.Post(st.URL()+"/api/v1/changes", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := svc.Submit(c); err != nil {
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit d%d: %d", i, resp.StatusCode)
+		}
+	}
+	// A 202 is durable, and no build has ended, so nothing has committed: a
+	// commit before the copy would be lost with the crash, since repo.json
+	// is written only at a clean shutdown.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(crashed, e.Name()), b, 0o644)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Crash before processing anything.
-	var snap bytes.Buffer
-	if err := r.Save(&snap); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_ = j.Close()
 
-	r2, err := repo.Load(&snap)
+	gate := make(chan struct{})
+	st2, err := api.OpenStack(seed(), stackCfg(crashed, gate))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc2, err := core.OpenRecovered(r2, journalPath, core.Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	svc2 := st2.Service()
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(20 * time.Second)
+		for !done() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
 	}
-	if svc2.PendingCount() != 4 {
-		t.Fatalf("recovered pending = %d", svc2.PendingCount())
+	// PendingCount may double-count a change while it is adopted.
+	waitFor("4 recovered pending", func() bool { return svc2.PendingCount() == 4 })
+	close(gate)
+	for i := 0; i < 4; i++ {
+		id := change.ID(fmt.Sprintf("d%d", i))
+		waitFor(string(id)+"'s decision", func() bool {
+			st, _ := svc2.State(id)
+			return st.State != change.StatePending
+		})
+		if st, err := svc2.State(id); err != nil || st.State != change.StateCommitted {
+			t.Fatalf("%s after recovery = %+v, %v", id, st, err)
+		}
 	}
-	if err := svc2.ProcessAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if r2.Len() != 5 { // root + 4 commits
-		t.Fatalf("mainline = %d commits", r2.Len())
+	if n := svc2.Repo().Len(); n != 5 { // root + 4 commits
+		t.Fatalf("mainline = %d commits", n)
 	}
 	// Folding the journal at shutdown leaves only outcomes.
-	if err := svc2.SnapshotJournal(100); err != nil {
+	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc2.CloseJournal(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := store.LoadState(journalPath)
+	recs, err := store.LoadState(filepath.Join(crashed, "journal.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func TestRetryAfterTracksDrainRate(t *testing.T) {
 func TestStatusCacheServesStaleWithinTTL(t *testing.T) {
 	srv, _ := benchService(t)
 	clock := time.Unix(5000, 0)
-	srv.SetClock(func() time.Time { return clock })
+	srv.now = func() time.Time { return clock }
 
 	get := func() string {
 		rec := httptest.NewRecorder()

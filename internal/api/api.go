@@ -132,10 +132,6 @@ func NewServer(svc *core.Service) *Server {
 	return s
 }
 
-// SetClock injects the clock used for generated change IDs, the status
-// cache, and admission sampling (tests).
-func (s *Server) SetClock(now func() time.Time) { s.now = now }
-
 // ServeHTTP implements http.Handler. The hot endpoints (submit, state poll,
 // status) are routed with a direct string switch: ServeMux's pattern matcher
 // allocates per request, and those three paths are the entire serving load.

@@ -63,13 +63,10 @@ func (c *statusCache) Refresh() {
 // Refreshes returns how many times the body has been rebuilt.
 func (c *statusCache) Refreshes() int64 { return atomic.LoadInt64(&c.refreshes) }
 
-// StartStatusRefresher rebuilds the status snapshot every interval on a
-// background goroutine, so request-time rebuilds (and their core locking)
+// StartStatusRefresher rebuilds the status snapshot every interval (> 0) on
+// a background goroutine, so request-time rebuilds (and their core locking)
 // disappear entirely in steady state. Returns a stop function.
 func (s *Server) StartStatusRefresher(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
-	}
 	t := time.NewTicker(interval)
 	done := make(chan struct{})
 	var once sync.Once

@@ -9,7 +9,7 @@
 // its own speculation engine and a pluggable probability model), the commit
 // arbiter, and the build controller. Drive it either synchronously (Submit
 // then ProcessAll, as the examples do) or as a daemon (Start/Stop with a
-// background epoch loop, as cmd/sqd does).
+// background epoch loop); api.Stack runs it as the daemon cmd/sqd serves.
 package core
 
 import (
@@ -355,9 +355,6 @@ func (s *Service) Gauges() metrics.Gauges {
 	}
 	return metrics.Render(layers...)
 }
-
-// Reliability exposes the reliability layer (quarantine operations, tests).
-func (s *Service) Reliability() *reliability.Reliability { return s.rel }
 
 // Start launches the background epoch loop. Call Stop to halt it.
 func (s *Service) Start() {

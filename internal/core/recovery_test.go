@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,7 +29,7 @@ func TestDurableServiceSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := NewService(r, Config{Workers: 4})
-	svc.AttachJournal(j)
+	svc.journal = j
 
 	// c1 is decided before the crash; c2 and c3 are submitted but the
 	// process dies before they finish.
@@ -100,7 +98,7 @@ func TestRecoveredOutcomesNotReJournaled(t *testing.T) {
 	r := newRepo()
 	j, _ := store.Open(journalPath)
 	svc := NewService(r, Config{Workers: 2})
-	svc.AttachJournal(j)
+	svc.journal = j
 	if err := svc.Submit(mkChange(r, "c1", "lib/lib.go", "v2")); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +179,7 @@ func TestSnapshotJournalRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := NewService(r, Config{Workers: 4})
-	svc.AttachJournal(j)
+	svc.journal = j
 
 	if err := svc.Submit(mkChange(r, "s1", "lib/lib.go", "lib v2")); err != nil {
 		t.Fatal(err)
@@ -329,117 +327,5 @@ func TestSubmitRefusesKnownIDs(t *testing.T) {
 	}
 	if n := svc2.PendingCount(); n != 0 {
 		t.Fatalf("pending after restart = %d, want 0", n)
-	}
-}
-
-// TestShutdownSnapshotRestart follows sqd's shutdown order — Stop, SaveFile,
-// SnapshotJournal, CloseJournal — with some changes decided and others still
-// building, then boots from the same paths: exactly the undecided changes
-// are pending again, every decided change keeps its state, and the folded
-// journal holds each ID once.
-func TestShutdownSnapshotRestart(t *testing.T) {
-	dir := t.TempDir()
-	journalPath := filepath.Join(dir, "journal.jsonl")
-	repoPath := filepath.Join(dir, "repo.json")
-	r := newRepo()
-	var active atomic.Int64
-	started := make(chan struct{}, 1)
-	hold := blockingRunner(&active, started)
-	runner := buildsys.RunnerFunc(func(ctx context.Context, step change.BuildStep, target string, snap repo.Snapshot) error {
-		if c, _ := snap.Read("doc/readme.md"); c == "bug" {
-			return errors.New("doc lint failed")
-		}
-		if c, _ := snap.Read("app/main.go"); c == "app held" {
-			return hold.RunStep(ctx, step, target, snap)
-		}
-		return nil
-	})
-	cfg := Config{Workers: 2, Epoch: time.Millisecond, Runner: runner}
-	svc, err := OpenRecovered(r, journalPath, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []*change.Change{mkChange(r, "ok", "lib/lib.go", "lib v2"), mkChange(r, "bad", "doc/readme.md", "bug")} {
-		if err := svc.Submit(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := svc.ProcessAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	decided := map[change.ID]Status{}
-	for _, id := range []change.ID{"ok", "bad"} {
-		decided[id], _ = svc.State(id)
-	}
-	if decided["ok"].State != change.StateCommitted || decided["bad"].State != change.StateRejected {
-		t.Fatalf("before shutdown: %+v", decided)
-	}
-
-	svc.Start()
-	for _, c := range []*change.Change{mkChange(r, "held", "app/main.go", "app held"), mkChange(r, "after", "app/main.go", "app v3")} {
-		if err := svc.Submit(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-started
-	svc.Stop()
-	if err := svc.Repo().SaveFile(repoPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.SnapshotJournal(1000); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.CloseJournal(); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(journalPath); err != nil || fi.Size() != 0 {
-		t.Fatalf("live journal after the shutdown snapshot: %v, %v; want it truncated", fi, err)
-	}
-
-	recs, err := store.LoadState(journalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	submits, outcomes := map[change.ID]int{}, map[change.ID]int{}
-	for _, rec := range recs {
-		if rec.Submit != nil {
-			submits[rec.Submit.ID]++
-		}
-		if rec.Outcome != nil {
-			outcomes[rec.Outcome.ID]++
-		}
-	}
-	for id, n := range submits {
-		if n > 1 || outcomes[id] > 1 || (n == 1 && outcomes[id] == 1) {
-			t.Fatalf("%s folded as %d submits and %d outcomes; want one of either", id, n, outcomes[id])
-		}
-	}
-
-	f, err := os.Open(repoPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := repo.Load(f)
-	_ = f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc2, err := OpenRecovered(r2, journalPath, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.CloseJournal()
-	if n := svc2.PendingCount(); n != 2 {
-		t.Fatalf("pending after restart = %d, want 2", n)
-	}
-	for _, id := range []change.ID{"held", "after"} {
-		if st, err := svc2.State(id); err != nil || st.State != change.StatePending {
-			t.Fatalf("%s after restart = %+v, %v; want pending", id, st, err)
-		}
-	}
-	for id, want := range decided {
-		if st, err := svc2.State(id); err != nil || st != want {
-			t.Fatalf("%s after restart = %+v, %v; want %+v", id, st, err, want)
-		}
 	}
 }

@@ -91,7 +91,7 @@ func TestVerificationAvertsRejection(t *testing.T) {
 		Events:        bus,
 		FaultInjector: inj,
 	})
-	s.Reliability().Quarantine(change.StepCompile)
+	s.rel.Quarantine(change.StepCompile)
 
 	c := mkChange(r, "c1", "doc/readme.md", "doc v2")
 	if err := s.Submit(c); err != nil {

@@ -6,8 +6,8 @@ import "testing"
 // plus predictor-gated skipping must cut fleet worker-minutes per committed
 // change by at least 30% while holding P50 turnaround within 1.05x of the
 // baseline, committing the identical change set, and never violating
-// greenness (quick scale; BENCH_leanci.json records the full 600-change run,
-// which clears the same floors).
+// greenness (quick scale; `sqsim -exp ablation-leanci -full` runs the same
+// floors over the full 600-change run).
 func TestAblationLeanCI(t *testing.T) {
 	r := AblationLeanCI(opts())
 	checkReport(t, r)

@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"strings"
 	"time"
 
@@ -12,42 +10,18 @@ import (
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
 	"mastergreen/internal/core"
-	"mastergreen/internal/events"
 	"mastergreen/internal/loadgen"
 	"mastergreen/internal/repo"
 )
 
-// loadtestStack is one live serving stack: a core service behind the real
-// api.Server on a localhost TCP listener, with admission control and the
-// background status refresher enabled — the same wiring sqd uses.
-type loadtestStack struct {
-	svc   *core.Service
-	srv   *api.Server
-	bus   *events.Bus
-	ln    net.Listener
-	hs    *http.Server
-	stops []func()
-}
-
-func (s *loadtestStack) base() string { return "http://" + s.ln.Addr().String() }
-
-func (s *loadtestStack) close() {
-	_ = s.hs.Close()
-	s.svc.Stop()
-	for _, stop := range s.stops {
-		stop()
-	}
-}
-
-// startStack boots a serving stack over a many-subtree repo. buildDelay
-// simulates build duration (0 = instant); admissionCap bounds the submit
-// queue. brokenPaths lists every file the workload can submit with broken
-// content: the runner probes exactly those instead of scanning the whole
-// tree, keeping the harness's own build cost O(broken set) rather than
-// O(tree) — at thousands of commits a full scan per build step would starve
-// the single-core serving path and corrupt the latency measurement.
-func startStack(subtrees, slots, workers, shards, admissionCap int, buildDelay time.Duration, brokenPaths []string) (*loadtestStack, error) {
-	runner := buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, snap repo.Snapshot) error {
+// loadtestRunner simulates builds of buildDelay each (0 = instant).
+// brokenPaths lists every file the workload can submit with broken content:
+// the runner probes exactly those instead of scanning the whole tree, keeping
+// the harness's own build cost O(broken set) rather than O(tree) — at
+// thousands of commits a full scan per build step would starve the
+// single-core serving path and corrupt the latency measurement.
+func loadtestRunner(buildDelay time.Duration, brokenPaths []string) buildsys.StepRunner {
+	return buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, snap repo.Snapshot) error {
 		if buildDelay > 0 {
 			select {
 			case <-ctx.Done():
@@ -62,30 +36,6 @@ func startStack(subtrees, slots, workers, shards, admissionCap int, buildDelay t
 		}
 		return nil
 	})
-
-	bus := events.NewBus(1024)
-	svc := core.NewService(shardRepo(subtrees, slots), core.Config{
-		Workers: workers, Epoch: 2 * time.Millisecond, Shards: shards,
-		Runner: runner, Events: bus,
-	})
-	svc.Start()
-
-	srv := api.NewServer(svc)
-	srv.SetEvents(bus)
-	srv.EnableAdmission(admissionCap)
-	stopRefresh := srv.StartStatusRefresher(50 * time.Millisecond)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		svc.Stop()
-		stopRefresh()
-		return nil, err
-	}
-	hs := &http.Server{Handler: srv}
-	go func() { _ = hs.Serve(ln) }()
-
-	return &loadtestStack{svc: svc, srv: srv, bus: bus, ln: ln, hs: hs,
-		stops: []func(){stopRefresh}}, nil
 }
 
 // loadtestPath maps submission i to its file: slot i/subtrees in subtree
@@ -176,7 +126,11 @@ func Loadtest(o Options) *Report {
 	client := loadgen.SharedClient(256)
 
 	// --- Phase 1: sustained throughput on the hot serving path.
-	sus, err := startStack(subtrees, slots, 16, 8, 50000, 0, brokenPaths)
+	sus, err := api.OpenStack(shardRepo(subtrees, slots), api.StackConfig{
+		Core: core.Config{Workers: 16, Epoch: 2 * time.Millisecond, Shards: 8,
+			Runner: loadtestRunner(0, brokenPaths)},
+		Addr: "127.0.0.1:0", AdmissionCap: 50000, StatusRefresh: 50 * time.Millisecond,
+	})
 	//lint:ignore tainttime load test drives a live stack on real time by design
 	if err != nil {
 		r.Text = "loadtest: " + err.Error()
@@ -184,27 +138,27 @@ func Loadtest(o Options) *Report {
 	}
 	// A deliberately stalled subscriber: publishes must never block on it;
 	// its losses show up in the bus drop counters instead.
-	_, cancelStalled := sus.bus.Subscribe(2)
+	_, cancelStalled := sus.Bus().Subscribe(2)
 
 	res, err := loadgen.Run(loadgen.Config{
-		BaseURL: sus.base(), Rate: rate, Duration: dur, Warmup: warm,
+		BaseURL: sus.URL(), Rate: rate, Duration: dur, Warmup: warm,
 		MaxInFlight: 256, Client: client,
 		Request:  loadtestRequest("sus", subtrees),
 		PollRate: rate / 4, StatusRate: 20,
 	})
 	//lint:ignore tainttime load test drives a live stack on real time by design
 	if err != nil {
-		sus.close()
+		_ = sus.Close() // in-memory: nothing to persist
 		cancelStalled()
 		r.Text = "loadtest: sustained run: " + err.Error()
 		return r
 	}
-	drainSecs := drainPending(sus.svc, 2*time.Minute)
-	dec := loadgen.Classify(client, sus.base(), res.AcceptedIDs, 256)
-	busStats := sus.bus.Stats()
-	greenSus := greenViolations(sus.svc.Repo())
+	drainSecs := drainPending(sus.Service(), 2*time.Minute)
+	dec := loadgen.Classify(client, sus.URL(), res.AcceptedIDs, 256)
+	busStats := sus.Bus().Stats()
+	greenSus := greenViolations(sus.Service().Repo())
 	cancelStalled()
-	sus.close()
+	_ = sus.Close() // in-memory: nothing to persist
 
 	r.Metrics["sustained_per_min"] = res.Sustained()
 	r.Metrics["offered"] = float64(res.Offered)
@@ -225,28 +179,32 @@ func Loadtest(o Options) *Report {
 	// --- Phase 2: overload. Slow builds, small queue, double the rate.
 	// Four workers, one engine, slow builds: the decision rate sits far below
 	// the offered rate, so the queue actually fills and backpressure engages.
-	over, err := startStack(subtrees, slots, 4, 1, overCap, overDelay, brokenPaths)
+	over, err := api.OpenStack(shardRepo(subtrees, slots), api.StackConfig{
+		Core: core.Config{Workers: 4, Epoch: 2 * time.Millisecond, Shards: 1,
+			Runner: loadtestRunner(overDelay, brokenPaths)},
+		Addr: "127.0.0.1:0", AdmissionCap: overCap, StatusRefresh: 50 * time.Millisecond,
+	})
 	//lint:ignore tainttime load test drives a live stack on real time by design
 	if err != nil {
 		r.Text = "loadtest: " + err.Error()
 		return r
 	}
 	overRes, err := loadgen.Run(loadgen.Config{
-		BaseURL: over.base(), Rate: overRate, Duration: overDur,
+		BaseURL: over.URL(), Rate: overRate, Duration: overDur,
 		MaxInFlight: 256, Client: client,
 		Request:  loadtestRequest("over", subtrees),
 		PollRate: rate / 4, StatusRate: 50,
 	})
 	//lint:ignore tainttime load test drives a live stack on real time by design
 	if err != nil {
-		over.close()
+		_ = over.Close() // in-memory: nothing to persist
 		r.Text = "loadtest: overload run: " + err.Error()
 		return r
 	}
-	overDrainSecs := drainPending(over.svc, 2*time.Minute)
-	overDec := loadgen.Classify(client, over.base(), overRes.AcceptedIDs, 256)
-	greenOver := greenViolations(over.svc.Repo())
-	over.close()
+	overDrainSecs := drainPending(over.Service(), 2*time.Minute)
+	overDec := loadgen.Classify(client, over.URL(), overRes.AcceptedIDs, 256)
+	greenOver := greenViolations(over.Service().Repo())
+	_ = over.Close() // in-memory: nothing to persist
 
 	r.Metrics["overload_offered"] = float64(overRes.Offered)
 	r.Metrics["overload_accepted"] = float64(overRes.Accepted)

@@ -6,9 +6,9 @@ import "testing"
 // absorb the sustained open-loop stream without backpressure, decide every
 // accepted change (the 202 durability promise), degrade under overload via
 // 429s and shed dashboard reads rather than errors or lost submissions, and
-// keep both mainlines green throughout. Quick scale here; BENCH_serving.json
-// records the full run, which additionally clears the ≥20k/min sustained and
-// P99 < 50ms floors.
+// keep both mainlines green throughout. Quick scale here; `sqsim -exp
+// loadtest -full` runs the full scale, which additionally targets the
+// ≥20k/min sustained and P99 < 50ms floors.
 func TestLoadtest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a live HTTP server for several wall-clock seconds")

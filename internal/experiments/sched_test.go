@@ -15,7 +15,7 @@ var ablationSchedReport = sync.OnceValue(func() *Report { return AblationSched(o
 // the unprioritized planner's; the adaptive batcher must clear 1.5x the
 // fixed Batch-4 baseline's commits per worker-hour and bisect failed batches
 // down to the guilty member; greenness must hold everywhere (quick scale;
-// BENCH_sched.json records the full run, which clears the same floors).
+// `sqsim -exp ablation-sched -full` runs the same floors at full scale).
 func TestAblationSched(t *testing.T) {
 	r := ablationSchedReport()
 	checkReport(t, r)

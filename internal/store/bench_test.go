@@ -92,8 +92,8 @@ func BenchmarkReplay100k(b *testing.B) {
 // steady state of a periodic -snapshot-interval: the first folds the long
 // tail (carrying its crash-window tombstones), the second — taken over the
 // now-empty tail — converges to the live state alone. The headline
-// comparison — snapshotted restart vs the empty-journal floor — is recorded
-// in BENCH_serving.json.
+// comparison is this benchmark against BenchmarkReplayEmpty, the
+// empty-journal floor.
 func BenchmarkReplay100kSnapshotted(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "journal.jsonl")
 	buildHistory(b, path, 100_000, 8)
