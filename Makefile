@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check check-race build fmt vet lint test race race-graph race-wake examples bench bench-smoke bench-e2e
+.PHONY: check check-race build fmt vet lint test race race-graph race-wake fuzz examples bench bench-smoke bench-e2e
 
 # check is the CI entry point: everything must pass before merge.
-check: build fmt vet lint race race-wake examples
+check: build fmt vet lint race race-wake fuzz examples
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,13 @@ race-graph:
 # run (~5 s on 2 cores once the race build is cached).
 race-wake:
 	$(GO) test -race -count=20 -run '^(TestBuildEndWakesEngine|TestWakeStressNoLostWakeup|TestWakePokedAfterDone|TestWakeOnDoneArmsLate)$$' ./internal/core/ ./internal/buildsys/
+
+# fuzz boots a service from arbitrary journal and snapshot bytes for 10 s,
+# starting from the checked-in corpus of a real journal: a boot returns a
+# service or an error and never panics. Minimizing a multi-KB journal at the
+# default budget would eat the whole run, so each attempt is capped.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenRecovered$$' -fuzztime 10s -fuzzminimizetime 50x -parallel 2 ./internal/core/
 
 # bench runs the subsystem micro-benchmarks. They are for measuring while you
 # work; the numbers of record come from bench-e2e.

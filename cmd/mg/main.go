@@ -17,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"log"
 	"os"
@@ -87,9 +89,41 @@ func loadRepo(path string) *repo.Repo {
 
 // saveRepo writes the repository file atomically.
 func saveRepo(r *repo.Repo, path string) {
-	if err := r.SaveFile(path); err != nil {
+	if err := writeFileAtomic(path, r.Save); err != nil {
 		log.Fatalf("save repo: %v", err)
 	}
+}
+
+// writeFileAtomic writes a temporary file beside path, fsyncs it, renames it
+// over path and fsyncs the directory: a crash or a failed write at any point
+// leaves either the previous file or the new one at path, never a truncated
+// mix, and no temporary file behind.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("save %s: %w", path, err)
+	}
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(f.Name(), 0o644)
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(f.Name()) // the save's own error is the one to report
+		return fmt.Errorf("save %s: %w", path, err)
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = errors.Join(d.Sync(), d.Close())
+	}
+	return err
 }
 
 func cmdInit(args []string) {

@@ -2,7 +2,7 @@
 // monorepo, mirroring the paper's API + core service deployment (§7.1):
 // stateless HTTP frontend, planner-driven core, a status dashboard at /, an
 // event feed at /api/v1/events, and optional MySQL-style durability via an
-// append-only journal plus repo snapshot. The deployment is api.Stack: sqd
+// append-only journal. The deployment is api.Stack: sqd
 // turns its flags into an api.StackConfig, opens the stack, and on SIGTERM
 // or interrupt closes it and logs Service.Gauges() — every layer's
 // counters — as one "name=value …" line.
@@ -16,10 +16,10 @@
 // The startup log names the bound address (-addr 127.0.0.1:0 picks a free
 // port); a port already taken fails the start before any state is opened.
 // The planner loop runs on events, so -epoch is only its fallback poll. With
-// -data, restarting on the same directory recovers pending changes: the
-// journal DIR/journal.jsonl records every submission and outcome, and
-// shutdown saves DIR/repo.json and folds the journal into
-// DIR/journal.jsonl.snap.
+// -data, the journal DIR/journal.jsonl, the only durable state, records
+// every submission, commit and rejection before it is acknowledged: a
+// restart on DIR, even after kill -9, replays its commits onto the seed and
+// recovers pending changes. Shutdown folds it into DIR/journal.jsonl.snap.
 //
 // Submit changes with:
 //

@@ -180,36 +180,22 @@ func TestEndToEndHTTPStack(t *testing.T) {
 }
 
 // TestEndToEndDurableRestart exercises the durability path across a
-// simulated crash mid-backlog, through the public service API: the data dir
-// is copied while every build is held — the copy is what kill -9 would leave
-// — and a second stack boots on the copy and lands the backlog.
+// simulated crash, through the public service API: the data dir is copied
+// once two commits are acknowledged — the copy is what kill -9 would leave —
+// and a second stack, booted from the seed on the copy, has both commits on
+// its mainline and lands two more.
 func TestEndToEndDurableRestart(t *testing.T) {
 	seed := func() *repo.Repo {
 		return repo.New(map[string]string{"f/BUILD": "target f srcs=s.txt", "f/s.txt": "v1"})
 	}
-	// held runs no build step to its end until gate closes (never, for nil).
-	held := func(gate <-chan struct{}) buildsys.StepRunner {
-		return buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, _ repo.Snapshot) error {
-			select {
-			case <-gate:
-				return nil
-			case <-ctx.Done():
-				return buildsys.ErrAborted
-			}
-		})
-	}
-	stackCfg := func(dir string, gate <-chan struct{}) api.StackConfig {
+	stackCfg := func(dir string) api.StackConfig {
 		return api.StackConfig{
-			Core: core.Config{Workers: 2, Epoch: 2 * time.Millisecond, Runner: held(gate)},
+			Core: core.Config{Workers: 2, Epoch: 2 * time.Millisecond},
 			Addr: "127.0.0.1:0", DataDir: dir,
 		}
 	}
-	dir, crashed := t.TempDir(), t.TempDir()
-	st, err := api.OpenStack(seed(), stackCfg(dir, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
+	submit := func(st *api.Stack, i int) {
+		t.Helper()
 		body, _ := json.Marshal(api.SubmitRequest{ID: fmt.Sprintf("d%d", i), Author: "it",
 			Files: []api.FileChange{{Path: fmt.Sprintf("f/new%d.txt", i), Op: "create", Content: "x"}}})
 		resp, err := http.Post(st.URL()+"/api/v1/changes", "application/json", bytes.NewReader(body))
@@ -221,9 +207,36 @@ func TestEndToEndDurableRestart(t *testing.T) {
 			t.Fatalf("submit d%d: %d", i, resp.StatusCode)
 		}
 	}
-	// A 202 is durable, and no build has ended, so nothing has committed: a
-	// commit before the copy would be lost with the crash, since repo.json
-	// is written only at a clean shutdown.
+	committed := func(st *api.Stack, i int) core.Status {
+		t.Helper()
+		id := change.ID(fmt.Sprintf("d%d", i))
+		deadline := time.Now().Add(20 * time.Second)
+		for {
+			s, err := st.Service().State(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.State == change.StateCommitted {
+				return s
+			}
+			if s.State != change.StatePending || time.Now().After(deadline) {
+				t.Fatalf("%s = %+v, want committed", id, s)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	dir, crashed := t.TempDir(), t.TempDir()
+	st, err := api.OpenStack(seed(), stackCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := map[int]core.Status{}
+	for i := 0; i < 2; i++ {
+		submit(st, i)
+	}
+	for i := 0; i < 2; i++ {
+		acked[i] = committed(st, i)
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -241,39 +254,32 @@ func TestEndToEndDurableRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gate := make(chan struct{})
-	st2, err := api.OpenStack(seed(), stackCfg(crashed, gate))
+	st2, err := api.OpenStack(seed(), stackCfg(crashed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc2 := st2.Service()
-	waitFor := func(what string, done func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(20 * time.Second)
-		for !done() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(2 * time.Millisecond)
+	if n := svc2.Repo().Len(); n != 3 { // root + 2 acknowledged commits
+		t.Fatalf("mainline after the crash = %d commits", n)
+	}
+	for i, want := range acked {
+		if got := committed(st2, i); got != want {
+			t.Fatalf("d%d after the crash = %+v, want %+v", i, got, want)
+		}
+		if _, err := svc2.Repo().Lookup(want.Commit); err != nil {
+			t.Fatalf("d%d's commit is not on the recovered mainline: %v", i, err)
 		}
 	}
-	// PendingCount may double-count a change while it is adopted.
-	waitFor("4 recovered pending", func() bool { return svc2.PendingCount() == 4 })
-	close(gate)
-	for i := 0; i < 4; i++ {
-		id := change.ID(fmt.Sprintf("d%d", i))
-		waitFor(string(id)+"'s decision", func() bool {
-			st, _ := svc2.State(id)
-			return st.State != change.StatePending
-		})
-		if st, err := svc2.State(id); err != nil || st.State != change.StateCommitted {
-			t.Fatalf("%s after recovery = %+v, %v", id, st, err)
-		}
+	for i := 2; i < 4; i++ {
+		submit(st2, i)
+	}
+	for i := 2; i < 4; i++ {
+		committed(st2, i)
 	}
 	if n := svc2.Repo().Len(); n != 5 { // root + 4 commits
 		t.Fatalf("mainline = %d commits", n)
 	}
-	// Folding the journal at shutdown leaves only outcomes.
+	// Folding the journal at shutdown leaves only the commit records.
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +288,8 @@ func TestEndToEndDurableRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	pending, outcomes := store.PendingFromRecords(recs)
-	if len(pending) != 0 || len(outcomes) != 4 {
-		t.Fatalf("after the shutdown snapshot: pending=%d outcomes=%d", len(pending), len(outcomes))
+	commits, err := store.Mainline(recs)
+	if err != nil || len(pending) != 0 || len(outcomes) != 0 || len(commits) != 4 {
+		t.Fatalf("after the shutdown snapshot: pending=%d outcomes=%d commits=%d (%v)", len(pending), len(outcomes), len(commits), err)
 	}
 }

@@ -7,11 +7,12 @@
 //	POST /api/v1/changes        — submit (land) a change
 //	GET  /api/v1/changes/{id}   — get a change's state
 //	GET  /api/v1/status         — service counters
-//	GET  /healthz               — liveness
+//	GET  /healthz               — liveness; 503 once the journal has failed
 package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -126,6 +127,10 @@ func NewServer(svc *core.Service) *Server {
 	s.mux.HandleFunc("/api/v1/outcomes", s.handleOutcomes)
 	s.mux.HandleFunc("/", s.handleDashboard)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		if err := s.svc.Health(); err != nil {
+			writeError(w, http.StatusServiceUnavailable, err.Error())
+			return
+		}
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
@@ -158,6 +163,15 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
+}
+
+// errorStatus is 503 for a failed journal, which no retry of the request
+// mends until the service restarts, and otherwise the route's status.
+func errorStatus(err error, otherwise int) int {
+	if errors.Is(err, core.ErrJournal) {
+		return http.StatusServiceUnavailable
+	}
+	return otherwise
 }
 
 // shedRead refuses a dashboard-class read with 503 + Retry-After when the
@@ -268,7 +282,7 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 		RevertPlan: req.RevertPlan,
 	}
 	if err := s.svc.Submit(c); err != nil {
-		writeError(w, http.StatusConflict, err.Error())
+		writeError(w, errorStatus(err, http.StatusConflict), err.Error())
 		return
 	}
 	out := getBuf()
@@ -295,7 +309,7 @@ func (s *Server) handleChangeState(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.svc.State(change.ID(id))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		writeError(w, errorStatus(err, http.StatusNotFound), err.Error())
 		return
 	}
 	out := getBuf()

@@ -16,18 +16,13 @@ import (
 	"mastergreen/internal/repo"
 )
 
-const (
-	stackBusCapacity = 1024
-	// keepOutcomes is how many decided outcomes a journal fold keeps, so a
-	// restarted service still answers state queries for recent changes.
-	keepOutcomes = 1000
-)
+const stackBusCapacity = 1024
 
 // StackConfig is the deployment of one serving SubmitQueue.
 type StackConfig struct {
 	Core core.Config // its Events is replaced by the stack's bus
 	Addr string      // TCP listen address; "127.0.0.1:0" picks a free port
-	// DataDir holds repo.json and journal.jsonl (empty: in-memory only).
+	// DataDir holds journal.jsonl and its snapshots (empty: in-memory only).
 	DataDir       string
 	AdmissionCap  int           // > 0: see EnableAdmission
 	StatusRefresh time.Duration // > 0: see StartStatusRefresher
@@ -46,7 +41,6 @@ type Stack struct {
 	stopRefresh func()
 	stopSnap    chan struct{}
 	wg          sync.WaitGroup // the serve goroutine and the periodic fold
-	dataDir     string
 }
 
 // OpenStack binds cfg.Addr, opens the service — recovered from cfg.DataDir
@@ -58,7 +52,7 @@ func OpenStack(seed *repo.Repo, cfg StackConfig) (*Stack, error) {
 		return nil, fmt.Errorf("api: listen: %w", err)
 	}
 	s := &Stack{bus: events.NewBus(stackBusCapacity), ln: ln, stopRefresh: func() {},
-		stopSnap: make(chan struct{}), dataDir: cfg.DataDir}
+		stopSnap: make(chan struct{})}
 	cfg.Core.Events = s.bus
 	if s.svc, err = openService(seed, cfg); err != nil {
 		_ = ln.Close() // nothing was served on it
@@ -84,7 +78,7 @@ func OpenStack(seed *repo.Repo, cfg StackConfig) (*Stack, error) {
 				case <-s.stopSnap:
 					return
 				case <-t.C:
-					if err := s.svc.SnapshotJournal(keepOutcomes); err != nil {
+					if err := s.svc.SnapshotJournal(); err != nil {
 						log.Printf("api: journal snapshot: %v", err)
 					}
 				}
@@ -100,9 +94,8 @@ func OpenStack(seed *repo.Repo, cfg StackConfig) (*Stack, error) {
 	return s, nil
 }
 
-// openService recovers the service from cfg.DataDir/journal.jsonl over
-// cfg.DataDir/repo.json (seed if there is none), or without a data dir
-// starts it from seed.
+// openService recovers the service from seed and cfg.DataDir/journal.jsonl,
+// or without a data dir starts it from seed.
 func openService(seed *repo.Repo, cfg StackConfig) (*core.Service, error) {
 	if cfg.DataDir == "" {
 		return core.NewService(seed, cfg.Core), nil
@@ -110,15 +103,7 @@ func openService(seed *repo.Repo, cfg StackConfig) (*core.Service, error) {
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("api: data dir: %w", err)
 	}
-	r := seed
-	if f, err := os.Open(filepath.Join(cfg.DataDir, "repo.json")); err == nil {
-		r, err = repo.Load(f)
-		_ = f.Close() // only read
-		if err != nil {
-			return nil, fmt.Errorf("api: loading repo.json: %w", err)
-		}
-	}
-	svc, err := core.OpenRecovered(r, filepath.Join(cfg.DataDir, "journal.jsonl"), cfg.Core)
+	svc, err := core.OpenRecovered(seed, filepath.Join(cfg.DataDir, "journal.jsonl"), cfg.Core)
 	if err != nil {
 		return nil, fmt.Errorf("api: recovering journal: %w", err)
 	}
@@ -135,22 +120,13 @@ func (s *Stack) Bus() *events.Bus { return s.bus }
 func (s *Stack) URL() string { return "http://" + s.ln.Addr().String() }
 
 // Close is the one shutdown order: stop serving, stop the refresher, stop and
-// join the periodic fold, stop the service (aborting its builds), then — with
-// a data dir — save the repo, fold the journal and close it. A failed save
-// skips the fold, so the journal keeps the history the stale repo.json
-// lacks. Call Close once.
+// join the periodic fold, stop the service (aborting its builds), then fold
+// the journal and close it (no-ops without a data dir). Call Close once.
 func (s *Stack) Close() error {
 	_ = s.hs.Close() // its only error is the listener's, and Serve returns all the same
 	s.stopRefresh()
 	close(s.stopSnap)
 	s.wg.Wait()
 	s.svc.Stop()
-	if s.dataDir == "" {
-		return nil
-	}
-	err := s.svc.Repo().SaveFile(filepath.Join(s.dataDir, "repo.json"))
-	if err == nil {
-		err = s.svc.SnapshotJournal(keepOutcomes)
-	}
-	return errors.Join(err, s.svc.CloseJournal())
+	return errors.Join(s.svc.SnapshotJournal(), s.svc.CloseJournal())
 }

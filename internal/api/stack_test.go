@@ -82,11 +82,12 @@ func decidedOver(t *testing.T, st *Stack, id string) StateResponse {
 	}
 }
 
-// TestShutdownSnapshotRestart closes a durable stack — Stop, SaveFile,
+// TestShutdownSnapshotRestart closes a durable stack — Stop,
 // SnapshotJournal, CloseJournal — with some changes decided and others still
-// building, then opens a second stack on the same data dir: exactly the
-// undecided changes are pending again, every decided change keeps its state,
-// and the folded journal holds each ID once.
+// building, then opens a second stack from the seed on the same data dir:
+// the mainline is back, exactly the undecided changes are pending again,
+// every decided change keeps its state, and the folded journal holds each ID
+// once.
 func TestShutdownSnapshotRestart(t *testing.T) {
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "journal.jsonl")
@@ -126,29 +127,42 @@ func TestShutdownSnapshotRestart(t *testing.T) {
 	submitOver(t, st, "held", "app/main.go", "app v1", "app held")
 	submitOver(t, st, "after", "app/main.go", "app v1", "app v3")
 	<-started
+	head := st.Service().Repo().Head().ID
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(journalPath); err != nil || fi.Size() != 0 {
 		t.Fatalf("live journal after the shutdown snapshot: %v, %v; want it truncated", fi, err)
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if n := e.Name(); n != "journal.jsonl" && n != "journal.jsonl.snap" && n != "journal.jsonl.snap.prev" {
+			t.Fatalf("data dir holds %s; want only the journal and its snapshots", n)
+		}
+	}
 
 	recs, err := store.LoadState(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	submits, outcomes := map[change.ID]int{}, map[change.ID]int{}
+	submits, decisions := map[change.ID]int{}, map[change.ID]int{}
 	for _, rec := range recs {
 		if rec.Submit != nil {
 			submits[rec.Submit.ID]++
 		}
 		if rec.Outcome != nil {
-			outcomes[rec.Outcome.ID]++
+			decisions[rec.Outcome.ID]++
+		}
+		if rec.Commit != nil {
+			decisions[rec.Commit.ID]++
 		}
 	}
-	for id, n := range submits {
-		if n > 1 || outcomes[id] > 1 || (n == 1 && outcomes[id] == 1) {
-			t.Fatalf("%s folded as %d submits and %d outcomes; want one of either", id, n, outcomes[id])
+	for _, id := range []change.ID{"ok", "bad", "held", "after"} {
+		if n := submits[id] + decisions[id]; n != 1 {
+			t.Fatalf("%s folded as %d submits and %d decisions; want one of either", id, submits[id], decisions[id])
 		}
 	}
 
@@ -161,8 +175,12 @@ func TestShutdownSnapshotRestart(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if n := st2.Service().Repo().Len(); n != 2 {
-		t.Fatalf("mainline after restart = %d commits, want root + ok from repo.json", n)
+	r2 := st2.Service().Repo()
+	if n := r2.Len(); n != 2 || r2.Head().ID != head {
+		t.Fatalf("mainline after restart = %d commits at %s, want root + ok at %s", n, r2.Head().ID, head)
+	}
+	if got, _ := r2.Head().Snapshot().Read("lib/lib.go"); got != "lib v2" {
+		t.Fatalf("lib/lib.go after restart = %q, want ok's lib v2", got)
 	}
 	// PendingCount is lock-free and may double-count a change for the epoch
 	// in which the started service adopts it: wait for it to settle.
@@ -206,36 +224,6 @@ func TestOpenStackPortTaken(t *testing.T) {
 	}
 }
 
-// TestCloseSkipsFoldWhenSaveFails: when repo.json cannot be written, Close
-// returns the error and leaves the journal unfolded, so no history is
-// dropped that the saved repo does not hold.
-func TestCloseSkipsFoldWhenSaveFails(t *testing.T) {
-	dir := t.TempDir()
-	journalPath := filepath.Join(dir, "journal.jsonl")
-	st, err := OpenStack(stackRepo(), StackConfig{
-		Core: core.Config{Workers: 2, Epoch: time.Millisecond},
-		Addr: "127.0.0.1:0", DataDir: dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitOver(t, st, "ok", "lib/lib.go", "lib v1", "lib v2")
-	decidedOver(t, st, "ok")
-	// A directory in repo.json's place makes the save's rename fail.
-	if err := os.Mkdir(filepath.Join(dir, "repo.json"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err == nil {
-		t.Fatal("Close after a failed save returned nil")
-	}
-	if fi, err := os.Stat(journalPath); err != nil || fi.Size() == 0 {
-		t.Fatalf("live journal after a failed save: %v, %v; want it unfolded", fi, err)
-	}
-	if _, err := os.Stat(store.SnapshotPath(journalPath)); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("journal folded after a failed save: %v", err)
-	}
-}
-
 // TestPeriodicSnapshot: with SnapshotEvery the journal is folded while the
 // stack serves, and Close joins the fold before its own.
 func TestPeriodicSnapshot(t *testing.T) {
@@ -253,15 +241,142 @@ func TestPeriodicSnapshot(t *testing.T) {
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		_, recs, err := store.ReplaySnapshot(store.SnapshotPath(journalPath))
-		if err == nil && len(recs) == 1 && recs[0].Outcome != nil {
+		if err == nil && len(recs) == 1 && recs[0].Commit != nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no periodic fold holding ok's outcome: %v, %d records", err, len(recs))
+			t.Fatalf("no periodic fold holding ok's commit: %v, %d records", err, len(recs))
 		}
 		time.Sleep(time.Millisecond)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// copyDir copies a data dir's files as kill -9 would leave them: what the
+// running service has written so far.
+func copyDir(t *testing.T, from, to string) {
+	t.Helper()
+	entries, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(from, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(to, e.Name()), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOutcomesRouteNamesOnlyDurableDecisions polls GET /api/v1/outcomes
+// while changes are decided, and after each answer boots a service from a
+// copy of the data dir: every decision the answer names is already in the
+// reboot.
+func TestOutcomesRouteNamesOnlyDurableDecisions(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStack(stackRepo(), StackConfig{Core: core.Config{Workers: 2, Epoch: time.Millisecond},
+		Addr: "127.0.0.1:0", DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := st.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	submitOver(t, st, "c1", "lib/lib.go", "lib v1", "lib v2")
+	submitOver(t, st, "c2", "doc/readme.md", "doc v1", "doc v2")
+	submitOver(t, st, "c3", "app/main.go", "app v1", "app v2")
+	submitOver(t, st, "stale", "lib/lib.go", "lib v0", "lib v3") // rejected: merge conflict
+	deadline := time.Now().Add(20 * time.Second)
+	for named := 0; named < 4; {
+		resp, err := http.Get(st.URL() + "/api/v1/outcomes")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Outcomes []OutcomeItem }
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		_ = resp.Body.Close() // fully read
+		if err != nil {
+			t.Fatal(err)
+		}
+		crashed := t.TempDir()
+		copyDir(t, dir, crashed)
+		reboot, err := core.OpenRecovered(stackRepo(), filepath.Join(crashed, "journal.jsonl"), core.Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range body.Outcomes {
+			got, err := reboot.State(change.ID(o.ID))
+			if err != nil || got.State.String() != o.State || string(got.Commit) != o.Commit {
+				t.Fatalf("outcomes named %+v, the reboot has %+v (%v)", o, got, err)
+			}
+		}
+		if err := reboot.CloseJournal(); err != nil {
+			t.Fatal(err)
+		}
+		if named = len(body.Outcomes); time.Now().After(deadline) {
+			t.Fatalf("only %d of 4 changes decided", named)
+		}
+	}
+}
+
+// TestCrashAfterFoldKeepsCommits: two acknowledged commits, one journal fold
+// while serving, then the data dir is copied as kill -9 would leave it. A
+// stack booted from the seed on the copy has both commits on its mainline
+// and answers both changes as committed with those commits.
+func TestCrashAfterFoldKeepsCommits(t *testing.T) {
+	dir, crashed := t.TempDir(), t.TempDir()
+	cfg := func(dir string) StackConfig {
+		return StackConfig{Core: core.Config{Workers: 2, Epoch: time.Millisecond}, Addr: "127.0.0.1:0", DataDir: dir}
+	}
+	st, err := OpenStack(stackRepo(), cfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitOver(t, st, "c1", "lib/lib.go", "lib v1", "lib v2")
+	submitOver(t, st, "c2", "doc/readme.md", "doc v1", "doc v2")
+	for _, id := range []string{"c1", "c2"} {
+		if sr := decidedOver(t, st, id); sr.State != "committed" {
+			t.Fatalf("%s = %+v, want committed", id, sr)
+		}
+	}
+	if err := st.Service().SnapshotJournal(); err != nil {
+		t.Fatal(err)
+	}
+	copyDir(t, dir, crashed)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := OpenStack(stackRepo(), cfg(crashed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := st2.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	r := st2.Service().Repo()
+	if n := r.Len(); n != 3 {
+		t.Fatalf("mainline after the crash = %d commits, want root + 2", n)
+	}
+	if got, _ := r.Head().Snapshot().Read("lib/lib.go"); got != "lib v2" {
+		t.Fatalf("lib/lib.go after the crash = %q, want lib v2", got)
+	}
+	for _, id := range []string{"c1", "c2"} {
+		sr := stateOver(t, st2, id)
+		if sr.State != "committed" {
+			t.Fatalf("%s after the crash = %+v, want committed", id, sr)
+		}
+		if _, err := r.Lookup(repo.CommitID(sr.Commit)); err != nil {
+			t.Fatalf("%s names commit %s, not on the mainline: %v", id, sr.Commit, err)
+		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"mastergreen/internal/events"
 	"mastergreen/internal/planner"
 	"mastergreen/internal/repo"
+	"mastergreen/internal/store"
 )
 
 // Config tunes the arbiter.
@@ -86,6 +87,7 @@ type Arbiter struct {
 	committed map[change.ID]bool
 	subs      []chan struct{}
 	stats     Stats
+	journal   *store.Journal // see SetJournal
 }
 
 // New creates an arbiter over the repository. Only commits made through the
@@ -110,6 +112,16 @@ func (a *Arbiter) Subscribe() <-chan struct{} {
 	a.subs = append(a.subs, ch)
 	a.mu.Unlock()
 	return ch
+}
+
+// SetJournal makes every later commit buffer its store.CommitRecord in j
+// (nil: none) under the arbiter's mutex: the journal's commit order is the
+// mainline's. Whoever acknowledges a commit syncs j first. Once j has
+// failed, every commit fails with its error.
+func (a *Arbiter) SetJournal(j *store.Journal) {
+	a.mu.Lock()
+	a.journal = j
+	a.mu.Unlock()
 }
 
 // structureChanged resolves the subject's structure flag, conservatively
@@ -222,11 +234,21 @@ func (a *Arbiter) commitLocked(p planner.CommitProposal) (*repo.Commit, error) {
 		}
 	}
 
+	if err := a.journal.Err(); err != nil {
+		a.stats.CommitFailures++ // fail-stop: a commit the journal cannot keep must not land
+		return nil, err
+	}
 	head := a.repo.Head()
 	commit, err := a.repo.CommitPatch(head.ID, p.Change.Patch, p.Change.Author.Name, p.Change.Description, p.Now)
 	if err != nil {
 		a.stats.CommitFailures++
 		return nil, err
+	}
+	if a.journal != nil {
+		a.journal.Buffer(store.Record{Kind: store.KindCommit, Commit: &store.CommitRecord{
+			ID: id, Seq: commit.Seq, Commit: commit.ID, At: commit.Time, Author: commit.Author,
+			Message: commit.Message, Patch: p.Change.Patch.Changes, Content: commit.Snapshot().ContentID(),
+		}})
 	}
 	a.committed[id] = true
 	if rec := newRecord(p, a.structureChanged(id)); len(a.records) < a.history {

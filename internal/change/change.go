@@ -51,10 +51,10 @@ func (k StepKind) String() string {
 
 // BuildStep is one verification a change must pass before landing.
 type BuildStep struct {
-	Name string
-	Kind StepKind
+	Name string   `json:"name"`
+	Kind StepKind `json:"kind"`
 	// Target names this step covers; empty means "all affected targets".
-	Targets []string
+	Targets []string `json:"targets,omitempty"`
 }
 
 // State is the lifecycle state of a change inside SubmitQueue.

@@ -14,6 +14,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -101,12 +102,15 @@ type Service struct {
 	statuses map[change.ID]Status
 	cancel   context.CancelFunc
 	loopDone chan struct{}
-	// outCursor is how many planner outcomes have been folded into statuses;
-	// syncOutcomes reads only the delta past it, so a State() poll with no new
-	// decisions costs a counter compare instead of a full outcome-slice copy.
+	// outCursor is how many planner outcomes have been published to
+	// statuses; syncOutcomes reads only the delta past it, so a State() poll
+	// with no new decisions costs a counter compare instead of a full
+	// outcome-slice copy. foldMu serializes the syncOutcomes that advance it.
 	outCursor int
+	foldMu    sync.Mutex
 
-	// Durability (optional): journal records submissions and outcomes.
+	// Durability (optional): journal records submissions and rejections;
+	// the arbiter buffers commit records in it.
 	journal *store.Journal
 
 	// tracker accumulates per-class queue depths and turnaround times for
@@ -224,81 +228,116 @@ func (s *Service) submitLocked(c *change.Change, journalIt bool) error {
 	}
 	if rec != nil {
 		if err := j.Append(store.Record{Kind: store.KindSubmit, Submit: rec}); err != nil {
-			// Durability failure: surface it; the change stays enqueued so
-			// in-memory operation continues.
-			return fmt.Errorf("core: change %s enqueued but journaling failed: %w", c.ID, err)
+			// The change stays enqueued, but a failed journal lands no commit.
+			return fmt.Errorf("core: change %s enqueued but not journaled: %w", c.ID, journalErr(err))
 		}
 	}
 	return nil
 }
 
-// State returns the change's status. Unknown IDs return an error.
+// ErrJournal marks an error of the journal rather than of the request: it
+// could not make a record durable, and from then on the service publishes
+// no new decision and lands no commit (see Health).
+var ErrJournal = errors.New("core: journal")
+
+// State returns the change's published status. Unknown IDs return an error.
+// Once the journal has failed, a change still pending returns its status
+// with an ErrJournal error: its decision can no longer be made durable.
 func (s *Service) State(id change.ID) (Status, error) {
-	s.syncOutcomes()
+	err := s.syncOutcomes()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st, ok := s.statuses[id]
+	s.mu.Unlock()
 	if !ok {
 		return Status{}, fmt.Errorf("core: unknown change %s", id)
+	}
+	if err != nil && st.State != change.StateCommitted && st.State != change.StateRejected {
+		return st, err
 	}
 	return st, nil
 }
 
-// syncOutcomes folds the runtime's outcomes into the status map and journals
-// newly-final dispositions. A final status never flips, and Submit refuses
-// known IDs, so each change turns final — and is journaled — exactly once. A
-// cursor tracks how far the outcome log has been folded: the steady-state
-// call (a status poll with no new decisions) is a counter compare with zero
-// allocations, and concurrent callers at worst re-fold a delta — harmless,
-// since folding skips statuses that are already final.
-func (s *Service) syncOutcomes() {
+// Health returns the error that poisoned the journal (ErrJournal), or nil
+// while the service can still make its decisions durable.
+func (s *Service) Health() error {
+	s.mu.Lock()
+	j := s.journal
+	s.mu.Unlock()
+	return journalErr(j.Err())
+}
+
+// journalErr wraps a journal's error (nil: nil) in ErrJournal.
+func journalErr(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrJournal, err)
+}
+
+// syncOutcomes publishes the runtime's new outcomes as statuses once they
+// are durable: it buffers a record for each rejection (the arbiter buffered
+// each commit's as it landed), waits once for the journal, then publishes,
+// so no status or outcome the service answers with names a decision a crash
+// could lose. A failed journal publishes nothing more, at the cost of one
+// check. The steady-state call (a status poll with no new decisions) is a
+// counter compare with zero allocations.
+func (s *Service) syncOutcomes() error {
 	n := s.runtime.OutcomeCount()
 	s.mu.Lock()
 	cur := s.outCursor
 	s.mu.Unlock()
 	if n <= cur {
-		return
+		return nil
 	}
-	outs := s.runtime.OutcomesSince(cur)
-	var toJournal []store.OutcomeRecord
+	return s.publish()
+}
+
+// publish is syncOutcomes without the counter compare: it collects the
+// engines' newest decisions too.
+func (s *Service) publish() error {
+	s.foldMu.Lock()
+	defer s.foldMu.Unlock()
 	s.mu.Lock()
-	if end := cur + len(outs); end > s.outCursor {
-		s.outCursor = end
+	cur, j := s.outCursor, s.journal
+	s.mu.Unlock()
+	if err := j.Err(); err != nil {
+		return journalErr(err)
 	}
+	outs := s.runtime.OutcomesSince(cur) // empty if the last holder of foldMu published them
+	if len(outs) == 0 {
+		return nil
+	}
+	if j != nil {
+		for _, o := range outs {
+			if o.State != change.StateCommitted {
+				j.Buffer(store.Record{Kind: store.KindOutcome, Outcome: &store.OutcomeRecord{
+					ID: o.ID, State: o.State.String(), Reason: o.Reason, At: o.At,
+				}})
+			}
+		}
+		if err := j.Sync(); err != nil {
+			return journalErr(err)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.outCursor = cur + len(outs)
 	for _, o := range outs {
-		st, ok := s.statuses[o.ID]
-		if !ok {
-			st = Status{ID: o.ID}
+		if st := s.statuses[o.ID]; st.State == change.StateCommitted || st.State == change.StateRejected {
+			continue
 		}
-		if st.State == change.StateCommitted || st.State == change.StateRejected {
-			continue // a concurrent fold already applied it
-		}
-		st.State = o.State
-		st.Reason = o.Reason
-		st.Commit = o.Commit
-		s.statuses[o.ID] = st
+		s.statuses[o.ID] = Status{ID: o.ID, State: o.State, Reason: o.Reason, Commit: o.Commit}
 		if s.tracker != nil {
 			s.tracker.NoteDecision(o.ID, o.State == change.StateCommitted, o.At)
 		}
-		if s.journal != nil {
-			toJournal = append(toJournal, store.OutcomeRecord{
-				ID: o.ID, State: o.State.String(), Reason: o.Reason,
-				Commit: o.Commit, At: o.At,
-			})
-		}
 	}
-	j := s.journal
-	s.mu.Unlock()
-	for _, rec := range toJournal {
-		_ = j.AppendOutcome(rec) // best effort; replay tolerates re-decisions
-	}
+	return nil
 }
 
 // Tick runs one epoch (for callers managing their own loop).
 func (s *Service) Tick(ctx context.Context) error {
 	_, err := s.runtime.Tick(ctx)
-	s.syncOutcomes()
-	return err
+	return errors.Join(err, s.syncOutcomes())
 }
 
 // ProcessAll drives the engines until every submitted change is committed or
@@ -306,19 +345,31 @@ func (s *Service) Tick(ctx context.Context) error {
 // and returns an error wrapping planner.ErrStopped.
 func (s *Service) ProcessAll(ctx context.Context) error {
 	err := s.runtime.Quiesce(ctx)
-	s.syncOutcomes()
-	return err
+	return errors.Join(err, s.syncOutcomes())
 }
 
-// Outcomes returns all final dispositions so far, in decision order.
-func (s *Service) Outcomes() []planner.Outcome { return s.runtime.Outcomes() }
+// Outcomes returns every published final disposition, in decision order.
+func (s *Service) Outcomes() []planner.Outcome { return s.OutcomesSince(0) }
 
-// OutcomesSince returns the final dispositions after the first n, in
-// decision order, copying only that tail of the log.
-func (s *Service) OutcomesSince(n int) []planner.Outcome { return s.runtime.OutcomesSince(n) }
+// OutcomesSince returns the published final dispositions after the first
+// n, in decision order, copying only that tail of the log. It publishes what
+// is new first (see syncOutcomes), so with a journal it names no decision a
+// crash could lose.
+func (s *Service) OutcomesSince(n int) []planner.Outcome {
+	_ = s.publish() // a failed journal publishes nothing new; Health reports it
+	s.mu.Lock()
+	cur := s.outCursor
+	s.mu.Unlock()
+	n = max(n, 0)
+	if n >= cur {
+		return nil
+	}
+	return s.runtime.OutcomesSince(n)[:cur-n]
+}
 
-// OutcomeCount returns the number of final dispositions so far, without
-// copying the outcome log (admission drain-rate sampling polls this).
+// OutcomeCount returns the number of final dispositions so far, published
+// or not, without copying the outcome log (admission drain-rate sampling
+// polls this).
 func (s *Service) OutcomeCount() int { return s.runtime.OutcomeCount() }
 
 // PendingCount returns the number of changes still undecided.
@@ -385,5 +436,5 @@ func (s *Service) Stop() {
 		cancel()
 		<-done
 	}
-	s.syncOutcomes()
+	_ = s.syncOutcomes() // a failed journal fails the SnapshotJournal or CloseJournal that follows
 }

@@ -8,6 +8,10 @@ import (
 	"mastergreen/internal/store"
 )
 
+// keepOutcomes is how many rejections a journal fold keeps, so a restarted
+// service still answers for recent ones (commit records are all kept).
+const keepOutcomes = 1000
+
 // CloseJournal flushes and detaches the journal (call after Stop;
 // api.Stack.Close snapshots the journal first).
 func (s *Service) CloseJournal() error {
@@ -18,13 +22,14 @@ func (s *Service) CloseJournal() error {
 	if j == nil {
 		return nil
 	}
+	s.arb.SetJournal(nil)
 	return j.Close()
 }
 
-// SnapshotJournal folds the journal's history into a snapshot (pending set
-// plus a bounded outcome tail) and truncates the live journal, keeping
-// restart replay time flat as history grows. No-op without a journal.
-func (s *Service) SnapshotJournal(keepOutcomes int) error {
+// SnapshotJournal folds the journal into a snapshot (every commit record,
+// the pending set and the newest keepOutcomes rejections) and truncates the
+// live journal. No-op without a journal.
+func (s *Service) SnapshotJournal() error {
 	s.mu.Lock()
 	j := s.journal
 	s.mu.Unlock()
@@ -34,28 +39,42 @@ func (s *Service) SnapshotJournal(keepOutcomes int) error {
 	return j.Snapshot(s.repo.Head().ID, keepOutcomes, s.cfg.Now())
 }
 
-// OpenRecovered builds a durable service from a saved repository and a
-// journal path: every change still pending when the previous process stopped
-// is re-enqueued, past outcomes become queryable again, and the journal is
-// attached for future writes (the role MySQL plays in §7.1). LoadState folds
-// the snapshot chain (if SnapshotJournal has run) with the live tail, so boot
-// cost is proportional to live state, not total history.
-func OpenRecovered(repoSnapshot *repo.Repo, journalPath string, cfg Config) (*Service, error) {
+// OpenRecovered builds a durable service from the seed repository and a
+// journal path (the role MySQL plays in §7.1). The journal's commit records
+// are replayed onto seed in seq order, each checked against the commit ID
+// and content it recorded (a journal of another seed is a boot error); past
+// outcomes become queryable again, every change still pending is
+// re-enqueued against the recovered head, and the journal is attached.
+func OpenRecovered(seed *repo.Repo, journalPath string, cfg Config) (*Service, error) {
 	recs, err := store.LoadState(journalPath)
 	if err != nil {
 		return nil, err
 	}
-	svc := NewService(repoSnapshot, cfg)
+	commits, err := store.Mainline(recs)
+	if err != nil {
+		return nil, err
+	}
+	if len(commits) > 0 && commits[0].Seq != seed.Len() {
+		return nil, fmt.Errorf("core: the journal's mainline starts at seq %d, the seed has %d commits", commits[0].Seq, seed.Len())
+	}
+	for _, c := range commits {
+		got, err := seed.CommitPatch(seed.Head().ID, repo.Patch{Changes: c.Patch}, c.Author, c.Message, c.At)
+		if err != nil {
+			return nil, fmt.Errorf("core: replaying commit %d of %s: %w", c.Seq, c.ID, err)
+		}
+		if content := got.Snapshot().ContentID(); got.ID != c.Commit || content != c.Content {
+			return nil, fmt.Errorf("core: replaying commit %d of %s gives %s (content %s), the journal %s (content %s)",
+				c.Seq, c.ID, got.ID, content, c.Commit, c.Content)
+		}
+	}
+	svc := NewService(seed, cfg)
 	pending, outcomes := store.PendingFromRecords(recs)
 	svc.mu.Lock()
-	for _, o := range outcomes {
-		st := Status{ID: o.ID, Reason: o.Reason, Commit: o.Commit}
-		if o.State == change.StateCommitted.String() {
-			st.State = change.StateCommitted
-		} else {
-			st.State = change.StateRejected
-		}
-		svc.statuses[o.ID] = st
+	for _, c := range commits {
+		svc.statuses[c.ID] = Status{ID: c.ID, State: change.StateCommitted, Commit: c.Commit}
+	}
+	for _, o := range outcomes { // a change that did not commit
+		svc.statuses[o.ID] = Status{ID: o.ID, State: change.StateRejected, Reason: o.Reason}
 	}
 	svc.mu.Unlock()
 	for _, c := range pending {
@@ -69,5 +88,6 @@ func OpenRecovered(repoSnapshot *repo.Repo, journalPath string, cfg Config) (*Se
 		return nil, err
 	}
 	svc.journal = j // no other goroutine holds svc yet
+	svc.arb.SetJournal(j)
 	return svc, nil
 }

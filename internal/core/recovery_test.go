@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -17,19 +18,18 @@ import (
 )
 
 // TestDurableServiceSurvivesRestart: submit changes to a journaled service,
-// decide some, "crash", recover into a fresh service, and verify the pending
-// ones complete and past outcomes remain queryable.
+// decide some, "crash", recover into a fresh service booted from the seed,
+// and verify the mainline is back, the pending ones complete and past
+// outcomes remain queryable.
 func TestDurableServiceSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "journal.jsonl")
 
-	r := newRepo()
-	j, err := store.Open(journalPath)
+	svc, err := OpenRecovered(newRepo(), journalPath, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(r, Config{Workers: 4})
-	svc.journal = j
+	r := svc.Repo()
 
 	// c1 is decided before the crash; c2 and c3 are submitted but the
 	// process dies before they finish.
@@ -45,26 +45,19 @@ func TestDurableServiceSurvivesRestart(t *testing.T) {
 	if err := svc.Submit(mkChange(r, "c3", "app/main.go", "app v2")); err != nil {
 		t.Fatal(err)
 	}
-	// Persist the repo and "crash" (close the journal without processing).
-	var repoBuf bytes.Buffer
-	if err := r.Save(&repoBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
+	// "Crash": close the journal without processing.
+	if err := svc.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restart: reload the repo and recover the service from the journal.
-	r2, err := repo.Load(&repoBuf)
+	// Restart from the seed: the journal's commit records are the mainline.
+	svc2, err := OpenRecovered(newRepo(), journalPath, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r2 := svc2.Repo()
 	if r2.Head().ID != r.Head().ID {
-		t.Fatalf("repo reload mismatch: %s vs %s", r2.Head().ID, r.Head().ID)
-	}
-	svc2, err := OpenRecovered(r2, journalPath, Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("recovered head %s, want %s", r2.Head().ID, r.Head().ID)
 	}
 	// c1's outcome survived the restart.
 	st, err := svc2.State("c1")
@@ -95,20 +88,20 @@ func TestRecoveredOutcomesNotReJournaled(t *testing.T) {
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "journal.jsonl")
 
-	r := newRepo()
-	j, _ := store.Open(journalPath)
-	svc := NewService(r, Config{Workers: 2})
-	svc.journal = j
-	if err := svc.Submit(mkChange(r, "c1", "lib/lib.go", "v2")); err != nil {
+	svc, err := OpenRecovered(newRepo(), journalPath, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Submit(mkChange(svc.Repo(), "c1", "lib/lib.go", "v2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.ProcessAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_ = j.Close()
+	_ = svc.CloseJournal()
 
 	before, _ := store.Replay(journalPath)
-	svc2, err := OpenRecovered(r, journalPath, Config{Workers: 2})
+	svc2, err := OpenRecovered(newRepo(), journalPath, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +166,11 @@ func TestSnapshotJournalRestart(t *testing.T) {
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "journal.jsonl")
 
-	r := newRepo()
-	j, err := store.Open(journalPath)
+	svc, err := OpenRecovered(newRepo(), journalPath, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(r, Config{Workers: 4})
-	svc.journal = j
-
+	r := svc.Repo()
 	if err := svc.Submit(mkChange(r, "s1", "lib/lib.go", "lib v2")); err != nil {
 		t.Fatal(err)
 	}
@@ -190,28 +180,20 @@ func TestSnapshotJournalRestart(t *testing.T) {
 	if err := svc.Submit(mkChange(r, "s2", "doc/readme.md", "doc v2")); err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot mid-stream: s1's decision and s2's pending submit fold into
+	// Snapshot mid-stream: s1's commit and s2's pending submit fold into
 	// the snapshot; the live journal is truncated.
-	if err := svc.SnapshotJournal(8); err != nil {
+	if err := svc.journal.Snapshot(r.Head().ID, 8, time.Unix(3000, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// A post-snapshot submit lands in the tail.
 	if err := svc.Submit(mkChange(r, "s3", "app/main.go", "app v2")); err != nil {
 		t.Fatal(err)
 	}
-	var repoBuf bytes.Buffer
-	if err := r.Save(&repoBuf); err != nil {
-		t.Fatal(err)
-	}
 	if err := svc.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
 
-	r2, err := repo.Load(&repoBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc2, err := OpenRecovered(r2, journalPath, Config{Workers: 4})
+	svc2, err := OpenRecovered(newRepo(), journalPath, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,28 +277,32 @@ func TestSubmitRefusesKnownIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every change was journaled exactly once, submission and outcome.
+	// Every change was journaled exactly once, submission and decision (a
+	// commit record or an outcome record).
 	recs, err := store.LoadState(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	submits, outcomes := map[change.ID]int{}, map[change.ID]int{}
+	submits, decisions := map[change.ID]int{}, map[change.ID]int{}
 	for _, rec := range recs {
 		if rec.Submit != nil {
 			submits[rec.Submit.ID]++
 		}
 		if rec.Outcome != nil {
-			outcomes[rec.Outcome.ID]++
+			decisions[rec.Outcome.ID]++
+		}
+		if rec.Commit != nil {
+			decisions[rec.Commit.ID]++
 		}
 	}
 	for id := range want {
-		if submits[id] != 1 || outcomes[id] != 1 {
-			t.Fatalf("%s journaled %d submits, %d outcomes; want 1 and 1", id, submits[id], outcomes[id])
+		if submits[id] != 1 || decisions[id] != 1 {
+			t.Fatalf("%s journaled %d submits, %d decisions; want 1 and 1", id, submits[id], decisions[id])
 		}
 	}
 
 	// After a restart the decided IDs are known from the journal alone.
-	svc2, err := OpenRecovered(r, journalPath, cfg)
+	svc2, err := OpenRecovered(newRepo(), journalPath, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,5 +313,87 @@ func TestSubmitRefusesKnownIDs(t *testing.T) {
 	}
 	if n := svc2.PendingCount(); n != 0 {
 		t.Fatalf("pending after restart = %d, want 0", n)
+	}
+}
+
+// TestOpenRecoveredRejectsAnotherSeed: commit records replay only onto the
+// seed they were written over; any other seed is a boot error, not a
+// mainline that silently differs.
+func TestOpenRecoveredRejectsAnotherSeed(t *testing.T) {
+	journalPath := filepath.Join(t.TempDir(), "journal.jsonl")
+	svc, err := OpenRecovered(newRepo(), journalPath, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Submit(mkChange(svc.Repo(), "c1", "app/main.go", "app v2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.ProcessAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	other := newRepo()
+	if _, err := other.CommitPatch(other.Head().ID, mkChange(other, "x", "doc/readme.md", "doc v9").Patch, "dev", "x", time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	for name, seed := range map[string]*repo.Repo{
+		"different tree": repo.New(map[string]string{"app/main.go": "app v1", "extra": "x"}),
+		"longer history": other,
+	} {
+		if _, err := OpenRecovered(seed, journalPath, Config{Workers: 2}); err == nil {
+			t.Errorf("%s: boot succeeded on another seed", name)
+		}
+	}
+	own, err := OpenRecovered(newRepo(), journalPath, Config{Workers: 2})
+	if err != nil {
+		t.Fatalf("boot on its own seed: %v", err)
+	}
+	_ = own.CloseJournal()
+}
+
+// BenchmarkOpenRecoveredCommits boots a service from a journal whose
+// snapshot holds n commit records (a one-file patch each): boot replays
+// every commit onto the seed, so its cost grows with history, as loading a
+// saved repository does.
+func BenchmarkOpenRecoveredCommits(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("commits=%d", n), func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "journal.jsonl")
+			j, err := store.Open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, at := newRepo(), time.Unix(0, 0).UTC()
+			for i := 1; i <= n; i++ {
+				p := mkChange(r, "", "lib/lib.go", fmt.Sprintf("lib v%d", i+1)).Patch
+				c, err := r.CommitPatch(r.Head().ID, p, "bench", "bench commit", at)
+				if err != nil {
+					b.Fatal(err)
+				}
+				j.Buffer(store.Record{Kind: store.KindCommit, Commit: &store.CommitRecord{
+					ID: change.ID(fmt.Sprintf("c-%06d", i)), Seq: c.Seq, Commit: c.ID, At: at,
+					Author: "bench", Message: "bench commit", Patch: p.Changes, Content: c.Snapshot().ContentID()}})
+			}
+			if err := j.Snapshot(r.Head().ID, keepOutcomes, at); err != nil {
+				b.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				b.Fatal(err)
+			}
+			r = nil
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				svc, err := OpenRecovered(newRepo(), path, Config{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := svc.Repo().Len(); got != n+1 {
+					b.Fatalf("mainline %d, want %d", got, n+1)
+				}
+				_ = svc.CloseJournal()
+			}
+		})
 	}
 }

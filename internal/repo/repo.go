@@ -80,17 +80,18 @@ func (op FileOp) String() string {
 // patch is applied to; a mismatch is a merge conflict, mirroring git's
 // three-way merge failing when both sides touched the same file. OpEditLines
 // edits a line range instead (see lines.go): disjoint line edits to the same
-// file merge rather than conflicting.
+// file merge rather than conflicting. Its JSON form is the one durable patch
+// encoding (Save and the service journal).
 type FileChange struct {
-	Path       string
-	Op         FileOp
-	BaseHash   string // required for OpModify, OpDelete
-	NewContent string // used for OpCreate, OpModify
+	Path       string `json:"path"`
+	Op         FileOp `json:"op"`
+	BaseHash   string `json:"base_hash,omitempty"` // required for OpModify, OpDelete
+	NewContent string `json:"content,omitempty"`   // used for OpCreate, OpModify
 
 	// Line-edit fields (OpEditLines only). StartLine is 1-based.
-	StartLine int
-	OldLines  []string
-	NewLines  []string
+	StartLine int      `json:"start_line,omitempty"`
+	OldLines  []string `json:"old_lines,omitempty"`
+	NewLines  []string `json:"new_lines,omitempty"`
 }
 
 // Patch is an atomic set of file edits, all of which must apply cleanly.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mastergreen/internal/change"
+	"mastergreen/internal/repo"
 )
 
 // buildHistory writes a journal with n records: submissions that are all
@@ -31,7 +32,7 @@ func buildHistory(b *testing.B, path string, n, livePending int) {
 	}
 	for i := 0; i < n-subs && i < decided; i++ {
 		o := OutcomeRecord{ID: change.ID(fmt.Sprintf("h-%06d", i)), State: "committed",
-			Commit: "c", At: time.Unix(int64(i), 0).UTC()}
+			At: time.Unix(int64(i), 0).UTC()}
 		if err := j.AppendOutcome(o); err != nil {
 			b.Fatal(err)
 		}
@@ -156,4 +157,78 @@ func BenchmarkJournalAppendParallel(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(j.Syncs())/float64(b.N), "fsyncs/op")
+}
+
+// writeCommits leaves a journal whose snapshot holds n commit records (a
+// one-file patch each) under an empty tail: the steady state of a service
+// that has landed n commits.
+func writeCommits(b *testing.B, path string, n int) {
+	b.Helper()
+	j, err := Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	j.SyncEvery = 1 << 30 // bulk load; one sync on close
+	for i := 1; i <= n; i++ {
+		c := &CommitRecord{ID: change.ID(fmt.Sprintf("c-%06d", i)), Seq: i,
+			Commit: repo.CommitID(fmt.Sprintf("%016x", i)), At: time.Unix(int64(i), 0).UTC(),
+			Author: "bench", Message: "bench commit", Content: fmt.Sprintf("%064x", i),
+			Patch: []repo.FileChange{{Path: fmt.Sprintf("pkg%03d/file.go", i%500), Op: repo.OpModify,
+				NewContent: fmt.Sprintf("package pkg // revision %d\n", i)}}}
+		if err := j.Append(Record{Kind: KindCommit, Commit: c}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := j.Snapshot("bench-head", 1000, time.Unix(0, 0).UTC()); err != nil {
+		b.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkFoldCommits folds a journal holding n commit records while a
+// writer buffers a record every 100 µs, as the arbiter does under its mutex
+// with each commit. ns/op is one fold; max_buffer_wait_ms is the longest a
+// Buffer call waited, the stall a fold puts on commits and acks.
+func BenchmarkFoldCommits(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("commits=%d", n), func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "journal.jsonl")
+			writeCommits(b, path, n)
+			j, err := Open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer j.Close()
+			stop, worst := make(chan struct{}), make(chan time.Duration)
+			go func() {
+				var max time.Duration
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						worst <- max
+						return
+					default:
+					}
+					t0 := time.Now()
+					j.Buffer(Record{Kind: KindOutcome, Outcome: &OutcomeRecord{
+						ID: change.ID(fmt.Sprintf("r-%08d", i)), State: "rejected", At: t0}})
+					if d := time.Since(t0); d > max {
+						max = d
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := j.Snapshot("bench-head", 1000, time.Unix(int64(i), 0).UTC()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			close(stop)
+			b.ReportMetric(float64((<-worst).Microseconds())/1000, "max_buffer_wait_ms")
+		})
+	}
 }

@@ -1,8 +1,8 @@
-// Journal snapshots: the one mechanism that folds the journal, keeping
-// restart replay time flat as history grows. A snapshot file holds the folded
-// live state (the pending set plus a bounded outcome tail) under an integrity
-// header; after a snapshot the live journal is truncated, so a restart
-// replays snapshot + short tail instead of the full history.
+// Journal snapshots: the one mechanism that folds the journal. A snapshot
+// file holds the folded state (every commit record, the pending set and a
+// bounded outcome tail) under an integrity header; after a snapshot the
+// folded records are cut off the live journal, so a restart replays
+// snapshot + short tail.
 //
 // On-disk layout for a journal at PATH:
 //
@@ -11,11 +11,12 @@
 //	PATH.snap.prev  the previous snapshot (fallback if .snap is torn)
 //
 // Snapshots are written to a temp file, fsynced, and renamed into place; the
-// old snapshot is rotated to .snap.prev first. Every crash window is covered:
-// a torn temp file is ignored, a missing .snap falls back to .snap.prev plus
-// the untruncated tail, and a tail that briefly overlaps a fresh snapshot
-// folds away through PendingFromRecords' first-record-wins dedup plus the
-// outcome tombstones of foldForRewrite.
+// old snapshot is rotated to .snap.prev first. Records appended while a fold
+// ran reach the cut tail the same way, through PATH.tmp. Every crash window
+// is covered: a torn temp file is ignored, a missing .snap falls back to
+// .snap.prev plus the uncut tail, and a tail that briefly overlaps a fresh
+// snapshot folds away through PendingFromRecords' first-record-wins dedup,
+// Mainline's seq dedup and the outcome tombstones of foldForRewrite.
 package store
 
 import (
@@ -33,7 +34,7 @@ import (
 // this check and the loader falls back to the previous snapshot.
 type SnapHead struct {
 	// Head is the mainline head commit at snapshot time (informational; the
-	// repo itself is persisted separately).
+	// snapshot's commit records are the mainline itself).
 	Head repo.CommitID `json:"head"`
 	// Records is the number of records following this header.
 	Records int `json:"records"`
@@ -76,90 +77,88 @@ func ReplaySnapshot(path string) (SnapHead, []Record, error) {
 // snapshot (current, else previous, else none) followed by the live tail.
 // The returned records feed PendingFromRecords exactly like a plain replay.
 func LoadState(path string) ([]Record, error) {
-	var base []Record
+	base, tail, err := loadState(path, -1)
+	return append(base, tail...), err
+}
+
+// loadState is LoadState over the first tailBytes of the tail (all of it if
+// tailBytes < 0), returning the snapshot's records and the tail's apart.
+func loadState(path string, tailBytes int64) (base, tail []Record, err error) {
 	if _, recs, err := ReplaySnapshot(SnapshotPath(path)); err == nil {
 		base = recs
 	} else if _, recs, err := ReplaySnapshot(prevSnapshotPath(path)); err == nil {
 		base = recs
 	}
-	tail, err := Replay(path)
-	if err != nil {
-		return nil, err
-	}
-	return append(base, tail...), nil
+	tail, err = replayPrefix(path, tailBytes)
+	return base, tail, err
 }
 
 // writeSnapshotFile writes header + records to path, fsyncing before close.
-func writeSnapshotFile(path string, head SnapHead, pending []*change.Change, outcomes []OutcomeRecord) error {
+func writeSnapshotFile(path string, head SnapHead, commits []*CommitRecord, pending []*change.Change, outcomes []OutcomeRecord) error {
 	j, err := Open(path)
 	if err != nil {
 		return err
 	}
-	j.SyncEvery = 1 << 30 // one final sync on close
-	head.Records = len(pending) + len(outcomes)
-	if err := j.Append(Record{Kind: KindSnapHead, Snap: &head}); err != nil {
-		_ = j.Close()
-		return err
+	head.Records = len(commits) + len(pending) + len(outcomes)
+	j.Buffer(Record{Kind: KindSnapHead, Snap: &head})
+	for _, c := range commits {
+		j.Buffer(Record{Kind: KindCommit, Commit: c})
 	}
-	for _, o := range outcomes {
-		if err := j.AppendOutcome(o); err != nil {
-			_ = j.Close()
-			return err
-		}
+	for i := range outcomes {
+		j.Buffer(Record{Kind: KindOutcome, Outcome: &outcomes[i]})
 	}
 	for _, c := range pending {
-		if err := j.AppendSubmit(c); err != nil {
-			_ = j.Close()
-			return err
-		}
+		j.Buffer(Record{Kind: KindSubmit, Submit: EncodeChange(c)})
 	}
 	return j.Close()
 }
 
-// Snapshot folds the journal's full persisted state (previous snapshot plus
-// live tail) into a fresh snapshot and truncates the live journal, keeping
-// restart replay time proportional to the live state instead of total
-// history. head stamps the mainline head, keepOutcomes bounds the retained
-// outcome tail, and at is the snapshot timestamp from the caller's clock.
-// Appends block for the duration; the durable-before-ack contract holds
-// throughout because the tail is fsynced before it is folded and the
-// snapshot is fsynced before the tail is truncated.
+// Snapshot folds the journal's full persisted state (newest snapshot plus
+// live tail) into a fresh snapshot and cuts the folded records off the tail.
+// Commit records are all kept; keepOutcomes bounds the other outcomes. head
+// stamps the mainline head and at is the snapshot timestamp from the
+// caller's clock.
+//
+// The fold reads and writes outside the journal's lock, over the prefix of
+// the tail that was fsynced when it began; records go on being appended
+// meanwhile. The lock is held again only to install the snapshot and cut
+// the prefix, so a Buffer waits for two fsyncs and a rename, not for the
+// fold. No acknowledged record is ever only in memory: the prefix is fsynced
+// before it is folded, the snapshot before it is installed, and the records
+// past the prefix before the cut.
 func (j *Journal) Snapshot(head repo.CommitID, keepOutcomes int, at time.Time) error {
+	j.foldMu.Lock()
+	defer j.foldMu.Unlock()
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	for j.syncing {
-		j.syncDone.Wait()
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("store: snapshot flush: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("store: snapshot sync: %w", err)
-	}
-	j.syncs++
-	j.syncSeq = j.writeSeq
-	j.syncDone.Broadcast()
-
-	recs, err := LoadState(j.path)
+	prefix, err := j.syncAllLocked()
+	frozenAppends := j.appends
+	j.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	// Tombstones: the live tail survives until the truncation below, so any
+
+	base, tail, err := loadState(j.path, prefix)
+	if err != nil {
+		return err
+	}
+	// Tombstones: the folded prefix survives until the cut below, so any
 	// change it holds a submit record for must keep its outcome in the
-	// snapshot — otherwise a crash before truncation could resurrect it.
-	tail, err := Replay(j.path)
+	// snapshot — otherwise a crash before the cut could resurrect it.
+	commits, pending, outcomes, err := foldForRewrite(append(base, tail...), keepOutcomes, tail)
 	if err != nil {
 		return err
 	}
-	pending, outcomes := foldForRewrite(recs, keepOutcomes, tail)
-
 	tmp := j.path + ".snap.tmp"
 	_ = os.Remove(tmp) // a crashed prior snapshot may have left a partial temp
-	//lint:ignore lockorder writeSnapshotFile appends to a fresh temp-file journal it opens itself, never the locked receiver
-	if err := writeSnapshotFile(tmp, SnapHead{Head: head, At: at}, pending, outcomes); err != nil {
+	if err := writeSnapshotFile(tmp, SnapHead{Head: head, At: at}, commits, pending, outcomes); err != nil {
+		return err
+	}
+
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	end, err := j.syncAllLocked()
+	if err != nil {
+		_ = os.Remove(tmp) // never installed
 		return err
 	}
 	snap := SnapshotPath(j.path)
@@ -171,10 +170,46 @@ func (j *Journal) Snapshot(head repo.CommitID, keepOutcomes int, at time.Time) e
 	if err := os.Rename(tmp, snap); err != nil {
 		return fmt.Errorf("store: snapshot install: %w", err)
 	}
-	if err := j.f.Truncate(0); err != nil {
-		return fmt.Errorf("store: snapshot truncate: %w", err)
+	if err := j.cutLocked(prefix, end); err != nil {
+		return err
 	}
-	j.w.Reset(j.f)
-	j.appends = 0
+	j.appends -= frozenAppends
+	return nil
+}
+
+// cutLocked drops the first n of the tail's end bytes, all durable, now
+// that a snapshot holds them. The records past n move to a fresh file,
+// fsynced, renamed over the tail and appended to from then on, so a crash
+// leaves one whole tail or the other (the longer one overlaps the snapshot,
+// which replay folds away). Callers hold j.mu.
+func (j *Journal) cutLocked(n, end int64) error {
+	if n == end {
+		if err := j.f.Truncate(0); err != nil {
+			return fmt.Errorf("store: snapshot truncate: %w", err)
+		}
+		return nil
+	}
+	rest := make([]byte, end-n)
+	if _, err := j.f.ReadAt(rest, n); err != nil {
+		return fmt.Errorf("store: snapshot cut: %w", err)
+	}
+	tmp := j.path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: snapshot cut: %w", err)
+	}
+	if _, err = f.Write(rest); err == nil {
+		j.syncs++
+		if err = f.Sync(); err == nil {
+			err = os.Rename(tmp, j.path)
+		}
+	}
+	if err != nil {
+		_ = f.Close() // the old tail stays whole and current
+		return fmt.Errorf("store: snapshot cut: %w", err)
+	}
+	_ = j.f.Close() // every byte of it past n is in f
+	j.f = f
+	j.w.Reset(f)
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mastergreen/internal/change"
-	"mastergreen/internal/repo"
 )
 
 // TestSnapshotRoundTripsPendingSet: replay after a snapshot must recover the
@@ -27,7 +26,7 @@ func TestSnapshotRoundTripsPendingSet(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"a", "c"} {
-		if err := j.AppendOutcome(OutcomeRecord{ID: change.ID(id), State: "committed", Commit: repo.CommitID("x-" + id), At: time.Unix(2000, 0).UTC()}); err != nil {
+		if err := j.AppendOutcome(OutcomeRecord{ID: change.ID(id), State: "committed", At: time.Unix(2000, 0).UTC()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +171,7 @@ func TestSnapshotCrashBeforeTruncateDedups(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.AppendOutcome(OutcomeRecord{ID: "a", State: "committed", Commit: "ca", At: time.Unix(2000, 0).UTC()}); err != nil {
+	if err := j.AppendOutcome(OutcomeRecord{ID: "a", State: "committed", At: time.Unix(2000, 0).UTC()}); err != nil {
 		t.Fatal(err)
 	}
 	// Save the pre-snapshot journal bytes, snapshot, then restore the bytes:
@@ -263,4 +262,70 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 	t.Logf("group commit: %d appends, %d fsyncs", workers*per, syncs)
 	_ = j.Close()
+}
+
+// TestSnapshotKeepsRecordsBufferedDuringFold: records buffered while folds
+// run outside the lock land in the cut tail, so after a final Sync the
+// persisted state holds every one of them, once, in order.
+func TestSnapshotKeepsRecordsBufferedDuringFold(t *testing.T) {
+	path := tmpJournal(t)
+	j, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, per = 4, 300
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				j.Buffer(Record{Kind: KindSubmit, Submit: EncodeChange(mkChange(fmt.Sprintf("w%d-%03d", w, i)))})
+				if i%50 == 49 {
+					if err := j.Sync(); err != nil {
+						t.Errorf("sync: %v", err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	folds := 0
+	for running := true; running; folds++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if err := j.Snapshot("h", 10, time.Unix(int64(folds), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := LoadState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending, _ := PendingFromRecords(recs)
+	next := make([]int, workers)
+	for _, c := range pending {
+		var w, i int
+		if _, err := fmt.Sscanf(string(c.ID), "w%d-%d", &w, &i); err != nil || i != next[w] {
+			t.Fatalf("pending %s out of order (worker %d expects %d)", c.ID, w, next[w])
+		}
+		next[w]++
+	}
+	if len(pending) != workers*per {
+		t.Fatalf("pending = %d after %d folds, want %d", len(pending), folds, workers*per)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("the cut left %s.tmp behind: %v", path, err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,7 +70,7 @@ func TestJournalAppendReplay(t *testing.T) {
 	if err := j.AppendSubmit(mkChange("c2")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendOutcome(OutcomeRecord{ID: "c1", State: "committed", Commit: "abc", At: time.Unix(2000, 0)}); err != nil {
+	if err := j.AppendOutcome(OutcomeRecord{ID: "c1", State: "committed", At: time.Unix(2000, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -92,7 +95,7 @@ func TestJournalAppendReplay(t *testing.T) {
 	if len(pending) != 1 || pending[0].ID != "c2" {
 		t.Fatalf("pending = %v", pending)
 	}
-	if len(outcomes) != 1 || outcomes[0].Commit != "abc" {
+	if len(outcomes) != 1 || outcomes[0].State != "committed" {
 		t.Fatalf("outcomes = %v", outcomes)
 	}
 }
@@ -181,5 +184,60 @@ func TestEncodeDecodeLineEdit(t *testing.T) {
 	if fc.Op != repo.OpEditLines || fc.StartLine != 7 ||
 		len(fc.OldLines) != 2 || fc.OldLines[1] != "old2" || fc.NewLines[0] != "new" {
 		t.Fatalf("line edit lost in round trip: %+v", fc)
+	}
+}
+
+// TestOpenEndsTornTailOnALine: Open ends the file on a line boundary, so a
+// record appended after a crash never merges into the torn one: a final
+// line that decodes gets its newline, one that does not is cut off, however
+// long it is.
+func TestOpenEndsTornTailOnALine(t *testing.T) {
+	big := mkChange("big")
+	big.Description = strings.Repeat("x", 10_000) // spans several read-back chunks
+	line, err := json.Marshal(Record{Kind: KindSubmit, Submit: EncodeChange(big)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := json.Marshal(Record{Kind: KindSubmit, Submit: EncodeChange(mkChange("c1"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = append(first, '\n')
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want []change.ID
+	}{
+		{"whole last line", append(first[:len(first):len(first)], line...), []change.ID{"c1", "big", "c2"}},
+		{"torn last line", append(first[:len(first):len(first)], line[:len(line)-3]...), []change.ID{"c1", "c2"}},
+		{"torn only line", line[:len(line)-3], []change.ID{"c2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := tmpJournal(t)
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.AppendSubmit(mkChange("c2")); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			recs, err := Replay(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []change.ID
+			for _, r := range recs {
+				got = append(got, r.Submit.ID)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("replayed %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
