@@ -51,11 +51,12 @@ race-graph:
 	$(GO) test -race -count=10 -run '^(TestHandedOutGraphNeverChanges|TestCloneSharesRowsCopyOnWrite|TestInducedMatchesPairWalk)$$' ./internal/conflict/
 
 # race-wake repeats the event-driven loop's wake tests under the race
-# detector with an hour-long fallback poll: a lost wakeup — a build end, an
-# arming or a decision nobody acts on — leaves a change pending and fails the
-# run (~5 s on 2 cores once the race build is cached).
+# detector. The loop has no poll, so a lost wakeup — a submission, a build
+# end, an arming, a deadline or a decision nobody acts on — leaves a change
+# pending and fails the run; an idle service must not tick at all (~25 s on
+# 2 cores once the race build is cached).
 race-wake:
-	$(GO) test -race -count=20 -run '^(TestBuildEndWakesEngine|TestWakeStressNoLostWakeup|TestWakePokedAfterDone|TestWakeOnDoneArmsLate)$$' ./internal/core/ ./internal/buildsys/
+	$(GO) test -race -count=20 -run '^(TestBuildEndWakesEngine|TestWakeStressNoLostWakeup|TestIdleSubmitDecidesWithoutPoll|TestIdleEngineDoesNotTick|TestSchedAgingWakesIdleEngine|TestSpeculativeOnlyEngineStaysLive|TestSpeculativeMergeFailureStaysLive|TestWakePokedAfterDone|TestWakeOnDoneArmsLate)$$' ./internal/core/ ./internal/buildsys/
 
 # fuzz boots a service from arbitrary journal and snapshot bytes for 10 s,
 # starting from the checked-in corpus of a real journal: a boot returns a

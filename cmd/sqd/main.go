@@ -9,13 +9,14 @@
 //
 // Usage:
 //
-//	sqd [-addr :8080] [-workers 8] [-epoch 250ms] [-shards 1] [-sched]
+//	sqd [-addr :8080] [-workers 8] [-shards 1] [-sched]
 //	    [-data DIR] [-snapshot-interval 5m] [-admission-cap 1000]
 //	    [-status-refresh 250ms]
 //
 // The startup log names the bound address (-addr 127.0.0.1:0 picks a free
 // port); a port already taken fails the start before any state is opened.
-// The planner loop runs on events, so -epoch is only its fallback poll. With
+// The planner loop runs only on events: a submission, a build that decides
+// its subject, a head advance or a sched deadline's aging wakes it. With
 // -data, the journal DIR/journal.jsonl, the only durable state, records
 // every submission, commit and rejection before it is acknowledged: a
 // restart on DIR, even after kill -9, replays its commits onto the seed and
@@ -58,7 +59,6 @@ func main() {
 	var cfg api.StackConfig
 	flag.StringVar(&cfg.Addr, "addr", ":8080", "listen address (127.0.0.1:0 picks a free port; the startup log names it)")
 	flag.IntVar(&cfg.Core.Workers, "workers", 8, "concurrent builds")
-	flag.DurationVar(&cfg.Core.Epoch, "epoch", 250*time.Millisecond, "fallback poll of the event-driven planner loop (adopts new submissions, collects speculative results)")
 	flag.StringVar(&cfg.DataDir, "data", "", "directory for durable state (empty = in-memory only)")
 	flag.IntVar(&cfg.Core.Shards, "shards", 1, "planner engines the conflict-graph components are spread over")
 	flag.DurationVar(&cfg.SnapshotEvery, "snapshot-interval", 0, "with -data: also fold the journal into a snapshot this often while running (0 = shutdown is the only fold)")
@@ -75,8 +75,8 @@ func main() {
 		log.Fatalf("sqd: %v", err)
 	}
 	svc := st.Service()
-	log.Printf("sqd: SubmitQueue listening on %s (%d workers, %v epoch; mainline %d commits, %d pending)",
-		st.URL(), cfg.Core.Workers, cfg.Core.Epoch, svc.Repo().Len(), svc.PendingCount())
+	log.Printf("sqd: SubmitQueue listening on %s (%d workers; mainline %d commits, %d pending)",
+		st.URL(), cfg.Core.Workers, svc.Repo().Len(), svc.PendingCount())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -44,7 +44,7 @@ func TestEndToEndHTTPStack(t *testing.T) {
 	})
 	bus := events.NewBus(256)
 	svc := core.NewService(r, core.Config{
-		Workers: 4, Runner: runner, Epoch: 2 * time.Millisecond, Events: bus,
+		Workers: 4, Runner: runner, Events: bus,
 	})
 	svc.Start()
 	defer svc.Stop()
@@ -190,7 +190,7 @@ func TestEndToEndDurableRestart(t *testing.T) {
 	}
 	stackCfg := func(dir string) api.StackConfig {
 		return api.StackConfig{
-			Core: core.Config{Workers: 2, Epoch: 2 * time.Millisecond},
+			Core: core.Config{Workers: 2},
 			Addr: "127.0.0.1:0", DataDir: dir,
 		}
 	}

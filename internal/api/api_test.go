@@ -19,7 +19,7 @@ func newServer(t *testing.T) (*Server, *core.Service, *repo.Repo) {
 		"lib/BUILD":  "target lib srcs=lib.go",
 		"lib/lib.go": "lib v1",
 	})
-	svc := core.NewService(r, core.Config{Workers: 2, Epoch: 2 * time.Millisecond})
+	svc := core.NewService(r, core.Config{Workers: 2})
 	svc.Start()
 	t.Cleanup(svc.Stop)
 	return NewServer(svc), svc, r

@@ -107,7 +107,7 @@ func TestShutdownSnapshotRestart(t *testing.T) {
 		return nil
 	})
 	cfg := StackConfig{
-		Core: core.Config{Workers: 2, Epoch: time.Millisecond, Runner: runner},
+		Core: core.Config{Workers: 2, Runner: runner},
 		Addr: "127.0.0.1:0", DataDir: dir,
 	}
 	st, err := OpenStack(stackRepo(), cfg)
@@ -230,7 +230,7 @@ func TestPeriodicSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "journal.jsonl")
 	st, err := OpenStack(stackRepo(), StackConfig{
-		Core: core.Config{Workers: 2, Epoch: time.Millisecond},
+		Core: core.Config{Workers: 2},
 		Addr: "127.0.0.1:0", DataDir: dir, SnapshotEvery: time.Millisecond,
 	})
 	if err != nil {
@@ -279,7 +279,7 @@ func copyDir(t *testing.T, from, to string) {
 // reboot.
 func TestOutcomesRouteNamesOnlyDurableDecisions(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStack(stackRepo(), StackConfig{Core: core.Config{Workers: 2, Epoch: time.Millisecond},
+	st, err := OpenStack(stackRepo(), StackConfig{Core: core.Config{Workers: 2},
 		Addr: "127.0.0.1:0", DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +333,7 @@ func TestOutcomesRouteNamesOnlyDurableDecisions(t *testing.T) {
 func TestCrashAfterFoldKeepsCommits(t *testing.T) {
 	dir, crashed := t.TempDir(), t.TempDir()
 	cfg := func(dir string) StackConfig {
-		return StackConfig{Core: core.Config{Workers: 2, Epoch: time.Millisecond}, Addr: "127.0.0.1:0", DataDir: dir}
+		return StackConfig{Core: core.Config{Workers: 2}, Addr: "127.0.0.1:0", DataDir: dir}
 	}
 	st, err := OpenStack(stackRepo(), cfg(dir))
 	if err != nil {

@@ -77,7 +77,7 @@ type Request struct {
 	// finished and its result is visible through Task.Done (Task.WakeOnDone
 	// may swap it while the build runs): the planner engine that owns a
 	// decisive build hands in its coalescing wake channel, so the result is
-	// reaped at once instead of at the next poll.
+	// reaped at once.
 	Wake chan<- struct{}
 }
 
@@ -261,13 +261,13 @@ func (t *Task) WakeOnDone(w chan<- struct{}) {
 	ended := t.ended
 	t.wakeMu.Unlock()
 	if ended {
-		poke(w)
+		Poke(w)
 	}
 }
 
-// poke sends on a coalescing wake channel without blocking: a wake already
-// pending covers this one too.
-func poke(w chan<- struct{}) {
+// Poke sends on a coalescing wake channel (buffered 1) without blocking: a
+// wake already pending covers this one too. A nil channel is not poked.
+func Poke(w chan<- struct{}) {
 	if w == nil {
 		return
 	}
@@ -337,7 +337,7 @@ func (c *Controller) Start(ctx context.Context, req Request) *Task {
 		w := t.wake
 		t.ended = true
 		t.wakeMu.Unlock()
-		poke(w)
+		Poke(w)
 	}()
 	return t
 }

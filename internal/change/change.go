@@ -203,7 +203,6 @@ type Change struct {
 	// BaseCommit is the mainline commit the patch was authored against.
 	// Staleness (Fig. 2) is measured from this commit's time.
 	BaseCommit repo.CommitID
-	BaseSeq    int // mainline position of BaseCommit
 
 	SubmittedAt time.Time
 	Stats       Stats
@@ -223,9 +222,6 @@ type Change struct {
 	// scheduler ramps the change's weight up as slack shrinks so deadlined
 	// bulk work cannot starve behind a sustained hotfix stream.
 	Deadline time.Time
-
-	State  State
-	Reason string // rejection reason, if rejected
 }
 
 // Validate reports whether the change is well-formed enough to enqueue.

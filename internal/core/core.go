@@ -9,7 +9,7 @@
 // its own speculation engine and a pluggable probability model), the commit
 // arbiter, and the build controller. Drive it either synchronously (Submit
 // then ProcessAll, as the examples do) or as a daemon (Start/Stop with a
-// background epoch loop); api.Stack runs it as the daemon cmd/sqd serves.
+// background event loop); api.Stack runs it as the daemon cmd/sqd serves.
 package core
 
 import (
@@ -48,10 +48,8 @@ type Config struct {
 	// useful when the repository's own structure (merge conflicts, target
 	// graph errors) is the only failure source under study.
 	Runner buildsys.StepRunner
-	// Epoch is the background loop's fallback poll (<=0: 250ms). A decisive
-	// build's end wakes its planner engine and a decision wakes the
-	// coordinator; the poll paces what no event announces: adopting new
-	// submissions, speculative results, sched aging, reliability epochs.
+	// Epoch is read by nothing: the loop runs only on events. It stays
+	// only because bench/build_bound.go still sets it.
 	Epoch time.Duration
 	// PreemptionGrace: builds running at least this long are not aborted.
 	PreemptionGrace time.Duration
@@ -206,7 +204,6 @@ func (s *Service) submitLocked(c *change.Change, journalIt bool) error {
 	if c.BaseCommit == "" {
 		c.BaseCommit = s.repo.Head().ID
 	}
-	c.State = change.StatePending
 	// Encode the journal record before the engines can see the change: a
 	// planner writes c.Stats when it starts the change's build.
 	j := s.journal
@@ -220,6 +217,7 @@ func (s *Service) submitLocked(c *change.Change, journalIt bool) error {
 	}
 	s.statuses[c.ID] = Status{ID: c.ID, State: change.StatePending}
 	s.mu.Unlock()
+	s.runtime.Poke() // the coordinator adopts the change now, not at a later event
 	if s.tracker != nil {
 		s.tracker.NoteSubmit(c, c.SubmittedAt)
 	}
@@ -407,7 +405,7 @@ func (s *Service) Gauges() metrics.Gauges {
 	return metrics.Render(layers...)
 }
 
-// Start launches the background epoch loop. Call Stop to halt it.
+// Start launches the background event loop. Call Stop to halt it.
 func (s *Service) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -420,7 +418,7 @@ func (s *Service) Start() {
 	s.loopDone = done
 	go func() {
 		defer close(done)
-		_ = s.runtime.Run(ctx, s.cfg.Epoch)
+		_ = s.runtime.Run(ctx)
 	}()
 }
 

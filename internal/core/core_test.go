@@ -170,7 +170,7 @@ func TestManyChangesAllDisposed(t *testing.T) {
 
 func TestBackgroundLoop(t *testing.T) {
 	r := newRepo()
-	s := NewService(r, Config{Workers: 2, Epoch: 5 * time.Millisecond})
+	s := NewService(r, Config{Workers: 2})
 	s.Start()
 	s.Start() // idempotent
 	defer s.Stop()
@@ -332,7 +332,7 @@ func TestStopAbortsInFlightBuilds(t *testing.T) {
 	r := newRepo()
 	var active atomic.Int64
 	started := make(chan struct{}, 1)
-	s := NewService(r, Config{Workers: 2, Epoch: time.Millisecond, Runner: blockingRunner(&active, started)})
+	s := NewService(r, Config{Workers: 2, Runner: blockingRunner(&active, started)})
 	s.Start()
 	for _, c := range []*change.Change{mkChange(r, "c1", "lib/lib.go", "lib v2"), mkChange(r, "c2", "doc/readme.md", "doc v2")} {
 		if err := s.Submit(c); err != nil {

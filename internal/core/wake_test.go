@@ -12,6 +12,7 @@ import (
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
 	"mastergreen/internal/repo"
+	"mastergreen/internal/sched"
 )
 
 // wakeFiles are the sources of each subtree's one target in wakeRepo: four
@@ -52,7 +53,7 @@ func brokenRunner() buildsys.StepRunner {
 }
 
 // awaitDecided polls every id's status until all are committed or rejected,
-// and fails the test if that takes longer than limit.
+// and fails the test if that takes longer than limit from the call.
 func awaitDecided(t *testing.T, s *Service, ids []change.ID, limit time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(limit)
@@ -75,7 +76,7 @@ func awaitDecided(t *testing.T, s *Service, ids []change.ID, limit time.Duration
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d changes undecided %v after Start (first: %+v)", undecided, len(ids), limit, first)
+			t.Fatalf("%d of %d changes undecided after %v (first: %+v)", undecided, len(ids), limit, first)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -93,7 +94,7 @@ func TestBuildEndWakesEngine(t *testing.T) {
 		cs = append(cs, mkChange(r, fmt.Sprintf("chain%d", i), "s0/"+f, "chain v1"))
 	}
 	cs = append(cs, mkChange(r, "broken", "s1/a.go", "BROKEN"))
-	s := NewService(r, Config{Epoch: time.Hour, Shards: 4, Runner: brokenRunner()})
+	s := NewService(r, Config{Shards: 4, Runner: brokenRunner()})
 	var ids []change.ID
 	for _, c := range cs {
 		if err := s.Submit(c); err != nil {
@@ -123,7 +124,7 @@ func TestBuildEndWakesEngine(t *testing.T) {
 func TestWakeStressNoLostWakeup(t *testing.T) {
 	const subtrees, chains, waves = 8, 4, 3
 	r := wakeRepo(subtrees)
-	s := NewService(r, Config{Workers: 8, Epoch: time.Hour, Shards: 2, Runner: brokenRunner()})
+	s := NewService(r, Config{Workers: 8, Shards: 2, Runner: brokenRunner()})
 	for w := 0; w < waves; w++ {
 		var ids []change.ID
 		for i := 0; i < subtrees; i++ {
@@ -155,5 +156,133 @@ func TestWakeStressNoLostWakeup(t *testing.T) {
 		if rejected != 1 {
 			t.Fatalf("wave %d: %d rejections, want the one broken change", w, rejected)
 		}
+	}
+}
+
+// TestIdleSubmitDecidesWithoutPoll: a submission wakes the coordinator, so a
+// change sent to an idle, started service is adopted, built and decided at
+// once — not at the next tick of a poll. Eight changes go in one at a time
+// at the default Config; each must be decided within 25 ms of its Submit.
+func TestIdleSubmitDecidesWithoutPoll(t *testing.T) {
+	r := wakeRepo(8)
+	s := NewService(r, Config{})
+	s.Start()
+	defer s.Stop()
+	time.Sleep(20 * time.Millisecond) // let the first ticks pass
+	for i := 0; i < 8; i++ {
+		c := mkChange(r, fmt.Sprintf("idle%d", i), fmt.Sprintf("s%d/a.go", i), "idle v1")
+		if err := s.Submit(c); err != nil {
+			t.Fatal(err)
+		}
+		awaitDecided(t, s, []change.ID{c.ID}, 25*time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // idle again before the next one
+	}
+}
+
+// TestIdleEngineDoesNotTick: with nothing pending, nothing wakes the engine
+// or the coordinator, so for half a second neither ticks nor partitions.
+func TestIdleEngineDoesNotTick(t *testing.T) {
+	r := wakeRepo(1)
+	s := NewService(r, Config{Shards: 2})
+	s.Start()
+	defer s.Stop()
+	c := mkChange(r, "once", "s0/a.go", "once v1")
+	if err := s.Submit(c); err != nil {
+		t.Fatal(err)
+	}
+	awaitDecided(t, s, []change.ID{c.ID}, 2*time.Second)
+	ticks := func() (int, int) {
+		ps := s.PlannerStats()
+		return ps.PlansSkipped + ps.PlansComputed, s.ShardStats().Partitions
+	}
+	plans, parts := ticks()
+	for i := 0; i < 40; i++ { // let the ticks the decision caused pass
+		time.Sleep(50 * time.Millisecond)
+		p2, q2 := ticks()
+		if p2 == plans && q2 == parts {
+			break
+		}
+		plans, parts = p2, q2
+	}
+	time.Sleep(500 * time.Millisecond)
+	if p2, q2 := ticks(); p2 != plans || q2 != parts {
+		t.Fatalf("idle for 500 ms: %d engine ticks and %d partitions, want 0", p2-plans, q2-parts)
+	}
+}
+
+// TestSchedAgingWakesIdleEngine: with every build held, the only event left
+// is a deadline aging a pending change's weight. The planner arms its own
+// timer for the next instant the printed weight can change, so the engine
+// keeps replanning — dozens of times over a 400 ms urgency horizon — and
+// stops once the deadline has passed and the weight can move no more.
+func TestSchedAgingWakesIdleEngine(t *testing.T) {
+	r := wakeRepo(1)
+	pol := sched.Default()
+	pol.UrgencyHorizon = 400 * time.Millisecond
+	var active atomic.Int64
+	started := make(chan struct{}, 1)
+	s := NewService(r, Config{Sched: pol, Runner: blockingRunner(&active, started)})
+	c := mkChange(r, "aging", "s0/a.go", "aging v1")
+	c.Class, c.Deadline = change.ClassBulk, time.Now().Add(pol.UrgencyHorizon)
+	if err := s.Submit(c); err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Stop()
+	<-started
+	before := s.PlannerStats().PlansComputed
+	time.Sleep(300 * time.Millisecond)
+	if n := s.PlannerStats().PlansComputed - before; n < 5 {
+		t.Fatalf("%d replans while the weight aged for 300 ms, want at least 5", n)
+	}
+	time.Sleep(time.Until(c.Deadline) + 50*time.Millisecond)
+	before = s.PlannerStats().PlansComputed
+	time.Sleep(150 * time.Millisecond)
+	if n := s.PlannerStats().PlansComputed - before; n != 0 {
+		t.Fatalf("%d replans after the deadline, want 0: the weight is at its maximum", n)
+	}
+}
+
+// TestSpeculativeOnlyEngineStaysLive: with one worker, a hotfix behind a
+// conflicting normal change plans its build that assumes the change commits
+// first, so the only running build is speculative. Its end must still wake
+// the engine — nothing else would — which then builds and decides both.
+func TestSpeculativeOnlyEngineStaysLive(t *testing.T) {
+	r := wakeRepo(1)
+	speculativeOnly(t, r, mkChange(r, "normal", "s0/a.go", "normal v1"), mkChange(r, "hotfix", "s0/b.go", "hotfix v1"), change.StateCommitted)
+}
+
+// TestSpeculativeMergeFailureStaysLive: as above, but both changes modify
+// s0/a.go from the same base, so the hotfix's speculative build fails to
+// merge before it can start and nothing is left running. The synthetic
+// result must wake the engine, which then builds the normal change and
+// rejects the hotfix against the new head.
+func TestSpeculativeMergeFailureStaysLive(t *testing.T) {
+	r := wakeRepo(1)
+	speculativeOnly(t, r, mkChange(r, "normal", "s0/a.go", "normal v1"), mkChange(r, "hotfix", "s0/a.go", "hotfix v1"), change.StateRejected)
+}
+
+// speculativeOnly submits normal, then hotfix as a hotfix, to a one-worker
+// service and requires ProcessAll to commit normal and leave hotfix in the
+// state want within 5 s.
+func speculativeOnly(t *testing.T, r *repo.Repo, normal, hotfix *change.Change, want change.State) {
+	t.Helper()
+	s := NewService(r, Config{Workers: 1, Sched: sched.Default(), Runner: brokenRunner()})
+	hotfix.Class = change.ClassHotfix
+	for _, c := range []*change.Change{normal, hotfix} {
+		if err := s.Submit(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.ProcessAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.State(normal.ID); st.State != change.StateCommitted {
+		t.Errorf("%s: %+v, want committed", normal.ID, st)
+	}
+	if st, _ := s.State(hotfix.ID); st.State != want {
+		t.Errorf("%s: %+v, want %v", hotfix.ID, st, want)
 	}
 }

@@ -127,7 +127,7 @@ func Loadtest(o Options) *Report {
 
 	// --- Phase 1: sustained throughput on the hot serving path.
 	sus, err := api.OpenStack(shardRepo(subtrees, slots), api.StackConfig{
-		Core: core.Config{Workers: 16, Epoch: 2 * time.Millisecond, Shards: 8,
+		Core: core.Config{Workers: 16, Shards: 8,
 			Runner: loadtestRunner(0, brokenPaths)},
 		Addr: "127.0.0.1:0", AdmissionCap: 50000, StatusRefresh: 50 * time.Millisecond,
 	})
@@ -180,7 +180,7 @@ func Loadtest(o Options) *Report {
 	// Four workers, one engine, slow builds: the decision rate sits far below
 	// the offered rate, so the queue actually fills and backpressure engages.
 	over, err := api.OpenStack(shardRepo(subtrees, slots), api.StackConfig{
-		Core: core.Config{Workers: 4, Epoch: 2 * time.Millisecond, Shards: 1,
+		Core: core.Config{Workers: 4, Shards: 1,
 			Runner: loadtestRunner(overDelay, brokenPaths)},
 		Addr: "127.0.0.1:0", AdmissionCap: overCap, StatusRefresh: 50 * time.Millisecond,
 	})

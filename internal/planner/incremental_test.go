@@ -211,7 +211,8 @@ func TestFinishedBoundedAcrossEpochs(t *testing.T) {
 // TestIdleTickAllocs: a tick whose plan inputs are unchanged — builds still
 // running, nothing decided, nothing arrived — allocates nothing, with the
 // sched weights and the reliability epoch in its path. The engine loop ticks
-// on every wake as well as on the poll, so the no-op tick must be free.
+// on every wake, and most wakes change nothing, so the no-op tick must be
+// free.
 func TestIdleTickAllocs(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
@@ -254,5 +255,34 @@ func TestIdleTickAllocs(t *testing.T) {
 	}
 	if n := e.planner.Stats().PlansSkipped - skipped; n < 100 {
 		t.Fatalf("only %d of the measured ticks skipped planning", n)
+	}
+}
+
+// TestAgingTimerLifetime: the sched aging timer exists only once a pending
+// change has a deadline, and StopAging — which the shard runtime calls when
+// its loop ends — disarms it, so a stopped planner is not kept reachable
+// until the deadline passes.
+func TestAgingTimerLifetime(t *testing.T) {
+	e := newEnv(t, holdOpenRunner(), Config{Budget: 1, Sched: sched.Default()})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e.submit(t, "c1", "x/x.go", "x v2")
+	if _, err := e.planner.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if e.planner.aging != nil {
+		t.Fatal("aging timer created with no deadline pending")
+	}
+	bulk := e.submit(t, "c2", "z/z.go", "z v2")
+	bulk.Class, bulk.Deadline = change.ClassBulk, time.Now().Add(time.Hour)
+	if _, err := e.planner.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if e.planner.aging == nil {
+		t.Fatal("no aging timer with a deadline pending")
+	}
+	e.planner.StopAging()
+	if e.planner.aging.Stop() {
+		t.Fatal("aging timer still armed after StopAging")
 	}
 }

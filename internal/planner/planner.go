@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -170,13 +171,13 @@ type trackedBuild struct {
 // which must not be called concurrently with itself; all other methods are
 // safe to call from any goroutine.
 //
-// The planner owns its engine's wake channel (Wake). Two events poke it: the
-// coordinator handing the engine changes (Poke), and the end of a build that
-// can decide its subject now — one started with no assumptions, or one a
-// resolution has since left with none. A speculative build's end does not
-// wake the engine: acting on each partial completion at once would replan
-// on half the results of a batch of builds that finish together, and the
-// next tick collects them anyway.
+// The planner owns its engine's wake channel (Wake). These poke it: the
+// coordinator handing the engine changes (Poke), the end of a build that can
+// decide its subject now — one started with no assumptions, or one a
+// resolution has since left with none — and, with Config.Sched, a deadline
+// aging a weight. A speculative build's end or merge failure wakes it only
+// when no running build would (end of Tick): replanning on each partial
+// completion would act on half a batch of results that finish together.
 type Planner struct {
 	repo       *repo.Repo
 	queue      *queue.Queue
@@ -189,8 +190,11 @@ type Planner struct {
 	// touches it (Tick must not be called concurrently with itself).
 	prep *prepCache
 
-	// wake is the engine's coalescing wake channel (buffered 1).
-	wake chan struct{}
+	// wake is the engine's coalescing wake channel (buffered 1). aging,
+	// created by the first tick that needs it and guarded by mu, pokes it
+	// when a printed sched weight can move.
+	wake  chan struct{}
+	aging *time.Timer
 
 	// Tick-goroutine scratch, kept so a tick with nothing to do allocates
 	// nothing: the pending order and the plan-input fingerprint bytes.
@@ -245,12 +249,7 @@ func (p *Planner) Wake() <-chan struct{} { return p.wake }
 
 // Poke wakes the engine without blocking; pokes that arrive before the loop
 // next waits coalesce into one tick.
-func (p *Planner) Poke() {
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
-}
+func (p *Planner) Poke() { buildsys.Poke(p.wake) }
 
 // Stats returns a copy of the planner's work counters.
 func (p *Planner) Stats() Stats {
@@ -358,9 +357,10 @@ func (p *Planner) buildKeyLocked(rb *trackedBuild) string {
 // that already spent its verification re-run decides differently (reject)
 // than the same key before verification (re-run), and without the marker
 // the post-verification state would fingerprint identically to the
-// pre-verification epoch and decide would be skipped forever. Callers hold
-// p.mu.
-func (p *Planner) planFingerprintLocked(dst []byte, pending []*change.Change) []byte {
+// pre-verification epoch and decide would be skipped forever. With
+// Config.Sched it also returns the next instant a printed weight can move
+// (zero if none can). Callers hold p.mu.
+func (p *Planner) planFingerprintLocked(dst []byte, pending []*change.Change) (_ []byte, next time.Time) {
 	dst = append(dst, p.repo.Head().ID...)
 	dst = append(dst, "|b"...)
 	dst = strconv.AppendInt(dst, int64(p.cfg.Budget), 10)
@@ -373,12 +373,13 @@ func (p *Planner) planFingerprintLocked(dst []byte, pending []*change.Change) []
 		// Deadline urgency moves with the clock, so a quantized weight per
 		// non-default change must be part of the fingerprint — otherwise an
 		// aging P2's rising weight would be memoized away and its plan never
-		// recomputed. One decimal of quantization bounds replan churn.
+		// recomputed. One decimal of quantization bounds replan churn; a
+		// printed weight moves when it reaches its next half-tenth.
 		dst = append(dst, "|s:"...)
 		now := p.cfg.Now()
 		for _, c := range pending {
 			w := p.cfg.Sched.Weight(c.Class, c.Deadline, now)
-			if c.Class == change.ClassNormal && w == 1 {
+			if c.Class == change.ClassNormal && c.Deadline.IsZero() {
 				dst = append(dst, '.')
 			} else {
 				dst = strconv.AppendInt(dst, int64(c.Class), 10)
@@ -386,6 +387,10 @@ func (p *Planner) planFingerprintLocked(dst []byte, pending []*change.Change) []
 				dst = strconv.AppendFloat(dst, w, 'f', 1, 64)
 			}
 			dst = append(dst, ',')
+			at := p.cfg.Sched.ReachesAt(c.Class, c.Deadline, (math.Floor(w*10-0.5)+1.5)/10)
+			if !at.IsZero() && (next.IsZero() || at.Before(next)) {
+				next = at
+			}
 		}
 	}
 	dst = append(dst, "|r:"...)
@@ -404,7 +409,31 @@ func (p *Planner) planFingerprintLocked(dst []byte, pending []*change.Change) []
 		}
 		dst = append(dst, ';')
 	}
-	return dst
+	return dst, next
+}
+
+// armAgingLocked sets the aging timer to poke the engine a millisecond after
+// next (Config.Now's time; the timer counts wall time), when the weight has
+// surely crossed, or stops it if next is zero. Callers hold p.mu.
+func (p *Planner) armAgingLocked(next time.Time) {
+	switch {
+	case next.IsZero():
+		if p.aging != nil {
+			p.aging.Stop()
+		}
+	case p.aging == nil:
+		p.aging = time.AfterFunc(next.Sub(p.cfg.Now())+time.Millisecond, p.Poke)
+	default:
+		p.aging.Reset(next.Sub(p.cfg.Now()) + time.Millisecond)
+	}
+}
+
+// StopAging stops the aging timer until the next tick, so a planner whose
+// loop has ended is not kept reachable by it.
+func (p *Planner) StopAging() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.armAgingLocked(time.Time{})
 }
 
 // pruneFinishedLocked garbage-collects finished builds that can never again
@@ -537,7 +566,9 @@ func (p *Planner) Tick(ctx context.Context) (bool, error) {
 	progress := p.reap()
 	p.pendingBuf = p.queue.AppendPending(p.pendingBuf[:0])
 	p.mu.Lock()
-	p.fpBuf = p.planFingerprintLocked(p.fpBuf[:0], p.pendingBuf)
+	var next time.Time
+	p.fpBuf, next = p.planFingerprintLocked(p.fpBuf[:0], p.pendingBuf)
+	p.armAgingLocked(next)
 	clear(p.pendingBuf) // hold no change past the tick
 	if p.havePlanFP && bytes.Equal(p.fpBuf, p.lastPlanFP) {
 		p.stats.PlansSkipped++
@@ -564,7 +595,28 @@ func (p *Planner) Tick(ctx context.Context) (bool, error) {
 	if err != nil {
 		return progress, err
 	}
+	p.mu.Lock()
+	switch { // while work remains, something must wake the engine again
+	case slices.ContainsFunc(p.running, func(rb *trackedBuild) bool { return rb.armed }):
+	case len(p.running) > 0:
+		p.armLocked(true) // a preemption grace or sched weights kept only speculative ones
+	case p.queue.Len() > 0:
+		p.Poke() // replan on speculative merge failures; skipped if nothing moved
+	}
+	p.mu.Unlock()
 	return progress || started, nil
+}
+
+// armLocked makes the end of every running build that decides its subject
+// now — or, with all, of every running build — wake the engine; a build
+// that has already ended wakes it at once. Callers hold p.mu.
+func (p *Planner) armLocked(all bool) {
+	for _, rb := range p.running {
+		if !rb.armed && (all || p.buildKeyLocked(rb) == p.decisiveKey(rb.build.Subject)) {
+			rb.armed = true
+			rb.task.WakeOnDone(p.wake)
+		}
+	}
 }
 
 // reap moves completed tasks from running to finished, filtering running in
@@ -799,7 +851,7 @@ func (p *Planner) resolve(c *change.Change, st change.State, reason string, comm
 	p.keyEpoch++ // every resolution can change dynamic keys
 	p.pruneFinishedLocked()
 	p.pruneRunningLocked()
-	p.armDecisiveLocked()
+	p.armLocked(false) // a running build may have no open assumption left
 	p.outcomes = append(p.outcomes, Outcome{ID: id, State: st, Reason: reason, Commit: commit, At: p.cfg.Now()})
 	if p.cfg.Events != nil {
 		typ := events.TypeCommitted
@@ -809,19 +861,6 @@ func (p *Planner) resolve(c *change.Change, st change.State, reason string, comm
 			detail = reason
 		}
 		p.cfg.Events.Publish(events.Event{Type: typ, Change: id, Detail: detail})
-	}
-}
-
-// armDecisiveLocked makes every running build that a resolution has turned
-// into its subject's decisive build — all its assumptions now hold — wake
-// the engine when it ends; one that has already ended wakes it at once.
-// Callers hold p.mu.
-func (p *Planner) armDecisiveLocked() {
-	for _, rb := range p.running {
-		if !rb.armed && p.buildKeyLocked(rb) == p.decisiveKey(rb.build.Subject) {
-			rb.armed = true
-			rb.task.WakeOnDone(p.wake)
-		}
 	}
 }
 
@@ -1039,7 +1078,7 @@ func (p *Planner) startBuild(ctx context.Context, b speculation.Build) error {
 		Targets:      targets,
 		PriorTargets: prep.prior,
 	}
-	decisive := assumesNothing(b)
+	decisive := len(b.Assumed) == 0 && len(b.AssumedRejected) == 0
 	if decisive {
 		req.Wake = p.wake
 	}
@@ -1074,9 +1113,8 @@ func cloneBuild(b speculation.Build) speculation.Build {
 }
 
 // recordImmediateFailure registers a synthetic failed result for builds that
-// cannot even start (merge or graph errors). Like any build end, one that
-// decides its subject wakes the engine: the tick that recorded it has
-// already decided.
+// cannot even start (merge or graph errors). Like a build's end, it wakes the
+// engine only if it decides its subject; the tick that recorded it has planned.
 func (p *Planner) recordImmediateFailure(b speculation.Build, head *repo.Commit, reason string) {
 	p.mu.Lock()
 	p.finished = append(p.finished, &trackedBuild{
@@ -1085,15 +1123,9 @@ func (p *Planner) recordImmediateFailure(b speculation.Build, head *repo.Commit,
 		result:  buildsys.Result{Key: b.Key(), OK: false, Err: errors.New(reason), FailedStep: "merge"},
 	})
 	p.mu.Unlock()
-	if assumesNothing(b) {
+	if len(b.Assumed) == 0 && len(b.AssumedRejected) == 0 {
 		p.Poke()
 	}
-}
-
-// assumesNothing reports whether b was planned with no assumption about any
-// pending change: its result decides its subject as soon as it exists.
-func assumesNothing(b speculation.Build) bool {
-	return len(b.Assumed) == 0 && len(b.AssumedRejected) == 0
 }
 
 // AbortAll cancels every running build. Tick calls it when the queue is

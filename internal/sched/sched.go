@@ -110,6 +110,19 @@ func (p *Policy) Weight(c change.Class, deadline, now time.Time) float64 {
 	return p.ClassWeight(c) * p.Urgency(deadline, now)
 }
 
+// ReachesAt returns the instant a change's weight climbs to w on its
+// deadline ramp, or the zero time if it never does. On the ramp the weight
+// is linear in time — cw·UrgencyMax at the deadline, falling by
+// cw·(UrgencyMax−1) per UrgencyHorizon of slack — so the instant has a
+// closed form, and a caller can sleep until the weight it watches moves.
+func (p *Policy) ReachesAt(c change.Class, deadline time.Time, w float64) time.Time {
+	cw, top := p.ClassWeight(c), p.ClassWeight(c)*p.UrgencyMax
+	if deadline.IsZero() || p.UrgencyMax <= 1 || cw <= 0 || w > top {
+		return time.Time{}
+	}
+	return deadline.Add(-time.Duration((top - w) / (top - cw) * float64(p.UrgencyHorizon)))
+}
+
 // NoSkip reports whether the class is exempt from predictor τ-gating
 // (SkipThreshold branch-skip on the modal path). Wrongly gating a hotfix
 // hedge costs a restart exactly when turnaround matters most, so the P0

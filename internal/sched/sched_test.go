@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -47,6 +48,29 @@ func TestUrgencyRamp(t *testing.T) {
 	}
 	if u := p.Urgency(deadline, deadline.Add(time.Hour)); u != p.UrgencyMax {
 		t.Fatalf("urgency past deadline = %v, want UrgencyMax %v (must not collapse)", u, p.UrgencyMax)
+	}
+}
+
+// TestReachesAtInvertsTheRamp: the closed-form instant a weight reaches w is
+// where Weight reads w, for every class on the ramp; past the ramp's top, or
+// without a deadline, there is no such instant.
+func TestReachesAtInvertsTheRamp(t *testing.T) {
+	p := Default()
+	deadline := epoch.Add(p.UrgencyHorizon)
+	for _, c := range []change.Class{change.ClassBulk, change.ClassNormal, change.ClassHotfix} {
+		cw := p.ClassWeight(c)
+		for _, w := range []float64{cw, cw * 1.05, cw * 4.5, cw * p.UrgencyMax} {
+			at := p.ReachesAt(c, deadline, w)
+			if got := p.Weight(c, deadline, at); math.Abs(got-w) > 1e-9*w {
+				t.Errorf("class %v: Weight at ReachesAt(%v) = %v", c, w, got)
+			}
+		}
+		if at := p.ReachesAt(c, deadline, cw*p.UrgencyMax+0.01); !at.IsZero() {
+			t.Errorf("class %v: weight above the ramp's top reached at %v", c, at)
+		}
+		if at := p.ReachesAt(c, time.Time{}, cw*1.05); !at.IsZero() {
+			t.Errorf("class %v: no deadline, yet reached at %v", c, at)
+		}
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mastergreen/internal/arbiter"
 	"mastergreen/internal/buildsys"
@@ -65,7 +64,7 @@ type member struct {
 
 // engine is one planner shard: an isolated sub-queue plus a planner instance
 // whose conflict source is a coordinator-fed view of the global graph. The
-// planner's wake channel is the engine loop's only wake-up besides the poll.
+// planner's wake channel is the engine loop's only wake-up.
 type engine struct {
 	queue   *queue.Queue
 	planner *planner.Planner
@@ -81,9 +80,9 @@ type Runtime struct {
 	engines  []*engine
 	cfg      Config
 	headWake <-chan struct{}
-	// wake is the coordinator's coalescing wake channel (buffered 1): an
-	// engine tick that made progress pokes it, so a decision reaches the
-	// outcome log at once rather than at the next poll.
+	// wake is the coordinator's coalescing wake channel (buffered 1): a
+	// submission (Poke) and an engine tick that made progress poke it, so an
+	// arrival is adopted and a decision reaches the outcome log at once.
 	wake chan struct{}
 
 	// gmu guards the cached global conflict graph the engine views read.
@@ -108,17 +107,16 @@ type Runtime struct {
 	// serving path (admission checks, status polls) reads them without
 	// queueing behind rt.mu — Partition holds that mutex across the global
 	// conflict-graph rebuild, and a submit must never wait on planning.
-	// Both are refreshed under rt.mu, so reads lag at most one partition
-	// epoch.
+	// Both are refreshed under rt.mu, at every partition pass.
 	membersN  atomic.Int64
 	outcomesN atomic.Int64
 }
 
 // New creates a runtime with cfg.Shards planner engines over the repository.
-// intake is the service's submission queue: the coordinator drains it each
-// partition epoch and re-homes changes into per-engine sub-queues, preserving
-// their global submission sequence. All engines share the build controller
-// (one global worker pool) and the commit arbiter.
+// intake is the service's submission queue: each partition pass drains it
+// and re-homes changes into per-engine sub-queues, preserving their global
+// submission sequence. All engines share the build controller (one global
+// worker pool) and the commit arbiter.
 func New(r *repo.Repo, intake *queue.Queue, an *conflict.Analyzer, arb *arbiter.Arbiter, ctrl *buildsys.Controller, cfg Config) *Runtime {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -158,26 +156,21 @@ func New(r *repo.Repo, intake *queue.Queue, an *conflict.Analyzer, arb *arbiter.
 // adopted members. Lock-free on the coordinator mutex — the admission layer
 // calls this on every submission, and blocking those behind a heavy
 // partition pass would put planning latency on the serving path. The member
-// count lags mutations by at most one partition epoch.
+// count lags mutations by at most one partition pass.
 func (rt *Runtime) PendingCount() int {
 	return rt.intake.Len() + int(rt.membersN.Load())
 }
 
-// Outcomes returns all merged final dispositions so far.
-func (rt *Runtime) Outcomes() []planner.Outcome {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.collectOutcomesLocked()
-	return append([]planner.Outcome(nil), rt.outcomes...)
-}
+// Poke wakes the coordinator without blocking, so it adopts what the intake
+// queue received; pokes that arrive before the loop next waits coalesce.
+func (rt *Runtime) Poke() { buildsys.Poke(rt.wake) }
 
 // OutcomeCount returns the number of merged dispositions so far. Cursor-based
 // readers (core's journal sync, admission drain-rate sampling) poll it and
 // fetch deltas with OutcomesSince only when it advanced, keeping the
 // steady-state read path allocation-free. Lock-free on the coordinator
-// mutex: it reports outcomes merged by the last partition pass rather than
-// forcing a merge, so the count lags fresh engine decisions by at most one
-// epoch — readers see them on the next poll.
+// mutex: it counts the outcomes the last partition pass merged; an engine
+// tick that decides something wakes the coordinator to run the next one.
 func (rt *Runtime) OutcomeCount() int {
 	return int(rt.outcomesN.Load())
 }
@@ -204,10 +197,10 @@ func (rt *Runtime) OutcomesSince(n int) []planner.Outcome {
 // already landed is a stale loser — the change hit the mainline through
 // another engine before this one noticed, so its "no longer applies" verdict
 // is suppressed and the winner's commit outcome records the decision.
-// Because a double-assigned change has two engines holding the same
-// *change.Change, the engines never write Subject.State in place; the
-// coordinator applies the one winning decision here, under rt.mu. Decided
-// members leave the partition and their engine sub-queue. Callers hold rt.mu.
+// A double-assigned change has two engines holding the same *change.Change,
+// so nobody writes a decision into the change: the outcome log is the only
+// record of it. Decided members leave the partition and their engine
+// sub-queue. Callers hold rt.mu.
 func (rt *Runtime) collectOutcomesLocked() {
 	for _, e := range rt.engines {
 		rt.drained = e.planner.DrainOutcomes(rt.drained[:0])
@@ -225,10 +218,6 @@ func (rt *Runtime) collectOutcomesLocked() {
 				}
 				delete(rt.members, o.ID)
 				m.gone = true
-				if !rt.outSeen[o.ID] {
-					m.c.State = o.State
-					m.c.Reason = o.Reason
-				}
 			}
 			if !rt.outSeen[o.ID] {
 				rt.outSeen[o.ID] = true
@@ -443,36 +432,30 @@ func (rt *Runtime) Tick(ctx context.Context) (bool, error) {
 	return progress, nil
 }
 
-// Run drives the fleet until the context is cancelled, with epoch as the
-// fallback poll. It returns planner.ErrStopped on cancellation, or the first
-// engine error.
-func (rt *Runtime) Run(ctx context.Context, epoch time.Duration) error {
-	if epoch <= 0 {
-		epoch = 250 * time.Millisecond
-	}
-	return rt.loop(ctx, epoch, false)
+// Run drives the fleet until the context is cancelled. It returns
+// planner.ErrStopped on cancellation, or the first engine error.
+func (rt *Runtime) Run(ctx context.Context) error {
+	return rt.loop(ctx, false)
 }
 
-// Quiesce drives the fleet with a 1 ms fallback poll until every adopted
-// change is decided and the intake queue is empty. It returns
-// planner.ErrStopped if the context is cancelled first, or the first engine
-// error.
+// Quiesce drives the fleet until every adopted change is decided and the
+// intake queue is empty. It returns planner.ErrStopped if the context is
+// cancelled first, or the first engine error.
 func (rt *Runtime) Quiesce(ctx context.Context) error {
-	return rt.loop(ctx, time.Millisecond, true)
+	return rt.loop(ctx, true)
 }
 
-// loop is the only code that ticks the planner engines, and it runs on
+// loop is the only code that ticks the planner engines, and it runs only on
 // events. Each engine goroutine ticks, pokes the coordinator if the tick
 // made progress, then waits for stop, cancellation or its planner's wake
-// channel — poked when a partition hands the engine changes and when a
-// build that can decide its subject ends. The coordinator partitions when
-// an engine made progress and on each head advance. The poll is only the
-// fallback for what no event announces: sched weight aging, reliability
-// epochs and speculative builds' results. The loop ends on cancellation, on
-// the first engine error, or, with untilIdle, once nothing is pending. When
-// it ends with an error nothing is left to reap the engines' running builds,
-// so it aborts them.
-func (rt *Runtime) loop(ctx context.Context, poll time.Duration, untilIdle bool) error {
+// channel — poked when a partition hands the engine changes, when a build
+// that can decide its subject ends or a merge fails before one starts, and
+// when a sched deadline ages its weight. The coordinator partitions when a submission arrives, when an
+// engine made progress and on each head advance. The loop ends on
+// cancellation, on the first engine error, or, with untilIdle, once nothing
+// is pending. It then stops the engines' aging timers and, after an error,
+// aborts their running builds, which nothing is left to reap.
+func (rt *Runtime) loop(ctx context.Context, untilIdle bool) error {
 	stop := make(chan struct{})
 	errs := make(chan error, len(rt.engines)) // each engine sends at most once
 	var wg sync.WaitGroup
@@ -480,8 +463,6 @@ func (rt *Runtime) loop(ctx context.Context, poll time.Duration, untilIdle bool)
 		wg.Add(1)
 		go func(e *engine) {
 			defer wg.Done()
-			t := time.NewTimer(poll)
-			defer t.Stop()
 			for {
 				progress, err := e.planner.Tick(ctx)
 				if err != nil {
@@ -489,12 +470,8 @@ func (rt *Runtime) loop(ctx context.Context, poll time.Duration, untilIdle bool)
 					return
 				}
 				if progress {
-					select {
-					case rt.wake <- struct{}{}:
-					default:
-					}
+					rt.Poke()
 				}
-				rearm(t, poll)
 				select {
 				case <-stop:
 					return
@@ -508,27 +485,22 @@ func (rt *Runtime) loop(ctx context.Context, poll time.Duration, untilIdle bool)
 					// result stale (~3 % more builds per commit on
 					// build_bound without the yield).
 					runtime.Gosched()
-				case <-t.C:
 				}
 			}
 		}(e)
 	}
-	t := time.NewTimer(poll)
-	defer t.Stop()
 	var err error
 	for err == nil {
 		rt.Partition()
 		if untilIdle && rt.PendingCount() == 0 {
 			break
 		}
-		rearm(t, poll)
 		select {
 		case <-ctx.Done():
 			err = planner.ErrStopped
 		case err = <-errs:
 		case <-rt.headWake:
 		case <-rt.wake:
-		case <-t.C:
 		}
 	}
 	close(stop)
@@ -539,23 +511,12 @@ func (rt *Runtime) loop(ctx context.Context, poll time.Duration, untilIdle bool)
 		default:
 		}
 	}
-	if err != nil {
-		for _, e := range rt.engines {
+	for _, e := range rt.engines {
+		e.planner.StopAging()
+		if err != nil {
 			e.planner.AbortAll("engine loop stopped")
 		}
 	}
 	rt.Partition() // merge outcomes decided during shutdown
 	return err
-}
-
-// rearm restarts t for d, discarding a fire the last wait did not consume, so
-// a loop waits on one timer instead of allocating one per wait.
-func rearm(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(d)
 }

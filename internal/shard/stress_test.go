@@ -71,7 +71,7 @@ func TestStressLiveSubmitEightShards(t *testing.T) {
 	// while the engines run.
 	r := multiRepo(16)
 	s := core.NewService(r, core.Config{
-		Workers: 8, Shards: 8, Epoch: time.Millisecond,
+		Workers: 8, Shards: 8,
 		Runner: brokenRunner(), Now: fakeClock(),
 	})
 	s.Start()
