@@ -53,10 +53,14 @@ race-graph:
 # race-wake repeats the event-driven loop's wake tests under the race
 # detector. The loop has no poll, so a lost wakeup — a submission, a build
 # end, an arming, a deadline or a decision nobody acts on — leaves a change
-# pending and fails the run; an idle service must not tick at all (~25 s on
-# 2 cores once the race build is cached).
+# pending and fails the run; an idle service must not tick at all. It also
+# repeats the publisher's tests: a decision event implies a durable record,
+# readers never publish, and each change gets one decision event (the last,
+# a 1 024-change load, only 3 times; ~35 s on 2 cores once the race build is
+# cached).
 race-wake:
-	$(GO) test -race -count=20 -run '^(TestBuildEndWakesEngine|TestWakeStressNoLostWakeup|TestIdleSubmitDecidesWithoutPoll|TestIdleEngineDoesNotTick|TestSchedAgingWakesIdleEngine|TestSpeculativeOnlyEngineStaysLive|TestSpeculativeMergeFailureStaysLive|TestWakePokedAfterDone|TestWakeOnDoneArmsLate)$$' ./internal/core/ ./internal/buildsys/
+	$(GO) test -race -count=20 -run '^(TestBuildEndWakesEngine|TestWakeStressNoLostWakeup|TestIdleSubmitDecidesWithoutPoll|TestIdleEngineDoesNotTick|TestSchedAgingWakesIdleEngine|TestSpeculativeOnlyEngineStaysLive|TestSpeculativeMergeFailureStaysLive|TestWakePokedAfterDone|TestWakeOnDoneArmsLate|TestDecisionEventImpliesDurable|TestReadersDoNotPublish)$$' ./internal/core/ ./internal/buildsys/
+	$(GO) test -race -count=3 -run '^TestOneDecisionEventPerChange$$' ./internal/shard/
 
 # fuzz boots a service from arbitrary journal and snapshot bytes for 10 s,
 # starting from the checked-in corpus of a real journal: a boot returns a

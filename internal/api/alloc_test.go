@@ -1,6 +1,7 @@
 package api
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -58,5 +59,23 @@ func TestStateHandlerAllocBudget(t *testing.T) {
 	if allocs > stateAllocBudget {
 		t.Fatalf("state handler allocs/op = %.1f, budget %d (pre-PR baseline: 5)",
 			allocs, stateAllocBudget)
+	}
+}
+
+// TestOutcomesPageAllocsFlat: a page of the outcomes route copies only the
+// page, so a 20-decision page of a 10 000-decision log costs within 10 % of
+// the allocations of one of a 100-decision log.
+func TestOutcomesPageAllocsFlat(t *testing.T) {
+	perPage := func(decisions int) float64 {
+		srv := NewServer(rejectedService(t, decisions))
+		get := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/api/v1/outcomes?after=%d&limit=20", decisions-20), nil)
+		w := &nullResponseWriter{}
+		return testing.AllocsPerRun(200, func() {
+			srv.ServeHTTP(w, get)
+		})
+	}
+	small, large := perPage(100), perPage(10000)
+	if large > 1.1*small {
+		t.Fatalf("outcomes page allocs/op = %.1f over 10 000 decisions, %.1f over 100", large, small)
 	}
 }

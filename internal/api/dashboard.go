@@ -3,12 +3,13 @@ package api
 import (
 	"fmt"
 	"html/template"
+	"math"
 	"net/http"
 	"strconv"
 
-	"mastergreen/internal/change"
 	"mastergreen/internal/events"
 	"mastergreen/internal/metrics"
+	"mastergreen/internal/planner"
 )
 
 // SetEvents attaches an event bus, enabling GET /api/v1/events and the
@@ -33,17 +34,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if s.shedRead(w) {
 		return
 	}
-	since := int64(0)
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad since: "+err.Error())
-			return
-		}
-		since = n
+	since, ok := queryInt(r.URL.Query().Get("since"), 0, math.MinInt)
+	if !ok {
+		writeError(w, http.StatusBadRequest, "bad since: want an event seq")
+		return
 	}
 	writeJSON(w, http.StatusOK, EventsResponse{
-		Events:  s.events.Since(since),
+		Events:  s.events.Since(int64(since)),
 		LastSeq: s.events.LastSeq(),
 	})
 }
@@ -56,6 +53,20 @@ type OutcomeItem struct {
 	Commit string `json:"commit,omitempty"`
 }
 
+// OutcomesResponse is one page of the decision log: the decisions after the
+// request's seq, in decision order, and the seq to ask after next.
+type OutcomesResponse struct {
+	Outcomes []OutcomeItem `json:"outcomes"`
+	Next     int           `json:"next"`
+}
+
+// A page holds outcomesLimit decisions when the request names no limit, and
+// never more than outcomesMaxLimit.
+const outcomesLimit, outcomesMaxLimit = 100, 1000
+
+// handleOutcomes serves GET /api/v1/outcomes?after=SEQ&limit=N: up to N
+// published decisions after seq SEQ (the first decision has seq 1; after
+// defaults to 0), copying only the page.
 func (s *Server) handleOutcomes(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
@@ -64,13 +75,35 @@ func (s *Server) handleOutcomes(w http.ResponseWriter, r *http.Request) {
 	if s.shedRead(w) {
 		return
 	}
-	var out []OutcomeItem
-	for _, o := range s.svc.Outcomes() {
-		out = append(out, OutcomeItem{
-			ID: string(o.ID), State: o.State.String(), Reason: o.Reason, Commit: string(o.Commit),
-		})
+	q := r.URL.Query()
+	after, okAfter := queryInt(q.Get("after"), 0, 0)
+	limit, okLimit := queryInt(q.Get("limit"), outcomesLimit, 1)
+	if !okAfter || !okLimit {
+		writeError(w, http.StatusBadRequest, "bad page: want after >= 0 and limit >= 1")
+		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"outcomes": out})
+	limit = min(limit, outcomesMaxLimit)
+	page := outcomeItems(s.svc.OutcomesAfter(after, limit))
+	writeJSON(w, http.StatusOK, OutcomesResponse{Outcomes: page, Next: after + len(page)})
+}
+
+// outcomeItems renders decisions for the outcomes route and the dashboard.
+func outcomeItems(outs []planner.Outcome) []OutcomeItem {
+	items := make([]OutcomeItem, len(outs))
+	for i, o := range outs {
+		items[i] = OutcomeItem{ID: string(o.ID), State: o.State.String(), Reason: o.Reason, Commit: string(o.Commit)}
+	}
+	return items
+}
+
+// queryInt parses a query value as an int of at least least (empty: def),
+// reporting whether it is one.
+func queryInt(v string, def, least int) (int, bool) {
+	if v == "" {
+		return def, true
+	}
+	n, err := strconv.Atoi(v)
+	return n, err == nil && n >= least
 }
 
 var dashboardTmpl = template.Must(template.New("dash").Parse(`<!DOCTYPE html>
@@ -85,7 +118,7 @@ var dashboardTmpl = template.Must(template.New("dash").Parse(`<!DOCTYPE html>
 <p>mainline: {{.MainlineLen}} commits, HEAD {{.Head}} | pending: {{.Pending}}</p>
 <h2>recent outcomes</h2>
 <table><tr><th>change</th><th>state</th><th>detail</th></tr>
-{{range .Outcomes}}<tr><td>{{.ID}}</td><td class="{{.State}}">{{.State}}</td><td>{{.Detail}}</td></tr>
+{{range .Outcomes}}<tr><td>{{.ID}}</td><td class="{{.State}}">{{.State}}</td><td>{{or .Reason .Commit}}</td></tr>
 {{end}}</table>
 <h2>recent events</h2>
 <table><tr><th>#</th><th>type</th><th>change</th><th>build</th><th>detail</th></tr>
@@ -102,14 +135,8 @@ type dashboardData struct {
 	Head        string
 	Pending     int
 	Gauges      metrics.Gauges
-	Outcomes    []dashboardOutcome
+	Outcomes    []OutcomeItem
 	Events      []events.Event
-}
-
-type dashboardOutcome struct {
-	ID     change.ID
-	State  string
-	Detail string
 }
 
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
@@ -125,21 +152,8 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		Head:        string(s.svc.Repo().Head().ID),
 		Pending:     s.svc.PendingCount(),
 		Gauges:      s.gauges(),
-	}
-	// Copy only the log's tail, so a render costs the same at any uptime.
-	// OutcomeCount can lag the decisions OutcomesSince merges: trim to 20.
-	outs := s.svc.OutcomesSince(s.svc.OutcomeCount() - 20)
-	if len(outs) > 20 {
-		outs = outs[len(outs)-20:]
-	}
-	for _, o := range outs {
-		detail := string(o.Commit)
-		if o.Reason != "" {
-			detail = o.Reason
-		}
-		d.Outcomes = append(d.Outcomes, dashboardOutcome{
-			ID: o.ID, State: o.State.String(), Detail: detail,
-		})
+		// Copy only the log's tail, so a render costs the same at any uptime.
+		Outcomes: outcomeItems(s.svc.OutcomesAfter(s.svc.OutcomeCount()-20, 20)),
 	}
 	if s.events != nil {
 		evs := s.events.Since(0)

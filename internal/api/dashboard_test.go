@@ -106,6 +106,74 @@ func TestOutcomesEndpoint(t *testing.T) {
 	}
 }
 
+// rejectedService returns a service that has decided n changes, each
+// rejected at once: its patch does not apply to the head.
+func rejectedService(t *testing.T, n int) *core.Service {
+	t.Helper()
+	svc := core.NewService(repo.New(map[string]string{"lib/BUILD": "target lib srcs=lib.go", "lib/lib.go": "lib v1"}),
+		core.Config{Workers: 2})
+	for i := 0; i < n; i++ {
+		c := &change.Change{
+			ID: change.ID(fmt.Sprintf("r%05d", i)),
+			Patch: repo.Patch{Changes: []repo.FileChange{{
+				Path: "lib/lib.go", Op: repo.OpModify, BaseHash: repo.HashContent("lib v0"), NewContent: "x",
+			}}},
+			BuildSteps: []change.BuildStep{{Name: "compile", Kind: change.StepCompile}},
+		}
+		if err := svc.Submit(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.ProcessAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.OutcomeCount(); got != n {
+		t.Fatalf("decided %d changes, want %d", got, n)
+	}
+	return svc
+}
+
+// TestOutcomesRoutePages: GET /api/v1/outcomes is a cursor over the decision
+// log. A page holds the decisions after `after`, at most `limit` of them
+// (100 unnamed, 1 000 at most), and `next` is the seq to ask after next; a
+// malformed or negative after, or a limit below 1, is a 400.
+func TestOutcomesRoutePages(t *testing.T) {
+	svc := rejectedService(t, 1100)
+	srv := NewServer(svc)
+	outs := svc.Outcomes()
+	for _, tc := range []struct {
+		query    string
+		first, n int
+		wantNext int
+	}{
+		{"", 0, 100, 100},
+		{"?after=1095", 1095, 5, 1100},
+		{"?after=40&limit=3", 40, 3, 43},
+		{"?limit=5000", 0, 1000, 1000},
+		{"?after=1100", 1100, 0, 1100},
+		{"?after=2000", 1100, 0, 2000},
+	} {
+		rec := doJSON(t, srv, http.MethodGet, "/api/v1/outcomes"+tc.query, nil)
+		var page OutcomesResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("%q: %d %v: %s", tc.query, rec.Code, err, rec.Body)
+		}
+		if len(page.Outcomes) != tc.n || page.Next != tc.wantNext {
+			t.Fatalf("%q: %d outcomes, next %d; want %d, next %d", tc.query, len(page.Outcomes), page.Next, tc.n, tc.wantNext)
+		}
+		for i, o := range page.Outcomes {
+			if want := outs[tc.first+i]; o.ID != string(want.ID) || o.State != want.State.String() || o.Reason != want.Reason {
+				t.Fatalf("%q: item %d = %+v, decision %d is %+v", tc.query, i, o, tc.first+i+1, want)
+			}
+		}
+	}
+	for _, query := range []string{"?after=x", "?after=-1", "?limit=0", "?limit=-3", "?limit=ten"} {
+		if rec := doJSON(t, srv, http.MethodGet, "/api/v1/outcomes"+query, nil); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%q = %d, want 400", query, rec.Code)
+		}
+	}
+}
+
 func TestDashboardRenders(t *testing.T) {
 	srv, _ := newEventedServer(t)
 	rec := doJSON(t, srv, http.MethodGet, "/", nil)

@@ -17,7 +17,9 @@ import (
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
 	"mastergreen/internal/core"
+	"mastergreen/internal/events"
 	"mastergreen/internal/repo"
+	"mastergreen/internal/sched"
 	"mastergreen/internal/store"
 )
 
@@ -378,5 +380,46 @@ func TestCrashAfterFoldKeepsCommits(t *testing.T) {
 		if _, err := r.Lookup(repo.CommitID(sr.Commit)); err != nil {
 			t.Fatalf("%s names commit %s, not on the mainline: %v", id, sr.Commit, err)
 		}
+	}
+}
+
+// TestSchedCountsDecisionsWithoutPoll: a stack with priority lanes and no
+// state poller counts a decision in its lane as it publishes it. One status
+// read after c1's committed event shows the lane's commit.
+func TestSchedCountsDecisionsWithoutPoll(t *testing.T) {
+	st, err := OpenStack(stackRepo(), StackConfig{Core: core.Config{Workers: 2, Sched: sched.Default()},
+		Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := st.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	feed, unsubscribe := st.Bus().Subscribe(64)
+	defer unsubscribe()
+	submitOver(t, st, "c1", "lib/lib.go", "lib v1", "lib v2")
+	timeout := time.After(10 * time.Second)
+	for committed := false; !committed; {
+		select {
+		case ev := <-feed:
+			committed = ev.Type == events.TypeCommitted && ev.Change == "c1"
+		case <-timeout:
+			t.Fatal("no committed event for c1")
+		}
+	}
+	resp, err := http.Get(st.URL() + "/api/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var status StatusResponse
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	if g := status.Gauges; g["sched_normal_committed"] != 1 || g["sched_normal_pending"] != 0 {
+		t.Fatalf("normal lane after c1 committed: committed %v, pending %v",
+			g["sched_normal_committed"], g["sched_normal_pending"])
 	}
 }

@@ -16,7 +16,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mastergreen/internal/arbiter"
@@ -96,20 +98,20 @@ type Service struct {
 	rel      *reliability.Reliability
 	cfg      Config
 
+	// mu guards statuses, log and the loop's handles. Only publish writes a
+	// decision into statuses and log; readers copy from them.
 	mu       sync.Mutex
 	statuses map[change.ID]Status
+	log      []planner.Outcome // published decisions; seq n is log[n-1]
 	cancel   context.CancelFunc
 	loopDone chan struct{}
-	// outCursor is how many planner outcomes have been published to
-	// statuses; syncOutcomes reads only the delta past it, so a State() poll
-	// with no new decisions costs a counter compare instead of a full
-	// outcome-slice copy. foldMu serializes the syncOutcomes that advance it.
-	outCursor int
-	foldMu    sync.Mutex
+	// pubMu makes publish the one writer whichever goroutine runs it: the
+	// daemon's publisher, or Tick, ProcessAll and Stop at their end.
+	pubMu sync.Mutex
 
 	// Durability (optional): journal records submissions and rejections;
-	// the arbiter buffers commit records in it.
-	journal *store.Journal
+	// the arbiter buffers commit records in it. Nil without one.
+	journal atomic.Pointer[store.Journal]
 
 	// tracker accumulates per-class queue depths and turnaround times for
 	// the status endpoint and dashboard (nil when Config.Sched is nil).
@@ -206,7 +208,7 @@ func (s *Service) submitLocked(c *change.Change, journalIt bool) error {
 	}
 	// Encode the journal record before the engines can see the change: a
 	// planner writes c.Stats when it starts the change's build.
-	j := s.journal
+	j := s.journal.Load()
 	var rec *store.SubmittedChange
 	if journalIt && j != nil {
 		rec = store.EncodeChange(c)
@@ -216,11 +218,11 @@ func (s *Service) submitLocked(c *change.Change, journalIt bool) error {
 		return err
 	}
 	s.statuses[c.ID] = Status{ID: c.ID, State: change.StatePending}
+	if s.tracker != nil {
+		s.tracker.NoteSubmit(c, c.SubmittedAt) // before the publisher can note its decision
+	}
 	s.mu.Unlock()
 	s.runtime.Poke() // the coordinator adopts the change now, not at a later event
-	if s.tracker != nil {
-		s.tracker.NoteSubmit(c, c.SubmittedAt)
-	}
 	if s.cfg.Events != nil {
 		s.cfg.Events.Publish(events.Event{Type: events.TypeSubmitted, Change: c.ID, Detail: c.Description})
 	}
@@ -242,27 +244,21 @@ var ErrJournal = errors.New("core: journal")
 // Once the journal has failed, a change still pending returns its status
 // with an ErrJournal error: its decision can no longer be made durable.
 func (s *Service) State(id change.ID) (Status, error) {
-	err := s.syncOutcomes()
 	s.mu.Lock()
 	st, ok := s.statuses[id]
 	s.mu.Unlock()
 	if !ok {
 		return Status{}, fmt.Errorf("core: unknown change %s", id)
 	}
-	if err != nil && st.State != change.StateCommitted && st.State != change.StateRejected {
-		return st, err
+	if st.State != change.StateCommitted && st.State != change.StateRejected {
+		return st, s.Health()
 	}
 	return st, nil
 }
 
 // Health returns the error that poisoned the journal (ErrJournal), or nil
 // while the service can still make its decisions durable.
-func (s *Service) Health() error {
-	s.mu.Lock()
-	j := s.journal
-	s.mu.Unlock()
-	return journalErr(j.Err())
-}
+func (s *Service) Health() error { return journalErr(s.journal.Load().Err()) }
 
 // journalErr wraps a journal's error (nil: nil) in ErrJournal.
 func journalErr(err error) error {
@@ -272,41 +268,26 @@ func journalErr(err error) error {
 	return fmt.Errorf("%w: %w", ErrJournal, err)
 }
 
-// syncOutcomes publishes the runtime's new outcomes as statuses once they
-// are durable: it buffers a record for each rejection (the arbiter buffered
-// each commit's as it landed), waits once for the journal, then publishes,
-// so no status or outcome the service answers with names a decision a crash
-// could lose. A failed journal publishes nothing more, at the cost of one
-// check. The steady-state call (a status poll with no new decisions) is a
-// counter compare with zero allocations.
-func (s *Service) syncOutcomes() error {
-	n := s.runtime.OutcomeCount()
-	s.mu.Lock()
-	cur := s.outCursor
-	s.mu.Unlock()
-	if n <= cur {
-		return nil
-	}
-	return s.publish()
-}
-
-// publish is syncOutcomes without the counter compare: it collects the
-// engines' newest decisions too.
+// publish is the one writer of decisions. It takes what the runtime merged,
+// buffers a journal record for each rejection (the arbiter buffered each
+// commit's as it landed), waits once for the journal, and only then, in this
+// order, appends the decisions to the log, records them as statuses and in
+// the sched tracker, and emits their committed/rejected events: no status,
+// outcome or event names a decision a crash could lose. A failed journal
+// publishes nothing more.
 func (s *Service) publish() error {
-	s.foldMu.Lock()
-	defer s.foldMu.Unlock()
-	s.mu.Lock()
-	cur, j := s.outCursor, s.journal
-	s.mu.Unlock()
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	j := s.journal.Load()
 	if err := j.Err(); err != nil {
 		return journalErr(err)
 	}
-	outs := s.runtime.OutcomesSince(cur) // empty if the last holder of foldMu published them
-	if len(outs) == 0 {
+	batch := s.runtime.DrainDecided(nil)
+	if len(batch) == 0 {
 		return nil
 	}
 	if j != nil {
-		for _, o := range outs {
+		for _, o := range batch {
 			if o.State != change.StateCommitted {
 				j.Buffer(store.Record{Kind: store.KindOutcome, Outcome: &store.OutcomeRecord{
 					ID: o.ID, State: o.State.String(), Reason: o.Reason, At: o.At,
@@ -318,57 +299,62 @@ func (s *Service) publish() error {
 		}
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.outCursor = cur + len(outs)
-	for _, o := range outs {
-		if st := s.statuses[o.ID]; st.State == change.StateCommitted || st.State == change.StateRejected {
-			continue
-		}
+	s.log = append(s.log, batch...)
+	for _, o := range batch {
 		s.statuses[o.ID] = Status{ID: o.ID, State: o.State, Reason: o.Reason, Commit: o.Commit}
 		if s.tracker != nil {
 			s.tracker.NoteDecision(o.ID, o.State == change.StateCommitted, o.At)
 		}
 	}
+	s.mu.Unlock()
+	if s.cfg.Events != nil {
+		for _, o := range batch {
+			ev := events.Event{Type: events.TypeCommitted, Change: o.ID, Detail: string(o.Commit)}
+			if o.State == change.StateRejected {
+				ev.Type, ev.Detail = events.TypeRejected, o.Reason
+			}
+			s.cfg.Events.Publish(ev)
+		}
+	}
 	return nil
 }
 
-// Tick runs one epoch (for callers managing their own loop).
+// Tick runs one epoch (for callers managing their own loop) and publishes
+// what it decided.
 func (s *Service) Tick(ctx context.Context) error {
 	_, err := s.runtime.Tick(ctx)
-	return errors.Join(err, s.syncOutcomes())
+	return errors.Join(err, s.publish())
 }
 
-// ProcessAll drives the engines until every submitted change is committed or
-// rejected. If the context is cancelled first it aborts every running build
-// and returns an error wrapping planner.ErrStopped.
+// ProcessAll drives the engines until every submitted change is decided,
+// then publishes the decisions. If the context is cancelled first it aborts
+// every running build and returns an error wrapping planner.ErrStopped.
 func (s *Service) ProcessAll(ctx context.Context) error {
 	err := s.runtime.Quiesce(ctx)
-	return errors.Join(err, s.syncOutcomes())
+	return errors.Join(err, s.publish())
 }
 
-// Outcomes returns every published final disposition, in decision order.
-func (s *Service) Outcomes() []planner.Outcome { return s.OutcomesSince(0) }
+// Outcomes returns every published decision, in decision order.
+func (s *Service) Outcomes() []planner.Outcome { return s.OutcomesAfter(0, math.MaxInt) }
 
-// OutcomesSince returns the published final dispositions after the first
-// n, in decision order, copying only that tail of the log. It publishes what
-// is new first (see syncOutcomes), so with a journal it names no decision a
-// crash could lose.
-func (s *Service) OutcomesSince(n int) []planner.Outcome {
-	_ = s.publish() // a failed journal publishes nothing new; Health reports it
+// OutcomesAfter returns up to limit published decisions after seq after
+// (the first decision has seq 1), in decision order, copying only those.
+func (s *Service) OutcomesAfter(after, limit int) []planner.Outcome {
 	s.mu.Lock()
-	cur := s.outCursor
-	s.mu.Unlock()
-	n = max(n, 0)
-	if n >= cur {
-		return nil
-	}
-	return s.runtime.OutcomesSince(n)[:cur-n]
+	defer s.mu.Unlock()
+	after = min(max(after, 0), len(s.log))
+	limit = min(max(limit, 0), len(s.log)-after)
+	return append([]planner.Outcome(nil), s.log[after:after+limit]...)
 }
 
-// OutcomeCount returns the number of final dispositions so far, published
-// or not, without copying the outcome log (admission drain-rate sampling
-// polls this).
-func (s *Service) OutcomeCount() int { return s.runtime.OutcomeCount() }
+// OutcomeCount returns the number of published decisions, the seq of the
+// newest one, without copying the log (admission drain-rate sampling and
+// dashboard paging read it).
+func (s *Service) OutcomeCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.log)
+}
 
 // PendingCount returns the number of changes still undecided.
 func (s *Service) PendingCount() int { return s.runtime.PendingCount() }
@@ -405,7 +391,10 @@ func (s *Service) Gauges() metrics.Gauges {
 	return metrics.Render(layers...)
 }
 
-// Start launches the background event loop. Call Stop to halt it.
+// Start launches the background event loop and the publisher: one
+// goroutine that runs publish each time the runtime merges decisions;
+// decisions merged during a journal wait ride the next one. Call Stop to
+// halt both.
 func (s *Service) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -418,12 +407,25 @@ func (s *Service) Start() {
 	s.loopDone = done
 	go func() {
 		defer close(done)
-		_ = s.runtime.Run(ctx)
+		ran := make(chan struct{})
+		go func() {
+			defer close(ran)
+			_ = s.runtime.Run(ctx)
+		}()
+		for {
+			select {
+			case <-s.runtime.Decided():
+				_ = s.publish() // a failed journal publishes nothing more; Health reports it
+			case <-ran:
+				return
+			}
+		}
 	}()
 }
 
-// Stop halts the background loop started by Start and aborts every build
-// still running.
+// Stop halts the background loop and the publisher started by Start,
+// aborting every build still running, then publishes what the loop merged
+// as it stopped.
 func (s *Service) Stop() {
 	s.mu.Lock()
 	cancel, done := s.cancel, s.loopDone
@@ -434,5 +436,5 @@ func (s *Service) Stop() {
 		cancel()
 		<-done
 	}
-	_ = s.syncOutcomes() // a failed journal fails the SnapshotJournal or CloseJournal that follows
+	_ = s.publish() // a failed journal fails the SnapshotJournal or CloseJournal that follows
 }

@@ -371,11 +371,11 @@ func TestProcessAllSyncsOncePerWave(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := svc.journal.Syncs()
+	before := svc.journal.Load().Syncs()
 	if err := svc.ProcessAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if d := svc.journal.Syncs() - before; d > 2 {
+	if d := svc.journal.Load().Syncs() - before; d > 2 {
 		t.Fatalf("ProcessAll over a 32-change wave issued %d fsyncs, want at most 2", d)
 	}
 	states := map[change.State]int{}
@@ -414,7 +414,7 @@ func TestFailedJournalStopsCommits(t *testing.T) {
 	if err := svc.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
-	svc.journal = full
+	svc.journal.Store(full)
 	svc.arb.SetJournal(full)
 	defer svc.CloseJournal()
 

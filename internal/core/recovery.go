@@ -15,10 +15,7 @@ const keepOutcomes = 1000
 // CloseJournal flushes and detaches the journal (call after Stop;
 // api.Stack.Close snapshots the journal first).
 func (s *Service) CloseJournal() error {
-	s.mu.Lock()
-	j := s.journal
-	s.journal = nil
-	s.mu.Unlock()
+	j := s.journal.Swap(nil)
 	if j == nil {
 		return nil
 	}
@@ -30,9 +27,7 @@ func (s *Service) CloseJournal() error {
 // the pending set and the newest keepOutcomes rejections) and truncates the
 // live journal. No-op without a journal.
 func (s *Service) SnapshotJournal() error {
-	s.mu.Lock()
-	j := s.journal
-	s.mu.Unlock()
+	j := s.journal.Load()
 	if j == nil {
 		return nil
 	}
@@ -87,7 +82,7 @@ func OpenRecovered(seed *repo.Repo, journalPath string, cfg Config) (*Service, e
 	if err != nil {
 		return nil, err
 	}
-	svc.journal = j // no other goroutine holds svc yet
+	svc.journal.Store(j)
 	svc.arb.SetJournal(j)
 	return svc, nil
 }

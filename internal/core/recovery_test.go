@@ -182,7 +182,7 @@ func TestSnapshotJournalRestart(t *testing.T) {
 	}
 	// Snapshot mid-stream: s1's commit and s2's pending submit fold into
 	// the snapshot; the live journal is truncated.
-	if err := svc.journal.Snapshot(r.Head().ID, 8, time.Unix(3000, 0)); err != nil {
+	if err := svc.journal.Load().Snapshot(r.Head().ID, 8, time.Unix(3000, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// A post-snapshot submit lands in the tail.

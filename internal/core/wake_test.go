@@ -84,8 +84,8 @@ func awaitDecided(t *testing.T, s *Service, ids []change.ID, limit time.Duration
 
 // TestBuildEndWakesEngine: with a fallback poll of an hour, only the wake
 // edges drive the fleet — a decisive build's end wakes its engine, and an
-// engine tick that made progress wakes the coordinator, which merges the
-// decision into the outcome log. A three-change chain and one broken change
+// engine tick that made progress wakes the coordinator, whose merge wakes
+// the publisher. A three-change chain and one broken change
 // must all be decided within 2 s of Start.
 func TestBuildEndWakesEngine(t *testing.T) {
 	r := wakeRepo(2)

@@ -115,8 +115,9 @@ type Config struct {
 	PreemptionGrace time.Duration
 	// Now supplies the clock (real time by default); injectable for tests.
 	Now func() time.Time
-	// Events, when non-nil, receives lifecycle events (build starts,
-	// finishes, aborts, commits, rejections) for observability.
+	// Events, when non-nil, receives build lifecycle events (starts,
+	// finishes, aborts, retries) for observability. Decision events are the
+	// service's: it emits them once a decision is durable.
 	Events *events.Bus
 	// Reliability, when non-nil, provides flaky-failure handling (DESIGN.md
 	// §4g): its retry budget is refreshed each epoch, and before a failed
@@ -267,8 +268,9 @@ func (p *Planner) count(f func(*Stats)) {
 
 // DrainOutcomes appends the dispositions decided since the last drain to dst,
 // in decision order, and forgets them. The shard coordinator drains every
-// engine each partition epoch into the service's one outcome log; a drain
-// with nothing decided appends nothing and allocates nothing.
+// engine each partition epoch and hands the decisions to the service's
+// publisher; a drain with nothing decided appends nothing and allocates
+// nothing.
 func (p *Planner) DrainOutcomes(dst []Outcome) []Outcome {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -828,9 +830,9 @@ func (p *Planner) verifySuspect(ctx context.Context, fb *trackedBuild) bool {
 }
 
 // resolve finalizes a change's fate as an Outcome; it never writes the
-// change's State/Reason — a rebalance can briefly assign one change to two
-// engines, so the shard coordinator applies the one winning decision at
-// outcome-merge time. The outcome is recorded even if the change has already
+// change's State/Reason and announces nothing — a rebalance can briefly
+// assign one change to two engines, so the service publishes the one winning
+// decision once it is durable. The outcome is recorded even if the change has already
 // left this planner's queue: the coordinator may move a change between
 // engines while a decision is in flight, and dropping the outcome here would
 // lose the decision entirely.
@@ -853,15 +855,6 @@ func (p *Planner) resolve(c *change.Change, st change.State, reason string, comm
 	p.pruneRunningLocked()
 	p.armLocked(false) // a running build may have no open assumption left
 	p.outcomes = append(p.outcomes, Outcome{ID: id, State: st, Reason: reason, Commit: commit, At: p.cfg.Now()})
-	if p.cfg.Events != nil {
-		typ := events.TypeCommitted
-		detail := string(commit)
-		if st == change.StateRejected {
-			typ = events.TypeRejected
-			detail = reason
-		}
-		p.cfg.Events.Publish(events.Event{Type: typ, Change: id, Detail: detail})
-	}
 }
 
 // dropFinished removes a finished build after the arbiter bounced its commit

@@ -112,7 +112,7 @@ func TestPartitionMatchesPathWalk(t *testing.T) {
 			}
 		}
 	}
-	if decided := len(rt.OutcomesSince(0)); checked < 200 || len(engines) < 3 || decided < 50 {
+	if decided := len(rt.DrainDecided(nil)); checked < 200 || len(engines) < 3 || decided < 50 {
 		t.Fatalf("checked %d placements on %d engines between %d decisions; the test exercises too little", checked, len(engines), decided)
 	}
 }

@@ -82,8 +82,13 @@ type Runtime struct {
 	headWake <-chan struct{}
 	// wake is the coordinator's coalescing wake channel (buffered 1): a
 	// submission (Poke) and an engine tick that made progress poke it, so an
-	// arrival is adopted and a decision reaches the outcome log at once.
+	// arrival is adopted and a decision is merged at once.
 	wake chan struct{}
+	// decidedWake (buffered 1) is poked whenever a merge hands decisions
+	// over; decided, under dmu, holds them until DrainDecided takes them.
+	decidedWake chan struct{}
+	dmu         sync.Mutex
+	decided     []planner.Outcome
 
 	// gmu guards the cached global conflict graph the engine views read.
 	gmu    sync.RWMutex
@@ -95,21 +100,16 @@ type Runtime struct {
 	// order holds the members in submission order (the intake hands them
 	// out ascending); decided ones stay until a heavy pass compacts them.
 	order       []*member
-	drained     []planner.Outcome // scratch for DrainOutcomes
-	arrivals    []*change.Change  // scratch for the intake's pending order
-	outcomes    []planner.Outcome
-	outSeen     map[change.ID]bool
+	arrivals    []*change.Change // scratch for the intake's pending order
 	first       bool
 	lastRejects int // arbiter CrossShardRejects at the last heavy partition
 	stats       Stats
 
-	// membersN/outcomesN mirror len(members) and len(outcomes) so the
-	// serving path (admission checks, status polls) reads them without
-	// queueing behind rt.mu — Partition holds that mutex across the global
-	// conflict-graph rebuild, and a submit must never wait on planning.
-	// Both are refreshed under rt.mu, at every partition pass.
-	membersN  atomic.Int64
-	outcomesN atomic.Int64
+	// membersN mirrors len(members) so the serving path (admission checks)
+	// reads it without queueing behind rt.mu — Partition holds that mutex
+	// across the global conflict-graph rebuild, and a submit must never wait
+	// on planning. It is refreshed under rt.mu, at every partition pass.
+	membersN atomic.Int64
 }
 
 // New creates a runtime with cfg.Shards planner engines over the repository.
@@ -122,16 +122,16 @@ func New(r *repo.Repo, intake *queue.Queue, an *conflict.Analyzer, arb *arbiter.
 		cfg.Shards = 1
 	}
 	rt := &Runtime{
-		repo:     r,
-		intake:   intake,
-		analyzer: an,
-		arb:      arb,
-		cfg:      cfg,
-		headWake: arb.Subscribe(),
-		wake:     make(chan struct{}, 1),
-		members:  map[change.ID]*member{},
-		outSeen:  map[change.ID]bool{},
-		first:    true,
+		repo:        r,
+		intake:      intake,
+		analyzer:    an,
+		arb:         arb,
+		cfg:         cfg,
+		headWake:    arb.Subscribe(),
+		wake:        make(chan struct{}, 1),
+		decidedWake: make(chan struct{}, 1),
+		members:     map[change.ID]*member{},
+		first:       true,
 	}
 	perEngine := cfg.Planner.Budget / cfg.Shards
 	if perEngine < 1 {
@@ -165,70 +165,64 @@ func (rt *Runtime) PendingCount() int {
 // queue received; pokes that arrive before the loop next waits coalesce.
 func (rt *Runtime) Poke() { buildsys.Poke(rt.wake) }
 
-// OutcomeCount returns the number of merged dispositions so far. Cursor-based
-// readers (core's journal sync, admission drain-rate sampling) poll it and
-// fetch deltas with OutcomesSince only when it advanced, keeping the
-// steady-state read path allocation-free. Lock-free on the coordinator
-// mutex: it counts the outcomes the last partition pass merged; an engine
-// tick that decides something wakes the coordinator to run the next one.
-func (rt *Runtime) OutcomeCount() int {
-	return int(rt.outcomesN.Load())
+// Decided is poked (coalescing, buffered 1) whenever a merge hands
+// decisions over to DrainDecided.
+func (rt *Runtime) Decided() <-chan struct{} { return rt.decidedWake }
+
+// DrainDecided appends the decisions merged since the last drain to dst, in
+// merge order, and forgets them. The service's publisher is its one caller:
+// it makes them durable before anything names them. It takes only the
+// hand-off's own mutex, never rt.mu.
+func (rt *Runtime) DrainDecided(dst []planner.Outcome) []planner.Outcome {
+	rt.dmu.Lock()
+	defer rt.dmu.Unlock()
+	dst = append(dst, rt.decided...)
+	clear(rt.decided)
+	rt.decided = rt.decided[:0]
+	return dst
 }
 
-// OutcomesSince returns a copy of the merged dispositions recorded after the
-// first n, in decision order.
-func (rt *Runtime) OutcomesSince(n int) []planner.Outcome {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.collectOutcomesLocked()
-	if n < 0 {
-		n = 0
-	}
-	if n >= len(rt.outcomes) {
-		return nil
-	}
-	return append([]planner.Outcome(nil), rt.outcomes[n:]...)
-}
-
-// collectOutcomesLocked drains newly-decided outcomes from every engine into
-// the one outcome log, first decision wins (the coordinator may briefly
-// double-assign a change while moving it; the arbiter guarantees at most one
-// of the decisions commits). A rejection for a change the arbiter has
-// already landed is a stale loser — the change hit the mainline through
-// another engine before this one noticed, so its "no longer applies" verdict
-// is suppressed and the winner's commit outcome records the decision.
-// A double-assigned change has two engines holding the same *change.Change,
-// so nobody writes a decision into the change: the outcome log is the only
-// record of it. Decided members leave the partition and their engine
-// sub-queue. Callers hold rt.mu.
+// collectOutcomesLocked drains newly-decided outcomes from every engine and
+// hands each change's one decision to DrainDecided. The coordinator may
+// briefly double-assign a change while moving it, and the arbiter guarantees
+// at most one of the decisions commits. So a rejection for a change the
+// arbiter has already landed is a stale loser — the change hit the mainline
+// through another engine before this one noticed — and is dropped for the
+// winner's commit outcome; and the first decision kept ends the change's
+// membership, so any later one is dropped. A double-assigned change has two
+// engines holding the same *change.Change, so nobody writes a decision into
+// the change: the outcome is the only record of it. Decided members leave
+// the partition and their engine sub-queue. Callers hold rt.mu.
 func (rt *Runtime) collectOutcomesLocked() {
+	rt.dmu.Lock()
+	defer rt.dmu.Unlock()
+	n := len(rt.decided)
 	for _, e := range rt.engines {
-		rt.drained = e.planner.DrainOutcomes(rt.drained[:0])
-		for _, o := range rt.drained {
-			if o.State != change.StateCommitted && rt.arb.Committed(o.ID) {
-				continue
-			}
-			if m, ok := rt.members[o.ID]; ok {
-				// The deciding engine has usually removed it already. If it
-				// was another engine's stale copy, that engine's pending set
-				// just changed under it: wake it to replan.
-				if m.shard >= 0 && rt.engines[m.shard].queue.Contains(o.ID) {
-					_ = rt.engines[m.shard].queue.Remove(o.ID)
-					rt.engines[m.shard].planner.Poke()
-				}
-				delete(rt.members, o.ID)
-				m.gone = true
-			}
-			if !rt.outSeen[o.ID] {
-				rt.outSeen[o.ID] = true
-				rt.outcomes = append(rt.outcomes, o)
-			}
-		}
+		rt.decided = e.planner.DrainOutcomes(rt.decided)
 	}
-	// Refresh the lock-free mirrors together: outcomes before members, so a
-	// racing reader sees decisions no later than the pending-count drop.
-	rt.outcomesN.Store(int64(len(rt.outcomes)))
+	keep := rt.decided[:n]
+	for _, o := range rt.decided[n:] {
+		m, ok := rt.members[o.ID]
+		if !ok || o.State != change.StateCommitted && rt.arb.Committed(o.ID) {
+			continue
+		}
+		// The deciding engine has usually removed it already. If it was
+		// another engine's stale copy, that engine's pending set just
+		// changed under it: wake it to replan.
+		if m.shard >= 0 && rt.engines[m.shard].queue.Contains(o.ID) {
+			_ = rt.engines[m.shard].queue.Remove(o.ID)
+			rt.engines[m.shard].planner.Poke()
+		}
+		delete(rt.members, o.ID)
+		m.gone = true
+		keep = append(keep, o)
+	}
+	clear(rt.decided[len(keep):])
+	rt.decided = keep
 	rt.membersN.Store(int64(len(rt.members)))
+	if len(keep) > n {
+		buildsys.Poke(rt.decidedWake)
+	}
 }
 
 // Partition runs one coordinator epoch: adopt intake arrivals, retire decided

@@ -9,6 +9,7 @@ import (
 
 	"mastergreen/internal/change"
 	"mastergreen/internal/core"
+	"mastergreen/internal/events"
 	"mastergreen/internal/repo"
 )
 
@@ -153,5 +154,64 @@ func TestStressLiveSubmitEightShards(t *testing.T) {
 	}
 	if ast.MaxQueueDepth < 1 {
 		t.Errorf("arbiter depth never observed: %+v", ast)
+	}
+}
+
+// TestOneDecisionEventPerChange runs the live stress load over four engines,
+// whose partition moves changes between engines while they are decided (at
+// 1 024 changes, a moved change's stale copy is decided in every run): the
+// event feed holds exactly one decision event per decided change, and its
+// type and detail (commit ID or rejection reason) are the change's state.
+func TestOneDecisionEventPerChange(t *testing.T) {
+	const n, ring = 1024, 1 << 16
+	bus := events.NewBus(ring)
+	s := core.NewService(multiRepo(16), core.Config{
+		Workers: 8, Shards: 4, Runner: brokenRunner(), Now: fakeClock(), Events: bus,
+	})
+	s.Start()
+	for i, c := range stressWorkload(n) {
+		if err := s.Submit(c); err != nil {
+			s.Stop()
+			t.Fatal(err)
+		}
+		if i%8 == 7 {
+			time.Sleep(time.Millisecond) // let engines overlap with arrivals
+		}
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for s.OutcomeCount() < n {
+		if time.Now().After(deadline) {
+			s.Stop()
+			t.Fatalf("timed out: %d/%d outcomes", s.OutcomeCount(), n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	s.Stop()
+	if bus.LastSeq() > ring {
+		t.Fatalf("%d events overflowed the %d-event ring", bus.LastSeq(), ring)
+	}
+	decisions := map[change.ID][]events.Event{}
+	for _, ev := range bus.Since(0) {
+		if ev.Type == events.TypeCommitted || ev.Type == events.TypeRejected {
+			decisions[ev.Change] = append(decisions[ev.Change], ev)
+		}
+	}
+	for _, o := range s.Outcomes() {
+		st, err := s.State(o.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := events.Event{Type: events.TypeCommitted, Detail: string(st.Commit)}
+		if st.State == change.StateRejected {
+			want = events.Event{Type: events.TypeRejected, Detail: st.Reason}
+		}
+		evs := decisions[o.ID]
+		if len(evs) != 1 || evs[0].Type != want.Type || evs[0].Detail != want.Detail {
+			t.Errorf("%s is %s (%q); its decision events: %+v", o.ID, st.State, want.Detail, evs)
+		}
+		delete(decisions, o.ID)
+	}
+	for id, evs := range decisions {
+		t.Errorf("decision events for %s, which has no outcome: %+v", id, evs)
 	}
 }
