@@ -56,11 +56,13 @@ race-graph:
 # pending and fails the run; an idle service must not tick at all. It also
 # repeats the publisher's tests: a decision event implies a durable record,
 # readers never publish, and each change gets one decision event (the last,
-# a 1 024-change load, only 3 times; ~35 s on 2 cores once the race build is
-# cached).
+# a 1 024-change load, only 3 times). A frozen clock must wake nothing, and
+# 100 runs on a manual clock must decide identically (~35 s on 2 cores once
+# the race build is cached).
 race-wake:
-	$(GO) test -race -count=20 -run '^(TestBuildEndWakesEngine|TestWakeStressNoLostWakeup|TestIdleSubmitDecidesWithoutPoll|TestIdleEngineDoesNotTick|TestSchedAgingWakesIdleEngine|TestSpeculativeOnlyEngineStaysLive|TestSpeculativeMergeFailureStaysLive|TestWakePokedAfterDone|TestWakeOnDoneArmsLate|TestDecisionEventImpliesDurable|TestReadersDoNotPublish)$$' ./internal/core/ ./internal/buildsys/
+	$(GO) test -race -count=20 -run '^(TestBuildEndWakesEngine|TestWakeStressNoLostWakeup|TestIdleSubmitDecidesWithoutPoll|TestIdleEngineDoesNotTick|TestSchedAgingWakesIdleEngine|TestFrozenClockDoesNotSpin|TestSpeculativeOnlyEngineStaysLive|TestSpeculativeMergeFailureStaysLive|TestWakePokedAfterDone|TestWakeOnDoneArmsLate|TestDecisionEventImpliesDurable|TestReadersDoNotPublish)$$' ./internal/core/ ./internal/buildsys/
 	$(GO) test -race -count=3 -run '^TestOneDecisionEventPerChange$$' ./internal/shard/
+	$(GO) test -race -count=1 -run '^TestVirtualTimeIsDeterministic$$' ./internal/core/
 
 # fuzz boots a service from arbitrary journal and snapshot bytes for 10 s,
 # starting from the checked-in corpus of a real journal: a boot returns a

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mastergreen/internal/clock"
 )
 
 // admission tracks queue occupancy against a fixed capacity and estimates
@@ -23,9 +25,9 @@ type admission struct {
 	// shedAt is the occupancy at which read shedding starts (~90% of
 	// capacity, always below capacity so shedding precedes refusal).
 	shedAt  int
-	pending func() int       // current queue occupancy
-	decided func() int       // total outcomes so far (drain-rate samples)
-	now     func() time.Time // injected clock (wallclock policy)
+	pending func() int  // current queue occupancy
+	decided func() int  // total outcomes so far (drain-rate samples)
+	clock   clock.Clock // the service's (drain-rate sampling)
 
 	rejected int64 // 429s issued (atomic)
 	shed     int64 // 503s issued (atomic)
@@ -36,7 +38,7 @@ type admission struct {
 	ratePerSec  float64
 }
 
-func newAdmission(capacity int, pending, decided func() int, now func() time.Time) *admission {
+func newAdmission(capacity int, pending, decided func() int, clk clock.Clock) *admission {
 	shedAt := capacity * 9 / 10
 	if shedAt < 1 {
 		shedAt = 1
@@ -52,7 +54,7 @@ func newAdmission(capacity int, pending, decided func() int, now func() time.Tim
 		shedAt:   shedAt,
 		pending:  pending,
 		decided:  decided,
-		now:      now,
+		clock:    clk,
 	}
 }
 
@@ -86,7 +88,7 @@ func (a *admission) admitSubmit() (retryAfter int, ok bool) {
 func (a *admission) sampleRate() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	nowT := a.now()
+	nowT := a.clock.Now()
 	if a.lastAt.IsZero() {
 		a.lastAt = nowT
 		a.lastDecided = a.decided()
@@ -140,10 +142,7 @@ func (s *Server) EnableAdmission(capacity int) {
 	if capacity < 2 {
 		capacity = 2
 	}
-	s.adm = newAdmission(capacity,
-		s.svc.PendingCount,
-		s.svc.OutcomeCount,
-		func() time.Time { return s.now() })
+	s.adm = newAdmission(capacity, s.svc.PendingCount, s.svc.OutcomeCount, s.svc.Clock())
 }
 
 // itoaSmall renders small non-negative ints without allocating for the

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mastergreen/internal/clock"
 )
 
 // TestAdmissionRejectsBeyondCapacity: once the queue holds Capacity pending
@@ -92,18 +94,15 @@ func TestOverloadShedsDashboardReads(t *testing.T) {
 // observed decisions-per-second, clamped to [1, 30].
 func TestRetryAfterTracksDrainRate(t *testing.T) {
 	pending, decided := 10, 0
-	clock := time.Unix(1000, 0)
-	a := newAdmission(10,
-		func() int { return pending },
-		func() int { return decided },
-		func() time.Time { return clock })
+	m := clock.NewManual(time.Unix(1000, 0))
+	a := newAdmission(10, func() int { return pending }, func() int { return decided }, m)
 
 	// No drain observed yet: conservative 30s.
 	if retry, ok := a.admitSubmit(); ok || retry != 30 {
 		t.Fatalf("first refusal = (%d, %v), want (30, false)", retry, ok)
 	}
 	// 5 decisions over 2s → 2.5/s; backlog of 1 over capacity → ceil(1/2.5)=1.
-	clock = clock.Add(2 * time.Second)
+	m.Advance(2 * time.Second)
 	decided = 5
 	if retry, ok := a.admitSubmit(); ok || retry != 1 {
 		t.Fatalf("refusal with drain = (%d, %v), want (1, false)", retry, ok)
@@ -124,9 +123,7 @@ func TestRetryAfterTracksDrainRate(t *testing.T) {
 // once per TTL; between rebuilds every request gets the same pre-marshaled
 // bytes without touching the core.
 func TestStatusCacheServesStaleWithinTTL(t *testing.T) {
-	srv, _ := benchService(t)
-	clock := time.Unix(5000, 0)
-	srv.now = func() time.Time { return clock }
+	srv, _, m := manualService(t)
 
 	get := func() string {
 		rec := httptest.NewRecorder()
@@ -152,7 +149,7 @@ func TestStatusCacheServesStaleWithinTTL(t *testing.T) {
 		t.Fatalf("refreshes = %d, want 1", n)
 	}
 	// Past the TTL the next request rebuilds and sees the submit.
-	clock = clock.Add(time.Second)
+	m.Advance(time.Second)
 	after := get()
 	if after == before {
 		t.Fatal("status not rebuilt after TTL")
@@ -163,18 +160,28 @@ func TestStatusCacheServesStaleWithinTTL(t *testing.T) {
 }
 
 // TestStatusRefresherRebuildsInBackground: the sqd refresher rebuilds the
-// snapshot off the request path; stop() halts it.
+// snapshot off the request path once per interval of the service's clock;
+// stop() halts it and leaves nothing armed.
 func TestStatusRefresherRebuildsInBackground(t *testing.T) {
-	srv, _ := benchService(t)
-	stop := srv.StartStatusRefresher(time.Millisecond)
+	srv, _, m := manualService(t)
+	stop := srv.StartStatusRefresher(time.Second)
 	defer stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.status.Refreshes() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("refresher did not rebuild in time")
-		}
-		time.Sleep(time.Millisecond)
+	m.Advance(999 * time.Millisecond)
+	if n := srv.status.Refreshes(); n != 0 {
+		t.Fatalf("%d rebuilds before the first interval, want 0", n)
+	}
+	m.Advance(time.Millisecond)
+	if n := srv.status.Refreshes(); n != 1 {
+		t.Fatalf("%d rebuilds after one interval, want 1", n)
+	}
+	m.Advance(2 * time.Second)
+	if n := srv.status.Refreshes(); n != 3 {
+		t.Fatalf("%d rebuilds after three intervals, want 3", n)
 	}
 	stop()
 	stop() // idempotent
+	m.Advance(10 * time.Second)
+	if n := srv.status.Refreshes(); n != 3 || m.Armed() != 0 {
+		t.Fatalf("after stop: %d rebuilds, %d timers armed; want 3, 0", n, m.Armed())
+	}
 }

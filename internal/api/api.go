@@ -105,10 +105,6 @@ type Server struct {
 	svc    *core.Service
 	mux    *http.ServeMux
 	events *events.Bus
-	// now supplies the clock for generated change IDs, the status cache
-	// TTL, and admission drain-rate sampling; injectable so API behavior
-	// replays deterministically under test.
-	now func() time.Time
 	// adm bounds submissions and sheds dashboard reads under overload
 	// (nil: unbounded, never sheds). See EnableAdmission.
 	adm *admission
@@ -118,8 +114,8 @@ type Server struct {
 
 // NewServer wraps the service.
 func NewServer(svc *core.Service) *Server {
-	s := &Server{svc: svc, mux: http.NewServeMux(), now: time.Now}
-	s.status = newStatusCache(func() time.Time { return s.now() }, s.buildStatusBody)
+	s := &Server{svc: svc, mux: http.NewServeMux()}
+	s.status = newStatusCache(svc.Clock(), s.buildStatusBody)
 	s.mux.HandleFunc("/api/v1/changes", s.handleChanges)
 	s.mux.HandleFunc("/api/v1/changes/", s.handleChangeState)
 	s.mux.HandleFunc("/api/v1/status", s.handleStatus)
@@ -258,7 +254,7 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.ID == "" {
-		req.ID = "c-" + strconv.FormatInt(s.now().UnixNano(), 10)
+		req.ID = "c-" + strconv.FormatInt(s.svc.Clock().Now().UnixNano(), 10)
 	}
 	cr := &changeWithRevision{}
 	c := &cr.c
@@ -274,7 +270,7 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 		Class:       change.ParseClass(req.Priority),
 	}
 	if req.DeadlineInSec > 0 {
-		c.Deadline = s.now().Add(time.Duration(req.DeadlineInSec * float64(time.Second)))
+		c.Deadline = s.svc.Clock().Now().Add(time.Duration(req.DeadlineInSec * float64(time.Second)))
 	}
 	cr.rev = change.Revision{
 		ID:         change.RevisionID("r-" + req.ID),

@@ -2,15 +2,22 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
+	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/core"
 	"mastergreen/internal/repo"
+	"mastergreen/internal/sched"
+	"mastergreen/internal/store"
 )
 
 func newServer(t *testing.T) (*Server, *core.Service, *repo.Repo) {
@@ -218,4 +225,69 @@ func TestAutoIDAssigned(t *testing.T) {
 	if resp.ID == "" {
 		t.Fatal("no auto ID assigned")
 	}
+}
+
+// TestAPIStampsOnServiceClock: a service and its API server share one
+// clock. A submission with no ID and a deadline_in_sec of 60 gets an ID and
+// a SubmittedAt from the service's manual clock, and the planner weighs its
+// deadline on that clock: its weight ages while the clock moves toward the
+// 60 s mark, and past it the aging timer is disarmed.
+func TestAPIStampsOnServiceClock(t *testing.T) {
+	t0 := time.Unix(1_700_000_000, 0)
+	m := clock.NewManual(t0)
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	pol := sched.Default()
+	pol.UrgencyHorizon = time.Minute
+	hold := buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, _ repo.Snapshot) error {
+		<-ctx.Done()
+		return buildsys.ErrAborted
+	})
+	svc, err := core.OpenRecovered(repo.New(map[string]string{
+		"lib/BUILD":  "target lib srcs=lib.go",
+		"lib/lib.go": "lib v1",
+	}), journal, core.Config{Workers: 1, Clock: m, Sched: pol, Runner: hold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = svc.CloseJournal() }() // the test reads the journal while it is open
+	rec := doJSON(t, NewServer(svc), http.MethodPost, "/api/v1/changes", SubmitRequest{
+		Priority: "bulk", DeadlineInSec: 60,
+		Files: []FileChange{{Path: "lib/lib.go", Op: "modify", BaseContent: "lib v1", Content: "lib v2"}},
+	})
+	var resp SubmitResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d, %v: %s", rec.Code, err, rec.Body)
+	}
+	if want := "c-" + strconv.FormatInt(t0.UnixNano(), 10); resp.ID != want {
+		t.Fatalf("generated ID %q, want %q from the service's clock", resp.ID, want)
+	}
+	recs, err := store.LoadState(journal)
+	if err != nil || len(recs) != 1 || recs[0].Submit == nil || !recs[0].Submit.SubmittedAt.Equal(t0) {
+		t.Fatalf("journal after the submit: %v, %+v; want SubmittedAt %v", err, recs, t0)
+	}
+
+	svc.Start()
+	defer svc.Stop()
+	// replanned waits until the engine has computed more than after plans,
+	// has stopped ticking and leaves armed timers armed; it returns the plans.
+	replanned := func(what string, after, armed int) int {
+		t.Helper()
+		deadline, last := time.Now().Add(5*time.Second), -1
+		for {
+			ps := svc.PlannerStats()
+			if ticks := ps.PlansComputed + ps.PlansSkipped; ps.PlansComputed > after && ticks == last && m.Armed() == armed {
+				return ps.PlansComputed
+			} else if time.Now().After(deadline) {
+				t.Fatalf("%s: %d timers armed, %+v", what, m.Armed(), ps)
+			} else {
+				last = ticks
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	plans := replanned("the first plan to arm the aging timer", 0, 1)
+	m.Advance(58 * time.Second)
+	plans = replanned("a replan 2 s before the deadline, still aging", plans, 1)
+	m.Advance(3 * time.Second)
+	replanned("a replan past the deadline, aging done", plans, 0)
 }

@@ -6,7 +6,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"mastergreen/internal/clock"
 	"mastergreen/internal/core"
 	"mastergreen/internal/repo"
 )
@@ -25,14 +27,24 @@ func (w *nullResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *nullResponseWriter) WriteHeader(int)             {}
 
 func benchService(b testing.TB) (*Server, *core.Service) {
-	b.Helper()
-	r := repo.New(map[string]string{
+	return libService(core.Config{Workers: 2})
+}
+
+// libService serves a one-target repository. No background loop: the
+// benchmarks exercise only the HTTP layer.
+func libService(cfg core.Config) (*Server, *core.Service) {
+	svc := core.NewService(repo.New(map[string]string{
 		"lib/BUILD":  "target lib srcs=lib.go",
 		"lib/lib.go": "lib v1",
-	})
-	// No background loop: the benchmarks exercise only the HTTP layer.
-	svc := core.NewService(r, core.Config{Workers: 2})
+	}), cfg)
 	return NewServer(svc), svc
+}
+
+// manualService is benchService on a manual clock.
+func manualService(t testing.TB) (*Server, *core.Service, *clock.Manual) {
+	m := clock.NewManual(time.Unix(5000, 0))
+	srv, svc := libService(core.Config{Workers: 2, Clock: m})
+	return srv, svc, m
 }
 
 // submitBody returns one pre-rendered submit request body.

@@ -39,8 +39,8 @@ type Stack struct {
 	ln          net.Listener
 	hs          *http.Server
 	stopRefresh func()
-	stopSnap    chan struct{}
-	wg          sync.WaitGroup // the serve goroutine and the periodic fold
+	stopFold    func()
+	wg          sync.WaitGroup // the serve goroutine
 }
 
 // OpenStack binds cfg.Addr, opens the service — recovered from cfg.DataDir
@@ -51,8 +51,7 @@ func OpenStack(seed *repo.Repo, cfg StackConfig) (*Stack, error) {
 	if err != nil {
 		return nil, fmt.Errorf("api: listen: %w", err)
 	}
-	s := &Stack{bus: events.NewBus(stackBusCapacity), ln: ln, stopRefresh: func() {},
-		stopSnap: make(chan struct{})}
+	s := &Stack{bus: events.NewBus(stackBusCapacity), ln: ln, stopRefresh: func() {}, stopFold: func() {}}
 	cfg.Core.Events = s.bus
 	if s.svc, err = openService(seed, cfg); err != nil {
 		_ = ln.Close() // nothing was served on it
@@ -68,22 +67,11 @@ func OpenStack(seed *repo.Repo, cfg StackConfig) (*Stack, error) {
 		s.stopRefresh = srv.StartStatusRefresher(cfg.StatusRefresh)
 	}
 	if cfg.DataDir != "" && cfg.SnapshotEvery > 0 {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			t := time.NewTicker(cfg.SnapshotEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-s.stopSnap:
-					return
-				case <-t.C:
-					if err := s.svc.SnapshotJournal(); err != nil {
-						log.Printf("api: journal snapshot: %v", err)
-					}
-				}
+		s.stopFold = every(s.svc.Clock(), cfg.SnapshotEvery, func() {
+			if err := s.svc.SnapshotJournal(); err != nil {
+				log.Printf("api: journal snapshot: %v", err)
 			}
-		}()
+		})
 	}
 	s.hs = &http.Server{Handler: srv}
 	s.wg.Add(1)
@@ -119,13 +107,14 @@ func (s *Stack) Bus() *events.Bus { return s.bus }
 // URL returns the API's base URL on the bound address.
 func (s *Stack) URL() string { return "http://" + s.ln.Addr().String() }
 
-// Close is the one shutdown order: stop serving, stop the refresher, stop and
-// join the periodic fold, stop the service (aborting its builds), then fold
-// the journal and close it (no-ops without a data dir). Call Close once.
+// Close is the one shutdown order: stop serving, stop the refresher, stop the
+// periodic fold (waiting out one in progress), stop the service (aborting its
+// builds), then fold the journal and close it (no-ops without a data dir).
+// Call Close once.
 func (s *Stack) Close() error {
 	_ = s.hs.Close() // its only error is the listener's, and Serve returns all the same
 	s.stopRefresh()
-	close(s.stopSnap)
+	s.stopFold()
 	s.wg.Wait()
 	s.svc.Stop()
 	return errors.Join(s.svc.SnapshotJournal(), s.svc.CloseJournal())

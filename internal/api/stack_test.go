@@ -16,6 +16,7 @@ import (
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/core"
 	"mastergreen/internal/events"
 	"mastergreen/internal/repo"
@@ -227,32 +228,47 @@ func TestOpenStackPortTaken(t *testing.T) {
 }
 
 // TestPeriodicSnapshot: with SnapshotEvery the journal is folded while the
-// stack serves, and Close joins the fold before its own.
+// stack serves, once each interval of the service's clock, and Close stops
+// the fold before its own.
 func TestPeriodicSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "journal.jsonl")
+	m := clock.NewManual(time.Unix(1_700_000_000, 0))
 	st, err := OpenStack(stackRepo(), StackConfig{
-		Core: core.Config{Workers: 2},
-		Addr: "127.0.0.1:0", DataDir: dir, SnapshotEvery: time.Millisecond,
+		Core: core.Config{Workers: 2, Clock: m},
+		Addr: "127.0.0.1:0", DataDir: dir, SnapshotEvery: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	folded := func(commits int) {
+		t.Helper()
+		_, recs, err := store.ReplaySnapshot(store.SnapshotPath(journalPath))
+		if err != nil || len(recs) != commits {
+			t.Fatalf("fold: %v, %d records; want %d commit records", err, len(recs), commits)
+		}
+		for _, rec := range recs {
+			if rec.Commit == nil {
+				t.Fatalf("fold holds %+v, want only commit records", rec)
+			}
+		}
+	}
 	submitOver(t, st, "ok", "lib/lib.go", "lib v1", "lib v2")
 	decidedOver(t, st, "ok")
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		_, recs, err := store.ReplaySnapshot(store.SnapshotPath(journalPath))
-		if err == nil && len(recs) == 1 && recs[0].Commit != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no periodic fold holding ok's commit: %v, %d records", err, len(recs))
-		}
-		time.Sleep(time.Millisecond)
+	if _, err := os.Stat(store.SnapshotPath(journalPath)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a fold before the first interval: %v", err)
 	}
+	m.Advance(time.Minute)
+	folded(1)
+	submitOver(t, st, "ok2", "doc/readme.md", "doc v1", "doc v2")
+	decidedOver(t, st, "ok2")
+	m.Advance(time.Minute)
+	folded(2)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if n := m.Armed(); n != 0 {
+		t.Fatalf("%d timers armed after Close, want 0", n)
 	}
 }
 

@@ -51,7 +51,6 @@ func statusKeys(prefix string, t reflect.Type) []string {
 // decided, /api/v1/status has a gauge for every exported field of every Stats
 // struct behind it.
 func TestStatusReportsEveryStatsField(t *testing.T) {
-	noSleep := func(context.Context, time.Duration) error { return nil }
 	r := repo.New(map[string]string{
 		"lib/BUILD":  "target lib srcs=lib.go",
 		"lib/lib.go": "lib v1",
@@ -60,7 +59,6 @@ func TestStatusReportsEveryStatsField(t *testing.T) {
 	inj := reliability.NewInjector(nil, rand.New(rand.NewSource(1)), reliability.InjectorConfig{
 		DefaultTransientRate: 1,
 		MaxTransientsPerUnit: 1,
-		Sleep:                noSleep,
 	})
 	svc := core.NewService(r, core.Config{
 		Workers:       2,

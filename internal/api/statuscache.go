@@ -1,7 +1,7 @@
 // Pre-marshaled status snapshot. GET /api/v1/status aggregates a dozen
 // stats calls, each taking the core's locks; at dashboard polling rates
 // that contends directly with the planner. The cache renders the full
-// StatusResponse once per TTL (or on a background ticker in sqd) and serves
+// StatusResponse once per TTL (or on a periodic refresh in sqd) and serves
 // every request in between from the same byte slice — no core locks, no
 // marshaling, no allocation on the hot path.
 package api
@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mastergreen/internal/clock"
 )
 
 // statusTTL is how long a rendered status body is served before the next
@@ -17,8 +19,8 @@ import (
 const statusTTL = 250 * time.Millisecond
 
 type statusCache struct {
-	now   func() time.Time // injected clock (wallclock policy)
-	build func() []byte    // renders a fresh status body
+	clock clock.Clock   // the service's (TTL)
+	build func() []byte // renders a fresh status body
 
 	// refreshes is atomic: the build callback itself reads it (the status
 	// body reports its own rebuild count) while refresh holds mu.
@@ -29,15 +31,15 @@ type statusCache struct {
 	expires time.Time
 }
 
-func newStatusCache(now func() time.Time, build func() []byte) *statusCache {
-	return &statusCache{now: now, build: build}
+func newStatusCache(clk clock.Clock, build func() []byte) *statusCache {
+	return &statusCache{clock: clk, build: build}
 }
 
 // get returns the current status body, rebuilding if the TTL lapsed. The
 // returned slice is shared and must not be mutated.
 func (c *statusCache) get() []byte {
 	c.mu.Lock()
-	if c.body == nil || !c.now().Before(c.expires) {
+	if c.body == nil || !c.clock.Now().Before(c.expires) {
 		c.refresh()
 	}
 	b := c.body
@@ -45,12 +47,11 @@ func (c *statusCache) get() []byte {
 	return b
 }
 
-// refresh rebuilds the body unconditionally. Callers hold c.mu or are the
-// ticker goroutine via Refresh.
+// refresh rebuilds the body unconditionally. Callers hold c.mu.
 func (c *statusCache) refresh() {
 	atomic.AddInt64(&c.refreshes, 1)
 	c.body = c.build()
-	c.expires = c.now().Add(statusTTL)
+	c.expires = c.clock.Now().Add(statusTTL)
 }
 
 // Refresh rebuilds the cached body (background refresher tick).
@@ -63,23 +64,34 @@ func (c *statusCache) Refresh() {
 // Refreshes returns how many times the body has been rebuilt.
 func (c *statusCache) Refreshes() int64 { return atomic.LoadInt64(&c.refreshes) }
 
-// StartStatusRefresher rebuilds the status snapshot every interval (> 0) on
-// a background goroutine, so request-time rebuilds (and their core locking)
+// StartStatusRefresher rebuilds the status snapshot every interval (> 0) of
+// the service's clock, so request-time rebuilds (and their core locking)
 // disappear entirely in steady state. Returns a stop function.
 func (s *Server) StartStatusRefresher(interval time.Duration) (stop func()) {
-	t := time.NewTicker(interval)
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		for {
-			select {
-			case <-t.C:
-				s.status.Refresh()
-			case <-done:
-				t.Stop()
-				return
-			}
+	return every(s.svc.Clock(), interval, s.status.Refresh)
+}
+
+// every runs f each d on clk until the returned stop is called. Stop waits
+// out a run in progress, so once it returns f is neither running nor due;
+// f must not call stop.
+func every(clk clock.Clock, d time.Duration, f func()) (stop func()) {
+	var mu sync.Mutex
+	var t clock.Timer
+	stopped := false
+	mu.Lock() // t is set before the first run reads it
+	defer mu.Unlock()
+	t = clk.AfterFunc(d, func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if !stopped {
+			f()
+			t.Reset(d)
 		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
+	})
+	return func() {
+		mu.Lock()
+		defer mu.Unlock()
+		stopped = true
+		t.Stop()
+	}
 }

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/repo"
 )
 
@@ -182,9 +183,8 @@ type artifact struct {
 type Controller struct {
 	runner StepRunner
 	sem    chan struct{} // bounds concurrently executing step-units
-	// now supplies the clock for step-unit timing; injectable so the
-	// compute accounting replays deterministically under test.
-	now func() time.Time
+	// clock times step-units (ExecTime); the planner reads it too.
+	clock clock.Clock
 
 	mu    sync.Mutex
 	stats Stats
@@ -201,14 +201,18 @@ func NewController(workers int, runner StepRunner) *Controller {
 	return &Controller{
 		runner: runner,
 		sem:    make(chan struct{}, workers),
-		now:    time.Now,
+		clock:  clock.Wall, //lint:ignore wallclock the default until core.NewService sets the service's clock
 		cache:  map[string]*artifact{},
 		old:    map[string]*artifact{},
 	}
 }
 
-// SetClock injects the clock used for step-unit timing (tests).
-func (c *Controller) SetClock(now func() time.Time) { c.now = now }
+// SetClock sets the clock that times step-units, which the planner engines
+// over this controller read too. Call it before any build starts.
+func (c *Controller) SetClock(clk clock.Clock) { c.clock = clk }
+
+// Clock returns the controller's clock (clock.Wall unless SetClock ran).
+func (c *Controller) Clock() clock.Clock { return c.clock }
 
 // Stats returns a snapshot of the work counters. It allocates nothing.
 func (c *Controller) Stats() Stats {
@@ -486,14 +490,14 @@ func (c *Controller) invoke(ctx context.Context, step change.BuildStep, name, ha
 		c.recordUnit(t, step, name, 0)
 		return nil
 	}
-	start := c.now()
+	start := c.clock.Now()
 	var err error
 	if hr, ok := c.runner.(StepHashRunner); ok {
 		err = hr.RunStepHash(ctx, step, name, hash, snap)
 	} else {
 		err = c.runner.RunStep(ctx, step, name, snap)
 	}
-	c.recordUnit(t, step, name, c.now().Sub(start))
+	c.recordUnit(t, step, name, c.clock.Now().Sub(start))
 	return err
 }
 

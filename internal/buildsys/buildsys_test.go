@@ -7,12 +7,12 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/metrics"
 	"mastergreen/internal/repo"
 )
@@ -321,17 +321,20 @@ func TestWorkerPoolBound(t *testing.T) {
 	}
 }
 
-// fakeClock returns a clock function that advances by step on every call, so
-// each timed step-unit reports exactly one step of executed wall time.
-func fakeClock(step time.Duration) func() time.Time {
-	var mu sync.Mutex
-	now := time.Unix(0, 0)
-	return func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		now = now.Add(step)
-		return now
-	}
+// stepClock is a manual clock that moves step forward on every read, so each
+// timed step-unit reports exactly one step of executed time.
+type stepClock struct {
+	*clock.Manual
+	step time.Duration
+}
+
+func (c stepClock) Now() time.Time {
+	c.Advance(c.step)
+	return c.Manual.Now()
+}
+
+func fakeClock(step time.Duration) clock.Clock {
+	return stepClock{clock.NewManual(time.Unix(0, 0)), step}
 }
 
 // TestComputeAccounting: executed step-unit wall time is attributed per

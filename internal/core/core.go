@@ -24,6 +24,7 @@ import (
 	"mastergreen/internal/arbiter"
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/conflict"
 	"mastergreen/internal/events"
 	"mastergreen/internal/metrics"
@@ -55,8 +56,9 @@ type Config struct {
 	Epoch time.Duration
 	// PreemptionGrace: builds running at least this long are not aborted.
 	PreemptionGrace time.Duration
-	// Now is the clock; injectable for tests.
-	Now func() time.Time
+	// Clock is the service's one clock (nil: clock.Wall); every layer reads
+	// it (DESIGN.md §4m).
+	Clock clock.Clock
 	// Events, when non-nil, receives lifecycle events for observability
 	// (submissions, build starts/finishes/aborts, commits, rejections).
 	Events *events.Bus
@@ -126,13 +128,14 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 	if cfg.Predictor == nil {
 		cfg.Predictor = predict.Static{Success: 0.85, Conflict: 0.05}
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Wall //lint:ignore wallclock a live service with no injected clock runs on the wall
 	}
 	q := queue.New(1)
 	an := conflict.New(r)
 	if cfg.Events != nil {
 		an.SetEvents(cfg.Events)
+		cfg.Events.SetClock(cfg.Clock)
 	}
 	relCfg := cfg.Reliability
 	if relCfg.Events == nil {
@@ -142,11 +145,13 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 	runner := cfg.Runner
 	if cfg.FaultInjector != nil {
 		cfg.FaultInjector.SetInner(runner)
+		cfg.FaultInjector.SetClock(cfg.Clock)
 		runner = cfg.FaultInjector
 		rel.SetInjector(cfg.FaultInjector)
 	}
 	runner = rel.Wrap(runner)
 	ctrl := buildsys.NewController(cfg.Workers, runner)
+	ctrl.SetClock(cfg.Clock) // the planner engines read it too
 	arb := arbiter.New(r, arbiter.Config{Analyzer: an, Events: cfg.Events})
 	s := &Service{
 		repo:     r,
@@ -157,7 +162,6 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 			Planner: planner.Config{
 				Budget:          cfg.Workers,
 				PreemptionGrace: cfg.PreemptionGrace,
-				Now:             cfg.Now,
 				Events:          cfg.Events,
 				Reliability:     rel,
 				Sched:           cfg.Sched,
@@ -176,6 +180,9 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 	}
 	return s
 }
+
+// Clock returns the service's clock (Config.Clock).
+func (s *Service) Clock() clock.Clock { return s.cfg.Clock }
 
 // Repo exposes the managed repository (read-only use expected).
 func (s *Service) Repo() *repo.Repo { return s.repo }
@@ -201,7 +208,7 @@ func (s *Service) submitLocked(c *change.Change, journalIt bool) error {
 		return fmt.Errorf("core: change %s already submitted (%s): %w", c.ID, st.State, queue.ErrDuplicate)
 	}
 	if c.SubmittedAt.IsZero() {
-		c.SubmittedAt = s.cfg.Now()
+		c.SubmittedAt = s.cfg.Clock.Now()
 	}
 	if c.BaseCommit == "" {
 		c.BaseCommit = s.repo.Head().ID

@@ -11,6 +11,7 @@ import (
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/planner"
 	"mastergreen/internal/repo"
 	"mastergreen/internal/sched"
@@ -96,7 +97,7 @@ func TestUnknownState(t *testing.T) {
 func TestSubmitFillsDefaults(t *testing.T) {
 	r := newRepo()
 	now := time.Unix(12345, 0)
-	s := NewService(r, Config{Now: func() time.Time { return now }})
+	s := NewService(r, Config{Clock: clock.NewManual(now)})
 	c := mkChange(r, "c1", "lib/lib.go", "v2")
 	if err := s.Submit(c); err != nil {
 		t.Fatal(err)
@@ -236,7 +237,7 @@ func TestTickManualLoop(t *testing.T) {
 // shows up through Service.PlannerStats.
 func TestShardedPlannerStatsReportHotfixPreemption(t *testing.T) {
 	r := newRepo()
-	var clock atomic.Int64
+	m := clock.NewManual(time.Unix(1700000000, 0))
 	release := make(chan struct{})
 	runner := buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, snap repo.Snapshot) error {
 		if content, _ := snap.Read("doc/readme.md"); content == "hotfix" {
@@ -252,7 +253,7 @@ func TestShardedPlannerStatsReportHotfixPreemption(t *testing.T) {
 	s := NewService(r, Config{
 		Workers: 1, Shards: 1, Runner: runner, Sched: sched.Default(),
 		PreemptionGrace: time.Second,
-		Now:             func() time.Time { return time.Unix(1700000000+clock.Load(), 0) },
+		Clock:           m,
 	})
 	ctx := context.Background()
 	tickUntil := func(what string, done func() bool) {
@@ -273,7 +274,7 @@ func TestShardedPlannerStatsReportHotfixPreemption(t *testing.T) {
 		t.Fatal(err)
 	}
 	tickUntil("c1's build to start", func() bool { return s.PlannerStats().BuildsStarted >= 1 })
-	clock.Add(2) // c1's build is now past its preemption grace
+	m.Advance(2 * time.Second) // c1's build is now past its preemption grace
 	hot := mkChange(r, "h1", "doc/readme.md", "hotfix")
 	hot.Class = change.ClassHotfix
 	if err := s.Submit(hot); err != nil {

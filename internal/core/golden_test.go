@@ -9,6 +9,7 @@ import (
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/planner"
 	"mastergreen/internal/repo"
 )
@@ -81,7 +82,7 @@ func goldenRun(t *testing.T, shards int) goldenTrace {
 	// even under the race detector's scheduling perturbation.
 	s := NewService(r, Config{
 		Workers: 1, Shards: shards,
-		Runner: runner, Now: func() time.Time { return base },
+		Runner: runner, Clock: clock.NewManual(base),
 	})
 	for _, c := range goldenWorkload() {
 		if err := s.Submit(c); err != nil {

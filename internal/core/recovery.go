@@ -31,7 +31,7 @@ func (s *Service) SnapshotJournal() error {
 	if j == nil {
 		return nil
 	}
-	return j.Snapshot(s.repo.Head().ID, keepOutcomes, s.cfg.Now())
+	return j.Snapshot(s.repo.Head().ID, keepOutcomes, s.cfg.Clock.Now())
 }
 
 // OpenRecovered builds a durable service from the seed repository and a

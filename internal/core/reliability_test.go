@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
@@ -13,8 +12,6 @@ import (
 	"mastergreen/internal/reliability"
 	"mastergreen/internal/repo"
 )
-
-func relNoSleep(context.Context, time.Duration) error { return nil }
 
 // TestInnocentSurvivesInjectedTransient: with every step-unit failing
 // exactly once (the canonical flaky fleet), in-place retries absorb the
@@ -31,7 +28,6 @@ func TestInnocentSurvivesInjectedTransient(t *testing.T) {
 	inj := reliability.NewInjector(nil, rand.New(rand.NewSource(5)), reliability.InjectorConfig{
 		DefaultTransientRate: 1, // every unit flakes...
 		MaxTransientsPerUnit: 1, // ...exactly once, then passes
-		Sleep:                relNoSleep,
 	})
 	s := NewService(r, Config{
 		Workers:       2,
@@ -84,7 +80,6 @@ func TestVerificationAvertsRejection(t *testing.T) {
 	inj := reliability.NewInjector(nil, rand.New(rand.NewSource(9)), reliability.InjectorConfig{
 		DefaultTransientRate: 1,
 		MaxTransientsPerUnit: 2,
-		Sleep:                relNoSleep,
 	})
 	s := NewService(r, Config{
 		Workers:       2,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/repo"
 	"mastergreen/internal/sched"
 )
@@ -210,36 +212,102 @@ func TestIdleEngineDoesNotTick(t *testing.T) {
 	}
 }
 
-// TestSchedAgingWakesIdleEngine: with every build held, the only event left
-// is a deadline aging a pending change's weight. The planner arms its own
-// timer for the next instant the printed weight can change, so the engine
-// keeps replanning — dozens of times over a 400 ms urgency horizon — and
-// stops once the deadline has passed and the weight can move no more.
-func TestSchedAgingWakesIdleEngine(t *testing.T) {
+// quietPlans waits until the engines have computed more than after plans,
+// have stopped ticking, and leave armed timers armed on m. It returns the
+// plans computed and the engine ticks so far.
+func quietPlans(t *testing.T, s *Service, m *clock.Manual, what string, after, armed int) (plans, ticks int) {
+	t.Helper()
+	deadline, last := time.Now().Add(5*time.Second), -1
+	for {
+		ps := s.PlannerStats()
+		plans, ticks = ps.PlansComputed, ps.PlansComputed+ps.PlansSkipped
+		if plans > after && ticks == last && m.Armed() == armed {
+			return plans, ticks
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d timers armed, %+v", what, m.Armed(), ps)
+		}
+		last = ticks
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// agingService starts a service on a manual clock whose one bulk change, due
+// horizon from now, holds its build until Stop, so the only event left is
+// the deadline aging the change's weight.
+func agingService(t *testing.T, horizon time.Duration) (*Service, *clock.Manual, *change.Change, *sched.Policy) {
+	t.Helper()
 	r := wakeRepo(1)
 	pol := sched.Default()
-	pol.UrgencyHorizon = 400 * time.Millisecond
+	pol.UrgencyHorizon = horizon
+	m := clock.NewManual(time.Unix(1_700_000_000, 0))
 	var active atomic.Int64
 	started := make(chan struct{}, 1)
-	s := NewService(r, Config{Sched: pol, Runner: blockingRunner(&active, started)})
+	s := NewService(r, Config{Sched: pol, Runner: blockingRunner(&active, started), Clock: m})
 	c := mkChange(r, "aging", "s0/a.go", "aging v1")
-	c.Class, c.Deadline = change.ClassBulk, time.Now().Add(pol.UrgencyHorizon)
+	c.Class, c.Deadline = change.ClassBulk, m.Now().Add(horizon)
 	if err := s.Submit(c); err != nil {
 		t.Fatal(err)
 	}
 	s.Start()
-	defer s.Stop()
+	t.Cleanup(s.Stop)
 	<-started
-	before := s.PlannerStats().PlansComputed
-	time.Sleep(300 * time.Millisecond)
-	if n := s.PlannerStats().PlansComputed - before; n < 5 {
-		t.Fatalf("%d replans while the weight aged for 300 ms, want at least 5", n)
+	return s, m, c, pol
+}
+
+// TestSchedAgingWakesIdleEngine: with every build held, the only event left
+// is a deadline aging a pending change's weight. The planner arms its own
+// timer on the service's clock for the next instant the printed weight can
+// change, so the engine replans at every 10 ms step of a 400 ms urgency
+// horizon, and once the deadline has passed and the weight can move no more
+// it disarms the timer and stays idle however far the clock moves.
+func TestSchedAgingWakesIdleEngine(t *testing.T) {
+	s, m, _, _ := agingService(t, 400*time.Millisecond)
+	plans, _ := quietPlans(t, s, m, "the first plan to arm the aging timer", 0, 1)
+	for step := 1; step <= 30; step++ {
+		m.Advance(10 * time.Millisecond)
+		plans, _ = quietPlans(t, s, m, fmt.Sprintf("a replan %d ms into the horizon", 10*step), plans, 1)
 	}
-	time.Sleep(time.Until(c.Deadline) + 50*time.Millisecond)
-	before = s.PlannerStats().PlansComputed
-	time.Sleep(150 * time.Millisecond)
-	if n := s.PlannerStats().PlansComputed - before; n != 0 {
-		t.Fatalf("%d replans after the deadline, want 0: the weight is at its maximum", n)
+	m.Advance(150 * time.Millisecond)
+	plans, ticks := quietPlans(t, s, m, "a replan past the deadline that disarms the timer", plans, 0)
+	m.Advance(time.Hour)
+	time.Sleep(20 * time.Millisecond)
+	if ps := s.PlannerStats(); ps.PlansComputed != plans || ps.PlansComputed+ps.PlansSkipped != ticks {
+		t.Fatalf("%d replans and %d ticks an hour after the deadline, want 0: the weight is at its maximum",
+			ps.PlansComputed-plans, ps.PlansComputed+ps.PlansSkipped-ticks)
+	}
+}
+
+// TestFrozenClockDoesNotSpin: the aging timer counts the service's clock, not
+// the wall. With a deadlined bulk change pending whose printed weight next
+// moves a few virtual milliseconds ahead, and the clock not moving, the
+// engine gets no wake in 200 ms of real time; one Advance past that instant
+// wakes it, and it replans once.
+func TestFrozenClockDoesNotSpin(t *testing.T) {
+	s, m, c, pol := agingService(t, 400*time.Millisecond)
+	engineTicks := func() int { ps := s.PlannerStats(); return ps.PlansComputed + ps.PlansSkipped }
+	ticks := engineTicks()
+	for i := 0; i < 40; i++ { // let the ticks the start caused pass
+		time.Sleep(50 * time.Millisecond)
+		n := engineTicks()
+		if n == ticks {
+			break
+		}
+		ticks = n
+	}
+	time.Sleep(200 * time.Millisecond)
+	if n := engineTicks() - ticks; n != 0 {
+		t.Fatalf("the engine woke %d times in 200 ms on a frozen clock, want 0", n)
+	}
+	if n := m.Armed(); n != 1 {
+		t.Fatalf("%d timers armed on the service's clock, want the aging timer", n)
+	}
+	plans := s.PlannerStats().PlansComputed
+	w := pol.Weight(c.Class, c.Deadline, m.Now())
+	next := pol.ReachesAt(c.Class, c.Deadline, (math.Floor(w*10-0.5)+1.5)/10)
+	m.Advance(next.Sub(m.Now()) + 2*time.Millisecond)
+	if p2, t2 := quietPlans(t, s, m, "a replan once the weight moved", plans, 1); p2 != plans+1 || t2 != ticks+1 {
+		t.Fatalf("%d replans in %d ticks after one Advance, want 1 in 1", p2-plans, t2-ticks)
 	}
 }
 

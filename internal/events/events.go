@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 )
 
 // Type classifies an event.
@@ -67,7 +68,7 @@ type Bus struct {
 	nextSeq int64
 	subs    map[int]*subscriber
 	nextSub int
-	now     func() time.Time
+	clock   clock.Clock // stamps events that carry no time
 
 	// dropped counts fan-out sends discarded because a subscriber's buffer
 	// was full. Atomic: incremented outside mu on the publish fast path.
@@ -102,17 +103,18 @@ func NewBus(capacity int) *Bus {
 		capacity = 16
 	}
 	return &Bus{
-		ring: make([]Event, capacity),
-		subs: map[int]*subscriber{},
-		now:  time.Now,
+		ring:  make([]Event, capacity),
+		subs:  map[int]*subscriber{},
+		clock: clock.Wall, //lint:ignore wallclock the default until core.NewService sets the service's clock
 	}
 }
 
-// SetClock injects a clock (tests).
-func (b *Bus) SetClock(now func() time.Time) {
+// SetClock sets the clock that stamps events (clock.Wall by default);
+// core.NewService sets the service's on the bus it is handed.
+func (b *Bus) SetClock(clk clock.Clock) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.now = now
+	b.clock = clk
 }
 
 // Publish stamps and stores the event, then fans it out to subscribers.
@@ -122,7 +124,7 @@ func (b *Bus) Publish(ev Event) Event {
 	b.nextSeq++
 	ev.Seq = b.nextSeq
 	if ev.At.IsZero() {
-		ev.At = b.now()
+		ev.At = b.clock.Now()
 	}
 	idx := (b.start + b.count) % len(b.ring)
 	if b.count == len(b.ring) {

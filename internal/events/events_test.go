@@ -3,6 +3,8 @@ package events
 import (
 	"testing"
 	"time"
+
+	"mastergreen/internal/clock"
 )
 
 func TestPublishAssignsSequence(t *testing.T) {
@@ -104,13 +106,21 @@ func TestCounts(t *testing.T) {
 	}
 }
 
+// TestSetClock: the bus stamps an event that carries no time from its clock,
+// and keeps the time of one that does.
 func TestSetClock(t *testing.T) {
 	b := NewBus(16)
-	fixed := time.Unix(42, 0)
-	b.SetClock(func() time.Time { return fixed })
-	ev := b.Publish(Event{Type: TypeSubmitted})
-	if !ev.At.Equal(fixed) {
-		t.Fatalf("At = %v", ev.At)
+	m := clock.NewManual(time.Unix(42, 0))
+	b.SetClock(m)
+	if ev := b.Publish(Event{Type: TypeSubmitted}); !ev.At.Equal(time.Unix(42, 0)) {
+		t.Fatalf("At = %v, want the clock's", ev.At)
+	}
+	m.Advance(time.Second)
+	if ev := b.Publish(Event{Type: TypeSubmitted}); !ev.At.Equal(time.Unix(43, 0)) {
+		t.Fatalf("At = %v after Advance, want the clock's", ev.At)
+	}
+	if ev := b.Publish(Event{Type: TypeSubmitted, At: time.Unix(7, 0)}); !ev.At.Equal(time.Unix(7, 0)) {
+		t.Fatalf("At = %v, want the event's own", ev.At)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"mastergreen/internal/buildgraph"
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/core"
 	"mastergreen/internal/metrics"
 	"mastergreen/internal/predict"
@@ -284,12 +285,10 @@ func AblationPreemptionGrace(o Options) *Report {
 			"a/BUILD": "target a srcs=s.go", "a/s.go": "v1",
 		})
 		runner := buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, _ repo.Snapshot) error {
-			select {
-			case <-time.After(10 * time.Millisecond):
-				return nil
-			case <-ctx.Done():
+			if clock.Sleep(ctx, clock.Wall, 10*time.Millisecond) != nil { //lint:ignore wallclock builds take real time so re-plans overlap them
 				return buildsys.ErrAborted
 			}
+			return nil
 		})
 		svc := core.NewService(rp, core.Config{
 			Workers: 4, Runner: runner, PreemptionGrace: grace,

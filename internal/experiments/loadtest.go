@@ -9,6 +9,7 @@ import (
 	"mastergreen/internal/api"
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/core"
 	"mastergreen/internal/loadgen"
 	"mastergreen/internal/repo"
@@ -22,12 +23,8 @@ import (
 // single-core serving path and corrupt the latency measurement.
 func loadtestRunner(buildDelay time.Duration, brokenPaths []string) buildsys.StepRunner {
 	return buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, snap repo.Snapshot) error {
-		if buildDelay > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(buildDelay):
-			}
+		if err := clock.Sleep(ctx, clock.Wall, buildDelay); err != nil { //lint:ignore wallclock load test builds take real time by design
+			return err
 		}
 		for _, p := range brokenPaths {
 			if content, ok := snap.Read(p); ok && strings.Contains(content, "BROKEN") {
@@ -73,6 +70,7 @@ func drainPending(svc *core.Service, timeout time.Duration) float64 {
 		if time.Since(start) > timeout {
 			break
 		}
+		//lint:ignore wallclock load test polls the drain in real time
 		time.Sleep(5 * time.Millisecond)
 	}
 	//lint:ignore wallclock load test measures real elapsed time

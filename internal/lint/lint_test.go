@@ -69,11 +69,19 @@ func checkMarkers(t *testing.T, name string, findings []lint.Finding) {
 	}
 }
 
-func TestWallclockFixture(t *testing.T) { checkMarkers(t, "wallclock", loadFixture(t, "wallclock")) }
-func TestSeedrandFixture(t *testing.T)  { checkMarkers(t, "seedrand", loadFixture(t, "seedrand")) }
-func TestMaporderFixture(t *testing.T)  { checkMarkers(t, "maporder", loadFixture(t, "maporder")) }
-func TestLocksendFixture(t *testing.T)  { checkMarkers(t, "locksend", loadFixture(t, "locksend")) }
-func TestErrdropFixture(t *testing.T)   { checkMarkers(t, "errdrop", loadFixture(t, "errdrop")) }
+// TestWallclockFixture loads its fixture as a module so that the fixture can
+// import its stand-in clock package and reference clock.Wall.
+func TestWallclockFixture(t *testing.T) {
+	pkgs, err := lint.LoadModule(filepath.Join("testdata", "src", "wallclock"), "fixture")
+	if err != nil {
+		t.Fatalf("LoadModule(wallclock): %v", err)
+	}
+	checkMarkers(t, "wallclock", lint.Run(pkgs, lint.Analyzers(), lint.AllPolicy()))
+}
+func TestSeedrandFixture(t *testing.T) { checkMarkers(t, "seedrand", loadFixture(t, "seedrand")) }
+func TestMaporderFixture(t *testing.T) { checkMarkers(t, "maporder", loadFixture(t, "maporder")) }
+func TestLocksendFixture(t *testing.T) { checkMarkers(t, "locksend", loadFixture(t, "locksend")) }
+func TestErrdropFixture(t *testing.T)  { checkMarkers(t, "errdrop", loadFixture(t, "errdrop")) }
 
 // The v2 interprocedural analyzers: lock-order cycles, goroutine termination,
 // atomic/plain mixing, determinism taint, and locksend through callees.

@@ -25,11 +25,11 @@ type TablePolicy []Rule
 //
 // The wallclock set is the sim-deterministic core — every package whose
 // behavior must replay bit-for-bit from an injected clock — plus the services
-// (api, core, events) that default to real time but must route it through an
-// injectable field. The maporder set is every package where iteration order
-// feeds a hash, a plan, or a persisted artifact. locksend and errdrop are
-// repo-wide: a controller deadlock or a silently dropped error anywhere can
-// take the queue down.
+// (api, core, events) that read real time from the one clock.Clock; only
+// internal/clock, which wraps the wall, stays out. The maporder set is every
+// package where iteration order feeds a hash, a plan, or a persisted
+// artifact. locksend and errdrop are repo-wide: a controller deadlock or a
+// silently dropped error anywhere can take the queue down.
 var DefaultPolicy = TablePolicy{
 	{Analyzer: "wallclock", Packages: []string{
 		"internal/sim",

@@ -314,7 +314,7 @@ func taintSourceCall(info *types.Info, call *ast.CallExpr) string {
 	}
 	switch pkgPath {
 	case "time":
-		if wallclockFuncs[name] {
+		if wallclockUses["time."+name] {
 			return "time." + name
 		}
 	case "math/rand", "math/rand/v2":

@@ -1,37 +1,40 @@
 package lint
 
-import "go/ast"
+import (
+	"go/ast"
+	"go/types"
+)
 
-// WallclockAnalyzer flags direct wall-clock reads — time.Now(), time.Since(),
-// time.Until() — in sim-deterministic packages. Those packages must take time
-// from an injected clock (a `Now func() time.Time` field or the simulator's
-// virtual clock) so that runs replay bit-for-bit; a stray time.Now() makes an
-// experiment unreproducible in a way no test reliably catches.
-//
-// Referencing the function without calling it (`cfg.Now = time.Now`, the
-// standard default-clock idiom) is allowed: the read still happens through
-// the injectable seam.
+// WallclockAnalyzer flags every use of the wall clock — a read or a wait on
+// package time, or clock.Wall; called or referenced — in sim-deterministic
+// packages. They take time from the one injected clock.Clock or the
+// simulator's virtual clock, so that runs replay bit-for-bit; one stray read
+// or timer makes a run unreproducible in a way no test reliably catches.
 var WallclockAnalyzer = &Analyzer{
 	Name: "wallclock",
-	Doc:  "disallow direct time.Now/Since/Until calls in sim-deterministic packages",
+	Doc:  "disallow the wall clock (time.Now/Since/Until, timers, tickers, sleeps, clock.Wall) in sim-deterministic packages",
 	Run:  runWallclock,
 }
 
-var wallclockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
+// wallclockUses holds the wall-clock uses by "<package name>.<name>".
+var wallclockUses = map[string]bool{"time.Now": true, "time.Since": true, "time.Until": true,
+	"time.After": true, "time.AfterFunc": true, "time.NewTimer": true, "time.NewTicker": true,
+	"time.Sleep": true, "time.Tick": true, "clock.Wall": true}
 
 func runWallclock(pass *Pass) {
 	for _, file := range pass.Pkg.Syntax {
 		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
+			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			pkgPath, name, ok := pkgFuncCall(pass.Pkg.Info, call)
-			if !ok || pkgPath != "time" || !wallclockFuncs[name] {
+			ident, ok := sel.X.(*ast.Ident)
+			if !ok {
 				return true
 			}
-			pass.Reportf(call.Pos(),
-				"direct time.%s call reads the wall clock; take time from the injected clock (Now field / sim clock)", name)
+			if pn, ok := pass.Pkg.Info.Uses[ident].(*types.PkgName); ok && wallclockUses[pn.Imported().Name()+"."+sel.Sel.Name] {
+				pass.Reportf(sel.Pos(), "%s.%s uses the wall clock; take time from the injected clock.Clock (or the sim's clock)", pn.Imported().Name(), sel.Sel.Name)
+			}
 			return true
 		})
 	}

@@ -8,6 +8,7 @@ import (
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/reliability"
 	"mastergreen/internal/repo"
 	"mastergreen/internal/sched"
@@ -227,10 +228,10 @@ func TestIdleTickAllocs(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	e := newEnv(t, runner, Config{
 		Budget:      2,
-		Now:         func() time.Time { return now },
 		Sched:       sched.Default(),
 		Reliability: reliability.New(reliability.Config{}),
 	})
+	e.ctrl.SetClock(clock.NewManual(now))
 	e.submit(t, "c1", "x/x.go", "x v2")
 	bulk := e.submit(t, "c2", "z/z.go", "z v2")
 	bulk.Class, bulk.Deadline = change.ClassBulk, now.Add(time.Hour) // a weight of its own
@@ -259,30 +260,32 @@ func TestIdleTickAllocs(t *testing.T) {
 }
 
 // TestAgingTimerLifetime: the sched aging timer exists only once a pending
-// change has a deadline, and StopAging — which the shard runtime calls when
-// its loop ends — disarms it, so a stopped planner is not kept reachable
-// until the deadline passes.
+// change has a deadline, it is armed on the planner's clock, and StopAging —
+// which the shard runtime calls when its loop ends — disarms it, so a
+// stopped planner is not kept reachable until the deadline passes.
 func TestAgingTimerLifetime(t *testing.T) {
+	m := clock.NewManual(time.Unix(1_700_000_000, 0))
 	e := newEnv(t, holdOpenRunner(), Config{Budget: 1, Sched: sched.Default()})
+	e.ctrl.SetClock(m)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	e.submit(t, "c1", "x/x.go", "x v2")
 	if _, err := e.planner.Tick(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if e.planner.aging != nil {
+	if e.planner.aging != nil || m.Armed() != 0 {
 		t.Fatal("aging timer created with no deadline pending")
 	}
 	bulk := e.submit(t, "c2", "z/z.go", "z v2")
-	bulk.Class, bulk.Deadline = change.ClassBulk, time.Now().Add(time.Hour)
+	bulk.Class, bulk.Deadline = change.ClassBulk, m.Now().Add(time.Hour)
 	if _, err := e.planner.Tick(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if e.planner.aging == nil {
-		t.Fatal("no aging timer with a deadline pending")
+	if e.planner.aging == nil || m.Armed() != 1 {
+		t.Fatalf("with a deadline pending: timer %v, %d armed on the planner's clock; want one", e.planner.aging, m.Armed())
 	}
 	e.planner.StopAging()
-	if e.planner.aging.Stop() {
+	if m.Armed() != 0 {
 		t.Fatal("aging timer still armed after StopAging")
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"mastergreen/internal/buildgraph"
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/conflict"
 	"mastergreen/internal/events"
 	"mastergreen/internal/queue"
@@ -80,7 +81,7 @@ type CommitProposal struct {
 	Targets []string
 	// Paths are the files the subject's patch touches.
 	Paths []string
-	// Now is the commit timestamp (the planner's injected clock).
+	// Now is the commit timestamp, read from the planner's clock.
 	Now time.Time
 	// Class is the subject's scheduling lane; the commit arbiter lets
 	// hotfix-lane proposals overtake waiting lower-lane proposals.
@@ -113,8 +114,6 @@ type Config struct {
 	// PreemptionGrace, if > 0, prevents aborting a build that has been
 	// running longer than this (§10 "Build Preemption" future work).
 	PreemptionGrace time.Duration
-	// Now supplies the clock (real time by default); injectable for tests.
-	Now func() time.Time
 	// Events, when non-nil, receives build lifecycle events (starts,
 	// finishes, aborts, retries) for observability. Decision events are the
 	// service's: it emits them once a decision is durable.
@@ -195,7 +194,7 @@ type Planner struct {
 	// created by the first tick that needs it and guarded by mu, pokes it
 	// when a printed sched weight can move.
 	wake  chan struct{}
-	aging *time.Timer
+	aging clock.Timer
 
 	// Tick-goroutine scratch, kept so a tick with nothing to do allocates
 	// nothing: the pending order and the plan-input fingerprint bytes.
@@ -225,9 +224,6 @@ type Planner struct {
 func New(r *repo.Repo, q *queue.Queue, an ConflictSource, spec *speculation.Engine, ctrl *buildsys.Controller, cfg Config) *Planner {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 4
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	return &Planner{
 		repo:         r,
@@ -378,7 +374,7 @@ func (p *Planner) planFingerprintLocked(dst []byte, pending []*change.Change) (_
 		// recomputed. One decimal of quantization bounds replan churn; a
 		// printed weight moves when it reaches its next half-tenth.
 		dst = append(dst, "|s:"...)
-		now := p.cfg.Now()
+		now := p.now()
 		for _, c := range pending {
 			w := p.cfg.Sched.Weight(c.Class, c.Deadline, now)
 			if c.Class == change.ClassNormal && c.Deadline.IsZero() {
@@ -415,8 +411,8 @@ func (p *Planner) planFingerprintLocked(dst []byte, pending []*change.Change) (_
 }
 
 // armAgingLocked sets the aging timer to poke the engine a millisecond after
-// next (Config.Now's time; the timer counts wall time), when the weight has
-// surely crossed, or stops it if next is zero. Callers hold p.mu.
+// next on the planner's clock, when the weight has surely crossed, or stops
+// it if next is zero. Callers hold p.mu.
 func (p *Planner) armAgingLocked(next time.Time) {
 	switch {
 	case next.IsZero():
@@ -424,11 +420,15 @@ func (p *Planner) armAgingLocked(next time.Time) {
 			p.aging.Stop()
 		}
 	case p.aging == nil:
-		p.aging = time.AfterFunc(next.Sub(p.cfg.Now())+time.Millisecond, p.Poke)
+		p.aging = p.controller.Clock().AfterFunc(next.Sub(p.now())+time.Millisecond, p.Poke)
 	default:
-		p.aging.Reset(next.Sub(p.cfg.Now()) + time.Millisecond)
+		p.aging.Reset(next.Sub(p.now()) + time.Millisecond)
 	}
 }
+
+// now reads the planner's clock, which is its build controller's: the
+// engine stamps and weighs on the clock its builds are timed by.
+func (p *Planner) now() time.Time { return p.controller.Clock().Now() }
 
 // StopAging stops the aging timer until the next tick, so a planner whose
 // loop has ended is not kept reachable by it.
@@ -747,12 +747,12 @@ func (p *Planner) decide(ctx context.Context) (int, *conflict.Graph, error) {
 				Applied: match.build.Changes,
 				Targets: targetNames(match.req.Targets),
 				Paths:   c.Patch.Paths(),
-				Now:     p.cfg.Now(),
+				Now:     p.now(),
 				Class:   c.Class,
 			})
 		} else {
 			head := p.repo.Head()
-			commit, err = p.repo.CommitPatch(head.ID, c.Patch, c.Author.Name, c.Description, p.cfg.Now())
+			commit, err = p.repo.CommitPatch(head.ID, c.Patch, c.Author.Name, c.Description, p.now())
 		}
 		if err != nil {
 			if errors.Is(err, repo.ErrStaleHead) {
@@ -816,7 +816,7 @@ func (p *Planner) verifySuspect(ctx context.Context, fb *trackedBuild) bool {
 	}
 	fb.task = task
 	fb.result = buildsys.Result{}
-	fb.startedAt = p.cfg.Now()
+	fb.startedAt = p.now()
 	p.running = append(p.running, fb)
 	p.stats.BuildsStarted++
 	p.mu.Unlock()
@@ -854,7 +854,7 @@ func (p *Planner) resolve(c *change.Change, st change.State, reason string, comm
 	p.pruneFinishedLocked()
 	p.pruneRunningLocked()
 	p.armLocked(false) // a running build may have no open assumption left
-	p.outcomes = append(p.outcomes, Outcome{ID: id, State: st, Reason: reason, Commit: commit, At: p.cfg.Now()})
+	p.outcomes = append(p.outcomes, Outcome{ID: id, State: st, Reason: reason, Commit: commit, At: p.now()})
 }
 
 // dropFinished removes a finished build after the arbiter bounced its commit
@@ -908,7 +908,7 @@ func (p *Planner) reconcile(ctx context.Context, cg *conflict.Graph) (bool, erro
 	var weights []float64
 	var noSkip []bool
 	if p.cfg.Sched != nil {
-		weights, noSkip = p.cfg.Sched.Weights(pending, p.cfg.Now())
+		weights, noSkip = p.cfg.Sched.Weights(pending, p.now())
 	}
 	plan := p.spec.Plan(speculation.Request{
 		Pending:   pending,
@@ -957,7 +957,7 @@ func (p *Planner) reconcile(ctx context.Context, cg *conflict.Graph) (bool, erro
 			}
 		}
 	}
-	now := p.cfg.Now()
+	now := p.now()
 	var keep []*trackedBuild
 	for _, rb := range p.running { // slice order, not map order: keep is the new p.running
 		key := p.buildKeyLocked(rb)
@@ -1082,7 +1082,7 @@ func (p *Planner) startBuild(ctx context.Context, b speculation.Build) error {
 		build:     b,
 		baseLen:   head.Seq + 1,
 		task:      task,
-		startedAt: p.cfg.Now(),
+		startedAt: p.now(),
 		req:       req,
 		armed:     decisive,
 	})

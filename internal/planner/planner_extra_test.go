@@ -8,6 +8,7 @@ import (
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/repo"
 )
 
@@ -62,9 +63,9 @@ func TestPreemptionGraceKeepsOldBuilds(t *testing.T) {
 			return buildsys.ErrAborted
 		}
 	})
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	e := newEnv(t, runner, Config{Budget: 1, PreemptionGrace: time.Nanosecond, Now: clock})
+	m := clock.NewManual(time.Unix(1000, 0))
+	e := newEnv(t, runner, Config{Budget: 1, PreemptionGrace: time.Nanosecond})
+	e.ctrl.SetClock(m)
 	e.submit(t, "c1", "x/x.go", "x v2")
 	ctx := context.Background()
 	if _, err := e.planner.Tick(ctx); err != nil {
@@ -74,7 +75,7 @@ func TestPreemptionGraceKeepsOldBuilds(t *testing.T) {
 	// Advance the clock past the grace threshold and enqueue a competitor in
 	// the same conflict component; with budget 1 the planner would normally
 	// preempt, but grace protects the running build.
-	now = now.Add(time.Hour)
+	m.Advance(time.Hour)
 	e.submit(t, "c2", "y/y.go", "y v2")
 	if _, err := e.planner.Tick(ctx); err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/repo"
 )
 
@@ -73,9 +74,6 @@ type InjectorConfig struct {
 	// buildsys.ErrAborted, tearing the whole build down (the planner drops
 	// aborted builds and reschedules them).
 	CrashRate float64
-	// Sleep waits out slow/stuck delays; injectable for tests. The default
-	// waits on a real timer, honoring context cancellation.
-	Sleep func(ctx context.Context, d time.Duration) error
 }
 
 // Injection is one recorded fault, keyed by the step-unit identity and the
@@ -116,6 +114,7 @@ type Injector struct {
 
 	mu         sync.Mutex
 	inner      buildsys.StepRunner
+	clock      clock.Clock // slow and stuck units wait on it
 	attempts   map[unitKey]int
 	transients map[unitKey]int
 	schedule   []Injection
@@ -132,13 +131,11 @@ func NewInjector(inner buildsys.StepRunner, rng *rand.Rand, cfg InjectorConfig) 
 	if rng != nil {
 		seed = uint64(rng.Int63())
 	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = defaultSleep
-	}
 	return &Injector{
 		cfg:        cfg,
 		seed:       seed,
 		inner:      inner,
+		clock:      clock.Wall, //lint:ignore wallclock the default until core.NewService sets the service's clock
 		attempts:   map[unitKey]int{},
 		transients: map[unitKey]int{},
 	}
@@ -149,6 +146,14 @@ func NewInjector(inner buildsys.StepRunner, rng *rand.Rand, cfg InjectorConfig) 
 func (in *Injector) SetInner(inner buildsys.StepRunner) {
 	in.mu.Lock()
 	in.inner = inner
+	in.mu.Unlock()
+}
+
+// SetClock sets the clock slow and stuck units wait on (used by core wiring,
+// before any builds run).
+func (in *Injector) SetClock(clk clock.Clock) {
+	in.mu.Lock()
+	in.clock = clk
 	in.mu.Unlock()
 }
 
@@ -220,21 +225,21 @@ func (in *Injector) RunStepHash(ctx context.Context, step change.BuildStep, targ
 			})
 		}
 	}
-	inner := in.inner
+	inner, clk := in.inner, in.clock
 	in.mu.Unlock()
 
 	switch fault {
 	case FaultCrash:
 		return buildsys.ErrAborted
 	case FaultStuck:
-		if err := in.cfg.Sleep(ctx, in.cfg.StuckDelay); err != nil {
+		if err := clock.Sleep(ctx, clk, in.cfg.StuckDelay); err != nil {
 			return buildsys.ErrAborted
 		}
 		return fmt.Errorf("injected stuck step killed by watchdog after %v: %w", in.cfg.StuckDelay, ErrInjectedTransient)
 	case FaultTransient:
 		return fmt.Errorf("%w (step %s, target %q, attempt %d)", ErrInjectedTransient, step.Name, target, attempt)
 	case FaultSlow:
-		if err := in.cfg.Sleep(ctx, in.cfg.SlowDelay); err != nil {
+		if err := clock.Sleep(ctx, clk, in.cfg.SlowDelay); err != nil {
 			return buildsys.ErrAborted
 		}
 	}
@@ -301,20 +306,4 @@ func finalize(s uint64) uint64 {
 	s *= 0xc4ceb9fe1a85ec53
 	s ^= s >> 33
 	return s
-}
-
-// defaultSleep waits on a real timer, honoring cancellation. (No wall-clock
-// reads: duration-only, so the wallclock lint policy holds.)
-func defaultSleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

@@ -6,17 +6,43 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/events"
 	"mastergreen/internal/repo"
 )
 
-func noSleep(context.Context, time.Duration) error { return nil }
+// runParked runs one compile unit of in on a manual clock and checks that it
+// waits exactly d of that clock's time (none, if d is 0) before it returns.
+func runParked(t *testing.T, ctx context.Context, in *Injector, d time.Duration) error {
+	t.Helper()
+	m := clock.NewManual(time.Unix(0, 0))
+	in.SetClock(m)
+	done := make(chan error, 1)
+	go func() {
+		done <- in.RunStepHash(ctx, unitStep(change.StepCompile, "compile"), "//a", "h", repo.Snapshot{})
+	}()
+	if d == 0 {
+		return <-done
+	}
+	for m.Armed() == 0 {
+		runtime.Gosched()
+	}
+	m.Advance(d - 1)
+	select {
+	case err := <-done:
+		t.Fatalf("returned %v before its %v delay", err, d)
+	default:
+	}
+	m.Advance(1)
+	return <-done
+}
 
 // hashRunnerFunc adapts a function to both runner interfaces.
 type hashRunnerFunc func(ctx context.Context, step change.BuildStep, target, hash string) error
@@ -42,7 +68,6 @@ func driveInjector(t *testing.T, seed int64, shuffle bool) []Injection {
 		CrashRate:            0.05,
 		StuckRate:            0.05,
 		SlowRate:             0.1,
-		Sleep:                noSleep,
 	})
 	type call struct {
 		step   change.BuildStep
@@ -101,7 +126,7 @@ func TestInjectorGoldenSchedule(t *testing.T) {
 // transient on attempt 2 (regression test for the FNV tail-byte bias).
 func TestInjectorAttemptIndependence(t *testing.T) {
 	in := NewInjector(nil, rand.New(rand.NewSource(7)), InjectorConfig{
-		DefaultTransientRate: 0.2, Sleep: noSleep,
+		DefaultTransientRate: 0.2,
 	})
 	step := unitStep(change.StepUnitTest, "unit")
 	firstFails, bothFail := 0, 0
@@ -133,29 +158,27 @@ func TestInjectorFaultClasses(t *testing.T) {
 	ctx := context.Background()
 	step := unitStep(change.StepCompile, "compile")
 
-	crash := NewInjector(nil, nil, InjectorConfig{CrashRate: 1, Sleep: noSleep})
+	crash := NewInjector(nil, nil, InjectorConfig{CrashRate: 1})
 	if err := crash.RunStepHash(ctx, step, "//a", "h", repo.Snapshot{}); !errors.Is(err, buildsys.ErrAborted) {
 		t.Errorf("crash fault: got %v, want ErrAborted", err)
 	}
 
-	stuck := NewInjector(nil, nil, InjectorConfig{StuckRate: 1, StuckDelay: time.Millisecond, Sleep: noSleep})
-	if err := stuck.RunStepHash(ctx, step, "//a", "h", repo.Snapshot{}); !errors.Is(err, ErrInjectedTransient) {
+	stuck := NewInjector(nil, nil, InjectorConfig{StuckRate: 1, StuckDelay: time.Minute})
+	if err := runParked(t, ctx, stuck, time.Minute); !errors.Is(err, ErrInjectedTransient) {
 		t.Errorf("stuck fault: got %v, want wrapped ErrInjectedTransient", err)
 	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := runParked(t, cancelled, stuck, 0); !errors.Is(err, buildsys.ErrAborted) {
+		t.Errorf("cancelled stuck fault: got %v, want ErrAborted", err)
+	}
 
-	var slept time.Duration
-	slow := NewInjector(nil, nil, InjectorConfig{
-		SlowRate: 1, SlowDelay: 5 * time.Millisecond,
-		Sleep: func(_ context.Context, d time.Duration) error { slept += d; return nil },
-	})
-	if err := slow.RunStepHash(ctx, step, "//a", "h", repo.Snapshot{}); err != nil {
+	slow := NewInjector(nil, nil, InjectorConfig{SlowRate: 1, SlowDelay: 5 * time.Millisecond})
+	if err := runParked(t, ctx, slow, 5*time.Millisecond); err != nil {
 		t.Errorf("slow fault must still succeed: %v", err)
 	}
-	if slept != 5*time.Millisecond {
-		t.Errorf("slow fault slept %v, want 5ms", slept)
-	}
 
-	tr := NewInjector(nil, nil, InjectorConfig{DefaultTransientRate: 1, MaxTransientsPerUnit: 1, Sleep: noSleep})
+	tr := NewInjector(nil, nil, InjectorConfig{DefaultTransientRate: 1, MaxTransientsPerUnit: 1})
 	if err := tr.RunStepHash(ctx, step, "//a", "h", repo.Snapshot{}); !errors.Is(err, ErrInjectedTransient) {
 		t.Errorf("transient fault: got %v, want ErrInjectedTransient", err)
 	}
@@ -419,7 +442,6 @@ func TestConcurrentStress(t *testing.T) {
 		DefaultTransientRate: 0.3,
 		MaxTransientsPerUnit: 1,
 		CrashRate:            0.02,
-		Sleep:                noSleep,
 	})
 	r := New(Config{})
 	r.SetInjector(inj)

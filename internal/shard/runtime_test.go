@@ -9,6 +9,7 @@ import (
 
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
+	"mastergreen/internal/clock"
 	"mastergreen/internal/core"
 	"mastergreen/internal/planner"
 	"mastergreen/internal/repo"
@@ -50,10 +51,8 @@ func modChange(r *repo.Repo, id, path, content string) *change.Change {
 	}
 }
 
-func fakeClock() func() time.Time {
-	base := time.Unix(1700000000, 0)
-	return func() time.Time { return base }
-}
+// fakeClock is a frozen clock, so every run stamps the same commits.
+func fakeClock() clock.Clock { return clock.NewManual(time.Unix(1700000000, 0)) }
 
 // brokenRunner fails any step whose snapshot contains "BROKEN" in a source
 // file of the target's subtree.
@@ -85,7 +84,7 @@ func outcomeSets(outs []planner.Outcome) (committed, rejected map[change.ID]bool
 // shards and checks every change lands with its content at head.
 func TestShardedCommitsAll(t *testing.T) {
 	r := multiRepo(8)
-	s := core.NewService(r, core.Config{Workers: 8, Shards: 4, Now: fakeClock()})
+	s := core.NewService(r, core.Config{Workers: 8, Shards: 4, Clock: fakeClock()})
 	n := 24
 	for i := 0; i < n; i++ {
 		// Each change creates a distinct slot file in its subtree:
@@ -137,7 +136,7 @@ func TestShardedMatchesSinglePlanner(t *testing.T) {
 		r := multiRepo(6)
 		s := core.NewService(r, core.Config{
 			Workers: 8, Shards: shards,
-			Runner: brokenRunner(), Now: fakeClock(),
+			Runner: brokenRunner(), Clock: fakeClock(),
 		})
 		for i := 0; i < 30; i++ {
 			content := fmt.Sprintf("content %d", i)
@@ -201,7 +200,7 @@ func TestShardedMatchesSinglePlanner(t *testing.T) {
 // serialize correctly inside one shard: each builds on the previous commit.
 func TestShardedSameSubtreeChains(t *testing.T) {
 	r := multiRepo(2)
-	s := core.NewService(r, core.Config{Workers: 4, Shards: 4, Now: fakeClock()})
+	s := core.NewService(r, core.Config{Workers: 4, Shards: 4, Clock: fakeClock()})
 	// All five changes create distinct slot files under one subtree's target
 	// dir; they share the comp target, so they form one conflict component.
 	for i := 0; i < 5; i++ {

@@ -56,7 +56,7 @@ func TestStressLiveSubmitEightShards(t *testing.T) {
 	// Baseline: one engine over the identical change list.
 	baseRepo := multiRepo(16)
 	base := core.NewService(baseRepo, core.Config{
-		Workers: 8, Shards: 1, Runner: brokenRunner(), Now: fakeClock(),
+		Workers: 8, Shards: 1, Runner: brokenRunner(), Clock: fakeClock(),
 	})
 	for _, c := range workload {
 		if err := base.Submit(c); err != nil {
@@ -73,7 +73,7 @@ func TestStressLiveSubmitEightShards(t *testing.T) {
 	r := multiRepo(16)
 	s := core.NewService(r, core.Config{
 		Workers: 8, Shards: 8,
-		Runner: brokenRunner(), Now: fakeClock(),
+		Runner: brokenRunner(), Clock: fakeClock(),
 	})
 	s.Start()
 	done := make(chan error, 1)
@@ -166,7 +166,7 @@ func TestOneDecisionEventPerChange(t *testing.T) {
 	const n, ring = 1024, 1 << 16
 	bus := events.NewBus(ring)
 	s := core.NewService(multiRepo(16), core.Config{
-		Workers: 8, Shards: 4, Runner: brokenRunner(), Now: fakeClock(), Events: bus,
+		Workers: 8, Shards: 4, Runner: brokenRunner(), Clock: fakeClock(), Events: bus,
 	})
 	s.Start()
 	for i, c := range stressWorkload(n) {
