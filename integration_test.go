@@ -19,6 +19,7 @@ import (
 	"mastergreen/internal/change"
 	"mastergreen/internal/core"
 	"mastergreen/internal/events"
+	"mastergreen/internal/planner"
 	"mastergreen/internal/repo"
 	"mastergreen/internal/store"
 )
@@ -207,7 +208,7 @@ func TestEndToEndDurableRestart(t *testing.T) {
 			t.Fatalf("submit d%d: %d", i, resp.StatusCode)
 		}
 	}
-	committed := func(st *api.Stack, i int) core.Status {
+	committed := func(st *api.Stack, i int) planner.Outcome {
 		t.Helper()
 		id := change.ID(fmt.Sprintf("d%d", i))
 		deadline := time.Now().Add(20 * time.Second)
@@ -230,7 +231,7 @@ func TestEndToEndDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acked := map[int]core.Status{}
+	acked := map[int]planner.Outcome{}
 	for i := 0; i < 2; i++ {
 		submit(st, i)
 	}
@@ -263,7 +264,11 @@ func TestEndToEndDurableRestart(t *testing.T) {
 		t.Fatalf("mainline after the crash = %d commits", n)
 	}
 	for i, want := range acked {
-		if got := committed(st2, i); got != want {
+		// A recovered decision's At is its commit record's time, not the
+		// planner's clock reading, so everything but At must match.
+		got := committed(st2, i)
+		got.At, want.At = time.Time{}, time.Time{}
+		if got != want {
 			t.Fatalf("d%d after the crash = %+v, want %+v", i, got, want)
 		}
 		if _, err := svc2.Repo().Lookup(want.Commit); err != nil {

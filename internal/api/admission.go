@@ -38,20 +38,12 @@ type admission struct {
 	ratePerSec  float64
 }
 
+// newAdmission bounds the queue at capacity (at least 2, see
+// EnableAdmission), so shedAt = capacity*9/10 lies in [1, capacity-1].
 func newAdmission(capacity int, pending, decided func() int, clk clock.Clock) *admission {
-	shedAt := capacity * 9 / 10
-	if shedAt < 1 {
-		shedAt = 1
-	}
-	if shedAt >= capacity {
-		shedAt = capacity - 1
-	}
-	if shedAt < 1 {
-		shedAt = 1
-	}
 	return &admission{
 		capacity: capacity,
-		shedAt:   shedAt,
+		shedAt:   capacity * 9 / 10,
 		pending:  pending,
 		decided:  decided,
 		clock:    clk,

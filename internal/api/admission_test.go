@@ -90,6 +90,25 @@ func TestOverloadShedsDashboardReads(t *testing.T) {
 	}
 }
 
+// TestShedThresholdBelowCapacity: for every capacity EnableAdmission
+// accepts, reads shed from 90% occupancy, at least 1 and below capacity,
+// so shedding precedes refusal.
+func TestShedThresholdBelowCapacity(t *testing.T) {
+	srv, _ := benchService(t)
+	for _, tc := range []struct{ capacity, shedAt int }{
+		{1, 1}, // raised to 2
+		{2, 1},
+		{3, 2},
+		{10, 9},
+		{50_000, 45_000},
+	} {
+		srv.EnableAdmission(tc.capacity)
+		if a := srv.adm; a.shedAt != tc.shedAt || a.shedAt < 1 || a.shedAt >= a.capacity {
+			t.Errorf("capacity %d: shedAt %d of %d, want %d", tc.capacity, a.shedAt, a.capacity, tc.shedAt)
+		}
+	}
+}
+
 // TestRetryAfterTracksDrainRate: the Retry-After estimate follows the
 // observed decisions-per-second, clamped to [1, 30].
 func TestRetryAfterTracksDrainRate(t *testing.T) {

@@ -229,7 +229,8 @@ func TestAutoIDAssigned(t *testing.T) {
 
 // TestAPIStampsOnServiceClock: a service and its API server share one
 // clock. A submission with no ID and a deadline_in_sec of 60 gets an ID and
-// a SubmittedAt from the service's manual clock, and the planner weighs its
+// a SubmittedAt from the service's manual clock, its journaled submit record
+// holds the bulk class and the deadline t0+60s, and the planner weighs its
 // deadline on that clock: its weight ages while the clock moves toward the
 // 60 s mark, and past it the aging timer is disarmed.
 func TestAPIStampsOnServiceClock(t *testing.T) {
@@ -262,8 +263,11 @@ func TestAPIStampsOnServiceClock(t *testing.T) {
 		t.Fatalf("generated ID %q, want %q from the service's clock", resp.ID, want)
 	}
 	recs, err := store.LoadState(journal)
-	if err != nil || len(recs) != 1 || recs[0].Submit == nil || !recs[0].Submit.SubmittedAt.Equal(t0) {
-		t.Fatalf("journal after the submit: %v, %+v; want SubmittedAt %v", err, recs, t0)
+	if err != nil || len(recs) != 1 || recs[0].Submit == nil {
+		t.Fatalf("journal after the submit: %v, %+v", err, recs)
+	}
+	if c := recs[0].Submit; !c.SubmittedAt.Equal(t0) || c.Class != change.ClassBulk || !c.Deadline.Equal(t0.Add(time.Minute)) {
+		t.Fatalf("journaled submit: at %v, class %s, deadline %v; want %v, P2, %v", c.SubmittedAt, c.Class, c.Deadline, t0, t0.Add(time.Minute))
 	}
 
 	svc.Start()

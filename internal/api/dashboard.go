@@ -66,7 +66,9 @@ const outcomesLimit, outcomesMaxLimit = 100, 1000
 
 // handleOutcomes serves GET /api/v1/outcomes?after=SEQ&limit=N: up to N
 // published decisions after seq SEQ (the first decision has seq 1; after
-// defaults to 0), copying only the page.
+// defaults to 0), copying only the page. Seqs are numbered per process: a
+// restart renumbers the recovered decisions, so a client resumes from
+// after=0, not from a next it got before the restart.
 func (s *Server) handleOutcomes(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")

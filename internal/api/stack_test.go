@@ -344,6 +344,56 @@ func TestOutcomesRouteNamesOnlyDurableDecisions(t *testing.T) {
 	}
 }
 
+// TestOutcomesRouteAfterRestart: after one commit, one rejection and a
+// restart on the same data dir, GET /api/v1/outcomes?after=0 lists both
+// decisions, once each, as the state route answers them.
+func TestOutcomesRouteAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := StackConfig{Core: core.Config{Workers: 2}, Addr: "127.0.0.1:0", DataDir: dir}
+	st, err := OpenStack(stackRepo(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitOver(t, st, "c1", "lib/lib.go", "lib v1", "lib v2")
+	submitOver(t, st, "stale", "doc/readme.md", "doc v0", "doc v2") // rejected: merge conflict
+	decidedOver(t, st, "c1")
+	decidedOver(t, st, "stale")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := OpenStack(stackRepo(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := st2.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	resp, err := http.Get(st2.URL() + "/api/v1/outcomes?after=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page OutcomesResponse
+	err = json.NewDecoder(resp.Body).Decode(&page)
+	_ = resp.Body.Close() // fully read
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := map[string]string{}
+	for _, o := range page.Outcomes {
+		sr := stateOver(t, st2, o.ID)
+		if _, dup := states[o.ID]; dup || sr.State != o.State || sr.Reason != o.Reason || sr.Commit != o.Commit {
+			t.Fatalf("outcomes list %+v (again: %v), the state route %+v", o, dup, sr)
+		}
+		states[o.ID] = o.State
+	}
+	if len(states) != 2 || states["c1"] != "committed" || states["stale"] != "rejected" || page.Next != 2 {
+		t.Fatalf("outcomes after the restart: %+v", page)
+	}
+}
+
 // TestCrashAfterFoldKeepsCommits: two acknowledged commits, one journal fold
 // while serving, then the data dir is copied as kill -9 would leave it. A
 // stack booted from the seed on the copy has both commits on its mainline

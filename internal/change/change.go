@@ -191,37 +191,40 @@ func (s *SpecStats) Counts() (succeeded, failed int64) {
 
 // Change comprises a developer's code patch padded with build steps that
 // must succeed before the patch can be merged (§1), plus metadata.
+//
+// Its JSON form is the journal's submit record (internal/store): every field
+// but Spec, the live speculation counters, is durable.
 type Change struct {
-	ID          ID
-	Revision    *Revision
-	Author      Developer
-	Description string
+	ID          ID        `json:"id"`
+	Revision    *Revision `json:"revision,omitempty"`
+	Author      Developer `json:"author"`
+	Description string    `json:"description"`
 
-	Patch      repo.Patch
-	BuildSteps []BuildStep
+	Patch      repo.Patch  `json:"patch"`
+	BuildSteps []BuildStep `json:"steps"`
 
 	// BaseCommit is the mainline commit the patch was authored against.
 	// Staleness (Fig. 2) is measured from this commit's time.
-	BaseCommit repo.CommitID
+	BaseCommit repo.CommitID `json:"base_commit"`
 
-	SubmittedAt time.Time
-	Stats       Stats
-	Spec        SpecStats
+	SubmittedAt time.Time `json:"submitted_at"`
+	Stats       Stats     `json:"stats"`
+	Spec        SpecStats `json:"-"`
 
 	// Benefit weights this change's builds in the speculation engine's
 	// value function V = B·P_needed (§4.2.1): "builds for certain projects
 	// or with certain priority (e.g., security patches) can have higher
 	// values". Zero means the default benefit of 1.
-	Benefit float64
+	Benefit float64 `json:"benefit,omitempty"`
 
 	// Class is the scheduling lane (internal/sched): P0 hotfix, P1 normal,
 	// P2 bulk. The zero value is ClassNormal, so untouched callers behave
 	// exactly as before priority lanes existed.
-	Class Class
+	Class Class `json:"class,omitempty"`
 	// Deadline, when non-zero, is when the author needs a decision. The
 	// scheduler ramps the change's weight up as slack shrinks so deadlined
 	// bulk work cannot starve behind a sustained hotfix stream.
-	Deadline time.Time
+	Deadline time.Time `json:"deadline"`
 }
 
 // Validate reports whether the change is well-formed enough to enqueue.

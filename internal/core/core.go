@@ -81,14 +81,6 @@ type Config struct {
 	Sched *sched.Policy
 }
 
-// Status reports a change's current position in the pipeline.
-type Status struct {
-	ID     change.ID
-	State  change.State
-	Reason string
-	Commit repo.CommitID
-}
-
 // Service is a running SubmitQueue instance.
 type Service struct {
 	repo     *repo.Repo
@@ -100,11 +92,11 @@ type Service struct {
 	rel      *reliability.Reliability
 	cfg      Config
 
-	// mu guards statuses, log and the loop's handles. Only publish writes a
-	// decision into statuses and log; readers copy from them.
+	// mu guards known, log and the loop's handles. Only decideLocked writes
+	// a decision, and only publish and OpenRecovered call it; readers copy.
 	mu       sync.Mutex
-	statuses map[change.ID]Status
-	log      []planner.Outcome // published decisions; seq n is log[n-1]
+	known    map[change.ID]entry // every accepted change
+	log      []planner.Outcome   // published decisions; seq n is log[n-1]
 	cancel   context.CancelFunc
 	loopDone chan struct{}
 	// pubMu makes publish the one writer whichever goroutine runs it: the
@@ -118,6 +110,13 @@ type Service struct {
 	// tracker accumulates per-class queue depths and turnaround times for
 	// the status endpoint and dashboard (nil when Config.Sched is nil).
 	tracker *sched.Tracker
+}
+
+// entry is what the service keeps of an accepted change: the change itself
+// while it is pending, then only its decision's seq in the log.
+type entry struct {
+	pending *change.Change // nil once decided
+	seq     int            // the decision is log[seq-1]; 0 while pending
 }
 
 // NewService creates a SubmitQueue over the repository.
@@ -169,11 +168,11 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 			Spec:   func() *speculation.Engine { return speculation.New(cfg.Predictor) },
 			Events: cfg.Events,
 		}),
-		arb:      arb,
-		ctrl:     ctrl,
-		rel:      rel,
-		cfg:      cfg,
-		statuses: map[change.ID]Status{},
+		arb:   arb,
+		ctrl:  ctrl,
+		rel:   rel,
+		cfg:   cfg,
+		known: map[change.ID]entry{},
 	}
 	if cfg.Sched != nil {
 		s.tracker = sched.NewTracker()
@@ -203,9 +202,9 @@ func (s *Service) submitLocked(c *change.Change, journalIt bool) error {
 		return fmt.Errorf("core: %w", err)
 	}
 	s.mu.Lock()
-	if st, ok := s.statuses[c.ID]; ok {
+	if e, ok := s.known[c.ID]; ok {
 		s.mu.Unlock()
-		return fmt.Errorf("core: change %s already submitted (%s): %w", c.ID, st.State, queue.ErrDuplicate)
+		return fmt.Errorf("core: change %s already submitted (%s): %w", c.ID, s.stateLocked(c.ID, e).State, queue.ErrDuplicate)
 	}
 	if c.SubmittedAt.IsZero() {
 		c.SubmittedAt = s.cfg.Clock.Now()
@@ -213,28 +212,21 @@ func (s *Service) submitLocked(c *change.Change, journalIt bool) error {
 	if c.BaseCommit == "" {
 		c.BaseCommit = s.repo.Head().ID
 	}
-	// Encode the journal record before the engines can see the change: a
-	// planner writes c.Stats when it starts the change's build.
-	j := s.journal.Load()
-	var rec *store.SubmittedChange
-	if journalIt && j != nil {
-		rec = store.EncodeChange(c)
-	}
 	if err := s.queue.Enqueue(c); err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	s.statuses[c.ID] = Status{ID: c.ID, State: change.StatePending}
+	s.known[c.ID] = entry{pending: c}
 	if s.tracker != nil {
-		s.tracker.NoteSubmit(c, c.SubmittedAt) // before the publisher can note its decision
+		s.tracker.NoteSubmit(c)
 	}
 	s.mu.Unlock()
 	s.runtime.Poke() // the coordinator adopts the change now, not at a later event
 	if s.cfg.Events != nil {
 		s.cfg.Events.Publish(events.Event{Type: events.TypeSubmitted, Change: c.ID, Detail: c.Description})
 	}
-	if rec != nil {
-		if err := j.Append(store.Record{Kind: store.KindSubmit, Submit: rec}); err != nil {
+	if j := s.journal.Load(); journalIt && j != nil {
+		if err := j.AppendSubmit(c); err != nil {
 			// The change stays enqueued, but a failed journal lands no commit.
 			return fmt.Errorf("core: change %s enqueued but not journaled: %w", c.ID, journalErr(err))
 		}
@@ -247,20 +239,44 @@ func (s *Service) submitLocked(c *change.Change, journalIt bool) error {
 // no new decision and lands no commit (see Health).
 var ErrJournal = errors.New("core: journal")
 
-// State returns the change's published status. Unknown IDs return an error.
-// Once the journal has failed, a change still pending returns its status
-// with an ErrJournal error: its decision can no longer be made durable.
-func (s *Service) State(id change.ID) (Status, error) {
+// State returns the change's published decision, or an outcome in
+// StatePending while it has none. A decision recovered by OpenRecovered
+// carries its journal record's time as At, not the planner's clock reading
+// at the decision. Unknown IDs return an error. Once the
+// journal has failed, a change still pending returns with an ErrJournal
+// error: its decision can no longer be made durable.
+func (s *Service) State(id change.ID) (planner.Outcome, error) {
 	s.mu.Lock()
-	st, ok := s.statuses[id]
+	e, ok := s.known[id]
+	o := s.stateLocked(id, e)
 	s.mu.Unlock()
 	if !ok {
-		return Status{}, fmt.Errorf("core: unknown change %s", id)
+		return planner.Outcome{}, fmt.Errorf("core: unknown change %s", id)
 	}
-	if st.State != change.StateCommitted && st.State != change.StateRejected {
-		return st, s.Health()
+	if e.seq == 0 {
+		return o, s.Health()
 	}
-	return st, nil
+	return o, nil
+}
+
+// stateLocked returns the decision of the change id whose entry is e, or
+// an outcome in StatePending. Callers hold s.mu.
+func (s *Service) stateLocked(id change.ID, e entry) planner.Outcome {
+	if e.seq == 0 {
+		return planner.Outcome{ID: id, State: change.StatePending}
+	}
+	return s.log[e.seq-1]
+}
+
+// decideLocked records one decision in memory: it appends o to the log,
+// keeps only its seq for the change, and counts it in the sched tracker.
+// publish and OpenRecovered are its callers. Callers hold s.mu.
+func (s *Service) decideLocked(o planner.Outcome) {
+	s.log = append(s.log, o)
+	if c := s.known[o.ID].pending; c != nil && s.tracker != nil {
+		s.tracker.NoteDecision(c, o.State == change.StateCommitted, o.At)
+	}
+	s.known[o.ID] = entry{seq: len(s.log)}
 }
 
 // Health returns the error that poisoned the journal (ErrJournal), or nil
@@ -277,10 +293,9 @@ func journalErr(err error) error {
 
 // publish is the one writer of decisions. It takes what the runtime merged,
 // buffers a journal record for each rejection (the arbiter buffered each
-// commit's as it landed), waits once for the journal, and only then, in this
-// order, appends the decisions to the log, records them as statuses and in
-// the sched tracker, and emits their committed/rejected events: no status,
-// outcome or event names a decision a crash could lose. A failed journal
+// commit's as it landed), waits once for the journal, and only then records
+// the decisions (decideLocked) and emits their committed/rejected events:
+// no state, outcome or event names a decision a crash could lose. A failed journal
 // publishes nothing more.
 func (s *Service) publish() error {
 	s.pubMu.Lock()
@@ -306,12 +321,8 @@ func (s *Service) publish() error {
 		}
 	}
 	s.mu.Lock()
-	s.log = append(s.log, batch...)
 	for _, o := range batch {
-		s.statuses[o.ID] = Status{ID: o.ID, State: o.State, Reason: o.Reason, Commit: o.Commit}
-		if s.tracker != nil {
-			s.tracker.NoteDecision(o.ID, o.State == change.StateCommitted, o.At)
-		}
+		s.decideLocked(o)
 	}
 	s.mu.Unlock()
 	if s.cfg.Events != nil {

@@ -354,7 +354,7 @@ func TestBootFromEveryFoldWindow(t *testing.T) {
 
 // TestProcessAllSyncsOncePerWave: deciding a wave of 32 changes costs the
 // journal one fsync, not one per decision — commit records are buffered as
-// they land and the rejections ride the one wait before the statuses
+// they land and the rejections ride the one wait before the decisions
 // publish.
 func TestProcessAllSyncsOncePerWave(t *testing.T) {
 	svc, err := OpenRecovered(newRepo(), filepath.Join(t.TempDir(), "journal.jsonl"), Config{Workers: 4, Runner: rejectBugs})

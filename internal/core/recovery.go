@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mastergreen/internal/change"
+	"mastergreen/internal/planner"
 	"mastergreen/internal/repo"
 	"mastergreen/internal/store"
 )
@@ -37,8 +38,10 @@ func (s *Service) SnapshotJournal() error {
 // OpenRecovered builds a durable service from the seed repository and a
 // journal path (the role MySQL plays in §7.1). The journal's commit records
 // are replayed onto seed in seq order, each checked against the commit ID
-// and content it recorded (a journal of another seed is a boot error); past
-// outcomes become queryable again, every change still pending is
+// and content it recorded (a journal of another seed is a boot error); the
+// decision log is rebuilt from the commit records in seq order and then the
+// rejection records in journal order (its seqs are this process's, not the
+// ones a client saw before the restart), every change still pending is
 // re-enqueued against the recovered head, and the journal is attached.
 func OpenRecovered(seed *repo.Repo, journalPath string, cfg Config) (*Service, error) {
 	recs, err := store.LoadState(journalPath)
@@ -63,13 +66,13 @@ func OpenRecovered(seed *repo.Repo, journalPath string, cfg Config) (*Service, e
 		}
 	}
 	svc := NewService(seed, cfg)
-	pending, outcomes := store.PendingFromRecords(recs)
+	pending, rejected := store.PendingFromRecords(recs)
 	svc.mu.Lock()
 	for _, c := range commits {
-		svc.statuses[c.ID] = Status{ID: c.ID, State: change.StateCommitted, Commit: c.Commit}
+		svc.decideLocked(planner.Outcome{ID: c.ID, State: change.StateCommitted, Commit: c.Commit, At: c.At})
 	}
-	for _, o := range outcomes { // a change that did not commit
-		svc.statuses[o.ID] = Status{ID: o.ID, State: change.StateRejected, Reason: o.Reason}
+	for _, r := range rejected {
+		svc.decideLocked(planner.Outcome{ID: r.ID, State: change.StateRejected, Reason: r.Reason, At: r.At})
 	}
 	svc.mu.Unlock()
 	for _, c := range pending {

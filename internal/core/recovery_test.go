@@ -14,6 +14,7 @@ import (
 	"mastergreen/internal/change"
 	"mastergreen/internal/queue"
 	"mastergreen/internal/repo"
+	"mastergreen/internal/sched"
 	"mastergreen/internal/store"
 )
 
@@ -395,5 +396,65 @@ func BenchmarkOpenRecoveredCommits(b *testing.B) {
 				_ = svc.CloseJournal()
 			}
 		})
+	}
+}
+
+// crashWithPending journals c through a durable service on a fresh data
+// dir and "crashes" before processing it, returning the journal's path.
+func crashWithPending(t *testing.T, cfg Config, c func(*repo.Repo) *change.Change) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	svc, err := OpenRecovered(newRepo(), path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Submit(c(svc.Repo())); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// hotfix is a pending P0 change with a deadline and a benefit.
+func hotfix(r *repo.Repo) *change.Change {
+	c := mkChange(r, "h1", "lib/lib.go", "lib v2")
+	c.Class, c.Benefit, c.Deadline = change.ClassHotfix, 5, time.Unix(1_700_000_060, 0).UTC()
+	return c
+}
+
+// TestRecoveredChangeKeepsLane: a change pending at a crash comes back
+// from the journal with its class, deadline and benefit.
+func TestRecoveredChangeKeepsLane(t *testing.T) {
+	path := crashWithPending(t, Config{Workers: 1}, hotfix)
+	svc, err := OpenRecovered(newRepo(), path, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.CloseJournal()
+	want := hotfix(newRepo())
+	got, err := svc.queue.Get(want.ID)
+	if err != nil || got.Class != want.Class || got.Benefit != want.Benefit || !got.Deadline.Equal(want.Deadline) {
+		t.Fatalf("recovered %+v (%v), want class %s, benefit %v, deadline %v", got, err, want.Class, want.Benefit, want.Deadline)
+	}
+}
+
+// TestRecoveredHotfixCountsInP0Lane: with priority lanes, a hotfix pending
+// at a crash counts as pending in the P0 lane after the restart.
+func TestRecoveredHotfixCountsInP0Lane(t *testing.T) {
+	cfg := Config{Workers: 1, Sched: sched.Default()}
+	svc, err := OpenRecovered(newRepo(), crashWithPending(t, cfg, hotfix), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.CloseJournal()
+	got := map[string]float64{}
+	for _, g := range svc.Gauges() {
+		got[g.Name] = g.Value
+	}
+	if got["sched_hotfix_pending"] != 1 || got["sched_normal_pending"] != 0 {
+		t.Fatalf("pending after the restart: hotfix %v, normal %v; want 1, 0",
+			got["sched_hotfix_pending"], got["sched_normal_pending"])
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"mastergreen/internal/buildsys"
 	"mastergreen/internal/change"
 	"mastergreen/internal/clock"
+	"mastergreen/internal/planner"
 	"mastergreen/internal/repo"
 	"mastergreen/internal/sched"
 )
@@ -61,7 +62,7 @@ func awaitDecided(t *testing.T, s *Service, ids []change.ID, limit time.Duration
 	deadline := time.Now().Add(limit)
 	for {
 		undecided := 0
-		var first Status
+		var first planner.Outcome
 		for _, id := range ids {
 			st, err := s.State(id)
 			if err != nil {

@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -95,9 +96,16 @@ type FileChange struct {
 }
 
 // Patch is an atomic set of file edits, all of which must apply cleanly.
+// Its JSON form is the array of its file changes.
 type Patch struct {
 	Changes []FileChange
 }
+
+// MarshalJSON encodes the patch as the array of its file changes.
+func (p Patch) MarshalJSON() ([]byte, error) { return json.Marshal(p.Changes) }
+
+// UnmarshalJSON decodes an array of file changes.
+func (p *Patch) UnmarshalJSON(b []byte) error { return json.Unmarshal(b, &p.Changes) }
 
 // Paths returns the sorted set of file paths the patch touches.
 func (p Patch) Paths() []string {

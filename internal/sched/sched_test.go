@@ -200,11 +200,11 @@ func TestBisect(t *testing.T) {
 
 func TestTracker(t *testing.T) {
 	tr := NewTracker()
-	now := epoch
-	tr.NoteSubmit(&change.Change{ID: "h1", Class: change.ClassHotfix}, now)
-	tr.NoteSubmit(&change.Change{ID: "n1"}, now)
-	tr.NoteSubmit(&change.Change{ID: "n2"}, now)
-	tr.NoteSubmit(&change.Change{ID: "n2"}, now) // duplicate ignored
+	h1 := &change.Change{ID: "h1", Class: change.ClassHotfix, SubmittedAt: epoch}
+	n1 := &change.Change{ID: "n1", SubmittedAt: epoch}
+	tr.NoteSubmit(h1)
+	tr.NoteSubmit(n1)
+	tr.NoteSubmit(&change.Change{ID: "n2", SubmittedAt: epoch})
 
 	s := tr.Snapshot()
 	if got := s.Hotfix.Pending; got != 1 {
@@ -214,10 +214,8 @@ func TestTracker(t *testing.T) {
 		t.Fatalf("normal lane = %+v, want pending 2 accepted 2", got)
 	}
 
-	tr.NoteDecision("h1", true, now.Add(30*time.Second))
-	tr.NoteDecision("n1", false, now.Add(120*time.Second))
-	tr.NoteDecision("h1", false, now.Add(999*time.Second)) // duplicate ignored
-	tr.NoteDecision("zzz", true, now)                      // unknown ignored
+	tr.NoteDecision(h1, true, epoch.Add(30*time.Second))
+	tr.NoteDecision(n1, false, epoch.Add(120*time.Second))
 
 	s = tr.Snapshot()
 	if h := s.Hotfix; h.Pending != 0 || h.Committed != 1 || h.TurnaroundMeanSec != 30 || h.TurnaroundMaxSec != 30 {

@@ -46,11 +46,11 @@ func (s *Stats) lane(c change.Class) *ClassStats {
 }
 
 // Tracker accumulates per-class queue-depth and turnaround gauges for the
-// live service: core notes each admitted submission and each first
-// decision, and the API/status path snapshots on demand.
+// live service: core notes each admitted submission once and its decision
+// once, passing the change it holds pending, and the API/status path
+// snapshots on demand.
 type Tracker struct {
 	mu        sync.Mutex
-	submitted map[change.ID]submitRecord
 	accepted  [nClasses]int64
 	pending   [nClasses]int
 	committed [nClasses]int64
@@ -60,47 +60,31 @@ type Tracker struct {
 	turnN     [nClasses]int64
 }
 
-type submitRecord struct {
-	class change.Class
-	at    time.Time
-}
-
 // NewTracker returns an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{submitted: make(map[change.ID]submitRecord)}
-}
+func NewTracker() *Tracker { return &Tracker{} }
 
-// NoteSubmit records one admitted submission.
-func (t *Tracker) NoteSubmit(c *change.Change, now time.Time) {
+// NoteSubmit records one admitted submission in c's lane.
+func (t *Tracker) NoteSubmit(c *change.Change) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, dup := t.submitted[c.ID]; dup {
-		return
-	}
 	i := classIndex(c.Class)
-	t.submitted[c.ID] = submitRecord{class: c.Class, at: now}
 	t.accepted[i]++
 	t.pending[i]++
 }
 
-// NoteDecision records the first decision for a change. Later duplicate
-// decisions (journal replays, shard races) are ignored.
-func (t *Tracker) NoteDecision(id change.ID, committed bool, at time.Time) {
+// NoteDecision records the decision, at at, of a change NoteSubmit counted:
+// its lane and its turnaround since c.SubmittedAt.
+func (t *Tracker) NoteDecision(c *change.Change, committed bool, at time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rec, ok := t.submitted[id]
-	if !ok {
-		return
-	}
-	delete(t.submitted, id)
-	i := classIndex(rec.class)
+	i := classIndex(c.Class)
 	t.pending[i]--
 	if committed {
 		t.committed[i]++
 	} else {
 		t.rejected[i]++
 	}
-	turn := at.Sub(rec.at).Seconds()
+	turn := at.Sub(c.SubmittedAt).Seconds()
 	if turn < 0 {
 		turn = 0
 	}

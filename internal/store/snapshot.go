@@ -108,7 +108,7 @@ func writeSnapshotFile(path string, head SnapHead, commits []*CommitRecord, pend
 		j.Buffer(Record{Kind: KindOutcome, Outcome: &outcomes[i]})
 	}
 	for _, c := range pending {
-		j.Buffer(Record{Kind: KindSubmit, Submit: EncodeChange(c)})
+		j.Buffer(Record{Kind: KindSubmit, Submit: c})
 	}
 	return j.Close()
 }

@@ -280,7 +280,7 @@ func TestSnapshotKeepsRecordsBufferedDuringFold(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				j.Buffer(Record{Kind: KindSubmit, Submit: EncodeChange(mkChange(fmt.Sprintf("w%d-%03d", w, i)))})
+				j.Buffer(Record{Kind: KindSubmit, Submit: mkChange(fmt.Sprintf("w%d-%03d", w, i))})
 				if i%50 == 49 {
 					if err := j.Sync(); err != nil {
 						t.Errorf("sync: %v", err)

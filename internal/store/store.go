@@ -33,19 +33,6 @@ const (
 // ErrClosed is returned by Append after Close.
 var ErrClosed = errors.New("store: journal closed")
 
-// SubmittedChange is the durable form of a change submission.
-type SubmittedChange struct {
-	ID          change.ID          `json:"id"`
-	Author      change.Developer   `json:"author"`
-	Description string             `json:"description"`
-	SubmittedAt time.Time          `json:"submitted_at"`
-	BaseCommit  repo.CommitID      `json:"base_commit"`
-	Steps       []change.BuildStep `json:"steps"`
-	Patch       []repo.FileChange  `json:"patch"`
-	Revision    *change.Revision   `json:"revision,omitempty"`
-	Stats       change.Stats       `json:"stats"`
-}
-
 // OutcomeRecord is the durable form of a final disposition other than a
 // commit (the service writes rejections; a commit is its CommitRecord).
 type OutcomeRecord struct {
@@ -69,43 +56,14 @@ type CommitRecord struct {
 	Content string            `json:"content"` // the new head's Snapshot.ContentID
 }
 
-// Record is one journal entry.
+// Record is one journal entry. A submit record is the change itself, in
+// change.Change's JSON form.
 type Record struct {
-	Kind    string           `json:"kind"`
-	Submit  *SubmittedChange `json:"submit,omitempty"`
-	Outcome *OutcomeRecord   `json:"outcome,omitempty"`
-	Commit  *CommitRecord    `json:"commit,omitempty"`
-	Snap    *SnapHead        `json:"snap,omitempty"`
-}
-
-// EncodeChange converts a change into its durable form, sharing its slices.
-func EncodeChange(c *change.Change) *SubmittedChange {
-	return &SubmittedChange{
-		ID:          c.ID,
-		Author:      c.Author,
-		Description: c.Description,
-		SubmittedAt: c.SubmittedAt,
-		BaseCommit:  c.BaseCommit,
-		Steps:       c.BuildSteps,
-		Patch:       c.Patch.Changes,
-		Revision:    c.Revision,
-		Stats:       c.Stats,
-	}
-}
-
-// DecodeChange reconstructs a change from its durable form.
-func DecodeChange(sc *SubmittedChange) *change.Change {
-	return &change.Change{
-		ID:          sc.ID,
-		Author:      sc.Author,
-		Description: sc.Description,
-		SubmittedAt: sc.SubmittedAt,
-		BaseCommit:  sc.BaseCommit,
-		BuildSteps:  sc.Steps,
-		Patch:       repo.Patch{Changes: sc.Patch},
-		Revision:    sc.Revision,
-		Stats:       sc.Stats,
-	}
+	Kind    string         `json:"kind"`
+	Submit  *change.Change `json:"submit,omitempty"`
+	Outcome *OutcomeRecord `json:"outcome,omitempty"`
+	Commit  *CommitRecord  `json:"commit,omitempty"`
+	Snap    *SnapHead      `json:"snap,omitempty"`
 }
 
 // Journal is an append-only JSON-lines log. Safe for concurrent use.
@@ -349,7 +307,7 @@ func (j *Journal) waitDurableLocked(seq int64) error {
 
 // AppendSubmit records a submission.
 func (j *Journal) AppendSubmit(c *change.Change) error {
-	return j.Append(Record{Kind: KindSubmit, Submit: EncodeChange(c)})
+	return j.Append(Record{Kind: KindSubmit, Submit: c})
 }
 
 // AppendOutcome records a final disposition.
@@ -460,7 +418,7 @@ func PendingFromRecords(recs []Record) (pending []*change.Change, outcomes []Out
 	for _, r := range recs {
 		if r.Kind == KindSubmit && r.Submit != nil && !decided[r.Submit.ID] && !seen[r.Submit.ID] {
 			seen[r.Submit.ID] = true
-			pending = append(pending, DecodeChange(r.Submit))
+			pending = append(pending, r.Submit)
 		}
 	}
 	return pending, outcomes

@@ -35,9 +35,30 @@ func mkChange(id string) *change.Change {
 	}
 }
 
+// roundTrip appends c to a fresh journal and replays it.
+func roundTrip(t *testing.T, c *change.Change) *change.Change {
+	t.Helper()
+	path := tmpJournal(t)
+	j, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendSubmit(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := Replay(path)
+	if err != nil || len(recs) != 1 || recs[0].Kind != KindSubmit {
+		t.Fatalf("replayed %+v, %v", recs, err)
+	}
+	return recs[0].Submit
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	c := mkChange("c1")
-	got := DecodeChange(EncodeChange(c))
+	got := roundTrip(t, c)
 	if got.ID != c.ID || got.Author != c.Author || got.Description != c.Description {
 		t.Fatalf("metadata mismatch: %+v", got)
 	}
@@ -55,6 +76,73 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if got.Stats != c.Stats {
 		t.Fatalf("stats mismatch: %+v", got.Stats)
+	}
+}
+
+func TestEncodeDecodeLineEdit(t *testing.T) {
+	c := mkChange("le")
+	c.Patch = repo.Patch{Changes: []repo.FileChange{
+		repo.EditLines("a.go", 7, []string{"old1", "old2"}, []string{"new"}),
+	}}
+	got := roundTrip(t, c)
+	fc := got.Patch.Changes[0]
+	if fc.Op != repo.OpEditLines || fc.StartLine != 7 ||
+		len(fc.OldLines) != 2 || fc.OldLines[1] != "old2" || fc.NewLines[0] != "new" {
+		t.Fatalf("line edit lost in round trip: %+v", fc)
+	}
+}
+
+// TestJournalRoundTripsEveryField appends a change whose every exported
+// field but Spec (the live speculation counters) is set, replays the
+// journal and gets the same change back: a field added to change.Change
+// without a durable form fails here.
+func TestJournalRoundTripsEveryField(t *testing.T) {
+	c := &change.Change{}
+	v := reflect.ValueOf(c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.IsExported() && f.Name != "Spec" {
+			fill(t, v.Field(i))
+			if v.Field(i).IsZero() {
+				t.Fatalf("fill left %s zero", f.Name)
+			}
+		}
+	}
+	if got := roundTrip(t, c); !reflect.DeepEqual(got, c) {
+		t.Fatalf("replayed %+v\nwant %+v", got, c)
+	}
+}
+
+// fill sets v, and every exported field reachable from it, to a non-zero
+// value.
+func fill(t *testing.T, v reflect.Value) {
+	t.Helper()
+	if v.Type() == reflect.TypeOf(time.Time{}) {
+		v.Set(reflect.ValueOf(time.Unix(1_700_000_000, 7).UTC()))
+		return
+	}
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Int, reflect.Int64:
+		v.SetInt(2)
+	case reflect.Float64:
+		v.SetFloat(1.5)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(t, v.Elem())
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fill(t, v.Index(0))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fill(t, v.Field(i))
+			}
+		}
+	default:
+		t.Fatalf("fill: no non-zero value for %s", v.Type())
 	}
 }
 
@@ -174,19 +262,6 @@ func TestSyncEveryBatches(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeLineEdit(t *testing.T) {
-	c := mkChange("le")
-	c.Patch = repo.Patch{Changes: []repo.FileChange{
-		repo.EditLines("a.go", 7, []string{"old1", "old2"}, []string{"new"}),
-	}}
-	got := DecodeChange(EncodeChange(c))
-	fc := got.Patch.Changes[0]
-	if fc.Op != repo.OpEditLines || fc.StartLine != 7 ||
-		len(fc.OldLines) != 2 || fc.OldLines[1] != "old2" || fc.NewLines[0] != "new" {
-		t.Fatalf("line edit lost in round trip: %+v", fc)
-	}
-}
-
 // TestOpenEndsTornTailOnALine: Open ends the file on a line boundary, so a
 // record appended after a crash never merges into the torn one: a final
 // line that decodes gets its newline, one that does not is cut off, however
@@ -194,11 +269,11 @@ func TestEncodeDecodeLineEdit(t *testing.T) {
 func TestOpenEndsTornTailOnALine(t *testing.T) {
 	big := mkChange("big")
 	big.Description = strings.Repeat("x", 10_000) // spans several read-back chunks
-	line, err := json.Marshal(Record{Kind: KindSubmit, Submit: EncodeChange(big)})
+	line, err := json.Marshal(Record{Kind: KindSubmit, Submit: big})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := json.Marshal(Record{Kind: KindSubmit, Submit: EncodeChange(mkChange("c1"))})
+	first, err := json.Marshal(Record{Kind: KindSubmit, Submit: mkChange("c1")})
 	if err != nil {
 		t.Fatal(err)
 	}
