@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check check-race build fmt vet lint test race race-graph race-wake fuzz examples bench bench-smoke bench-e2e
+.PHONY: check check-race build fmt vet lint test race race-graph race-wake race-green fuzz examples bench bench-smoke bench-e2e
 
 # check is the CI entry point: everything must pass before merge.
-check: build fmt vet lint race race-wake fuzz examples
+check: build fmt vet lint race race-wake race-green fuzz examples
 
 build:
 	$(GO) build ./...
@@ -57,12 +57,23 @@ race-graph:
 # repeats the publisher's tests: a decision event implies a durable record,
 # readers never publish, and each change gets one decision event (the last,
 # a 1 024-change load, only 3 times). A frozen clock must wake nothing, and
-# 100 runs on a manual clock must decide identically (~35 s on 2 cores once
+# 100 runs on a manual clock must decide identically and start the pinned
+# number of builds — a commit leaves an independent change's running
+# decisive build standing, so none is started twice (~35 s on 2 cores once
 # the race build is cached).
 race-wake:
 	$(GO) test -race -count=20 -run '^(TestBuildEndWakesEngine|TestWakeStressNoLostWakeup|TestIdleSubmitDecidesWithoutPoll|TestIdleEngineDoesNotTick|TestSchedAgingWakesIdleEngine|TestFrozenClockDoesNotSpin|TestSpeculativeOnlyEngineStaysLive|TestSpeculativeMergeFailureStaysLive|TestWakePokedAfterDone|TestWakeOnDoneArmsLate|TestDecisionEventImpliesDurable|TestReadersDoNotPublish)$$' ./internal/core/ ./internal/buildsys/
 	$(GO) test -race -count=3 -run '^TestOneDecisionEventPerChange$$' ./internal/shard/
 	$(GO) test -race -count=1 -run '^TestVirtualTimeIsDeterministic$$' ./internal/core/
+
+# race-green repeats the Eq. 6 tests under the race detector: 200 seeds of a
+# mixed load (independent, chained, BUILD-editing, BROKEN) at one engine and
+# four, each mainline commit point replayed with the load's own build rule
+# and each accepted change decided once; a decisive build at an older base
+# that an independent commit leaves standing; and a stale pass or failure
+# rebuilt, never committed or used to reject (~35 s on 2 cores).
+race-green:
+	$(GO) test -race -count=5 -run '^(TestEveryCommitPointGreen|TestIndependentCommitKeepsDecisiveBuild|TestStalePassIsRebuiltNotCommitted|TestStaleFailureIsRebuiltNotRejected)$$' ./internal/core/
 
 # fuzz boots a service from arbitrary journal and snapshot bytes for 10 s,
 # starting from the checked-in corpus of a real journal: a boot returns a

@@ -1,21 +1,24 @@
 // Package arbiter implements the serialized commit arbiter of the shard
-// runtime (DESIGN.md §4h). Per-shard planner engines propose
-// commit-ready changes; the arbiter owns head advancement, applying proposals
-// one at a time in arrival order so the mainline history is a deterministic
-// total order. Before committing, it re-validates the proposal against every
-// *foreign* commit that landed after the decisive build's base — commits the
-// build did not merge — using the same target-intersection criterion as the
-// conflict analyzer (Eq. 6): if any interleaved foreign commit touches an
-// affected target or patch path of the proposal (or either side changed the
-// build-graph structure, making target comparison unsound), the proposal is
-// bounced with planner.ErrCrossShardConflict and the engine rebuilds against
-// the new head. Commits of the proposal's own applied changes are part of the
-// build and need no re-validation.
+// runtime (DESIGN.md §4h). Planner engines propose commit-ready changes; the
+// arbiter owns head advancement, applying proposals one at a time in arrival
+// order so the mainline history is a deterministic total order. It also
+// decides whether a finished decisive build still speaks for its subject
+// (§5.2): every commit since the build's base that the build did not merge —
+// another engine's or its own engine's — must be disjoint from the build's
+// footprint by the conflict analyzer's criterion (Eq. 6). If an interleaved
+// commit touches an affected target or patch path of the proposal (or either
+// side changed the build-graph structure, making target comparison unsound),
+// the proposal is bounced with planner.ErrCrossShardConflict and the engine
+// rebuilds against the new head. Commits of the proposal's own applied
+// changes are part of the build and need no re-validation. Commit runs the
+// check before it commits; Check runs it alone, for a failed build about to
+// reject its change.
 package arbiter
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -134,11 +137,12 @@ func (a *Arbiter) structureChanged(id change.ID) bool {
 	return changed || !known
 }
 
-// Commit applies a commit proposal, re-validating cross-shard interleavings
-// first. It returns planner.ErrCrossShardConflict (wrapped) when a foreign
-// commit after the proposal's base conflicts with it — the proposing engine
-// then drops its decisive build and rebuilds — and the underlying repo error
-// when the patch itself no longer applies (the engine rejects the change).
+// Commit applies a commit proposal, running Check's re-validation first. It
+// returns planner.ErrCrossShardConflict (wrapped) when a commit after the
+// proposal's base that its build did not merge conflicts with it — the
+// proposing engine then drops its decisive build and rebuilds — and the
+// underlying repo error when the patch itself no longer applies (the engine
+// rejects the change).
 func (a *Arbiter) Commit(p planner.CommitProposal) (*repo.Commit, error) {
 	d := atomic.AddInt64(&a.depth, 1)
 	defer atomic.AddInt64(&a.depth, -1)
@@ -193,47 +197,62 @@ func (a *Arbiter) Commit(p planner.CommitProposal) (*repo.Commit, error) {
 	return commit, err
 }
 
-func (a *Arbiter) commitLocked(p planner.CommitProposal) (*repo.Commit, error) {
+// Check runs the Eq. 6 re-validation Commit runs first, without committing:
+// nil when every commit since the proposal's base that its build did not
+// merge is disjoint from its footprint, planner.ErrCrossShardConflict
+// (wrapped) otherwise. A planner calls it before a failed decisive build
+// rejects its change, so a stale failure is rebuilt like a stale pass.
+func (a *Arbiter) Check(p planner.CommitProposal) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.checkLocked(p)
+}
+
+// checkLocked re-validates a proposal against every commit since its base
+// that its build did not merge. Callers hold a.mu.
+func (a *Arbiter) checkLocked(p planner.CommitProposal) error {
 	id := p.Change.ID
 	if a.committed[id] {
 		// A concurrent engine already landed this change (the coordinator
 		// moved it mid-decision). Bounce, never double-commit; the
 		// coordinator's outcome GC clears the stale copy.
 		a.stats.CrossShardRejects++
-		return nil, fmt.Errorf("%w: %s already committed", planner.ErrCrossShardConflict, id)
+		return fmt.Errorf("%w: %s already committed", planner.ErrCrossShardConflict, id)
 	}
-
 	headLen := a.repo.Len()
-	if p.BaseLen < headLen {
-		// Foreign commits may have interleaved; re-validate each one the
-		// decisive build did not merge.
-		applied := make(map[change.ID]bool, len(p.Applied))
-		for _, aid := range p.Applied {
-			applied[aid] = true
+	if p.BaseLen >= headLen {
+		return nil
+	}
+	subjStructure := false
+	subjStructureKnown := false
+	for seq := p.BaseLen; seq < headLen; seq++ {
+		if seq < a.floor {
+			a.stats.CrossShardRejects++
+			return fmt.Errorf("%w: %s base predates retained history", planner.ErrCrossShardConflict, id)
 		}
-		subjStructure := false
-		subjStructureKnown := false
-		for seq := p.BaseLen; seq < headLen; seq++ {
-			if seq < a.floor {
-				a.stats.CrossShardRejects++
-				return nil, fmt.Errorf("%w: %s base predates retained history", planner.ErrCrossShardConflict, id)
-			}
-			r := a.records[(seq-a.origin)%a.history]
-			if applied[r.id] {
-				continue // part of the decisive build
-			}
-			a.stats.CrossShardChecks++
-			if !subjStructureKnown {
-				subjStructure = a.structureChanged(id)
-				subjStructureKnown = true
-			}
-			if conflicts, why := footprintConflict(r, subjStructure, p); conflicts {
-				a.stats.CrossShardRejects++
-				return nil, fmt.Errorf("%w: %s vs committed %s (%s)", planner.ErrCrossShardConflict, id, r.id, why)
-			}
+		r := a.records[(seq-a.origin)%a.history]
+		if slices.Contains(p.Applied, r.id) {
+			continue // part of the decisive build
+		}
+		a.stats.CrossShardChecks++
+		if !subjStructureKnown {
+			subjStructure = a.structureChanged(id)
+			subjStructureKnown = true
+		}
+		if conflicts, why := footprintConflict(r, subjStructure, p); conflicts {
+			a.stats.CrossShardRejects++
+			return fmt.Errorf("%w: %s vs committed %s (%s)", planner.ErrCrossShardConflict, id, r.id, why)
 		}
 	}
+	return nil
+}
 
+func (a *Arbiter) commitLocked(p planner.CommitProposal) (*repo.Commit, error) {
+	if err := a.checkLocked(p); err != nil {
+		return nil, err
+	}
+	id := p.Change.ID
+	headLen := a.repo.Len()
 	if err := a.journal.Err(); err != nil {
 		a.stats.CommitFailures++ // fail-stop: a commit the journal cannot keep must not land
 		return nil, err

@@ -245,3 +245,29 @@ func TestRetainedWindowIsARing(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 }
+
+// TestCheckJudgesWithoutCommitting: Check gives Commit's verdict on a
+// proposal — a bounce for an unmerged commit since its base, nil when the
+// build merged it or its base is the head — and lands nothing.
+func TestCheckJudgesWithoutCommitting(t *testing.T) {
+	r := testRepo()
+	a := New(r, Config{})
+	base := r.Len()
+	if _, err := a.Commit(proposal(r, 0, "c1", "a/x.go", "x", base, []string{"a"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Check(proposal(r, 0, "c2", "b/y.go", "y", base, []string{"b"})); !errors.Is(err, planner.ErrCrossShardConflict) {
+		t.Fatalf("unmerged commit since the base: got %v, want a bounce", err)
+	}
+	merged := proposal(r, 0, "c3", "b/z.go", "z", base, []string{"b"})
+	merged.Applied = []change.ID{"c1", "c3"}
+	if err := a.Check(merged); err != nil {
+		t.Fatalf("build merged every commit since its base: %v", err)
+	}
+	if err := a.Check(proposal(r, 0, "c4", "b/w.go", "w", r.Len(), []string{"b"})); err != nil {
+		t.Fatalf("base at the head: %v", err)
+	}
+	if r.Len() != base+1 || a.Committed("c3") || a.Stats().Commits != 1 {
+		t.Fatalf("Check landed a commit: mainline %d, stats %+v", r.Len(), a.Stats())
+	}
+}

@@ -1,17 +1,18 @@
 package arbiter
 
-// Stats counts arbiter work so the cross-shard re-validation layer is
-// observable: how often proposals raced foreign commits, how often the race
-// was a real conflict, and how deep the proposal queue got.
+// Stats counts arbiter work so the Eq. 6 re-validation layer is observable:
+// how often decisive results raced commits their builds did not merge, how
+// often the race was a real conflict, and how deep the proposal queue got.
 type Stats struct {
 	// Commits is the number of head advancements applied.
 	Commits int
 	// CommitFailures counts proposals whose patch no longer applied at the
 	// current head (rejected by the proposing engine, mainline untouched).
 	CommitFailures int
-	// CrossShardChecks counts foreign interleaved commits re-validated.
+	// CrossShardChecks counts interleaved commits re-validated (Commit and
+	// Check), from any engine.
 	CrossShardChecks int
-	// CrossShardRejects counts proposals bounced back for rebuild.
+	// CrossShardRejects counts results bounced back for rebuild.
 	CrossShardRejects int
 	// MaxQueueDepth is the high-water mark of concurrent proposals.
 	MaxQueueDepth int

@@ -157,9 +157,9 @@ func TestVirtualTimeIsDeterministic(t *testing.T) {
 	want := virtualResult{
 		Committed: []change.ID{"b1", "bulk", "b2", "hot", "a1", "a3", "a4"},
 		Rejected:  []change.ID{"a2"},
-		Builds:    14,
+		Builds:    13,
 		P50:       11 * time.Millisecond,
-		P95:       20 * time.Millisecond,
+		P95:       19 * time.Millisecond,
 	}
 	for i := 0; i < runs; i++ {
 		if got := virtualRun(t); !reflect.DeepEqual(got, want) {

@@ -3,59 +3,57 @@ package planner
 import (
 	"fmt"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 
 	"mastergreen/internal/change"
 	"mastergreen/internal/speculation"
 )
 
-// absoluteKey renders what a dynamic key stands for, in full: this planner's
-// commits up to the build's base (clipped to the commits it has — foreign
-// commits of a sharded run push a base past them), then the build's changes,
-// then the assumed rejections still unresolved. It is the key the planner
-// used to build, history and all; dynamicKey must tell two builds apart
-// exactly when this does.
-func absoluteKey(p *Planner, baseLen int, b speculation.Build) string {
-	prefix := min(max(baseLen-p.initialLen, 0), len(p.committed))
-	var parts []string
-	for _, id := range append(append([]change.ID(nil), p.committed[:prefix]...), b.Changes...) {
-		parts = append(parts, string(id))
-	}
-	key := strings.Join(parts, "+")
-	var rej []string
-	for _, id := range b.AssumedRejected {
-		if _, rejected := p.rejected[id]; !rejected && !p.committedSet[id] {
-			rej = append(rej, string(id))
+// keyParts is what a dynamic key stands for, spelled out: the build's
+// changes that have not committed, in apply order, and its assumed
+// rejections that have not been confirmed (unresolved, or falsified by a
+// commit).
+type keyParts struct {
+	uncommitted, unconfirmed []change.ID
+}
+
+func (k keyParts) equal(o keyParts) bool {
+	return slices.Equal(k.uncommitted, o.uncommitted) && slices.Equal(k.unconfirmed, o.unconfirmed)
+}
+
+// partsOf computes keyParts from the planner's resolutions directly.
+func partsOf(p *Planner, b speculation.Build) keyParts {
+	var k keyParts
+	for _, id := range b.Changes {
+		if !p.committedSet[id] {
+			k.uncommitted = append(k.uncommitted, id)
 		}
 	}
-	if len(rej) > 0 {
-		key += "!" + strings.Join(rej, ",")
+	for _, id := range b.AssumedRejected {
+		if _, rejected := p.rejected[id]; !rejected {
+			k.unconfirmed = append(k.unconfirmed, id)
+		}
 	}
-	return key
+	return k
 }
 
 // TestDynamicKeyEqualsAbsoluteKeyEquality drives random sequences of
-// speculative build starts, own commits, foreign commits (sharded mode: the
-// mainline grows, this planner's history does not) and rejections, and after
-// every step checks on every pair of tracked builds and every pending
-// change's decisive key that the history-free keys are equal exactly when
-// the fully rendered ones are.
+// speculative build starts, commits and rejections, and after every step
+// checks on every pair of tracked builds and every pending change's decisive
+// build (the change alone) that two keys are equal exactly when their
+// uncommitted apply lists and their unconfirmed rejections are. Keys name no
+// base: a build keeps its key while the head moves, and a key's size is that
+// of the build, never of the history.
 func TestDynamicKeyEqualsAbsoluteKeyEquality(t *testing.T) {
-	type tracked struct {
-		baseLen int
-		build   speculation.Build
-	}
-	var equalPairs, underneath, clipped int
+	var equalPairs, partlyCommitted, decisiveSpeculative, falsified int
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := newEnv(t, nil, Config{Budget: 4})
 		p := e.planner
-		p.initialLen = 3 + rng.Intn(3) // a planner created on a grown mainline
-		headLen := p.initialLen
 		var pending []*change.Change
 		next := 0
-		var builds []tracked
+		var builds []speculation.Build
 
 		for step := 0; step < 120; step++ {
 			for len(pending) < 6 {
@@ -76,18 +74,14 @@ func TestDynamicKeyEqualsAbsoluteKeyEquality(t *testing.T) {
 				}
 				b.Subject = pending[subject].ID
 				b.Changes = append(append([]change.ID(nil), b.Assumed...), b.Subject)
-				// Mostly at the head; sometimes a base that has since been built on.
-				base := headLen - rng.Intn(2)*rng.Intn(3)
-				if base < p.initialLen {
-					base = p.initialLen
+				builds = append(builds, b)
+			case op < 8: // the oldest pending change, or any one, commits
+				i := 0
+				if op == 7 {
+					i = rng.Intn(len(pending))
 				}
-				builds = append(builds, tracked{base, b})
-			case op < 7: // this planner commits the oldest pending change
-				p.resolve(pending[0], change.StateCommitted, "", "")
-				pending = pending[1:]
-				headLen++
-			case op < 8: // another shard's commit lands
-				headLen++
+				p.resolve(pending[i], change.StateCommitted, "", "")
+				pending = append(pending[:i:i], pending[i+1:]...)
 			default: // a pending change is rejected
 				i := rng.Intn(len(pending))
 				p.resolve(pending[i], change.StateRejected, "broken", "")
@@ -95,25 +89,36 @@ func TestDynamicKeyEqualsAbsoluteKeyEquality(t *testing.T) {
 			}
 
 			p.mu.Lock()
-			type keyed struct{ got, want string }
+			type keyed struct {
+				got  string
+				want keyParts
+			}
 			var keys []keyed
-			for _, tb := range builds {
-				keys = append(keys, keyed{p.dynamicKey(tb.baseLen, tb.build), absoluteKey(p, tb.baseLen, tb.build)})
-				if k := tb.baseLen - p.initialLen; k > len(p.committed) {
-					clipped++
-				} else if k < len(p.committed) && tb.build.Changes[0] == p.committed[k] {
-					underneath++ // the build's leading change committed under it
+			for _, b := range builds {
+				k := keyed{p.dynamicKey(b), partsOf(p, b)}
+				keys = append(keys, k)
+				for _, id := range b.AssumedRejected {
+					if p.committedSet[id] {
+						falsified++ // keeps "!id": never a decisive key
+						break
+					}
+				}
+				if len(k.want.uncommitted) < len(b.Changes) {
+					partlyCommitted++
+					if k.got == string(b.Subject) && len(b.Changes) > 1 {
+						decisiveSpeculative++ // a speculation build became decisive
+					}
 				}
 			}
 			for _, c := range pending {
 				decisive := speculation.Build{Subject: c.ID, Changes: []change.ID{c.ID}}
-				keys = append(keys, keyed{p.decisiveKey(c.ID), absoluteKey(p, headLen, decisive)})
+				keys = append(keys, keyed{string(c.ID), partsOf(p, decisive)})
 			}
 			p.mu.Unlock()
 			for i := range keys {
 				for j := i + 1; j < len(keys); j++ {
-					if same := keys[i].want == keys[j].want; same != (keys[i].got == keys[j].got) {
-						t.Fatalf("seed %d step %d: keys %q and %q stand for %q and %q",
+					if same := keys[i].want.equal(keys[j].want); same != (keys[i].got == keys[j].got) {
+						t.Fatalf("seed %d step %d: keys %q and %q stand for %+v and %+v",
 							seed, step, keys[i].got, keys[j].got, keys[i].want, keys[j].want)
 					} else if same {
 						equalPairs++
@@ -126,8 +131,8 @@ func TestDynamicKeyEqualsAbsoluteKeyEquality(t *testing.T) {
 		}
 	}
 	// The walk must have met the cases the equivalence is about.
-	if equalPairs == 0 || underneath == 0 || clipped == 0 {
-		t.Fatalf("walk left a case unexercised: %d equal pairs, %d builds committed underneath, %d clipped prefixes",
-			equalPairs, underneath, clipped)
+	if equalPairs == 0 || partlyCommitted == 0 || decisiveSpeculative == 0 || falsified == 0 {
+		t.Fatalf("walk left a case unexercised: %d equal pairs, %d builds with committed changes, %d speculation builds turned decisive, %d falsified",
+			equalPairs, partlyCommitted, decisiveSpeculative, falsified)
 	}
 }

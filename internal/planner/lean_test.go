@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -64,6 +65,51 @@ func TestObsoletePredicateAssumedRejectionCommitted(t *testing.T) {
 	p.keyEpoch++
 	if !p.obsoleteLocked(rb, nil) {
 		t.Fatal("assumed-rejected predecessor committed; build must be obsolete")
+	}
+	if key := p.buildKeyLocked(rb); key == "c2" {
+		t.Fatalf("falsified build keyed %q: it would match c2's decisive build", key)
+	}
+}
+
+// TestFalsifiedSpeculationAbortedAtCommit: the build "c2 assuming c1
+// rejected" is still running when c1 commits. It is aborted as obsolete, not
+// kept as c2's decisive build, and c2 is decided by the c1+c2 build without
+// a stale-result rebuild.
+func TestFalsifiedSpeculationAbortedAtCommit(t *testing.T) {
+	started := make(chan struct{})
+	var once sync.Once
+	runner := buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, _ string, snap repo.Snapshot) error {
+		x, _ := snap.Read("x/x.go")
+		y, _ := snap.Read("y/y.go")
+		switch {
+		case x == "x v1" && y == "y v2": // c2 assuming c1 rejected: held until aborted
+			once.Do(func() { close(started) })
+			<-ctx.Done()
+			return buildsys.ErrAborted
+		case y == "y v1": // c1 alone: ends once the speculation build runs
+			select {
+			case <-started:
+			case <-ctx.Done():
+				return buildsys.ErrAborted
+			}
+		}
+		return nil
+	})
+	e := newEnv(t, runner, Config{Budget: 4})
+	e.submit(t, "c1", "x/x.go", "x v2")
+	e.submit(t, "c2", "y/y.go", "y v2")
+	e.quiesce(t)
+	for _, id := range []change.ID{"c1", "c2"} {
+		if o := e.decision(id); o.State != change.StateCommitted {
+			t.Fatalf("%s = %+v, want committed", id, o)
+		}
+	}
+	st := e.planner.Stats()
+	if st.ObsoleteAborted == 0 {
+		t.Fatalf("falsified build not aborted as obsolete: %+v", st)
+	}
+	if st.CrossShardRebuilds != 0 {
+		t.Fatalf("stale-result rebuilds = %d, want 0", st.CrossShardRebuilds)
 	}
 }
 

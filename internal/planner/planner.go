@@ -6,15 +6,18 @@
 // is resolved and a finished build exists whose speculation assumptions match
 // what actually happened.
 //
-// Builds are identified by a *dynamic key*: the full sequence of changes
-// applied on top of the mainline state the planner started from, plus any
-// rejection assumptions about still-unresolved changes. The key is
-// recomputed whenever builds are matched, so identity survives head
+// Builds are identified by a *dynamic key*: the changes the build merged
+// that have not committed yet, plus its rejection assumptions that have not
+// been confirmed. The key names no base, so identity survives head
 // movement — after C1 commits, the running build H⊕C1⊕C2 is recognized as
-// exactly the build the new plan wants for C2, and after C1 is rejected the
-// build "C2 assuming C1 rejected" becomes simply C2's decisive build.
-// Builds whose assumptions have been falsified stop matching any plan and
-// are aborted.
+// exactly the build the new plan wants for C2, after C1 is rejected the
+// build "C2 assuming C1 rejected" becomes simply C2's decisive build, and
+// after an independent C0 commits, C2's decisive build at the older base is
+// still C2's decisive build. Whether a finished decisive build still speaks
+// for its subject is settled when it decides, by Eq. 6: every commit since
+// its base that it did not merge must be disjoint from its footprint (the
+// Committer's Check). Builds whose assumptions have been falsified stop
+// matching any plan and are aborted.
 package planner
 
 import (
@@ -48,9 +51,10 @@ import (
 var ErrStopped = errors.New("planner: stopped")
 
 // ErrCrossShardConflict is returned by a Committer when re-validation against
-// commits that landed after the decisive build's base fails. The planner
-// reacts by dropping the decisive build so reconcile schedules a fresh one
-// against the new head — the change is rebuilt, not rejected.
+// commits that landed after the decisive build's base fails: one the build
+// did not merge, from any engine, touches its footprint. The planner reacts
+// by dropping the decisive build so reconcile schedules a fresh one against
+// the new head — the change is rebuilt, not rejected.
 var ErrCrossShardConflict = errors.New("planner: cross-shard conflict at commit")
 
 // ConflictSource supplies the conflict graph the planner plans over. In the
@@ -89,12 +93,16 @@ type CommitProposal struct {
 }
 
 // Committer owns head advancement. In the service every engine routes
-// proposals through the serialized commit arbiter, which re-validates
-// cross-shard interleavings and applies commits in a deterministic total
-// order; a standalone planner with Config.Committer nil commits directly with
-// repo.CommitPatch.
+// proposals through the serialized commit arbiter, which re-validates every
+// commit since the decisive build's base by Eq. 6 and applies commits in a
+// deterministic total order; a standalone planner with Config.Committer nil
+// commits directly with repo.CommitPatch, and only when every commit since
+// the base is one the build merged.
 type Committer interface {
 	Commit(p CommitProposal) (*repo.Commit, error)
+	// Check runs Commit's re-validation without committing: a failed
+	// decisive build rejects its change only when Check passes.
+	Check(p CommitProposal) error
 }
 
 // Outcome records the final disposition of a change.
@@ -144,7 +152,7 @@ type Config struct {
 // recompute its dynamic key at any time.
 type trackedBuild struct {
 	build     speculation.Build
-	baseLen   int            // repo mainline length when the build started
+	baseLen   int            // repo mainline length when the build started (Eq. 6 check)
 	task      *buildsys.Task // nil once finished
 	result    buildsys.Result
 	startedAt time.Time
@@ -208,7 +216,6 @@ type Planner struct {
 	committedSet map[change.ID]bool
 	rejected     map[change.ID]string // reason
 	outcomes     []Outcome            // decided since the last DrainOutcomes
-	initialLen   int                  // repo mainline length at planner creation
 	stats        Stats
 
 	// keyEpoch versions the per-build dynamic-key caches; resolve bumps it.
@@ -234,7 +241,6 @@ func New(r *repo.Repo, q *queue.Queue, an ConflictSource, spec *speculation.Engi
 		cfg:          cfg,
 		committedSet: map[change.ID]bool{},
 		rejected:     map[change.ID]string{},
-		initialLen:   r.Len(),
 		keyEpoch:     1,
 		wake:         make(chan struct{}, 1),
 	}
@@ -276,58 +282,34 @@ func (p *Planner) DrainOutcomes(dst []Outcome) []Outcome {
 	return dst
 }
 
-// dynamicKey identifies a build by its absolute apply list (this planner's
-// commits up to the build's base, then the build's changes) plus rejection
-// assumptions about changes that are still unresolved. The list is rendered
-// relative to the committed history: "#k|" for its longest prefix equal to
-// p.committed[:k], then the remaining changes. Equal lists give equal k and
-// equal remainders and vice versa, so two keys computed against the same
-// history are equal exactly when the lists are, yet a key's size does not
-// grow with the history. Callers hold p.mu.
-func (p *Planner) dynamicKey(baseLen int, b speculation.Build) string {
-	k := baseLen - p.initialLen
-	if k > len(p.committed) {
-		k = len(p.committed)
-	}
-	if k < 0 {
-		k = 0
-	}
-	rest := b.Changes
-	for len(rest) > 0 && k < len(p.committed) && rest[0] == p.committed[k] {
-		k++
-		rest = rest[1:]
-	}
+// dynamicKey identifies a build by the changes it merged that have not
+// committed yet, in apply order, plus its rejection assumptions that have
+// not been confirmed: "c1+c2!r1,r2". It names no base, so a build keeps its
+// key while the head moves under it, and the key of a build that decides its
+// subject now is the subject's ID alone. An assumed rejection drops out only
+// when the change is rejected; one that committed instead stays, so a
+// falsified build never takes a valid build's key. Callers hold p.mu.
+func (p *Planner) dynamicKey(b speculation.Build) string {
 	var sb strings.Builder
-	sb.WriteByte('#')
-	sb.WriteString(strconv.Itoa(k))
-	sb.WriteByte('|')
-	for i, id := range rest {
-		if i > 0 {
+	for _, id := range b.Changes {
+		if p.committedSet[id] {
+			continue
+		}
+		if sb.Len() > 0 {
 			sb.WriteByte('+')
 		}
 		sb.WriteString(string(id))
 	}
-	var rej []string
+	sep := byte('!')
 	for _, id := range b.AssumedRejected {
-		if !p.committedSet[id] {
-			if _, wasRejected := p.rejected[id]; !wasRejected {
-				rej = append(rej, string(id)) // still unresolved
-			}
+		if _, wasRejected := p.rejected[id]; wasRejected {
+			continue
 		}
-	}
-	if len(rej) > 0 {
-		sb.WriteByte('!')
-		sb.WriteString(strings.Join(rej, ","))
+		sb.WriteByte(sep)
+		sb.WriteString(string(id))
+		sep = ','
 	}
 	return sb.String()
-}
-
-// decisiveKey is the dynamic key of the build that decides the fate of a
-// pending change whose conflicting predecessors are all resolved: the full
-// committed history plus the change itself, with no outstanding assumptions.
-// Callers hold p.mu.
-func (p *Planner) decisiveKey(id change.ID) string {
-	return "#" + strconv.Itoa(len(p.committed)) + "|" + string(id)
 }
 
 // buildKeyLocked returns the build's dynamic key, recomputing it only when a
@@ -338,7 +320,7 @@ func (p *Planner) buildKeyLocked(rb *trackedBuild) string {
 		p.stats.KeysCached++
 		return rb.key
 	}
-	rb.key = p.dynamicKey(rb.baseLen, rb.build)
+	rb.key = p.dynamicKey(rb.build)
 	rb.keyedAt = p.keyEpoch
 	p.stats.KeysComputed++
 	return rb.key
@@ -442,9 +424,10 @@ func (p *Planner) StopAging() {
 // match a plan: the subject is resolved (or gone from the queue), a change
 // the build merged in was rejected, or a change it assumed rejected has
 // committed. Without this, p.finished grows without bound over a long run.
-// Builds whose assumed predecessors *committed* are kept — after head
-// movement their dynamic key becomes the subject's decisive key, which is
-// exactly the reuse the speculation tree exists for. Callers hold p.mu.
+// Builds whose assumed predecessors *committed* are kept — once they all
+// have, the build's key is its subject's ID alone, the key of the build that
+// decides it: exactly the reuse the speculation tree exists for. Callers
+// hold p.mu.
 func (p *Planner) pruneFinishedLocked() {
 	kept := p.finished[:0]
 	for _, fb := range p.finished {
@@ -610,11 +593,14 @@ func (p *Planner) Tick(ctx context.Context) (bool, error) {
 }
 
 // armLocked makes the end of every running build that decides its subject
-// now — or, with all, of every running build — wake the engine; a build
-// that has already ended wakes it at once. Callers hold p.mu.
+// now — its key is the subject's ID alone, whatever its base — or, with all,
+// of every running build wake the engine; a build that has already ended
+// wakes it at once. A decisive build at an older base stays armed while the
+// head moves under it: the Eq. 6 check, not the history length, judges its
+// result when it decides. Callers hold p.mu.
 func (p *Planner) armLocked(all bool) {
 	for _, rb := range p.running {
-		if !rb.armed && (all || p.buildKeyLocked(rb) == p.decisiveKey(rb.build.Subject)) {
+		if !rb.armed && (all || p.buildKeyLocked(rb) == string(rb.build.Subject)) {
 			rb.armed = true
 			rb.task.WakeOnDone(p.wake)
 		}
@@ -707,11 +693,12 @@ func (p *Planner) decide(ctx context.Context) (int, *conflict.Graph, error) {
 		if cg.HasConflictingPredecessor(c.ID) {
 			continue
 		}
+		// The build that decides c has merged every change it needs that
+		// has not committed, so its key is c's ID alone.
 		p.mu.Lock()
-		want := p.decisiveKey(c.ID)
 		var match *trackedBuild
 		for _, fb := range p.finished {
-			if p.buildKeyLocked(fb) == want {
+			if p.buildKeyLocked(fb) == string(c.ID) {
 				match = fb
 				break
 			}
@@ -720,8 +707,25 @@ func (p *Planner) decide(ctx context.Context) (int, *conflict.Graph, error) {
 		if match == nil {
 			continue
 		}
+		prop := CommitProposal{
+			Shard:   p.cfg.ShardID,
+			Change:  c,
+			BaseLen: match.baseLen,
+			Applied: match.build.Changes,
+			Targets: targetNames(match.req.Targets),
+			Paths:   c.Patch.Paths(),
+			Now:     p.now(),
+			Class:   c.Class,
+		}
 		res := match.result
 		if !res.OK {
+			if err := p.check(prop); err != nil {
+				// A commit since the build's base touches its footprint, so
+				// the failure may not be c's: rebuild, do not reject.
+				p.dropFinished(match, err)
+				decisions++
+				continue
+			}
 			if p.verifySuspect(ctx, match) {
 				decisions++
 				continue
@@ -737,32 +741,16 @@ func (p *Planner) decide(ctx context.Context) (int, *conflict.Graph, error) {
 			decisions++
 			continue
 		}
-		var commit *repo.Commit
-		var err error
-		if p.cfg.Committer != nil {
-			commit, err = p.cfg.Committer.Commit(CommitProposal{
-				Shard:   p.cfg.ShardID,
-				Change:  c,
-				BaseLen: match.baseLen,
-				Applied: match.build.Changes,
-				Targets: targetNames(match.req.Targets),
-				Paths:   c.Patch.Paths(),
-				Now:     p.now(),
-				Class:   c.Class,
-			})
-		} else {
-			head := p.repo.Head()
-			commit, err = p.repo.CommitPatch(head.ID, c.Patch, c.Author.Name, c.Description, p.now())
-		}
+		commit, err := p.commit(prop)
 		if err != nil {
 			if errors.Is(err, repo.ErrStaleHead) {
 				continue // concurrent commit; retry next tick
 			}
 			if errors.Is(err, ErrCrossShardConflict) {
-				// The decisive build raced a conflicting foreign commit. Drop
-				// it so reconcile schedules a fresh build against the new
-				// head; the change is rebuilt, not rejected.
-				p.dropFinished(match)
+				// A commit since the decisive build's base conflicts with
+				// it. Drop it so reconcile schedules a fresh build against
+				// the new head; the change is rebuilt, not rejected.
+				p.dropFinished(match, err)
 				decisions++
 				continue
 			}
@@ -783,6 +771,46 @@ func (p *Planner) decide(ctx context.Context) (int, *conflict.Graph, error) {
 		decisions++
 	}
 	return decisions, cg, nil
+}
+
+// check reports whether a finished decisive build still speaks for its
+// subject: nil when every commit since its base that it did not merge is
+// disjoint from its footprint (the Committer's Eq. 6 check), an
+// ErrCrossShardConflict otherwise. Without a Committer the planner knows only
+// its own commits, so it keeps the conservative form of the rule: every
+// commit since the base must be one the build merged. A build's changes were
+// all pending when it started, so those of them committed since are exactly
+// the merged commits since its base.
+func (p *Planner) check(prop CommitProposal) error {
+	if p.cfg.Committer != nil {
+		return p.cfg.Committer.Check(prop)
+	}
+	merged := 0
+	p.mu.Lock()
+	for _, id := range prop.Applied {
+		if p.committedSet[id] {
+			merged++
+		}
+	}
+	p.mu.Unlock()
+	if since := p.repo.Len() - prop.BaseLen; since > merged {
+		return fmt.Errorf("%w: %d commits since the base of %s, %d merged", ErrCrossShardConflict, since, prop.Change.ID, merged)
+	}
+	return nil
+}
+
+// commit lands a passed decisive build's subject: through the Committer,
+// whose Commit runs the Eq. 6 check first, or, without one, after check
+// passes, directly at the head.
+func (p *Planner) commit(prop CommitProposal) (*repo.Commit, error) {
+	if p.cfg.Committer != nil {
+		return p.cfg.Committer.Commit(prop)
+	}
+	if err := p.check(prop); err != nil {
+		return nil, err
+	}
+	c := prop.Change
+	return p.repo.CommitPatch(p.repo.Head().ID, c.Patch, c.Author.Name, c.Description, prop.Now)
 }
 
 // verifySuspect grants a failed decisive build one verification re-run when
@@ -857,14 +885,14 @@ func (p *Planner) resolve(c *change.Change, st change.State, reason string, comm
 	p.outcomes = append(p.outcomes, Outcome{ID: id, State: st, Reason: reason, Commit: commit, At: p.now()})
 }
 
-// dropFinished removes a finished build after the arbiter bounced its commit
-// proposal: the build's base predates a conflicting foreign commit, so its
-// result is unusable and reconcile must schedule a fresh decisive build
+// dropFinished removes a finished decisive build that no longer speaks for
+// its subject, pass or fail: a commit since its base that it did not merge
+// touches its footprint (why), so reconcile must schedule a fresh build
 // against the new head. The rebuild gets the dropped build's dynamic key
-// (keys count this engine's commits, not the head), so once it finishes the
-// plan fingerprint can equal the one this epoch planned under; the memo is
-// cleared so that epoch is not skipped and the fresh result gets decided.
-func (p *Planner) dropFinished(fb *trackedBuild) {
+// (keys name no base), so once it finishes the plan fingerprint can equal
+// the one this epoch planned under; the memo is cleared so that epoch is not
+// skipped and the fresh result gets decided.
+func (p *Planner) dropFinished(fb *trackedBuild, why error) {
 	p.mu.Lock()
 	for i, x := range p.finished {
 		if x == fb {
@@ -878,7 +906,7 @@ func (p *Planner) dropFinished(fb *trackedBuild) {
 	if p.cfg.Events != nil {
 		p.cfg.Events.Publish(events.Event{
 			Type: events.TypeBuildAborted, Change: fb.build.Subject, Build: fb.build.Key(),
-			Detail: "cross-shard conflict at commit; rebuilding against new head",
+			Detail: fmt.Sprintf("stale at decision (%v); rebuilding against new head", why),
 		})
 	}
 }
@@ -919,7 +947,6 @@ func (p *Planner) reconcile(ctx context.Context, cg *conflict.Graph) (bool, erro
 	})
 
 	p.mu.Lock()
-	headLen := p.repo.Len()
 	doneKeys := map[string]bool{}
 	for _, fb := range p.finished {
 		doneKeys[p.buildKeyLocked(fb)] = true
@@ -933,7 +960,7 @@ func (p *Planner) reconcile(ctx context.Context, cg *conflict.Graph) (bool, erro
 		if len(desired) >= p.cfg.Budget {
 			break
 		}
-		key := p.dynamicKey(headLen, b)
+		key := p.dynamicKey(b)
 		if doneKeys[key] {
 			continue // result already available; no need to build
 		}
@@ -986,7 +1013,7 @@ func (p *Planner) reconcile(ctx context.Context, cg *conflict.Graph) (bool, erro
 	// Builds to start, in plan priority order.
 	var toStart []speculation.Build
 	for _, b := range plan.Builds {
-		key := p.dynamicKey(headLen, b)
+		key := p.dynamicKey(b)
 		if _, want := desired[key]; !want {
 			continue
 		}

@@ -137,6 +137,8 @@ func (b *bounceOnce) Commit(p CommitProposal) (*repo.Commit, error) {
 	return b.r.CommitPatch(b.r.Head().ID, p.Change.Patch, p.Change.Author.Name, p.Change.Description, p.Now)
 }
 
+func (b *bounceOnce) Check(CommitProposal) error { return nil }
+
 // TestBouncedBuildDecidedAfterRebuild: after a bounced proposal the rebuild
 // has the dropped build's key, so once it finishes — with the head unmoved —
 // the plan fingerprint equals the one the bouncing epoch planned under. The
@@ -158,5 +160,44 @@ func TestBouncedBuildDecidedAfterRebuild(t *testing.T) {
 	}
 	if n := e.planner.Stats().CrossShardRebuilds; n != 1 {
 		t.Fatalf("cross-shard rebuilds = %d, want 1", n)
+	}
+}
+
+// TestNoCommitterRebuildsAfterUnmergedCommit: without a Committer the planner
+// knows no footprints, so a decisive build whose base is behind a commit it
+// did not merge is rebuilt, never committed — even when, as here, the two
+// changes are independent. c2's build is held until c1 has committed.
+func TestNoCommitterRebuildsAfterUnmergedCommit(t *testing.T) {
+	release := make(chan struct{})
+	runner := buildsys.RunnerFunc(func(ctx context.Context, _ change.BuildStep, target string, _ repo.Snapshot) error {
+		if target != "//z:z" {
+			return nil
+		}
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return buildsys.ErrAborted
+		}
+	})
+	e := newEnv(t, runner, Config{Budget: 2})
+	e.submit(t, "c1", "x/x.go", "x v2")
+	e.submit(t, "c2", "z/z.go", "z v2")
+	for e.decision("c1").State == change.StatePending {
+		if _, err := e.planner.Tick(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	e.quiesce(t)
+	if o := e.decision("c2"); o.State != change.StateCommitted {
+		t.Fatalf("c2 = %+v, want committed", o)
+	}
+	if n := e.planner.Stats().CrossShardRebuilds; n != 1 {
+		t.Fatalf("stale-result rebuilds = %d, want 1: c2's build at the older base decided c2", n)
+	}
+	if st := e.ctrl.Stats(); st.Builds != 3 || st.Aborted != 0 {
+		t.Fatalf("builds = %d, aborted = %d; want 3 and 0", st.Builds, st.Aborted)
 	}
 }

@@ -25,13 +25,14 @@ type Stats struct {
 	PlansSkipped  int // epochs skipped because the input fingerprint was unchanged
 
 	// Bounded bookkeeping.
-	KeysComputed   int // dynamic keys rebuilt from the committed history
+	KeysComputed   int // dynamic keys rebuilt after a resolution
 	KeysCached     int // dynamic keys served from the per-build cache
 	FinishedPruned int // finished builds garbage-collected
 
-	// CrossShardRebuilds counts decisive builds the commit arbiter bounced
-	// (a conflicting foreign commit landed after the build's base) and the
-	// planner rebuilt against the new head.
+	// CrossShardRebuilds counts finished decisive builds, passed or failed,
+	// that the Eq. 6 check found stale (a commit since the build's base
+	// that it did not merge touches its footprint) and the planner rebuilt
+	// against the new head.
 	CrossShardRebuilds int
 
 	// Lean-CI counters (DESIGN.md §4j). ObsoleteAborted counts running

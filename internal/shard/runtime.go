@@ -5,10 +5,10 @@
 // routes every engine's commits through the serialized commit arbiter.
 // Changes in different components are mutually independent (§5), so each
 // engine plans over its own component group — an induced view of the
-// coordinator's graph — instead of the global queue, the source of the
-// scale-out win, while the arbiter's cross-shard re-validation keeps every
-// mainline commit green. With one engine the partition is moot and the
-// runtime is the paper's single SubmitQueue planner.
+// coordinator's graph — instead of the global queue, while the arbiter's
+// Eq. 6 re-validation of every decisive result keeps every mainline commit
+// green. With one engine the partition is moot and the runtime is the
+// paper's single SubmitQueue planner.
 package shard
 
 import (
@@ -16,7 +16,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -472,13 +471,6 @@ func (rt *Runtime) loop(ctx context.Context, untilIdle bool) error {
 				case <-ctx.Done():
 					return
 				case <-e.planner.Wake():
-					// Builds started together end together. Yield once so
-					// the ends already due are reaped by this one tick:
-					// deciding the first of them alone decides out of
-					// submission order, and a younger commit makes an older
-					// result stale (~3 % more builds per commit on
-					// build_bound without the yield).
-					runtime.Gosched()
 				}
 			}
 		}(e)
