@@ -67,11 +67,11 @@ race-wake:
 	$(GO) test -race -count=1 -run '^TestVirtualTimeIsDeterministic$$' ./internal/core/
 
 # race-green repeats the Eq. 6 tests under the race detector: 200 seeds of a
-# mixed load (independent, chained, BUILD-editing, BROKEN) at one engine and
-# four, each mainline commit point replayed with the load's own build rule
-# and each accepted change decided once; a decisive build at an older base
-# that an independent commit leaves standing; and a stale pass or failure
-# rebuilt, never committed or used to reject (~35 s on 2 cores).
+# mixed load (independent, chained, BUILD-editing, BROKEN) on one engine,
+# each mainline commit point replayed with the load's own build rule and
+# each accepted change decided once; a decisive build at an older base that
+# an independent commit leaves standing; and a stale pass or failure
+# rebuilt, never committed or used to reject (~15 s on 2 cores).
 race-green:
 	$(GO) test -race -count=5 -run '^(TestEveryCommitPointGreen|TestIndependentCommitKeepsDecisiveBuild|TestStalePassIsRebuiltNotCommitted|TestStaleFailureIsRebuiltNotRejected)$$' ./internal/core/
 

@@ -9,14 +9,14 @@
 //
 // Usage:
 //
-//	sqd [-addr :8080] [-workers 8] [-shards 1] [-sched]
+//	sqd [-addr :8080] [-workers 8] [-sched]
 //	    [-data DIR] [-snapshot-interval 5m] [-admission-cap 1000]
 //	    [-status-refresh 250ms]
 //
 // The startup log names the bound address (-addr 127.0.0.1:0 picks a free
 // port); a port already taken fails the start before any state is opened.
 // The planner loop runs only on events: a submission, a build that decides
-// its subject, a head advance or a sched deadline's aging wakes it. With
+// its subject or a sched deadline's aging wakes it. With
 // -data, the journal DIR/journal.jsonl, the only durable state, records
 // every submission, commit and rejection before it is acknowledged: a
 // restart on DIR, even after kill -9, replays its commits onto the seed and
@@ -60,7 +60,6 @@ func main() {
 	flag.StringVar(&cfg.Addr, "addr", ":8080", "listen address (127.0.0.1:0 picks a free port; the startup log names it)")
 	flag.IntVar(&cfg.Core.Workers, "workers", 8, "concurrent builds")
 	flag.StringVar(&cfg.DataDir, "data", "", "directory for durable state (empty = in-memory only)")
-	flag.IntVar(&cfg.Core.Shards, "shards", 1, "planner engines the conflict-graph components are spread over")
 	flag.DurationVar(&cfg.SnapshotEvery, "snapshot-interval", 0, "with -data: also fold the journal into a snapshot this often while running (0 = shutdown is the only fold)")
 	flag.IntVar(&cfg.AdmissionCap, "admission-cap", 0, "bound the pending queue; excess submits get 429 + Retry-After (0 = unbounded)")
 	flag.DurationVar(&cfg.StatusRefresh, "status-refresh", 250*time.Millisecond, "background status snapshot rebuild interval (0 = no background rebuild: the first request after the 250ms cache expires rebuilds it)")

@@ -44,7 +44,6 @@ var registry = []struct {
 	{"ablation-grace", "preemption grace extension", experiments.AblationPreemptionGrace},
 	{"ablation-reorder", "change reordering extension", experiments.AblationReordering},
 	{"ablation-boost", "gradient boosting vs logistic regression", experiments.AblationBoosting},
-	{"ablation-shards", "sharded multi-planner scale-out", experiments.AblationShards},
 	{"ablation-reliability", "retry/quarantine under injected flakiness", experiments.AblationReliability},
 	{"ablation-leanci", "obsolete-build pruning + predictor-gated skipping", experiments.AblationLeanCI},
 	{"ablation-sched", "priority lanes + adaptive batching", experiments.AblationSched},

@@ -1,11 +1,11 @@
 // Package arbiter implements the serialized commit arbiter of the shard
-// runtime (DESIGN.md §4h). Planner engines propose commit-ready changes; the
-// arbiter owns head advancement, applying proposals one at a time in arrival
-// order so the mainline history is a deterministic total order. It also
-// decides whether a finished decisive build still speaks for its subject
-// (§5.2): every commit since the build's base that the build did not merge —
-// another engine's or its own engine's — must be disjoint from the build's
-// footprint by the conflict analyzer's criterion (Eq. 6). If an interleaved
+// runtime (DESIGN.md §4h). The planner engine proposes commit-ready changes;
+// the arbiter owns head advancement, applying proposals one at a time in
+// arrival order so the mainline history is a deterministic total order. It
+// also decides whether a finished decisive build still speaks for its
+// subject (§5.2): every commit since the build's base that the build did not
+// merge must be disjoint from the build's footprint by the conflict
+// analyzer's criterion (Eq. 6). If an interleaved
 // commit touches an affected target or patch path of the proposal (or either
 // side changed the build-graph structure, making target comparison unsound),
 // the proposal is bounced with planner.ErrCrossShardConflict and the engine
@@ -17,7 +17,6 @@ package arbiter
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -47,21 +46,16 @@ type Config struct {
 // starts at the current head and re-enters the window.
 const retainedHistory = 4096
 
-// hotfixYieldCap bounds how many scheduler passes a lower-lane proposal
-// donates to waiting hotfixes before proceeding anyway.
-const hotfixYieldCap = 64
-
 // record is the conflict footprint of one committed change, kept so later
 // proposals can re-validate against it without re-analyzing history.
 type record struct {
 	id        change.ID
-	shard     int
 	targets   map[string]bool
 	paths     map[string]bool
 	structure bool // change altered the build-graph structure
 }
 
-// Arbiter serializes head advancement across planner shards.
+// Arbiter serializes head advancement.
 type Arbiter struct {
 	repo *repo.Repo
 	cfg  Config
@@ -69,10 +63,6 @@ type Arbiter struct {
 	// depth counts proposals currently inside Commit (waiting on mu or
 	// applying); its high-water mark is the "arbiter queue depth" gauge.
 	depth int64
-	// hotfixWaiters counts hotfix-lane proposals currently inside Commit.
-	// Lower-lane proposals poll it at the admission gate and step aside
-	// (bounded) so a waiting P0 reaches the mutex first.
-	hotfixWaiters int64
 
 	// history is the ring's capacity: retainedHistory, fixed before the
 	// first commit.
@@ -88,7 +78,6 @@ type Arbiter struct {
 	origin    int
 	floor     int
 	committed map[change.ID]bool
-	subs      []chan struct{}
 	stats     Stats
 	journal   *store.Journal // see SetJournal
 }
@@ -104,17 +93,6 @@ func New(r *repo.Repo, cfg Config) *Arbiter {
 		floor:     r.Len(),
 		committed: map[change.ID]bool{},
 	}
-}
-
-// Subscribe returns a channel nudged (non-blocking, coalescing) after every
-// head advancement. The shard coordinator waits on it between partition
-// epochs instead of polling.
-func (a *Arbiter) Subscribe() <-chan struct{} {
-	ch := make(chan struct{}, 1)
-	a.mu.Lock()
-	a.subs = append(a.subs, ch)
-	a.mu.Unlock()
-	return ch
 }
 
 // SetJournal makes every later commit buffer its store.CommitRecord in j
@@ -140,59 +118,27 @@ func (a *Arbiter) structureChanged(id change.ID) bool {
 // Commit applies a commit proposal, running Check's re-validation first. It
 // returns planner.ErrCrossShardConflict (wrapped) when a commit after the
 // proposal's base that its build did not merge conflicts with it — the
-// proposing engine then drops its decisive build and rebuilds — and the
-// underlying repo error when the patch itself no longer applies (the engine
-// rejects the change).
+// engine then drops its decisive build and rebuilds — and the underlying
+// repo error when the patch itself no longer applies (the engine rejects
+// the change).
 func (a *Arbiter) Commit(p planner.CommitProposal) (*repo.Commit, error) {
 	d := atomic.AddInt64(&a.depth, 1)
 	defer atomic.AddInt64(&a.depth, -1)
-
-	if p.Class == change.ClassHotfix {
-		atomic.AddInt64(&a.hotfixWaiters, 1)
-		defer atomic.AddInt64(&a.hotfixWaiters, -1)
-	} else if atomic.LoadInt64(&a.hotfixWaiters) > 0 {
-		// Step aside so the waiting hotfix reaches the mutex first. The
-		// yield count is capped: after hotfixYieldCap scheduler passes the
-		// proposal proceeds regardless, so a stream of P0s cannot starve
-		// lower lanes (the gate favors, never fences).
-		yielded := false
-		for i := 0; i < hotfixYieldCap && atomic.LoadInt64(&a.hotfixWaiters) > 0; i++ {
-			yielded = true
-			runtime.Gosched()
-		}
-		if yielded {
-			a.mu.Lock()
-			a.stats.HotfixYields++
-			a.mu.Unlock()
-		}
-	}
 
 	a.mu.Lock()
 	if int(d) > a.stats.MaxQueueDepth {
 		a.stats.MaxQueueDepth = int(d)
 	}
 	commit, err := a.commitLocked(p)
-	var subs []chan struct{}
-	if err == nil {
-		subs = append(subs, a.subs...)
-	}
 	a.mu.Unlock()
 
-	// Notify outside the lock: the bus fans out to subscriber channels and
-	// shard wakeups must never be sent while holding the arbiter mutex.
-	if err == nil {
-		if a.cfg.Events != nil {
-			a.cfg.Events.Publish(events.Event{
-				Type: events.TypeHeadAdvanced, Change: p.Change.ID,
-				Detail: fmt.Sprintf("shard %d seq %d", p.Shard, commit.Seq),
-			})
-		}
-		for _, ch := range subs {
-			select {
-			case ch <- struct{}{}:
-			default:
-			}
-		}
+	// Publish outside the lock: the bus fans out to subscriber channels,
+	// which must never be sent to while holding the arbiter mutex.
+	if err == nil && a.cfg.Events != nil {
+		a.cfg.Events.Publish(events.Event{
+			Type: events.TypeHeadAdvanced, Change: p.Change.ID,
+			Detail: fmt.Sprintf("seq %d", commit.Seq),
+		})
 	}
 	return commit, err
 }
@@ -213,9 +159,7 @@ func (a *Arbiter) Check(p planner.CommitProposal) error {
 func (a *Arbiter) checkLocked(p planner.CommitProposal) error {
 	id := p.Change.ID
 	if a.committed[id] {
-		// A concurrent engine already landed this change (the coordinator
-		// moved it mid-decision). Bounce, never double-commit; the
-		// coordinator's outcome GC clears the stale copy.
+		// The change has landed already. Bounce, never double-commit.
 		a.stats.CrossShardRejects++
 		return fmt.Errorf("%w: %s already committed", planner.ErrCrossShardConflict, id)
 	}
@@ -277,10 +221,6 @@ func (a *Arbiter) commitLocked(p planner.CommitProposal) (*repo.Commit, error) {
 		a.floor++
 	}
 	a.stats.Commits++
-	if a.stats.CommitsByShard == nil {
-		a.stats.CommitsByShard = map[int]int{}
-	}
-	a.stats.CommitsByShard[p.Shard]++
 	return commit, nil
 }
 
@@ -310,7 +250,6 @@ func footprintConflict(r record, subjStructure bool, p planner.CommitProposal) (
 func newRecord(p planner.CommitProposal, structure bool) record {
 	r := record{
 		id:        p.Change.ID,
-		shard:     p.Shard,
 		targets:   make(map[string]bool, len(p.Targets)),
 		paths:     make(map[string]bool, len(p.Paths)),
 		structure: structure,
@@ -322,11 +261,4 @@ func newRecord(p planner.CommitProposal, structure bool) record {
 		r.paths[f] = true
 	}
 	return r
-}
-
-// Committed reports whether the arbiter has landed the change.
-func (a *Arbiter) Committed(id change.ID) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.committed[id]
 }

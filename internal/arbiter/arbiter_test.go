@@ -24,7 +24,7 @@ func testRepo() *repo.Repo {
 	})
 }
 
-func proposal(r *repo.Repo, shard int, id, path, content string, baseLen int, targets []string) planner.CommitProposal {
+func proposal(r *repo.Repo, id, path, content string, baseLen int, targets []string) planner.CommitProposal {
 	c := &change.Change{
 		ID:          change.ID(id),
 		Author:      change.Developer{Name: "dev", Team: "t", Level: 3},
@@ -35,7 +35,6 @@ func proposal(r *repo.Repo, shard int, id, path, content string, baseLen int, ta
 		BuildSteps: []change.BuildStep{{Name: "compile", Kind: change.StepCompile}},
 	}
 	return planner.CommitProposal{
-		Shard:   shard,
 		Change:  c,
 		BaseLen: baseLen,
 		Applied: []change.ID{c.ID},
@@ -57,20 +56,20 @@ func TestCommitAndFootprintChecks(t *testing.T) {
 	base := r.Len()
 
 	// First commit at the current base: no interleavings, no checks.
-	if _, err := a.Commit(proposal(r, 0, "c1", "a/x.go", "x", base, []string{"a"})); err != nil {
+	if _, err := a.Commit(proposal(r, "c1", "a/x.go", "x", base, []string{"a"})); err != nil {
 		t.Fatal(err)
 	}
 	if st := a.Stats(); st.Commits != 1 || st.CrossShardChecks != 0 {
 		t.Fatalf("stats after first commit: %+v", st)
 	}
-	if !a.Committed("c1") {
+	if !a.committed["c1"] {
 		t.Fatal("c1 not recorded as committed")
 	}
 
 	// A proposal whose base predates c1 and does not apply c1: with no
 	// analyzer, structure is unknown, so it must bounce conservatively with
 	// ErrCrossShardConflict.
-	_, err := a.Commit(proposal(r, 1, "c2", "b/y.go", "y", base, []string{"b"}))
+	_, err := a.Commit(proposal(r, "c2", "b/y.go", "y", base, []string{"b"}))
 	if !errors.Is(err, planner.ErrCrossShardConflict) {
 		t.Fatalf("expected cross-shard bounce, got %v", err)
 	}
@@ -82,19 +81,18 @@ func TestCommitAndFootprintChecks(t *testing.T) {
 	}
 
 	// Rebased to the current head, the same change lands.
-	if _, err := a.Commit(proposal(r, 1, "c2", "b/y.go", "y", r.Len(), []string{"b"})); err != nil {
+	if _, err := a.Commit(proposal(r, "c2", "b/y.go", "y", r.Len(), []string{"b"})); err != nil {
 		t.Fatal(err)
 	}
 
 	// A proposal that *applied* the interleaved commits needs no checks.
-	p := proposal(r, 0, "c3", "c/z.go", "z", base, []string{"c"})
+	p := proposal(r, "c3", "c/z.go", "z", base, []string{"c"})
 	p.Applied = []change.ID{"c1", "c2", "c3"}
 	if _, err := a.Commit(p); err != nil {
 		t.Fatal(err)
 	}
-	st := a.Stats()
-	if st.Commits != 3 || st.CommitsByShard[0] != 2 || st.CommitsByShard[1] != 1 {
-		t.Fatalf("per-shard attribution: %+v", st)
+	if st := a.Stats(); st.Commits != 3 {
+		t.Fatalf("stats after three commits: %+v", st)
 	}
 }
 
@@ -103,12 +101,12 @@ func TestCommitAndFootprintChecks(t *testing.T) {
 func TestAlreadyCommittedBounces(t *testing.T) {
 	r := testRepo()
 	a := New(r, Config{})
-	p := proposal(r, 0, "c1", "a/x.go", "x", r.Len(), []string{"a"})
+	p := proposal(r, "c1", "a/x.go", "x", r.Len(), []string{"a"})
 	if _, err := a.Commit(p); err != nil {
 		t.Fatal(err)
 	}
 	lenAfter := r.Len()
-	p2 := proposal(r, 1, "c1", "a/x.go", "x", r.Len(), []string{"a"})
+	p2 := proposal(r, "c1", "a/x.go", "x", r.Len(), []string{"a"})
 	_, err := a.Commit(p2)
 	if !errors.Is(err, planner.ErrCrossShardConflict) {
 		t.Fatalf("expected bounce for already-committed change, got %v", err)
@@ -124,11 +122,11 @@ func TestAlreadyCommittedBounces(t *testing.T) {
 func TestMergeFailureLeavesMainlineUntouched(t *testing.T) {
 	r := testRepo()
 	a := New(r, Config{})
-	if _, err := a.Commit(proposal(r, 0, "c1", "a/x.go", "x", r.Len(), []string{"a"})); err != nil {
+	if _, err := a.Commit(proposal(r, "c1", "a/x.go", "x", r.Len(), []string{"a"})); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate create of the same path at the current base: merge conflict.
-	p := proposal(r, 1, "c2", "a/x.go", "other", r.Len(), []string{"a"})
+	p := proposal(r, "c2", "a/x.go", "other", r.Len(), []string{"a"})
 	_, err := a.Commit(p)
 	if err == nil || errors.Is(err, planner.ErrCrossShardConflict) {
 		t.Fatalf("expected merge failure, got %v", err)
@@ -145,44 +143,16 @@ func TestHistoryEviction(t *testing.T) {
 	a := New(r, Config{})
 	a.history = 1
 	base := r.Len()
-	if _, err := a.Commit(proposal(r, 0, "c1", "a/x.go", "x", base, []string{"a"})); err != nil {
+	if _, err := a.Commit(proposal(r, "c1", "a/x.go", "x", base, []string{"a"})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Commit(proposal(r, 0, "c2", "b/y.go", "y", r.Len(), []string{"b"})); err != nil {
+	if _, err := a.Commit(proposal(r, "c2", "b/y.go", "y", r.Len(), []string{"b"})); err != nil {
 		t.Fatal(err)
 	}
 	// c1's record is evicted (history 1). A proposal based before c1 bounces.
-	_, err := a.Commit(proposal(r, 1, "c3", "c/z.go", "z", base, []string{"c"}))
+	_, err := a.Commit(proposal(r, "c3", "c/z.go", "z", base, []string{"c"}))
 	if !errors.Is(err, planner.ErrCrossShardConflict) {
 		t.Fatalf("expected bounce on evicted history, got %v", err)
-	}
-}
-
-// TestSubscribeNudges: head advancement nudges subscribers without blocking.
-func TestSubscribeNudges(t *testing.T) {
-	r := testRepo()
-	a := New(r, Config{})
-	ch := a.Subscribe()
-	if _, err := a.Commit(proposal(r, 0, "c1", "a/x.go", "x", r.Len(), []string{"a"})); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-ch:
-	default:
-		t.Fatal("no nudge after commit")
-	}
-	// Two commits with no reader in between coalesce into one pending token.
-	if _, err := a.Commit(proposal(r, 0, "c2", "b/y.go", "y", r.Len(), []string{"b"})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Commit(proposal(r, 0, "c3", "c/z.go", "z", r.Len(), []string{"c"})); err != nil {
-		t.Fatal(err)
-	}
-	<-ch
-	select {
-	case <-ch:
-		t.Fatal("nudges not coalesced")
-	default:
 	}
 }
 
@@ -203,7 +173,7 @@ func TestRetainedWindowIsARing(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < history; i++ {
-			p := benchProposal(0, len(ids), r.Len())
+			p := benchProposal(len(ids), r.Len())
 			next := fmt.Sprintf("v%d", len(ids))
 			p.Change.Patch.Changes[0] = repo.FileChange{ // one fixed file: the tree stays the same size
 				Path: "sub00/lib.go", Op: repo.OpModify, BaseHash: repo.HashContent(prev), NewContent: next,
@@ -227,16 +197,16 @@ func TestRetainedWindowIsARing(t *testing.T) {
 
 	head := r.Len()
 	oldest := ids[len(ids)-history]
-	_, err := a.Commit(benchProposal(1, 1_000_000, head-history))
+	_, err := a.Commit(benchProposal(1_000_000, head-history))
 	if !errors.Is(err, planner.ErrCrossShardConflict) || !strings.Contains(err.Error(), "vs committed "+string(oldest)+" ") {
 		t.Fatalf("a base exactly history commits back must be re-validated against the oldest retained record %s, got: %v", oldest, err)
 	}
-	_, err = a.Commit(benchProposal(1, 1_000_001, head-history-1))
+	_, err = a.Commit(benchProposal(1_000_001, head-history-1))
 	if !errors.Is(err, planner.ErrCrossShardConflict) || !strings.Contains(err.Error(), "base predates retained history") {
 		t.Fatalf("a base one commit past the window must be bounced as predating it, got: %v", err)
 	}
 	// A build that merged every retained commit passes each record as its own.
-	p := benchProposal(1, 1_000_002, head-history)
+	p := benchProposal(1_000_002, head-history)
 	p.Applied = append(append([]change.ID(nil), ids[len(ids)-history:]...), p.Change.ID)
 	if _, err := a.Commit(p); err != nil {
 		t.Fatalf("a proposal that applied all %d retained commits must land: %v", history, err)
@@ -253,21 +223,21 @@ func TestCheckJudgesWithoutCommitting(t *testing.T) {
 	r := testRepo()
 	a := New(r, Config{})
 	base := r.Len()
-	if _, err := a.Commit(proposal(r, 0, "c1", "a/x.go", "x", base, []string{"a"})); err != nil {
+	if _, err := a.Commit(proposal(r, "c1", "a/x.go", "x", base, []string{"a"})); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Check(proposal(r, 0, "c2", "b/y.go", "y", base, []string{"b"})); !errors.Is(err, planner.ErrCrossShardConflict) {
+	if err := a.Check(proposal(r, "c2", "b/y.go", "y", base, []string{"b"})); !errors.Is(err, planner.ErrCrossShardConflict) {
 		t.Fatalf("unmerged commit since the base: got %v, want a bounce", err)
 	}
-	merged := proposal(r, 0, "c3", "b/z.go", "z", base, []string{"b"})
+	merged := proposal(r, "c3", "b/z.go", "z", base, []string{"b"})
 	merged.Applied = []change.ID{"c1", "c3"}
 	if err := a.Check(merged); err != nil {
 		t.Fatalf("build merged every commit since its base: %v", err)
 	}
-	if err := a.Check(proposal(r, 0, "c4", "b/w.go", "w", r.Len(), []string{"b"})); err != nil {
+	if err := a.Check(proposal(r, "c4", "b/w.go", "w", r.Len(), []string{"b"})); err != nil {
 		t.Fatalf("base at the head: %v", err)
 	}
-	if r.Len() != base+1 || a.Committed("c3") || a.Stats().Commits != 1 {
+	if r.Len() != base+1 || a.committed["c3"] || a.Stats().Commits != 1 {
 		t.Fatalf("Check landed a commit: mainline %d, stats %+v", r.Len(), a.Stats())
 	}
 }

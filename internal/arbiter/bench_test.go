@@ -11,7 +11,7 @@ import (
 	"mastergreen/internal/repo"
 )
 
-func benchProposal(shard int, i int, baseLen int) planner.CommitProposal {
+func benchProposal(i int, baseLen int) planner.CommitProposal {
 	id := change.ID(fmt.Sprintf("c%07d", i))
 	path := fmt.Sprintf("sub%02d/f%d.go", i%16, i)
 	c := &change.Change{
@@ -21,7 +21,6 @@ func benchProposal(shard int, i int, baseLen int) planner.CommitProposal {
 		}}},
 	}
 	return planner.CommitProposal{
-		Shard:   shard,
 		Change:  c,
 		BaseLen: baseLen,
 		Applied: []change.ID{id},
@@ -60,7 +59,7 @@ func BenchmarkCommitCurrentBase(b *testing.B) {
 			}}},
 		}
 		p := planner.CommitProposal{
-			Shard: i % 8, Change: c, BaseLen: r.Len(),
+			Change: c, BaseLen: r.Len(),
 			Applied: []change.ID{id},
 			Targets: []string{"sub00"}, Paths: []string{"sub00/lib.go"},
 			Now: time.Unix(1700000000, 0),
@@ -80,12 +79,12 @@ func BenchmarkCommitStaleBounce(b *testing.B) {
 	a := New(r, Config{})
 	base := r.Len()
 	// One landed foreign commit every stale proposal interleaves with.
-	if _, err := a.Commit(benchProposal(0, 1<<20, base)); err != nil {
+	if _, err := a.Commit(benchProposal(1<<20, base)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := a.Commit(benchProposal(1, i, base))
+		_, err := a.Commit(benchProposal(i, base))
 		if !errors.Is(err, planner.ErrCrossShardConflict) {
 			b.Fatalf("expected bounce, got %v", err)
 		}

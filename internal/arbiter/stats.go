@@ -7,39 +7,22 @@ type Stats struct {
 	// Commits is the number of head advancements applied.
 	Commits int
 	// CommitFailures counts proposals whose patch no longer applied at the
-	// current head (rejected by the proposing engine, mainline untouched).
+	// current head (rejected by the engine, mainline untouched).
 	CommitFailures int
 	// CrossShardChecks counts interleaved commits re-validated (Commit and
-	// Check), from any engine.
+	// Check).
 	CrossShardChecks int
 	// CrossShardRejects counts results bounced back for rebuild.
 	CrossShardRejects int
-	// MaxQueueDepth is the high-water mark of concurrent proposals.
+	// MaxQueueDepth is the high-water mark of concurrent proposals: 1 with
+	// one engine. It stays only because bench/layers.go reads it; ROADMAP
+	// item 1 deletes it.
 	MaxQueueDepth int
-	// HotfixYields counts lower-lane proposals that stepped aside at the
-	// admission gate while a hotfix-lane proposal was waiting (§4l).
-	HotfixYields int
-	// CommitsByShard attributes commits to the proposing planner shard.
-	CommitsByShard map[int]int
 }
 
 // Stats returns a copy of the arbiter's counters.
 func (a *Arbiter) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	s := a.stats
-	s.CommitsByShard = make(map[int]int, len(a.stats.CommitsByShard))
-	for k, v := range a.stats.CommitsByShard {
-		s.CommitsByShard[k] = v
-	}
-	return s
-}
-
-// CrossShardRejects returns the number of proposals bounced so far. The shard
-// coordinator polls it every partition epoch, so unlike Stats it copies
-// nothing.
-func (a *Arbiter) CrossShardRejects() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.stats.CrossShardRejects
+	return a.stats
 }

@@ -207,8 +207,8 @@ func NewController(workers int, runner StepRunner) *Controller {
 	}
 }
 
-// SetClock sets the clock that times step-units, which the planner engines
-// over this controller read too. Call it before any build starts.
+// SetClock sets the clock that times step-units, which the planner engine
+// over this controller reads too. Call it before any build starts.
 func (c *Controller) SetClock(clk clock.Clock) { c.clock = clk }
 
 // Clock returns the controller's clock (clock.Wall unless SetClock ran).

@@ -5,11 +5,11 @@
 // succeed.
 //
 // A Service owns the monorepo, the intake queue, the conflict analyzer, the
-// shard runtime (planner engines over conflict-graph components, each with
-// its own speculation engine and a pluggable probability model), the commit
-// arbiter, and the build controller. Drive it either synchronously (Submit
-// then ProcessAll, as the examples do) or as a daemon (Start/Stop with a
-// background event loop); api.Stack runs it as the daemon cmd/sqd serves.
+// shard runtime (one planner engine with its speculation engine and a
+// pluggable probability model), the commit arbiter, and the build
+// controller. Drive it either synchronously (Submit then ProcessAll, as the
+// examples do) or as a daemon (Start/Stop with a background event loop);
+// api.Stack runs it as the daemon cmd/sqd serves.
 package core
 
 import (
@@ -70,9 +70,8 @@ type Config struct {
 	// injection (tests and chaos experiments); its inner runner is set to
 	// Config.Runner and its counters surface through ReliabilityStats.
 	FaultInjector *reliability.Injector
-	// Shards is the number of planner engines (DESIGN.md §4h) the shard
-	// runtime spreads connected components of the conflict graph over; a
-	// serialized commit arbiter owns head advancement. <= 0 means 1.
+	// Shards is read by nothing: the service runs one planner engine. It
+	// stays only because bench/ still sets it; ROADMAP item 1 deletes it.
 	Shards int
 	// Sched, when non-nil, enables the priority-lane scheduling layer
 	// (DESIGN.md §4l): per-class value weights, deadline aging, hotfix
@@ -150,14 +149,13 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 	}
 	runner = rel.Wrap(runner)
 	ctrl := buildsys.NewController(cfg.Workers, runner)
-	ctrl.SetClock(cfg.Clock) // the planner engines read it too
+	ctrl.SetClock(cfg.Clock) // the planner engine reads it too
 	arb := arbiter.New(r, arbiter.Config{Analyzer: an, Events: cfg.Events})
 	s := &Service{
 		repo:     r,
 		queue:    q,
 		analyzer: an,
 		runtime: shard.New(r, q, an, arb, ctrl, shard.Config{
-			Shards: cfg.Shards,
 			Planner: planner.Config{
 				Budget:          cfg.Workers,
 				PreemptionGrace: cfg.PreemptionGrace,
@@ -165,8 +163,7 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 				Reliability:     rel,
 				Sched:           cfg.Sched,
 			},
-			Spec:   func() *speculation.Engine { return speculation.New(cfg.Predictor) },
-			Events: cfg.Events,
+			Spec: func() *speculation.Engine { return speculation.New(cfg.Predictor) },
 		}),
 		arb:   arb,
 		ctrl:  ctrl,
@@ -344,7 +341,7 @@ func (s *Service) Tick(ctx context.Context) error {
 	return errors.Join(err, s.publish())
 }
 
-// ProcessAll drives the engines until every submitted change is decided,
+// ProcessAll drives the engine until every submitted change is decided,
 // then publishes the decisions. If the context is cancelled first it aborts
 // every running build and returns an error wrapping planner.ErrStopped.
 func (s *Service) ProcessAll(ctx context.Context) error {
@@ -383,8 +380,7 @@ func (s *Service) BuildStats() buildsys.Stats { return s.ctrl.Stats() }
 // AnalyzerStats exposes the conflict analyzer's work counters.
 func (s *Service) AnalyzerStats() conflict.Stats { return s.analyzer.Stats() }
 
-// PlannerStats exposes the planner engines' incremental-epoch work counters,
-// summed across engines.
+// PlannerStats exposes the planner engine's incremental-epoch work counters.
 func (s *Service) PlannerStats() planner.Stats { return s.runtime.PlannerStats() }
 
 // ShardStats exposes the shard coordinator's counters.
@@ -397,7 +393,7 @@ func (s *Service) ArbiterStats() arbiter.Stats { return s.arb.Stats() }
 func (s *Service) ReliabilityStats() reliability.Stats { return s.rel.Stats() }
 
 // Gauges renders the counters of every layer the service runs — builds,
-// conflict analysis, planner engines, shard runtime, arbiter, reliability
+// conflict analysis, planner engine, shard runtime, arbiter, reliability
 // and, with Config.Sched, the priority lanes — one gauge per Stats field,
 // named by metrics.Render. It is the one reader behind /api/v1/status, the
 // dashboard and sqd's shutdown log.

@@ -231,10 +231,10 @@ func TestTickManualLoop(t *testing.T) {
 	}
 }
 
-// TestShardedPlannerStatsReportHotfixPreemption: a sharded service sums its
-// engines' planner counters, HotfixPreempted included — a pending hotfix
-// aborts the over-grace build holding the only worker, and the preemption
-// shows up through Service.PlannerStats.
+// TestShardedPlannerStatsReportHotfixPreemption: the planner counters the
+// service reads through its shard runtime report HotfixPreempted — a
+// pending hotfix aborts the over-grace build holding the only worker, and
+// the preemption shows up through Service.PlannerStats.
 func TestShardedPlannerStatsReportHotfixPreemption(t *testing.T) {
 	r := newRepo()
 	m := clock.NewManual(time.Unix(1700000000, 0))
@@ -251,7 +251,7 @@ func TestShardedPlannerStatsReportHotfixPreemption(t *testing.T) {
 		}
 	})
 	s := NewService(r, Config{
-		Workers: 1, Shards: 1, Runner: runner, Sched: sched.Default(),
+		Workers: 1, Runner: runner, Sched: sched.Default(),
 		PreemptionGrace: time.Second,
 		Clock:           m,
 	})

@@ -65,7 +65,7 @@ type goldenTrace struct {
 	files    map[string]string
 }
 
-func goldenRun(t *testing.T, shards int) goldenTrace {
+func goldenRun(t *testing.T) goldenTrace {
 	t.Helper()
 	r := goldenRepo()
 	base := time.Unix(1700000000, 0)
@@ -81,8 +81,7 @@ func goldenRun(t *testing.T, shards int) goldenTrace {
 	// the driver single-threaded, so the trace is bit-for-bit reproducible
 	// even under the race detector's scheduling perturbation.
 	s := NewService(r, Config{
-		Workers: 1, Shards: shards,
-		Runner: runner, Clock: clock.NewManual(base),
+		Workers: 1, Runner: runner, Clock: clock.NewManual(base),
 	})
 	for _, c := range goldenWorkload() {
 		if err := s.Submit(c); err != nil {
@@ -115,7 +114,7 @@ func goldenRun(t *testing.T, shards int) goldenTrace {
 }
 
 // goldenOutcomes, goldenHistory and goldenFiles pin the golden workload's
-// trace with one engine: the outcome sequence (ID, state, reason, commit ID),
+// trace: the outcome sequence (ID, state, reason, commit ID),
 // the mainline history and the head files. They were captured while the
 // service still had a second, direct-commit topology that reproduced this
 // trace bit for bit, so any drift in decision order, rejection wording or
@@ -194,11 +193,10 @@ var goldenFiles = map[string]string{
 	"sub3/lib.go": "lib v1",
 }
 
-// TestGoldenTrace is the acceptance golden trace: one engine (Shards: 1)
-// reproduces the pinned outcome sequence, commit history and head snapshot
-// exactly, and four engines commit the same set of changes.
+// TestGoldenTrace is the acceptance golden trace: the service reproduces
+// the pinned outcome sequence, commit history and head snapshot exactly.
 func TestGoldenTrace(t *testing.T) {
-	got := goldenRun(t, 1)
+	got := goldenRun(t)
 	if len(got.outcomes) != len(goldenOutcomes) {
 		t.Fatalf("outcome count %d, want %d", len(got.outcomes), len(goldenOutcomes))
 	}
@@ -223,26 +221,5 @@ func TestGoldenTrace(t *testing.T) {
 		if got.files[p] != want {
 			t.Fatalf("head file %s = %q, want %q", p, got.files[p], want)
 		}
-	}
-
-	wide := goldenRun(t, 4)
-	want := map[change.ID]bool{}
-	for _, o := range goldenOutcomes {
-		if o.State == change.StateCommitted {
-			want[o.ID] = true
-		}
-	}
-	gotCommitted := 0
-	for _, o := range wide.outcomes {
-		if o.State != change.StateCommitted {
-			continue
-		}
-		gotCommitted++
-		if !want[o.ID] {
-			t.Fatalf("4 engines committed %s, which one engine rejects", o.ID)
-		}
-	}
-	if gotCommitted != len(want) {
-		t.Fatalf("4 engines committed %d changes, one engine %d", gotCommitted, len(want))
 	}
 }

@@ -39,7 +39,7 @@ func TestIndependentCommitKeepsDecisiveBuild(t *testing.T) {
 		}
 		return nil
 	})
-	s := NewService(r, Config{Workers: 2, Shards: 1, Runner: runner})
+	s := NewService(r, Config{Workers: 2, Runner: runner})
 	c1 := mkChange(r, "c1", "s0/a.go", "c1")
 	c2 := mkChange(r, "c2", "s1/a.go", "c2")
 	for _, c := range []*change.Change{c1, c2} {
@@ -84,7 +84,7 @@ func staleRun(t *testing.T, sBody, xBody string, verdict func(a, b string) error
 		b, _ := snap.Read("s0/b.go")
 		return verdict(a, b)
 	})
-	s := NewService(r, Config{Workers: 2, Shards: 1, Runner: runner})
+	s := NewService(r, Config{Workers: 2, Runner: runner})
 	sub := mkChange(r, "S", "s0/a.go", sBody)
 	x := mkChange(r, "X", "s0/b.go", xBody)
 	if err := s.Submit(sub); err != nil {
@@ -97,7 +97,7 @@ func staleRun(t *testing.T, sBody, xBody string, verdict func(a, b string) error
 		t.Fatal(err)
 	}
 	if _, err := s.arb.Commit(planner.CommitProposal{
-		Shard: 1, Change: x, BaseLen: r.Len(), Applied: []change.ID{x.ID},
+		Change: x, BaseLen: r.Len(), Applied: []change.ID{x.ID},
 		Targets: []string{"//s0:s0"}, Paths: x.Patch.Paths(), Now: time.Now(),
 	}); err != nil {
 		t.Fatal(err)
@@ -258,22 +258,18 @@ func greenLoad(rng *rand.Rand, n int) (*repo.Repo, []*change.Change) {
 }
 
 // TestEveryCommitPointGreen drives the mixed load of greenLoad through a
-// started service — one engine and four — with a random delay on every
-// build unit, half the changes submitted while the first half is being
+// started service with a random delay on every build unit, half the changes submitted while the first half is being
 // decided. Then it checks, from the outside: each accepted change is decided
 // exactly once; the mainline holds one commit per committed change, each
 // landing that change's patch on the point before it; and every target of
-// every commit point passes the load's build rule. 200 seeds per shard
-// count.
+// every commit point passes the load's build rule. 200 seeds.
 func TestEveryCommitPointGreen(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		for seed := int64(1); seed <= 200; seed++ {
-			greenRun(t, shards, seed)
-		}
+	for seed := int64(1); seed <= 200; seed++ {
+		greenRun(t, seed)
 	}
 }
 
-func greenRun(t *testing.T, shards int, seed int64) {
+func greenRun(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	r, cs := greenLoad(rng, 16)
@@ -290,7 +286,7 @@ func greenRun(t *testing.T, shards int, seed int64) {
 		}
 		return greenVerdict(target, snap)
 	})
-	s := NewService(r, Config{Workers: 4, Shards: shards, Runner: runner})
+	s := NewService(r, Config{Workers: 4, Runner: runner})
 	byID := map[change.ID]*change.Change{}
 	byMsg := map[string]*change.Change{}
 	var ids []change.ID
@@ -310,7 +306,7 @@ func greenRun(t *testing.T, shards int, seed int64) {
 	awaitDecided(t, s, ids, 10*time.Second)
 	s.Stop()
 
-	where := fmt.Sprintf("shards %d seed %d", shards, seed)
+	where := fmt.Sprintf("seed %d", seed)
 	decided := map[change.ID]int{}
 	committed := 0
 	for _, o := range s.Outcomes() {

@@ -89,7 +89,7 @@ func TestDecisionEventImpliesDurable(t *testing.T) {
 		if err := svc.Submit(mkChange(svc.Repo(), "bad", "lib/lib.go", "bug")); !errors.Is(err, ErrJournal) {
 			t.Fatalf("Submit on a full disk = %v, want ErrJournal", err)
 		}
-		waitUntil(t, "the engines to decide bad", func() bool { return svc.runtime.PendingCount() == 0 })
+		waitUntil(t, "the engine to decide bad", func() bool { return svc.runtime.PendingCount() == 0 })
 		svc.Stop()
 		for _, ev := range bus.Since(0) {
 			if ev.Change == "bad" && (ev.Type == events.TypeRejected || ev.Type == events.TypeCommitted) {
@@ -102,7 +102,7 @@ func TestDecisionEventImpliesDurable(t *testing.T) {
 	})
 }
 
-// TestReadersDoNotPublish: once the engines have merged a decision, reading
+// TestReadersDoNotPublish: once the engine has merged a decision, reading
 // the service — State and Outcomes, many times — issues no fsync and
 // publishes nothing; the decision stays unpublished until its writer runs.
 func TestReadersDoNotPublish(t *testing.T) {
@@ -115,7 +115,7 @@ func TestReadersDoNotPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	waitUntil(t, "the engines to decide c1", func() bool {
+	waitUntil(t, "the engine to decide c1", func() bool {
 		if _, err := svc.runtime.Tick(ctx); err != nil {
 			t.Fatal(err)
 		}

@@ -231,7 +231,7 @@ func TestSubmitRefusesKnownIDs(t *testing.T) {
 		}
 		return nil
 	})
-	cfg := Config{Workers: 2, Shards: 1, Runner: runner}
+	cfg := Config{Workers: 2, Runner: runner}
 	svc, err := OpenRecovered(r, journalPath, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -70,7 +70,7 @@ func virtualRun(t *testing.T) virtualResult {
 	runner, parked := parkingRunner(m)
 	pol := sched.Default()
 	pol.UrgencyHorizon = 20 * time.Millisecond
-	s := NewService(wakeRepo(2), Config{Workers: 3, Shards: 1, Sched: pol, Clock: m, Runner: runner})
+	s := NewService(wakeRepo(2), Config{Workers: 3, Sched: pol, Clock: m, Runner: runner})
 	r := s.Repo()
 	type submission struct {
 		at             time.Duration

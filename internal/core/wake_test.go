@@ -38,7 +38,7 @@ func wakeRepo(n int) *repo.Repo {
 
 // brokenRunner fails a target's steps when one of its subtree's files reads
 // BROKEN in the build's snapshot, after a short pause on every third unit so
-// build ends interleave with the engines' ticks.
+// build ends interleave with the engine's ticks.
 func brokenRunner() buildsys.StepRunner {
 	var units atomic.Int64
 	return buildsys.RunnerFunc(func(_ context.Context, _ change.BuildStep, target string, snap repo.Snapshot) error {
@@ -97,7 +97,7 @@ func TestBuildEndWakesEngine(t *testing.T) {
 		cs = append(cs, mkChange(r, fmt.Sprintf("chain%d", i), "s0/"+f, "chain v1"))
 	}
 	cs = append(cs, mkChange(r, "broken", "s1/a.go", "BROKEN"))
-	s := NewService(r, Config{Shards: 4, Runner: brokenRunner()})
+	s := NewService(r, Config{Runner: brokenRunner()})
 	var ids []change.ID
 	for _, c := range cs {
 		if err := s.Submit(c); err != nil {
@@ -121,13 +121,13 @@ func TestBuildEndWakesEngine(t *testing.T) {
 // fallback poll is an hour). Each wave submits a four-change chain per
 // subtree — one wave's chain holds a broken change, so builds that assumed it
 // commits die and those that assumed it fails become decisive — plus one
-// independent change per spare subtree, over two engines that speculate four
+// independent change per spare subtree, on an engine that speculates four
 // builds deep. A lost wakeup leaves a change pending for the hour and fails
 // the wave. `make race-wake` runs it under -race, 20 times.
 func TestWakeStressNoLostWakeup(t *testing.T) {
 	const subtrees, chains, waves = 8, 4, 3
 	r := wakeRepo(subtrees)
-	s := NewService(r, Config{Workers: 8, Shards: 2, Runner: brokenRunner()})
+	s := NewService(r, Config{Workers: 8, Runner: brokenRunner()})
 	for w := 0; w < waves; w++ {
 		var ids []change.ID
 		for i := 0; i < subtrees; i++ {
@@ -186,7 +186,7 @@ func TestIdleSubmitDecidesWithoutPoll(t *testing.T) {
 // or the coordinator, so for half a second neither ticks nor partitions.
 func TestIdleEngineDoesNotTick(t *testing.T) {
 	r := wakeRepo(1)
-	s := NewService(r, Config{Shards: 2})
+	s := NewService(r, Config{})
 	s.Start()
 	defer s.Stop()
 	c := mkChange(r, "once", "s0/a.go", "once v1")
@@ -213,8 +213,8 @@ func TestIdleEngineDoesNotTick(t *testing.T) {
 	}
 }
 
-// quietPlans waits until the engines have computed more than after plans,
-// have stopped ticking, and leave armed timers armed on m. It returns the
+// quietPlans waits until the engine has computed more than after plans,
+// has stopped ticking, and leaves armed timers armed on m. It returns the
 // plans computed and the engine ticks so far.
 func quietPlans(t *testing.T, s *Service, m *clock.Manual, what string, after, armed int) (plans, ticks int) {
 	t.Helper()

@@ -41,11 +41,9 @@ const (
 	TypeBuildRetried     Type = "build-retried"
 	TypeRejectionAverted Type = "rejection-averted"
 
-	// Shard-layer events (DESIGN.md §4h): the commit arbiter advanced the
-	// mainline head, and the coordinator moved changes between planner
-	// shards after a partition epoch.
-	TypeHeadAdvanced    Type = "head-advanced"
-	TypeShardRebalanced Type = "shard-rebalanced"
+	// Shard-layer event (DESIGN.md §4h): the commit arbiter advanced the
+	// mainline head.
+	TypeHeadAdvanced Type = "head-advanced"
 )
 
 // Event is one lifecycle occurrence.

@@ -36,7 +36,7 @@ func loadtestRunner(buildDelay time.Duration, brokenPaths []string) buildsys.Ste
 }
 
 // loadtestPath maps submission i to its file: slot i/subtrees in subtree
-// i%subtrees, matching shardRepo's declared targets.
+// i%subtrees, matching subtreeRepo's declared targets.
 func loadtestPath(i, subtrees int) string {
 	return fmt.Sprintf("sub%03d/f%d.go", i%subtrees, i/subtrees)
 }
@@ -124,9 +124,8 @@ func Loadtest(o Options) *Report {
 	client := loadgen.SharedClient(256)
 
 	// --- Phase 1: sustained throughput on the hot serving path.
-	sus, err := api.OpenStack(shardRepo(subtrees, slots), api.StackConfig{
-		Core: core.Config{Workers: 16, Shards: 8,
-			Runner: loadtestRunner(0, brokenPaths)},
+	sus, err := api.OpenStack(subtreeRepo(subtrees, slots), api.StackConfig{
+		Core: core.Config{Workers: 16, Runner: loadtestRunner(0, brokenPaths)},
 		Addr: "127.0.0.1:0", AdmissionCap: 50000, StatusRefresh: 50 * time.Millisecond,
 	})
 	//lint:ignore tainttime load test drives a live stack on real time by design
@@ -175,11 +174,10 @@ func Loadtest(o Options) *Report {
 	r.Metrics["events_dropped"] = float64(busStats.Dropped)
 
 	// --- Phase 2: overload. Slow builds, small queue, double the rate.
-	// Four workers, one engine, slow builds: the decision rate sits far below
+	// Four workers, slow builds: the decision rate sits far below
 	// the offered rate, so the queue actually fills and backpressure engages.
-	over, err := api.OpenStack(shardRepo(subtrees, slots), api.StackConfig{
-		Core: core.Config{Workers: 4, Shards: 1,
-			Runner: loadtestRunner(overDelay, brokenPaths)},
+	over, err := api.OpenStack(subtreeRepo(subtrees, slots), api.StackConfig{
+		Core: core.Config{Workers: 4, Runner: loadtestRunner(overDelay, brokenPaths)},
 		Addr: "127.0.0.1:0", AdmissionCap: overCap, StatusRefresh: 50 * time.Millisecond,
 	})
 	//lint:ignore tainttime load test drives a live stack on real time by design
@@ -230,4 +228,22 @@ func Loadtest(o Options) *Report {
 		overRes.StatusShed, overDrainSecs, overDec.Committed, overDec.Rejected, overDec.Undecided,
 		greenSus+greenOver)
 	return r
+}
+
+// subtreeRepo builds a monorepo with many independent target subtrees. Every
+// target declares slot files that do not exist yet, so creates within a
+// subtree conflict at the target level (they chain) while different subtrees
+// stay independent conflict-graph components.
+func subtreeRepo(subtrees, slots int) *repo.Repo {
+	srcs := "lib.go"
+	for s := 0; s < slots; s++ {
+		srcs += fmt.Sprintf(",f%d.go", s)
+	}
+	files := map[string]string{}
+	for i := 0; i < subtrees; i++ {
+		dir := fmt.Sprintf("sub%03d", i)
+		files[dir+"/BUILD"] = "target t srcs=" + srcs
+		files[dir+"/lib.go"] = "lib v1"
+	}
+	return repo.New(files)
 }

@@ -232,8 +232,8 @@ func TestDefaultPolicyCoversReliability(t *testing.T) {
 	}
 }
 
-// TestDefaultPolicyCoversShardScaleOut pins the sharded scale-out packages
-// into every determinism policy: the coordinator's partition and the
+// TestDefaultPolicyCoversShardScaleOut pins the shard runtime and arbiter
+// packages into every determinism policy: the coordinator's partition and the
 // arbiter's total commit order must replay bit-for-bit (the golden trace
 // test depends on it), so wallclock/seedrand/maporder all apply, plus the
 // repo-wide locksend/errdrop catch-alls.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path"
 	"reflect"
-	"sort"
 	"strings"
 	"time"
 	"unicode"
@@ -45,8 +44,7 @@ var durationType = reflect.TypeOf(time.Duration(0))
 // prefix is the struct's type name without its "Stats" suffix, or its
 // package's name when that leaves nothing (conflict.Stats → conflict_…,
 // api.AdmissionStats → admission_…). Integer and float fields render as they
-// are; time.Duration fields render in seconds with an "_s" suffix; a map
-// field renders one gauge per key, sorted by key, named <field>_<key>; a
+// are; time.Duration fields render in seconds with an "_s" suffix; a
 // struct field renders its own fields under <field>_. Any other field kind
 // panics: it is a Stats type the registry does not know how to read.
 func Render(stats ...any) Gauges {
@@ -79,56 +77,8 @@ func appendGauges(g Gauges, name string, v reflect.Value) Gauges {
 			}
 		}
 		return g
-	case v.Kind() == reflect.Map:
-		keys := v.MapKeys()
-		sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-		for _, k := range keys {
-			g = appendGauges(g, name+"_"+keyName(k), v.MapIndex(k))
-		}
-		return g
 	}
 	panic(fmt.Sprintf("metrics: cannot render %s field %s", v.Type(), name))
-}
-
-// Sum returns the field-wise sum of two values of one Stats struct type, the
-// way Render reads them: numeric and duration fields add, map fields merge
-// key by key and struct fields sum recursively. Neither argument is
-// modified. The shard runtime sums its engines' planner counters with it.
-func Sum[T any](a, b T) T {
-	var out T
-	sumInto(reflect.ValueOf(&out).Elem(), reflect.ValueOf(a), reflect.ValueOf(b))
-	return out
-}
-
-func sumInto(dst, a, b reflect.Value) {
-	switch {
-	case a.CanInt():
-		dst.SetInt(a.Int() + b.Int())
-	case a.CanFloat():
-		dst.SetFloat(a.Float() + b.Float())
-	case a.Kind() == reflect.Struct:
-		for i := 0; i < a.NumField(); i++ {
-			if a.Type().Field(i).IsExported() {
-				sumInto(dst.Field(i), a.Field(i), b.Field(i))
-			}
-		}
-	case a.Kind() == reflect.Map:
-		m := reflect.MakeMapWithSize(a.Type(), a.Len()+b.Len())
-		for _, src := range []reflect.Value{a, b} {
-			for it := src.MapRange(); it.Next(); {
-				sum := reflect.New(a.Type().Elem()).Elem()
-				if cur := m.MapIndex(it.Key()); cur.IsValid() {
-					sumInto(sum, cur, it.Value())
-				} else {
-					sum.Set(it.Value())
-				}
-				m.SetMapIndex(it.Key(), sum)
-			}
-		}
-		dst.Set(m)
-	default:
-		panic(fmt.Sprintf("metrics: cannot sum a %s field", a.Type()))
-	}
 }
 
 // snakeCase turns a Go identifier into snake case: CrossShardRebuilds →
@@ -149,25 +99,4 @@ func snakeCase(s string) string {
 		b.WriteRune(r)
 	}
 	return b.String()
-}
-
-// keyName renders a map key as a name segment: its printed form, lower case,
-// with anything but letters and digits turned into '_' (unit-test →
-// unit_test).
-func keyName(k reflect.Value) string {
-	return strings.Map(func(r rune) rune {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			return unicode.ToLower(r)
-		}
-		return '_'
-	}, fmt.Sprint(k.Interface()))
-}
-
-// keyLess orders map keys by value: integers numerically, everything else by
-// its printed form.
-func keyLess(a, b reflect.Value) bool {
-	if a.CanInt() {
-		return a.Int() < b.Int()
-	}
-	return fmt.Sprint(a.Interface()) < fmt.Sprint(b.Interface())
 }

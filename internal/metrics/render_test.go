@@ -22,21 +22,19 @@ import (
 
 var wordStart = regexp.MustCompile(`([a-z0-9])([A-Z])`)
 
-// statsRow is one Stats type under test: its gauge prefix, its type, and Sum
-// of a value with itself.
+// statsRow is one Stats type under test: its gauge prefix and its type.
 type statsRow struct {
 	prefix string
 	typ    reflect.Type
-	double func(any) any
 }
 
 func row[T any](prefix string) statsRow {
-	return statsRow{prefix, reflect.TypeOf(*new(T)), func(x any) any { return metrics.Sum(x.(T), x.(T)) }}
+	return statsRow{prefix, reflect.TypeOf(*new(T))}
 }
 
 // fill sets every exported leaf of v to a distinct value — *n, counting up —
-// and records the gauge name and value each one must render as. A map field
-// gets a single entry under key 2; a duration holds *n seconds.
+// and records the gauge name and value each one must render as. A duration
+// holds *n seconds.
 func fill(v reflect.Value, name string, n *int, want map[string]float64) {
 	switch {
 	case v.Type() == reflect.TypeOf(time.Duration(0)):
@@ -56,13 +54,6 @@ func fill(v reflect.Value, name string, n *int, want map[string]float64) {
 			field := strings.ToLower(wordStart.ReplaceAllString(v.Type().Field(i).Name, "${1}_${2}"))
 			fill(v.Field(i), name+"_"+field, n, want)
 		}
-	case v.Kind() == reflect.Map:
-		key := reflect.New(v.Type().Key()).Elem()
-		key.SetInt(2)
-		elem := reflect.New(v.Type().Elem()).Elem()
-		fill(elem, name+"_"+strings.ReplaceAll(fmt.Sprint(key.Interface()), "-", "_"), n, want)
-		v.Set(reflect.MakeMap(v.Type()))
-		v.SetMapIndex(key, elem)
 	default:
 		panic(fmt.Sprintf("fill: extend for %s (%s)", v.Type(), name))
 	}
@@ -70,9 +61,8 @@ func fill(v reflect.Value, name string, n *int, want map[string]float64) {
 
 // TestRenderAndSumCoverEveryField: for every Stats type the service reads,
 // every exported field renders exactly once under <prefix>_<snake_case(field)>
-// with its own value, and Sum of two copies doubles every field — so a
-// counter added to a struct can neither go missing from /status nor read
-// zero on a sharded service.
+// with its own value, so a counter added to a struct cannot go missing from
+// /status. (Its name predates the deletion of the Stats summing helper.)
 func TestRenderAndSumCoverEveryField(t *testing.T) {
 	for _, tc := range []statsRow{
 		row[buildsys.Stats]("buildsys"),
@@ -110,34 +100,19 @@ func TestRenderAndSumCoverEveryField(t *testing.T) {
 					t.Errorf("%s not rendered", name)
 				}
 			}
-
-			doubled := metrics.Render(tc.double(in))
-			if len(doubled) != len(got) {
-				t.Fatalf("Sum renders %d gauges, want %d", len(doubled), len(got))
-			}
-			for i, g := range doubled {
-				if g.Name != got[i].Name || g.Value != 2*got[i].Value {
-					t.Errorf("Sum: %s = %v, want %s = %v", g.Name, g.Value, got[i].Name, 2*got[i].Value)
-				}
-			}
 		})
 	}
 }
 
-// TestRenderNames pins the naming rule on concrete fields: field order, map
-// keys in numeric order, durations in seconds, nested lanes, and Sum leaving
-// its arguments' maps alone.
+// TestRenderNames pins the naming rule on concrete fields: field order,
+// durations in seconds and nested lanes.
 func TestRenderNames(t *testing.T) {
-	a := arbiter.Stats{Commits: 3, CommitsByShard: map[int]int{10: 1, 2: 1, 0: 1}}
+	a := arbiter.Stats{Commits: 3, CrossShardRejects: 1}
 	got := metrics.Render(a).String()
-	want := "arbiter_commits=3 arbiter_commit_failures=0 arbiter_cross_shard_checks=0 arbiter_cross_shard_rejects=0 " +
-		"arbiter_max_queue_depth=0 arbiter_hotfix_yields=0 " +
-		"arbiter_commits_by_shard_0=1 arbiter_commits_by_shard_2=1 arbiter_commits_by_shard_10=1"
+	want := "arbiter_commits=3 arbiter_commit_failures=0 arbiter_cross_shard_checks=0 arbiter_cross_shard_rejects=1 " +
+		"arbiter_max_queue_depth=0"
 	if got != want {
 		t.Errorf("Render(arbiter.Stats) =\n%s\nwant\n%s", got, want)
-	}
-	if sum := metrics.Sum(a, arbiter.Stats{CommitsByShard: map[int]int{2: 4}}); sum.CommitsByShard[2] != 5 || a.CommitsByShard[2] != 1 {
-		t.Errorf("Sum CommitsByShard = %v, argument now %v", sum.CommitsByShard, a.CommitsByShard)
 	}
 
 	g := metrics.Render(

@@ -52,26 +52,23 @@ var ErrStopped = errors.New("planner: stopped")
 
 // ErrCrossShardConflict is returned by a Committer when re-validation against
 // commits that landed after the decisive build's base fails: one the build
-// did not merge, from any engine, touches its footprint. The planner reacts
-// by dropping the decisive build so reconcile schedules a fresh one against
-// the new head — the change is rebuilt, not rejected.
+// did not merge touches its footprint. The planner reacts by dropping the
+// decisive build so reconcile schedules a fresh one against the new head —
+// the change is rebuilt, not rejected.
 var ErrCrossShardConflict = errors.New("planner: cross-shard conflict at commit")
 
 // ConflictSource supplies the conflict graph the planner plans over. In the
-// service every planner engine receives a shard-coordinator-fed view scoped to
-// its component group, so concurrent engines never contend on one
-// incremental graph memo; standalone planners (tests, probes) pass a
-// *conflict.Analyzer directly.
+// service the engine receives a view of the shard coordinator's cached
+// global graph; standalone planners (tests, probes) pass a *conflict.Analyzer
+// directly.
 type ConflictSource interface {
 	BuildGraph(pending []*change.Change) (*conflict.Graph, map[change.ID]error)
 }
 
 // CommitProposal describes a commit-ready change a planner wants to land:
 // the decisive build's base, everything the build merged, and the footprint
-// a commit arbiter needs for cross-shard re-validation (DESIGN.md §4h).
+// a commit arbiter needs for its Eq. 6 re-validation (DESIGN.md §4h).
 type CommitProposal struct {
-	// Shard identifies the proposing planner engine (stats and events).
-	Shard int
 	// Change is the subject whose decisive build passed.
 	Change *change.Change
 	// BaseLen is the repo mainline length at the decisive build's base; any
@@ -87,12 +84,9 @@ type CommitProposal struct {
 	Paths []string
 	// Now is the commit timestamp, read from the planner's clock.
 	Now time.Time
-	// Class is the subject's scheduling lane; the commit arbiter lets
-	// hotfix-lane proposals overtake waiting lower-lane proposals.
-	Class change.Class
 }
 
-// Committer owns head advancement. In the service every engine routes
+// Committer owns head advancement. In the service the engine routes
 // proposals through the serialized commit arbiter, which re-validates every
 // commit since the decisive build's base by Eq. 6 and applies commits in a
 // deterministic total order; a standalone planner with Config.Committer nil
@@ -133,18 +127,14 @@ type Config struct {
 	Reliability *reliability.Reliability
 	// Committer, when non-nil, owns head advancement: decide proposes
 	// commit-ready changes instead of calling repo.CommitPatch directly. The
-	// shard runtime points every engine at the shared commit arbiter.
+	// shard runtime points its engine at the commit arbiter.
 	Committer Committer
-	// ShardID identifies this planner engine among the shard runtime's
-	// engines (proposal attribution).
-	ShardID int
 	// Sched, when non-nil, enables priority-lane scheduling (DESIGN.md §4l):
 	// each pending change's class/deadline weight multiplies its value in
 	// the speculation request, the P0 lane is exempt from the engine's
 	// SkipThreshold gating, and a pending hotfix overrides PreemptionGrace
 	// for non-hotfix running builds. Nil planners behave exactly as before
-	// the sched layer existed. The shard runtime clones one policy per
-	// engine.
+	// the sched layer existed.
 	Sched *sched.Policy
 }
 
@@ -269,7 +259,7 @@ func (p *Planner) count(f func(*Stats)) {
 }
 
 // DrainOutcomes appends the dispositions decided since the last drain to dst,
-// in decision order, and forgets them. The shard coordinator drains every
+// in decision order, and forgets them. The shard coordinator drains the
 // engine each partition epoch and hands the decisions to the service's
 // publisher; a drain with nothing decided appends nothing and allocates
 // nothing.
@@ -708,14 +698,12 @@ func (p *Planner) decide(ctx context.Context) (int, *conflict.Graph, error) {
 			continue
 		}
 		prop := CommitProposal{
-			Shard:   p.cfg.ShardID,
 			Change:  c,
 			BaseLen: match.baseLen,
 			Applied: match.build.Changes,
 			Targets: targetNames(match.req.Targets),
 			Paths:   c.Patch.Paths(),
 			Now:     p.now(),
-			Class:   c.Class,
 		}
 		res := match.result
 		if !res.OK {
@@ -858,12 +846,8 @@ func (p *Planner) verifySuspect(ctx context.Context, fb *trackedBuild) bool {
 }
 
 // resolve finalizes a change's fate as an Outcome; it never writes the
-// change's State/Reason and announces nothing — a rebalance can briefly
-// assign one change to two engines, so the service publishes the one winning
-// decision once it is durable. The outcome is recorded even if the change has already
-// left this planner's queue: the coordinator may move a change between
-// engines while a decision is in flight, and dropping the outcome here would
-// lose the decision entirely.
+// change's State/Reason and announces nothing — the service publishes the
+// decision once it is durable.
 func (p *Planner) resolve(c *change.Change, st change.State, reason string, commit repo.CommitID) {
 	if c == nil {
 		return

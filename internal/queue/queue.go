@@ -1,8 +1,7 @@
 // Package queue provides the pending-change queue of §3.2: a FIFO keyed by
 // change ID that preserves the global submission order serializability is
-// defined over. The service keeps one as its intake and one per planner
-// engine; spreading work across engines (the paper's Apache Helix sharding,
-// §7.1) is the shard runtime's job, not the queue's.
+// defined over. The service keeps one as its intake and one as the planner
+// engine's pending set.
 package queue
 
 import (
@@ -60,29 +59,6 @@ func (q *Queue) Enqueue(c *change.Change) error {
 	return nil
 }
 
-// EnqueueSeq adds a change under an explicit global submission sequence
-// number. The shard layer uses it when moving a change between per-shard
-// sub-queues: the change keeps the sequence its original submission assigned,
-// so submission order — the order serializability is defined over — survives
-// rebalancing.
-func (q *Queue) EnqueueSeq(c *change.Change, seq uint64) error {
-	if err := c.Validate(); err != nil {
-		return fmt.Errorf("queue: %w", err)
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if _, ok := q.entries[c.ID]; ok {
-		return fmt.Errorf("%w: %s", ErrDuplicate, c.ID)
-	}
-	e := &entry{c: c, seq: seq}
-	q.entries[c.ID] = e
-	q.order = slices.Insert(q.order, q.at(seq), e)
-	if seq >= q.nextSeq {
-		q.nextSeq = seq + 1
-	}
-	return nil
-}
-
 // at returns the position of the first live entry whose seq is not below
 // seq. Callers hold q.mu.
 func (q *Queue) at(seq uint64) int {
@@ -100,9 +76,6 @@ func (q *Queue) Remove(id change.ID) error {
 	}
 	delete(q.entries, id)
 	i := q.at(e.seq)
-	for q.order[i] != e { // entries sharing a seq sit side by side
-		i++
-	}
 	q.order = slices.Delete(q.order, i, i+1)
 	return nil
 }
@@ -155,15 +128,4 @@ func (q *Queue) appendLocked(dst []*change.Change) []*change.Change {
 		dst = append(dst, e.c)
 	}
 	return dst
-}
-
-// Seq returns the global submission sequence number of a change.
-func (q *Queue) Seq(id change.ID) (uint64, error) {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	e, ok := q.entries[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return e.seq, nil
 }

@@ -81,9 +81,17 @@ func TestRemoveGetContains(t *testing.T) {
 	if _, err := q.Get("c1"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get removed err = %v", err)
 	}
-	if _, err := q.Seq("c1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Seq removed err = %v", err)
+}
+
+// seqOf reads the sequence number of a live entry.
+func seqOf(q *Queue, id change.ID) (uint64, bool) {
+	q.mu.RLock()
+	defer q.mu.RUnlock()
+	e, ok := q.entries[id]
+	if !ok {
+		return 0, false
 	}
+	return e.seq, true
 }
 
 func TestSeqMonotone(t *testing.T) {
@@ -94,9 +102,9 @@ func TestSeqMonotone(t *testing.T) {
 		if err := q.Enqueue(mk(id)); err != nil {
 			t.Fatal(err)
 		}
-		s, err := q.Seq(change.ID(id))
-		if err != nil {
-			t.Fatal(err)
+		s, ok := seqOf(q, change.ID(id))
+		if !ok {
+			t.Fatalf("%s not enqueued", id)
 		}
 		if i > 0 && s <= prev {
 			t.Fatalf("seq not monotone: %d after %d", s, prev)
@@ -135,7 +143,7 @@ func TestConcurrentAccess(t *testing.T) {
 	pend := q.Pending()
 	var prev uint64
 	for i, c := range pend {
-		s, _ := q.Seq(c.ID)
+		s, _ := seqOf(q, c.ID)
 		if i > 0 && s <= prev {
 			t.Fatal("global order broken")
 		}
@@ -143,58 +151,7 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestEnqueueSeqPreservesOrder: re-homing a change under its original
-// sequence keeps the global submission order, and the sequence counter never
-// moves backwards.
-func TestEnqueueSeqPreservesOrder(t *testing.T) {
-	src := New(1)
-	for _, id := range []string{"c1", "c2", "c3"} {
-		if err := src.Enqueue(mk(id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dst := New(1)
-	// Move c3 first, then c1: insertion order must not matter.
-	for _, id := range []string{"c3", "c1", "c2"} {
-		c, err := src.Get(change.ID(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := src.Seq(change.ID(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := src.Remove(change.ID(id)); err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.EnqueueSeq(c, seq); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := dst.Pending()
-	want := []string{"c1", "c2", "c3"}
-	for i, c := range got {
-		if string(c.ID) != want[i] {
-			t.Fatalf("order[%d] = %s, want %s", i, c.ID, want[i])
-		}
-	}
-	// New plain enqueues continue after the highest re-homed sequence.
-	if err := dst.Enqueue(mk("c4")); err != nil {
-		t.Fatal(err)
-	}
-	s3, _ := dst.Seq("c3")
-	s4, _ := dst.Seq("c4")
-	if s4 <= s3 {
-		t.Fatalf("seq regressed: c4=%d <= c3=%d", s4, s3)
-	}
-	// Duplicates and invalid changes are rejected.
-	if err := dst.EnqueueSeq(mk("c4"), 99); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("duplicate EnqueueSeq: %v", err)
-	}
-}
-
-// TestPendingMatchesSortedReference drives random Enqueue, EnqueueSeq (into
-// the middle, past the end, and into the gap a Remove left) and Remove
+// TestPendingMatchesSortedReference drives random Enqueue and Remove
 // sequences and compares Pending after every operation with the live set
 // sorted by sequence number, and AppendPending into a reused slice with
 // Pending.
@@ -208,28 +165,15 @@ func TestPendingMatchesSortedReference(t *testing.T) {
 		next := 0
 		for op := 0; op < 200; op++ {
 			switch r := rng.Intn(10); {
-			case r < 3:
+			case r < 6:
 				id := change.ID(fmt.Sprintf("e%d", next))
 				next++
 				if err := q.Enqueue(mk(string(id))); err != nil {
 					t.Fatal(err)
 				}
-				seq, err := q.Seq(id)
-				if err != nil || used[seq] {
-					t.Fatalf("trial %d: Enqueue gave seq %d (err %v), already used: %v", trial, seq, err, used[seq])
-				}
-				live[id], used[seq] = seq, true
-			case r < 6:
-				// Any unused sequence number: below, between or above the
-				// live ones, including one a removed change held.
-				seq := uint64(rng.Intn(3 * (next + 4)))
-				if used[seq] {
-					continue
-				}
-				id := change.ID(fmt.Sprintf("s%d", next))
-				next++
-				if err := q.EnqueueSeq(mk(string(id)), seq); err != nil {
-					t.Fatal(err)
+				seq, ok := seqOf(q, id)
+				if !ok || used[seq] {
+					t.Fatalf("trial %d: Enqueue gave seq %d (present %v), already used: %v", trial, seq, ok, used[seq])
 				}
 				live[id], used[seq] = seq, true
 			default:
@@ -245,8 +189,7 @@ func TestPendingMatchesSortedReference(t *testing.T) {
 				if err := q.Remove(id); err != nil {
 					t.Fatal(err)
 				}
-				used[live[id]] = rng.Intn(2) == 0 // half the freed seqs become reusable
-				delete(live, id)
+				delete(live, id) // its seq stays used: Enqueue never hands it out again
 			}
 			want := make([]change.ID, 0, len(live))
 			for id := range live {

@@ -119,8 +119,8 @@ func TestApplyErrors(t *testing.T) {
 // TestCheckMatchesMerged pins the dry-run Check to Merged: for every outcome
 // class — clean sequences, each failure kind, intra-sequence effects — Check
 // must agree with the materializing path on both success and the exact error
-// string, since the sharded planner relies on Check to reproduce analyzer
-// rejection reasons verbatim.
+// string, since the planner's engine view relies on Check to reproduce
+// analyzer rejection reasons verbatim.
 func TestCheckMatchesMerged(t *testing.T) {
 	r := newTestRepo()
 	s := r.Head().Snapshot()

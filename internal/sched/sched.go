@@ -62,17 +62,6 @@ func Default() *Policy {
 	}
 }
 
-// Clone returns an independent copy, one per shard engine: policies are
-// value-semantics today, but per-shard instances keep any future
-// per-instance state (adaptive weights, caches) from being shared.
-func (p *Policy) Clone() *Policy {
-	if p == nil {
-		return nil
-	}
-	cp := *p
-	return &cp
-}
-
 // ClassWeight returns the class component of a change's weight.
 func (p *Policy) ClassWeight(c change.Class) float64 {
 	switch c {

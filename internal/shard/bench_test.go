@@ -17,10 +17,10 @@ import (
 )
 
 // benchRuntime builds a runtime over a many-subtree monorepo with n pending
-// changes already adopted and partitioned across 8 engines.
+// changes already adopted.
 func benchRuntime(b *testing.B, n, subtrees int) *Runtime {
 	b.Helper()
-	rt, intake := newRuntime(subtrees, (n+subtrees-1)/subtrees, 8)
+	rt, intake := newRuntime(subtrees, (n+subtrees-1)/subtrees)
 	for i := 0; i < n; i++ {
 		c := &change.Change{
 			ID: change.ID(fmt.Sprintf("c%04d", i)),
@@ -39,11 +39,10 @@ func benchRuntime(b *testing.B, n, subtrees int) *Runtime {
 	return rt
 }
 
-// newRuntime builds a runtime with the given number of engines over a
-// monorepo of subtrees sub000, sub001, …, each one target over lib.go and
-// slot files f0.go…f{slots-1}.go that do not exist yet, and returns it with
-// its intake queue. Builds pass at once.
-func newRuntime(subtrees, slots, engines int) (*Runtime, *queue.Queue) {
+// newRuntime builds a runtime over a monorepo of subtrees sub000, sub001, …,
+// each one target over lib.go and slot files f0.go…f{slots-1}.go that do
+// not exist yet, and returns it with its intake queue. Builds pass at once.
+func newRuntime(subtrees, slots int) (*Runtime, *queue.Queue) {
 	srcs := "lib.go"
 	for s := 0; s < slots; s++ {
 		srcs += fmt.Sprintf(",f%d.go", s)
@@ -62,7 +61,6 @@ func newRuntime(subtrees, slots, engines int) (*Runtime, *queue.Queue) {
 		return nil
 	})
 	rt := New(rp, intake, an, arb, buildsys.NewController(4, runner), Config{
-		Shards:  engines,
 		Planner: planner.Config{Budget: 16},
 		Spec: func() *speculation.Engine {
 			return speculation.New(predict.Static{Success: 0.9, Conflict: 0.05})
@@ -71,9 +69,8 @@ func newRuntime(subtrees, slots, engines int) (*Runtime, *queue.Queue) {
 	return rt, intake
 }
 
-// BenchmarkHeavyPartition measures one full coordinator epoch — global
-// conflict graph, connected components, rendezvous assignment — over 256
-// pending changes in 64 subtrees.
+// BenchmarkHeavyPartition measures one full coordinator epoch — the global
+// conflict graph — over 256 pending changes in 64 subtrees.
 func BenchmarkHeavyPartition(b *testing.B) {
 	rt := benchRuntime(b, 256, 64)
 	b.ResetTimer()
@@ -95,23 +92,12 @@ func BenchmarkLightPartition(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineViewBuildGraph measures one engine's conflict source: the
-// live applicability check plus the induced O(k²) subgraph over its own
-// component group (k = 32), versus the global O(n²) one engine pays.
+// BenchmarkEngineViewBuildGraph measures the engine's conflict source: the
+// live applicability check plus the induced subgraph over the 256 pending
+// changes.
 func BenchmarkEngineViewBuildGraph(b *testing.B) {
 	rt := benchRuntime(b, 256, 64)
-	rt.mu.Lock()
-	var pending []*change.Change
-	for _, m := range rt.members {
-		//lint:ignore maporder pending is a benchmark sample, order-insensitive
-		if m.shard == 0 {
-			pending = append(pending, m.c)
-		}
-	}
-	rt.mu.Unlock()
-	if len(pending) == 0 {
-		b.Fatal("no members on shard 0")
-	}
+	pending := rt.queue.Pending()
 	view := &engineView{rt: rt}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

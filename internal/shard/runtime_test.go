@@ -80,11 +80,11 @@ func outcomeSets(outs []planner.Outcome) (committed, rejected map[change.ID]bool
 	return committed, rejected
 }
 
-// TestShardedCommitsAll drives a multi-subtree workload through four planner
-// shards and checks every change lands with its content at head.
+// TestShardedCommitsAll drives a multi-subtree workload through the shard
+// runtime and checks every change lands with its content at head.
 func TestShardedCommitsAll(t *testing.T) {
 	r := multiRepo(8)
-	s := core.NewService(r, core.Config{Workers: 8, Shards: 4, Clock: fakeClock()})
+	s := core.NewService(r, core.Config{Workers: 8, Clock: fakeClock()})
 	n := 24
 	for i := 0; i < n; i++ {
 		// Each change creates a distinct slot file in its subtree:
@@ -119,88 +119,16 @@ func TestShardedCommitsAll(t *testing.T) {
 	if got := s.ArbiterStats().Commits; got != n {
 		t.Fatalf("arbiter commits = %d, want %d", got, n)
 	}
-	if ss := s.ShardStats(); ss.Partitions == 0 || ss.Components == 0 {
+	if ss := s.ShardStats(); ss.Partitions == 0 || ss.HeavyPartitions == 0 || ss.Members != 0 {
 		t.Fatalf("shard stats not populated: %+v", ss)
 	}
 }
 
-// TestShardedMatchesSinglePlanner runs the same deterministic workload
-// through 4 and 8 shards and requires the committed/rejected sets and the
-// head snapshot of the one-engine run (Shards: 1).
-func TestShardedMatchesSinglePlanner(t *testing.T) {
-	type result struct {
-		committed, rejected map[change.ID]bool
-		files               map[string]string
-	}
-	run := func(shards int) result {
-		r := multiRepo(6)
-		s := core.NewService(r, core.Config{
-			Workers: 8, Shards: shards,
-			Runner: brokenRunner(), Clock: fakeClock(),
-		})
-		for i := 0; i < 30; i++ {
-			content := fmt.Sprintf("content %d", i)
-			if i%10 == 7 {
-				content = "BROKEN " + content
-			}
-			path := fmt.Sprintf("component%02d/f%d.go", i%6, i/6)
-			if i%15 == 4 {
-				// Deliberate duplicate-create collision with an earlier
-				// change's file: exactly one of the two lands.
-				path = fmt.Sprintf("component%02d/f%d.go", (i-1)%6, (i-1)/6)
-			}
-			c := modChange(r, fmt.Sprintf("c%03d", i), path, content)
-			if err := s.Submit(c); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.ProcessAll(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		committed, rejected := outcomeSets(s.Outcomes())
-		files := map[string]string{}
-		snap := r.Head().Snapshot()
-		for _, p := range snap.Paths() {
-			content, _ := snap.Read(p)
-			files[p] = content
-		}
-		return result{committed: committed, rejected: rejected, files: files}
-	}
-	base := run(1)
-	for _, shards := range []int{4, 8} {
-		got := run(shards)
-		if len(got.committed) != len(base.committed) || len(got.rejected) != len(base.rejected) {
-			t.Fatalf("shards=%d: %d committed / %d rejected, want %d / %d",
-				shards, len(got.committed), len(got.rejected), len(base.committed), len(base.rejected))
-		}
-		for id := range base.committed {
-			if !got.committed[id] {
-				t.Fatalf("shards=%d: %s not committed", shards, id)
-			}
-		}
-		for id := range base.rejected {
-			if !got.rejected[id] {
-				t.Fatalf("shards=%d: %s not rejected", shards, id)
-			}
-		}
-		for p, want := range base.files {
-			if got.files[p] != want {
-				t.Fatalf("shards=%d: head file %s = %q, want %q", shards, p, got.files[p], want)
-			}
-		}
-		for p, content := range got.files {
-			if strings.Contains(content, "BROKEN") {
-				t.Fatalf("shards=%d: green violation: %s broken at head", shards, p)
-			}
-		}
-	}
-}
-
 // TestShardedSameSubtreeChains checks that conflicting same-component changes
-// serialize correctly inside one shard: each builds on the previous commit.
+// serialize correctly: each builds on the previous commit.
 func TestShardedSameSubtreeChains(t *testing.T) {
 	r := multiRepo(2)
-	s := core.NewService(r, core.Config{Workers: 4, Shards: 4, Clock: fakeClock()})
+	s := core.NewService(r, core.Config{Workers: 4, Clock: fakeClock()})
 	// All five changes create distinct slot files under one subtree's target
 	// dir; they share the comp target, so they form one conflict component.
 	for i := 0; i < 5; i++ {

@@ -1,45 +1,29 @@
 package shard
 
-import (
-	"mastergreen/internal/metrics"
-	"mastergreen/internal/planner"
-)
+import "mastergreen/internal/planner"
 
 // Stats counts coordinator work so the partition layer is observable: how
-// often the cheap light path sufficed, how big the component partition is,
-// and how much churn rebalancing caused.
+// often the cheap light path sufficed and how many changes the engine holds.
 type Stats struct {
-	// ShardsActive is the number of engines with a non-empty sub-queue at the
-	// last partition epoch.
-	ShardsActive int
-	// Components is the connected-component count at the last heavy partition
-	// (merge-failed changes count as singletons).
-	Components int
 	// Members is the number of adopted, undecided changes.
 	Members int
 	// Partitions counts coordinator epochs; HeavyPartitions counts the subset
-	// that recomputed the global conflict graph and the shard assignment.
+	// that recomputed the global conflict graph.
 	Partitions      int
 	HeavyPartitions int
-	// Rebalanced counts changes moved from one engine to another.
+	// Rebalanced is always 0: one engine moves no change. It stays only
+	// because bench/layers.go reads it; ROADMAP item 1 deletes it.
 	Rebalanced int
 }
 
 // Stats returns a copy of the coordinator's counters.
 func (rt *Runtime) Stats() Stats {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	s := rt.stats
-	s.Members = len(rt.members)
+	rt.mu.Unlock()
+	s.Members = rt.queue.Len()
 	return s
 }
 
-// PlannerStats sums the per-engine planner counters, so the service surfaces
-// one set of planner gauges whatever the engine count.
-func (rt *Runtime) PlannerStats() planner.Stats {
-	var sum planner.Stats
-	for _, e := range rt.engines {
-		sum = metrics.Sum(sum, e.planner.Stats())
-	}
-	return sum
-}
+// PlannerStats returns the engine's planner counters.
+func (rt *Runtime) PlannerStats() planner.Stats { return rt.planner.Stats() }

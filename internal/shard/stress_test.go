@@ -43,20 +43,20 @@ func stressWorkload(n int) []*change.Change {
 	return out
 }
 
-// TestStressLiveSubmitEightShards races a live submitter against eight
-// concurrent shard engines and the commit arbiter (run under -race by `make
-// race`): changes arrive while earlier ones are mid-flight, engines commit
-// through the serialized arbiter, and the final state must match a one-engine
-// run of the same workload — same committed set, same head content for every
-// landed change, and a green mainline at every commit.
-func TestStressLiveSubmitEightShards(t *testing.T) {
+// TestStressLiveSubmit races a live submitter against the runtime's
+// one-goroutine Run loop and the commit arbiter (run under -race by `make
+// race`): changes arrive while earlier ones are mid-flight, and the final
+// state must match a Quiesce run (ProcessAll) of the same workload submitted
+// up front — same committed set, same head content for every landed change,
+// and a green mainline at every commit.
+func TestStressLiveSubmit(t *testing.T) {
 	n := 64
 	workload := stressWorkload(n)
 
-	// Baseline: one engine over the identical change list.
+	// Baseline: the identical change list, submitted before ProcessAll.
 	baseRepo := multiRepo(16)
 	base := core.NewService(baseRepo, core.Config{
-		Workers: 8, Shards: 1, Runner: brokenRunner(), Clock: fakeClock(),
+		Workers: 8, Runner: brokenRunner(), Clock: fakeClock(),
 	})
 	for _, c := range workload {
 		if err := base.Submit(c); err != nil {
@@ -68,12 +68,11 @@ func TestStressLiveSubmitEightShards(t *testing.T) {
 	}
 	wantCommitted, wantRejected := outcomeSets(base.Outcomes())
 
-	// Stress run: background epoch loop, live submitter feeding the intake
-	// while the engines run.
+	// Stress run: background loop, live submitter feeding the intake while
+	// the engine runs.
 	r := multiRepo(16)
 	s := core.NewService(r, core.Config{
-		Workers: 8, Shards: 8,
-		Runner: brokenRunner(), Clock: fakeClock(),
+		Workers: 8, Runner: brokenRunner(), Clock: fakeClock(),
 	})
 	s.Start()
 	done := make(chan error, 1)
@@ -84,7 +83,7 @@ func TestStressLiveSubmitEightShards(t *testing.T) {
 				return
 			}
 			if i%8 == 7 {
-				time.Sleep(time.Millisecond) // let engines overlap with arrivals
+				time.Sleep(time.Millisecond) // let the engine overlap with arrivals
 			}
 		}
 		done <- nil
@@ -157,16 +156,15 @@ func TestStressLiveSubmitEightShards(t *testing.T) {
 	}
 }
 
-// TestOneDecisionEventPerChange runs the live stress load over four engines,
-// whose partition moves changes between engines while they are decided (at
-// 1 024 changes, a moved change's stale copy is decided in every run): the
-// event feed holds exactly one decision event per decided change, and its
-// type and detail (commit ID or rejection reason) are the change's state.
+// TestOneDecisionEventPerChange runs the live stress load at 1 024 changes:
+// the event feed holds exactly one decision event per decided change, and
+// its type and detail (commit ID or rejection reason) are the change's
+// state.
 func TestOneDecisionEventPerChange(t *testing.T) {
 	const n, ring = 1024, 1 << 16
 	bus := events.NewBus(ring)
 	s := core.NewService(multiRepo(16), core.Config{
-		Workers: 8, Shards: 4, Runner: brokenRunner(), Clock: fakeClock(), Events: bus,
+		Workers: 8, Runner: brokenRunner(), Clock: fakeClock(), Events: bus,
 	})
 	s.Start()
 	for i, c := range stressWorkload(n) {
@@ -175,7 +173,7 @@ func TestOneDecisionEventPerChange(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%8 == 7 {
-			time.Sleep(time.Millisecond) // let engines overlap with arrivals
+			time.Sleep(time.Millisecond) // let the engine overlap with arrivals
 		}
 	}
 	deadline := time.Now().Add(60 * time.Second)

@@ -6,12 +6,12 @@ import (
 	"mastergreen/internal/repo"
 )
 
-// engineView is the planner.ConflictSource handed to each shard engine. It
-// answers BuildGraph from the coordinator's cached global conflict graph by
-// taking the induced subgraph over the engine's own pending set — a walk of
-// a view restricted to the members (conflict.Graph.Induced), not a copy —
-// and never touches the analyzer, so concurrent engines cannot thrash its
-// incremental memo with disjoint pending subsets.
+// engineView is the planner.ConflictSource handed to the engine. It answers
+// BuildGraph from the coordinator's cached global conflict graph by taking
+// the induced subgraph over the pending set the engine asks about — a walk
+// of a view restricted to those changes (conflict.Graph.Induced), not a
+// copy — and never touches the analyzer, whose graph a head move would
+// re-derive: the view re-checks only the patches whose paths moved.
 type engineView struct {
 	rt *Runtime
 
@@ -77,16 +77,16 @@ func (v *engineView) applies(head repo.Snapshot, c *change.Change) error {
 // a change whose patch stopped applying after a later commit must be rejected
 // with the analyzer's exact wording, matching a planner over the analyzer
 // itself decide-for-decide. Cached failures are kept only for structural analysis
-// errors, which travel with the change rather than the head. A pending
-// change the coordinator has not analyzed yet (a partition is in flight) is
-// treated conservatively: it conflicts with every other pending change, so
-// the engine serializes around it until the next heavy partition refreshes
-// the cache.
+// errors, which travel with the change rather than the head. The partition
+// that moves a change into the engine's queue analyzes it in the same
+// critical section, so the engine sees no change the cached graph lacks; if
+// one were pending it would be treated conservatively, conflicting with
+// every other pending change.
 func (v *engineView) BuildGraph(pending []*change.Change) (*conflict.Graph, map[change.ID]error) {
-	v.rt.gmu.RLock()
+	v.rt.mu.Lock()
 	g := v.rt.graph
 	failed := v.rt.failed
-	v.rt.gmu.RUnlock()
+	v.rt.mu.Unlock()
 	head := v.rt.repo.Head().Snapshot()
 
 	var failedOut map[change.ID]error
