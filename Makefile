@@ -59,12 +59,15 @@ race-graph:
 # a 1 024-change load, only 3 times). A frozen clock must wake nothing, and
 # 100 runs on a manual clock must decide identically and start the pinned
 # number of builds — a commit leaves an independent change's running
-# decisive build standing, so none is started twice (~35 s on 2 cores once
-# the race build is cached).
+# decisive build standing, so none is started twice. Last, the outcomes
+# route's waiting reads: a lost wake-up leaves a follower of the decision
+# log hanging until its wait ends (~40 s on 2 cores once the race build is
+# cached).
 race-wake:
 	$(GO) test -race -count=20 -run '^(TestBuildEndWakesEngine|TestWakeStressNoLostWakeup|TestIdleSubmitDecidesWithoutPoll|TestIdleEngineDoesNotTick|TestSchedAgingWakesIdleEngine|TestFrozenClockDoesNotSpin|TestSpeculativeOnlyEngineStaysLive|TestSpeculativeMergeFailureStaysLive|TestWakePokedAfterDone|TestWakeOnDoneArmsLate|TestDecisionEventImpliesDurable|TestReadersDoNotPublish)$$' ./internal/core/ ./internal/buildsys/
 	$(GO) test -race -count=3 -run '^TestOneDecisionEventPerChange$$' ./internal/shard/
 	$(GO) test -race -count=1 -run '^TestVirtualTimeIsDeterministic$$' ./internal/core/
+	$(GO) test -race -count=20 -run '^TestOutcomesWait' ./internal/api/
 
 # race-green repeats the Eq. 6 tests under the race detector: 200 seeds of a
 # mixed load (independent, chained, BUILD-editing, BROKEN) on one engine,

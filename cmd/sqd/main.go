@@ -4,14 +4,13 @@
 // event feed at /api/v1/events, and optional MySQL-style durability via an
 // append-only journal. The deployment is api.Stack: sqd
 // turns its flags into an api.StackConfig, opens the stack, and on SIGTERM
-// or interrupt closes it and logs Service.Gauges() — every layer's
+// or interrupt closes it and logs Service.AppendGauges — every layer's
 // counters — as one "name=value …" line.
 //
 // Usage:
 //
 //	sqd [-addr :8080] [-workers 8] [-sched]
 //	    [-data DIR] [-snapshot-interval 5m] [-admission-cap 1000]
-//	    [-status-refresh 250ms]
 //
 // The startup log names the bound address (-addr 127.0.0.1:0 picks a free
 // port); a port already taken fails the start before any state is opened.
@@ -37,7 +36,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"mastergreen/internal/api"
 	"mastergreen/internal/repo"
@@ -62,7 +60,6 @@ func main() {
 	flag.StringVar(&cfg.DataDir, "data", "", "directory for durable state (empty = in-memory only)")
 	flag.DurationVar(&cfg.SnapshotEvery, "snapshot-interval", 0, "with -data: also fold the journal into a snapshot this often while running (0 = shutdown is the only fold)")
 	flag.IntVar(&cfg.AdmissionCap, "admission-cap", 0, "bound the pending queue; excess submits get 429 + Retry-After (0 = unbounded)")
-	flag.DurationVar(&cfg.StatusRefresh, "status-refresh", 250*time.Millisecond, "background status snapshot rebuild interval (0 = no background rebuild: the first request after the 250ms cache expires rebuilds it)")
 	schedOn := flag.Bool("sched", false, "enable priority-lane scheduling (P0 hotfix preemption, deadline aging, per-class gauges)")
 	flag.Parse()
 	if *schedOn {
@@ -82,7 +79,7 @@ func main() {
 	<-sig
 	log.Println("sqd: shutting down")
 	err = st.Close()
-	log.Printf("sqd: %s", svc.Gauges())
+	log.Printf("sqd: %s", svc.AppendGauges(nil))
 	if err != nil {
 		log.Fatalf("sqd: %v", err)
 	}

@@ -30,7 +30,7 @@ func main() {
 	pollRate := flag.Float64("poll-rate", 0, "state polls per second over accepted ids (0 = rate/2)")
 	statusRate := flag.Float64("status-rate", 2, "status reads per second")
 	inFlight := flag.Int("in-flight", 512, "max concurrent HTTP requests")
-	drainTimeout := flag.Duration("drain", 30*time.Second, "after the run, wait up to this long for accepted changes to decide (0 = skip)")
+	drainTimeout := flag.Duration("drain", 30*time.Second, "after the run, follow the decision log up to this long for accepted changes to decide (0 = skip)")
 	hotfixEvery := flag.Int("hotfix-every", 0, "every n-th submission uses the P0 hotfix lane (0 = none)")
 	bulkEvery := flag.Int("bulk-every", 0, "every n-th submission uses the P2 bulk lane with a deadline (0 = none)")
 	flag.Parse()
@@ -76,24 +76,16 @@ func main() {
 	}
 
 	if *drainTimeout > 0 && len(res.AcceptedIDs) > 0 {
-		deadline := time.Now().Add(*drainTimeout)
-		d := loadgen.Classify(client, *base, res.AcceptedIDs, *inFlight)
-		for d.Undecided > 0 && time.Now().Before(deadline) {
-			time.Sleep(500 * time.Millisecond)
-			d = loadgen.Classify(client, *base, res.AcceptedIDs, *inFlight)
+		d, err := loadgen.Follow(client, *base, res.AcceptedIDs, time.Now().Add(*drainTimeout))
+		if err != nil {
+			log.Fatalf("sqload: following the decision log: %v", err)
 		}
-		fmt.Printf("decisions: %d committed, %d rejected, %d undecided, %d errors (of %d accepted)\n",
-			d.Committed, d.Rejected, d.Undecided, d.Errors, len(res.AcceptedIDs))
+		fmt.Printf("decisions: %d committed, %d rejected, %d undecided (of %d accepted)\n",
+			d.Committed, d.Rejected, d.Undecided, len(res.AcceptedIDs))
 		if *hotfixEvery > 0 || *bulkEvery > 0 {
-			lanes := loadgen.SplitByLane(res.AcceptedIDs)
 			for _, lane := range []string{"P0", "P1", "P2"} {
-				ids := lanes[lane]
-				if len(ids) == 0 {
-					continue
-				}
-				ld := loadgen.Classify(client, *base, ids, *inFlight)
-				fmt.Printf("decisions[%s]: %d committed, %d rejected, %d undecided, %d errors (of %d accepted)\n",
-					lane, ld.Committed, ld.Rejected, ld.Undecided, ld.Errors, len(ids))
+				t := d.Lanes[lane]
+				fmt.Printf("decisions[%s]: %d committed, %d rejected, %d undecided\n", lane, t.Committed, t.Rejected, t.Undecided)
 			}
 		}
 		if d.Undecided > 0 {

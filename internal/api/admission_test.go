@@ -137,70 +137,3 @@ func TestRetryAfterTracksDrainRate(t *testing.T) {
 		t.Fatal("under-capacity submit refused")
 	}
 }
-
-// TestStatusCacheServesStaleWithinTTL: /api/v1/status is rebuilt at most
-// once per TTL; between rebuilds every request gets the same pre-marshaled
-// bytes without touching the core.
-func TestStatusCacheServesStaleWithinTTL(t *testing.T) {
-	srv, _, m := manualService(t)
-
-	get := func() string {
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/status", nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status = %d", rec.Code)
-		}
-		return rec.Body.String()
-	}
-	before := get()
-	// Mutate service state: a new pending change.
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/changes",
-		strings.NewReader(submitBody(0))))
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("submit = %d", rec.Code)
-	}
-	// Within the TTL the snapshot is intentionally stale.
-	if got := get(); got != before {
-		t.Fatal("status rebuilt within TTL")
-	}
-	if n := srv.status.Refreshes(); n != 1 {
-		t.Fatalf("refreshes = %d, want 1", n)
-	}
-	// Past the TTL the next request rebuilds and sees the submit.
-	m.Advance(time.Second)
-	after := get()
-	if after == before {
-		t.Fatal("status not rebuilt after TTL")
-	}
-	if !strings.Contains(after, `"pending":1`) {
-		t.Fatalf("rebuilt status missing new pending count: %s", after)
-	}
-}
-
-// TestStatusRefresherRebuildsInBackground: the sqd refresher rebuilds the
-// snapshot off the request path once per interval of the service's clock;
-// stop() halts it and leaves nothing armed.
-func TestStatusRefresherRebuildsInBackground(t *testing.T) {
-	srv, _, m := manualService(t)
-	stop := srv.StartStatusRefresher(time.Second)
-	defer stop()
-	m.Advance(999 * time.Millisecond)
-	if n := srv.status.Refreshes(); n != 0 {
-		t.Fatalf("%d rebuilds before the first interval, want 0", n)
-	}
-	m.Advance(time.Millisecond)
-	if n := srv.status.Refreshes(); n != 1 {
-		t.Fatalf("%d rebuilds after one interval, want 1", n)
-	}
-	m.Advance(2 * time.Second)
-	if n := srv.status.Refreshes(); n != 3 {
-		t.Fatalf("%d rebuilds after three intervals, want 3", n)
-	}
-	stop()
-	stop() // idempotent
-	m.Advance(10 * time.Second)
-	if n := srv.status.Refreshes(); n != 3 || m.Armed() != 0 {
-		t.Fatalf("after stop: %d rebuilds, %d timers armed; want 3, 0", n, m.Armed())
-	}
-}

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+
+	"mastergreen/internal/events"
 )
 
 // Alloc budgets for the hot handlers, measured with testing.AllocsPerRun.
@@ -17,6 +20,10 @@ import (
 const (
 	submitAllocBudget = 6 // measured 5 + headroom for map-growth amortization
 	stateAllocBudget  = 1 // measured 0
+	// A status render with events and admission on: measured 0 allocs and
+	// 0 B; the rebuild it replaced (reflection-named gauges into a map,
+	// then json.Marshal) cost 460 allocs and 25.5 KB.
+	statusAllocBudget, statusBytesBudget = 2, 2560
 )
 
 // TestSubmitHandlerAllocBudget pins the submit path's allocations per
@@ -77,5 +84,34 @@ func TestOutcomesPageAllocsFlat(t *testing.T) {
 	small, large := perPage(100), perPage(10000)
 	if large > 1.1*small {
 		t.Fatalf("outcomes page allocs/op = %.1f over 10 000 decisions, %.1f over 100", large, small)
+	}
+}
+
+// TestStatusHandlerAllocBudget pins the status render's allocations and
+// bytes per request end to end through ServeHTTP, with the event bus and
+// admission gauges on and one change decided.
+func TestStatusHandlerAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	srv, svc := benchService(t)
+	srv.SetEvents(events.NewBus(64))
+	srv.EnableAdmission(1024)
+	decideOne(t, srv, svc, 0)
+	get := httptest.NewRequest(http.MethodGet, "/api/v1/status", nil)
+	w := &nullResponseWriter{}
+	const runs = 1000
+	srv.ServeHTTP(w, get) // warm the pools and the gauge names
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		srv.ServeHTTP(w, get)
+	}
+	runtime.ReadMemStats(&m1)
+	allocs := float64(m1.Mallocs-m0.Mallocs) / runs
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	if allocs > statusAllocBudget || bytes > statusBytesBudget {
+		t.Fatalf("status handler: %.1f allocs, %.0f B per request; budget %d allocs, %d B (the rebuild it replaced: 460, 25.5 KB)",
+			allocs, bytes, statusAllocBudget, statusBytesBudget)
 	}
 }

@@ -7,6 +7,7 @@
 //	POST /api/v1/changes        — submit (land) a change
 //	GET  /api/v1/changes/{id}   — get a change's state
 //	GET  /api/v1/status         — service counters
+//	GET  /api/v1/outcomes       — the decision log, read (and waited on) by cursor
 //	GET  /healthz               — liveness; 503 once the journal has failed
 package api
 
@@ -17,6 +18,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"mastergreen/internal/change"
@@ -91,13 +93,9 @@ type StatusResponse struct {
 	MainlineHead string `json:"mainline_head"`
 
 	// Gauges holds every counter of every layer, keyed by metrics.Render's
-	// <layer>_<field> names: core.Service.Gauges, plus events_* and
+	// <layer>_<field> names: core.Service.AppendGauges, plus events_* and
 	// admission_* when the server has an event bus and admission.
 	Gauges map[string]float64 `json:"gauges"`
-
-	// StatusRefreshes counts rebuilds of this very response: requests
-	// between rebuilds were served from the pre-marshaled snapshot.
-	StatusRefreshes int64 `json:"status_refreshes"`
 }
 
 // Server adapts a core.Service to HTTP.
@@ -108,14 +106,11 @@ type Server struct {
 	// adm bounds submissions and sheds dashboard reads under overload
 	// (nil: unbounded, never sheds). See EnableAdmission.
 	adm *admission
-	// status serves GET /api/v1/status from a pre-marshaled snapshot.
-	status *statusCache
 }
 
 // NewServer wraps the service.
 func NewServer(svc *core.Service) *Server {
 	s := &Server{svc: svc, mux: http.NewServeMux()}
-	s.status = newStatusCache(svc.Clock(), s.buildStatusBody)
 	s.mux.HandleFunc("/api/v1/changes", s.handleChanges)
 	s.mux.HandleFunc("/api/v1/changes/", s.handleChangeState)
 	s.mux.HandleFunc("/api/v1/status", s.handleStatus)
@@ -330,6 +325,11 @@ func (s *Server) handleChangeState(w http.ResponseWriter, r *http.Request) {
 	putBuf(out)
 }
 
+// gaugesPool recycles the gauge lists /api/v1/status renders from.
+var gaugesPool = sync.Pool{New: func() any { return new(metrics.Gauges) }}
+
+// handleStatus renders the StatusResponse by hand into a pooled buffer on
+// every request, so a reading is never older than the request.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
@@ -338,48 +338,49 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if s.shedRead(w) {
 		return
 	}
+	gp := gaugesPool.Get().(*metrics.Gauges)
+	g := s.gauges((*gp)[:0])
+	out := getBuf()
+	b := append(*out, `{"pending":`...)
+	b = strconv.AppendInt(b, int64(s.svc.PendingCount()), 10)
+	b = append(b, `,"mainline_len":`...)
+	b = strconv.AppendInt(b, int64(s.svc.Repo().Len()), 10)
+	b = append(b, `,"mainline_head":`...)
+	b = appendJSONString(b, string(s.svc.Repo().Head().ID))
+	b = append(b, `,"gauges":{`...)
+	for i, kv := range g {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, kv.Name)
+		b = append(b, ':')
+		b = appendJSONFloat(b, kv.Value)
+	}
+	b = append(b, "}}"...)
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(s.status.get())
+	_, _ = w.Write(b)
+	*out = b[:0]
+	putBuf(out)
+	*gp = g[:0]
+	gaugesPool.Put(gp)
 }
 
-// buildStatusBody renders the full status snapshot to JSON (status cache
-// rebuild; runs once per TTL or refresher tick, not per request).
-func (s *Server) buildStatusBody() []byte {
-	st := s.buildStatusResponse()
-	b, err := json.Marshal(&st)
-	if err != nil {
-		return []byte(`{"error":"status marshal failed"}`)
-	}
-	return b
-}
+// StartStatusRefresher does nothing, and neither does its stop: status
+// renders on request. It stays only while the bench/ harness calls it.
+func (s *Server) StartStatusRefresher(time.Duration) (stop func()) { return func() {} }
 
-func (s *Server) buildStatusResponse() StatusResponse {
-	g := s.gauges()
-	resp := StatusResponse{
-		Pending:         s.svc.PendingCount(),
-		MainlineLen:     s.svc.Repo().Len(),
-		MainlineHead:    string(s.svc.Repo().Head().ID),
-		Gauges:          make(map[string]float64, len(g)),
-		StatusRefreshes: s.status.Refreshes(),
-	}
-	for _, kv := range g {
-		resp.Gauges[kv.Name] = kv.Value
-	}
-	return resp
-}
-
-// gauges is Service.Gauges plus the server's own event-bus and admission
-// gauges, when those are enabled: the one list /status and the dashboard
-// render.
-func (s *Server) gauges() metrics.Gauges {
-	g := s.svc.Gauges()
+// gauges appends Service.AppendGauges plus the server's own event-bus and
+// admission gauges, when those are enabled, to g: the one list /status and
+// the dashboard render.
+func (s *Server) gauges(g metrics.Gauges) metrics.Gauges {
+	g = s.svc.AppendGauges(g)
 	if s.events != nil {
-		g = append(g, metrics.Render(s.events.Stats())...)
+		g = metrics.Append(g, s.events.Stats())
 	}
 	if s.adm != nil {
-		g = append(g, metrics.Render(s.adm.Stats())...)
+		g = metrics.Append(g, s.adm.Stats())
 	}
 	return g
 }

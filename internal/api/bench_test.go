@@ -10,6 +10,7 @@ import (
 
 	"mastergreen/internal/clock"
 	"mastergreen/internal/core"
+	"mastergreen/internal/events"
 	"mastergreen/internal/repo"
 )
 
@@ -91,10 +92,13 @@ func BenchmarkStateHandler(b *testing.B) {
 	}
 }
 
-// BenchmarkStatusHandler measures GET /api/v1/status (the dashboard poll).
+// BenchmarkStatusHandler measures GET /api/v1/status (the dashboard poll),
+// rendered on every request with the event bus and admission gauges on.
+// Budget pinned by TestStatusHandlerAllocBudget.
 func BenchmarkStatusHandler(b *testing.B) {
-	srv, svc := benchService(b)
-	_ = svc
+	srv, _ := benchService(b)
+	srv.SetEvents(events.NewBus(64))
+	srv.EnableAdmission(1024)
 	get := httptest.NewRequest(http.MethodGet, "/api/v1/status", nil)
 	w := &nullResponseWriter{}
 	b.ReportAllocs()

@@ -5,12 +5,14 @@
 // once (the only retained allocation — parsed fields are substrings sharing
 // that backing array), and renders responses into pooled buffers with no
 // per-request encoder state. Alloc budgets are pinned by
-// TestSubmitHandlerAllocBudget and TestStateHandlerAllocBudget.
+// TestSubmitHandlerAllocBudget, TestStateHandlerAllocBudget and
+// TestStatusHandlerAllocBudget.
 package api
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -529,4 +531,15 @@ func appendJSONString(b []byte, s string) []byte {
 	}
 	b = append(b, s[start:]...)
 	return append(b, '"')
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64: the
+// shortest decimal that reads back as f, in exponent form only for very small
+// or very large magnitudes. (Every Stats gauge is finite.)
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	return strconv.AppendFloat(b, f, format, -1, 64)
 }

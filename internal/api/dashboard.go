@@ -1,11 +1,14 @@
 package api
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"html/template"
 	"math"
 	"net/http"
 	"strconv"
+	"time"
 
 	"mastergreen/internal/events"
 	"mastergreen/internal/metrics"
@@ -61,14 +64,16 @@ type OutcomesResponse struct {
 }
 
 // A page holds outcomesLimit decisions when the request names no limit, and
-// never more than outcomesMaxLimit.
-const outcomesLimit, outcomesMaxLimit = 100, 1000
+// never more than outcomesMaxLimit; a read waits at most outcomesMaxWait.
+const outcomesLimit, outcomesMaxLimit, outcomesMaxWait = 100, 1000, 30 * time.Second
 
-// handleOutcomes serves GET /api/v1/outcomes?after=SEQ&limit=N: up to N
-// published decisions after seq SEQ (the first decision has seq 1; after
-// defaults to 0), copying only the page. Seqs are numbered per process: a
-// restart renumbers the recovered decisions, so a client resumes from
-// after=0, not from a next it got before the restart.
+// handleOutcomes serves GET /api/v1/outcomes?after=SEQ&limit=N&wait=DUR: up
+// to N published (so durable) decisions after seq SEQ (the first decision has
+// seq 1; after defaults to 0), copying only the page. A read that would find
+// none waits up to DUR (a Go duration, ≤ 30s, on the service clock) for the
+// next one; when DUR ends or the request is cancelled first, the page is
+// empty and next = SEQ. Seqs are numbered per process: a restart renumbers
+// the recovered decisions, so a client resumes from after=0.
 func (s *Server) handleOutcomes(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
@@ -80,13 +85,32 @@ func (s *Server) handleOutcomes(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	after, okAfter := queryInt(q.Get("after"), 0, 0)
 	limit, okLimit := queryInt(q.Get("limit"), outcomesLimit, 1)
-	if !okAfter || !okLimit {
-		writeError(w, http.StatusBadRequest, "bad page: want after >= 0 and limit >= 1")
+	wait, err := time.ParseDuration(cmp.Or(q.Get("wait"), "0s"))
+	if !okAfter || !okLimit || err != nil || wait < 0 || wait > outcomesMaxWait {
+		writeError(w, http.StatusBadRequest, "bad page: want after >= 0, limit >= 1 and wait a duration in [0, 30s]")
 		return
 	}
 	limit = min(limit, outcomesMaxLimit)
-	page := outcomeItems(s.svc.OutcomesAfter(after, limit))
+	next := s.svc.NextDecision()
+	outs := s.svc.OutcomesAfter(after, limit)
+	if len(outs) == 0 && wait > 0 {
+		s.awaitDecision(r.Context(), next, wait)
+		outs = s.svc.OutcomesAfter(after, limit)
+	}
+	page := outcomeItems(outs)
 	writeJSON(w, http.StatusOK, OutcomesResponse{Outcomes: page, Next: after + len(page)})
+}
+
+// awaitDecision returns once next is closed, wait has passed on the service
+// clock, or ctx ends. It arms only its own timer.
+func (s *Server) awaitDecision(ctx context.Context, next <-chan struct{}, wait time.Duration) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer s.svc.Clock().AfterFunc(wait, cancel).Stop()
+	select {
+	case <-next:
+	case <-ctx.Done():
+	}
 }
 
 // outcomeItems renders decisions for the outcomes route and the dashboard.
@@ -153,16 +177,12 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		MainlineLen: s.svc.Repo().Len(),
 		Head:        string(s.svc.Repo().Head().ID),
 		Pending:     s.svc.PendingCount(),
-		Gauges:      s.gauges(),
+		Gauges:      s.gauges(nil),
 		// Copy only the log's tail, so a render costs the same at any uptime.
 		Outcomes: outcomeItems(s.svc.OutcomesAfter(s.svc.OutcomeCount()-20, 20)),
 	}
 	if s.events != nil {
-		evs := s.events.Since(0)
-		if len(evs) > 20 {
-			evs = evs[len(evs)-20:]
-		}
-		d.Events = evs
+		d.Events = s.events.Since(s.events.LastSeq() - 20)
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := dashboardTmpl.Execute(w, d); err != nil {

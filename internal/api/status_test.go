@@ -48,8 +48,8 @@ func statusKeys(prefix string, t reflect.Type) []string {
 
 // TestStatusReportsEveryStatsField: on a service with every optional layer
 // on — priority lanes, fault injection, events and admission — and one change
-// decided, /api/v1/status has a gauge for every exported field of every Stats
-// struct behind it.
+// decided, /api/v1/status holds exactly the server's gauges and has a gauge
+// for every exported field of every Stats struct behind it.
 func TestStatusReportsEveryStatsField(t *testing.T) {
 	r := repo.New(map[string]string{
 		"lib/BUILD":  "target lib srcs=lib.go",
@@ -87,6 +87,17 @@ func TestStatusReportsEveryStatsField(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
+	// The hand-written body carries exactly the server's gauges, name for
+	// name and value for value.
+	g := srv.gauges(nil)
+	if len(st.Gauges) != len(g) {
+		t.Errorf("/status has %d gauges, the server %d", len(st.Gauges), len(g))
+	}
+	for _, kv := range g {
+		if v, ok := st.Gauges[kv.Name]; !ok || v != kv.Value {
+			t.Errorf("/status %s = %v (present %v), the server's gauge is %v", kv.Name, v, ok, kv.Value)
+		}
+	}
 	if st.MainlineLen != 2 || st.Gauges["arbiter_commits"] != 1 || st.Gauges["sched_normal_committed"] != 1 {
 		t.Fatalf("status after one commit = %+v", st)
 	}
@@ -113,5 +124,30 @@ func TestStatusReportsEveryStatsField(t *testing.T) {
 				t.Errorf("/status has no gauge %s", key)
 			}
 		}
+	}
+}
+
+// TestStatusRendersOnRequest: /api/v1/status reads the service on every
+// request. A change committed between two reads shows in the second even
+// though the service clock has not moved.
+func TestStatusRendersOnRequest(t *testing.T) {
+	srv, svc, _ := manualService(t)
+	get := func() StatusResponse {
+		t.Helper()
+		rec := doJSON(t, srv, http.MethodGet, "/api/v1/status", nil)
+		var st StatusResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("status = %d %v: %s", rec.Code, err, rec.Body)
+		}
+		return st
+	}
+	before := get()
+	decideOne(t, srv, svc, 0)
+	after := get()
+	if after.MainlineLen != before.MainlineLen+1 || after.Pending != 0 || after.MainlineHead == before.MainlineHead {
+		t.Fatalf("status after a commit = %+v, before %+v; want one more commit and none pending", after, before)
+	}
+	if after.Gauges["arbiter_commits"] != before.Gauges["arbiter_commits"]+1 {
+		t.Fatalf("arbiter_commits %v after a commit, %v before", after.Gauges["arbiter_commits"], before.Gauges["arbiter_commits"])
 	}
 }

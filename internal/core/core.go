@@ -91,11 +91,12 @@ type Service struct {
 	rel      *reliability.Reliability
 	cfg      Config
 
-	// mu guards known, log and the loop's handles. Only decideLocked writes
-	// a decision, and only publish and OpenRecovered call it; readers copy.
+	// mu guards known, log, grew and the loop's handles. Only decideLocked
+	// writes a decision (publish and OpenRecovered call it); readers copy.
 	mu       sync.Mutex
 	known    map[change.ID]entry // every accepted change
 	log      []planner.Outcome   // published decisions; seq n is log[n-1]
+	grew     chan struct{}       // closed and replaced each time publish grows log
 	cancel   context.CancelFunc
 	loopDone chan struct{}
 	// pubMu makes publish the one writer whichever goroutine runs it: the
@@ -170,6 +171,7 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 		rel:   rel,
 		cfg:   cfg,
 		known: map[change.ID]entry{},
+		grew:  make(chan struct{}),
 	}
 	if cfg.Sched != nil {
 		s.tracker = sched.NewTracker()
@@ -321,6 +323,8 @@ func (s *Service) publish() error {
 	for _, o := range batch {
 		s.decideLocked(o)
 	}
+	close(s.grew) // wake the followers of the log (NextDecision)
+	s.grew = make(chan struct{})
 	s.mu.Unlock()
 	if s.cfg.Events != nil {
 		for _, o := range batch {
@@ -362,6 +366,15 @@ func (s *Service) OutcomesAfter(after, limit int) []planner.Outcome {
 	return append([]planner.Outcome(nil), s.log[after:after+limit]...)
 }
 
+// NextDecision returns a channel that publish closes when it next grows the
+// decision log. A follower takes it before it reads the log: if the read
+// finds nothing new, waiting on the channel misses no decision.
+func (s *Service) NextDecision() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.grew
+}
+
 // OutcomeCount returns the number of published decisions, the seq of the
 // newest one, without copying the log (admission drain-rate sampling and
 // dashboard paging read it).
@@ -392,17 +405,17 @@ func (s *Service) ArbiterStats() arbiter.Stats { return s.arb.Stats() }
 // ReliabilityStats exposes the flaky-failure layer's work counters.
 func (s *Service) ReliabilityStats() reliability.Stats { return s.rel.Stats() }
 
-// Gauges renders the counters of every layer the service runs — builds,
-// conflict analysis, planner engine, shard runtime, arbiter, reliability
-// and, with Config.Sched, the priority lanes — one gauge per Stats field,
-// named by metrics.Render. It is the one reader behind /api/v1/status, the
-// dashboard and sqd's shutdown log.
-func (s *Service) Gauges() metrics.Gauges {
-	layers := []any{s.BuildStats(), s.AnalyzerStats(), s.PlannerStats(), s.ShardStats(), s.ArbiterStats(), s.ReliabilityStats()}
+// AppendGauges appends the counters of every layer the service runs —
+// builds, conflict analysis, planner engine, shard runtime, arbiter,
+// reliability and, with Config.Sched, the priority lanes — to g, one gauge
+// per Stats field, named by metrics.Render. It is the one reader behind
+// /api/v1/status, the dashboard and sqd's shutdown log.
+func (s *Service) AppendGauges(g metrics.Gauges) metrics.Gauges {
+	g = metrics.Append(g, s.BuildStats(), s.AnalyzerStats(), s.PlannerStats(), s.ShardStats(), s.ArbiterStats(), s.ReliabilityStats())
 	if s.tracker != nil {
-		layers = append(layers, s.tracker.Snapshot())
+		g = metrics.Append(g, s.tracker.Snapshot())
 	}
-	return metrics.Render(layers...)
+	return g
 }
 
 // Start launches the background event loop and the publisher: one

@@ -10,6 +10,7 @@ import (
 
 	"mastergreen/internal/change"
 	"mastergreen/internal/events"
+	"mastergreen/internal/planner"
 	"mastergreen/internal/store"
 )
 
@@ -32,41 +33,68 @@ func awaitEvent(t *testing.T, ch <-chan events.Event, typ events.Type, id change
 
 // TestDecisionEventImpliesDurable: a running durable service that nothing
 // reads from emits a decision event only once the decision's record is
-// durable. A copy of the journal taken when c1's committed event arrives —
+// durable. A copy of the journal taken when c1's committed event arrives,
+// or when a follower waiting on the decision log (NextDecision) reads it —
 // what kill -9 would leave — boots with c1 committed; and on a journal that
 // cannot sync, a rejected change never gets its rejected event.
 func TestDecisionEventImpliesDurable(t *testing.T) {
 	t.Run("committed", func(t *testing.T) {
 		dir := t.TempDir()
+		path := filepath.Join(dir, "journal.jsonl")
 		bus := events.NewBus(256)
 		feed, unsubscribe := bus.Subscribe(256)
 		defer unsubscribe()
-		svc, err := OpenRecovered(newRepo(), filepath.Join(dir, "journal.jsonl"), Config{Workers: 2, Events: bus})
+		svc, err := OpenRecovered(newRepo(), path, Config{Workers: 2, Events: bus})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer svc.CloseJournal()
 		svc.Start()
 		defer svc.Stop()
+		// A follower of the decision log copies the journal the moment the
+		// first decision is there to read.
+		type copied struct {
+			o       planner.Outcome
+			journal []byte
+			err     error
+		}
+		followed := make(chan copied, 1)
+		next := svc.NextDecision()
+		go func() {
+			<-next
+			c := copied{o: svc.OutcomesAfter(0, 1)[0]}
+			c.journal, c.err = os.ReadFile(path)
+			followed <- c
+		}()
 		if err := svc.Submit(mkChange(svc.Repo(), "c1", "lib/lib.go", "lib v2")); err != nil {
 			t.Fatal(err)
 		}
 		ev := awaitEvent(t, feed, events.TypeCommitted, "c1")
-		journal, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+		journal, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		crashed := filepath.Join(t.TempDir(), "journal.jsonl")
-		if err := os.WriteFile(crashed, journal, 0o644); err != nil {
-			t.Fatal(err)
+		f := <-followed
+		if f.err != nil {
+			t.Fatal(f.err)
 		}
-		reboot, err := OpenRecovered(newRepo(), crashed, Config{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
+		if f.o.ID != "c1" || string(f.o.Commit) != ev.Detail {
+			t.Fatalf("the follower read %+v, the event names %s", f.o, ev.Detail)
 		}
-		defer reboot.CloseJournal()
-		if st, err := reboot.State("c1"); err != nil || st.State != change.StateCommitted || string(st.Commit) != ev.Detail {
-			t.Fatalf("after the committed event (%s) the reboot has c1 = %+v, %v", ev.Detail, st, err)
+		for who, journal := range map[string][]byte{"event": journal, "follower": f.journal} {
+			crashed := filepath.Join(t.TempDir(), "journal.jsonl")
+			if err := os.WriteFile(crashed, journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			reboot, err := OpenRecovered(newRepo(), crashed, Config{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := reboot.State("c1")
+			_ = reboot.CloseJournal()
+			if err != nil || st.State != change.StateCommitted || string(st.Commit) != ev.Detail {
+				t.Fatalf("after the %s saw c1 committed (%s) the reboot has c1 = %+v, %v", who, ev.Detail, st, err)
+			}
 		}
 	})
 	t.Run("rejected", func(t *testing.T) {

@@ -450,7 +450,7 @@ func TestRecoveredHotfixCountsInP0Lane(t *testing.T) {
 	}
 	defer svc.CloseJournal()
 	got := map[string]float64{}
-	for _, g := range svc.Gauges() {
+	for _, g := range svc.AppendGauges(nil) {
 		got[g.Name] = g.Value
 	}
 	if got["sched_hotfix_pending"] != 1 || got["sched_normal_pending"] != 0 {

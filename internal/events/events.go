@@ -210,14 +210,3 @@ func (b *Bus) Subscribe(buffer int) (<-chan Event, func()) {
 	}
 	return s.ch, cancel
 }
-
-// Counts aggregates retained events by type (for status pages).
-func (b *Bus) Counts() map[Type]int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := map[Type]int{}
-	for i := 0; i < b.count; i++ {
-		out[b.ring[(b.start+i)%len(b.ring)].Type]++
-	}
-	return out
-}

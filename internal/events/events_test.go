@@ -95,17 +95,6 @@ func TestCancelIdempotent(t *testing.T) {
 	b.Publish(Event{Type: TypeSubmitted})
 }
 
-func TestCounts(t *testing.T) {
-	b := NewBus(32)
-	b.Publish(Event{Type: TypeSubmitted})
-	b.Publish(Event{Type: TypeSubmitted})
-	b.Publish(Event{Type: TypeCommitted})
-	c := b.Counts()
-	if c[TypeSubmitted] != 2 || c[TypeCommitted] != 1 {
-		t.Fatalf("counts = %v", c)
-	}
-}
-
 // TestSetClock: the bus stamps an event that carries no time from its clock,
 // and keeps the time of one that does.
 func TestSetClock(t *testing.T) {

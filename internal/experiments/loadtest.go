@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"strings"
 	"time"
 
@@ -60,21 +61,14 @@ func loadtestRequest(prefix string, subtrees int) loadgen.RequestFunc {
 	}
 }
 
-// drainPending waits until the service has decided every admitted change (or
-// the timeout passes) and returns the drain wall time in seconds.
-func drainPending(svc *core.Service, timeout time.Duration) float64 {
+// followDecisions follows a stack's decision log for up to two minutes and
+// returns the tally and the seconds it took.
+func followDecisions(client *http.Client, url string, ids []string) (loadgen.Decisions, float64, error) {
 	//lint:ignore wallclock load test measures real elapsed time
 	start := time.Now()
-	for svc.PendingCount() > 0 {
-		//lint:ignore wallclock,tainttime load test measures real elapsed time
-		if time.Since(start) > timeout {
-			break
-		}
-		//lint:ignore wallclock load test polls the drain in real time
-		time.Sleep(5 * time.Millisecond)
-	}
+	d, err := loadgen.Follow(client, url, ids, start.Add(2*time.Minute))
 	//lint:ignore wallclock load test measures real elapsed time
-	return time.Since(start).Seconds()
+	return d, time.Since(start).Seconds(), err
 }
 
 // greenViolations scans HEAD's full tree for broken content. Sound for this
@@ -126,7 +120,7 @@ func Loadtest(o Options) *Report {
 	// --- Phase 1: sustained throughput on the hot serving path.
 	sus, err := api.OpenStack(subtreeRepo(subtrees, slots), api.StackConfig{
 		Core: core.Config{Workers: 16, Runner: loadtestRunner(0, brokenPaths)},
-		Addr: "127.0.0.1:0", AdmissionCap: 50000, StatusRefresh: 50 * time.Millisecond,
+		Addr: "127.0.0.1:0", AdmissionCap: 50000,
 	})
 	//lint:ignore tainttime load test drives a live stack on real time by design
 	if err != nil {
@@ -150,12 +144,16 @@ func Loadtest(o Options) *Report {
 		r.Text = "loadtest: sustained run: " + err.Error()
 		return r
 	}
-	drainSecs := drainPending(sus.Service(), 2*time.Minute)
-	dec := loadgen.Classify(client, sus.URL(), res.AcceptedIDs, 256)
+	dec, drainSecs, err := followDecisions(client, sus.URL(), res.AcceptedIDs)
 	busStats := sus.Bus().Stats()
 	greenSus := greenViolations(sus.Service().Repo())
 	cancelStalled()
 	_ = sus.Close() // in-memory: nothing to persist
+	//lint:ignore tainttime load test drives a live stack on real time by design
+	if err != nil {
+		r.Text = "loadtest: sustained decisions: " + err.Error()
+		return r
+	}
 
 	r.Metrics["sustained_per_min"] = res.Sustained()
 	r.Metrics["offered"] = float64(res.Offered)
@@ -178,7 +176,7 @@ func Loadtest(o Options) *Report {
 	// the offered rate, so the queue actually fills and backpressure engages.
 	over, err := api.OpenStack(subtreeRepo(subtrees, slots), api.StackConfig{
 		Core: core.Config{Workers: 4, Runner: loadtestRunner(overDelay, brokenPaths)},
-		Addr: "127.0.0.1:0", AdmissionCap: overCap, StatusRefresh: 50 * time.Millisecond,
+		Addr: "127.0.0.1:0", AdmissionCap: overCap,
 	})
 	//lint:ignore tainttime load test drives a live stack on real time by design
 	if err != nil {
@@ -197,10 +195,14 @@ func Loadtest(o Options) *Report {
 		r.Text = "loadtest: overload run: " + err.Error()
 		return r
 	}
-	overDrainSecs := drainPending(over.Service(), 2*time.Minute)
-	overDec := loadgen.Classify(client, over.URL(), overRes.AcceptedIDs, 256)
+	overDec, overDrainSecs, err := followDecisions(client, over.URL(), overRes.AcceptedIDs)
 	greenOver := greenViolations(over.Service().Repo())
 	_ = over.Close() // in-memory: nothing to persist
+	//lint:ignore tainttime load test drives a live stack on real time by design
+	if err != nil {
+		r.Text = "loadtest: overload decisions: " + err.Error()
+		return r
+	}
 
 	r.Metrics["overload_offered"] = float64(overRes.Offered)
 	r.Metrics["overload_accepted"] = float64(overRes.Accepted)

@@ -11,6 +11,7 @@ package loadgen
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -46,7 +47,7 @@ func DefaultRequest(prefix string) RequestFunc {
 // hotfixEvery-th submission lands in the P0 hotfix lane and every
 // bulkEvery-th in the P2 bulk lane with a ten-minute deadline (0 disables a
 // lane; P0 wins when both divide i). The lane is embedded in the id so a
-// finished run can be classified per class afterwards (see SplitByLane).
+// finished run can be tallied per lane afterwards (see Follow).
 func PriorityRequest(prefix string, hotfixEvery, bulkEvery int) RequestFunc {
 	return func(i int) (string, []byte) {
 		lane, extra := "p1", ""
@@ -63,21 +64,16 @@ func PriorityRequest(prefix string, hotfixEvery, bulkEvery int) RequestFunc {
 	}
 }
 
-// SplitByLane groups ids by the lane marker PriorityRequest embeds, keyed
-// "P0"/"P1"/"P2"; ids without a marker count as P1.
-func SplitByLane(ids []string) map[string][]string {
-	out := map[string][]string{}
-	for _, id := range ids {
-		lane := "P1"
-		switch {
-		case strings.Contains(id, "-p0-"):
-			lane = "P0"
-		case strings.Contains(id, "-p2-"):
-			lane = "P2"
-		}
-		out[lane] = append(out[lane], id)
+// laneOf is the lane of an id PriorityRequest made, "P0", "P1" or "P2"; an
+// id without a lane marker is P1.
+func laneOf(id string) string {
+	switch {
+	case strings.Contains(id, "-p0-"):
+		return "P0"
+	case strings.Contains(id, "-p2-"):
+		return "P2"
 	}
-	return out
+	return "P1"
 }
 
 // SharedClient returns an http.Client tuned for sustained load against one
@@ -155,7 +151,7 @@ func summarize(ms []float64) Latency {
 
 // Result is one completed load run. AcceptedIDs covers warmup and measured
 // phases (every 202 is a durability promise the caller may audit with
-// Classify); all other fields cover only the measured window.
+// Follow); all other fields cover only the measured window.
 type Result struct {
 	Offered   int // submissions paced into the measured window
 	Accepted  int // 202
@@ -436,61 +432,82 @@ func (g *runState) statusLoop(stop <-chan struct{}, wg *sync.WaitGroup) {
 	}
 }
 
-// Decisions tallies the final states of a set of accepted changes.
+// Tally counts the decisions of a set of accepted changes.
+type Tally struct{ Committed, Rejected, Undecided int }
+
+// Decisions is a Tally of a run's accepted changes, overall and per lane
+// (keyed "P0", "P1" and "P2", each present; see PriorityRequest).
 type Decisions struct {
-	Committed int
-	Rejected  int
-	Undecided int
-	Errors    int
+	Tally
+	Lanes map[string]*Tally
 }
 
-// Classify polls every id once and tallies its current state. Run it after
-// the service has drained to audit the 202 durability promise: accepted
-// changes must all reach committed or rejected — never vanish.
-func Classify(client *http.Client, baseURL string, ids []string, maxInFlight int) Decisions {
-	if client == nil {
-		client = SharedClient(maxInFlight)
-	}
-	if maxInFlight <= 0 {
-		maxInFlight = 64
-	}
-	sem := make(chan struct{}, maxInFlight)
-	var wg sync.WaitGroup
-	var committed, rejected, undecided, errs atomic.Int64
+// Follow reads the service's decision log from its start, page after page
+// of GET /api/v1/outcomes, each read waiting on the server for the next
+// decision, until every id is decided or the deadline passes: the audit of
+// the 202 durability promise (no accepted change may vanish). A shed read
+// (503) is retried after its Retry-After; any other failed read is an error.
+func Follow(client *http.Client, baseURL string, ids []string, deadline time.Time) (Decisions, error) {
+	d := Decisions{Lanes: map[string]*Tally{"P0": {}, "P1": {}, "P2": {}}}
+	undecided := make(map[string]*Tally, len(ids)) // id → its lane's tally
 	for _, id := range ids {
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			resp, err := client.Get(baseURL + "/api/v1/changes/" + id)
-			if err != nil {
-				errs.Add(1)
-				return
-			}
-			body, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-			_ = resp.Body.Close()
-			if rerr != nil || resp.StatusCode != http.StatusOK {
-				errs.Add(1)
-				return
-			}
-			switch {
-			case bytes.Contains(body, []byte(`"state":"committed"`)):
-				committed.Add(1)
-			case bytes.Contains(body, []byte(`"state":"rejected"`)):
-				rejected.Add(1)
-			default:
-				undecided.Add(1)
-			}
-		}(id)
+		undecided[id] = d.Lanes[laneOf(id)]
 	}
-	wg.Wait()
-	return Decisions{
-		Committed: int(committed.Load()),
-		Rejected:  int(rejected.Load()),
-		Undecided: int(undecided.Load()),
-		Errors:    int(errs.Load()),
+	var err error
+	for next := 0; len(undecided) > 0 && err == nil; {
+		var page outcomesPage
+		page, err = readOutcomes(client, baseURL, next, deadline)
+		for _, o := range page.Outcomes {
+			if t := undecided[o.ID]; t != nil {
+				delete(undecided, o.ID)
+				if o.State == "committed" {
+					t.Committed++
+				} else {
+					t.Rejected++
+				}
+			}
+		}
+		next = page.Next
+		if len(page.Outcomes) == 0 && !time.Now().Before(deadline) {
+			break
+		}
 	}
+	for _, t := range undecided {
+		t.Undecided++
+	}
+	for _, t := range d.Lanes {
+		d.Committed, d.Rejected, d.Undecided = d.Committed+t.Committed, d.Rejected+t.Rejected, d.Undecided+t.Undecided
+	}
+	return d, err
+}
+
+// outcomesPage is the part of the outcomes route's reply Follow reads.
+type outcomesPage struct {
+	Outcomes []struct{ ID, State string } `json:"outcomes"`
+	Next     int                          `json:"next"`
+}
+
+// readOutcomes reads the page after seq after, waiting for a decision until
+// the deadline but at most 5 s (under SharedClient's 10 s timeout). A shed
+// read waits out its Retry-After, within the deadline, for an empty page.
+func readOutcomes(client *http.Client, baseURL string, after int, deadline time.Time) (outcomesPage, error) {
+	wait := min(max(time.Until(deadline), 0), 5*time.Second).Round(time.Millisecond)
+	page := outcomesPage{Next: after}
+	resp, err := client.Get(fmt.Sprintf("%s/api/v1/outcomes?after=%d&limit=1000&wait=%s", baseURL, after, wait))
+	if err != nil {
+		return page, err
+	}
+	defer drain(resp)
+	secs, retry := parseSeconds(resp.Header.Get("Retry-After"))
+	switch {
+	case resp.StatusCode == http.StatusOK:
+		err = json.NewDecoder(resp.Body).Decode(&page)
+	case resp.StatusCode == http.StatusServiceUnavailable && retry:
+		time.Sleep(min(time.Duration(secs)*time.Second, max(time.Until(deadline), 0)))
+	default:
+		err = fmt.Errorf("outcomes: status %d", resp.StatusCode)
+	}
+	return page, err
 }
 
 // drain empties and closes a response body so the keep-alive connection goes

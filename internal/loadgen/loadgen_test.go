@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -13,11 +15,20 @@ import (
 
 // fakeSQD mimics the sqd serving surface: accepts submissions up to a
 // capacity, then 429s with Retry-After; sheds status reads while at or above
-// 90% occupancy; decides ids on demand (odd sequence numbers rejected).
+// 90% occupancy; decides ids on demand (ids ending in 1 or 3 rejected) and
+// lists every accepted id's decision in its outcomes log, two a page.
 type fakeSQD struct {
 	mu       sync.Mutex
 	capacity int
 	ids      []string
+	shed     int // outcomes reads still to shed with 503
+}
+
+func fakeState(id string) string {
+	if strings.HasSuffix(id, "1") || strings.HasSuffix(id, "3") {
+		return "rejected"
+	}
+	return "committed"
 }
 
 func (f *fakeSQD) handler() http.Handler {
@@ -46,11 +57,38 @@ func (f *fakeSQD) handler() http.Handler {
 	})
 	mux.HandleFunc("/api/v1/changes/", func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/api/v1/changes/")
-		state := "committed"
-		if strings.HasSuffix(id, "1") || strings.HasSuffix(id, "3") {
-			state = "rejected"
+		fmt.Fprintf(w, `{"id":%q,"state":%q}`, id, fakeState(id))
+	})
+	mux.HandleFunc("/api/v1/outcomes", func(w http.ResponseWriter, r *http.Request) {
+		after, _ := strconv.Atoi(r.URL.Query().Get("after"))
+		wait, err := time.ParseDuration(r.URL.Query().Get("wait"))
+		if err != nil {
+			http.Error(w, "bad wait", http.StatusBadRequest)
+			return
 		}
-		fmt.Fprintf(w, `{"id":%q,"state":%q}`, id, state)
+		f.mu.Lock()
+		shed := f.shed > 0
+		f.shed--
+		ids := f.ids[min(after, len(f.ids)):min(after+2, len(f.ids))]
+		f.mu.Unlock()
+		if shed {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		if len(ids) == 0 {
+			time.Sleep(wait) // nothing more is ever decided
+		}
+		var page struct {
+			Outcomes []map[string]string `json:"outcomes"`
+			Next     int                 `json:"next"`
+		}
+		page.Outcomes = []map[string]string{}
+		for _, id := range ids {
+			page.Outcomes = append(page.Outcomes, map[string]string{"id": id, "state": fakeState(id)})
+		}
+		page.Next = after + len(ids)
+		_ = json.NewEncoder(w).Encode(page)
 	})
 	mux.HandleFunc("/api/v1/status", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -148,16 +186,29 @@ func TestRunCountsBackpressure(t *testing.T) {
 	}
 }
 
-// TestClassify tallies decisions across accepted ids.
-func TestClassify(t *testing.T) {
-	f := &fakeSQD{}
+// TestFollow reads the decision log page by page, through a shed read, and
+// tallies the accepted ids overall and per lane; an id the log never names
+// is undecided once the deadline passes.
+func TestFollow(t *testing.T) {
+	f := &fakeSQD{ids: []string{"c-0", "c-1", "c-2", "other-3", "c-p0-4", "c-p2-13", "c-3"}, shed: 1}
 	ts := httptest.NewServer(f.handler())
 	defer ts.Close()
 
-	ids := []string{"c-0", "c-1", "c-2", "c-3", "c-10"}
-	d := Classify(nil, ts.URL, ids, 4)
-	if d.Committed != 3 || d.Rejected != 2 || d.Undecided != 0 || d.Errors != 0 {
-		t.Fatalf("classify = %+v, want 3 committed / 2 rejected", d)
+	ids := []string{"c-0", "c-1", "c-2", "c-3", "c-p0-4", "c-p2-13", "c-lost"}
+	d, err := Follow(SharedClient(1), ts.URL, ids, time.Now().Add(1500*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Decisions{
+		Tally: Tally{Committed: 3, Rejected: 3, Undecided: 1},
+		Lanes: map[string]*Tally{
+			"P0": {Committed: 1},
+			"P1": {Committed: 2, Rejected: 2, Undecided: 1},
+			"P2": {Rejected: 1},
+		},
+	}
+	if !reflect.DeepEqual(d, want) {
+		t.Fatalf("Follow = %+v, want %+v", d, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"path"
 	"reflect"
 	"strings"
+	"sync"
 	"time"
 	"unicode"
 )
@@ -47,38 +48,69 @@ var durationType = reflect.TypeOf(time.Duration(0))
 // are; time.Duration fields render in seconds with an "_s" suffix; a
 // struct field renders its own fields under <field>_. Any other field kind
 // panics: it is a Stats type the registry does not know how to read.
-func Render(stats ...any) Gauges {
-	var g Gauges
+func Render(stats ...any) Gauges { return Append(nil, stats...) }
+
+// Append is Render appending to g, so a caller with a reused slice renders
+// without allocating: the names are worked out once per Stats type.
+func Append(g Gauges, stats ...any) Gauges {
 	for _, s := range stats {
 		v := reflect.ValueOf(s)
-		prefix := snakeCase(strings.TrimSuffix(v.Type().Name(), "Stats"))
-		if prefix == "" {
-			prefix = path.Base(v.Type().PkgPath())
+		for _, f := range planOf(v.Type()) {
+			fv := v.FieldByIndex(f.index)
+			x := 0.0
+			switch {
+			case f.seconds:
+				x = time.Duration(fv.Int()).Seconds()
+			case fv.CanInt():
+				x = float64(fv.Int())
+			default:
+				x = fv.Float()
+			}
+			g = append(g, Gauge{Name: f.name, Value: x})
 		}
-		g = appendGauges(g, prefix, v)
 	}
 	return g
 }
 
-func appendGauges(g Gauges, name string, v reflect.Value) Gauges {
-	if v.Type() == durationType {
-		return append(g, Gauge{Name: name + "_s", Value: time.Duration(v.Int()).Seconds()})
+// field is one gauge of a Stats type: its name, where its value lives, and
+// whether it is a time.Duration (rendered in seconds).
+type field struct {
+	name    string
+	index   []int
+	seconds bool
+}
+
+// plans caches each Stats type's fields (reflect.Type → []field).
+var plans sync.Map
+
+func planOf(t reflect.Type) []field {
+	if p, ok := plans.Load(t); ok {
+		return p.([]field)
 	}
-	switch {
-	case v.CanInt():
-		return append(g, Gauge{Name: name, Value: float64(v.Int())})
-	case v.CanFloat():
-		return append(g, Gauge{Name: name, Value: v.Float()})
-	case v.Kind() == reflect.Struct:
-		t := v.Type()
+	prefix := snakeCase(strings.TrimSuffix(t.Name(), "Stats"))
+	if prefix == "" {
+		prefix = path.Base(t.PkgPath())
+	}
+	p := appendFields(nil, prefix, t, nil)
+	plans.Store(t, p)
+	return p
+}
+
+func appendFields(fs []field, name string, t reflect.Type, index []int) []field {
+	switch k := t.Kind(); {
+	case t == durationType:
+		return append(fs, field{name: name + "_s", index: index, seconds: true})
+	case k >= reflect.Int && k <= reflect.Int64 || k == reflect.Float32 || k == reflect.Float64:
+		return append(fs, field{name: name, index: index})
+	case k == reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
 			if f := t.Field(i); f.IsExported() {
-				g = appendGauges(g, name+"_"+snakeCase(f.Name), v.Field(i))
+				fs = appendFields(fs, name+"_"+snakeCase(f.Name), f.Type, append(index[:len(index):len(index)], i))
 			}
 		}
-		return g
+		return fs
 	}
-	panic(fmt.Sprintf("metrics: cannot render %s field %s", v.Type(), name))
+	panic(fmt.Sprintf("metrics: cannot render %s field %s", t, name))
 }
 
 // snakeCase turns a Go identifier into snake case: CrossShardRebuilds →

@@ -202,7 +202,6 @@ type Planner struct {
 	mu           sync.Mutex
 	running      []*trackedBuild
 	finished     []*trackedBuild
-	committed    []change.ID // in commit order since planner creation
 	committedSet map[change.ID]bool
 	rejected     map[change.ID]string // reason
 	outcomes     []Outcome            // decided since the last DrainOutcomes
@@ -857,7 +856,6 @@ func (p *Planner) resolve(c *change.Change, st change.State, reason string, comm
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if st == change.StateCommitted {
-		p.committed = append(p.committed, id)
 		p.committedSet[id] = true
 	} else {
 		p.rejected[id] = reason

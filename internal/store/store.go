@@ -426,7 +426,8 @@ func PendingFromRecords(recs []Record) (pending []*change.Change, outcomes []Out
 
 // Mainline returns the commit records of a replayed journal in Seq order.
 // A Seq seen before (a snapshot and the tail it folded overlap after a crash
-// mid-rotation) folds away if it names the same commit; a gap is an error.
+// mid-rotation) folds away if it names the same commit of the same change; a
+// gap, or a second change at one Seq, is an error.
 func Mainline(recs []Record) ([]*CommitRecord, error) {
 	var out []*CommitRecord
 	for _, r := range recs {
@@ -435,7 +436,7 @@ func Mainline(recs []Record) ([]*CommitRecord, error) {
 		case r.Kind != KindCommit || c == nil:
 		case n == 0 || c.Seq == out[n-1].Seq+1:
 			out = append(out, c)
-		case c.Seq < out[0].Seq || c.Seq > out[n-1].Seq || out[c.Seq-out[0].Seq].Commit != c.Commit:
+		case c.Seq < out[0].Seq || c.Seq > out[n-1].Seq || out[c.Seq-out[0].Seq].Commit != c.Commit || out[c.Seq-out[0].Seq].ID != c.ID:
 			return nil, fmt.Errorf("store: commit record %s at seq %d does not follow seq %d", c.Commit, c.Seq, out[n-1].Seq)
 		}
 	}
